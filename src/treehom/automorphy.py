@@ -198,10 +198,9 @@ def find_increasing_ordering(
     sum is the degree), so only permutations within equal-degree blocks are
     tried; the lexicographically first passing ordering is unaffected.
     """
-    P = orbit_partition(H, size_limit)
+    P, base = class_data(H, size_limit)
     if P.k > class_limit:
         raise SizeLimitError(f"ordering search limited to {class_limit} classes, got {P.k}")
-    base = similarity_matrix(P)
     deg = [sum(base.m[i]) for i in range(P.k)]
     blocks: list[list[int]] = []
     for i in sorted(range(P.k), key=lambda i: (deg[i], i)):
@@ -219,6 +218,9 @@ def find_increasing_ordering(
 
 @lru_cache(maxsize=None)
 def class_data(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT):
-    """(OrbitPartition, identity-ordered SimilarityMatrix) for H, cached."""
+    """(OrbitPartition, identity-ordered SimilarityMatrix) for H, cached.
+
+    The only route to the class quotient, so a target's orbit search runs
+    once per process and size limit."""
     P = orbit_partition(H, size_limit)
     return P, similarity_matrix(P)

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .automorphy import (
     AUT_SIZE_LIMIT,
+    class_data,
     find_increasing_ordering,
     orbit_partition,
-    similarity_matrix,
 )
 from .graphs import (
     GraphParseError,
@@ -132,16 +132,28 @@ def _parse_activities(text: str, n: int):
     return activities(vals)
 
 
+def _exact_str(value) -> str:
+    """str() of an exact result, without the interpreter's int-to-str digit
+    limit. The limit guards parsing of untrusted input, which keeps it; a
+    value the program computed itself is printed in full."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations (each returns the exit status)
 
 def _cmd_hom(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
-    if args.brute:
-        count = hom_brute_force(T, H, args.budget)
-    else:
-        count = tree_hom(T, H)
+    count = _exact_str(hom_brute_force(T, H, args.budget) if args.brute
+                       else tree_hom(T, H))
     if args.rows:
         print(f"hom\t{T.n}\t{H.n}\t{count}")
     else:
@@ -153,7 +165,7 @@ def _cmd_partition(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
     lam = _parse_activities(args.activities, H.n)
-    z = partition_function(T, H, lam, args.budget)
+    z = _exact_str(partition_function(T, H, lam, args.budget))
     if args.rows:
         print(f"partition\t{T.n}\t{H.n}\t{z}")
     else:
@@ -176,8 +188,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_matrix(args) -> int:
     H = parse_target_spec(args.target)
-    P = orbit_partition(H, args.size_limit)
-    base = similarity_matrix(P)
+    P, base = class_data(H, args.size_limit)
     result = find_increasing_ordering(H, args.size_limit)
     if args.rows:
         print(f"sizes\t{','.join(map(str, base.sizes))}")
@@ -322,6 +333,7 @@ def _cmd_kc(args) -> int:
             ok = lhs == rhs
             if not ok:
                 status = 1
+            lhs, rhs = _exact_str(lhs), _exact_str(rhs)
             if args.rows:
                 print(f"kc\t{vl}\t{vr}\t{lhs}\t{rhs}\t{int(ok)}")
             else:
@@ -341,14 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, target=False, tree=False, n=False, n_max=False):
+    def common(p, target=False, tree=False, n=False, n_max=False, budget=False):
         p.add_argument("--rows", action="store_true",
                        help="machine-readable tab-separated output")
-        p.add_argument("--budget", type=int, default=BRUTE_FORCE_BUDGET,
-                       help="brute-force enumeration cap")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker cap (accepted for compatibility; "
-                            "execution is single-process)")
+        if budget:
+            p.add_argument("--budget", type=int, default=BRUTE_FORCE_BUDGET,
+                           help="brute-force enumeration cap")
         p.add_argument("--size-limit", type=int, default=AUT_SIZE_LIMIT + 9,
                        help="automorphism-search vertex cap")
         if target:
@@ -364,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="largest tree order swept")
 
     p = sub.add_parser("hom", help="count H-colorings of a tree")
-    common(p, target=True, tree=True)
+    common(p, target=True, tree=True, budget=True)
     p.add_argument("--brute", action="store_true",
                    help="use brute-force enumeration instead of the tree walk")
     p.set_defaults(func=_cmd_hom)
 
     p = sub.add_parser("partition", help="activity-weighted coloring sum of a tree")
-    common(p, target=True, tree=True)
+    common(p, target=True, tree=True, budget=True)
     p.add_argument("--activities", required=True,
                    help='comma-separated rationals, e.g. "3/2,1,5"')
     p.set_defaults(func=_cmd_partition)

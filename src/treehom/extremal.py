@@ -16,13 +16,13 @@ from typing import Optional, Union
 from .automorphy import (
     AUT_SIZE_LIMIT,
     SimilarityMatrix,
+    class_data,
     find_increasing_ordering,
     has_increasing_columns,
-    orbit_partition,
     similarity_matrix,
 )
-from .graphs import TargetGraph
-from .homcount import path_pair_counts, tree_hom
+from .graphs import SizeLimitError, TargetGraph
+from .homcount import hom_vector, path_pair_counts, tree_hom
 from .trees import all_trees, canonical_code, has_balanced_bipartition, path, star
 
 
@@ -213,7 +213,7 @@ def verify_hoffman_london(H: TargetGraph, n_max: int,
     reports = tuple(minimizers(H, n) for n in range(2, n_max + 1))
     try:
         cert = find_increasing_ordering(H, size_limit)
-    except Exception:
+    except SizeLimitError:
         cert = None
     strong = None
     if cert is not None:
@@ -231,17 +231,12 @@ def check_strong_hl_certificate(
     """Search, for each path length 2..t_max, for a class pair (a, b) with a
     joint endpoint coloring and strictly larger endpoint counts for b at
     every length 2..s_max; lexicographically least pair wins."""
-    P = orbit_partition(H, size_limit)
+    P, _ = class_data(H, size_limit)
     M = similarity_matrix(P, ordering)
     if not has_increasing_columns(M):
         return "ordering does not pass the increasing-columns test"
     k = M.k
-    # endpoint vectors h(P_s, end) for s = 2..s_max
-    vec = [1] * k
-    endpoint = {}
-    for s in range(2, s_max + 1):
-        vec = [sum(M.m[i][j] * vec[j] for j in range(k)) for i in range(k)]
-        endpoint[s] = vec
+    endpoint = {s: hom_vector(path(s), 0, M) for s in range(2, s_max + 1)}
     witnesses = []
     for t in range(2, t_max + 1):
         p = path_pair_counts(t, M)

@@ -1,5 +1,12 @@
-"""Exact H-coloring counts: class-based tree walk, brute force, path-pair
-tables, the KC difference decomposition, and weighted partition functions.
+"""Exact H-coloring counts: one tree walk with three entry points, brute
+force, path-pair tables, the KC difference decomposition, and weighted
+partition functions.
+
+The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom` runs it
+over H's vertices with unit weights, `tree_partition_function` with the
+activities as weights, and `hom_vector` over the automorphic similarity
+classes, with the similarity matrix as A. Brute-force enumeration of vertex
+maps is kept apart from the walk as the independent oracle.
 
 All counting is in arbitrary-precision integers (counts grow like d^n);
 weighted counts use exact Fractions throughout, never floats.
@@ -9,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Sequence, Union
 
 from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, class_data
@@ -30,7 +38,7 @@ def _as_graph(G: LooplessGraph) -> tuple[int, list[tuple[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
-# class-based tree walk
+# the tree walk
 
 def _rooted_order(T: Tree, root: int) -> tuple[list[int], list[int]]:
     """(vertices in post-order, parent array) for T rooted at root."""
@@ -47,24 +55,30 @@ def _rooted_order(T: Tree, root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence) -> list:
+    """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), where rows[x]
+    lists x's neighbours repeated by multiplicity."""
+    order, parent = _rooted_order(T, root)
+    h: list[list | None] = [None] * T.n
+    for v in order:
+        vec = list(weights)
+        for c in T.neighbors(v):
+            if parent[c] != v:
+                continue
+            child = h[c]
+            h[c] = None  # consumed: only the root's vector is returned
+            vec = [a * sum(child[y] for y in row) for a, row in zip(vec, rows)]
+        h[v] = vec
+    return h[root]
+
+
 def hom_vector(T: Tree, root: int, M: SimilarityMatrix) -> tuple[int, ...]:
     """Entry p = number of H-colorings sending root into the class at
     position p of M's ordering (any fixed representative)."""
     if not 0 <= root < T.n:
         raise ValueError(f"root {root} not a vertex of the tree")
-    k = M.k
-    order, parent = _rooted_order(T, root)
-    h: list[tuple[int, ...] | None] = [None] * T.n
-    for v in order:
-        vec = [1] * k
-        for c in T.neighbors(v):
-            if parent[c] != v:
-                continue
-            child = h[c]
-            msg = [sum(M.m[i][j] * child[j] for j in range(k)) for i in range(k)]
-            vec = [a * b for a, b in zip(vec, msg)]
-        h[v] = tuple(vec)
-    return h[root]
+    rows = [[j for j, mult in enumerate(row) for _ in range(mult)] for row in M.m]
+    return tuple(_walk(T, root, rows, [1] * M.k))
 
 
 def hom_count(T: Tree, H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> int:
@@ -80,36 +94,27 @@ def tree_hom(T: Tree, H: TargetGraph) -> int:
     No automorphism machinery; works for any target size. Used for sweeps
     and as the route for targets past the automorphism-search limit.
     """
-    order, parent = _rooted_order(T, 0)
-    nbrs = [H.neighbors(v) for v in H.vertices()]
-    h: list[list[int] | None] = [None] * T.n
-    for v in order:
-        vec = [1] * H.n
-        for c in T.neighbors(v):
-            if parent[c] != v:
-                continue
-            child = h[c]
-            vec = [vec[x] * sum(child[y] for y in nbrs[x]) for x in H.vertices()]
-        h[v] = vec
-    return sum(h[0])
+    return sum(_walk(T, 0, [H.neighbors(x) for x in H.vertices()], [1] * H.n))
 
 
 # ---------------------------------------------------------------------------
 # brute force oracle
 
+def _colorings(G: LooplessGraph, H: TargetGraph, budget: int):
+    """Every vertex map of G into H that sends edges to edges, in
+    lexicographic order, after checking the number of maps against budget."""
+    n, edges = _as_graph(G)
+    if H.n ** n > budget:
+        raise SizeLimitError(f"brute force needs {H.n}^{n} maps, budget is {budget}")
+    for f in product(range(H.n), repeat=n):
+        if all(H.has_edge(f[u], f[v]) for u, v in edges):
+            yield f
+
+
 def hom_brute_force(G: LooplessGraph, H: TargetGraph,
                     budget: int = BRUTE_FORCE_BUDGET) -> int:
     """Count H-colorings by enumerating every vertex map and checking edges."""
-    n, edges = _as_graph(G)
-    if H.n == 0:
-        return 0 if n > 0 else 1
-    if H.n ** n > budget:
-        raise SizeLimitError(f"brute force needs {H.n}^{n} maps, budget is {budget}")
-    count = 0
-    for f in product(range(H.n), repeat=n):
-        if all(H.has_edge(f[u], f[v]) for u, v in edges):
-            count += 1
-    return count
+    return sum(1 for _ in _colorings(G, H, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +218,7 @@ def tree_partition_function(T: Tree, H: TargetGraph, lam: ActivityVector) -> Fra
     break automorphic symmetry, so classes cannot be used here)."""
     if len(lam) != H.n:
         raise ValueError(f"need {H.n} activities, got {len(lam)}")
-    order, parent = _rooted_order(T, 0)
-    nbrs = [H.neighbors(v) for v in H.vertices()]
-    h: list[list[Fraction] | None] = [None] * T.n
-    for v in order:
-        vec = list(lam)
-        for c in T.neighbors(v):
-            if parent[c] != v:
-                continue
-            child = h[c]
-            vec = [vec[x] * sum(child[y] for y in nbrs[x]) for x in H.vertices()]
-        h[v] = vec
-    return sum(h[0], Fraction(0))
+    return sum(_walk(T, 0, [H.neighbors(x) for x in H.vertices()], lam), Fraction(0))
 
 
 def partition_function(G: LooplessGraph, H: TargetGraph, lam: ActivityVector,
@@ -238,19 +232,7 @@ def partition_function(G: LooplessGraph, H: TargetGraph, lam: ActivityVector,
         return tree_partition_function(G, H, lam)
     if len(lam) != H.n:
         raise ValueError(f"need {H.n} activities, got {len(lam)}")
-    n, edges = _as_graph(G)
-    if H.n == 0:
-        return Fraction(0 if n > 0 else 1)
-    if H.n ** n > budget:
-        raise SizeLimitError(f"brute force needs {H.n}^{n} maps, budget is {budget}")
-    total = Fraction(0)
-    for f in product(range(H.n), repeat=n):
-        if all(H.has_edge(f[u], f[v]) for u, v in edges):
-            w = Fraction(1)
-            for x in f:
-                w *= lam[x]
-            total += w
-    return total
+    return sum((prod(lam[x] for x in f) for f in _colorings(G, H, budget)), Fraction(0))
 
 
 def check_blowup_identity(G: LooplessGraph, H: TargetGraph,

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from treehom import automorphy
 from treehom import is_isomorphic, parse_graph, make_capacity_graph, make_widom_rowlinson
 from treehom.cli import main, parse_target_spec, parse_tree_spec
 
@@ -101,6 +104,58 @@ class TestSubcommands:
             assert fields[0] == "kc" and fields[3] == fields[4] and fields[5] == "1"
 
 
+class TestOrbitSearchOnce:
+    @pytest.mark.parametrize("argv", [
+        ("matrix", "--target", "folkman+dom"),
+        ("check-hl", "--target", "capacity:3", "--n-max", "6", "--strong"),
+    ])
+    def test_one_orbit_search(self, capsys, monkeypatch, argv):
+        calls = []
+        search = automorphy.automorphisms
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(automorphy, "automorphisms", counted)
+        automorphy.class_data.cache_clear()
+        status, _, _ = run(capsys, *argv)
+        automorphy.class_data.cache_clear()
+        assert status in (0, 1) and len(calls) == 1
+
+
+class TestLargeResults:
+    def test_hom_past_int_str_digit_limit(self, capsys):
+        status, out, err = run(capsys, "hom", "--tree", "path:15000",
+                               "--target", "lclique:2")
+        assert status == 0 and err == ""
+        # 2^15000 has 4516 digits, past the interpreter's default int-to-str
+        # limit; lift it only to format the expected value (0 = no limit)
+        old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if old:
+            sys.set_int_max_str_digits(0)
+        try:
+            want = str(2 ** 15000)
+        finally:
+            if old:
+                sys.set_int_max_str_digits(old)
+        assert out.strip() == want
+
+    def test_kc_past_int_str_digit_limit(self, capsys, tmp_path):
+        # a double star: one KC site, whose count difference into the looped
+        # 3-path is about 3^9000
+        n = 9100
+        edges = [(0, 1)] + [(0 if v < n // 2 else 1, v) for v in range(2, n)]
+        f = tmp_path / "tree.txt"
+        f.write_text(f"{n} {n - 1}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        status, out, err = run(capsys, "kc", "--tree", str(f),
+                               "--target", "lpath:3", "--rows")
+        assert status == 0 and err == ""
+        fields = out.strip().split("\t")
+        assert fields[:3] == ["kc", "0", "1"] and fields[5] == "1"
+        assert fields[3] == fields[4] and len(fields[3]) > 4300
+
+
 class TestErrorHandling:
     def test_parse_error_exit_2(self, capsys):
         status, _, err = run(capsys, "hom", "--tree", "path:4",
@@ -115,3 +170,17 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--threads", "2"),
+        ("check-hl", "--target", "hind", "--budget", "5"),
+    ])
+    def test_removed_knobs_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_brute_force_budget_exit_2(self, capsys):
+        status, _, err = run(capsys, "hom", "--brute", "--budget", "100",
+                             "--tree", "path:10", "--target", "h28")
+        assert status == 2 and "budget" in err

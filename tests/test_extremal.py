@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from treehom import (
     SMALL_TARGETS,
     TargetGraph,
@@ -174,6 +176,19 @@ class TestHLVerdicts:
     def test_habl_strongly_hl(self):
         v = verify_hoffman_london(make_H_abl(3, 2, 2), 7)
         assert v.strongly_hoffman_london
+
+    def test_size_limit_leaves_no_certificate(self):
+        v = verify_hoffman_london(make_capacity_graph(3), 6, size_limit=3)
+        assert v.matrix_certificate is None and v.strong_certificate is None
+        assert v.hoffman_london
+
+    def test_certificate_search_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("ordering search failed")
+
+        monkeypatch.setattr("treehom.extremal.find_increasing_ordering", broken)
+        with pytest.raises(RuntimeError, match="ordering search failed"):
+            verify_hoffman_london(SMALL_TARGETS[7], 4)
 
     def test_certificate_failure_single_class(self):
         lk3 = tg(3, *[(i, j) for i in range(3) for j in range(i, 3)])
