@@ -12,7 +12,6 @@ from .graphs import (
     disjoint_union,
     format_graph,
     induced_subgraph,
-    is_isomorphic,
     is_regular,
     parse_graph,
     remove_isolated,
@@ -26,6 +25,7 @@ from .trees import (
     has_balanced_bipartition,
     kc_closure,
     kc_move,
+    kc_sites,
     kc_successors,
     path,
     star,
@@ -37,6 +37,7 @@ from .automorphy import (
     automorphisms,
     find_increasing_ordering,
     has_increasing_columns,
+    is_isomorphic,
     orbit_partition,
     similarity_matrix,
 )

@@ -1,10 +1,11 @@
 """Automorphism orbits, similarity matrices, and the increasing-columns test.
 
-Automorphisms are found by backtracking over vertex images, pruned by an
-iterated neighborhood-color refinement, so structured graphs of a couple of
-dozen vertices (e.g. the 21-vertex Folkman-plus-dominating example) are still
-fast despite the worst case being factorial. The default size guard is 12
-vertices; callers that know their graph is tame can raise it.
+Automorphisms and isomorphisms come from one search: backtracking over
+vertex images, pruned by an iterated neighborhood-color refinement, so
+structured graphs of a couple of dozen vertices (e.g. the 21-vertex
+Folkman-plus-dominating example) are still fast despite the worst case being
+factorial. The default size guard is 12 vertices; callers that know their
+graph is tame can raise it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .graphs import SizeLimitError, TargetGraph
+from .graphs import SizeLimitError, TargetGraph, disjoint_union
 
 AUT_SIZE_LIMIT = 12
 ORDERING_CLASS_LIMIT = 9
@@ -62,63 +63,77 @@ def _refined_colors(H: TargetGraph) -> list[int]:
         ncolors = len(palette)
 
 
-def automorphisms(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> list[tuple[int, ...]]:
-    """All loop- and adjacency-preserving vertex permutations."""
-    if H.n > size_limit:
-        raise SizeLimitError(f"automorphism search limited to {size_limit} vertices, got {H.n}")
-    if H.n == 0:
-        return [()]
-    color = _refined_colors(H)
+def _isomorphisms(G: TargetGraph, H: TargetGraph, size_limit: int):
+    """Yield every loop- and adjacency-preserving bijection G -> H, as the
+    tuple of images of G's vertices.
+
+    Backtracks over vertex images. Candidates are pruned by the refined
+    colors of the disjoint union G + H, so color ids mean the same in both
+    graphs; if the two color multisets differ, nothing is yielded. When G is
+    H, refining H alone gives the colors of either half at half the cost.
+    """
+    n = max(G.n, H.n)
+    if n > size_limit:
+        raise SizeLimitError(f"automorphism search limited to {size_limit} vertices, got {n}")
+    colors = _refined_colors(G if G is H else disjoint_union(G, H))
+    cg, ch = colors[:G.n], colors[len(colors) - H.n:]
+    if sorted(cg) != sorted(ch):
+        return
     by_color: dict[int, list[int]] = {}
-    for v in H.vertices():
-        by_color.setdefault(color[v], []).append(v)
+    for w in H.vertices():
+        by_color.setdefault(ch[w], []).append(w)
 
     # map vertices in an order that keeps each new vertex adjacent to a
     # mapped one where possible (tight candidate sets)
     order: list[int] = []
-    placed = [False] * H.n
-    start = min(H.vertices(), key=lambda v: (len(by_color[color[v]]), v))
-    stack = [start]
-    while len(order) < H.n:
-        if stack:
-            v = stack.pop()
-            if placed[v]:
-                continue
-        else:
-            v = min((u for u in H.vertices() if not placed[u]),
-                    key=lambda u: (len(by_color[color[u]]), u))
+    placed = [False] * G.n
+    stack: list[int] = []
+    while len(order) < G.n:
+        if not stack:
+            stack.append(min((u for u in G.vertices() if not placed[u]),
+                             key=lambda u: (len(by_color[cg[u]]), u)))
+        v = stack.pop()
+        if placed[v]:
+            continue
         placed[v] = True
         order.append(v)
-        stack.extend(sorted(H.neighbors(v) - {v}, reverse=True))
+        stack.extend(sorted(G.neighbors(v) - {v}, reverse=True))
 
-    found: list[tuple[int, ...]] = []
     image: dict[int, int] = {}
     used = [False] * H.n
 
-    def extend(pos: int) -> None:
-        if pos == H.n:
-            found.append(tuple(image[v] for v in range(H.n)))
+    def extend(pos: int):
+        if pos == G.n:
+            yield tuple(image[v] for v in range(G.n))
             return
         v = order[pos]
-        mapped_nbrs = [u for u in H.neighbors(v) if u in image and u != v]
-        if mapped_nbrs:
-            cands = set(H.neighbors(image[mapped_nbrs[0]]))
-        else:
-            cands = set(by_color[color[v]])
+        mapped_nbrs = [u for u in G.neighbors(v) if u in image and u != v]
+        cands = H.neighbors(image[mapped_nbrs[0]]) if mapped_nbrs else by_color[cg[v]]
         for w in sorted(cands):
-            if used[w] or color[w] != color[v]:
+            if used[w] or ch[w] != cg[v] or H.has_loop(w) != G.has_loop(v):
                 continue
-            ok = all(H.has_edge(image[u], w) == H.has_edge(u, v)
-                     for u in image)
-            if ok and H.has_loop(w) == H.has_loop(v):
+            if all(H.has_edge(image[u], w) == G.has_edge(u, v) for u in image):
                 image[v] = w
                 used[w] = True
-                extend(pos + 1)
+                yield from extend(pos + 1)
                 used[w] = False
                 del image[v]
 
-    extend(0)
-    return found
+    yield from extend(0)
+
+
+def automorphisms(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> list[tuple[int, ...]]:
+    """All loop- and adjacency-preserving vertex permutations."""
+    return list(_isomorphisms(H, H, size_limit))
+
+
+def is_isomorphic(H1: TargetGraph, H2: TargetGraph) -> bool:
+    """Whether some bijection maps H1's edges and loops onto H2's. Graphs with
+    equal vertex and edge counts past AUT_SIZE_LIMIT vertices raise
+    SizeLimitError."""
+    if H1.n != H2.n or len(H1.edges) != len(H2.edges):
+        return False
+    return next(_isomorphisms(H1, H2, AUT_SIZE_LIMIT), None) is not None
 
 
 def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPartition:
@@ -188,9 +203,7 @@ def has_increasing_columns(M: SimilarityMatrix) -> bool:
 
 
 def find_increasing_ordering(
-    H: TargetGraph,
-    size_limit: int = AUT_SIZE_LIMIT,
-    class_limit: int = ORDERING_CLASS_LIMIT,
+    H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT,
 ) -> tuple[tuple[int, ...], SimilarityMatrix] | None:
     """First class ordering (lexicographic) whose matrix passes, or None.
 
@@ -199,8 +212,9 @@ def find_increasing_ordering(
     tried; the lexicographically first passing ordering is unaffected.
     """
     P, base = class_data(H, size_limit)
-    if P.k > class_limit:
-        raise SizeLimitError(f"ordering search limited to {class_limit} classes, got {P.k}")
+    if P.k > ORDERING_CLASS_LIMIT:
+        raise SizeLimitError(
+            f"ordering search limited to {ORDERING_CLASS_LIMIT} classes, got {P.k}")
     deg = [sum(base.m[i]) for i in range(P.k)]
     blocks: list[list[int]] = []
     for i in sorted(range(P.k), key=lambda i: (deg[i], i)):

@@ -46,7 +46,7 @@ from .extremal import (
     sidorenko_check,
     verify_hoffman_london,
 )
-from .trees import all_trees, canonical_code, path, star
+from .trees import all_trees, kc_sites, path, star
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +107,17 @@ def parse_target_spec(spec: str) -> TargetGraph:
 
 
 def parse_tree_spec(spec: str) -> Tree:
-    """path:n, star:n, inline edge-list text, or a file path."""
-    head, sep, rest = spec.partition(":")
-    if sep and rest.isdigit():
-        if head == "path":
-            return path(int(rest))
-        if head == "star":
-            return star(int(rest))
-    if spec.startswith("inline:"):
-        g = parse_graph(spec[len("inline:"):].replace("\\n", "\n"))
-    else:
-        try:
-            with open(spec) as fh:
-                g = parse_graph(fh.read())
-        except OSError as exc:
-            raise GraphParseError(f"cannot read tree {spec!r}: {exc}")
+    """Any target spec whose graph is a tree (path:n, star:n, inline:..., a
+    file path...); other graphs raise ValueError."""
+    g = parse_target_spec(spec)
     return Tree.from_edges(g.n, g.edges)
 
 
 def _parse_activities(text: str, n: int):
-    vals = [Fraction(part.strip()) for part in text.split(",")]
+    try:
+        vals = [Fraction(part.strip()) for part in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"bad activity in {text!r}: zero denominator") from None
     if len(vals) != n:
         raise ValueError(f"need {n} activities, got {len(vals)}")
     return activities(vals)
@@ -320,26 +311,20 @@ def _cmd_sidorenko(args) -> int:
 def _cmd_kc(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
-    non_leaves = [v for v in T.vertices() if T.degree(v) >= 2]
+    sites = kc_sites(T)
     status = 0
-    any_site = False
-    for i, vl in enumerate(non_leaves):
-        for vr in non_leaves[i + 1:]:
-            try:
-                lhs, rhs = kc_difference_decomposition(T, vl, vr, H, args.size_limit)
-            except ValueError:
-                continue
-            any_site = True
-            ok = lhs == rhs
-            if not ok:
-                status = 1
-            lhs, rhs = _exact_str(lhs), _exact_str(rhs)
-            if args.rows:
-                print(f"kc\t{vl}\t{vr}\t{lhs}\t{rhs}\t{int(ok)}")
-            else:
-                tag = "" if ok else "  MISMATCH"
-                print(f"move ({vl},{vr}): difference {lhs}, decomposition {rhs}{tag}")
-    if not any_site and not args.rows:
+    for vl, vr in sites:
+        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, args.size_limit)
+        ok = lhs == rhs
+        if not ok:
+            status = 1
+        lhs, rhs = _exact_str(lhs), _exact_str(rhs)
+        if args.rows:
+            print(f"kc\t{vl}\t{vr}\t{lhs}\t{rhs}\t{int(ok)}")
+        else:
+            tag = "" if ok else "  MISMATCH"
+            print(f"move ({vl},{vr}): difference {lhs}, decomposition {rhs}{tag}")
+    if not sites and not args.rows:
         print("no legal KC move site (tree is a star)")
     return status
 
@@ -353,20 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, target=False, tree=False, n=False, n_max=False, budget=False):
+    def common(p, target=False, tree=False, n=False, n_max=False, budget=False,
+               size_limit=False):
         p.add_argument("--rows", action="store_true",
                        help="machine-readable tab-separated output")
         if budget:
             p.add_argument("--budget", type=int, default=BRUTE_FORCE_BUDGET,
                            help="brute-force enumeration cap")
-        p.add_argument("--size-limit", type=int, default=AUT_SIZE_LIMIT + 9,
-                       help="automorphism-search vertex cap")
+        if size_limit:
+            p.add_argument("--size-limit", type=int, default=AUT_SIZE_LIMIT + 9,
+                           help="automorphism-search vertex cap")
         if target:
             p.add_argument("--target", required=True,
                            help="target graph: shorthand, inline:..., or file")
         if tree:
             p.add_argument("--tree", required=True,
-                           help="tree: path:n, star:n, inline:..., or file")
+                           help="tree: any target spec whose graph is a tree")
         if n:
             p.add_argument("-n", type=int, required=True, help="tree order")
         if n_max:
@@ -386,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("orbits", help="automorphic similarity classes of a target")
-    common(p, target=True)
+    common(p, target=True, size_limit=True)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("matrix", help="similarity matrix and increasing-columns verdict")
-    common(p, target=True)
+    common(p, target=True, size_limit=True)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("trees", help="list non-isomorphic trees of an order")
@@ -403,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("check-hl", help="sweep path minimality up to an order")
-    common(p, target=True, n_max=True)
+    common(p, target=True, n_max=True, size_limit=True)
     p.add_argument("--strong", action="store_true",
                    help="require the path to be the unique minimizer (n >= 4)")
     p.set_defaults(func=_cmd_check_hl)
@@ -423,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sidorenko)
 
     p = sub.add_parser("kc", help="verify the KC difference decomposition on a tree")
-    common(p, target=True, tree=True)
+    common(p, target=True, tree=True, size_limit=True)
     p.set_defaults(func=_cmd_kc)
 
     return top
@@ -436,6 +423,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphParseError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too large: the search ran past the interpreter's "
+              "recursion limit", file=sys.stderr)
         return 2
 
 

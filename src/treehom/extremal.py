@@ -330,6 +330,8 @@ _LABEL_PRIORITY = (LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED, LABEL_OTH
 
 
 def classify_small_targets(n_max: int) -> list[ClassificationRow]:
+    if n_max < 2:
+        raise ValueError(f"classification needs n_max >= 2, got {n_max}")
     rows = []
     for hid, H in SMALL_TARGETS.items():
         mins, labels = [], []

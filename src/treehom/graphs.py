@@ -12,7 +12,6 @@ All graph and tree values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Iterable, Optional
 
 
@@ -293,57 +292,3 @@ def bipartition(T: Tree) -> tuple[list[int], list[int]]:
     x = [v for v in T.vertices() if color[v] == 0]
     y = [v for v in T.vertices() if color[v] == 1]
     return (x, y) if len(x) <= len(y) else (y, x)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism by canonical form (exhaustive with pruning, desk scale only)
-
-_ISO_LIMIT = 12
-
-
-def canonical_form(H: TargetGraph, limit: int = _ISO_LIMIT) -> tuple:
-    """Lexicographically least edge set over all relabelings.
-
-    Valid for small graphs only (permutations within (degree, loop) classes
-    are tried exhaustively).
-    """
-    if H.n > limit:
-        raise SizeLimitError(f"canonical form limited to {limit} vertices, got {H.n}")
-    sig = sorted(range(H.n), key=lambda v: (H.degree(v), H.has_loop(v), _nbr_sig(H, v)))
-    best: Optional[tuple] = None
-    # permute only within equal-signature blocks; cheap and still exact
-    blocks: list[list[int]] = []
-    for v in sig:
-        key = (H.degree(v), H.has_loop(v), _nbr_sig(H, v))
-        if blocks and blocks[-1][0] == key:
-            blocks[-1][1].append(v)
-        else:
-            blocks.append([key, [v]])  # type: ignore[list-item]
-    for assignment in _block_perms([b[1] for b in blocks]):
-        relabel = {v: i for i, v in enumerate(assignment)}
-        form = tuple(sorted(
-            (min(relabel[u], relabel[v]), max(relabel[u], relabel[v])) for u, v in H.edges
-        ))
-        if best is None or form < best:
-            best = form
-    return (H.n, best)
-
-
-def _nbr_sig(H: TargetGraph, v: int) -> tuple:
-    return tuple(sorted((H.degree(u), H.has_loop(u)) for u in H.neighbors(v)))
-
-
-def _block_perms(blocks: list[list[int]]):
-    if not blocks:
-        yield []
-        return
-    head, rest = blocks[0], blocks[1:]
-    for perm in permutations(head):
-        for tail in _block_perms(rest):
-            yield list(perm) + tail
-
-
-def is_isomorphic(H1: TargetGraph, H2: TargetGraph, limit: int = _ISO_LIMIT) -> bool:
-    if H1.n != H2.n or len(H1.edges) != len(H2.edges):
-        return False
-    return canonical_form(H1, limit) == canonical_form(H2, limit)

@@ -70,10 +70,10 @@ def canonical_code(T: Tree) -> str:
 
 
 @lru_cache(maxsize=None)
-def all_trees(n: int, limit: int = TREE_LIMIT) -> tuple[CanonicalTree, ...]:
+def all_trees(n: int) -> tuple[CanonicalTree, ...]:
     """One representative per isomorphism class, ordered by canonical code."""
-    if not 1 <= n <= limit:
-        raise SizeLimitError(f"tree enumeration limited to 1..{limit}, got n={n}")
+    if not 1 <= n <= TREE_LIMIT:
+        raise SizeLimitError(f"tree enumeration limited to 1..{TREE_LIMIT}, got n={n}")
     if n == 1:
         t = Tree.from_edges(1, [])
         return (CanonicalTree(t, canonical_code(t)),)
@@ -85,12 +85,35 @@ def all_trees(n: int, limit: int = TREE_LIMIT) -> tuple[CanonicalTree, ...]:
     return tuple(by_code[c] for c in sorted(by_code))
 
 
-def tree_count(n: int, limit: int = TREE_LIMIT) -> int:
-    return len(all_trees(n, limit))
+def tree_count(n: int) -> int:
+    return len(all_trees(n))
 
 
 # ---------------------------------------------------------------------------
 # KC moves (generalized tree shifts)
+
+def kc_sites(T: Tree) -> list[tuple[int, int]]:
+    """Every legal KC move site (v_left, v_right) with v_left < v_right, sorted:
+    two non-leaves joined by a path whose internal vertices have degree two.
+
+    From each non-leaf, walks out along each chain of degree-2 vertices; every
+    non-leaf reached is a site, and the walk stops at the first vertex whose
+    degree is not 2.
+    """
+    sites = []
+    for v in T.vertices():
+        if T.degree(v) < 2:
+            continue
+        for u in T.neighbors(v):
+            prev = v
+            while T.degree(u) >= 2:
+                if v < u:
+                    sites.append((v, u))
+                if T.degree(u) != 2:
+                    break
+                prev, u = u, next(w for w in T.neighbors(u) if w != prev)
+    return sorted(sites)
+
 
 def bare_path(T: Tree, v_left: int, v_right: int) -> list[int]:
     """The v_left..v_right path, validated as a legal KC move site.
@@ -157,15 +180,10 @@ def kc_move(T: Tree, v_left: int, v_right: int) -> Tree:
 def kc_successors(T: Tree) -> tuple[CanonicalTree, ...]:
     """All canonical results of a single KC move; empty iff T is a star."""
     by_code: dict[str, CanonicalTree] = {}
-    non_leaves = [v for v in T.vertices() if T.degree(v) >= 2]
-    for i, vl in enumerate(non_leaves):
-        for vr in non_leaves[i + 1:]:
-            try:
-                moved = kc_move(T, vl, vr)
-            except ValueError:
-                continue
-            c = canonical_code(moved)
-            by_code.setdefault(c, CanonicalTree(moved, c))
+    for vl, vr in kc_sites(T):
+        moved = kc_move(T, vl, vr)
+        c = canonical_code(moved)
+        by_code.setdefault(c, CanonicalTree(moved, c))
     return tuple(by_code[c] for c in sorted(by_code))
 
 

@@ -38,6 +38,7 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+@lru_cache(maxsize=None)
 def prufer_tree_count(n: int) -> int:
     """Isomorphism classes among all n^(n-2) labeled trees."""
     if n <= 2:

@@ -10,6 +10,7 @@ from treehom import (
     automorphisms,
     find_increasing_ordering,
     has_increasing_columns,
+    is_isomorphic,
     orbit_partition,
     similarity_matrix,
 )
@@ -50,6 +51,20 @@ class TestAutomorphisms:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             automorphisms(tg(13))
+
+
+class TestIsomorphism:
+    def test_refinement_blind_pair(self):
+        # both 2-regular on 6 vertices, so color refinement cannot tell them
+        # apart and only the adjacency check rejects a map
+        c6 = tg(6, *[(i, (i + 1) % 6) for i in range(6)])
+        two_triangles = tg(6, (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
+        assert not is_isomorphic(c6, two_triangles)
+        assert not is_isomorphic(two_triangles, c6)
+
+    def test_size_limit(self):
+        with pytest.raises(SizeLimitError):
+            is_isomorphic(tg(13), tg(13))
 
 
 class TestOrbitPartition:

@@ -3,7 +3,9 @@ import sys
 import pytest
 
 from treehom import automorphy
-from treehom import is_isomorphic, parse_graph, make_capacity_graph, make_widom_rowlinson
+from treehom import (
+    is_isomorphic, parse_graph, path, make_capacity_graph, make_widom_rowlinson,
+)
 from treehom.cli import main, parse_target_spec, parse_tree_spec
 
 
@@ -26,6 +28,14 @@ class TestSpecs:
     def test_tree_shorthand(self):
         assert parse_tree_spec("path:5").n == 5
         assert parse_tree_spec("star:4").degree(0) == 3
+
+    def test_tree_from_any_target_spec(self, tmp_path):
+        assert parse_tree_spec("clique:2") == path(2)
+        f = tmp_path / "t.txt"
+        f.write_text("3 2\n0 1\n1 2\n")
+        assert parse_tree_spec(str(f)) == path(3)
+        with pytest.raises(ValueError):
+            parse_tree_spec("lpath:3")
 
     def test_file_input(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -174,6 +184,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv", [
         ("classify", "--threads", "2"),
         ("check-hl", "--target", "hind", "--budget", "5"),
+        ("hom", "--tree", "path:3", "--target", "hind", "--size-limit", "5"),
+        ("classify", "--size-limit", "5"),
     ])
     def test_removed_knobs_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -184,3 +196,15 @@ class TestErrorHandling:
         status, _, err = run(capsys, "hom", "--brute", "--budget", "100",
                              "--tree", "path:10", "--target", "h28")
         assert status == 2 and "budget" in err
+
+    @pytest.mark.parametrize("argv, needle", [
+        # the target is past the size limit: no KC site may be skipped
+        (("kc", "--tree", "path:6", "--target", "lpath:22"), "21 vertices"),
+        (("partition", "--tree", "path:3", "--target", "hind",
+          "--activities", "1/0,1"), "bad activity"),
+        (("classify", "--n-max", "1"), "n_max >= 2"),
+        (("orbits", "--target", "path:1100", "--size-limit", "1100"), "recursion limit"),
+    ])
+    def test_failure_reported_exit_2(self, capsys, argv, needle):
+        status, out, err = run(capsys, *argv)
+        assert status == 2 and out == "" and needle in err
