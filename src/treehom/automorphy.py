@@ -1,11 +1,14 @@
 """Automorphism orbits, similarity matrices, and the increasing-columns test.
 
-Automorphisms and isomorphisms come from one search: backtracking over
-vertex images, pruned by an iterated neighborhood-color refinement, so
+Automorphisms, isomorphisms and orbits come from one search: backtracking
+over vertex images, pruned by an iterated neighborhood-color refinement, so
 structured graphs of a couple of dozen vertices (e.g. the 21-vertex
 Folkman-plus-dominating example) are still fast despite the worst case being
-factorial. The default size guard is 12 vertices; callers that know their
-graph is tame can raise it.
+factorial. Orbits do not list the group: each comes from searches pinned to
+one vertex pair, which stop at the first automorphism found (orbit pruning,
+McKay & Piperno, "Practical graph isomorphism II", 2014), so a clique's
+orbit costs n searches, not n! automorphisms. The default size guard is 12
+vertices; callers that know their graph is tame can raise it.
 """
 
 from __future__ import annotations
@@ -63,22 +66,35 @@ def _refined_colors(H: TargetGraph) -> list[int]:
         ncolors = len(palette)
 
 
+def _check_size(n: int, size_limit: int) -> None:
+    if n > size_limit:
+        raise SizeLimitError(f"automorphism search limited to {size_limit} vertices, got {n}")
+
+
 def _isomorphisms(G: TargetGraph, H: TargetGraph, size_limit: int):
     """Yield every loop- and adjacency-preserving bijection G -> H, as the
     tuple of images of G's vertices.
 
-    Backtracks over vertex images. Candidates are pruned by the refined
-    colors of the disjoint union G + H, so color ids mean the same in both
-    graphs; if the two color multisets differ, nothing is yielded. When G is
-    H, refining H alone gives the colors of either half at half the cost.
+    Candidates are pruned by the refined colors of the disjoint union G + H,
+    so color ids mean the same in both graphs; if the two color multisets
+    differ, nothing is yielded. When G is H, refining H alone gives the
+    colors of either half at half the cost.
     """
-    n = max(G.n, H.n)
-    if n > size_limit:
-        raise SizeLimitError(f"automorphism search limited to {size_limit} vertices, got {n}")
+    _check_size(max(G.n, H.n), size_limit)
     colors = _refined_colors(G if G is H else disjoint_union(G, H))
     cg, ch = colors[:G.n], colors[len(colors) - H.n:]
-    if sorted(cg) != sorted(ch):
-        return
+    if sorted(cg) == sorted(ch):
+        yield from _maps(G, H, cg, ch)
+
+
+def _maps(G: TargetGraph, H: TargetGraph, cg: list[int], ch: list[int],
+          pin: tuple[int, int] | None = None):
+    """Backtrack over vertex images, yielding the color-preserving maps
+    G -> H (colors cg on G, ch on H) that keep loops and adjacency.
+
+    With pin = (r, w), r is mapped first and w is its only candidate, so
+    only the maps sending r to w are yielded.
+    """
     by_color: dict[int, list[int]] = {}
     for w in H.vertices():
         by_color.setdefault(ch[w], []).append(w)
@@ -87,7 +103,7 @@ def _isomorphisms(G: TargetGraph, H: TargetGraph, size_limit: int):
     # mapped one where possible (tight candidate sets)
     order: list[int] = []
     placed = [False] * G.n
-    stack: list[int] = []
+    stack: list[int] = [pin[0]] if pin else []
     while len(order) < G.n:
         if not stack:
             stack.append(min((u for u in G.vertices() if not placed[u]),
@@ -108,7 +124,12 @@ def _isomorphisms(G: TargetGraph, H: TargetGraph, size_limit: int):
             return
         v = order[pos]
         mapped_nbrs = [u for u in G.neighbors(v) if u in image and u != v]
-        cands = H.neighbors(image[mapped_nbrs[0]]) if mapped_nbrs else by_color[cg[v]]
+        if mapped_nbrs:
+            cands = H.neighbors(image[mapped_nbrs[0]])
+        elif pin and pos == 0:
+            cands = (pin[1],)
+        else:
+            cands = by_color[cg[v]]
         for w in sorted(cands):
             if used[w] or ch[w] != cg[v] or H.has_loop(w) != G.has_loop(v):
                 continue
@@ -137,8 +158,18 @@ def is_isomorphic(H1: TargetGraph, H2: TargetGraph) -> bool:
 
 
 def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPartition:
-    """Orbits of the automorphism group, classes indexed by least vertex."""
-    auts = automorphisms(H, size_limit)
+    """Orbits of the automorphism group, classes indexed by least vertex.
+
+    The group is not listed. Vertices are taken in order; a vertex w not yet
+    joined to a known orbit is tried against the representative r of each
+    known orbit of w's refined color by one search pinned to r -> w, which
+    stops at the first automorphism found and joins all of its cycles. A
+    vertex that no such search reaches represents a new orbit. That is at
+    most n * k searches (k orbits), each still exponential in the worst case
+    on graphs that color refinement cannot split, hence the size limit.
+    """
+    _check_size(H.n, size_limit)
+    colors = _refined_colors(H)
     parent = list(range(H.n))
 
     def find(x: int) -> int:
@@ -147,11 +178,21 @@ def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPa
             x = parent[x]
         return x
 
-    for sigma in auts:
-        for v in H.vertices():
-            ru, rv = find(v), find(sigma[v])
-            if ru != rv:
-                parent[ru] = rv
+    reps: dict[int, list[int]] = {}  # refined color -> orbit representatives
+    for w in H.vertices():
+        same = reps.setdefault(colors[w], [])
+        if any(find(r) == find(w) for r in same):
+            continue
+        for r in same:
+            sigma = next(_maps(H, H, colors, colors, (r, w)), None)
+            if sigma is not None:
+                for v in H.vertices():
+                    ru, rv = find(v), find(sigma[v])
+                    if ru != rv:
+                        parent[ru] = rv
+                break
+        else:
+            same.append(w)
     groups: dict[int, list[int]] = {}
     for v in H.vertices():
         groups.setdefault(find(v), []).append(v)

@@ -208,8 +208,16 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     )
 
 
+def _check_n_max(n_max: int, what: str) -> None:
+    """Sweeps run over the orders 2..n_max; one that covers no order would
+    report a vacuous pass."""
+    if n_max < 2:
+        raise ValueError(f"{what} needs n_max >= 2, got {n_max}")
+
+
 def verify_hoffman_london(H: TargetGraph, n_max: int,
                           size_limit: int = AUT_SIZE_LIMIT) -> HLVerdict:
+    _check_n_max(n_max, "the path-minimality check")
     reports = tuple(minimizers(H, n) for n in range(2, n_max + 1))
     try:
         cert = find_increasing_ordering(H, size_limit)
@@ -262,6 +270,7 @@ def check_strong_hl_certificate(
 def sidorenko_check(H: TargetGraph, n_max: int):
     """Verify the star maximizes at every order; returns (ok, violation)
     where violation is (n, code, count, star_count) for the first offender."""
+    _check_n_max(n_max, "the star-maximality check")
     for n in range(2, n_max + 1):
         counts = sweep_counts(H, n)
         star_count = counts[canonical_code(star(n))]
@@ -274,6 +283,7 @@ def sidorenko_check(H: TargetGraph, n_max: int):
 def find_hl_counterexample_search(H: TargetGraph, n_max: int):
     """First (n, code, count, path_count) with a non-path tree strictly
     beating the path, or None."""
+    _check_n_max(n_max, "the counterexample search")
     for n in range(2, n_max + 1):
         counts = sweep_counts(H, n)
         path_count = counts[canonical_code(path(n))]
@@ -330,8 +340,7 @@ _LABEL_PRIORITY = (LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED, LABEL_OTH
 
 
 def classify_small_targets(n_max: int) -> list[ClassificationRow]:
-    if n_max < 2:
-        raise ValueError(f"classification needs n_max >= 2, got {n_max}")
+    _check_n_max(n_max, "classification")
     rows = []
     for hid, H in SMALL_TARGETS.items():
         mins, labels = [], []

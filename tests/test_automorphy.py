@@ -8,6 +8,7 @@ from treehom import (
     SizeLimitError,
     TargetGraph,
     automorphisms,
+    disjoint_union,
     find_increasing_ordering,
     has_increasing_columns,
     is_isomorphic,
@@ -75,6 +76,24 @@ class TestOrbitPartition:
     def test_hind_singleton_classes(self):
         p = orbit_partition(SMALL_TARGETS[7])
         assert p.classes == ((0,), (1,))
+
+    def test_clique_past_enumeration_reach(self):
+        # 14! automorphisms; one pinned search per vertex finds the orbit
+        k14 = tg(14, *[(i, j) for i in range(14) for j in range(i + 1, 14)])
+        assert orbit_partition(k14, size_limit=14).classes == (tuple(range(14)),)
+
+    def test_refinement_blind_orbits(self):
+        # 2-regular on 12 vertices, so refinement gives one color and the
+        # searches pinned from a cycle vertex to a triangle vertex must fail
+        c6 = tg(6, *[(i, (i + 1) % 6) for i in range(6)])
+        two_triangles = tg(6, (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
+        p = orbit_partition(disjoint_union(c6, two_triangles))
+        assert p.classes == (tuple(range(6)), tuple(range(6, 12)))
+
+    def test_size_limit(self):
+        # an asymmetric graph needs no search, yet is still refused
+        with pytest.raises(SizeLimitError):
+            orbit_partition(tg(13, *[(i, i + 1) for i in range(12)], (0, 0)))
 
     def test_classes_partition_vertices(self):
         for h in SMALL_TARGETS.values():

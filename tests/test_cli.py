@@ -121,13 +121,13 @@ class TestOrbitSearchOnce:
     ])
     def test_one_orbit_search(self, capsys, monkeypatch, argv):
         calls = []
-        search = automorphy.automorphisms
+        search = automorphy.orbit_partition
 
         def counted(*args):
             calls.append(args)
             return search(*args)
 
-        monkeypatch.setattr(automorphy, "automorphisms", counted)
+        monkeypatch.setattr(automorphy, "orbit_partition", counted)
         automorphy.class_data.cache_clear()
         status, _, _ = run(capsys, *argv)
         automorphy.class_data.cache_clear()
@@ -204,6 +204,10 @@ class TestErrorHandling:
           "--activities", "1/0,1"), "bad activity"),
         (("classify", "--n-max", "1"), "n_max >= 2"),
         (("orbits", "--target", "path:1100", "--size-limit", "1100"), "recursion limit"),
+        # sweeps over no order: a pass would be vacuous
+        (("check-hl", "--target", "hind", "--n-max", "0"), "n_max >= 2"),
+        (("check-hl", "--target", "hind", "--n-max", "1", "--strong", "--rows"), "n_max >= 2"),
+        (("sidorenko", "--target", "hind", "--n-max", "1"), "n_max >= 2"),
     ])
     def test_failure_reported_exit_2(self, capsys, argv, needle):
         status, out, err = run(capsys, *argv)

@@ -231,6 +231,12 @@ class TestSweeps:
     def test_counterexample_search_clean_for_certified_target(self):
         assert find_hl_counterexample_search(SMALL_TARGETS[7], 8) is None
 
+    @pytest.mark.parametrize("sweep", [
+        verify_hoffman_london, sidorenko_check, find_hl_counterexample_search])
+    def test_sweep_over_no_order_rejected(self, sweep):
+        with pytest.raises(ValueError, match="n_max >= 2"):
+            sweep(SMALL_TARGETS[7], 1)
+
     def test_counterexample_search_reports_honestly(self):
         # the bouquet of two triangles: record the outcome, whatever it is
         out = find_hl_counterexample_search(make_H_abl(3, 1, 2), 8)

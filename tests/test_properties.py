@@ -1,7 +1,7 @@
 """Property tests on random small loopy targets and random trees: the tree
 walk's three entry points against brute force, the KC machinery against
-bare_path and its identity, the isomorphism search against all vertex
-permutations, and the edge-list format round trip."""
+bare_path and its identity, the isomorphism search and the orbit search
+against all vertex permutations, and the edge-list format round trip."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -22,6 +22,7 @@ from treehom import (
     kc_difference_decomposition,
     kc_move,
     kc_sites,
+    orbit_partition,
     parse_graph,
     partition_function,
     tree_hom,
@@ -106,6 +107,14 @@ def test_isomorphism_search_agrees_with_all_permutations(pair):
     perms = list(permutations(range(G.n)))
     assert is_isomorphic(G, H) == (G.n == H.n and any(_relabel(G, p) == H for p in perms))
     assert sorted(automorphisms(G)) == [p for p in perms if _relabel(G, p) == G]
+
+
+@PROPERTY
+@given(targets(max_n=6))
+def test_orbit_search_agrees_with_all_permutations(H):
+    auts = [p for p in permutations(range(H.n)) if _relabel(H, p) == H]
+    orbits = {tuple(sorted({p[v] for p in auts})) for v in H.vertices()}
+    assert orbit_partition(H).classes == tuple(sorted(orbits))
 
 
 @PROPERTY
