@@ -49,6 +49,11 @@ from .extremal import (
 from .trees import all_trees, kc_sites, path, star
 
 
+#: Cap on sites x vertices for `kc`. Every site rebuilds the tree and counts
+#: it twice, so the work grows like sites x n, and a path has ~n^2/2 sites.
+KC_WORK_LIMIT = 250_000
+
+
 # ---------------------------------------------------------------------------
 # graph / tree specification strings
 
@@ -312,6 +317,9 @@ def _cmd_kc(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
     sites = kc_sites(T)
+    if len(sites) * T.n > KC_WORK_LIMIT:
+        raise SizeLimitError(f"kc would check {len(sites)} sites on a {T.n}-vertex tree: "
+                             f"sites x vertices is {len(sites) * T.n}, the limit is {KC_WORK_LIMIT}")
     status = 0
     for vl, vr in sites:
         lhs, rhs = kc_difference_decomposition(T, vl, vr, H, args.size_limit)

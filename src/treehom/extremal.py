@@ -22,8 +22,8 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph
-from .homcount import hom_vector, path_pair_counts, tree_hom
-from .trees import all_trees, canonical_code, has_balanced_bipartition, path, star
+from .homcount import hom_vector, path_pair_counts, shape_vectors, tree_hom
+from .trees import free_trees, path, rooted_shapes, star, tree_codes
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +185,33 @@ class HLVerdict:
         return all(r.path_is_unique_min for r in self.reports if r.n >= 4)
 
 
-def sweep_counts(H: TargetGraph, n: int) -> dict[str, int]:
-    """Exact hom count per canonical tree code at order n."""
-    return {ct.code: tree_hom(ct.tree, H) for ct in all_trees(n)}
+def sweep_counts(H: TargetGraph, n: int) -> list[int]:
+    """Exact hom count of every tree on n vertices, in `free_trees` order.
+
+    No tree is built or walked: each rooted shape's vector is computed once
+    (`shape_vectors`), and a tree's count is the product of its parts'
+    messages, carried down the generator, summed over H's vertices.
+    """
+    h, msg = shape_vectors(H, n)
+    return [sum(vec) for vec in
+            free_trees(n, h, lambda vec, c: [a * m for a, m in zip(vec, msg[c])])]
 
 
 def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     counts = sweep_counts(H, n)
-    lo = min(counts.values())
-    hi = max(counts.values())
-    mins = tuple(sorted(c for c, v in counts.items() if v == lo))
-    path_code = canonical_code(path(n))
-    star_code = canonical_code(star(n)) if n >= 2 else path_code
+    lo = min(counts)
+    hi = max(counts)
+    at_min = [i for i, c in enumerate(counts) if c == lo]
+    path_count = tree_hom(path(n), H)
+    star_count = tree_hom(star(n), H) if n >= 2 else path_count
     return MinimizerReport(
         n=n,
         min_count=lo,
-        minimizers=mins,
-        path_is_min=path_code in mins,
-        path_is_unique_min=mins == (path_code,),
+        minimizers=tuple(sorted(tree_codes(n, at_min).values())),
+        path_is_min=path_count == lo,
+        path_is_unique_min=path_count == lo and len(at_min) == 1,
         max_count=hi,
-        star_is_max=counts[star_code] == hi,
+        star_is_max=star_count == hi,
     )
 
 
@@ -267,16 +274,25 @@ def check_strong_hl_certificate(
 # ---------------------------------------------------------------------------
 # sweeps against the named bounds
 
+def _first_offender(n: int, counts: list[int], offends) -> Optional[tuple[str, int]]:
+    """(code, count) of the tree first in code order whose count offends."""
+    codes = tree_codes(n, [i for i, c in enumerate(counts) if offends(c)])
+    if not codes:
+        return None
+    first = min(codes, key=codes.__getitem__)
+    return codes[first], counts[first]
+
+
 def sidorenko_check(H: TargetGraph, n_max: int):
     """Verify the star maximizes at every order; returns (ok, violation)
     where violation is (n, code, count, star_count) for the first offender."""
     _check_n_max(n_max, "the star-maximality check")
     for n in range(2, n_max + 1):
         counts = sweep_counts(H, n)
-        star_count = counts[canonical_code(star(n))]
-        for code in sorted(counts):
-            if counts[code] > star_count:
-                return False, (n, code, counts[code], star_count)
+        star_count = tree_hom(star(n), H)
+        found = _first_offender(n, counts, lambda c: c > star_count)
+        if found is not None:
+            return False, (n, *found, star_count)
     return True, None
 
 
@@ -286,10 +302,10 @@ def find_hl_counterexample_search(H: TargetGraph, n_max: int):
     _check_n_max(n_max, "the counterexample search")
     for n in range(2, n_max + 1):
         counts = sweep_counts(H, n)
-        path_count = counts[canonical_code(path(n))]
-        for code in sorted(counts):
-            if counts[code] < path_count:
-                return n, code, counts[code], path_count
+        path_count = tree_hom(path(n), H)
+        found = _first_offender(n, counts, lambda c: c < path_count)
+        if found is not None:
+            return (n, *found, path_count)
     return None
 
 
@@ -312,26 +328,34 @@ class ClassificationRow:
 
 
 @lru_cache(maxsize=None)
-def _balanced_codes(n: int) -> frozenset[str]:
-    return frozenset(ct.code for ct in all_trees(n) if has_balanced_bipartition(ct.tree))
+def _balanced(n: int) -> tuple[bool, ...]:
+    """Per tree in `free_trees(n)` order: do the two sides of its
+    bipartition differ in size by at most one? Composed per shape from
+    d = (vertices at even depth) - (vertices at odd depth); a child's even
+    depths are its parent's odd ones, so d_s = 1 - Σ_children d_c."""
+    d: list[int] = []
+    for kids in rooted_shapes(n):
+        d.append(1 - sum(d[c] for c in kids))
+    return tuple(abs(x) <= 1 for x in free_trees(n, d, lambda x, c: x - d[c]))
 
 
-def _labels_for(n: int, mins: tuple[str, ...], min_count: int) -> frozenset[str]:
+def _labels_for(n: int, counts: list[int], path_count: int) -> frozenset[str]:
     """All class labels the minimizer set matches at this order.
 
     At small n the descriptions coincide (e.g. on 4 vertices the path is the
     only balanced-bipartition tree), so a set is returned rather than forcing
     an arbitrary precedence.
     """
-    got = frozenset(mins)
+    lo = min(counts)
+    at_min = [c == lo for c in counts]
     out = set()
-    if min_count == 0:
+    if lo == 0:
         out.add(LABEL_ZERO)
-    if got == frozenset(ct.code for ct in all_trees(n)):
+    if all(at_min):
         out.add(LABEL_ALL)
-    if got == {canonical_code(path(n))}:
+    if path_count == lo and at_min.count(True) == 1:
         out.add(LABEL_PATHS)
-    if got == _balanced_codes(n):
+    if tuple(at_min) == _balanced(n):
         out.add(LABEL_BALANCED)
     return frozenset(out) if out else frozenset({LABEL_OTHER})
 
@@ -345,9 +369,9 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     for hid, H in SMALL_TARGETS.items():
         mins, labels = [], []
         for n in range(2, n_max + 1):
-            rep = minimizers(H, n)
-            mins.append((n, rep.min_count))
-            labels.append((n, _labels_for(n, rep.minimizers, rep.min_count)))
+            counts = sweep_counts(H, n)
+            mins.append((n, min(counts)))
+            labels.append((n, _labels_for(n, counts, tree_hom(path(n), H))))
         # orders below 4 are degenerate (at most two tree classes exist, so
         # the label sets coincide); summarize from the informative orders
         informative = [labs for n, labs in labels if n >= 4] or [labs for _, labs in labels]

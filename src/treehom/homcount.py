@@ -5,8 +5,11 @@ partition functions.
 The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom` runs it
 over H's vertices with unit weights, `tree_partition_function` with the
 activities as weights, and `hom_vector` over the automorphic similarity
-classes, with the similarity matrix as A. Brute-force enumeration of vertex
-maps is kept apart from the walk as the independent oracle.
+classes, with the similarity matrix as A. `shape_vectors` runs the same
+recurrence once per rooted shape of the tree generator, so a sweep composes
+every tree's count from shared subtree vectors instead of walking each tree.
+Brute-force enumeration of vertex maps is kept apart from the walk as the
+independent oracle.
 
 All counting is in arbitrary-precision integers (counts grow like d^n);
 weighted counts use exact Fractions throughout, never floats.
@@ -21,7 +24,7 @@ from typing import Iterable, Sequence, Union
 
 from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree
-from .trees import bare_path
+from .trees import bare_path, rooted_shapes
 
 BRUTE_FORCE_BUDGET = 10 ** 8
 
@@ -55,9 +58,14 @@ def _rooted_order(T: Tree, root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+def _message(rows: Sequence[Sequence[int]], h: Sequence) -> list:
+    """The walk's message step rows · h, where rows[x] lists x's neighbours
+    repeated by multiplicity: entry x sums h over the neighbours of x."""
+    return [sum(h[y] for y in row) for row in rows]
+
+
 def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence) -> list:
-    """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), where rows[x]
-    lists x's neighbours repeated by multiplicity."""
+    """h(root) for h(v) = weights ⊙ Π_children (rows · h(c))."""
     order, parent = _rooted_order(T, root)
     h: list[list | None] = [None] * T.n
     for v in order:
@@ -65,11 +73,30 @@ def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence) 
         for c in T.neighbors(v):
             if parent[c] != v:
                 continue
-            child = h[c]
+            msg = _message(rows, h[c])
             h[c] = None  # consumed: only the root's vector is returned
-            vec = [a * sum(child[y] for y in row) for a, row in zip(vec, rows)]
+            vec = [a * m for a, m in zip(vec, msg)]
         h[v] = vec
     return h[root]
+
+
+def shape_vectors(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(h, A·h) for every rooted shape `trees.free_trees(n)` composes, by
+    shape ID: h_s[x] counts the H-colorings of shape s with its root at x.
+
+    The walk's recurrence with shapes for vertices, h_s = Π_children A·h_c,
+    each shape computed once from its children's cached messages.
+    """
+    rows = [H.neighbors(x) for x in H.vertices()]
+    h: list[list[int]] = []
+    msg: list[list[int]] = []
+    for kids in rooted_shapes(n):
+        vec = [1] * H.n
+        for c in kids:
+            vec = [a * m for a, m in zip(vec, msg[c])]
+        h.append(vec)
+        msg.append(_message(rows, vec))
+    return h, msg
 
 
 def hom_vector(T: Tree, root: int, M: SimilarityMatrix) -> tuple[int, ...]:

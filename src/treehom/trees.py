@@ -1,21 +1,30 @@
 """Generation, canonicalization, and KC moves on trees.
 
 Canonical codes are classic center-rooted AHU strings: equal codes iff
-isomorphic, invariant under relabeling. The generator for all non-isomorphic
-trees on n vertices wraps networkx's free-tree enumerator and is cross-checked
-in the tests against an independent Prufer-sequence dedup oracle.
+isomorphic, invariant under relabeling.
+
+Trees are generated from a table of rooted shapes: integer IDs, each a
+non-increasing tuple of child IDs, numbered by vertex count. A free tree
+splits at its centroid into a multiset of rooted shapes with fewer than n/2
+vertices each, or, for even n only, into a pair of shapes with n/2 vertices
+joined by the central edge (Otter 1948). `free_trees` walks both kinds and
+folds a caller's per-shape state over each tree's parts, so a sweep can
+compose a value for every tree without building it. `all_trees` materializes
+the same enumeration; the tests cross-check its counts against a Prufer-
+sequence dedup oracle and Otter's counting recurrence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import networkx as nx
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .graphs import SizeLimitError, Tree, bipartition
 
 TREE_LIMIT = 16
+
+_S = TypeVar("_S")
 
 
 @dataclass(frozen=True)
@@ -36,19 +45,23 @@ def star(n: int) -> Tree:
     return Tree.from_edges(n, [(0, i) for i in range(1, n)])
 
 
-def _centers(T: Tree) -> list[int]:
+# ---------------------------------------------------------------------------
+# canonical codes (on adjacency lists, so generated trees need no Tree)
+
+def _centers(adj: Sequence[Sequence[int]]) -> list[int]:
     """The 1 or 2 middle vertices, found by repeated leaf stripping."""
-    if T.n <= 2:
-        return list(T.vertices())
-    deg = [T.degree(v) for v in T.vertices()]
-    layer = [v for v in T.vertices() if deg[v] == 1]
-    remaining = T.n
+    n = len(adj)
+    if n <= 2:
+        return list(range(n))
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] == 1]
+    remaining = n
     while remaining > 2:
         remaining -= len(layer)
         nxt = []
         for v in layer:
             deg[v] = 0
-            for u in T.neighbors(v):
+            for u in adj[v]:
                 if deg[u] > 0:
                     deg[u] -= 1
                     if deg[u] == 1:
@@ -57,36 +70,161 @@ def _centers(T: Tree) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_code(T: Tree, root: int) -> str:
-    def code(v: int, parent: int) -> str:
-        subs = sorted(code(u, v) for u in T.neighbors(v) if u != parent)
-        return "(" + "".join(subs) + ")"
+def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:
+    """AHU code of the tree rooted at root: each vertex is an opening
+    parenthesis, its children's codes in sorted order, and a closing one.
+    Built bottom-up over a BFS order, so deep trees need no recursion."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    subs: list[list[str]] = [[] for _ in adj]
+    for v in reversed(order):  # the root comes last
+        code = "(" + "".join(sorted(subs[v])) + ")"
+        subs[v] = []
+        if v != root:
+            subs[parent[v]].append(code)
+    return code
 
-    return code(root, -1)
+
+def _code(adj: Sequence[Sequence[int]]) -> str:
+    return min(_rooted_code(adj, c) for c in _centers(adj))
 
 
 def canonical_code(T: Tree) -> str:
-    return min(_rooted_code(T, c) for c in _centers(T))
+    return _code([T.neighbors(v) for v in T.vertices()])
+
+
+def _tree_from_code(code: str) -> Tree:
+    """The tree a canonical code describes, labelled in preorder: vertex 0 is
+    the center the code is rooted at, and each "(" opens the next vertex."""
+    edges, open_, n = [], [], 0
+    for ch in code:
+        if ch == "(":
+            if open_:
+                edges.append((open_[-1], n))
+            open_.append(n)
+            n += 1
+        else:
+            open_.pop()
+    return Tree.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# rooted shapes and the free-tree generator
+
+class _Shapes(NamedTuple):
+    children: list[tuple[int, ...]]  # shape ID -> child IDs, non-increasing
+    size: list[int]                  # shape ID -> vertex count
+    end: list[int]                   # end[s] = number of shapes on <= s vertices
+
+
+def _multisets(t: _Shapes, total: int, top: int, state: _S,
+               extend: Callable[[_S, int], _S]) -> Iterator[_S]:
+    """extend folded over every non-increasing sequence of shape IDs below top
+    whose vertex counts sum to total, starting from state."""
+    if total == 0:
+        yield state
+        return
+    fits = t.end[total] if total < len(t.end) else len(t.size)  # IDs on <= total vertices
+    for c in range(min(top, fits) - 1, -1, -1):
+        yield from _multisets(t, total - t.size[c], c + 1, extend(state, c), extend)
+
+
+def _append(kids: tuple[int, ...], c: int) -> tuple[int, ...]:
+    return kids + (c,)
 
 
 @lru_cache(maxsize=None)
-def all_trees(n: int) -> tuple[CanonicalTree, ...]:
-    """One representative per isomorphism class, ordered by canonical code."""
+def _shapes() -> _Shapes:
+    """Every rooted tree on up to TREE_LIMIT // 2 vertices, numbered by vertex
+    count: a shape on s vertices is a multiset of shapes on s - 1 in total,
+    all with smaller IDs."""
+    t = _Shapes([], [], [0])
+    for s in range(1, TREE_LIMIT // 2 + 1):
+        t.children.extend(_multisets(t, s - 1, t.end[s - 1], (), _append))
+        t.size.extend([s] * (len(t.children) - len(t.size)))
+        t.end.append(len(t.children))
+    return t
+
+
+def _check_order(n: int) -> None:
     if not 1 <= n <= TREE_LIMIT:
         raise SizeLimitError(f"tree enumeration limited to 1..{TREE_LIMIT}, got n={n}")
-    if n == 1:
-        t = Tree.from_edges(1, [])
-        return (CanonicalTree(t, canonical_code(t)),)
-    by_code: dict[str, CanonicalTree] = {}
-    for g in nx.nonisomorphic_trees(n):
-        t = Tree.from_edges(n, g.edges())
-        c = canonical_code(t)
-        by_code.setdefault(c, CanonicalTree(t, c))
-    return tuple(by_code[c] for c in sorted(by_code))
+
+
+def rooted_shapes(n: int) -> list[tuple[int, ...]]:
+    """Child IDs of every rooted shape `free_trees(n)` composes, by shape ID:
+    every rooted tree on up to max(1, n // 2) vertices. Children always have
+    smaller IDs than their parent, so the list is in bottom-up order; ID 0 is
+    the single vertex."""
+    _check_order(n)
+    t = _shapes()
+    return t.children[:t.end[max(1, n // 2)]]
+
+
+def free_trees(n: int, states: Optional[Sequence[_S]] = None,
+               extend: Optional[Callable[[_S, int], _S]] = None) -> Iterator[_S]:
+    """One value per isomorphism class of trees on n vertices, in a fixed
+    generation order (not code order).
+
+    A tree is a rooted shape s with extra children c_1 >= ... >= c_k at its
+    root: the centroid as a bare vertex (s = 0) with every branch, each under
+    n/2 vertices, or, for even n, the pair a <= b of n/2-vertex halves as
+    s = a, c_1 = b. Its value is extend(...extend(states[s], c_1)..., c_k),
+    with states indexed by the IDs of `rooted_shapes(n)`. Without states the
+    values are the tuples (s, c_1, ..., c_k) themselves.
+    """
+    _check_order(n)
+    if states is None:
+        states, extend = [(s,) for s in range(len(rooted_shapes(n)))], _append
+    return _free_trees(_shapes(), n, states, extend)
+
+
+def _free_trees(t: _Shapes, n: int, states, extend):
+    yield from _multisets(t, n - 1, t.end[(n - 1) // 2], states[0], extend)
+    if n % 2 == 0:
+        lo, hi = t.end[n // 2 - 1], t.end[n // 2]
+        for b in range(lo, hi):
+            for a in range(lo, b + 1):
+                yield extend(states[a], b)
+
+
+def _adjacency(parts: tuple[int, ...]) -> list[list[int]]:
+    """Adjacency lists of the tree free_trees names by (s, c_1, ..., c_k),
+    labelled depth-first from its root."""
+    children = _shapes().children
+    adj: list[list[int]] = [[]]
+    todo = [(0, c) for c in children[parts[0]] + parts[1:]]
+    while todo:
+        parent, s = todo.pop()
+        v = len(adj)
+        adj.append([parent])
+        adj[parent].append(v)
+        todo.extend((v, c) for c in children[s])
+    return adj
+
+
+def tree_codes(n: int, picked: Iterable[int]) -> dict[int, str]:
+    """Canonical codes of the trees at the picked positions of free_trees(n)."""
+    want = set(picked)
+    return {i: _code(_adjacency(parts)) for i, parts in enumerate(free_trees(n))
+            if i in want}
+
+
+def all_trees(n: int) -> tuple[CanonicalTree, ...]:
+    """One representative per isomorphism class, ordered by canonical code;
+    each tree is labelled in preorder of its code (`_tree_from_code`)."""
+    codes = sorted(_code(_adjacency(parts)) for parts in free_trees(n))
+    return tuple(CanonicalTree(_tree_from_code(c), c) for c in codes)
 
 
 def tree_count(n: int) -> int:
-    return len(all_trees(n))
+    return sum(1 for _ in free_trees(n))
 
 
 # ---------------------------------------------------------------------------

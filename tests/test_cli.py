@@ -1,12 +1,14 @@
 import sys
+import time
 
 import pytest
 
 from treehom import automorphy
 from treehom import (
-    is_isomorphic, parse_graph, path, make_capacity_graph, make_widom_rowlinson,
+    Tree, canonical_code, is_isomorphic, parse_graph, path, make_capacity_graph,
+    make_widom_rowlinson, tree_count,
 )
-from treehom.cli import main, parse_target_spec, parse_tree_spec
+from treehom.cli import KC_WORK_LIMIT, main, parse_target_spec, parse_tree_spec
 
 
 def run(capsys, *argv):
@@ -76,6 +78,22 @@ class TestSubcommands:
     def test_trees_count(self, capsys):
         status, out, _ = run(capsys, "trees", "-n", "9", "--count")
         assert status == 0 and out.strip() == "47"
+
+    def test_trees_rows_edges_spell_the_code(self, capsys):
+        # the edge column is the code's own tree (preorder from the center the
+        # code is rooted at), so it parses back to the printed code
+        for n in range(1, 10):
+            status, out, _ = run(capsys, "trees", "-n", str(n), "--rows")
+            assert status == 0
+            codes = []
+            for line in out.splitlines():
+                kind, order, code, edges = line.split("\t")
+                assert (kind, order) == ("tree", str(n))
+                pairs = [tuple(map(int, e.split("-"))) for e in edges.split(",") if e]
+                assert canonical_code(Tree.from_edges(n, pairs)) == code
+                codes.append(code)
+            assert codes == sorted(set(codes))
+            assert len(codes) == tree_count(n)
 
     def test_minimize(self, capsys):
         status, out, _ = run(capsys, "minimize", "--target", "hind", "-n", "5",
@@ -212,3 +230,10 @@ class TestErrorHandling:
     def test_failure_reported_exit_2(self, capsys, argv, needle):
         status, out, err = run(capsys, *argv)
         assert status == 2 and out == "" and needle in err
+
+    def test_kc_work_limit_checked_before_any_site(self, capsys):
+        # a path has ~n^2/2 sites; 28,203 sites x 240 vertices is past the cap
+        start = time.perf_counter()
+        status, out, err = run(capsys, "kc", "--tree", "path:240", "--target", "hind")
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and str(KC_WORK_LIMIT) in err

@@ -1,32 +1,53 @@
 """Property tests on random small loopy targets and random trees: the tree
-walk's three entry points against brute force, the KC machinery against
-bare_path and its identity, the isomorphism search and the orbit search
-against all vertex permutations, and the edge-list format round trip."""
+walk's three entry points against brute force, the composed sweep against
+the walk over `all_trees` (and the sweep verdicts against a walk-and-code
+reference), the KC machinery against bare_path and its identity, the
+isomorphism search and the orbit search against all vertex permutations,
+and the edge-list format round trip."""
 
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from treehom import (
+    SMALL_TARGETS,
+    MinimizerReport,
     TargetGraph,
     Tree,
     activities,
+    all_trees,
     automorphisms,
     bare_path,
     blow_up,
+    canonical_code,
+    classify_small_targets,
+    find_hl_counterexample_search,
     format_graph,
     hom_brute_force,
+    has_balanced_bipartition,
     hom_count,
     is_isomorphic,
     kc_difference_decomposition,
     kc_move,
     kc_sites,
+    make_capacity_graph,
+    make_folkman_plus_dominating,
+    make_widom_rowlinson,
+    minimizers,
     orbit_partition,
     parse_graph,
     partition_function,
+    path,
+    sidorenko_check,
+    star,
     tree_hom,
     tree_partition_function,
+)
+from treehom import extremal
+from treehom.extremal import (
+    LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, sweep_counts,
 )
 
 # deterministic and bounded, so the suite stays reproducible and fast
@@ -77,6 +98,103 @@ def test_walk_routes_agree_with_brute_force(H, T):
 def test_weighted_walk_agrees_with_brute_force(H, T, data):
     lam = activities(data.draw(st.lists(rationals, min_size=H.n, max_size=H.n)))
     assert partition_function(T, H, lam) == partition_function((T.n, T.edges), H, lam)
+
+
+@PROPERTY
+@given(targets(), st.integers(1, 9))
+def test_sweep_counts_are_the_walk_counts(H, n):
+    assert sorted(sweep_counts(H, n)) == sorted(tree_hom(ct.tree, H) for ct in all_trees(n))
+
+
+# ---------------------------------------------------------------------------
+# sweep verdicts against a reference that walks and codes every tree
+
+REFERENCE_N = 10
+REFERENCE_TARGETS = {f"h{i}": H for i, H in SMALL_TARGETS.items()}
+REFERENCE_TARGETS.update({"capacity:3": make_capacity_graph(3),
+                          "wr:3": make_widom_rowlinson(3),
+                          "folkman+dom": make_folkman_plus_dominating()})
+
+
+def _reference_counts(H):
+    """{n: {canonical code: hom(T, H)}} by walking every tree of all_trees."""
+    return {n: {ct.code: tree_hom(ct.tree, H) for ct in all_trees(n)}
+            for n in range(1, REFERENCE_N + 1)}
+
+
+def _first_in_code_order(n, counts, offends, bound):
+    bad = sorted(code for code, c in counts.items() if offends(c, bound))
+    return (n, bad[0], counts[bad[0]], bound) if bad else None
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_TARGETS))
+def test_sweep_verdicts_match_reference(name):
+    H = REFERENCE_TARGETS[name]
+    ref = _reference_counts(H)
+    for n, counts in ref.items():
+        lo, hi = min(counts.values()), max(counts.values())
+        mins = tuple(sorted(code for code, c in counts.items() if c == lo))
+        path_code = canonical_code(path(n))
+        star_code = canonical_code(star(n)) if n >= 2 else path_code
+        assert minimizers(H, n) == MinimizerReport(
+            n, lo, mins, path_code in mins, mins == (path_code,), hi, counts[star_code] == hi)
+
+    violation = None
+    for n in range(2, REFERENCE_N + 1):
+        star_count = ref[n][canonical_code(star(n))]
+        violation = _first_in_code_order(n, ref[n], int.__gt__, star_count)
+        if violation:
+            break
+    assert sidorenko_check(H, REFERENCE_N) == (violation is None, violation)
+
+    beaten = None
+    for n in range(2, REFERENCE_N + 1):
+        path_count = ref[n][canonical_code(path(n))]
+        beaten = _first_in_code_order(n, ref[n], int.__lt__, path_count)
+        if beaten:
+            break
+    assert find_hl_counterexample_search(H, REFERENCE_N) == beaten
+
+
+@pytest.mark.parametrize("name", ["h6", "h7", "h19", "capacity:3"])
+def test_offender_is_first_in_code_order(name, monkeypatch):
+    # The path and the star are extremal on every target here, so no real
+    # offender exists. Shift the path (star) count by one at n = 7 only: the
+    # offenders are then the trees tying it, and the report must name the
+    # first of them in code order.
+    H, n = REFERENCE_TARGETS[name], 7
+    counts = {ct.code: tree_hom(ct.tree, H) for ct in all_trees(n)}
+    walk = extremal.tree_hom
+
+    monkeypatch.setattr(extremal, "tree_hom", lambda T, G: walk(T, G) + (T.n == n))
+    path_count = counts[canonical_code(path(n))]
+    first = min(code for code, c in counts.items() if c <= path_count)
+    assert find_hl_counterexample_search(H, 9) == (n, first, counts[first], path_count + 1)
+
+    monkeypatch.setattr(extremal, "tree_hom", lambda T, G: walk(T, G) - (T.n == n))
+    star_count = counts[canonical_code(star(n))]
+    first = min(code for code, c in counts.items() if c >= star_count)
+    assert sidorenko_check(H, 9) == (False, (n, first, counts[first], star_count - 1))
+
+
+def test_classify_labels_match_reference():
+    balanced = {n: {ct.code for ct in all_trees(n) if has_balanced_bipartition(ct.tree)}
+                for n in range(2, REFERENCE_N + 1)}
+    for row in classify_small_targets(REFERENCE_N):
+        ref = _reference_counts(SMALL_TARGETS[row.target_id])
+        for (n, min_count), (n2, labels) in zip(row.min_counts, row.labels):
+            counts = ref[n]
+            lo = min(counts.values())
+            mins = {code for code, c in counts.items() if c == lo}
+            want = {LABEL_ZERO} if lo == 0 else set()
+            if mins == set(counts):
+                want.add(LABEL_ALL)
+            if mins == {canonical_code(path(n))}:
+                want.add(LABEL_PATHS)
+            if mins == balanced[n]:
+                want.add(LABEL_BALANCED)
+            assert (n, min_count) == (n2, lo)
+            assert labels == frozenset(want or {LABEL_OTHER}), (row.target_id, n)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from treehom import (
     star,
     tree_count,
 )
+from treehom.trees import TREE_LIMIT
 from oracles import otter_tree_count, prufer_tree_count
 
 
@@ -48,9 +49,8 @@ class TestEnumeration:
             assert tree_count(n) == prufer_tree_count(n)
 
     def test_counts_match_recurrence_oracle(self):
-        for n in range(1, 13):
-            if n <= 10:
-                assert tree_count(n) == otter_tree_count(n)
+        for n in range(1, TREE_LIMIT + 1):
+            assert tree_count(n) == otter_tree_count(n)
 
     def test_limit_enforced(self):
         with pytest.raises(SizeLimitError):
