@@ -276,10 +276,11 @@ def check_strong_hl_certificate(
 
 def _first_offender(n: int, counts: list[int], offends) -> Optional[tuple[str, int]]:
     """(code, count) of the tree first in code order whose count offends."""
-    codes = tree_codes(n, [i for i, c in enumerate(counts) if offends(c)])
-    if not codes:
+    bad = [i for i, c in enumerate(counts) if offends(c)]
+    if not bad:
         return None
-    first = min(codes, key=codes.__getitem__)
+    codes = tree_codes(n, bad)
+    first = min(bad, key=codes.__getitem__)
     return codes[first], counts[first]
 
 
