@@ -30,6 +30,7 @@ from .homcount import (
     BRUTE_FORCE_BUDGET,
     activities,
     hom_brute_force,
+    hom_count,
     kc_difference_decomposition,
     partition_function,
     tree_hom,
@@ -321,8 +322,10 @@ def _cmd_kc(args) -> int:
         raise SizeLimitError(f"kc would check {len(sites)} sites on a {T.n}-vertex tree: "
                              f"sites x vertices is {len(sites) * T.n}, the limit is {KC_WORK_LIMIT}")
     status = 0
+    # hom(T, H) is the same at every site: count it once (a star has none)
+    hom_T = hom_count(T, H, args.size_limit) if sites else None
     for vl, vr in sites:
-        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, args.size_limit)
+        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, args.size_limit, hom_T)
         ok = lhs == rhs
         if not ok:
             status = 1

@@ -158,6 +158,16 @@ class MinimizerReport:
 
 
 @dataclass(frozen=True)
+class OrderVerdict:
+    """What a path-minimality check reads from one order's sweep: the least
+    count and whether the path attains it, alone or not. No tree is coded."""
+    n: int
+    min_count: int
+    path_is_min: bool
+    path_is_unique_min: bool
+
+
+@dataclass(frozen=True)
 class StrongHLCertificate:
     """Witness data for strict path minimality: per path length t a class
     pair (low, high) with a joint endpoint coloring and strictly ordered
@@ -172,7 +182,7 @@ class StrongHLCertificate:
 @dataclass(frozen=True)
 class HLVerdict:
     n_max: int
-    reports: tuple[MinimizerReport, ...]
+    reports: tuple[OrderVerdict, ...]
     matrix_certificate: Optional[tuple[tuple[int, ...], SimilarityMatrix]]
     strong_certificate: Optional[StrongHLCertificate]
 
@@ -197,19 +207,26 @@ def sweep_counts(H: TargetGraph, n: int) -> list[int]:
             free_trees(n, h, lambda vec, c: [a * m for a, m in zip(vec, msg[c])])]
 
 
-def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
+def _order_verdict(H: TargetGraph, n: int) -> tuple[list[int], OrderVerdict]:
+    """(counts in `free_trees` order, their verdict) for one order."""
     counts = sweep_counts(H, n)
     lo = min(counts)
+    path_is_min = tree_hom(path(n), H) == lo
+    return counts, OrderVerdict(n, lo, path_is_min, path_is_min and counts.count(lo) == 1)
+
+
+def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
+    counts, v = _order_verdict(H, n)
     hi = max(counts)
-    at_min = [i for i, c in enumerate(counts) if c == lo]
-    path_count = tree_hom(path(n), H)
-    star_count = tree_hom(star(n), H) if n >= 2 else path_count
+    # one tree at n = 1: the path is the star
+    star_count = tree_hom(star(n), H) if n >= 2 else hi
+    at_min = [i for i, c in enumerate(counts) if c == v.min_count]
     return MinimizerReport(
         n=n,
-        min_count=lo,
+        min_count=v.min_count,
         minimizers=tuple(sorted(tree_codes(n, at_min).values())),
-        path_is_min=path_count == lo,
-        path_is_unique_min=path_count == lo and len(at_min) == 1,
+        path_is_min=v.path_is_min,
+        path_is_unique_min=v.path_is_unique_min,
         max_count=hi,
         star_is_max=star_count == hi,
     )
@@ -225,7 +242,7 @@ def _check_n_max(n_max: int, what: str) -> None:
 def verify_hoffman_london(H: TargetGraph, n_max: int,
                           size_limit: int = AUT_SIZE_LIMIT) -> HLVerdict:
     _check_n_max(n_max, "the path-minimality check")
-    reports = tuple(minimizers(H, n) for n in range(2, n_max + 1))
+    reports = tuple(_order_verdict(H, n)[1] for n in range(2, n_max + 1))
     try:
         cert = find_increasing_ordering(H, size_limit)
     except SizeLimitError:

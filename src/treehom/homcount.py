@@ -4,23 +4,25 @@ partition functions.
 
 The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom` runs it
 over H's vertices with unit weights, `tree_partition_function` with the
-activities as weights, and `hom_vector` over the automorphic similarity
-classes, with the similarity matrix as A. `shape_vectors` runs the same
-recurrence once per rooted shape of the tree generator, so a sweep composes
-every tree's count from shared subtree vectors instead of walking each tree.
-Brute-force enumeration of vertex maps is kept apart from the walk as the
-independent oracle.
+activities' integer numerators as weights, and `hom_vector` over the
+automorphic similarity classes, with the similarity matrix as A.
+`shape_vectors` runs the same recurrence once per rooted shape of the tree
+generator, so a sweep composes every tree's count from shared subtree vectors
+instead of walking each tree. Brute-force enumeration of vertex maps is kept
+apart from the walk as the independent oracle.
 
-All counting is in arbitrary-precision integers (counts grow like d^n);
-weighted counts use exact Fractions throughout, never floats.
+All counting is in arbitrary-precision integers (counts grow like d^n).
+Weighted counts are integer numerators over one common denominator D^n (D the
+lcm of the activities' denominators), with a single exact Fraction formed at
+the end: none per vertex, and never a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
-from typing import Iterable, Sequence, Union
+from math import lcm, prod
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree
@@ -180,18 +182,24 @@ def path_pair_counts(t: int, M: SimilarityMatrix) -> PathPairTable:
 
 def kc_difference_decomposition(
     T: Tree, v_left: int, v_right: int, H: TargetGraph,
-    size_limit: int = AUT_SIZE_LIMIT,
+    size_limit: int = AUT_SIZE_LIMIT, hom_T: Optional[int] = None,
 ) -> tuple[int, int]:
     """(lhs, rhs) with lhs = hom(T_KC, H) - hom(T, H) computed directly and
     rhs the pairwise-difference sum over the L/R rooted vectors and the
-    path-pair table; the two agree."""
+    path-pair table; the two agree.
+
+    hom_T is hom(T, H) when the caller has counted it already (it is the same
+    at every site of T); hom(T_KC, H) is always counted here, since it is the
+    identity's independent side."""
     from .trees import kc_move
 
     pth = bare_path(T, v_left, v_right)
     t = len(pth)
     _, M = class_data(H, size_limit)
     moved = kc_move(T, v_left, v_right)
-    lhs = hom_count(moved, H, size_limit) - hom_count(T, H, size_limit)
+    if hom_T is None:
+        hom_T = hom_count(T, H, size_limit)
+    lhs = hom_count(moved, H, size_limit) - hom_T
 
     internal = set(pth[1:-1])
     left = _side_component(T, v_left, internal, v_right)
@@ -240,12 +248,26 @@ def activities(values: Iterable[Union[int, str, Fraction]]) -> ActivityVector:
     return out
 
 
+def _over_common_denominator(n: int, H: TargetGraph, lam: ActivityVector,
+                             weighted_count: Callable[[list[int]], int]) -> Fraction:
+    """Σ_f Π_v λ_{f(v)} over the H-colorings f of an n-vertex graph, exact.
+
+    With λ_x = a_x / D for D the lcm of the denominators, the sum is
+    Σ_f Π_v a_{f(v)} / D^n: weighted_count(a) computes the numerator in
+    integers, and one Fraction is formed at the end.
+    """
+    if len(lam) != H.n:
+        raise ValueError(f"need {H.n} activities, got {len(lam)}")
+    D = lcm(*(x.denominator for x in lam))
+    a = [x.numerator * (D // x.denominator) for x in lam]
+    return Fraction(weighted_count(a), D ** n)
+
+
 def tree_partition_function(T: Tree, H: TargetGraph, lam: ActivityVector) -> Fraction:
     """Weighted tree walk over individual target vertices (activities may
     break automorphic symmetry, so classes cannot be used here)."""
-    if len(lam) != H.n:
-        raise ValueError(f"need {H.n} activities, got {len(lam)}")
-    return sum(_walk(T, 0, [H.neighbors(x) for x in H.vertices()], lam), Fraction(0))
+    rows = [H.neighbors(x) for x in H.vertices()]
+    return _over_common_denominator(T.n, H, lam, lambda a: sum(_walk(T, 0, rows, a)))
 
 
 def partition_function(G: LooplessGraph, H: TargetGraph, lam: ActivityVector,
@@ -257,9 +279,9 @@ def partition_function(G: LooplessGraph, H: TargetGraph, lam: ActivityVector,
     """
     if isinstance(G, Tree):
         return tree_partition_function(G, H, lam)
-    if len(lam) != H.n:
-        raise ValueError(f"need {H.n} activities, got {len(lam)}")
-    return sum((prod(lam[x] for x in f) for f in _colorings(G, H, budget)), Fraction(0))
+    n, _ = _as_graph(G)
+    return _over_common_denominator(
+        n, H, lam, lambda a: sum(prod(a[x] for x in f) for f in _colorings(G, H, budget)))
 
 
 def check_blowup_identity(G: LooplessGraph, H: TargetGraph,

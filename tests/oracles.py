@@ -8,14 +8,26 @@ Two tree-counting oracles that share no code with treehom.trees.all_trees:
 * otter_tree_count: the classic counting recurrence (rooted-tree convolution
   followed by the rooted-to-free correction). Pure integer arithmetic, fast
   for any desk-scale n.
+
+Three activity-weighted partition-function oracles that share no code with
+treehom.homcount, all in Fractions from the first multiplication on:
+
+* fraction_partition_function: the tree walk with a Fraction product at every
+  vertex, as the package computed it before it moved to integer numerators.
+* brute_partition_function: Σ over every vertex map that sends edges to
+  edges, for any loopless graph.
+* path_partition_function: 1ᵀ(ΛA)^(n-1)Λ1 for the n-vertex path, by
+  repeated squaring of the transfer matrix ΛA.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 
-from treehom import Tree, canonical_code
+from treehom import TargetGraph, Tree, canonical_code
 
 PRUFER_LIMIT = 8  # n^(n-2) sequences; 8^6 ~ 262k is the comfortable cap
 
@@ -77,3 +89,54 @@ def otter_tree_count(n: int) -> int:
         t2 += r[n // 2]
     assert t2 % 2 == 0
     return t2 // 2
+
+
+def fraction_partition_function(T: Tree, H: TargetGraph, lam) -> Fraction:
+    """Σ_f Π_v λ_{f(v)} by the weighted walk in Fractions: rooted at vertex
+    0, z(v)[x] = λ_x Π_children Σ_{y ~ x} z(c)[y], summed over x at the root."""
+    rows = [sorted(H.neighbors(x)) for x in range(H.n)]
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for u in T.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    z = {}
+    for v in reversed(order):
+        vec = [Fraction(a) for a in lam]
+        for c in T.neighbors(v):
+            if parent.get(c) == v:
+                zc = z.pop(c)
+                vec = [a * sum((zc[y] for y in row), Fraction(0)) for a, row in zip(vec, rows)]
+        z[v] = vec
+    return sum(z[0], Fraction(0))
+
+
+def brute_partition_function(n: int, edges, H: TargetGraph, lam) -> Fraction:
+    """Σ over all maps f: {0..n-1} -> V(H) sending edges to edges of
+    Π_v λ_{f(v)}, in Fractions."""
+    return sum((prod((Fraction(lam[x]) for x in f), start=Fraction(1))
+                for f in product(range(H.n), repeat=n)
+                if all(H.has_edge(f[u], f[v]) for u, v in edges)), Fraction(0))
+
+
+def _matmul(X, Y):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def path_partition_function(n: int, H: TargetGraph, lam) -> Fraction:
+    """1ᵀ(ΛA)^(n-1)Λ1 for the n-vertex path into H, A the adjacency matrix
+    (a loop counts once) and Λ = diag(λ)."""
+    k = H.n
+    step = [[Fraction(lam[x]) * H.has_edge(x, y) for y in range(k)] for x in range(k)]
+    power = [[Fraction(int(x == y)) for y in range(k)] for x in range(k)]
+    e = n - 1
+    while e:
+        if e & 1:
+            power = _matmul(power, step)
+        e >>= 1
+        if e:
+            step = _matmul(step, step)
+    return sum((power[x][y] * lam[y] for x in range(k) for y in range(k)), Fraction(0))

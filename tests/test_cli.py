@@ -1,11 +1,13 @@
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from treehom import automorphy
+from oracles import path_partition_function
+from treehom import automorphy, cli, homcount
 from treehom import (
-    Tree, canonical_code, is_isomorphic, parse_graph, path, make_capacity_graph,
+    Tree, canonical_code, is_isomorphic, kc_sites, parse_graph, path, make_capacity_graph,
     make_widom_rowlinson, tree_count,
 )
 from treehom.cli import KC_WORK_LIMIT, main, parse_target_spec, parse_tree_spec
@@ -131,6 +133,22 @@ class TestSubcommands:
             fields = line.split("\t")
             assert fields[0] == "kc" and fields[3] == fields[4] and fields[5] == "1"
 
+    def test_kc_counts_the_tree_once(self, capsys, monkeypatch):
+        # hom(T, H) is shared by every site; hom(T_KC, H) is counted per site
+        counted = []
+        real = homcount.hom_count
+
+        def counting(T, H, size_limit):
+            counted.append(T)
+            return real(T, H, size_limit)
+
+        monkeypatch.setattr(homcount, "hom_count", counting)
+        monkeypatch.setattr(cli, "hom_count", counting)
+        status, out, _ = run(capsys, "kc", "--tree", "path:7", "--target", "hind", "--rows")
+        sites = kc_sites(path(7))
+        assert status == 0 and len(out.splitlines()) == len(sites) > 1
+        assert counted[0] == path(7) and len(counted) == len(sites) + 1
+
 
 class TestOrbitSearchOnce:
     @pytest.mark.parametrize("argv", [
@@ -152,22 +170,39 @@ class TestOrbitSearchOnce:
         assert status in (0, 1) and len(calls) == 1
 
 
+def full_str(value):
+    """str(value) past the interpreter's default int-to-str limit, which is
+    lifted only to format the expected value (0 = no limit)."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
 class TestLargeResults:
     def test_hom_past_int_str_digit_limit(self, capsys):
         status, out, err = run(capsys, "hom", "--tree", "path:15000",
                                "--target", "lclique:2")
         assert status == 0 and err == ""
-        # 2^15000 has 4516 digits, past the interpreter's default int-to-str
-        # limit; lift it only to format the expected value (0 = no limit)
-        old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if old:
-            sys.set_int_max_str_digits(0)
-        try:
-            want = str(2 ** 15000)
-        finally:
-            if old:
-                sys.set_int_max_str_digits(old)
-        assert out.strip() == want
+        # 2^15000 has 4516 digits
+        assert out.strip() == full_str(2 ** 15000)
+
+    def test_partition_reach_on_long_path(self, capsys):
+        # the Fraction-per-vertex walk took about 30 s here; the integer
+        # numerators over one common denominator take well under a second
+        lam = ["3", "7/2", "10/3", "3"]
+        start = time.perf_counter()
+        status, out, err = run(capsys, "partition", "--tree", "path:8000", "--target", "wr:3",
+                               "--activities", ",".join(lam), "--rows")
+        elapsed = time.perf_counter() - start
+        assert status == 0 and err == ""
+        assert elapsed < 5.0, f"partition on path:8000 took {elapsed:.1f} s"
+        want = path_partition_function(8000, make_widom_rowlinson(3), [Fraction(x) for x in lam])
+        assert out.strip() == f"partition\t8000\t4\t{full_str(want)}"
 
     def test_kc_past_int_str_digit_limit(self, capsys, tmp_path):
         # a double star: one KC site, whose count difference into the looped

@@ -182,6 +182,21 @@ class TestHLVerdicts:
         assert v.matrix_certificate is None and v.strong_certificate is None
         assert v.hoffman_london
 
+    def test_verdict_codes_no_tree(self, monkeypatch):
+        # h6 ties every tree at every order, so coding minimizers would code
+        # them all; the verdict reads only counts and flags
+        h6 = SMALL_TARGETS[6]
+        want = [minimizers(h6, n) for n in range(2, 10)]
+
+        def no_codes(*args):
+            raise AssertionError("check-hl coded a tree")
+
+        monkeypatch.setattr("treehom.extremal.tree_codes", no_codes)
+        v = verify_hoffman_london(h6, 9)
+        assert [(r.n, r.min_count, r.path_is_min, r.path_is_unique_min) for r in v.reports] == \
+            [(r.n, r.min_count, r.path_is_min, r.path_is_unique_min) for r in want]
+        assert v.hoffman_london and not v.strongly_hoffman_london
+
     def test_certificate_search_errors_propagate(self, monkeypatch):
         def broken(*args):
             raise RuntimeError("ordering search failed")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import brute_partition_function, fraction_partition_function
 from treehom import (
     SMALL_TARGETS,
     SizeLimitError,
@@ -15,6 +16,8 @@ from treehom import (
     hom_count,
     hom_vector,
     kc_difference_decomposition,
+    make_capacity_graph,
+    make_widom_rowlinson,
     partition_function,
     path,
     path_pair_counts,
@@ -171,6 +174,42 @@ class TestPartitionFunction:
         lam = activities(["3/2", 1])
         # one vertex: occupied (3/2) + empty (1)
         assert tree_partition_function(Tree.from_edges(1, []), H_IND, lam) == Fraction(5, 2)
+
+
+class TestIntegerRoute:
+    """The integer-numerator walk against the Fraction walk and brute force
+    kept in tests/oracles.py."""
+
+    def test_long_path_matches_fraction_walk(self):
+        H = make_widom_rowlinson(3)
+        lam = activities(["3", "7/2", "10/3", "3"])
+        T = path(2000)
+        assert tree_partition_function(T, H, lam) == fraction_partition_function(T, H, lam)
+
+    def test_large_random_tree_matches_fraction_walk(self):
+        # coprime denominators: the common denominator is 210
+        H = make_capacity_graph(3)
+        lam = activities(["1/2", "4/3", "6/5", "9/7"])
+        T = random_tree(random.Random(3000), 3000)
+        assert tree_partition_function(T, H, lam) == fraction_partition_function(T, H, lam)
+
+    def test_non_tree_fallback_matches_brute_force(self):
+        # a 4-cycle with a chord, and a triangle with a pendant vertex
+        graphs = [(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+                  (4, [(0, 1), (1, 2), (0, 2), (2, 3)])]
+        for H, lam in [(H_IND, activities(["3/2", "2/5"])),
+                       (make_widom_rowlinson(2), activities(["1/3", 2, "5/7"])),
+                       (SMALL_TARGETS[28], activities([2, 3, 5]))]:
+            for n, edges in graphs:
+                assert partition_function((n, edges), H, lam) == \
+                    brute_partition_function(n, edges, H, lam)
+
+    def test_single_vertex_tree(self):
+        H = make_widom_rowlinson(3)
+        lam = activities(["1/2", "2/3", "3/5", 7])
+        T = Tree.from_edges(1, [])
+        assert tree_partition_function(T, H, lam) == sum(lam) == \
+            fraction_partition_function(T, H, lam)
 
 
 class TestBlowUpIdentity:

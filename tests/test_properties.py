@@ -9,8 +9,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import brute_partition_function, fraction_partition_function
 from treehom import (
     SMALL_TARGETS,
     MinimizerReport,
@@ -98,6 +99,27 @@ def test_walk_routes_agree_with_brute_force(H, T):
 def test_weighted_walk_agrees_with_brute_force(H, T, data):
     lam = activities(data.draw(st.lists(rationals, min_size=H.n, max_size=H.n)))
     assert partition_function(T, H, lam) == partition_function((T.n, T.edges), H, lam)
+
+
+# five numerators and five denominators, cut to the target's order: the
+# denominators are distinct primes (pairwise coprime, so the common
+# denominator is their product) or all 1. Trees stop at 6 vertices so the
+# Fraction brute force (5^6 maps) stays cheap.
+numerators = st.lists(st.integers(1, 30), min_size=5, max_size=5)
+coprime_denominators = st.permutations([2, 3, 5, 7, 11])
+SINGLE_VERTEX = Tree.from_edges(1, [])
+
+
+@PROPERTY
+@given(targets(), trees(max_n=6), numerators, coprime_denominators, st.booleans())
+@example(make_widom_rowlinson(3), SINGLE_VERTEX, [3, 7, 10, 3, 1], [2, 3, 5, 7, 11], False)
+@example(make_widom_rowlinson(3), SINGLE_VERTEX, [3, 7, 10, 3, 1], [2, 3, 5, 7, 11], True)
+def test_integer_route_matches_fraction_walk_and_brute_force(H, T, nums, dens, integral):
+    lam = activities(Fraction(a, 1 if integral else d) for a, d in zip(nums[:H.n], dens))
+    want = fraction_partition_function(T, H, lam)
+    assert want == brute_partition_function(T.n, T.edges, H, lam)
+    assert tree_partition_function(T, H, lam) == want
+    assert partition_function((T.n, T.edges), H, lam) == want
 
 
 @PROPERTY
