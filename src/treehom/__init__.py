@@ -8,13 +8,9 @@ from .graphs import (
     add_looped_dominating,
     bipartition,
     blow_up,
-    components,
     disjoint_union,
     format_graph,
-    induced_subgraph,
-    is_regular,
     parse_graph,
-    remove_isolated,
     tensor_product,
 )
 from .trees import (

@@ -32,8 +32,8 @@ from .homcount import (
     hom_brute_force,
     hom_count,
     kc_difference_decomposition,
-    partition_function,
     tree_hom,
+    tree_partition_function,
 )
 from .extremal import (
     SMALL_TARGETS,
@@ -47,11 +47,12 @@ from .extremal import (
     sidorenko_check,
     verify_hoffman_london,
 )
-from .trees import all_trees, kc_sites, path, star
+from .trees import all_trees, kc_sites, path, star, tree_count
 
 
-#: Cap on sites x vertices for `kc`. Every site rebuilds the tree and counts
-#: it twice, so the work grows like sites x n, and a path has ~n^2/2 sites.
+#: Cap on sites x vertices for `kc`. Every site builds and counts only the
+#: moved tree and walks T from both ends of its path, so the work grows like
+#: sites x n, and a path has ~n^2/2 sites.
 KC_WORK_LIMIT = 250_000
 
 
@@ -162,7 +163,7 @@ def _cmd_partition(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
     lam = _parse_activities(args.activities, H.n)
-    z = _exact_str(partition_function(T, H, lam, args.budget))
+    z = _exact_str(tree_partition_function(T, H, lam))
     if args.rows:
         print(f"partition\t{T.n}\t{H.n}\t{z}")
     else:
@@ -214,11 +215,10 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_trees(args) -> int:
-    ts = all_trees(args.n)
     if args.count:
-        print(len(ts))
+        print(tree_count(args.n))
         return 0
-    for ct in ts:
+    for ct in all_trees(args.n):
         if args.rows:
             edges = ",".join(f"{u}-{v}" for u, v in ct.tree.edges)
             print(f"tree\t{args.n}\t{ct.code}\t{edges}")
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hom)
 
     p = sub.add_parser("partition", help="activity-weighted coloring sum of a tree")
-    common(p, target=True, tree=True, budget=True)
+    common(p, target=True, tree=True)
     p.add_argument("--activities", required=True,
                    help='comma-separated rationals, e.g. "3/2,1,5"')
     p.set_defaults(func=_cmd_partition)

@@ -357,23 +357,23 @@ def _balanced(n: int) -> tuple[bool, ...]:
     return tuple(abs(x) <= 1 for x in free_trees(n, d, lambda x, c: x - d[c]))
 
 
-def _labels_for(n: int, counts: list[int], path_count: int) -> frozenset[str]:
-    """All class labels the minimizer set matches at this order.
+def _labels_for(counts: list[int], v: OrderVerdict) -> frozenset[str]:
+    """All class labels the minimizer set matches at order v.n, given that
+    order's counts in `free_trees` order and their verdict.
 
     At small n the descriptions coincide (e.g. on 4 vertices the path is the
     only balanced-bipartition tree), so a set is returned rather than forcing
     an arbitrary precedence.
     """
-    lo = min(counts)
-    at_min = [c == lo for c in counts]
+    at_min = [c == v.min_count for c in counts]
     out = set()
-    if lo == 0:
+    if v.min_count == 0:
         out.add(LABEL_ZERO)
     if all(at_min):
         out.add(LABEL_ALL)
-    if path_count == lo and at_min.count(True) == 1:
+    if v.path_is_unique_min:
         out.add(LABEL_PATHS)
-    if tuple(at_min) == _balanced(n):
+    if tuple(at_min) == _balanced(v.n):
         out.add(LABEL_BALANCED)
     return frozenset(out) if out else frozenset({LABEL_OTHER})
 
@@ -387,9 +387,9 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     for hid, H in SMALL_TARGETS.items():
         mins, labels = [], []
         for n in range(2, n_max + 1):
-            counts = sweep_counts(H, n)
-            mins.append((n, min(counts)))
-            labels.append((n, _labels_for(n, counts, tree_hom(path(n), H))))
+            counts, v = _order_verdict(H, n)
+            mins.append((n, v.min_count))
+            labels.append((n, _labels_for(counts, v)))
         # orders below 4 are degenerate (at most two tree classes exist, so
         # the label sets coincide); summarize from the informative orders
         informative = [labs for n, labs in labels if n >= 4] or [labs for _, labs in labels]

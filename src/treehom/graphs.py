@@ -2,8 +2,8 @@
 
 Degree convention: a loop contributes 1 to the degree of its vertex, not 2.
 This differs from the common convention and is used consistently everywhere
-in this package (regularity tests, similarity matrices, nested-neighborhood
-orderings all depend on it).
+in this package (similarity matrices and nested-neighborhood orderings
+depend on it).
 
 Edges are stored as normalized pairs (u, v) with u <= v; (u, u) is a loop.
 All graph and tree values are immutable after construction and safe to share.
@@ -12,7 +12,7 @@ All graph and tree values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class GraphParseError(ValueError):
@@ -232,50 +232,6 @@ def add_looped_dominating(H: TargetGraph, b: int) -> TargetGraph:
         edges.update((v, w) for v in range(w))
         edges.add((w, w))
     return TargetGraph.from_edges(H.n + b, edges)
-
-
-def remove_isolated(H: TargetGraph) -> TargetGraph:
-    """Drop every v with N(v) <= {v}; a lone looped vertex counts as isolated."""
-    keep = [v for v in H.vertices() if H.neighbors(v) - {v}]
-    relabel = {v: i for i, v in enumerate(keep)}
-    edges = {(relabel[u], relabel[v]) for u, v in H.edges if u in relabel and v in relabel}
-    return TargetGraph.from_edges(len(keep), edges)
-
-
-def is_regular(H: TargetGraph) -> Optional[int]:
-    """The common degree if H is regular (loop counting once), else None."""
-    if H.n == 0:
-        return None
-    degs = {H.degree(v) for v in H.vertices()}
-    return degs.pop() if len(degs) == 1 else None
-
-
-def components(H: TargetGraph) -> list[list[int]]:
-    """Connected components, ordered by least vertex index."""
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for v in H.vertices():
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in H.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        out.append(sorted(comp))
-    return out
-
-
-def induced_subgraph(H: TargetGraph, vertices: Iterable[int]) -> TargetGraph:
-    verts = sorted(set(vertices))
-    relabel = {v: i for i, v in enumerate(verts)}
-    edges = {(relabel[u], relabel[v]) for u, v in H.edges if u in relabel and v in relabel}
-    return TargetGraph.from_edges(len(verts), edges)
 
 
 def bipartition(T: Tree) -> tuple[list[int], list[int]]:

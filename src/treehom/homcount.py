@@ -25,8 +25,8 @@ from math import lcm, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, class_data
-from .graphs import SizeLimitError, TargetGraph, Tree
-from .trees import bare_path, rooted_shapes
+from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
+from .trees import bare_path, kc_move, rooted_shapes
 
 BRUTE_FORCE_BUDGET = 10 ** 8
 
@@ -45,11 +45,16 @@ def _as_graph(G: LooplessGraph) -> tuple[int, list[tuple[int, int]]]:
 # ---------------------------------------------------------------------------
 # the tree walk
 
-def _rooted_order(T: Tree, root: int) -> tuple[list[int], list[int]]:
-    """(vertices in post-order, parent array) for T rooted at root."""
+def _rooted_order(T: Tree, root: int,
+                  skip: Optional[int] = None) -> tuple[list[int], list[int]]:
+    """(vertices in post-order, parent array) for T rooted at root. The
+    branch through root's neighbour skip, if given, is left out: skip is
+    marked visited up front (as its own parent), so it is never entered."""
     parent = [-1] * T.n
     order = [root]
     parent[root] = root
+    if skip is not None:
+        parent[skip] = skip
     for v in order:
         for u in T.neighbors(v):
             if parent[u] < 0:
@@ -66,9 +71,11 @@ def _message(rows: Sequence[Sequence[int]], h: Sequence) -> list:
     return [sum(h[y] for y in row) for row in rows]
 
 
-def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence) -> list:
-    """h(root) for h(v) = weights ⊙ Π_children (rows · h(c))."""
-    order, parent = _rooted_order(T, root)
+def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence,
+          skip: Optional[int] = None) -> list:
+    """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), over T without
+    the branch through root's neighbour skip."""
+    order, parent = _rooted_order(T, root, skip)
     h: list[list | None] = [None] * T.n
     for v in order:
         vec = list(weights)
@@ -106,8 +113,12 @@ def hom_vector(T: Tree, root: int, M: SimilarityMatrix) -> tuple[int, ...]:
     position p of M's ordering (any fixed representative)."""
     if not 0 <= root < T.n:
         raise ValueError(f"root {root} not a vertex of the tree")
-    rows = [[j for j, mult in enumerate(row) for _ in range(mult)] for row in M.m]
-    return tuple(_walk(T, root, rows, [1] * M.k))
+    return tuple(_walk(T, root, _class_rows(M), [1] * M.k))
+
+
+def _class_rows(M: SimilarityMatrix) -> list[list[int]]:
+    """The walk's rows for M: class j listed M.m[i][j] times in row i."""
+    return [[j for j, mult in enumerate(row) for _ in range(mult)] for row in M.m]
 
 
 def hom_count(T: Tree, H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> int:
@@ -190,48 +201,25 @@ def kc_difference_decomposition(
 
     hom_T is hom(T, H) when the caller has counted it already (it is the same
     at every site of T); hom(T_KC, H) is always counted here, since it is the
-    identity's independent side."""
-    from .trees import kc_move
-
+    identity's independent side. The L and R vectors are walks of T itself
+    from v_left and v_right, each kept off the path by skipping its first
+    path vertex, so the moved tree is the only one built."""
     pth = bare_path(T, v_left, v_right)
-    t = len(pth)
     _, M = class_data(H, size_limit)
-    moved = kc_move(T, v_left, v_right)
     if hom_T is None:
         hom_T = hom_count(T, H, size_limit)
-    lhs = hom_count(moved, H, size_limit) - hom_T
+    lhs = hom_count(kc_move(T, v_left, v_right), H, size_limit) - hom_T
 
-    internal = set(pth[1:-1])
-    left = _side_component(T, v_left, internal, v_right)
-    right = _side_component(T, v_right, internal, v_left)
-    ell = hom_vector(*left, M)
-    arr = hom_vector(*right, M)
-    p = path_pair_counts(t, M)
+    rows, ones = _class_rows(M), [1] * M.k
+    ell = _walk(T, v_left, rows, ones, skip=pth[1])
+    arr = _walk(T, v_right, rows, ones, skip=pth[-2])
+    p = path_pair_counts(len(pth), M)
     k = M.k
     rhs = sum(
         (ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
         for i in range(k) for j in range(i + 1, k)
     )
     return lhs, rhs
-
-
-def _side_component(T: Tree, anchor: int, internal: set[int],
-                    other_end: int) -> tuple[Tree, int]:
-    """The component of T - path containing anchor, plus anchor's new index."""
-    blocked = internal | {other_end}
-    comp = {anchor}
-    stack = [anchor]
-    while stack:
-        u = stack.pop()
-        for w in T.neighbors(u):
-            if w not in blocked and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    verts = sorted(comp)
-    relabel = {v: i for i, v in enumerate(verts)}
-    edges = [(relabel[u], relabel[v]) for u, v in T.edges
-             if u in relabel and v in relabel]
-    return Tree.from_edges(len(verts), edges), relabel[anchor]
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +278,6 @@ def check_blowup_identity(G: LooplessGraph, H: TargetGraph,
     """(lhs, rhs) for the scaling identity between the weighted partition
     function at activities sizes[i]/scale and the coloring count into the
     blow-up of H by sizes; the two agree exactly."""
-    from .graphs import blow_up
-
     lam = activities(Fraction(s, scale) for s in sizes)
     n, _ = _as_graph(G)
     lhs = Fraction(scale) ** n * partition_function(G, H, lam, budget)

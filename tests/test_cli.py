@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import path_partition_function
-from treehom import automorphy, cli, homcount
+from treehom import automorphy, cli, homcount, trees
 from treehom import (
     Tree, canonical_code, is_isomorphic, kc_sites, parse_graph, path, make_capacity_graph,
     make_widom_rowlinson, tree_count,
@@ -80,6 +80,14 @@ class TestSubcommands:
     def test_trees_count(self, capsys):
         status, out, _ = run(capsys, "trees", "-n", "9", "--count")
         assert status == 0 and out.strip() == "47"
+
+    def test_trees_count_codes_no_tree(self, capsys, monkeypatch):
+        def refuse(adj):
+            raise AssertionError("trees --count coded a tree")
+
+        monkeypatch.setattr(trees, "_code", refuse)
+        status, out, _ = run(capsys, "trees", "-n", "12", "--count")
+        assert status == 0 and out.strip() == "551"  # Otter's count at n = 12
 
     def test_trees_rows_edges_spell_the_code(self, capsys):
         # the edge column is the code's own tree (preorder from the center the
@@ -239,6 +247,8 @@ class TestErrorHandling:
         ("check-hl", "--target", "hind", "--budget", "5"),
         ("hom", "--tree", "path:3", "--target", "hind", "--size-limit", "5"),
         ("classify", "--size-limit", "5"),
+        ("partition", "--tree", "path:3", "--target", "hind", "--activities", "1,1",
+         "--budget", "5"),
     ])
     def test_removed_knobs_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

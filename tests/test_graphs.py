@@ -9,15 +9,11 @@ from treehom import (
     add_looped_dominating,
     bipartition,
     blow_up,
-    components,
     disjoint_union,
     format_graph,
     hom_brute_force,
-    induced_subgraph,
     is_isomorphic,
-    is_regular,
     parse_graph,
-    remove_isolated,
     tensor_product,
 )
 
@@ -134,24 +130,6 @@ class TestConstructions:
         for w in (2, 3):
             assert d.has_loop(w)
             assert all(d.has_edge(w, v) for v in range(4) if v != w or v == w)
-
-    def test_remove_isolated_drops_lone_looped_vertex(self):
-        h = tg(3, (0, 1), (2, 2))
-        assert remove_isolated(h) == tg(2, (0, 1))
-
-    def test_is_regular(self):
-        assert is_regular(tg(3, (0, 1), (0, 2), (1, 2))) == 2
-        # loop counts once: fully looped K_2 is 2-regular
-        assert is_regular(tg(2, (0, 0), (1, 1), (0, 1))) == 2
-        assert is_regular(tg(2, (0, 0), (0, 1))) is None
-
-    def test_components(self):
-        h = tg(5, (0, 3), (1, 1), (2, 4))
-        assert components(h) == [[0, 3], [1], [2, 4]]
-
-    def test_induced_subgraph_relabels(self):
-        h = tg(4, (0, 2), (2, 2), (2, 3))
-        assert induced_subgraph(h, [2, 3]) == tg(2, (0, 0), (0, 1))
 
 
 class TestIsomorphism:
