@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
 
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
 
 AUT_SIZE_LIMIT = 12
-ORDERING_CLASS_LIMIT = 9
+ORDERING_NODE_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -204,16 +203,10 @@ def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPa
     return OrbitPartition(H, classes, tuple(class_of))
 
 
-def similarity_matrix(
-    P: OrbitPartition,
-    ordering: tuple[int, ...] | None = None,
-    check_representatives: bool = False,
-) -> SimilarityMatrix:
-    """m[i][j] = neighbors in class j of any vertex in class i.
-
-    ordering permutes the classes (identity by default). With
-    check_representatives, representative-independence is asserted.
-    """
+def similarity_matrix(P: OrbitPartition,
+                      ordering: tuple[int, ...] | None = None) -> SimilarityMatrix:
+    """m[i][j] = neighbors in class j of any vertex in class i (orbits are
+    equitable). ordering permutes the classes (identity by default)."""
     k = P.k
     if ordering is None:
         ordering = tuple(range(k))
@@ -223,13 +216,8 @@ def similarity_matrix(
     m = []
     for i in ordering:
         rep = P.classes[i][0]
-        row = [sum(1 for u in H.neighbors(rep) if P.class_of[u] == j) for j in ordering]
-        if check_representatives:
-            for other in P.classes[i][1:]:
-                alt = [sum(1 for u in H.neighbors(other) if P.class_of[u] == j)
-                       for j in ordering]
-                assert alt == row, f"orbit class {i} is not equitable"
-        m.append(tuple(row))
+        m.append(tuple(sum(1 for u in H.neighbors(rep) if P.class_of[u] == j)
+                       for j in ordering))
     sizes = tuple(len(P.classes[i]) for i in ordering)
     return SimilarityMatrix(k, tuple(m), sizes, tuple(ordering))
 
@@ -248,27 +236,39 @@ def find_increasing_ordering(
 ) -> tuple[tuple[int, ...], SimilarityMatrix] | None:
     """First class ordering (lexicographic) whose matrix passes, or None.
 
-    A passing ordering must be sorted by class degree (the full-row terminal
-    sum is the degree), so only permutations within equal-degree blocks are
-    tried; the lexicographically first passing ordering is unaffected.
+    A passing ordering is sorted by f_S(x) = sum of m[x][y], y in S, for each
+    suffix set S (the classes from some position on). Classes are placed
+    front to back, lowest index first, with backtracking: x extends the
+    prefix only if, under each f_S that the prefix and x fix, the prefix then
+    x is sorted and no unplaced class scores below x. Both are necessary, so
+    the first full ordering reached is the first that passes. Each candidate
+    tried is a node; past ORDERING_NODE_LIMIT nodes, SizeLimitError.
     """
     P, base = class_data(H, size_limit)
-    if P.k > ORDERING_CLASS_LIMIT:
-        raise SizeLimitError(
-            f"ordering search limited to {ORDERING_CLASS_LIMIT} classes, got {P.k}")
-    deg = [sum(base.m[i]) for i in range(P.k)]
-    blocks: list[list[int]] = []
-    for i in sorted(range(P.k), key=lambda i: (deg[i], i)):
-        if blocks and deg[blocks[-1][0]] == deg[i]:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    for parts in product(*(permutations(b) for b in blocks)):
-        ordering = tuple(i for part in parts for i in part)
-        M = similarity_matrix(P, ordering)
-        if has_increasing_columns(M):
-            return ordering, M
-    return None
+    nodes = 0
+
+    def extend(placed: list[int], scores: list[list[int]], rest: list[int]):
+        # scores[p][x] = f_S(x), S the suffix set from position p on
+        nonlocal nodes
+        if not rest:
+            return tuple(placed)
+        lows = [min(s[y] for y in rest) for s in scores]
+        for x in rest:
+            nodes += 1
+            if nodes > ORDERING_NODE_LIMIT:
+                raise SizeLimitError(f"ordering search limited to {ORDERING_NODE_LIMIT} nodes")
+            if any(s[x] > low for s, low in zip(scores, lows)):
+                continue
+            after, seq = [y for y in rest if y != x], placed + [x]
+            f = [a - row[x] for a, row in zip(scores[-1], base.m)]
+            if any(f[y] < f[x] for y in after) or any(f[a] > f[b] for a, b in zip(seq, seq[1:])):
+                continue
+            if (found := extend(seq, scores + [f], after)) is not None:
+                return found
+        return None
+
+    ordering = extend([], [[sum(row) for row in base.m]], list(range(P.k)))
+    return None if ordering is None else (ordering, similarity_matrix(P, ordering))
 
 
 @lru_cache(maxsize=None)

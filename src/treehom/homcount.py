@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
-from .trees import bare_path, kc_move, rooted_shapes
+from .trees import _kc_glue, bare_path, rooted_shapes
 
 BRUTE_FORCE_BUDGET = 10 ** 8
 
@@ -208,7 +208,7 @@ def kc_difference_decomposition(
     _, M = class_data(H, size_limit)
     if hom_T is None:
         hom_T = hom_count(T, H, size_limit)
-    lhs = hom_count(kc_move(T, v_left, v_right), H, size_limit) - hom_T
+    lhs = hom_count(_kc_glue(T, pth), H, size_limit) - hom_T
 
     rows, ones = _class_rows(M), [1] * M.k
     ell = _walk(T, v_left, rows, ones, skip=pth[1])

@@ -291,8 +291,12 @@ def kc_move(T: Tree, v_left: int, v_right: int) -> Tree:
     The vertex count is preserved; the glued vertex keeps all non-path
     neighbors of both endpoints.
     """
-    pth = bare_path(T, v_left, v_right)
-    t = len(pth)
+    return _kc_glue(T, bare_path(T, v_left, v_right))
+
+
+def _kc_glue(T: Tree, pth: list[int]) -> Tree:
+    """kc_move at the site whose path pth has passed bare_path."""
+    v_left, v_right, t = pth[0], pth[-1], len(pth)
     internal = set(pth[1:-1])
     keep = [v for v in T.vertices() if v not in internal and v != v_right]
     relabel = {v: i for i, v in enumerate(keep)}

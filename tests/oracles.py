@@ -18,18 +18,24 @@ treehom.homcount, all in Fractions from the first multiplication on:
   edges, for any loopless graph.
 * path_partition_function: 1ᵀ(ΛA)^(n-1)Λ1 for the n-vertex path, by
   repeated squaring of the transfer matrix ΛA.
+
+One class-ordering oracle that shares no code with treehom.automorphy:
+
+* first_increasing_ordering: every one of the k! class orderings in
+  lexicographic order, each put through the terminal-sum test written out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 from treehom import TargetGraph, Tree, canonical_code
 
 PRUFER_LIMIT = 8  # n^(n-2) sequences; 8^6 ~ 262k is the comfortable cap
+ORDERING_ORACLE_LIMIT = 7  # k! orderings; 7! = 5040
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -140,3 +146,18 @@ def path_partition_function(n: int, H: TargetGraph, lam) -> Fraction:
         if e:
             step = _matmul(step, step)
     return sum((power[x][y] * lam[y] for x in range(k) for y in range(k)), Fraction(0))
+
+
+def first_increasing_ordering(m) -> tuple[int, ...] | None:
+    """The lexicographically first ordering o of the k classes of the k x k
+    neighbour-count matrix m (classes in index order) under which, for every
+    start column c, the terminal sums Σ_{j ≥ c} m[o[i]][o[j]] never decrease
+    from row i to row i + 1; None if no ordering passes."""
+    k = len(m)
+    if k > ORDERING_ORACLE_LIMIT:
+        raise ValueError(f"ordering oracle capped at k={ORDERING_ORACLE_LIMIT}")
+    for o in permutations(range(k)):
+        tail = [[sum(m[o[i]][o[j]] for j in range(c, k)) for c in range(k)] for i in range(k)]
+        if all(tail[i][c] <= tail[i + 1][c] for i in range(k - 1) for c in range(k)):
+            return o
+    return None

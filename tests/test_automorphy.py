@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from treehom import automorphy
 from treehom import (
     SMALL_TARGETS,
     SizeLimitError,
@@ -12,6 +13,7 @@ from treehom import (
     find_increasing_ordering,
     has_increasing_columns,
     is_isomorphic,
+    make_capacity_graph,
     orbit_partition,
     similarity_matrix,
 )
@@ -20,6 +22,12 @@ from treehom.automorphy import SimilarityMatrix
 
 def tg(n, *edges):
     return TargetGraph.from_edges(n, edges)
+
+
+# 3-regular on 9 vertices (a loop counts once), 9 singleton classes, and no
+# passing ordering: a search over whole equal-degree blocks tries all 9!
+REGULAR_9 = tg(9, (0, 0), (0, 4), (0, 7), (1, 1), (1, 4), (1, 6), (2, 5), (2, 7), (2, 8),
+               (3, 3), (3, 5), (3, 6), (4, 7), (5, 8), (6, 8))
 
 
 class TestAutomorphisms:
@@ -103,10 +111,16 @@ class TestOrbitPartition:
 
 class TestSimilarityMatrix:
     def test_orbits_are_equitable_everywhere(self):
-        # representative independence across the whole catalog
+        # representative independence across the whole catalog: every member
+        # of a class has the same neighbour count in each class, and those
+        # counts are the row similarity_matrix reads off the least member
         for h in SMALL_TARGETS.values():
             p = orbit_partition(h)
-            similarity_matrix(p, check_representatives=True)
+            rows = similarity_matrix(p).m
+            for i, cls in enumerate(p.classes):
+                counts = {tuple(sum(1 for u in h.neighbors(v) if p.class_of[u] == j)
+                                for j in range(p.k)) for v in cls}
+                assert counts == {rows[i]}
 
     def test_ordering_permutes_rows_and_columns(self):
         p = orbit_partition(SMALL_TARGETS[7])
@@ -153,3 +167,30 @@ class TestIncreasingColumns:
         # unlooped K_2 has one orbit; the 1x1 matrix passes vacuously
         got = find_increasing_ordering(SMALL_TARGETS[6])
         assert got is not None and got[1].m == ((1,),)
+
+
+class TestOrderingSearch:
+    def test_no_ordering_found_without_building_matrices(self, monkeypatch):
+        calls = []
+        real = automorphy.similarity_matrix
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 10:
+                raise AssertionError("ordering search builds a matrix per candidate")
+            return real(*args)
+
+        monkeypatch.setattr(automorphy, "similarity_matrix", counted)
+        assert orbit_partition(REGULAR_9).k == 9
+        assert find_increasing_ordering(REGULAR_9) is None
+        assert len(calls) <= 1  # the cached identity matrix, if not built yet
+
+    def test_capacity_twenty_within_small_node_limit(self, monkeypatch):
+        monkeypatch.setattr(automorphy, "ORDERING_NODE_LIMIT", 500)
+        got = find_increasing_ordering(make_capacity_graph(20), 21)
+        assert got is not None and got[0] == tuple(range(20, -1, -1))
+
+    def test_node_limit_named(self, monkeypatch):
+        monkeypatch.setattr(automorphy, "ORDERING_NODE_LIMIT", 5)
+        with pytest.raises(SizeLimitError, match="limited to 5 nodes"):
+            find_increasing_ordering(make_capacity_graph(20), 21)

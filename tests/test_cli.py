@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from fractions import Fraction
@@ -7,8 +8,8 @@ import pytest
 from oracles import path_partition_function
 from treehom import automorphy, cli, homcount, trees
 from treehom import (
-    Tree, canonical_code, is_isomorphic, kc_sites, parse_graph, path, make_capacity_graph,
-    make_widom_rowlinson, tree_count,
+    Tree, canonical_code, is_isomorphic, is_loop_threshold, kc_sites, parse_graph, path,
+    make_capacity_graph, make_widom_rowlinson, tree_count,
 )
 from treehom.cli import KC_WORK_LIMIT, main, parse_target_spec, parse_tree_spec
 
@@ -156,6 +157,39 @@ class TestSubcommands:
         sites = kc_sites(path(7))
         assert status == 0 and len(out.splitlines()) == len(sites) > 1
         assert counted[0] == path(7) and len(counted) == len(sites) + 1
+
+    def test_kc_derives_each_path_once(self, capsys, monkeypatch, tmp_path):
+        # kc_difference_decomposition glues the path it has already validated
+        rng = random.Random(1)
+        edges = [(rng.randrange(v), v) for v in range(1, 60)]
+        f = tmp_path / "tree.txt"
+        f.write_text("60 59\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        calls = []
+        real = trees.bare_path
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trees, "bare_path", counted)
+        monkeypatch.setattr(homcount, "bare_path", counted)
+        status, out, _ = run(capsys, "kc", "--tree", str(f), "--target", "hind", "--rows")
+        sites = kc_sites(Tree.from_edges(60, edges))
+        assert status == 0 and len(out.splitlines()) == len(sites) > 1
+        assert len(calls) == len(sites)
+
+    @pytest.mark.parametrize("c", range(9, 21))
+    def test_capacity_certified_past_nine_classes(self, capsys, c):
+        # capacity:c has c + 1 classes and is loop-threshold, so Hoffman-London
+        status, out, _ = run(capsys, "check-hl", "--target", f"capacity:{c}", "--n-max", "8",
+                             "--strong", "--rows")
+        assert status == 0 and "matrix-certificate\t1" in out.splitlines()
+        assert is_loop_threshold(make_capacity_graph(c)) is not None
+
+    def test_matrix_past_node_limit_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(automorphy, "ORDERING_NODE_LIMIT", 5)
+        status, out, err = run(capsys, "matrix", "--target", "capacity:20", "--rows")
+        assert status == 2 and out == "" and "limited to 5 nodes" in err
 
 
 class TestOrbitSearchOnce:

@@ -180,6 +180,12 @@ class TestHLVerdicts:
         assert v.matrix_certificate is None and v.strong_certificate is None
         assert v.hoffman_london
 
+    def test_node_limit_leaves_no_certificate(self, monkeypatch):
+        monkeypatch.setattr("treehom.automorphy.ORDERING_NODE_LIMIT", 5)
+        v = verify_hoffman_london(make_capacity_graph(20), 4, size_limit=21)
+        assert v.matrix_certificate is None and v.strong_certificate is None
+        assert v.hoffman_london
+
     def test_verdict_codes_no_tree(self, monkeypatch):
         # h6 ties every tree at every order, so coding minimizers would code
         # them all; the verdict reads only counts and flags

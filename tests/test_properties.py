@@ -3,7 +3,8 @@ walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` (and the sweep verdicts against a walk-and-code
 reference), the KC machinery against bare_path and its identity, the
 isomorphism search and the orbit search against all vertex permutations,
-and the edge-list format round trip."""
+the class-ordering search against all class orderings, and the edge-list
+format round trip."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -11,7 +12,9 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_partition_function, fraction_partition_function
+from oracles import (
+    brute_partition_function, first_increasing_ordering, fraction_partition_function,
+)
 from treehom import (
     SMALL_TARGETS,
     MinimizerReport,
@@ -25,6 +28,7 @@ from treehom import (
     canonical_code,
     classify_small_targets,
     find_hl_counterexample_search,
+    find_increasing_ordering,
     format_graph,
     hom_brute_force,
     has_balanced_bipartition,
@@ -42,6 +46,7 @@ from treehom import (
     partition_function,
     path,
     sidorenko_check,
+    similarity_matrix,
     star,
     tree_hom,
     tree_partition_function,
@@ -255,6 +260,19 @@ def test_orbit_search_agrees_with_all_permutations(H):
     auts = [p for p in permutations(range(H.n)) if _relabel(H, p) == H]
     orbits = {tuple(sorted({p[v] for p in auts})) for v in H.vertices()}
     assert orbit_partition(H).classes == tuple(sorted(orbits))
+
+
+@PROPERTY
+@given(targets(max_n=7))
+def test_ordering_search_agrees_with_all_orderings(H):
+    m = similarity_matrix(orbit_partition(H)).m
+    want = first_increasing_ordering(m)
+    got = find_increasing_ordering(H)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[0] == want
+        assert got[1].m == tuple(tuple(m[i][j] for j in want) for i in want)
 
 
 @PROPERTY
