@@ -1,11 +1,12 @@
 """Automorphism orbits, similarity matrices, and the increasing-columns test.
 
 Automorphisms, isomorphisms and orbits come from one search: backtracking
-over vertex images, pruned by an iterated neighborhood-color refinement, so
-structured graphs of a couple of dozen vertices (e.g. the 21-vertex
-Folkman-plus-dominating example) are still fast despite the worst case being
-factorial. Orbits do not list the group: each comes from searches pinned to
-one vertex pair, which stop at the first automorphism found (orbit pruning,
+over vertex images, pruned by colour refinement, so structured graphs of a
+couple of dozen vertices (e.g. the 21-vertex Folkman-plus-dominating
+example) are still fast despite the worst case being factorial. The same
+refinement gives the coarsest equitable partition that `homcount` counts
+on. Orbits do not list the group: each comes from searches pinned to one
+vertex pair, which stop at the first automorphism found (orbit pruning,
 McKay & Piperno, "Practical graph isomorphism II", 2014), so a clique's
 orbit costs n searches, not n! automorphisms. The default size guard is 12
 vertices; callers that know their graph is tame can raise it.
@@ -13,6 +14,7 @@ vertices; callers that know their graph is tame can raise it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,20 +51,53 @@ class SimilarityMatrix:
     ordering: tuple[int, ...]
 
 
-def _refined_colors(H: TargetGraph) -> list[int]:
-    """Stable iterated refinement of (degree, loop) vertex colors."""
-    col = {v: hash((H.degree(v), H.has_loop(v))) for v in H.vertices()}
-    ncolors = len(set(col.values()))
-    while True:
-        raw = {
-            v: (col[v], tuple(sorted(col[u] for u in H.neighbors(v))))
-            for v in H.vertices()
-        }
-        palette = {c: i for i, c in enumerate(sorted(set(raw.values()), key=repr))}
-        col = {v: palette[raw[v]] for v in H.vertices()}
-        if len(palette) == ncolors:
-            return [col[v] for v in H.vertices()]
-        ncolors = len(palette)
+def _refined_colors(H: TargetGraph, initial: tuple | None = None) -> list[int]:
+    """Class numbers 0..k-1 of H's coarsest equitable partition refining the
+    initial colouring: loops, paired with initial[v].
+
+    A splitter queue (Paige & Tarjan 1987): pop a class, count each vertex's
+    neighbours in it, and split every class whose members' counts differ. A
+    split class re-queues its new parts, and, unless it was queued, all parts
+    but the largest, whose counts follow from the rest: O(m log n) work.
+    """
+    first: dict = {}
+    color = [first.setdefault(H.has_loop(v) if initial is None else (H.has_loop(v), initial[v]),
+                              len(first)) for v in H.vertices()]
+    classes: list[set[int]] = [set() for _ in first]
+    for v, c in enumerate(color):
+        classes[c].add(v)
+    queue = dict.fromkeys(range(len(classes)))  # an ordered set
+    while queue:
+        s, _ = queue.popitem()
+        hit: dict[int, dict[int, list[int]]] = {}
+        for v, x in Counter(u for y in classes[s] for u in H.neighbors(y)).items():
+            hit.setdefault(color[v], {}).setdefault(x, []).append(v)
+        for c, by_count in hit.items():
+            parts = list(by_count.values())
+            classes[c].difference_update(*parts)
+            if not classes[c]:  # every member was counted: one part keeps c
+                classes[c].update(parts.pop())
+            split = [c]
+            for part in parts:
+                split.append(len(classes))
+                classes.append(set(part))
+                for v in part:
+                    color[v] = split[-1]
+            skip = c if c in queue else max(split, key=lambda i: len(classes[i]))
+            queue.update(dict.fromkeys(i for i in split if i != skip))
+    return color
+
+
+@lru_cache(maxsize=None)
+def _equitable_quotient(H: TargetGraph, initial: tuple | None = None):
+    """(class_of, sizes, rows) of `_refined_colors(H, initial)`, cached. A
+    class's row lists the classes of a member's neighbours with repeats; all
+    members share it (Dell, Grohe & Rattan, ICALP 2018)."""
+    class_of = tuple(_refined_colors(H, initial))
+    member = {c: v for v, c in enumerate(class_of)}
+    sizes = Counter(class_of)
+    return class_of, tuple(sizes[c] for c in range(len(sizes))), tuple(
+        tuple(sorted(class_of[u] for u in H.neighbors(member[c]))) for c in range(len(sizes)))
 
 
 def _check_size(n: int, size_limit: int) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 from .automorphy import (
     AUT_SIZE_LIMIT,
@@ -59,47 +60,45 @@ KC_WORK_LIMIT = 250_000
 # ---------------------------------------------------------------------------
 # graph / tree specification strings
 
-def _looped_path(n: int) -> TargetGraph:
-    edges = [(i, i + 1) for i in range(n - 1)] + [(i, i) for i in range(n)]
-    return TargetGraph.from_edges(n, edges)
+#: Cap on a shorthand target's edges, counted from its parameters unbuilt.
+SHORTHAND_EDGE_LIMIT = 1_000_000
 
-
-def _clique(n: int, looped: bool) -> TargetGraph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1 if not looped else i, n)]
-    return TargetGraph.from_edges(n, edges)
+# name: (parameter count, edge count from the parameters, builder)
+_SHORTHANDS = {
+    "path": (1, lambda n: n - 1, lambda n: TargetGraph.from_edges(n, path(n).edges)),
+    "lpath": (1, lambda n: 2 * n - 1, lambda n: TargetGraph.from_edges(
+        n, [(i, j) for i in range(n) for j in (i, i + 1) if j < n])),
+    "star": (1, lambda n: n - 1, lambda n: TargetGraph.from_edges(n, star(n).edges)),
+    "clique": (1, lambda n: n * (n - 1) // 2,
+               lambda n: TargetGraph.from_edges(n, combinations(range(n), 2))),
+    "lclique": (1, lambda n: n * (n + 1) // 2,
+                lambda n: TargetGraph.from_edges(n, combinations_with_replacement(range(n), 2))),
+    "capacity": (1, lambda c: (c // 2 + 1) * (c - c // 2 + 1), make_capacity_graph),
+    "wr": (1, lambda k: 2 * k + 1, make_widom_rowlinson),
+    "habl": (3, lambda a, b, ell: b * (b - 1) // 2 + b * ell * (a * (a - 1) // 2), make_H_abl),
+}
 
 
 def parse_target_spec(spec: str) -> TargetGraph:
     """Shorthand (path:n, lpath:n, star:n, clique:n, lclique:n, capacity:C,
     wr:k, habl:a,b,l, folkman+dom, h1..h28), inline:"n m\\n...", or a file path.
+    A shorthand past SHORTHAND_EDGE_LIMIT edges raises SizeLimitError unbuilt.
     """
     if spec.startswith("inline:"):
         return parse_graph(spec[len("inline:"):].replace("\\n", "\n"))
     head, sep, rest = spec.partition(":")
-    if sep:
+    if sep and head in _SHORTHANDS:
         try:
             args = [int(x) for x in rest.split(",")]
         except ValueError:
             args = None
-        if args is not None:
-            if head == "path" and len(args) == 1:
-                p = path(args[0])
-                return TargetGraph.from_edges(p.n, p.edges)
-            if head == "lpath" and len(args) == 1:
-                return _looped_path(args[0])
-            if head == "star" and len(args) == 1:
-                s = star(args[0])
-                return TargetGraph.from_edges(s.n, s.edges)
-            if head == "clique" and len(args) == 1:
-                return _clique(args[0], looped=False)
-            if head == "lclique" and len(args) == 1:
-                return _clique(args[0], looped=True)
-            if head == "capacity" and len(args) == 1:
-                return make_capacity_graph(args[0])
-            if head == "wr" and len(args) == 1:
-                return make_widom_rowlinson(args[0])
-            if head == "habl" and len(args) == 3:
-                return make_H_abl(*args)
+        arity, edges, build = _SHORTHANDS[head]
+        if args is not None and len(args) == arity:
+            m = edges(*(max(x, 0) for x in args))  # the builder rejects x < 0
+            if m > SHORTHAND_EDGE_LIMIT:
+                raise SizeLimitError(f"{spec} would have {m} edges; shorthand targets "
+                                     f"are limited to {SHORTHAND_EDGE_LIMIT} edges")
+            return build(*args)
     if spec in ("folkman+dom", "folkman"):
         return make_folkman_plus_dominating()
     if spec.startswith("h") and spec[1:].isdigit() and int(spec[1:]) in SMALL_TARGETS:

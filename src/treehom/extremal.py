@@ -8,20 +8,23 @@ per-n verdicts up to the swept bound, never the unbounded property.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import Optional, Union
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, repeat
+from operator import mul
+from typing import Iterator, Optional, Sequence, Union
 
 from .automorphy import (
     AUT_SIZE_LIMIT,
     SimilarityMatrix,
+    _equitable_quotient,
     class_data,
     find_increasing_ordering,
     has_increasing_columns,
     similarity_matrix,
 )
-from .graphs import SizeLimitError, TargetGraph
+from .graphs import SizeLimitError, TargetGraph, disjoint_union
 from .homcount import hom_vector, path_pair_counts, shape_vectors, tree_hom
 from .trees import free_trees, path, rooted_shapes, star, tree_codes
 
@@ -98,7 +101,7 @@ def make_H_abl(a: int, b: int, ell: int) -> TargetGraph:
     edges = [(u, v) for u, v in combinations(range(b), 2)]
     nxt = b
     for v in range(b):
-        for _ in range(ell):
+        for _ in range(ell if a > 1 else 0):  # an appended 1-clique adds nothing
             new = list(range(nxt, nxt + a - 1))
             nxt += a - 1
             members = [v] + new
@@ -195,21 +198,39 @@ class HLVerdict:
         return all(r.path_is_unique_min for r in self.reports if r.n >= 4)
 
 
+def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
+    """Per target, the hom count of every tree on n vertices in `free_trees`
+    order, from one fold of the generator over the coarsest equitable
+    quotient of the targets' disjoint union: a tree's class vector is the
+    product of its parts' messages (`shape_vectors`), weighted by a target's
+    vertices in each class. A lone target has all of them, so its roots are
+    weighted once and each count is a sum."""
+    union = reduce(disjoint_union, targets)
+    class_of, sizes, _ = _equitable_quotient(union)
+    h, msg = shape_vectors(union, n)
+
+    def extend(vec: list[int], c: int) -> list[int]:
+        return [a * m for a, m in zip(vec, msg[c])]
+
+    if len(targets) == 1:
+        yield list(map(sum, free_trees(n, [list(map(mul, sizes, v)) for v in h], extend)))
+        return
+    cols: list[list[int]] = [[] for _ in sizes]  # cols[c][i] = tree i's vec[c]
+    for vec in free_trees(n, h, extend):
+        list(map(list.append, cols, vec))
+    for H, start in zip(targets, accumulate((G.n for G in targets), initial=0)):
+        mult = Counter(class_of[start:start + H.n])
+        yield list(map(sum, zip(*(map(mul, repeat(m), cols[c]) for c, m in mult.items()))))
+
+
 def sweep_counts(H: TargetGraph, n: int) -> list[int]:
-    """Exact hom count of every tree on n vertices, in `free_trees` order.
-
-    No tree is built or walked: each rooted shape's vector is computed once
-    (`shape_vectors`), and a tree's count is the product of its parts'
-    messages, carried down the generator, summed over H's vertices.
-    """
-    h, msg = shape_vectors(H, n)
-    return [sum(vec) for vec in
-            free_trees(n, h, lambda vec, c: [a * m for a, m in zip(vec, msg[c])])]
+    """Exact hom count of every tree on n vertices, in `free_trees` order."""
+    return next(_sweeps([H], n))
 
 
-def _order_verdict(H: TargetGraph, n: int) -> tuple[list[int], OrderVerdict]:
+def _order_verdict(H: TargetGraph, n: int, counts: Optional[list] = None) -> tuple[list, OrderVerdict]:
     """(counts in `free_trees` order, their verdict) for one order."""
-    counts = sweep_counts(H, n)
+    counts = sweep_counts(H, n) if counts is None else counts
     lo = min(counts)
     path_is_min = tree_hom(path(n), H) == lo
     return counts, OrderVerdict(n, lo, path_is_min, path_is_min and counts.count(lo) == 1)
@@ -383,19 +404,22 @@ _LABEL_PRIORITY = (LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED, LABEL_OTH
 
 def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     _check_n_max(n_max, "classification")
+    targets = list(SMALL_TARGETS.values())
+    found: list[list] = [[] for _ in targets]  # per target, (verdict, labels) per order
+    for n in range(2, n_max + 1):  # one sweep per order for all targets
+        for H, counts, out in zip(targets, _sweeps(targets, n), found):
+            v = _order_verdict(H, n, counts)[1]
+            out.append((v, _labels_for(counts, v)))
     rows = []
-    for hid, H in SMALL_TARGETS.items():
-        mins, labels = [], []
-        for n in range(2, n_max + 1):
-            counts, v = _order_verdict(H, n)
-            mins.append((n, v.min_count))
-            labels.append((n, _labels_for(counts, v)))
+    for hid, orders in zip(SMALL_TARGETS, found):
+        labels = tuple((v.n, labs) for v, labs in orders)
         # orders below 4 are degenerate (at most two tree classes exist, so
         # the label sets coincide); summarize from the informative orders
         informative = [labs for n, labs in labels if n >= 4] or [labs for _, labs in labels]
         common = frozenset.intersection(*informative)
         summary = next((lab for lab in _LABEL_PRIORITY if lab in common), "mixed")
-        rows.append(ClassificationRow(hid, tuple(mins), tuple(labels), summary))
+        mins = tuple((v.n, v.min_count) for v, _ in orders)
+        rows.append(ClassificationRow(hid, mins, labels, summary))
     return rows
 
 

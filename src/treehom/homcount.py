@@ -2,11 +2,12 @@
 force, path-pair tables, the KC difference decomposition, and weighted
 partition functions.
 
-The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom` runs it
-over H's vertices with unit weights, `tree_partition_function` with the
-activities' integer numerators as weights, and `hom_vector` over the
+The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom` and
+`tree_partition_function` run it over H's coarsest equitable quotient (rooted
+counts agree on its classes; activities refine it), and `hom_vector` (behind
+`hom_count`, the KC decomposition and the certificates) over the paper's
 automorphic similarity classes, with the similarity matrix as A.
-`shape_vectors` runs the same recurrence once per rooted shape of the tree
+`shape_vectors` runs the quotient walk once per rooted shape of the tree
 generator, so a sweep composes every tree's count from shared subtree vectors
 instead of walking each tree. Brute-force enumeration of vertex maps is kept
 apart from the walk as the independent oracle.
@@ -22,9 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, class_data
+from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
 from .trees import _kc_glue, bare_path, rooted_shapes
 
@@ -91,16 +93,16 @@ def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence,
 
 def shape_vectors(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
     """(h, A·h) for every rooted shape `trees.free_trees(n)` composes, by
-    shape ID: h_s[x] counts the H-colorings of shape s with its root at x.
+    shape ID: h_s[c] counts H-colorings of shape s rooted at one class-c vertex.
 
-    The walk's recurrence with shapes for vertices, h_s = Π_children A·h_c,
-    each shape computed once from its children's cached messages.
+    The walk's recurrence on H's equitable quotient, with shapes for vertices,
+    h_s = Π_children A·h_c, each computed once from its children's messages.
     """
-    rows = [H.neighbors(x) for x in H.vertices()]
+    _, sizes, rows = _equitable_quotient(H)
     h: list[list[int]] = []
     msg: list[list[int]] = []
     for kids in rooted_shapes(n):
-        vec = [1] * H.n
+        vec = [1] * len(sizes)
         for c in kids:
             vec = [a * m for a, m in zip(vec, msg[c])]
         h.append(vec)
@@ -129,12 +131,10 @@ def hom_count(T: Tree, H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> int:
 
 
 def tree_hom(T: Tree, H: TargetGraph) -> int:
-    """hom(T, H) by dynamic programming over individual target vertices.
-
-    No automorphism machinery; works for any target size. Used for sweeps
-    and as the route for targets past the automorphism-search limit.
-    """
-    return sum(_walk(T, 0, [H.neighbors(x) for x in H.vertices()], [1] * H.n))
+    """hom(T, H) by the walk over H's coarsest equitable quotient, the root's
+    entries weighted by class size: no automorphism search, no size limit."""
+    _, sizes, rows = _equitable_quotient(H)
+    return sum(map(mul, sizes, _walk(T, 0, rows, [1] * len(sizes))))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +252,14 @@ def _over_common_denominator(n: int, H: TargetGraph, lam: ActivityVector,
 
 
 def tree_partition_function(T: Tree, H: TargetGraph, lam: ActivityVector) -> Fraction:
-    """Weighted tree walk over individual target vertices (activities may
-    break automorphic symmetry, so classes cannot be used here)."""
-    rows = [H.neighbors(x) for x in H.vertices()]
-    return _over_common_denominator(T.n, H, lam, lambda a: sum(_walk(T, 0, rows, a)))
+    """Weighted walk over H's coarsest equitable quotient refined from the
+    activities, so that each class has one activity."""
+    def weighted_count(a: list[int]) -> int:
+        class_of, sizes, rows = _equitable_quotient(H, tuple(a))
+        w = dict(zip(class_of, a))
+        return sum(map(mul, sizes, _walk(T, 0, rows, [w[c] for c in range(len(sizes))])))
+
+    return _over_common_denominator(T.n, H, lam, weighted_count)
 
 
 def partition_function(G: LooplessGraph, H: TargetGraph, lam: ActivityVector,

@@ -19,10 +19,14 @@ treehom.homcount, all in Fractions from the first multiplication on:
 * path_partition_function: 1ᵀ(ΛA)^(n-1)Λ1 for the n-vertex path, by
   repeated squaring of the transfer matrix ΛA.
 
-One class-ordering oracle that shares no code with treehom.automorphy:
+Two oracles that share no code with treehom.automorphy:
 
 * first_increasing_ordering: every one of the k! class orderings in
   lexicographic order, each put through the terminal-sum test written out.
+* round_refined_colors: colour refinement in rounds. Every round recolours
+  every vertex by its colour and its neighbours' colour multiset, until the
+  number of colours stops growing; a path takes Θ(n) rounds, so it is for
+  small graphs only.
 """
 
 from __future__ import annotations
@@ -161,3 +165,19 @@ def first_increasing_ordering(m) -> tuple[int, ...] | None:
         if all(tail[i][c] <= tail[i + 1][c] for i in range(k - 1) for c in range(k)):
             return o
     return None
+
+
+def round_refined_colors(H: TargetGraph) -> list[int]:
+    """Stable iterated refinement of (degree, loop) vertex colours, one
+    full round over every vertex at a time; colours compare only for
+    equality."""
+    col = {v: hash((H.degree(v), H.has_loop(v))) for v in H.vertices()}
+    ncolors = len(set(col.values()))
+    while True:
+        raw = {v: (col[v], tuple(sorted(col[u] for u in H.neighbors(v))))
+               for v in H.vertices()}
+        palette = {c: i for i, c in enumerate(sorted(set(raw.values()), key=repr))}
+        col = {v: palette[raw[v]] for v in H.vertices()}
+        if len(palette) == ncolors:
+            return [col[v] for v in H.vertices()]
+        ncolors = len(palette)

@@ -2,6 +2,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,9 @@ from treehom import (
     Tree, canonical_code, is_isomorphic, is_loop_threshold, kc_sites, parse_graph, path,
     make_capacity_graph, make_widom_rowlinson, tree_count,
 )
-from treehom.cli import KC_WORK_LIMIT, main, parse_target_spec, parse_tree_spec
+from treehom.cli import (
+    KC_WORK_LIMIT, SHORTHAND_EDGE_LIMIT, main, parse_target_spec, parse_tree_spec,
+)
 
 
 def run(capsys, *argv):
@@ -261,6 +264,19 @@ class TestLargeResults:
         assert fields[3] == fields[4] and len(fields[3]) > 4300
 
 
+class TestReach:
+    def test_hom_long_path_into_large_clique(self, capsys):
+        # the walk runs on the clique's one-class quotient; a walk over its
+        # 200 vertices takes about 1.5 s for path:300 alone
+        start = time.perf_counter()
+        status, out, err = run(capsys, "hom", "--tree", "path:1000",
+                               "--target", "clique:200", "--rows")
+        elapsed = time.perf_counter() - start
+        assert status == 0 and err == ""
+        assert out.strip() == f"hom\t1000\t200\t{full_str(200 * 199 ** 999)}"
+        assert elapsed < 2.0, f"hom into clique:200 took {elapsed:.1f} s"
+
+
 class TestErrorHandling:
     def test_parse_error_exit_2(self, capsys):
         status, _, err = run(capsys, "hom", "--tree", "path:4",
@@ -316,3 +332,25 @@ class TestErrorHandling:
         status, out, err = run(capsys, "kc", "--tree", "path:240", "--target", "hind")
         assert time.perf_counter() - start < 1.0
         assert status == 2 and out == "" and str(KC_WORK_LIMIT) in err
+
+    @pytest.mark.parametrize("spec", [
+        "path:2000000", "lpath:600000", "star:2000000", "clique:20000", "lclique:20000",
+        "capacity:20000", "wr:600000", "habl:100,100,100",
+    ])
+    def test_oversized_shorthand_exit_2_unbuilt(self, capsys, spec):
+        start = time.perf_counter()
+        status, out, err = run(capsys, "orbits", "--target", spec)
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and str(SHORTHAND_EDGE_LIMIT) in err
+
+    def test_shorthand_edge_counts_match_built_graphs(self):
+        for head, (arity, edges, _) in cli._SHORTHANDS.items():
+            for args in product(range(2, 6), repeat=arity):
+                spec = f"{head}:{','.join(map(str, args))}"
+                assert edges(*args) == len(parse_target_spec(spec).edges), spec
+
+    def test_appended_one_cliques_add_nothing(self):
+        # habl with a = 1 has no appended edge or vertex, however many are asked for
+        start = time.perf_counter()
+        assert parse_target_spec(f"habl:1,3,{10 ** 12}") == parse_target_spec("clique:3")
+        assert time.perf_counter() - start < 1.0

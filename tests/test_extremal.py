@@ -9,6 +9,7 @@ from treehom import (
     all_trees,
     canonical_code,
     check_strong_hl_certificate,
+    classify_small_targets,
     find_hl_counterexample_search,
     find_increasing_ordering,
     has_balanced_bipartition,
@@ -24,7 +25,10 @@ from treehom import (
     star,
     verify_hoffman_london,
 )
+from treehom import extremal
 from treehom.extremal import StrongHLCertificate
+from treehom.homcount import shape_vectors
+from treehom.trees import free_trees
 
 
 def tg(n, *edges):
@@ -262,3 +266,23 @@ class TestSweeps:
         if out is not None:
             n, code, count, path_count = out
             assert count < path_count
+
+    def test_classify_sweeps_once_per_order(self, monkeypatch):
+        # the 28 targets share one pass of the generator per order; only
+        # the cached balanced-bipartition flags fold over it once more
+        vectors, folds = [], []
+
+        def counted_vectors(H, n):
+            vectors.append(n)
+            return shape_vectors(H, n)
+
+        def counted_folds(n, *args):
+            folds.append(n)
+            return free_trees(n, *args)
+
+        monkeypatch.setattr(extremal, "shape_vectors", counted_vectors)
+        monkeypatch.setattr(extremal, "free_trees", counted_folds)
+        extremal._balanced.cache_clear()
+        classify_small_targets(14)
+        assert vectors == list(range(2, 15))
+        assert sorted(folds) == sorted(2 * list(range(2, 15)))

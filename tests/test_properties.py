@@ -1,7 +1,8 @@
 """Property tests on random small loopy targets and random trees: the tree
 walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` (and the sweep verdicts against a walk-and-code
-reference), the KC machinery against bare_path and its identity, the
+reference), the batched sweep against one sweep per target, colour
+refinement against refinement in rounds, the KC machinery against bare_path and its identity, the
 isomorphism search and the orbit search against all vertex permutations,
 the class-ordering search against all class orderings, and the edge-list
 format round trip."""
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     brute_partition_function, first_increasing_ordering, fraction_partition_function,
+    round_refined_colors,
 )
 from treehom import (
     SMALL_TARGETS,
@@ -27,6 +29,7 @@ from treehom import (
     blow_up,
     canonical_code,
     classify_small_targets,
+    disjoint_union,
     find_hl_counterexample_search,
     find_increasing_ordering,
     format_graph,
@@ -52,6 +55,7 @@ from treehom import (
     tree_partition_function,
 )
 from treehom import extremal
+from treehom.automorphy import _equitable_quotient
 from treehom.extremal import (
     LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, sweep_counts,
 )
@@ -131,6 +135,48 @@ def test_integer_route_matches_fraction_walk_and_brute_force(H, T, nums, dens, i
 @given(targets(), st.integers(1, 9))
 def test_sweep_counts_are_the_walk_counts(H, n):
     assert sorted(sweep_counts(H, n)) == sorted(tree_hom(ct.tree, H) for ct in all_trees(n))
+
+
+@PROPERTY
+@given(st.lists(targets(), min_size=1, max_size=4), st.integers(1, 9))
+def test_batched_sweep_gives_each_target_its_own_counts(Hs, n):
+    assert list(extremal._sweeps(Hs, n)) == [sweep_counts(H, n) for H in Hs]
+
+
+@PROPERTY
+@given(targets(max_n=6), trees(max_n=7), st.data())
+def test_quotient_partition_function_with_repeated_activities(H, T, data):
+    # at most two distinct activities, so vertices alike in H and in
+    # activity share a class of the quotient the weighted walk runs on
+    pool = data.draw(st.lists(rationals, min_size=1, max_size=2))
+    lam = activities(data.draw(st.lists(st.sampled_from(pool), min_size=H.n, max_size=H.n)))
+    assert tree_partition_function(T, H, lam) == fraction_partition_function(T, H, lam)
+
+
+@st.composite
+def target_unions(draw):
+    """A draw of targets(max_n=6), or the disjoint union of two."""
+    H = draw(targets(max_n=6))
+    return disjoint_union(H, draw(targets(max_n=6))) if draw(st.booleans()) else H
+
+
+def _blocks(colors):
+    groups = {}
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
+    return sorted(groups.values())
+
+
+@PROPERTY
+@given(target_unions())
+def test_quotient_is_the_coarsest_equitable_partition(H):
+    class_of, sizes, rows = _equitable_quotient(H)
+    assert _blocks(class_of) == _blocks(round_refined_colors(H))
+    assert list(sizes) == [class_of.count(c) for c in range(len(sizes))]
+    # equitable: every member's neighbour classes, with multiplicity, are
+    # its class's row
+    for v in H.vertices():
+        assert tuple(sorted(class_of[u] for u in H.neighbors(v))) == rows[class_of[v]]
 
 
 # ---------------------------------------------------------------------------
