@@ -15,8 +15,8 @@ vertices; callers that know their graph is tame can raise it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
 
@@ -24,8 +24,7 @@ AUT_SIZE_LIMIT = 12
 ORDERING_NODE_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     """Automorphism orbits of a target graph, indexed by least contained vertex."""
 
     graph: TargetGraph
@@ -37,8 +36,7 @@ class OrbitPartition:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     """Cross-class neighbor counts m[i][j] under a chosen class ordering.
 
     ordering[p] is the original class index placed at position p; sizes[p]

@@ -9,8 +9,8 @@ output with tab-separated fields in a stable order.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .automorphy import (
@@ -24,6 +24,7 @@ from .graphs import (
     SizeLimitError,
     TargetGraph,
     Tree,
+    _read_edge_list,
     format_graph,
     parse_graph,
 )
@@ -79,13 +80,11 @@ _SHORTHANDS = {
 }
 
 
-def parse_target_spec(spec: str) -> TargetGraph:
-    """Shorthand (path:n, lpath:n, star:n, clique:n, lclique:n, capacity:C,
-    wr:k, habl:a,b,l, folkman+dom, h1..h28), inline:"n m\\n...", or a file path.
-    A shorthand past SHORTHAND_EDGE_LIMIT edges raises SizeLimitError unbuilt.
-    """
+def _target_source(spec: str) -> TargetGraph | str:
+    """The graph a shorthand or name builds, or the edge-list text of an
+    inline spec or a file, in `parse_target_spec`'s order."""
     if spec.startswith("inline:"):
-        return parse_graph(spec[len("inline:"):].replace("\\n", "\n"))
+        return spec[len("inline:"):].replace("\\n", "\n")
     head, sep, rest = spec.partition(":")
     if sep and head in _SHORTHANDS:
         try:
@@ -107,19 +106,33 @@ def parse_target_spec(spec: str) -> TargetGraph:
         return SMALL_TARGETS[7]
     try:
         with open(spec) as fh:
-            return parse_graph(fh.read())
+            return fh.read()
     except OSError as exc:
         raise GraphParseError(f"cannot read graph {spec!r}: {exc}")
 
 
+def parse_target_spec(spec: str) -> TargetGraph:
+    """Shorthand (path:n, lpath:n, star:n, clique:n, lclique:n, capacity:C,
+    wr:k, habl:a,b,l, folkman+dom, h1..h28), inline:"n m\\n...", or a file path.
+    A shorthand past SHORTHAND_EDGE_LIMIT edges raises SizeLimitError unbuilt.
+    """
+    g = _target_source(spec)
+    return parse_graph(g) if isinstance(g, str) else g
+
+
 def parse_tree_spec(spec: str) -> Tree:
     """Any target spec whose graph is a tree (path:n, star:n, inline:..., a
-    file path...); other graphs raise ValueError."""
-    g = parse_target_spec(spec)
+    file path...); other graphs raise ValueError. Edge-list text is read once,
+    straight into the Tree."""
+    g = _target_source(spec)
+    if isinstance(g, str):
+        n, edges = _read_edge_list(g)
+        return Tree(n, tuple(sorted(edges)))
     return Tree.from_edges(g.n, g.edges)
 
 
 def _parse_activities(text: str, n: int):
+    from fractions import Fraction
     try:
         vals = [Fraction(part.strip()) for part in text.split(",")]
     except ZeroDivisionError:
@@ -430,7 +443,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: a normal end. Point the descriptor at
+        # /dev/null so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (GraphParseError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,11 +9,10 @@ per-n verdicts up to the swept bound, never the unbounded property.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, repeat
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphy import (
     AUT_SIZE_LIMIT,
@@ -25,7 +24,7 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
-from .homcount import hom_vector, path_pair_counts, shape_vectors, tree_hom
+from .homcount import _path_hom, hom_vector, path_pair_counts, shape_vectors, tree_hom
 from .trees import free_trees, path, rooted_shapes, star, tree_codes
 
 
@@ -149,8 +148,7 @@ def is_loop_threshold(H: TargetGraph) -> Optional[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # minimizer sweeps
 
-@dataclass(frozen=True)
-class MinimizerReport:
+class MinimizerReport(NamedTuple):
     n: int
     min_count: int
     minimizers: tuple[str, ...]  # canonical codes attaining the minimum
@@ -160,8 +158,7 @@ class MinimizerReport:
     star_is_max: bool
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(NamedTuple):
     """What a path-minimality check reads from one order's sweep: the least
     count and whether the path attains it, alone or not. No tree is coded."""
     n: int
@@ -170,8 +167,7 @@ class OrderVerdict:
     path_is_unique_min: bool
 
 
-@dataclass(frozen=True)
-class StrongHLCertificate:
+class StrongHLCertificate(NamedTuple):
     """Witness data for strict path minimality: per path length t a class
     pair (low, high) with a joint endpoint coloring and strictly ordered
     endpoint counts at every probed length s."""
@@ -182,8 +178,7 @@ class StrongHLCertificate:
     witnesses: tuple[tuple[int, tuple[int, int]], ...]
 
 
-@dataclass(frozen=True)
-class HLVerdict:
+class HLVerdict(NamedTuple):
     n_max: int
     reports: tuple[OrderVerdict, ...]
     matrix_certificate: Optional[tuple[tuple[int, ...], SimilarityMatrix]]
@@ -232,7 +227,7 @@ def _order_verdict(H: TargetGraph, n: int, counts: Optional[list] = None) -> tup
     """(counts in `free_trees` order, their verdict) for one order."""
     counts = sweep_counts(H, n) if counts is None else counts
     lo = min(counts)
-    path_is_min = tree_hom(path(n), H) == lo
+    path_is_min = _path_hom(H, n) == lo
     return counts, OrderVerdict(n, lo, path_is_min, path_is_min and counts.count(lo) == 1)
 
 
@@ -358,8 +353,7 @@ LABEL_ZERO = "zero-count"
 LABEL_OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     target_id: int
     min_counts: tuple[tuple[int, int], ...]            # (n, min hom count)
     labels: tuple[tuple[int, frozenset[str]], ...]     # (n, applicable labels)

@@ -11,7 +11,6 @@ All graph and tree values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -27,40 +26,41 @@ def _normalize_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, i
     return frozenset((u, v) if u <= v else (v, u) for u, v in edges)
 
 
-@dataclass(frozen=True)
-class TargetGraph:
-    """A coloring-constraint graph: simple, undirected, loops allowed."""
+class _Graph:
+    """Immutable graph value: equal and hashed by (n, edges); the adjacency
+    `_adj` is derived from them on construction."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    _adj: tuple[frozenset[int], ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
+    __slots__ = ("n", "edges", "_adj")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            if not (0 <= u <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
+    def _set(self, n: int, edges, adj: tuple) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", adj)
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "TargetGraph":
-        return cls(n, _normalize_edges(edges))
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        """Open neighborhood; contains v itself iff v is looped."""
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return type(self), (self.n, self.edges)
+
+    def neighbors(self, v: int):
+        """Open neighborhood: a frozenset for a TargetGraph, containing v
+        itself iff v is looped; a sorted tuple for a Tree."""
         return self._adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def has_loop(self, v: int) -> bool:
-        return (v, v) in self.edges
 
     def degree(self, v: int) -> int:
         """Number of incident edges; a loop counts once."""
@@ -70,23 +70,49 @@ class TargetGraph:
         return range(self.n)
 
 
-@dataclass(frozen=True)
-class Tree:
+class TargetGraph(_Graph):
+    """A coloring-constraint graph: simple, undirected, loops allowed."""
+
+    __slots__ = ()
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            adj[u].add(v)
+            adj[v].add(u)
+        self._set(n, edges, tuple(map(frozenset, adj)))
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "TargetGraph":
+        return cls(n, _normalize_edges(edges))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in self.edges
+
+    def has_loop(self, v: int) -> bool:
+        return (v, v) in self.edges
+
+
+class Tree(_Graph):
     """A connected acyclic loopless graph; validated eagerly on construction."""
 
+    __slots__ = ()
     n: int
     edges: tuple[tuple[int, int], ...]
-    _adj: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if n < 1:
             raise ValueError("a tree has at least one vertex")
-        if len(self.edges) != self.n - 1:
-            raise ValueError(f"a tree on {self.n} vertices needs {self.n - 1} edges, "
-                             f"got {len(self.edges)}")
-        parent = list(range(self.n))
+        if len(edges) != n - 1:
+            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, "
+                             f"got {len(edges)}")
+        parent = list(range(n))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -94,10 +120,10 @@ class Tree:
                 x = parent[x]
             return x
 
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at {u}: trees are loopless")
             ru, rv = find(u), find(v)
@@ -106,27 +132,19 @@ class Tree:
             parent[ru] = rv
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        self._set(n, edges, tuple(tuple(sorted(a)) for a in adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":
         return cls(n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges)))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 # ---------------------------------------------------------------------------
 # parsing / formatting (loopy edge-list text format)
 
-def parse_graph(text: str) -> TargetGraph:
-    """Parse the loopy edge-list format.
+def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) of the loopy edge-list format, each edge as (min, max), in
+    file order.
 
     First non-comment line is "n m"; then m lines "u v" with 0-based vertex
     indices, where "u u" denotes a loop. Lines starting with '#' are comments.
@@ -148,6 +166,7 @@ def parse_graph(text: str) -> TargetGraph:
     body = lines[1:]
     if len(body) != m:
         raise GraphParseError(f"header announces {m} edges but {len(body)} edge lines found")
+    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for no, ln in body:
         parts = ln.split()
@@ -159,11 +178,18 @@ def parse_graph(text: str) -> TargetGraph:
             raise GraphParseError(f"line {no}: edge must be two integers, got {ln!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"line {no}: vertex index out of range 0..{n - 1} in {ln!r}")
-        e = (min(u, v), max(u, v))
+        e = (u, v) if u <= v else (v, u)
         if e in seen:
             raise GraphParseError(f"line {no}: duplicate edge {ln!r}")
         seen.add(e)
-    return TargetGraph(n, frozenset(seen))
+        edges.append(e)
+    return n, edges
+
+
+def parse_graph(text: str) -> TargetGraph:
+    """The TargetGraph of a `_read_edge_list` text."""
+    n, edges = _read_edge_list(text)
+    return TargetGraph(n, frozenset(edges))
 
 
 def format_graph(H: TargetGraph) -> str:

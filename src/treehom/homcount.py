@@ -20,15 +20,17 @@ the end: none per vertex, and never a float.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import lcm, prod
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
 from .trees import _kc_glue, bare_path, rooted_shapes
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BRUTE_FORCE_BUDGET = 10 ** 8
 
@@ -137,6 +139,17 @@ def tree_hom(T: Tree, H: TargetGraph) -> int:
     return sum(map(mul, sizes, _walk(T, 0, rows, [1] * len(sizes))))
 
 
+def _path_hom(H: TargetGraph, n: int) -> int:
+    """hom(P_n, H) = 1ᵀA^(n-1)1: n - 1 message steps over H's coarsest
+    equitable quotient from the all-ones vector, weighted by class size. No
+    path is built."""
+    _, sizes, rows = _equitable_quotient(H)
+    h = [1] * len(sizes)
+    for _ in range(n - 1):
+        h = _message(rows, h)
+    return sum(map(mul, sizes, h))
+
+
 # ---------------------------------------------------------------------------
 # brute force oracle
 
@@ -225,11 +238,15 @@ def kc_difference_decomposition(
 # ---------------------------------------------------------------------------
 # weighted partition functions
 
-ActivityVector = tuple[Fraction, ...]
+# `fractions` (and `decimal` through it) is imported only where activities
+# are made or a weighted sum is formed, so a CLI process that counts no
+# weighted sum does not load it
+ActivityVector = tuple["Fraction", ...]
 
 
 def activities(values: Iterable[Union[int, str, Fraction]]) -> ActivityVector:
     """Exact positive activities, one per target vertex ("3/2", 1, Fraction...)."""
+    from fractions import Fraction
     out = tuple(Fraction(v) for v in values)
     if any(a <= 0 for a in out):
         raise ValueError("activities must be strictly positive")
@@ -244,6 +261,7 @@ def _over_common_denominator(n: int, H: TargetGraph, lam: ActivityVector,
     Σ_f Π_v a_{f(v)} / D^n: weighted_count(a) computes the numerator in
     integers, and one Fraction is formed at the end.
     """
+    from fractions import Fraction
     if len(lam) != H.n:
         raise ValueError(f"need {H.n} activities, got {len(lam)}")
     D = lcm(*(x.denominator for x in lam))
@@ -282,6 +300,7 @@ def check_blowup_identity(G: LooplessGraph, H: TargetGraph,
     """(lhs, rhs) for the scaling identity between the weighted partition
     function at activities sizes[i]/scale and the coloring count into the
     blow-up of H by sizes; the two agree exactly."""
+    from fractions import Fraction
     lam = activities(Fraction(s, scale) for s in sizes)
     n, _ = _as_graph(G)
     lhs = Fraction(scale) ** n * partition_function(G, H, lam, budget)

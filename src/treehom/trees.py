@@ -16,7 +16,6 @@ sequence dedup oracle and Otter's counting recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
@@ -27,8 +26,7 @@ TREE_LIMIT = 16
 _S = TypeVar("_S")
 
 
-@dataclass(frozen=True)
-class CanonicalTree:
+class CanonicalTree(NamedTuple):
     tree: Tree
     code: str
 

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -7,6 +9,7 @@ from itertools import product
 import pytest
 
 from oracles import path_partition_function
+import treehom
 from treehom import automorphy, cli, homcount, trees
 from treehom import (
     Tree, canonical_code, is_isomorphic, is_loop_threshold, kc_sites, parse_graph, path,
@@ -354,3 +357,92 @@ class TestErrorHandling:
         start = time.perf_counter()
         assert parse_target_spec(f"habl:1,3,{10 ** 12}") == parse_target_spec("clique:3")
         assert time.perf_counter() - start < 1.0
+
+
+# malformed tree files: (file text, exit status, stderr). The messages are the
+# parser's and the Tree's; when a file has several faults, the parser's first
+# fault in line order wins, then the Tree's first in sorted edge order.
+TREE_FILE_CASES = {
+    "empty": ("", 2, "error: empty graph description\n"),
+    "comments only": ("# nothing\n\n", 2, "error: empty graph description\n"),
+    "bad header": ("3\n0 1\n1 2\n", 2, "error: line 1: header must be 'n m', got '3'\n"),
+    "non-integer header": ("a b\n", 2, "error: line 1: header must be two integers, got 'a b'\n"),
+    "negative count": ("-1 0\n", 2, "error: line 1: negative count in header '-1 0'\n"),
+    "negative edge count": ("2 -1\n", 2, "error: line 1: negative count in header '2 -1'\n"),
+    "too few edge lines": ("3 2\n0 1\n", 2,
+                           "error: header announces 2 edges but 1 edge lines found\n"),
+    "too many edge lines": ("3 1\n0 1\n1 2\n", 2,
+                            "error: header announces 1 edges but 2 edge lines found\n"),
+    "non-integer edge": ("3 2\n0 1\n1 x\n", 2,
+                         "error: line 3: edge must be two integers, got '1 x'\n"),
+    "three fields": ("3 2\n0 1 2\n1 2\n", 2, "error: line 2: edge must be 'u v', got '0 1 2'\n"),
+    "out of range": ("3 2\n0 1\n1 3\n", 2,
+                     "error: line 3: vertex index out of range 0..2 in '1 3'\n"),
+    "duplicate edge": ("3 2\n0 1\n1 0\n", 2, "error: line 3: duplicate edge '1 0'\n"),
+    "loop": ("3 2\n0 1\n1 1\n", 2, "error: loop at 1: trees are loopless\n"),
+    "cycle": ("4 3\n0 1\n1 2\n2 0\n", 2, "error: edge (1,2) closes a cycle\n"),
+    "cycle apart": ("5 4\n3 4\n0 1\n1 2\n0 2\n", 2, "error: edge (1,2) closes a cycle\n"),
+    "wrong edge count": ("4 2\n0 1\n2 3\n", 2,
+                         "error: a tree on 4 vertices needs 3 edges, got 2\n"),
+    "no vertex": ("0 0\n", 2, "error: a tree has at least one vertex\n"),
+    "duplicate before range": ("3 3\n0 1\n0 1\n5 5\n", 2,
+                               "error: line 3: duplicate edge '0 1'\n"),
+    "loop sorts before cycle": ("5 4\n2 3\n3 4\n2 4\n0 0\n", 2,
+                                "error: loop at 0: trees are loopless\n"),
+    "valid with comments": ("# a path\n3 2\n\n0 1  \n  # mid\n2 1\n", 0, ""),
+}
+
+
+class TestTreeFiles:
+    @pytest.mark.parametrize("name", list(TREE_FILE_CASES))
+    def test_hom_on_tree_file(self, capsys, tmp_path, name):
+        text, status, err = TREE_FILE_CASES[name]
+        f = tmp_path / "tree.txt"
+        f.write_text(text)
+        got = run(capsys, "hom", "--tree", str(f), "--target", "h6", "--rows")
+        assert got == (status, "hom\t3\t2\t2\n" if status == 0 else "", err)
+        # an inline spec reads the same text the same way
+        inline = "inline:" + text.replace("\n", "\\n")
+        assert run(capsys, "hom", "--tree", inline, "--target", "h6", "--rows") == got
+
+    def test_tree_file_read_straight_into_a_tree(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a tree file went through a TargetGraph")
+
+        monkeypatch.setattr(cli, "parse_graph", refuse)
+        monkeypatch.setattr(cli.TargetGraph, "__init__", refuse)
+        f = tmp_path / "tree.txt"
+        f.write_text("4 3\n2 1\n0 1\n3 1\n")
+        assert parse_tree_spec(str(f)) == Tree.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+
+
+def _process(argv, **env):
+    """A fresh interpreter running `argv`, with the package importable."""
+    src = os.path.dirname(os.path.dirname(treehom.__file__))
+    return dict(args=[sys.executable, *argv],
+                env={**os.environ, "PYTHONPATH": src, **env})
+
+
+class TestProcess:
+    def test_import_loads_no_dataclasses_or_fractions(self):
+        # -S: no site hooks, which could load (and so hide) these modules
+        code = ("import sys; import treehom.cli; "
+                "print(sorted({'dataclasses', 'fractions', 'decimal'} & set(sys.modules)))")
+        out = subprocess.run(**_process(["-S", "-c", code]), capture_output=True, text=True,
+                             check=True).stdout
+        assert out == "[]\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_a_normal_end(self, unbuffered):
+        # 3,159 rows are well past a pipe's buffer, so the writer meets the
+        # closed pipe whether or not its stdout is buffered
+        argv = ["-c", "import sys; from treehom.cli import main; sys.exit(main())",
+                "trees", "-n", "14", "--rows"]
+        proc = subprocess.Popen(**_process(argv, PYTHONUNBUFFERED=unbuffered),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first.startswith(b"tree\t14\t") and err == b""

@@ -26,7 +26,11 @@ from treehom import (
     verify_hoffman_london,
 )
 from treehom import extremal
-from treehom.extremal import StrongHLCertificate
+from treehom.automorphy import OrbitPartition, SimilarityMatrix
+from treehom.extremal import (
+    ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
+)
+from treehom.trees import CanonicalTree
 from treehom.homcount import shape_vectors
 from treehom.trees import free_trees
 
@@ -286,3 +290,42 @@ class TestSweeps:
         classify_small_targets(14)
         assert vectors == list(range(2, 15))
         assert sorted(folds) == sorted(2 * list(range(2, 15)))
+
+
+def test_classify_builds_no_path(monkeypatch):
+    # each order's path count comes from the quotient, not a built path
+    def refuse(*args):
+        raise AssertionError("classify built or walked a path")
+
+    monkeypatch.setattr(extremal, "path", refuse)
+    monkeypatch.setattr(extremal, "tree_hom", refuse)
+    assert len(classify_small_targets(9)) == 28
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (OrbitPartition, ("graph", "classes", "class_of")),
+    (SimilarityMatrix, ("k", "m", "sizes", "ordering")),
+    (MinimizerReport, ("n", "min_count", "minimizers", "path_is_min", "path_is_unique_min",
+                       "max_count", "star_is_max")),
+    (OrderVerdict, ("n", "min_count", "path_is_min", "path_is_unique_min")),
+    (StrongHLCertificate, ("ordering", "t_max", "s_max", "witnesses")),
+    (HLVerdict, ("n_max", "reports", "matrix_certificate", "strong_certificate")),
+    (ClassificationRow, ("target_id", "min_counts", "labels", "summary")),
+    (CanonicalTree, ("tree", "code")),
+])
+def test_record_fields_in_order(cls, fields):
+    rec = cls(*range(len(fields)))
+    assert [getattr(rec, f) for f in fields] == list(range(len(fields)))
+    assert rec == cls(**dict(zip(fields, range(len(fields)))))
+    with pytest.raises(AttributeError):
+        setattr(rec, fields[0], -1)
+
+
+def test_record_properties():
+    H = make_widom_rowlinson(3)
+    P = extremal.class_data(H)[0]
+    assert P.k == len(P.classes) == 2
+    v = verify_hoffman_london(H, 6)
+    assert v.hoffman_london and v.strongly_hoffman_london
+    tie = verify_hoffman_london(SMALL_TARGETS[6], 6)  # unlooped K_2: all trees tie
+    assert tie.hoffman_london and not tie.strongly_hoffman_london

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -66,6 +67,42 @@ class TestTree:
         x, y = bipartition(t)
         assert len(x) == 2 and len(y) == 2
         assert set(x) | set(y) == {0, 1, 2, 3}
+
+
+class TestValueSemantics:
+    # both graph classes compare and hash on (n, edges) alone, which is what
+    # the lru_cache keys on targets rely on
+    CASES = [
+        (lambda: tg(3, (1, 0), (2, 2)), lambda: TargetGraph(3, frozenset({(0, 1), (2, 2)}))),
+        (lambda: Tree.from_edges(3, [(2, 1), (1, 0)]), lambda: Tree(3, ((0, 1), (1, 2)))),
+    ]
+
+    @pytest.mark.parametrize("make, same", CASES)
+    def test_equal_fields_equal_objects_and_hashes(self, make, same):
+        a, b = make(), same()
+        assert a is not b and a == b and hash(a) == hash(b) == hash((a.n, a.edges))
+        assert len({a, b}) == 1 and pickle.loads(pickle.dumps(a)) == a
+
+    def test_unequal_fields_or_classes(self):
+        assert tg(3, (0, 1)) != tg(4, (0, 1)) and tg(3, (0, 1)) != tg(3, (1, 2))
+        assert Tree.from_edges(3, [(0, 1), (0, 2)]) != Tree.from_edges(3, [(0, 1), (1, 2)])
+        assert tg(2, (0, 1)) != Tree.from_edges(2, [(0, 1)])
+        assert tg(2, (0, 1)) != (2, frozenset({(0, 1)}))
+
+    @pytest.mark.parametrize("make, _", CASES)
+    @pytest.mark.parametrize("attr", ["n", "edges", "_adj", "other"])
+    def test_attribute_assignment_refused(self, make, _, attr):
+        g = make()
+        with pytest.raises(AttributeError):
+            setattr(g, attr, 1)
+        with pytest.raises(AttributeError):
+            delattr(g, attr)
+        assert g == make()
+
+    def test_repr_shows_n_and_edges(self):
+        assert repr(Tree.from_edges(3, [(1, 0), (2, 1)])) == "Tree(n=3, edges=((0, 1), (1, 2)))"
+        h = tg(2, (0, 1))
+        assert repr(h) == "TargetGraph(n=2, edges=frozenset({(0, 1)}))"
 
 
 class TestParsing:

@@ -26,6 +26,8 @@ from treehom import (
     tree_partition_function,
 )
 from treehom.automorphy import class_data
+from treehom.homcount import _path_hom
+from treehom.trees import TREE_LIMIT
 
 H_IND = SMALL_TARGETS[7]
 
@@ -243,3 +245,9 @@ class TestBlowUpIdentity:
         cyc = (4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         lhs, rhs = check_blowup_identity(cyc, H_IND, [2, 1], 2)
         assert lhs == rhs
+
+
+def test_path_count_without_building_the_path():
+    for H in list(SMALL_TARGETS.values()) + [make_capacity_graph(3), make_widom_rowlinson(3)]:
+        for n in range(1, TREE_LIMIT + 1):
+            assert _path_hom(H, n) == tree_hom(path(n), H)

@@ -1,7 +1,7 @@
 """Property tests on random small loopy targets and random trees: the tree
 walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` (and the sweep verdicts against a walk-and-code
-reference), the batched sweep against one sweep per target, colour
+reference), the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
 refinement against refinement in rounds, the KC machinery against bare_path and its identity, the
 isomorphism search and the orbit search against all vertex permutations,
 the class-ordering search against all class orderings, and the edge-list
@@ -56,6 +56,7 @@ from treehom import (
 )
 from treehom import extremal
 from treehom.automorphy import _equitable_quotient
+from treehom.homcount import _path_hom
 from treehom.extremal import (
     LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, sweep_counts,
 )
@@ -135,6 +136,12 @@ def test_integer_route_matches_fraction_walk_and_brute_force(H, T, nums, dens, i
 @given(targets(), st.integers(1, 9))
 def test_sweep_counts_are_the_walk_counts(H, n):
     assert sorted(sweep_counts(H, n)) == sorted(tree_hom(ct.tree, H) for ct in all_trees(n))
+
+
+@PROPERTY
+@given(targets(max_n=6), st.integers(1, 30))
+def test_path_count_is_the_walk_count(H, n):
+    assert _path_hom(H, n) == tree_hom(path(n), H)
 
 
 @PROPERTY
