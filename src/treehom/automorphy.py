@@ -86,16 +86,20 @@ def _refined_colors(H: TargetGraph, initial: tuple | None = None) -> list[int]:
     return color
 
 
-@lru_cache(maxsize=None)
-def _equitable_quotient(H: TargetGraph, initial: tuple | None = None):
-    """(class_of, sizes, rows) of `_refined_colors(H, initial)`, cached. A
-    class's row lists the classes of a member's neighbours with repeats; all
-    members share it (Dell, Grohe & Rattan, ICALP 2018)."""
-    class_of = tuple(_refined_colors(H, initial))
+def _quotient(H: TargetGraph, class_of) -> tuple:
+    """(class_of, sizes, rows) of an equitable partition of H, classes
+    numbered 0..k-1. A class's row lists the classes of a member's neighbours
+    with repeats; all members share it (Dell, Grohe & Rattan, ICALP 2018)."""
     member = {c: v for v, c in enumerate(class_of)}
     sizes = Counter(class_of)
-    return class_of, tuple(sizes[c] for c in range(len(sizes))), tuple(
+    return tuple(class_of), tuple(sizes[c] for c in range(len(sizes))), tuple(
         tuple(sorted(class_of[u] for u in H.neighbors(member[c]))) for c in range(len(sizes)))
+
+
+@lru_cache(maxsize=None)
+def _equitable_quotient(H: TargetGraph, initial: tuple | None = None):
+    """`_quotient` of `_refined_colors(H, initial)`, cached."""
+    return _quotient(H, _refined_colors(H, initial))
 
 
 def _check_size(n: int, size_limit: int) -> None:
@@ -245,14 +249,10 @@ def similarity_matrix(P: OrbitPartition,
         ordering = tuple(range(k))
     if sorted(ordering) != list(range(k)):
         raise ValueError(f"ordering {ordering} is not a permutation of 0..{k - 1}")
-    H = P.graph
-    m = []
-    for i in ordering:
-        rep = P.classes[i][0]
-        m.append(tuple(sum(1 for u in H.neighbors(rep) if P.class_of[u] == j)
-                       for j in ordering))
-    sizes = tuple(len(P.classes[i]) for i in ordering)
-    return SimilarityMatrix(k, tuple(m), sizes, tuple(ordering))
+    _, sizes, rows = _quotient(P.graph, P.class_of)
+    m = tuple(tuple(rows[i].count(j) for j in ordering) for i in ordering)
+    sizes = tuple(sizes[i] for i in ordering)
+    return SimilarityMatrix(k, m, sizes, tuple(ordering))
 
 
 def has_increasing_columns(M: SimilarityMatrix) -> bool:
@@ -308,7 +308,7 @@ def find_increasing_ordering(
 def class_data(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT):
     """(OrbitPartition, identity-ordered SimilarityMatrix) for H, cached.
 
-    The only route to the class quotient, so a target's orbit search runs
+    The only route to the orbit quotient, so a target's orbit search runs
     once per process and size limit."""
     P = orbit_partition(H, size_limit)
     return P, similarity_matrix(P)

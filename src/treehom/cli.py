@@ -15,6 +15,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .automorphy import (
     AUT_SIZE_LIMIT,
+    _equitable_quotient,
     class_data,
     find_increasing_ordering,
     orbit_partition,
@@ -32,7 +33,6 @@ from .homcount import (
     BRUTE_FORCE_BUDGET,
     activities,
     hom_brute_force,
-    hom_count,
     kc_difference_decomposition,
     tree_hom,
     tree_partition_function,
@@ -52,10 +52,10 @@ from .extremal import (
 from .trees import all_trees, kc_sites, path, star, tree_count
 
 
-#: Cap on sites x vertices for `kc`. Every site builds and counts only the
-#: moved tree and walks T from both ends of its path, so the work grows like
-#: sites x n, and a path has ~n^2/2 sites.
-KC_WORK_LIMIT = 250_000
+#: Cap on `kc`'s work, sites x n x (k + 3) x (r + k) for H's quotient with k
+#: classes and r row entries: per site, three n-vertex walks and k columns of
+#: at most n message steps. A path on n vertices has ~n^2/2 sites.
+KC_WORK_LIMIT = 25_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +64,13 @@ KC_WORK_LIMIT = 250_000
 #: Cap on a shorthand target's edges, counted from its parameters unbuilt.
 SHORTHAND_EDGE_LIMIT = 1_000_000
 
-# name: (parameter count, edge count from the parameters, builder)
+# name: (parameter count, edge count from the parameters, builder); path and
+# star build a Tree, which a target spec turns into a TargetGraph
 _SHORTHANDS = {
-    "path": (1, lambda n: n - 1, lambda n: TargetGraph.from_edges(n, path(n).edges)),
+    "path": (1, lambda n: n - 1, path),
     "lpath": (1, lambda n: 2 * n - 1, lambda n: TargetGraph.from_edges(
         n, [(i, j) for i in range(n) for j in (i, i + 1) if j < n])),
-    "star": (1, lambda n: n - 1, lambda n: TargetGraph.from_edges(n, star(n).edges)),
+    "star": (1, lambda n: n - 1, star),
     "clique": (1, lambda n: n * (n - 1) // 2,
                lambda n: TargetGraph.from_edges(n, combinations(range(n), 2))),
     "lclique": (1, lambda n: n * (n + 1) // 2,
@@ -80,7 +81,7 @@ _SHORTHANDS = {
 }
 
 
-def _target_source(spec: str) -> TargetGraph | str:
+def _target_source(spec: str) -> TargetGraph | Tree | str:
     """The graph a shorthand or name builds, or the edge-list text of an
     inline spec or a file, in `parse_target_spec`'s order."""
     if spec.startswith("inline:"):
@@ -117,18 +118,20 @@ def parse_target_spec(spec: str) -> TargetGraph:
     A shorthand past SHORTHAND_EDGE_LIMIT edges raises SizeLimitError unbuilt.
     """
     g = _target_source(spec)
+    if isinstance(g, Tree):
+        return TargetGraph.from_edges(g.n, g.edges)
     return parse_graph(g) if isinstance(g, str) else g
 
 
 def parse_tree_spec(spec: str) -> Tree:
     """Any target spec whose graph is a tree (path:n, star:n, inline:..., a
-    file path...); other graphs raise ValueError. Edge-list text is read once,
-    straight into the Tree."""
+    file path...); other graphs raise ValueError. A path or star shorthand is
+    built as a Tree, and edge-list text is read once, straight into the Tree."""
     g = _target_source(spec)
     if isinstance(g, str):
         n, edges = _read_edge_list(g)
         return Tree(n, tuple(sorted(edges)))
-    return Tree.from_edges(g.n, g.edges)
+    return g if isinstance(g, Tree) else Tree.from_edges(g.n, g.edges)
 
 
 def _parse_activities(text: str, n: int):
@@ -330,14 +333,17 @@ def _cmd_kc(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
     sites = kc_sites(T)
-    if len(sites) * T.n > KC_WORK_LIMIT:
-        raise SizeLimitError(f"kc would check {len(sites)} sites on a {T.n}-vertex tree: "
-                             f"sites x vertices is {len(sites) * T.n}, the limit is {KC_WORK_LIMIT}")
+    _, sizes, rows = _equitable_quotient(H)
+    k, r = len(sizes), sum(map(len, rows))
+    work = len(sites) * T.n * (k + 3) * (r + k)
+    if work > KC_WORK_LIMIT:
+        raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {len(sites)} x {T.n} x "
+                             f"{k + 3} x {r + k} = {work} is past KC_WORK_LIMIT = {KC_WORK_LIMIT}")
     status = 0
     # hom(T, H) is the same at every site: count it once (a star has none)
-    hom_T = hom_count(T, H, args.size_limit) if sites else None
+    hom_T = tree_hom(T, H) if sites else None
     for vl, vr in sites:
-        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, args.size_limit, hom_T)
+        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, hom_T)
         ok = lhs == rhs
         if not ok:
             status = 1
@@ -433,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sidorenko)
 
     p = sub.add_parser("kc", help="verify the KC difference decomposition on a tree")
-    common(p, target=True, tree=True, size_limit=True)
+    common(p, target=True, tree=True)
     p.set_defaults(func=_cmd_kc)
 
     return top

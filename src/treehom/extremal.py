@@ -9,7 +9,7 @@ per-n verdicts up to the swept bound, never the unbounded property.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
@@ -23,7 +23,7 @@ from .automorphy import (
     has_increasing_columns,
     similarity_matrix,
 )
-from .graphs import SizeLimitError, TargetGraph, disjoint_union
+from .graphs import SizeLimitError, TargetGraph
 from .homcount import _path_hom, hom_vector, path_pair_counts, shape_vectors, tree_hom
 from .trees import free_trees, path, rooted_shapes, star, tree_codes
 
@@ -200,7 +200,9 @@ def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
     product of its parts' messages (`shape_vectors`), weighted by a target's
     vertices in each class. A lone target has all of them, so its roots are
     weighted once and each count is a sum."""
-    union = reduce(disjoint_union, targets)
+    starts = list(accumulate((G.n for G in targets), initial=0))
+    union = TargetGraph(starts[-1], frozenset(
+        (u + s, v + s) for G, s in zip(targets, starts) for u, v in G.edges))
     class_of, sizes, _ = _equitable_quotient(union)
     h, msg = shape_vectors(union, n)
 
@@ -213,7 +215,7 @@ def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
     cols: list[list[int]] = [[] for _ in sizes]  # cols[c][i] = tree i's vec[c]
     for vec in free_trees(n, h, extend):
         list(map(list.append, cols, vec))
-    for H, start in zip(targets, accumulate((G.n for G in targets), initial=0)):
+    for H, start in zip(targets, starts):
         mult = Counter(class_of[start:start + H.n])
         yield list(map(sum, zip(*(map(mul, repeat(m), cols[c]) for c, m in mult.items()))))
 
@@ -288,16 +290,8 @@ def check_strong_hl_certificate(
     witnesses = []
     for t in range(2, t_max + 1):
         p = path_pair_counts(t, M)
-        found = None
-        for a in range(k):
-            for b in range(k):
-                if a == b or p[a, b] == 0:
-                    continue
-                if all(endpoint[s][b] > endpoint[s][a] for s in range(2, s_max + 1)):
-                    found = (a, b)
-                    break
-            if found:
-                break
+        found = next(((a, b) for a in range(k) for b in range(k) if a != b and p[a, b]
+                      and all(endpoint[s][b] > endpoint[s][a] for s in range(2, s_max + 1))), None)
         if found is None:
             return f"no witness class pair for path length t={t}"
         witnesses.append((t, found))

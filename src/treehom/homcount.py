@@ -2,11 +2,11 @@
 force, path-pair tables, the KC difference decomposition, and weighted
 partition functions.
 
-The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom` and
-`tree_partition_function` run it over H's coarsest equitable quotient (rooted
-counts agree on its classes; activities refine it), and `hom_vector` (behind
-`hom_count`, the KC decomposition and the certificates) over the paper's
-automorphic similarity classes, with the similarity matrix as A.
+The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom`,
+`tree_partition_function` and the KC decomposition run it over H's coarsest
+equitable quotient (rooted counts agree on its classes; activities refine
+it), and `hom_vector` (behind `hom_count` and the certificates) over the
+paper's automorphic similarity classes, with the similarity matrix as A.
 `shape_vectors` runs the quotient walk once per rooted shape of the tree
 generator, so a sweep composes every tree's count from shared subtree vectors
 instead of walking each tree. Brute-force enumeration of vertex maps is kept
@@ -20,7 +20,7 @@ the end: none per vertex, and never a float.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
@@ -173,65 +173,62 @@ def hom_brute_force(G: LooplessGraph, H: TargetGraph,
 # ---------------------------------------------------------------------------
 # path-pair counts
 
-class PathPairTable:
-    """p[i][j] = H-colorings of the t-vertex path with endpoints in the
-    classes at positions i and j of the matrix ordering."""
-
-    def __init__(self, t: int, p: tuple[tuple[int, ...], ...]):
-        self.t = t
-        self.p = p
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.p[ij[0]][ij[1]]
-
-
-def path_pair_counts(t: int, M: SimilarityMatrix) -> PathPairTable:
-    """Built by iterating the class transfer step t-1 times from indicator
-    vectors, then weighting rows by class sizes."""
+def _pair_counts(t: int, sizes: Sequence[int], rows: Sequence[Sequence[int]]) -> dict:
+    """p[i, j] = sizes[i]·(B^(t-1))[i][j], B the class matrix that rows list:
+    colorings of the t-vertex path with its ends in classes i and j. Column j
+    is t - 1 message steps from class j's indicator."""
     if t < 1:
         raise ValueError("path length must be >= 1 vertex")
-    k = M.k
-    # q[i][j]: colorings of P_t with x_1 a fixed representative of class i
-    # and x_t anywhere in class j; q for t=1 is the identity
-    q = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    for _ in range(t - 1):
-        q = [[sum(M.m[i][l] * q_l[j] for l, q_l in enumerate(q)) for j in range(k)]
-             for i in range(k)]
-    p = tuple(tuple(M.sizes[i] * q[i][j] for j in range(k)) for i in range(k))
-    return PathPairTable(t, p)
+    k = len(sizes)
+    p = {}
+    for j in range(k):
+        h = [int(i == j) for i in range(k)]
+        for _ in range(t - 1):
+            h = _message(rows, h)
+        p.update(((i, j), sizes[i] * x) for i, x in enumerate(h))
+    return p
+
+
+def path_pair_counts(t: int, M: SimilarityMatrix) -> dict[tuple[int, int], int]:
+    """p[i, j] = H-colorings of the t-vertex path with endpoints in the
+    classes at positions i and j of M's ordering."""
+    return _pair_counts(t, M.sizes, _class_rows(M))
 
 
 # ---------------------------------------------------------------------------
 # KC difference decomposition
 
 def kc_difference_decomposition(
-    T: Tree, v_left: int, v_right: int, H: TargetGraph,
-    size_limit: int = AUT_SIZE_LIMIT, hom_T: Optional[int] = None,
+    T: Tree, v_left: int, v_right: int, H: TargetGraph, hom_T: Optional[int] = None,
 ) -> tuple[int, int]:
-    """(lhs, rhs) with lhs = hom(T_KC, H) - hom(T, H) computed directly and
-    rhs the pairwise-difference sum over the L/R rooted vectors and the
-    path-pair table; the two agree.
+    """(lhs, rhs): lhs = hom(T_KC, H) - hom(T, H) counted directly, rhs the
+    class-level sum below; the two agree.
 
-    hom_T is hom(T, H) when the caller has counted it already (it is the same
-    at every site of T); hom(T_KC, H) is always counted here, since it is the
-    identity's independent side. The L and R vectors are walks of T itself
-    from v_left and v_right, each kept off the path by skipping its first
-    path vertex, so the moved tree is the only one built."""
+    With t the site's path length, ℓ_x (r_y) the colorings of the v_left
+    (v_right) side with its end at x (y), and P_t(x, y) those of the path with
+    its ends at x and y: hom(T, H) = Σ ℓ_x P_t(x,y) r_y and, the sides glued,
+    hom(T_KC, H) = Σ ℓ_x r_x P_t(x,y). P_t is symmetric, so the difference is
+    ½ Σ P_t(x,y)(ℓ_x − ℓ_y)(r_x − r_y). ℓ and r are constant on the classes of
+    any equitable partition and Σ_{x∈i, y∈j} P_t(x,y) = sizes[i]·(B^(t−1))[i][j],
+    so rhs = Σ_{i<j} (ℓ_j − ℓ_i)(r_j − r_i)·p[i, j] is the same integer on
+    every equitable partition, orbits included; it runs on H's coarsest one.
+
+    hom_T is hom(T, H) if the caller has it (it is the same at every site);
+    hom(T_KC, H) is always counted, being the identity's independent side. ℓ
+    and r are walks of T from v_left and v_right that skip the first path
+    vertex, so the moved tree is the only one built."""
     pth = bare_path(T, v_left, v_right)
-    _, M = class_data(H, size_limit)
     if hom_T is None:
-        hom_T = hom_count(T, H, size_limit)
-    lhs = hom_count(_kc_glue(T, pth), H, size_limit) - hom_T
+        hom_T = tree_hom(T, H)
+    lhs = tree_hom(_kc_glue(T, pth), H) - hom_T
 
-    rows, ones = _class_rows(M), [1] * M.k
+    _, sizes, rows = _equitable_quotient(H)
+    ones = [1] * len(sizes)
     ell = _walk(T, v_left, rows, ones, skip=pth[1])
     arr = _walk(T, v_right, rows, ones, skip=pth[-2])
-    p = path_pair_counts(len(pth), M)
-    k = M.k
-    rhs = sum(
-        (ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
-        for i in range(k) for j in range(i + 1, k)
-    )
+    p = _pair_counts(len(pth), sizes, rows)
+    rhs = sum((ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
+              for i, j in combinations(range(len(sizes)), 2))
     return lhs, rhs
 
 

@@ -151,18 +151,37 @@ class TestSubcommands:
     def test_kc_counts_the_tree_once(self, capsys, monkeypatch):
         # hom(T, H) is shared by every site; hom(T_KC, H) is counted per site
         counted = []
-        real = homcount.hom_count
+        real = homcount.tree_hom
 
-        def counting(T, H, size_limit):
+        def counting(T, H):
             counted.append(T)
-            return real(T, H, size_limit)
+            return real(T, H)
 
-        monkeypatch.setattr(homcount, "hom_count", counting)
-        monkeypatch.setattr(cli, "hom_count", counting)
+        monkeypatch.setattr(homcount, "tree_hom", counting)
+        monkeypatch.setattr(cli, "tree_hom", counting)
         status, out, _ = run(capsys, "kc", "--tree", "path:7", "--target", "hind", "--rows")
         sites = kc_sites(path(7))
         assert status == 0 and len(out.splitlines()) == len(sites) > 1
         assert counted[0] == path(7) and len(counted) == len(sites) + 1
+
+    def test_kc_past_the_orbit_search_size_limit(self, capsys):
+        # lpath:22 is past the orbit search's 21 vertices; kc counts on the
+        # equitable quotient, so no KC site is skipped
+        status, out, _ = run(capsys, "kc", "--tree", "path:6", "--target", "lpath:22", "--rows")
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert status == 0 and len(rows) == len(kc_sites(path(6)))
+        assert all(f[0] == "kc" and f[3] == f[4] and f[5] == "1" for f in rows)
+
+    @pytest.mark.parametrize("target", ["hind", "capacity:3", "folkman+dom", "lpath:22"])
+    def test_kc_runs_no_orbit_search(self, capsys, monkeypatch, target):
+        def refuse(*args):
+            raise AssertionError("kc ran the orbit search")
+
+        monkeypatch.setattr(automorphy, "orbit_partition", refuse)
+        automorphy.class_data.cache_clear()
+        status, out, _ = run(capsys, "kc", "--tree", "path:7", "--target", target, "--rows")
+        automorphy.class_data.cache_clear()
+        assert status == 0 and len(out.splitlines()) == len(kc_sites(path(7)))
 
     def test_kc_derives_each_path_once(self, capsys, monkeypatch, tmp_path):
         # kc_difference_decomposition glues the path it has already validated
@@ -300,6 +319,7 @@ class TestErrorHandling:
         ("check-hl", "--target", "hind", "--budget", "5"),
         ("hom", "--tree", "path:3", "--target", "hind", "--size-limit", "5"),
         ("classify", "--size-limit", "5"),
+        ("kc", "--tree", "path:6", "--target", "hind", "--size-limit", "5"),
         ("partition", "--tree", "path:3", "--target", "hind", "--activities", "1,1",
          "--budget", "5"),
     ])
@@ -314,8 +334,9 @@ class TestErrorHandling:
         assert status == 2 and "budget" in err
 
     @pytest.mark.parametrize("argv, needle", [
-        # the target is past the size limit: no KC site may be skipped
-        (("kc", "--tree", "path:6", "--target", "lpath:22"), "21 vertices"),
+        # 3,003 sites on 80 vertices into path:21's 11 classes and 21 row
+        # entries: an estimate of 107,627,520
+        (("kc", "--tree", "path:80", "--target", "path:21"), "KC_WORK_LIMIT"),
         (("partition", "--tree", "path:3", "--target", "hind",
           "--activities", "1/0,1"), "bad activity"),
         (("classify", "--n-max", "1"), "n_max >= 2"),
@@ -328,6 +349,14 @@ class TestErrorHandling:
     def test_failure_reported_exit_2(self, capsys, argv, needle):
         status, out, err = run(capsys, *argv)
         assert status == 2 and out == "" and needle in err
+
+    def test_kc_work_estimate_reads_the_target_quotient(self, capsys):
+        # 3 sites x 5 vertices is tiny, but path:3000's quotient has 1,500
+        # classes: the estimate is past the cap before any site is counted
+        start = time.perf_counter()
+        status, out, err = run(capsys, "kc", "--tree", "path:5", "--target", "path:3000")
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and "KC_WORK_LIMIT" in err
 
     def test_kc_work_limit_checked_before_any_site(self, capsys):
         # a path has ~n^2/2 sites; 28,203 sites x 240 vertices is past the cap

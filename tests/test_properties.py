@@ -354,7 +354,7 @@ def test_kc_move_keeps_vertex_count(T):
 def test_kc_identity_at_every_site(H, T):
     for vl, vr in kc_sites(T):
         lhs, rhs = kc_difference_decomposition(T, vl, vr, H)
-        assert lhs == rhs
+        assert lhs == rhs == hom_count(kc_move(T, vl, vr), H) - hom_count(T, H)
 
 
 @PROPERTY
