@@ -8,8 +8,8 @@ refinement gives the coarsest equitable partition that `homcount` counts
 on. Orbits do not list the group: each comes from searches pinned to one
 vertex pair, which stop at the first automorphism found (orbit pruning,
 McKay & Piperno, "Practical graph isomorphism II", 2014), so a clique's
-orbit costs n searches, not n! automorphisms. The default size guard is 12
-vertices; callers that know their graph is tame can raise it.
+orbit costs n searches, not n! automorphisms. The searches count their
+steps and stop at AUT_WORK_LIMIT; a vertex count is no guide to their cost.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
 
-AUT_SIZE_LIMIT = 12
-ORDERING_NODE_LIMIT = 100_000
+AUT_WORK_LIMIT = 2_000_000
+ORDERING_WORK_LIMIT = 10_000_000
 
 
 class OrbitPartition(NamedTuple):
@@ -102,34 +102,38 @@ def _equitable_quotient(H: TargetGraph, initial: tuple | None = None):
     return _quotient(H, _refined_colors(H, initial))
 
 
-def _check_size(n: int, size_limit: int) -> None:
-    if n > size_limit:
-        raise SizeLimitError(f"automorphism search limited to {size_limit} vertices, got {n}")
+def _charge(spent: list[int], steps: int, limit: str = "AUT_WORK_LIMIT") -> None:
+    """Add steps to a search's running count spent[0]; past the module
+    constant named limit, SizeLimitError."""
+    spent[0] += steps
+    if spent[0] > (cap := globals()[limit]):
+        raise SizeLimitError(f"search limited to {cap} steps ({limit})")
 
 
-def _isomorphisms(G: TargetGraph, H: TargetGraph, size_limit: int):
+def _isomorphisms(G: TargetGraph, H: TargetGraph):
     """Yield every loop- and adjacency-preserving bijection G -> H, as the
     tuple of images of G's vertices.
 
     Candidates are pruned by the refined colors of the disjoint union G + H,
     so color ids mean the same in both graphs; if the two color multisets
-    differ, nothing is yielded. When G is H, refining H alone gives the
-    colors of either half at half the cost.
+    differ, nothing is yielded. When G is H, H's cached equitable quotient
+    gives the colors of either half.
     """
-    _check_size(max(G.n, H.n), size_limit)
-    colors = _refined_colors(G if G is H else disjoint_union(G, H))
+    colors = _equitable_quotient(H)[0] if G is H else _refined_colors(disjoint_union(G, H))
     cg, ch = colors[:G.n], colors[len(colors) - H.n:]
     if sorted(cg) == sorted(ch):
-        yield from _maps(G, H, cg, ch)
+        yield from _maps(G, H, cg, ch, [0])
 
 
-def _maps(G: TargetGraph, H: TargetGraph, cg: list[int], ch: list[int],
+def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
           pin: tuple[int, int] | None = None):
     """Backtrack over vertex images, yielding the color-preserving maps
     G -> H (colors cg on G, ch on H) that keep loops and adjacency.
 
     With pin = (r, w), r is mapped first and w is its only candidate, so
-    only the maps sending r to w are yielded.
+    only the maps sending r to w are yielded. Each candidate tried for the
+    vertex at depth d is charged 1 + d steps to spent (see _charge). The
+    backtrack keeps its own stack of candidate iterators, one per depth.
     """
     by_color: dict[int, list[int]] = {}
     for w in H.vertices():
@@ -150,50 +154,57 @@ def _maps(G: TargetGraph, H: TargetGraph, cg: list[int], ch: list[int],
         placed[v] = True
         order.append(v)
         stack.extend(sorted(G.neighbors(v) - {v}, reverse=True))
+    # a vertex's candidates are the neighbours of a mapped neighbour's image
+    depth = {v: d for d, v in enumerate(order)}
+    anchor = [next((u for u in G.neighbors(v) if depth[u] < d), None) for d, v in enumerate(order)]
 
-    image: dict[int, int] = {}
+    def candidates(d: int):
+        if anchor[d] is not None:
+            return iter(sorted(H.neighbors(image[anchor[d]])))
+        return iter((pin[1],) if pin and d == 0 else by_color[cg[order[d]]])
+
+    if not G.n:
+        yield ()
+        return
+    image = [0] * G.n
     used = [False] * H.n
-
-    def extend(pos: int):
-        if pos == G.n:
-            yield tuple(image[v] for v in range(G.n))
-            return
-        v = order[pos]
-        mapped_nbrs = [u for u in G.neighbors(v) if u in image and u != v]
-        if mapped_nbrs:
-            cands = H.neighbors(image[mapped_nbrs[0]])
-        elif pin and pos == 0:
-            cands = (pin[1],)
+    tries = [candidates(0)]
+    while tries:
+        d = len(tries) - 1
+        v = order[d]
+        for w in tries[-1]:
+            _charge(spent, 1 + d)
+            if (not used[w] and ch[w] == cg[v] and H.has_loop(w) == G.has_loop(v)
+                    and all(H.has_edge(image[u], w) == G.has_edge(u, v) for u in order[:d])):
+                break
         else:
-            cands = by_color[cg[v]]
-        for w in sorted(cands):
-            if used[w] or ch[w] != cg[v] or H.has_loop(w) != G.has_loop(v):
-                continue
-            if all(H.has_edge(image[u], w) == G.has_edge(u, v) for u in image):
-                image[v] = w
-                used[w] = True
-                yield from extend(pos + 1)
-                used[w] = False
-                del image[v]
+            tries.pop()
+            if d:  # the depth above goes on to its next candidate
+                used[image[order[d - 1]]] = False
+            continue
+        image[v] = w
+        used[w] = True
+        if d + 1 < G.n:
+            tries.append(candidates(d + 1))
+        else:
+            yield tuple(image)
+            used[w] = False
 
-    yield from extend(0)
 
-
-def automorphisms(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> list[tuple[int, ...]]:
+def automorphisms(H: TargetGraph) -> list[tuple[int, ...]]:
     """All loop- and adjacency-preserving vertex permutations."""
-    return list(_isomorphisms(H, H, size_limit))
+    return list(_isomorphisms(H, H))
 
 
 def is_isomorphic(H1: TargetGraph, H2: TargetGraph) -> bool:
-    """Whether some bijection maps H1's edges and loops onto H2's. Graphs with
-    equal vertex and edge counts past AUT_SIZE_LIMIT vertices raise
-    SizeLimitError."""
+    """Whether some bijection maps H1's edges and loops onto H2's. A search
+    past AUT_WORK_LIMIT steps raises SizeLimitError."""
     if H1.n != H2.n or len(H1.edges) != len(H2.edges):
         return False
-    return next(_isomorphisms(H1, H2, AUT_SIZE_LIMIT), None) is not None
+    return next(_isomorphisms(H1, H2), None) is not None
 
 
-def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPartition:
+def orbit_partition(H: TargetGraph) -> OrbitPartition:
     """Orbits of the automorphism group, classes indexed by least vertex.
 
     The group is not listed. Vertices are taken in order; a vertex w not yet
@@ -202,10 +213,11 @@ def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPa
     stops at the first automorphism found and joins all of its cycles. A
     vertex that no such search reaches represents a new orbit. That is at
     most n * k searches (k orbits), each still exponential in the worst case
-    on graphs that color refinement cannot split, hence the size limit.
+    on graphs that color refinement cannot split, so together they stop at
+    AUT_WORK_LIMIT steps.
     """
-    _check_size(H.n, size_limit)
-    colors = _refined_colors(H)
+    colors = _equitable_quotient(H)[0]
+    spent = [0]
     parent = list(range(H.n))
 
     def find(x: int) -> int:
@@ -220,7 +232,7 @@ def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPa
         if any(find(r) == find(w) for r in same):
             continue
         for r in same:
-            sigma = next(_maps(H, H, colors, colors, (r, w)), None)
+            sigma = next(_maps(H, H, colors, colors, spent, (r, w)), None)
             if sigma is not None:
                 for v in H.vertices():
                     ru, rv = find(v), find(sigma[v])
@@ -229,15 +241,12 @@ def orbit_partition(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> OrbitPa
                 break
         else:
             same.append(w)
-    groups: dict[int, list[int]] = {}
-    for v in H.vertices():
-        groups.setdefault(find(v), []).append(v)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    class_of = [0] * H.n
-    for i, cls in enumerate(classes):
-        for v in cls:
-            class_of[v] = i
-    return OrbitPartition(H, classes, tuple(class_of))
+    index: dict[int, int] = {}  # orbit root -> class, numbered in order of least member
+    class_of = tuple(index.setdefault(find(v), len(index)) for v in H.vertices())
+    classes: list[list[int]] = [[] for _ in index]
+    for v, c in enumerate(class_of):
+        classes[c].append(v)
+    return OrbitPartition(H, tuple(map(tuple, classes)), class_of)
 
 
 def similarity_matrix(P: OrbitPartition,
@@ -250,7 +259,8 @@ def similarity_matrix(P: OrbitPartition,
     if sorted(ordering) != list(range(k)):
         raise ValueError(f"ordering {ordering} is not a permutation of 0..{k - 1}")
     _, sizes, rows = _quotient(P.graph, P.class_of)
-    m = tuple(tuple(rows[i].count(j) for j in ordering) for i in ordering)
+    counts = [Counter(rows[i]) for i in ordering]
+    m = tuple(tuple(c[j] for j in ordering) for c in counts)
     sizes = tuple(sizes[i] for i in ordering)
     return SimilarityMatrix(k, m, sizes, tuple(ordering))
 
@@ -264,9 +274,7 @@ def has_increasing_columns(M: SimilarityMatrix) -> bool:
     return True
 
 
-def find_increasing_ordering(
-    H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT,
-) -> tuple[tuple[int, ...], SimilarityMatrix] | None:
+def find_increasing_ordering(H: TargetGraph) -> tuple[tuple[int, ...], SimilarityMatrix] | None:
     """First class ordering (lexicographic) whose matrix passes, or None.
 
     A passing ordering is sorted by f_S(x) = sum of m[x][y], y in S, for each
@@ -274,22 +282,24 @@ def find_increasing_ordering(
     front to back, lowest index first, with backtracking: x extends the
     prefix only if, under each f_S that the prefix and x fix, the prefix then
     x is sorted and no unplaced class scores below x. Both are necessary, so
-    the first full ordering reached is the first that passes. Each candidate
-    tried is a node; past ORDERING_NODE_LIMIT nodes, SizeLimitError.
+    the first full ordering reached is the first that passes.
+
+    Each prefix costs |scores| * |rest| steps and each candidate k + |placed|;
+    past ORDERING_WORK_LIMIT steps, SizeLimitError. The prefix of length j
+    costs (j + 1)(k - j), so reaching depth d costs at least d(d + 1)(d + 2)/6
+    steps and the recursion never goes past about 390 frames.
     """
-    P, base = class_data(H, size_limit)
-    nodes = 0
+    P, base = class_data(H)
+    spent = [0]
 
     def extend(placed: list[int], scores: list[list[int]], rest: list[int]):
         # scores[p][x] = f_S(x), S the suffix set from position p on
-        nonlocal nodes
         if not rest:
             return tuple(placed)
+        _charge(spent, len(scores) * len(rest), "ORDERING_WORK_LIMIT")
         lows = [min(s[y] for y in rest) for s in scores]
         for x in rest:
-            nodes += 1
-            if nodes > ORDERING_NODE_LIMIT:
-                raise SizeLimitError(f"ordering search limited to {ORDERING_NODE_LIMIT} nodes")
+            _charge(spent, P.k + len(placed), "ORDERING_WORK_LIMIT")
             if any(s[x] > low for s, low in zip(scores, lows)):
                 continue
             after, seq = [y for y in rest if y != x], placed + [x]
@@ -305,10 +315,11 @@ def find_increasing_ordering(
 
 
 @lru_cache(maxsize=None)
-def class_data(H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT):
+def class_data(H: TargetGraph):
     """(OrbitPartition, identity-ordered SimilarityMatrix) for H, cached.
 
     The only route to the orbit quotient, so a target's orbit search runs
-    once per process and size limit."""
-    P = orbit_partition(H, size_limit)
+    once per process. The k x k matrix is charged k^2 steps (see _charge)."""
+    P = orbit_partition(H)
+    _charge([0], P.k ** 2)
     return P, similarity_matrix(P)

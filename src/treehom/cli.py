@@ -14,7 +14,6 @@ import sys
 from itertools import combinations, combinations_with_replacement
 
 from .automorphy import (
-    AUT_SIZE_LIMIT,
     _equitable_quotient,
     class_data,
     find_increasing_ordering,
@@ -188,7 +187,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_orbits(args) -> int:
     H = parse_target_spec(args.target)
-    P = orbit_partition(H, args.size_limit)
+    P = orbit_partition(H)
     if args.rows:
         for i, cls in enumerate(P.classes):
             print(f"class\t{i}\t{len(cls)}\t{','.join(map(str, cls))}")
@@ -201,8 +200,8 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_matrix(args) -> int:
     H = parse_target_spec(args.target)
-    P, base = class_data(H, args.size_limit)
-    result = find_increasing_ordering(H, args.size_limit)
+    P, base = class_data(H)
+    result = find_increasing_ordering(H)
     if args.rows:
         print(f"sizes\t{','.join(map(str, base.sizes))}")
         for row in base.m:
@@ -261,7 +260,7 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_check_hl(args) -> int:
     H = parse_target_spec(args.target)
-    verdict = verify_hoffman_london(H, args.n_max, args.size_limit)
+    verdict = verify_hoffman_london(H, args.n_max)
     ok = verdict.strongly_hoffman_london if args.strong else verdict.hoffman_london
     if args.rows:
         for rep in verdict.reports:
@@ -367,16 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, target=False, tree=False, n=False, n_max=False, budget=False,
-               size_limit=False):
+    def common(p, target=False, tree=False, n=False, n_max=False, budget=False):
         p.add_argument("--rows", action="store_true",
                        help="machine-readable tab-separated output")
         if budget:
             p.add_argument("--budget", type=int, default=BRUTE_FORCE_BUDGET,
                            help="brute-force enumeration cap")
-        if size_limit:
-            p.add_argument("--size-limit", type=int, default=AUT_SIZE_LIMIT + 9,
-                           help="automorphism-search vertex cap")
         if target:
             p.add_argument("--target", required=True,
                            help="target graph: shorthand, inline:..., or file")
@@ -402,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_partition)
 
     p = sub.add_parser("orbits", help="automorphic similarity classes of a target")
-    common(p, target=True, size_limit=True)
+    common(p, target=True)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("matrix", help="similarity matrix and increasing-columns verdict")
-    common(p, target=True, size_limit=True)
+    common(p, target=True)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("trees", help="list non-isomorphic trees of an order")
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("check-hl", help="sweep path minimality up to an order")
-    common(p, target=True, n_max=True, size_limit=True)
+    common(p, target=True, n_max=True)
     p.add_argument("--strong", action="store_true",
                    help="require the path to be the unique minimizer (n >= 4)")
     p.set_defaults(func=_cmd_check_hl)
@@ -459,10 +454,6 @@ def main(argv=None) -> int:
         return 0
     except (GraphParseError, SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input too large: the search ran past the interpreter's "
-              "recursion limit", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,6 @@ from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphy import (
-    AUT_SIZE_LIMIT,
     SimilarityMatrix,
     _equitable_quotient,
     class_data,
@@ -257,18 +256,16 @@ def _check_n_max(n_max: int, what: str) -> None:
         raise ValueError(f"{what} needs n_max >= 2, got {n_max}")
 
 
-def verify_hoffman_london(H: TargetGraph, n_max: int,
-                          size_limit: int = AUT_SIZE_LIMIT) -> HLVerdict:
+def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
     _check_n_max(n_max, "the path-minimality check")
     reports = tuple(_order_verdict(H, n)[1] for n in range(2, n_max + 1))
     try:
-        cert = find_increasing_ordering(H, size_limit)
+        cert = find_increasing_ordering(H)
     except SizeLimitError:
         cert = None
     strong = None
     if cert is not None:
-        got = check_strong_hl_certificate(H, cert[0], t_max=n_max, s_max=n_max,
-                                          size_limit=size_limit)
+        got = check_strong_hl_certificate(H, cert[0], t_max=n_max, s_max=n_max)
         if isinstance(got, StrongHLCertificate):
             strong = got
     return HLVerdict(n_max, reports, cert, strong)
@@ -276,12 +273,11 @@ def verify_hoffman_london(H: TargetGraph, n_max: int,
 
 def check_strong_hl_certificate(
     H: TargetGraph, ordering: tuple[int, ...], t_max: int = 9, s_max: int = 9,
-    size_limit: int = AUT_SIZE_LIMIT,
 ) -> Union[StrongHLCertificate, str]:
     """Search, for each path length 2..t_max, for a class pair (a, b) with a
     joint endpoint coloring and strictly larger endpoint counts for b at
     every length 2..s_max; lexicographically least pair wins."""
-    P, _ = class_data(H, size_limit)
+    P, _ = class_data(H)
     M = similarity_matrix(P, ordering)
     if not has_increasing_columns(M):
         return "ordering does not pass the increasing-columns test"

@@ -25,7 +25,7 @@ from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
-from .automorphy import AUT_SIZE_LIMIT, SimilarityMatrix, _equitable_quotient, class_data
+from .automorphy import SimilarityMatrix, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
 from .trees import _kc_glue, bare_path, rooted_shapes
 
@@ -125,9 +125,9 @@ def _class_rows(M: SimilarityMatrix) -> list[list[int]]:
     return [[j for j, mult in enumerate(row) for _ in range(mult)] for row in M.m]
 
 
-def hom_count(T: Tree, H: TargetGraph, size_limit: int = AUT_SIZE_LIMIT) -> int:
+def hom_count(T: Tree, H: TargetGraph) -> int:
     """hom(T, H) via the similarity-class tree walk."""
-    _, M = class_data(H, size_limit)
+    _, M = class_data(H)
     h = hom_vector(T, 0, M)
     return sum(a * x for a, x in zip(M.sizes, h))
 

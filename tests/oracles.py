@@ -27,6 +27,10 @@ Two oracles that share no code with treehom.automorphy:
   every vertex by its colour and its neighbours' colour multiset, until the
   number of colours stops growing; a path takes Θ(n) rounds, so it is for
   small graphs only.
+
+One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
+colour refinement cannot split and whose pinned orbit searches fail only
+deep down.
 """
 
 from __future__ import annotations
@@ -181,3 +185,12 @@ def round_refined_colors(H: TargetGraph) -> list[int]:
         if len(palette) == ncolors:
             return [col[v] for v in H.vertices()]
         ncolors = len(palette)
+
+
+def dense_regular_21() -> TargetGraph:
+    """The complement of the circulant C21(1, 2) after its edges (0, 1) and
+    (10, 11) are replaced by (0, 10) and (1, 11): 16-regular, 168 edges."""
+    sparse = {tuple(sorted((i, (i + d) % 21))) for i in range(21) for d in (1, 2)}
+    sparse = sparse - {(0, 1), (10, 11)} | {(0, 10), (1, 11)}
+    return TargetGraph.from_edges(21, [(i, j) for i in range(21) for j in range(i + 1, 21)
+                                       if (i, j) not in sparse])

@@ -117,7 +117,7 @@ def test_2_oracle_equivalence():
 
 def test_3_folkman_example():
     h = make_folkman_plus_dominating()
-    p = orbit_partition(h, size_limit=21)
+    p = orbit_partition(h)
     ok = tuple(len(c) for c in p.classes) == (10, 10, 1)
     m = similarity_matrix(p)
     ok = ok and m.m == ((0, 4, 1), (4, 0, 1), (10, 10, 1))

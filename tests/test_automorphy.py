@@ -19,6 +19,8 @@ from treehom import (
 )
 from treehom.automorphy import SimilarityMatrix
 
+from oracles import dense_regular_21
+
 
 def tg(n, *edges):
     return TargetGraph.from_edges(n, edges)
@@ -71,8 +73,11 @@ class TestIsomorphism:
         assert not is_isomorphic(c6, two_triangles)
         assert not is_isomorphic(two_triangles, c6)
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
+    def test_size_limit(self, monkeypatch):
+        # the first map tried is the identity: 819 steps, far below the limit
+        assert is_isomorphic(tg(13), tg(13))
+        monkeypatch.setattr(automorphy, "AUT_WORK_LIMIT", 818)
+        with pytest.raises(SizeLimitError, match="AUT_WORK_LIMIT"):
             is_isomorphic(tg(13), tg(13))
 
 
@@ -88,7 +93,7 @@ class TestOrbitPartition:
     def test_clique_past_enumeration_reach(self):
         # 14! automorphisms; one pinned search per vertex finds the orbit
         k14 = tg(14, *[(i, j) for i in range(14) for j in range(i + 1, 14)])
-        assert orbit_partition(k14, size_limit=14).classes == (tuple(range(14)),)
+        assert orbit_partition(k14).classes == (tuple(range(14)),)
 
     def test_refinement_blind_orbits(self):
         # 2-regular on 12 vertices, so refinement gives one color and the
@@ -99,9 +104,13 @@ class TestOrbitPartition:
         assert p.classes == (tuple(range(6)), tuple(range(6, 12)))
 
     def test_size_limit(self):
-        # an asymmetric graph needs no search, yet is still refused
-        with pytest.raises(SizeLimitError):
-            orbit_partition(tg(13, *[(i, i + 1) for i in range(12)], (0, 0)))
+        # refinement splits an asymmetric graph into singletons: no search
+        p = orbit_partition(tg(13, *[(i, i + 1) for i in range(12)], (0, 0)))
+        assert p.classes == tuple((v,) for v in range(13))
+        # refinement cannot split a 16-regular graph, and its pinned searches
+        # fail only deep down: refused at AUT_WORK_LIMIT steps
+        with pytest.raises(SizeLimitError, match="AUT_WORK_LIMIT"):
+            orbit_partition(dense_regular_21())
 
     def test_classes_partition_vertices(self):
         for h in SMALL_TARGETS.values():
@@ -186,11 +195,11 @@ class TestOrderingSearch:
         assert len(calls) <= 1  # the cached identity matrix, if not built yet
 
     def test_capacity_twenty_within_small_node_limit(self, monkeypatch):
-        monkeypatch.setattr(automorphy, "ORDERING_NODE_LIMIT", 500)
-        got = find_increasing_ordering(make_capacity_graph(20), 21)
+        monkeypatch.setattr(automorphy, "ORDERING_WORK_LIMIT", 10_000)
+        got = find_increasing_ordering(make_capacity_graph(20))
         assert got is not None and got[0] == tuple(range(20, -1, -1))
 
     def test_node_limit_named(self, monkeypatch):
-        monkeypatch.setattr(automorphy, "ORDERING_NODE_LIMIT", 5)
-        with pytest.raises(SizeLimitError, match="limited to 5 nodes"):
-            find_increasing_ordering(make_capacity_graph(20), 21)
+        monkeypatch.setattr(automorphy, "ORDERING_WORK_LIMIT", 5)
+        with pytest.raises(SizeLimitError, match="limited to 5 steps"):
+            find_increasing_ordering(make_capacity_graph(20))

@@ -8,11 +8,12 @@ from itertools import product
 
 import pytest
 
-from oracles import path_partition_function
+from oracles import dense_regular_21, path_partition_function
 import treehom
 from treehom import automorphy, cli, homcount, trees
 from treehom import (
-    Tree, canonical_code, is_isomorphic, is_loop_threshold, kc_sites, parse_graph, path,
+    Tree, canonical_code, format_graph, is_isomorphic, is_loop_threshold, kc_sites, parse_graph,
+    path,
     make_capacity_graph, make_widom_rowlinson, tree_count,
 )
 from treehom.cli import (
@@ -212,9 +213,9 @@ class TestSubcommands:
         assert is_loop_threshold(make_capacity_graph(c)) is not None
 
     def test_matrix_past_node_limit_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(automorphy, "ORDERING_NODE_LIMIT", 5)
+        monkeypatch.setattr(automorphy, "ORDERING_WORK_LIMIT", 5)
         status, out, err = run(capsys, "matrix", "--target", "capacity:20", "--rows")
-        assert status == 2 and out == "" and "limited to 5 nodes" in err
+        assert status == 2 and out == "" and "limited to 5 steps" in err
 
 
 class TestOrbitSearchOnce:
@@ -298,6 +299,43 @@ class TestReach:
         assert out.strip() == f"hom\t1000\t200\t{full_str(200 * 199 ** 999)}"
         assert elapsed < 2.0, f"hom into clique:200 took {elapsed:.1f} s"
 
+    def test_orbits_of_a_long_path(self, capsys):
+        # one pinned search finds the reflection, about 760,000 steps
+        status, out, err = run(capsys, "orbits", "--target", "path:1100", "--rows")
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert status == 0 and err == "" and len(rows) == 550
+        assert rows[0] == ["class", "0", "2", "0,1099"]
+
+    @pytest.mark.parametrize("target", ["lpath:30", "path:30", "capacity:25"])
+    def test_certificates_past_twenty_one_vertices(self, capsys, target):
+        # the certified targets must also pass the sweep (verdict 1)
+        status, out, _ = run(capsys, "check-hl", "--target", target, "--n-max", "10",
+                             "--strong", "--rows")
+        tail = out.splitlines()[-3:]
+        assert status == 0 and tail == ["matrix-certificate\t1", "strong-certificate\t1",
+                                         "verdict\t1"]
+
+    @pytest.mark.parametrize("command", ["orbits", "matrix"])
+    def test_dense_regular_search_refused_fast(self, capsys, tmp_path, command):
+        f = tmp_path / "dense.txt"
+        f.write_text(format_graph(dense_regular_21()))
+        start = time.perf_counter()
+        status, out, err = run(capsys, command, "--target", str(f), "--rows")
+        assert time.perf_counter() - start < 5.0
+        assert status == 2 and out == "" and "AUT_WORK_LIMIT" in err
+
+    def test_dense_regular_check_hl_without_certificate(self, capsys, tmp_path):
+        # every tree on n vertices has 21 * 16^(n-1) colourings, so the path
+        # ties all trees and is the unique minimizer only for n <= 3
+        f = tmp_path / "dense.txt"
+        f.write_text(format_graph(dense_regular_21()))
+        start = time.perf_counter()
+        status, out, err = run(capsys, "check-hl", "--target", str(f), "--n-max", "9", "--rows")
+        assert time.perf_counter() - start < 5.0
+        want = [f"n\t{n}\t{21 * 16 ** (n - 1)}\t1\t{int(n < 4)}" for n in range(2, 10)]
+        want += ["matrix-certificate\t0", "strong-certificate\t0", "verdict\t1"]
+        assert status == 0 and err == "" and out.splitlines() == want
+
 
 class TestErrorHandling:
     def test_parse_error_exit_2(self, capsys):
@@ -322,6 +360,9 @@ class TestErrorHandling:
         ("kc", "--tree", "path:6", "--target", "hind", "--size-limit", "5"),
         ("partition", "--tree", "path:3", "--target", "hind", "--activities", "1,1",
          "--budget", "5"),
+        ("orbits", "--target", "hind", "--size-limit", "5"),
+        ("matrix", "--target", "hind", "--size-limit", "5"),
+        ("check-hl", "--target", "hind", "--size-limit", "5"),
     ])
     def test_removed_knobs_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -340,7 +381,7 @@ class TestErrorHandling:
         (("partition", "--tree", "path:3", "--target", "hind",
           "--activities", "1/0,1"), "bad activity"),
         (("classify", "--n-max", "1"), "n_max >= 2"),
-        (("orbits", "--target", "path:1100", "--size-limit", "1100"), "recursion limit"),
+        (("orbits", "--target", "clique:100"), "AUT_WORK_LIMIT"),
         # sweeps over no order: a pass would be vacuous
         (("check-hl", "--target", "hind", "--n-max", "0"), "n_max >= 2"),
         (("check-hl", "--target", "hind", "--n-max", "1", "--strong", "--rows"), "n_max >= 2"),

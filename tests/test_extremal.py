@@ -183,14 +183,16 @@ class TestHLVerdicts:
         v = verify_hoffman_london(make_H_abl(3, 2, 2), 7)
         assert v.strongly_hoffman_london
 
-    def test_size_limit_leaves_no_certificate(self):
-        v = verify_hoffman_london(make_capacity_graph(3), 6, size_limit=3)
+    def test_size_limit_leaves_no_certificate(self, monkeypatch):
+        # capacity:3 has 4 singleton classes: no search, but a 4 x 4 matrix
+        monkeypatch.setattr("treehom.automorphy.AUT_WORK_LIMIT", 15)
+        v = verify_hoffman_london(make_capacity_graph(3), 6)
         assert v.matrix_certificate is None and v.strong_certificate is None
         assert v.hoffman_london
 
     def test_node_limit_leaves_no_certificate(self, monkeypatch):
-        monkeypatch.setattr("treehom.automorphy.ORDERING_NODE_LIMIT", 5)
-        v = verify_hoffman_london(make_capacity_graph(20), 4, size_limit=21)
+        monkeypatch.setattr("treehom.automorphy.ORDERING_WORK_LIMIT", 5)
+        v = verify_hoffman_london(make_capacity_graph(20), 4)
         assert v.matrix_certificate is None and v.strong_certificate is None
         assert v.hoffman_london
 
