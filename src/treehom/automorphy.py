@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
@@ -86,18 +87,30 @@ def _refined_colors(H: TargetGraph, initial: tuple | None = None) -> list[int]:
     return color
 
 
-def _quotient(H: TargetGraph, class_of) -> tuple:
-    """(class_of, sizes, rows) of an equitable partition of H, classes
-    numbered 0..k-1. A class's row lists the classes of a member's neighbours
-    with repeats; all members share it (Dell, Grohe & Rattan, ICALP 2018)."""
+class Quotient(NamedTuple):
+    """An equitable partition of H, the form every count walks: each vertex's
+    class in 0..k-1, the class sizes, and per class the classes of a member's
+    neighbours with repeats, the same for all (Dell, Grohe & Rattan, 2018)."""
+
+    class_of: tuple[int, ...]
+    sizes: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.sizes)
+
+
+def _quotient(H: TargetGraph, class_of) -> Quotient:
+    """The Quotient of an equitable partition of H, classes numbered 0..k-1."""
     member = {c: v for v, c in enumerate(class_of)}
     sizes = Counter(class_of)
-    return tuple(class_of), tuple(sizes[c] for c in range(len(sizes))), tuple(
-        tuple(sorted(class_of[u] for u in H.neighbors(member[c]))) for c in range(len(sizes)))
+    return Quotient(tuple(class_of), tuple(sizes[c] for c in range(len(sizes))), tuple(
+        tuple(sorted(class_of[u] for u in H.neighbors(member[c]))) for c in range(len(sizes))))
 
 
 @lru_cache(maxsize=None)
-def _equitable_quotient(H: TargetGraph, initial: tuple | None = None):
+def _equitable_quotient(H: TargetGraph, initial: tuple | None = None) -> Quotient:
     """`_quotient` of `_refined_colors(H, initial)`, cached."""
     return _quotient(H, _refined_colors(H, initial))
 
@@ -252,12 +265,13 @@ def orbit_partition(H: TargetGraph) -> OrbitPartition:
 def similarity_matrix(P: OrbitPartition,
                       ordering: tuple[int, ...] | None = None) -> SimilarityMatrix:
     """m[i][j] = neighbors in class j of any vertex in class i (orbits are
-    equitable). ordering permutes the classes (identity by default)."""
+    equitable), classes in ordering (index order by default); k^2 steps (_charge)."""
     k = P.k
     if ordering is None:
         ordering = tuple(range(k))
     if sorted(ordering) != list(range(k)):
         raise ValueError(f"ordering {ordering} is not a permutation of 0..{k - 1}")
+    _charge([0], k ** 2)
     _, sizes, rows = _quotient(P.graph, P.class_of)
     counts = [Counter(rows[i]) for i in ordering]
     m = tuple(tuple(c[j] for j in ordering) for c in counts)
@@ -266,12 +280,9 @@ def similarity_matrix(P: OrbitPartition,
 
 
 def has_increasing_columns(M: SimilarityMatrix) -> bool:
-    """True iff every terminal column-segment sum is non-decreasing down rows."""
-    for c in range(M.k):
-        for i in range(M.k - 1):
-            if sum(M.m[i][c:]) > sum(M.m[i + 1][c:]):
-                return False
-    return True
+    """True iff every terminal column-segment sum is non-decreasing down rows (O(k^2))."""
+    tails = [list(accumulate(reversed(row))) for row in M.m]
+    return all(x <= y for a, b in zip(tails, tails[1:]) for x, y in zip(a, b))
 
 
 def find_increasing_ordering(H: TargetGraph) -> tuple[tuple[int, ...], SimilarityMatrix] | None:
@@ -289,7 +300,8 @@ def find_increasing_ordering(H: TargetGraph) -> tuple[tuple[int, ...], Similarit
     costs (j + 1)(k - j), so reaching depth d costs at least d(d + 1)(d + 2)/6
     steps and the recursion never goes past about 390 frames.
     """
-    P, base = class_data(H)
+    P, _ = class_data(H)
+    base = similarity_matrix(P)
     spent = [0]
 
     def extend(placed: list[int], scores: list[list[int]], rest: list[int]):
@@ -316,10 +328,8 @@ def find_increasing_ordering(H: TargetGraph) -> tuple[tuple[int, ...], Similarit
 
 @lru_cache(maxsize=None)
 def class_data(H: TargetGraph):
-    """(OrbitPartition, identity-ordered SimilarityMatrix) for H, cached.
-
-    The only route to the orbit quotient, so a target's orbit search runs
-    once per process. The k x k matrix is charged k^2 steps (see _charge)."""
+    """(OrbitPartition, its Quotient) for H, cached: the paper's automorphic
+    similarity classes in the form the counts walk. The only route to the
+    orbit quotient, so a target's orbit search runs once per process."""
     P = orbit_partition(H)
-    _charge([0], P.k ** 2)
-    return P, similarity_matrix(P)
+    return P, _quotient(H, P.class_of)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit status contract: 0 on success, 1 when a verification subcommand finds
-its property violated (check-hl, sidorenko, kc), 2 on usage or parse errors.
+its property violated (check-hl, sidorenko, kc), 2 on usage or parse errors
+and on inputs past a size limit or searches past a work limit.
 `--rows` switches every subcommand to machine-readable one-record-per-line
 output with tab-separated fields in a stable order.
 """
@@ -18,6 +19,7 @@ from .automorphy import (
     class_data,
     find_increasing_ordering,
     orbit_partition,
+    similarity_matrix,
 )
 from .graphs import (
     GraphParseError,
@@ -60,7 +62,8 @@ KC_WORK_LIMIT = 25_000_000
 # ---------------------------------------------------------------------------
 # graph / tree specification strings
 
-#: Cap on a shorthand target's edges, counted from its parameters unbuilt.
+#: Cap on a shorthand target's edges, counted from its parameters unbuilt, and
+#: on an edge-list target's vertices, read from its header ("3000000 0").
 SHORTHAND_EDGE_LIMIT = 1_000_000
 
 # name: (parameter count, edge count from the parameters, builder); path and
@@ -114,12 +117,13 @@ def _target_source(spec: str) -> TargetGraph | Tree | str:
 def parse_target_spec(spec: str) -> TargetGraph:
     """Shorthand (path:n, lpath:n, star:n, clique:n, lclique:n, capacity:C,
     wr:k, habl:a,b,l, folkman+dom, h1..h28), inline:"n m\\n...", or a file path.
-    A shorthand past SHORTHAND_EDGE_LIMIT edges raises SizeLimitError unbuilt.
+    A shorthand past SHORTHAND_EDGE_LIMIT edges, or an edge list past that
+    many vertices, raises SizeLimitError unbuilt.
     """
     g = _target_source(spec)
     if isinstance(g, Tree):
         return TargetGraph.from_edges(g.n, g.edges)
-    return parse_graph(g) if isinstance(g, str) else g
+    return parse_graph(g, SHORTHAND_EDGE_LIMIT) if isinstance(g, str) else g
 
 
 def parse_tree_spec(spec: str) -> Tree:
@@ -131,17 +135,6 @@ def parse_tree_spec(spec: str) -> Tree:
         n, edges = _read_edge_list(g)
         return Tree(n, tuple(sorted(edges)))
     return g if isinstance(g, Tree) else Tree.from_edges(g.n, g.edges)
-
-
-def _parse_activities(text: str, n: int):
-    from fractions import Fraction
-    try:
-        vals = [Fraction(part.strip()) for part in text.split(",")]
-    except ZeroDivisionError:
-        raise ValueError(f"bad activity in {text!r}: zero denominator") from None
-    if len(vals) != n:
-        raise ValueError(f"need {n} activities, got {len(vals)}")
-    return activities(vals)
 
 
 def _exact_str(value) -> str:
@@ -176,7 +169,7 @@ def _cmd_hom(args) -> int:
 def _cmd_partition(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
-    lam = _parse_activities(args.activities, H.n)
+    lam = activities(args.activities)
     z = _exact_str(tree_partition_function(T, H, lam))
     if args.rows:
         print(f"partition\t{T.n}\t{H.n}\t{z}")
@@ -200,31 +193,27 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_matrix(args) -> int:
     H = parse_target_spec(args.target)
-    P, base = class_data(H)
     result = find_increasing_ordering(H)
+    base = similarity_matrix(class_data(H)[0])
+
+    def show(M, tag: str) -> None:
+        for row in M.m:
+            print(f"{tag}\t{','.join(map(str, row))}" if args.rows
+                  else "  " + "  ".join(f"{x:3d}" for x in row))
+
     if args.rows:
         print(f"sizes\t{','.join(map(str, base.sizes))}")
-        for row in base.m:
-            print(f"row\t{','.join(map(str, row))}")
-        if result is None:
-            print("verdict\tno-increasing-ordering")
-        else:
-            ordering, M = result
-            print(f"verdict\tincreasing\t{','.join(map(str, ordering))}")
-            for row in M.m:
-                print(f"ordered-row\t{','.join(map(str, row))}")
     else:
-        print(f"{P.k} classes, sizes {list(base.sizes)}")
+        print(f"{base.k} classes, sizes {list(base.sizes)}")
         print("similarity matrix (classes in index order):")
-        for row in base.m:
-            print("  " + "  ".join(f"{x:3d}" for x in row))
-        if result is None:
-            print("verdict: no increasing ordering")
-        else:
-            ordering, M = result
-            print(f"verdict: increasing ordering found, class order {list(ordering)}")
-            for row in M.m:
-                print("  " + "  ".join(f"{x:3d}" for x in row))
+    show(base, "row")
+    if result is None:
+        print("verdict\tno-increasing-ordering" if args.rows else "verdict: no increasing ordering")
+    else:
+        ordering, M = result
+        print(f"verdict\tincreasing\t{','.join(map(str, ordering))}" if args.rows
+              else f"verdict: increasing ordering found, class order {list(ordering)}")
+        show(M, "ordered-row")
     return 0
 
 

@@ -23,7 +23,7 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph
-from .homcount import _path_hom, hom_vector, path_pair_counts, shape_vectors, tree_hom
+from .homcount import _message, _path_hom, shape_vectors, tree_hom
 from .trees import free_trees, path, rooted_shapes, star, tree_codes
 
 
@@ -249,11 +249,11 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     )
 
 
-def _check_n_max(n_max: int, what: str) -> None:
-    """Sweeps run over the orders 2..n_max; one that covers no order would
-    report a vacuous pass."""
+def _check_n_max(n_max: int, what: str, name: str = "n_max") -> None:
+    """Sweeps cover the orders 2..n_max, the strict-minimality certificate the
+    lengths 2..t_max and 2..s_max; a bound below 2 would pass vacuously."""
     if n_max < 2:
-        raise ValueError(f"{what} needs n_max >= 2, got {n_max}")
+        raise ValueError(f"{what} needs {name} >= 2, got {n_max}")
 
 
 def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
@@ -263,31 +263,34 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
         cert = find_increasing_ordering(H)
     except SizeLimitError:
         cert = None
-    strong = None
-    if cert is not None:
-        got = check_strong_hl_certificate(H, cert[0], t_max=n_max, s_max=n_max)
-        if isinstance(got, StrongHLCertificate):
-            strong = got
-    return HLVerdict(n_max, reports, cert, strong)
+    got = cert and check_strong_hl_certificate(H, cert[0], t_max=n_max, s_max=n_max)
+    return HLVerdict(n_max, reports, cert, got if isinstance(got, StrongHLCertificate) else None)
 
 
 def check_strong_hl_certificate(
     H: TargetGraph, ordering: tuple[int, ...], t_max: int = 9, s_max: int = 9,
 ) -> Union[StrongHLCertificate, str]:
-    """Search, for each path length 2..t_max, for a class pair (a, b) with a
-    joint endpoint coloring and strictly larger endpoint counts for b at
-    every length 2..s_max; lexicographically least pair wins."""
-    P, _ = class_data(H)
-    M = similarity_matrix(P, ordering)
-    if not has_increasing_columns(M):
+    """Search, for each path length 2..t_max, for ordering positions (a, b),
+    holding classes x and y, with a joint endpoint coloring ((B^(t-1))[x][y]
+    > 0, B the orbit quotient's class matrix) and a strictly larger endpoint
+    count (B^(s-1)·1) at y than at x for every s in 2..s_max; the
+    lexicographically least pair wins. Both come from message steps, from the
+    class indicators and the all-ones vector, one per length; no path is built."""
+    _check_n_max(t_max, "the strict-minimality certificate", "t_max")
+    _check_n_max(s_max, "the strict-minimality certificate", "s_max")
+    P, Q = class_data(H)
+    if not has_increasing_columns(similarity_matrix(P, ordering)):
         return "ordering does not pass the increasing-columns test"
-    k = M.k
-    endpoint = {s: hom_vector(path(s), 0, M) for s in range(2, s_max + 1)}
+    ends, h = [], [1] * Q.k  # ends[s - 2][x]: s-vertex path colorings with an end at x
+    for _ in range(s_max - 1):
+        h = _message(Q.rows, h)
+        ends.append(h)
+    cols = [[int(x == y) for x in range(Q.k)] for y in range(Q.k)]  # cols[y][x] = B^(t-1)[x][y]
     witnesses = []
     for t in range(2, t_max + 1):
-        p = path_pair_counts(t, M)
-        found = next(((a, b) for a in range(k) for b in range(k) if a != b and p[a, b]
-                      and all(endpoint[s][b] > endpoint[s][a] for s in range(2, s_max + 1))), None)
+        cols = [_message(Q.rows, col) for col in cols]
+        found = next(((a, b) for a, x in enumerate(ordering) for b, y in enumerate(ordering)
+                      if a != b and cols[y][x] and all(e[y] > e[x] for e in ends)), None)
         if found is None:
             return f"no witness class pair for path length t={t}"
         witnesses.append((t, found))

@@ -186,9 +186,12 @@ def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     return n, edges
 
 
-def parse_graph(text: str) -> TargetGraph:
-    """The TargetGraph of a `_read_edge_list` text."""
+def parse_graph(text: str, max_n: int | None = None) -> TargetGraph:
+    """The TargetGraph of a `_read_edge_list` text. A header past max_n
+    vertices raises SizeLimitError before any vertex's neighbour set is made."""
     n, edges = _read_edge_list(text)
+    if max_n is not None and n > max_n:
+        raise SizeLimitError(f"an edge-list target of {n} vertices is past the limit of {max_n}")
     return TargetGraph(n, frozenset(edges))
 
 

@@ -2,11 +2,11 @@
 force, path-pair tables, the KC difference decomposition, and weighted
 partition functions.
 
-The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up. `tree_hom`,
-`tree_partition_function` and the KC decomposition run it over H's coarsest
-equitable quotient (rooted counts agree on its classes; activities refine
-it), and `hom_vector` (behind `hom_count` and the certificates) over the
-paper's automorphic similarity classes, with the similarity matrix as A.
+The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up, A listed by the
+rows of an `automorphy.Quotient`. `tree_hom`, `tree_partition_function` and
+the KC decomposition run it over H's coarsest equitable quotient (rooted
+counts agree on its classes; activities refine it), `hom_count` over the
+paper's automorphic similarity classes (`class_data`).
 `shape_vectors` runs the quotient walk once per rooted shape of the tree
 generator, so a sweep composes every tree's count from shared subtree vectors
 instead of walking each tree. Brute-force enumeration of vertex maps is kept
@@ -25,7 +25,7 @@ from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
-from .automorphy import SimilarityMatrix, _equitable_quotient, class_data
+from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
 from .trees import _kc_glue, bare_path, rooted_shapes
 
@@ -112,24 +112,18 @@ def shape_vectors(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[in
     return h, msg
 
 
-def hom_vector(T: Tree, root: int, M: SimilarityMatrix) -> tuple[int, ...]:
-    """Entry p = number of H-colorings sending root into the class at
-    position p of M's ordering (any fixed representative)."""
+def hom_vector(T: Tree, root: int, Q: Quotient) -> tuple[int, ...]:
+    """Entry c = number of H-colorings sending root to any one vertex of
+    class c of the equitable quotient Q."""
     if not 0 <= root < T.n:
         raise ValueError(f"root {root} not a vertex of the tree")
-    return tuple(_walk(T, root, _class_rows(M), [1] * M.k))
-
-
-def _class_rows(M: SimilarityMatrix) -> list[list[int]]:
-    """The walk's rows for M: class j listed M.m[i][j] times in row i."""
-    return [[j for j, mult in enumerate(row) for _ in range(mult)] for row in M.m]
+    return tuple(_walk(T, root, Q.rows, [1] * Q.k))
 
 
 def hom_count(T: Tree, H: TargetGraph) -> int:
-    """hom(T, H) via the similarity-class tree walk."""
-    _, M = class_data(H)
-    h = hom_vector(T, 0, M)
-    return sum(a * x for a, x in zip(M.sizes, h))
+    """hom(T, H) via the walk over the paper's automorphic similarity classes."""
+    _, Q = class_data(H)
+    return sum(map(mul, Q.sizes, hom_vector(T, 0, Q)))
 
 
 def tree_hom(T: Tree, H: TargetGraph) -> int:
@@ -173,26 +167,19 @@ def hom_brute_force(G: LooplessGraph, H: TargetGraph,
 # ---------------------------------------------------------------------------
 # path-pair counts
 
-def _pair_counts(t: int, sizes: Sequence[int], rows: Sequence[Sequence[int]]) -> dict:
-    """p[i, j] = sizes[i]·(B^(t-1))[i][j], B the class matrix that rows list:
-    colorings of the t-vertex path with its ends in classes i and j. Column j
-    is t - 1 message steps from class j's indicator."""
+def path_pair_counts(t: int, Q: Quotient) -> dict[tuple[int, int], int]:
+    """p[i, j] = Q.sizes[i]·(B^(t-1))[i][j], B the class matrix Q.rows list:
+    H-colorings of the t-vertex path with its ends in classes i and j.
+    Column j is t - 1 message steps from class j's indicator."""
     if t < 1:
         raise ValueError("path length must be >= 1 vertex")
-    k = len(sizes)
     p = {}
-    for j in range(k):
-        h = [int(i == j) for i in range(k)]
+    for j in range(Q.k):
+        h = [int(i == j) for i in range(Q.k)]
         for _ in range(t - 1):
-            h = _message(rows, h)
-        p.update(((i, j), sizes[i] * x) for i, x in enumerate(h))
+            h = _message(Q.rows, h)
+        p.update(((i, j), Q.sizes[i] * x) for i, x in enumerate(h))
     return p
-
-
-def path_pair_counts(t: int, M: SimilarityMatrix) -> dict[tuple[int, int], int]:
-    """p[i, j] = H-colorings of the t-vertex path with endpoints in the
-    classes at positions i and j of M's ordering."""
-    return _pair_counts(t, M.sizes, _class_rows(M))
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +209,13 @@ def kc_difference_decomposition(
         hom_T = tree_hom(T, H)
     lhs = tree_hom(_kc_glue(T, pth), H) - hom_T
 
-    _, sizes, rows = _equitable_quotient(H)
-    ones = [1] * len(sizes)
-    ell = _walk(T, v_left, rows, ones, skip=pth[1])
-    arr = _walk(T, v_right, rows, ones, skip=pth[-2])
-    p = _pair_counts(len(pth), sizes, rows)
+    Q = _equitable_quotient(H)
+    ones = [1] * Q.k
+    ell = _walk(T, v_left, Q.rows, ones, skip=pth[1])
+    arr = _walk(T, v_right, Q.rows, ones, skip=pth[-2])
+    p = path_pair_counts(len(pth), Q)
     rhs = sum((ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
-              for i, j in combinations(range(len(sizes)), 2))
+              for i, j in combinations(range(Q.k), 2))
     return lhs, rhs
 
 
@@ -241,10 +228,18 @@ def kc_difference_decomposition(
 ActivityVector = tuple["Fraction", ...]
 
 
-def activities(values: Iterable[Union[int, str, Fraction]]) -> ActivityVector:
-    """Exact positive activities, one per target vertex ("3/2", 1, Fraction...)."""
+def activities(values: Union[str, Iterable[Union[int, str, Fraction]]]) -> ActivityVector:
+    """Exact positive activities, one per target vertex ("3/2", 1, Fraction...)
+    or comma-separated in one string ("3/2,1,5"); their count is checked where
+    H is known. No exponent notation: Fraction("1e10000000") takes seconds."""
     from fractions import Fraction
-    out = tuple(Fraction(v) for v in values)
+    parts = values.split(",") if isinstance(values, str) else list(values)
+    if any(isinstance(v, str) and "e" in v.lower() for v in parts):
+        raise ValueError(f"bad activity in {values!r}: no 'e' (exponent notation) is accepted")
+    try:
+        out = tuple(Fraction(v.strip() if isinstance(v, str) else v) for v in parts)
+    except ZeroDivisionError:
+        raise ValueError(f"bad activity in {values!r}: zero denominator") from None
     if any(a <= 0 for a in out):
         raise ValueError("activities must be strictly positive")
     return out

@@ -28,6 +28,11 @@ Two oracles that share no code with treehom.automorphy:
   number of colours stops growing; a path takes Θ(n) rounds, so it is for
   small graphs only.
 
+One oracle that shares no code with treehom.extremal and uses no quotient:
+
+* strict_witness_pairs: the strict-minimality certificate's witness pairs,
+  read off powers of the vertex adjacency matrix.
+
 One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
@@ -169,6 +174,27 @@ def first_increasing_ordering(m) -> tuple[int, ...] | None:
         if all(tail[i][c] <= tail[i + 1][c] for i in range(k - 1) for c in range(k)):
             return o
     return None
+
+
+def strict_witness_pairs(H: TargetGraph, classes, ordering, t_max: int, s_max: int) -> list:
+    """Per path length t = 2..t_max, the lexicographically least pair (a, b)
+    of positions in ordering such that (A^(t-1))[x][y] > 0 for some x in
+    class ordering[a] and y in class ordering[b], and (A^(s-1)·1)[y] >
+    (A^(s-1)·1)[x] for all such x and y and every s = 2..s_max; None where no
+    pair has both. A is H's vertex adjacency matrix (a loop counts once)."""
+    n = H.n
+    adj = [[Fraction(int(H.has_edge(x, y))) for y in range(n)] for x in range(n)]
+    powers = [[[Fraction(int(x == y)) for y in range(n)] for x in range(n)]]
+    while len(powers) < max(t_max, s_max):
+        powers.append(_matmul(powers[-1], adj))
+    ends = [[sum(row) for row in powers[s - 1]] for s in range(2, s_max + 1)]
+    members = [classes[c] for c in ordering]
+    pairs = [(a, b) for a in range(len(members)) for b in range(len(members)) if a != b]
+    return [next(((a, b) for a, b in pairs
+                  if any(powers[t - 1][x][y] for x in members[a] for y in members[b])
+                  and all(e[y] > e[x] for e in ends for x in members[a] for y in members[b])),
+                 None)
+            for t in range(2, t_max + 1)]
 
 
 def round_refined_colors(H: TargetGraph) -> list[int]:

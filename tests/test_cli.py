@@ -391,6 +391,15 @@ class TestErrorHandling:
         status, out, err = run(capsys, *argv)
         assert status == 2 and out == "" and needle in err
 
+    @pytest.mark.parametrize("acts", ["1e10000000,1", "1,2E3", "1.5e-3,1"])
+    def test_exponent_activities_refused_fast(self, capsys, acts):
+        # Fraction("1e10000000") alone builds a 10,000,001-digit integer
+        start = time.perf_counter()
+        status, out, err = run(capsys, "partition", "--tree", "path:3", "--target", "hind",
+                               "--activities", acts)
+        assert time.perf_counter() - start < 1.0
+        assert status == 2 and out == "" and "(exponent notation)" in err
+
     def test_kc_work_estimate_reads_the_target_quotient(self, capsys):
         # 3 sites x 5 vertices is tiny, but path:3000's quotient has 1,500
         # classes: the estimate is past the cap before any site is counted
@@ -415,6 +424,17 @@ class TestErrorHandling:
         status, out, err = run(capsys, "orbits", "--target", spec)
         assert time.perf_counter() - start < 1.0
         assert status == 2 and out == "" and str(SHORTHAND_EDGE_LIMIT) in err
+
+    @pytest.mark.parametrize("header", ["3000000 0", "1000001 0"])
+    def test_oversized_edge_list_exit_2_unbuilt(self, capsys, tmp_path, header):
+        # a header alone would make one neighbour set per announced vertex
+        f = tmp_path / "wide.txt"
+        f.write_text(header + "\n")
+        for spec in (f"inline:{header}", str(f)):
+            start = time.perf_counter()
+            status, out, err = run(capsys, "hom", "--tree", "path:2", "--target", spec)
+            assert time.perf_counter() - start < 1.0
+            assert status == 2 and out == "" and str(SHORTHAND_EDGE_LIMIT) in err
 
     def test_shorthand_edge_counts_match_built_graphs(self):
         for head, (arity, edges, _) in cli._SHORTHANDS.items():

@@ -25,7 +25,7 @@ from treehom import (
     star,
     verify_hoffman_london,
 )
-from treehom import extremal
+from treehom import extremal, homcount
 from treehom.automorphy import OrbitPartition, SimilarityMatrix
 from treehom.extremal import (
     ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
@@ -231,6 +231,25 @@ class TestHLVerdicts:
         assert isinstance(res, StrongHLCertificate)
         # witness: unlooped class below, looped class above, for every t
         assert all(pair == (0, 1) for _, pair in res.witnesses)
+
+    @pytest.mark.parametrize("bounds", [(1, 7), (7, 1), (0, 0)])
+    def test_certificate_probing_no_length_rejected(self, bounds):
+        # t_max < 2 would check no pair, s_max < 2 no endpoint count
+        t_max, s_max = bounds
+        with pytest.raises(ValueError, match=">= 2"):
+            check_strong_hl_certificate(SMALL_TARGETS[7], (1, 0), t_max=t_max, s_max=s_max)
+
+    def test_certificate_builds_no_path(self, monkeypatch):
+        # endpoint counts and path-pair columns are message steps on the
+        # orbit quotient: no path is built and no tree is walked
+        def refuse(*args):
+            raise AssertionError("the certificate built or walked a path")
+
+        monkeypatch.setattr(extremal, "path", refuse)
+        monkeypatch.setattr(homcount, "hom_vector", refuse)
+        v = verify_hoffman_london(make_capacity_graph(20), 8)
+        assert v.matrix_certificate is not None and v.strong_certificate is not None
+        assert v.strongly_hoffman_london
 
     def test_unsorted_ordering_rejected(self):
         res = check_strong_hl_certificate(SMALL_TARGETS[7], (0, 1))

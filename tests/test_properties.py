@@ -4,22 +4,25 @@ the walk over `all_trees` (and the sweep verdicts against a walk-and-code
 reference), the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
 refinement against refinement in rounds, the KC machinery against bare_path and its identity, the
 isomorphism search and the orbit search against all vertex permutations,
-the class-ordering search against all class orderings, and the edge-list
-format round trip."""
+the class-ordering search against all class orderings, the strict-minimality
+certificate against adjacency-matrix powers, and the edge-list format round
+trip."""
 
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     brute_partition_function, first_increasing_ordering, fraction_partition_function,
-    round_refined_colors,
+    round_refined_colors, strict_witness_pairs,
 )
 from treehom import (
+    H_IND,
     SMALL_TARGETS,
     MinimizerReport,
+    StrongHLCertificate,
     TargetGraph,
     Tree,
     activities,
@@ -28,6 +31,7 @@ from treehom import (
     bare_path,
     blow_up,
     canonical_code,
+    check_strong_hl_certificate,
     classify_small_targets,
     disjoint_union,
     find_hl_counterexample_search,
@@ -326,6 +330,22 @@ def test_ordering_search_agrees_with_all_orderings(H):
     else:
         assert got is not None and got[0] == want
         assert got[1].m == tuple(tuple(m[i][j] for j in want) for i in want)
+
+
+@PROPERTY
+@given(targets(max_n=6), st.integers(2, 7), st.integers(2, 7))
+@example(H_IND, 7, 7)
+@example(SMALL_TARGETS[28], 3, 3)
+def test_strict_certificate_agrees_with_adjacency_powers(H, t_max, s_max):
+    found = find_increasing_ordering(H)
+    assume(found is not None)
+    ordering = found[0]
+    want = strict_witness_pairs(H, orbit_partition(H).classes, ordering, t_max, s_max)
+    got = check_strong_hl_certificate(H, ordering, t_max=t_max, s_max=s_max)
+    if None in want:
+        assert got == f"no witness class pair for path length t={want.index(None) + 2}"
+    else:
+        assert got == StrongHLCertificate(ordering, t_max, s_max, tuple(enumerate(want, 2)))
 
 
 @PROPERTY
