@@ -54,8 +54,9 @@ from .trees import all_trees, kc_sites, path, star, tree_count
 
 
 #: Cap on `kc`'s work, sites x n x (k + 3) x (r + k) for H's quotient with k
-#: classes and r row entries: per site, three n-vertex walks and k columns of
-#: at most n message steps. A path on n vertices has ~n^2/2 sites.
+#: classes and r row entries: per site, at most three n-vertex walks and k
+#: columns of at most n message steps (sides and path-pair tables that sites
+#: share are computed once). A path on n vertices has ~n^2/2 sites.
 KC_WORK_LIMIT = 25_000_000
 
 
@@ -328,10 +329,12 @@ def _cmd_kc(args) -> int:
         raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {len(sites)} x {T.n} x "
                              f"{k + 3} x {r + k} = {work} is past KC_WORK_LIMIT = {KC_WORK_LIMIT}")
     status = 0
-    # hom(T, H) is the same at every site: count it once (a star has none)
+    # hom(T, H) is the same at every site: count it once (a star has none);
+    # sides and path-pair tables shared by sites are computed once too
     hom_T = tree_hom(T, H) if sites else None
+    memo: dict = {}
     for vl, vr in sites:
-        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, hom_T)
+        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, hom_T, memo)
         ok = lhs == rhs
         if not ok:
             status = 1

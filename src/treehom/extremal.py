@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphy import (
@@ -24,7 +24,7 @@ from .automorphy import (
 )
 from .graphs import SizeLimitError, TargetGraph
 from .homcount import _message, _path_hom, shape_vectors, tree_hom
-from .trees import free_trees, path, rooted_shapes, star, tree_codes
+from .trees import fold_products, free_trees, path, rooted_shapes, star, tree_codes
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +194,32 @@ class HLVerdict(NamedTuple):
 
 def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
     """Per target, the hom count of every tree on n vertices in `free_trees`
-    order, from one fold of the generator over the coarsest equitable
-    quotient of the targets' disjoint union: a tree's class vector is the
-    product of its parts' messages (`shape_vectors`), weighted by a target's
-    vertices in each class. A lone target has all of them, so its roots are
-    weighted once and each count is a sum."""
+    order, from one product fold (`fold_products`) over the coarsest
+    equitable quotient of the targets' disjoint union: a tree's class vector
+    is the product of its parts' messages (`shape_vectors`), weighted by a
+    target's vertices in each class. A lone target has all of them, so its
+    roots are weighted once and each count is one dot product."""
     starts = list(accumulate((G.n for G in targets), initial=0))
     union = TargetGraph(starts[-1], frozenset(
         (u + s, v + s) for G, s in zip(targets, starts) for u, v in G.edges))
     class_of, sizes, _ = _equitable_quotient(union)
     h, msg = shape_vectors(union, n)
-
-    def extend(vec: list[int], c: int) -> list[int]:
-        return [a * m for a, m in zip(vec, msg[c])]
-
     if len(targets) == 1:
-        yield list(map(sum, free_trees(n, [list(map(mul, sizes, v)) for v in h], extend)))
+        yield fold_products(n, [list(map(mul, sizes, v)) for v in h], msg, _dot)
         return
-    cols: list[list[int]] = [[] for _ in sizes]  # cols[c][i] = tree i's vec[c]
-    for vec in free_trees(n, h, extend):
-        list(map(list.append, cols, vec))
+    vecs = fold_products(n, h, msg, _product)  # vecs[i][c]: tree i, class c
     for H, start in zip(targets, starts):
         mult = Counter(class_of[start:start + H.n])
-        yield list(map(sum, zip(*(map(mul, repeat(m), cols[c]) for c, m in mult.items()))))
+        yield list(map(sum, zip(*(map(mul, repeat(m), map(itemgetter(c), vecs))
+                                  for c, m in mult.items()))))
+
+
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(map(mul, x, y))
+
+
+def _product(x: list[int], y: list[int]) -> tuple[int, ...]:
+    return tuple(map(mul, x, y))
 
 
 def sweep_counts(H: TargetGraph, n: int) -> list[int]:
@@ -361,8 +364,8 @@ def _balanced(n: int) -> tuple[bool, ...]:
     depths are its parent's odd ones, so d_s = 1 - Σ_children d_c."""
     d: list[int] = []
     for kids in rooted_shapes(n):
-        d.append(1 - sum(d[c] for c in kids))
-    return tuple(abs(x) <= 1 for x in free_trees(n, d, lambda x, c: x - d[c]))
+        d.append(1 - sum(map(d.__getitem__, kids)))
+    return tuple(abs(d[s] - sum(map(d.__getitem__, kids))) <= 1 for s, *kids in free_trees(n))
 
 
 def _labels_for(counts: list[int], v: OrderVerdict) -> frozenset[str]:

@@ -11,6 +11,8 @@ All graph and tree values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import lt
 from typing import Iterable
 
 
@@ -112,31 +114,66 @@ class Tree(_Graph):
         if len(edges) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, "
                              f"got {len(edges)}")
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # one pass for normalized edges; n - 1 edges that connect every
+        # vertex make a tree. Anything else takes the checking pass, which
+        # names the first faulty edge.
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at {u}: trees are loopless")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ValueError(f"edge ({u},{v}) closes a cycle")
-            parent[ru] = rv
+            if not 0 <= u < v < n:
+                break
             adj[u].append(v)
             adj[v].append(u)
-        self._set(n, edges, tuple(tuple(sorted(a)) for a in adj))
+        else:
+            if _spans(adj):
+                if not all(map(lt, edges, islice(edges, 1, None))):
+                    adj = list(map(sorted, adj))  # sorted edges give sorted lists
+                self._set(n, edges, tuple(map(tuple, adj)))
+                return
+        self._set(n, edges, _checked_adjacency(n, edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":
         return cls(n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges)))
+
+
+def _spans(adj: list[list[int]]) -> bool:
+    """Does a search from vertex 0 reach every vertex?"""
+    seen = [False] * len(adj)
+    seen[0] = True
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+    return len(order) == len(adj)
+
+
+def _checked_adjacency(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency of n - 1 edges in any orientation, checked edge by
+    edge in order: the first edge out of range, a loop, or closing a cycle
+    (union-find) raises ValueError."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at {u}: trees are loopless")
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ValueError(f"edge ({u},{v}) closes a cycle")
+        parent[ru] = rv
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(a)) for a in adj)
 
 
 # ---------------------------------------------------------------------------

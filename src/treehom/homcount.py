@@ -72,25 +72,27 @@ def _rooted_order(T: Tree, root: int,
 def _message(rows: Sequence[Sequence[int]], h: Sequence) -> list:
     """The walk's message step rows · h, where rows[x] lists x's neighbours
     repeated by multiplicity: entry x sums h over the neighbours of x."""
-    return [sum(h[y] for y in row) for row in rows]
+    get = h.__getitem__
+    return [sum(map(get, row)) for row in rows]
 
 
 def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence,
           skip: Optional[int] = None) -> list:
     """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), over T without
-    the branch through root's neighbour skip."""
+    the branch through root's neighbour skip. In post-order, each vertex's
+    message is folded into its parent's vector; every leaf sends the same
+    message, rows · weights, priced once."""
     order, parent = _rooted_order(T, root, skip)
     h: list[list | None] = [None] * T.n
-    for v in order:
-        vec = list(weights)
-        for c in T.neighbors(v):
-            if parent[c] != v:
-                continue
-            msg = _message(rows, h[c])
-            h[c] = None  # consumed: only the root's vector is returned
-            vec = [a * m for a, m in zip(vec, msg)]
-        h[v] = vec
-    return h[root]
+    leaf = _message(rows, weights)
+    for v in order[:-1]:  # the root comes last
+        vec = h[v]
+        msg = leaf if vec is None else _message(rows, vec)
+        h[v] = None  # consumed: only the root's vector is returned
+        p = parent[v]
+        above = h[p]
+        h[p] = list(map(mul, weights if above is None else above, msg))
+    return list(weights) if h[root] is None else h[root]
 
 
 def shape_vectors(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -187,6 +189,7 @@ def path_pair_counts(t: int, Q: Quotient) -> dict[tuple[int, int], int]:
 
 def kc_difference_decomposition(
     T: Tree, v_left: int, v_right: int, H: TargetGraph, hom_T: Optional[int] = None,
+    memo: Optional[dict] = None,
 ) -> tuple[int, int]:
     """(lhs, rhs): lhs = hom(T_KC, H) - hom(T, H) counted directly, rhs the
     class-level sum below; the two agree.
@@ -203,17 +206,24 @@ def kc_difference_decomposition(
     hom_T is hom(T, H) if the caller has it (it is the same at every site);
     hom(T_KC, H) is always counted, being the identity's independent side. ℓ
     and r are walks of T from v_left and v_right that skip the first path
-    vertex, so the moved tree is the only one built."""
+    vertex, so the moved tree is the only one built. Sites share sides and
+    path lengths: a dict passed as memo to every call on one T and H keeps
+    each side by (end, first path vertex) and each path-pair table by t, so
+    each is computed once."""
     pth = bare_path(T, v_left, v_right)
     if hom_T is None:
         hom_T = tree_hom(T, H)
     lhs = tree_hom(_kc_glue(T, pth), H) - hom_T
 
     Q = _equitable_quotient(H)
-    ones = [1] * Q.k
-    ell = _walk(T, v_left, Q.rows, ones, skip=pth[1])
-    arr = _walk(T, v_right, Q.rows, ones, skip=pth[-2])
-    p = path_pair_counts(len(pth), Q)
+    memo = {} if memo is None else memo
+    t = len(pth)
+    if t not in memo:
+        memo[t] = path_pair_counts(t, Q)
+    for end, first in (v_left, pth[1]), (v_right, pth[-2]):
+        if (end, first) not in memo:
+            memo[end, first] = _walk(T, end, Q.rows, [1] * Q.k, skip=first)
+    ell, arr, p = memo[v_left, pth[1]], memo[v_right, pth[-2]], memo[t]
     rhs = sum((ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
               for i, j in combinations(range(Q.k), 2))
     return lhs, rhs

@@ -7,23 +7,29 @@ Trees are generated from a table of rooted shapes: integer IDs, each a
 non-increasing tuple of child IDs, numbered by vertex count. A free tree
 splits at its centroid into a multiset of rooted shapes with fewer than n/2
 vertices each, or, for even n only, into a pair of shapes with n/2 vertices
-joined by the central edge (Otter 1948). `free_trees` walks both kinds and
-folds a caller's per-shape state over each tree's parts, so a sweep can
-compose a value for every tree without building it. `all_trees` materializes
-the same enumeration; the tests cross-check its counts against a Prufer-
-sequence dedup oracle and Otter's counting recurrence.
+joined by the central edge (Otter 1948). `free_trees` lists both kinds as
+tuples of shape IDs. `fold_products` gives one value per tree in the same
+order from per-shape vectors, the product of a tree's parts, without
+building the tree: the children that complete a tree multiply to a value
+that depends only on how many vertices they hold and the bound on their IDs,
+so for up to `_TAIL` vertices those products are tabulated once and shared by
+every tree that ends in them. `all_trees` materializes the enumeration; the
+tests cross-check its counts against a Prufer-sequence dedup oracle and
+Otter's counting recurrence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from itertools import repeat
+from operator import mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .graphs import SizeLimitError, Tree, bipartition
 
 TREE_LIMIT = 16
 
-_S = TypeVar("_S")
+_V = TypeVar("_V")
 
 
 class CanonicalTree(NamedTuple):
@@ -121,20 +127,25 @@ class _Shapes(NamedTuple):
     end: list[int]                   # end[s] = number of shapes on <= s vertices
 
 
-def _multisets(t: _Shapes, total: int, top: int, state: _S,
-               extend: Callable[[_S, int], _S]) -> Iterator[_S]:
-    """extend folded over every non-increasing sequence of shape IDs below top
-    whose vertex counts sum to total, starting from state."""
+#: Vertex counts up to which `fold_products` takes a tree's last children
+#: from one table of shared products instead of recursing.
+_TAIL = 8
+
+
+def _fits(t: _Shapes, total: int, top: int) -> int:
+    """The IDs below top of shapes on at most total vertices: range(_fits(...))."""
+    return min(top, t.end[total]) if total < len(t.end) else top
+
+
+def _multisets(t: _Shapes, total: int, top: int,
+               prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """prefix extended by every non-increasing sequence of shape IDs below
+    top whose vertex counts sum to total, largest IDs first."""
     if total == 0:
-        yield state
+        yield prefix
         return
-    fits = t.end[total] if total < len(t.end) else len(t.size)  # IDs on <= total vertices
-    for c in range(min(top, fits) - 1, -1, -1):
-        yield from _multisets(t, total - t.size[c], c + 1, extend(state, c), extend)
-
-
-def _append(kids: tuple[int, ...], c: int) -> tuple[int, ...]:
-    return kids + (c,)
+    for c in range(_fits(t, total, top) - 1, -1, -1):
+        yield from _multisets(t, total - t.size[c], c + 1, prefix + (c,))
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +155,7 @@ def _shapes() -> _Shapes:
     all with smaller IDs."""
     t = _Shapes([], [], [0])
     for s in range(1, TREE_LIMIT // 2 + 1):
-        t.children.extend(_multisets(t, s - 1, t.end[s - 1], (), _append))
+        t.children.extend(_multisets(t, s - 1, t.end[s - 1]))
         t.size.extend([s] * (len(t.children) - len(t.size)))
         t.end.append(len(t.children))
     return t
@@ -165,31 +176,80 @@ def rooted_shapes(n: int) -> list[tuple[int, ...]]:
     return t.children[:t.end[max(1, n // 2)]]
 
 
-def free_trees(n: int, states: Optional[Sequence[_S]] = None,
-               extend: Optional[Callable[[_S, int], _S]] = None) -> Iterator[_S]:
-    """One value per isomorphism class of trees on n vertices, in a fixed
-    generation order (not code order).
+def free_trees(n: int) -> Iterator[tuple[int, ...]]:
+    """One tuple (s, c_1, ..., c_k) per isomorphism class of trees on n
+    vertices, in a fixed generation order (not code order): the rooted shape
+    s, by its ID in `rooted_shapes(n)`, with extra children c_1 >= ... >= c_k
+    at its root.
 
-    A tree is a rooted shape s with extra children c_1 >= ... >= c_k at its
-    root: the centroid as a bare vertex (s = 0) with every branch, each under
-    n/2 vertices, or, for even n, the pair a <= b of n/2-vertex halves as
-    s = a, c_1 = b. Its value is extend(...extend(states[s], c_1)..., c_k),
-    with states indexed by the IDs of `rooted_shapes(n)`. Without states the
-    values are the tuples (s, c_1, ..., c_k) themselves.
+    The tree is the centroid as a bare vertex (s = 0) with every branch, each
+    under n/2 vertices, or, for even n, the pair a <= b of n/2-vertex halves
+    as s = a, c_1 = b.
     """
     _check_order(n)
-    if states is None:
-        states, extend = [(s,) for s in range(len(rooted_shapes(n)))], _append
-    return _free_trees(_shapes(), n, states, extend)
-
-
-def _free_trees(t: _Shapes, n: int, states, extend):
-    yield from _multisets(t, n - 1, t.end[(n - 1) // 2], states[0], extend)
+    t = _shapes()
+    yield from _multisets(t, n - 1, t.end[(n - 1) // 2], (0,))
     if n % 2 == 0:
         lo, hi = t.end[n // 2 - 1], t.end[n // 2]
         for b in range(lo, hi):
             for a in range(lo, b + 1):
-                yield extend(states[a], b)
+                yield a, b
+
+
+def _tails(t: _Shapes, most: int, top: int, msg: Sequence[list[int]],
+           ones: list[int]) -> list[tuple[list[list[int]], list[int]]]:
+    """Per r in 0..most, (prods, first): prods lists Π msg[c_i] over every
+    non-increasing sequence of IDs below top with vertex counts summing to r,
+    in `free_trees` order; those with IDs below b are prods[first[b]:], with b
+    clipped to len(first) - 1 (no larger ID fits in r vertices)."""
+    tails: list[tuple[list[list[int]], list[int]]] = []
+    for r in range(most + 1):
+        fits = _fits(t, r, top)
+        prods, first = ([ones] if r == 0 else []), [0] * (fits + 1)
+        for c in range(fits - 1, -1, -1):
+            sub, at = tails[r - t.size[c]]
+            m = msg[c]
+            prods.extend([list(map(mul, m, p)) for p in sub[at[min(c + 1, len(at) - 1)]:]])
+            first[c] = len(prods)
+        tails.append((prods, first))
+    return tails
+
+
+def fold_products(n: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
+                  join: Callable[[list[int], list[int]], _V]) -> list[_V]:
+    """One value per tree on n vertices, in `free_trees` order: for the tree
+    (s, c_1, ..., c_k), join(x, y) with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ... ⊙
+    msg[c_k] (⊙ elementwise), roots and msg indexed by the IDs of
+    `rooted_shapes(n)`. join must depend on x ⊙ y alone, as a dot product
+    (its sum) or an elementwise product (itself) does.
+
+    The product is commutative, so the children that complete a tree
+    multiply to a value that depends only on their vertex count r and the
+    bound on their IDs, not on the children before them. For r up to _TAIL
+    those products are tabulated once (`_tails`), and each tree costs one
+    join of its prefix with a table entry; above it, the fold branches on the
+    next child, largest ID first.
+    """
+    _check_order(n)
+    t = _shapes()
+    top = t.end[(n - 1) // 2]
+    most = min(n - 1, _TAIL)
+    tails = _tails(t, most, top, msg, [1] * len(roots[0]))
+    out: list[_V] = []
+    todo = [(n - 1, top, roots[0])]  # (vertices left, ID bound, prefix product)
+    while todo:
+        r, b, x = todo.pop()
+        if r <= most:
+            prods, first = tails[r]
+            out.extend(map(join, repeat(x), prods[first[min(b, len(first) - 1)]:]))
+        else:  # pushed smallest ID first, so the largest is folded first
+            todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
+                        for c in range(_fits(t, r, b)))
+    if n % 2 == 0:
+        lo, hi = t.end[n // 2 - 1], t.end[n // 2]
+        for b in range(lo, hi):
+            out.extend(map(join, roots[lo:b + 1], repeat(msg[b])))
+    return out
 
 
 def _adjacency(parts: tuple[int, ...]) -> list[list[int]]:

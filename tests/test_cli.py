@@ -165,6 +165,28 @@ class TestSubcommands:
         assert status == 0 and len(out.splitlines()) == len(sites) > 1
         assert counted[0] == path(7) and len(counted) == len(sites) + 1
 
+    def test_kc_walks_each_side_once(self, capsys, monkeypatch):
+        # sites share sides (end, first path vertex) and path lengths
+        sides, lengths = [], []
+        walk, table = homcount._walk, homcount.path_pair_counts
+
+        def counting_walk(T, root, rows, weights, skip=None):
+            if skip is not None:
+                sides.append((root, skip))
+            return walk(T, root, rows, weights, skip)
+
+        def counting_table(t, Q):
+            lengths.append(t)
+            return table(t, Q)
+
+        monkeypatch.setattr(homcount, "_walk", counting_walk)
+        monkeypatch.setattr(homcount, "path_pair_counts", counting_table)
+        status, out, _ = run(capsys, "kc", "--tree", "path:9", "--target", "capacity:3", "--rows")
+        paths = [trees.bare_path(path(9), vl, vr) for vl, vr in kc_sites(path(9))]
+        assert status == 0 and len(out.splitlines()) == len(paths) == 21
+        assert sorted(sides) == sorted({(p[0], p[1]) for p in paths} | {(p[-1], p[-2]) for p in paths})
+        assert sorted(lengths) == sorted({len(p) for p in paths})
+
     def test_kc_past_the_orbit_search_size_limit(self, capsys):
         # lpath:22 is past the orbit search's 21 vertices; kc counts on the
         # equitable quotient, so no KC site is skipped

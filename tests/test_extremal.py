@@ -32,7 +32,7 @@ from treehom.extremal import (
 )
 from treehom.trees import CanonicalTree
 from treehom.homcount import shape_vectors
-from treehom.trees import free_trees
+from treehom.trees import fold_products, free_trees
 
 
 def tg(n, *edges):
@@ -293,20 +293,23 @@ class TestSweeps:
             assert count < path_count
 
     def test_classify_sweeps_once_per_order(self, monkeypatch):
-        # the 28 targets share one pass of the generator per order; only
-        # the cached balanced-bipartition flags fold over it once more
+        # the 28 targets share one product fold per order; only the cached
+        # balanced-bipartition flags pass over the tree listing once more
         vectors, folds = [], []
 
         def counted_vectors(H, n):
             vectors.append(n)
             return shape_vectors(H, n)
 
-        def counted_folds(n, *args):
-            folds.append(n)
-            return free_trees(n, *args)
+        def counted(fold):
+            def counted_fold(n, *args):
+                folds.append(n)
+                return fold(n, *args)
+            return counted_fold
 
         monkeypatch.setattr(extremal, "shape_vectors", counted_vectors)
-        monkeypatch.setattr(extremal, "free_trees", counted_folds)
+        monkeypatch.setattr(extremal, "fold_products", counted(fold_products))
+        monkeypatch.setattr(extremal, "free_trees", counted(free_trees))
         extremal._balanced.cache_clear()
         classify_small_targets(14)
         assert vectors == list(range(2, 15))

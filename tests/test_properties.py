@@ -1,12 +1,12 @@
 """Property tests on random small loopy targets and random trees: the tree
 walk's three entry points against brute force, the composed sweep against
-the walk over `all_trees` (and the sweep verdicts against a walk-and-code
-reference), the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
+the walk over `all_trees` and, position by position, over each listed
+tree (and the sweep verdicts against a walk-and-code reference), the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
 refinement against refinement in rounds, the KC machinery against bare_path and its identity, the
 isomorphism search and the orbit search against all vertex permutations,
 the class-ordering search against all class orderings, the strict-minimality
-certificate against adjacency-matrix powers, and the edge-list format round
-trip."""
+certificate against adjacency-matrix powers, the one-pass tree constructor
+against its edge-by-edge check, and the edge-list format round trip."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -58,9 +58,10 @@ from treehom import (
     tree_hom,
     tree_partition_function,
 )
-from treehom import extremal
+from treehom import extremal, graphs, trees as trees_module
 from treehom.automorphy import _equitable_quotient
 from treehom.homcount import _path_hom
+from treehom.trees import free_trees
 from treehom.extremal import (
     LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, sweep_counts,
 )
@@ -140,6 +141,41 @@ def test_integer_route_matches_fraction_walk_and_brute_force(H, T, nums, dens, i
 @given(targets(), st.integers(1, 9))
 def test_sweep_counts_are_the_walk_counts(H, n):
     assert sorted(sweep_counts(H, n)) == sorted(tree_hom(ct.tree, H) for ct in all_trees(n))
+
+
+def tree_at(parts):
+    """The tree `free_trees` lists as parts, as a Tree."""
+    adj = trees_module._adjacency(parts)
+    return Tree.from_edges(len(adj), [(u, v) for u, a in enumerate(adj) for v in a if u < v])
+
+
+# orders on both sides of the shared-tail size: up to _TAIL + 1 a tree's
+# children all come from one table entry, above it the fold branches first
+@PROPERTY
+@given(targets(), st.integers(1, 12))
+@example(TargetGraph.from_edges(3, [(0, 0), (0, 1)]), 12)  # an isolated vertex
+@example(TargetGraph.from_edges(4, [(0, 0), (1, 1), (2, 3)]), 11)  # loops apart
+@example(TargetGraph.from_edges(2, []), 10)  # no edges at all
+def test_sweep_count_at_each_position_is_the_walk_count(H, n):
+    assert trees_module._TAIL + 1 < 12  # so n reaches past the tail
+    want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
+    assert sweep_counts(H, n) == want
+
+
+# a looped vertex joined to an unlooped one, a looped vertex alone, and an
+# isolated vertex, whose class has no neighbours and counts no coloring of
+# a tree with an edge
+POSITION_TARGET = TargetGraph.from_edges(4, [(0, 0), (0, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("tail, n_max", [
+    (trees_module._TAIL, trees_module.TREE_LIMIT), (0, 12), (3, 12), (6, 12)])
+def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
+    # whether the fold takes a tree's last children from a table or not
+    monkeypatch.setattr(trees_module, "_TAIL", tail)
+    for n in range(1, n_max + 1):
+        want = [tree_hom(tree_at(parts), POSITION_TARGET) for parts in free_trees(n)]
+        assert sweep_counts(POSITION_TARGET, n) == want
 
 
 @PROPERTY
@@ -381,3 +417,27 @@ def test_kc_identity_at_every_site(H, T):
 @given(targets())
 def test_edge_list_round_trip(H):
     assert parse_graph(format_graph(H)) == H
+
+
+@PROPERTY
+@given(trees(), st.data())
+def test_tree_constructor_agrees_with_the_edge_by_edge_check(T, data):
+    # the one-pass build against the union-find check it falls back to:
+    # sorted or shuffled edges, either orientation, one edge maybe replaced
+    # by any pair (out of range, a loop, a repeat or a cycle)
+    edges = list(T.edges)
+    if data.draw(st.booleans()):
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v)
+                 for u, v in data.draw(st.permutations(edges))]
+    if edges and data.draw(st.booleans()):
+        edges[data.draw(st.integers(0, len(edges) - 1))] = data.draw(
+            st.tuples(st.integers(-1, T.n), st.integers(-1, T.n)))
+    edges = tuple(edges)
+    try:
+        want = graphs._checked_adjacency(T.n, edges)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            Tree(T.n, edges)
+        assert str(got.value) == str(e)
+    else:
+        assert tuple(map(Tree(T.n, edges).neighbors, range(T.n))) == want
