@@ -9,9 +9,9 @@ per-n verdicts up to the swept bound, never the unbounded property.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations, repeat
-from operator import itemgetter, mul
+from operator import add, mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphy import (
@@ -24,7 +24,7 @@ from .automorphy import (
 )
 from .graphs import SizeLimitError, TargetGraph
 from .homcount import _message, _path_hom, shape_vectors, tree_hom
-from .trees import fold_products, free_trees, path, rooted_shapes, star, tree_codes
+from .trees import fold_products, path, rooted_shapes, star, tree_codes
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,9 @@ def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
     equitable quotient of the targets' disjoint union: a tree's class vector
     is the product of its parts' messages (`shape_vectors`), weighted by a
     target's vertices in each class. A lone target has all of them, so its
-    roots are weighted once and each count is one dot product."""
+    roots are weighted once and each count is one dot product. Several
+    targets transpose the fold's rows once into class columns, and each
+    target sums its classes' columns, scaled by multiplicity."""
     starts = list(accumulate((G.n for G in targets), initial=0))
     union = TargetGraph(starts[-1], frozenset(
         (u + s, v + s) for G, s in zip(targets, starts) for u, v in G.edges))
@@ -207,11 +209,11 @@ def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
     if len(targets) == 1:
         yield fold_products(n, [list(map(mul, sizes, v)) for v in h], msg, _dot)
         return
-    vecs = fold_products(n, h, msg, _product)  # vecs[i][c]: tree i, class c
+    cols = list(zip(*fold_products(n, h, msg, _product)))  # cols[c][i]: class c, tree i
     for H, start in zip(targets, starts):
-        mult = Counter(class_of[start:start + H.n])
-        yield list(map(sum, zip(*(map(mul, repeat(m), map(itemgetter(c), vecs))
-                                  for c, m in mult.items()))))
+        terms = [cols[c] if m == 1 else map(mul, repeat(m), cols[c])
+                 for c, m in Counter(class_of[start:start + H.n]).items()]
+        yield list(reduce(partial(map, add), terms))
 
 
 def _dot(x: list[int], y: list[int]) -> int:
@@ -278,7 +280,13 @@ def check_strong_hl_certificate(
     > 0, B the orbit quotient's class matrix) and a strictly larger endpoint
     count (B^(s-1)·1) at y than at x for every s in 2..s_max; the
     lexicographically least pair wins. Both come from message steps, from the
-    class indicators and the all-ones vector, one per length; no path is built."""
+    class indicators and the all-ones vector, one per length; no path is built.
+
+    sizes[x]·B^(t-1)[x][y] counts t-vertex paths with ends in x and y, so
+    it is symmetric, and B^(t-1)[x][y] > 0 exactly when x's own column,
+    B^(t-1) e_x, is positive at y. The scan at position a reads only the
+    column of x = ordering[a]; a column is built when the scan first
+    reaches it (`_column`) and stepped once per length after that."""
     _check_n_max(t_max, "the strict-minimality certificate", "t_max")
     _check_n_max(s_max, "the strict-minimality certificate", "s_max")
     P, Q = class_data(H)
@@ -288,16 +296,34 @@ def check_strong_hl_certificate(
     for _ in range(s_max - 1):
         h = _message(Q.rows, h)
         ends.append(h)
-    cols = [[int(x == y) for x in range(Q.k)] for y in range(Q.k)]  # cols[y][x] = B^(t-1)[x][y]
+    live: dict[int, list[int]] = {}  # x -> B^(t-1) e_x, for the classes scanned so far
     witnesses = []
     for t in range(2, t_max + 1):
-        cols = [_message(Q.rows, col) for col in cols]
-        found = next(((a, b) for a, x in enumerate(ordering) for b, y in enumerate(ordering)
-                      if a != b and cols[y][x] and all(e[y] > e[x] for e in ends)), None)
+        for x, col in live.items():
+            live[x] = _message(Q.rows, col)
+        found = None
+        for a, x in enumerate(ordering):
+            col = live.get(x)
+            if col is None:  # first reached at this length
+                col = live[x] = _column(Q.rows, x, t - 1)
+            b = next((b for b, y in enumerate(ordering)
+                      if a != b and col[y] and all(e[y] > e[x] for e in ends)), None)
+            if b is not None:
+                found = a, b
+                break
         if found is None:
             return f"no witness class pair for path length t={t}"
         witnesses.append((t, found))
     return StrongHLCertificate(tuple(ordering), t_max, s_max, tuple(witnesses))
+
+
+def _column(rows: Sequence[Sequence[int]], x: int, steps: int) -> list[int]:
+    """B^steps e_x: class x's indicator after `steps` message steps."""
+    col = [0] * len(rows)
+    col[x] = 1
+    for _ in range(steps):
+        col = _message(rows, col)
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +385,22 @@ class ClassificationRow(NamedTuple):
 @lru_cache(maxsize=None)
 def _balanced(n: int) -> tuple[bool, ...]:
     """Per tree in `free_trees(n)` order: do the two sides of its
-    bipartition differ in size by at most one? Composed per shape from
-    d = (vertices at even depth) - (vertices at odd depth); a child's even
-    depths are its parent's odd ones, so d_s = 1 - Σ_children d_c."""
-    d: list[int] = []
+    bipartition differ in size by at most one?
+
+    A product fold (`fold_products`) gives each rooted shape the pair
+    (2^e, 2^o), e and o its vertices at even and odd depth; a child's even
+    depths are its parent's odd ones, so its message is the pair swapped,
+    and a tree's dot product is 2^|X| + 2^|Y| for its sides X and Y. With
+    |X| = a, f(a) = 2^a + 2^(n-a) falls strictly as a nears n/2 from either
+    side (f(a + 1) < f(a) for a < (n - 1)/2), so the sides differ by at
+    most one exactly when the value is at most 2^⌈n/2⌉ + 2^⌊n/2⌋."""
+    eo: list[tuple[int, int]] = []
     for kids in rooted_shapes(n):
-        d.append(1 - sum(map(d.__getitem__, kids)))
-    return tuple(abs(d[s] - sum(map(d.__getitem__, kids))) <= 1 for s, *kids in free_trees(n))
+        eo.append((1 + sum(eo[c][1] for c in kids), sum(eo[c][0] for c in kids)))
+    h = [[1 << e, 1 << o] for e, o in eo]
+    msg = [[1 << o, 1 << e] for e, o in eo]
+    least = (1 << (n + 1) // 2) + (1 << n // 2)
+    return tuple(map(least.__ge__, fold_products(n, h, msg, _dot)))
 
 
 def _labels_for(counts: list[int], v: OrderVerdict) -> frozenset[str]:
@@ -376,7 +411,7 @@ def _labels_for(counts: list[int], v: OrderVerdict) -> frozenset[str]:
     only balanced-bipartition tree), so a set is returned rather than forcing
     an arbitrary precedence.
     """
-    at_min = [c == v.min_count for c in counts]
+    at_min = tuple(map(v.min_count.__eq__, counts))
     out = set()
     if v.min_count == 0:
         out.add(LABEL_ZERO)
@@ -384,7 +419,7 @@ def _labels_for(counts: list[int], v: OrderVerdict) -> frozenset[str]:
         out.add(LABEL_ALL)
     if v.path_is_unique_min:
         out.add(LABEL_PATHS)
-    if tuple(at_min) == _balanced(v.n):
+    if at_min == _balanced(v.n):
         out.add(LABEL_BALANCED)
     return frozenset(out) if out else frozenset({LABEL_OTHER})
 

@@ -5,6 +5,7 @@ import pytest
 from treehom import (
     SMALL_TARGETS,
     TargetGraph,
+    Tree,
     add_looped_dominating,
     all_trees,
     canonical_code,
@@ -25,14 +26,15 @@ from treehom import (
     star,
     verify_hoffman_london,
 )
-from treehom import extremal, homcount
+from treehom import extremal, homcount, trees
 from treehom.automorphy import OrbitPartition, SimilarityMatrix
 from treehom.extremal import (
     ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
+    sweep_counts,
 )
 from treehom.trees import CanonicalTree
 from treehom.homcount import shape_vectors
-from treehom.trees import fold_products, free_trees
+from treehom.trees import TREE_LIMIT, fold_products, free_trees
 
 
 def tg(n, *edges):
@@ -293,27 +295,48 @@ class TestSweeps:
             assert count < path_count
 
     def test_classify_sweeps_once_per_order(self, monkeypatch):
-        # the 28 targets share one product fold per order; only the cached
-        # balanced-bipartition flags pass over the tree listing once more
-        vectors, folds = [], []
+        # the 28 targets share one product fold per order, and the cached
+        # balanced-bipartition flags take a second, parity fold; neither
+        # passes over the tree listing
+        vectors, folds, listings = [], [], []
 
         def counted_vectors(H, n):
             vectors.append(n)
             return shape_vectors(H, n)
 
-        def counted(fold):
+        def counted(fold, calls):
             def counted_fold(n, *args):
-                folds.append(n)
+                calls.append(n)
                 return fold(n, *args)
             return counted_fold
 
         monkeypatch.setattr(extremal, "shape_vectors", counted_vectors)
-        monkeypatch.setattr(extremal, "fold_products", counted(fold_products))
-        monkeypatch.setattr(extremal, "free_trees", counted(free_trees))
+        monkeypatch.setattr(extremal, "fold_products", counted(fold_products, folds))
+        monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
         extremal._balanced.cache_clear()
         classify_small_targets(14)
         assert vectors == list(range(2, 15))
         assert sorted(folds) == sorted(2 * list(range(2, 15)))
+        assert listings == []
+
+    def test_batched_sweep_is_each_targets_own_sweep(self):
+        # the 28 targets share classes, some of them two or three times in
+        # one target, and the lone vertices' columns are all 0 or all 1
+        targets = list(SMALL_TARGETS.values())
+        for n in range(2, 13):
+            assert list(extremal._sweeps(targets, n)) == [sweep_counts(H, n) for H in targets]
+
+
+@pytest.mark.parametrize("n", range(1, TREE_LIMIT + 1))
+def test_balanced_flags_at_each_position(n):
+    # the parity fold against the tree each free_trees position names, on
+    # both sides of the shared-tail size and at both parities of n
+    got = extremal._balanced(n)
+    for i, parts in enumerate(free_trees(n)):
+        adj = trees._adjacency(parts)
+        T = Tree.from_edges(n, [(u, v) for u, a in enumerate(adj) for v in a if u < v])
+        assert got[i] == has_balanced_bipartition(T), (n, i)
+    assert len(got) == i + 1
 
 
 def test_classify_builds_no_path(monkeypatch):

@@ -59,8 +59,8 @@ from treehom import (
     tree_partition_function,
 )
 from treehom import extremal, graphs, trees as trees_module
-from treehom.automorphy import _equitable_quotient
-from treehom.homcount import _path_hom
+from treehom.automorphy import _equitable_quotient, class_data
+from treehom.homcount import _message, _path_hom
 from treehom.trees import free_trees
 from treehom.extremal import (
     LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, sweep_counts,
@@ -368,20 +368,73 @@ def test_ordering_search_agrees_with_all_orderings(H):
         assert got[1].m == tuple(tuple(m[i][j] for j in want) for i in want)
 
 
+def _as_certificate(want, ordering, t_max, s_max):
+    """What check_strong_hl_certificate returns for the oracle's witnesses."""
+    if None in want:
+        return f"no witness class pair for path length t={want.index(None) + 2}"
+    return StrongHLCertificate(ordering, t_max, s_max, tuple(enumerate(want, 2)))
+
+
 @PROPERTY
 @given(targets(max_n=6), st.integers(2, 7), st.integers(2, 7))
 @example(H_IND, 7, 7)
 @example(SMALL_TARGETS[28], 3, 3)
+@example(SMALL_TARGETS[15], 7, 7)  # witness (1, 2) at every length: a second column
 def test_strict_certificate_agrees_with_adjacency_powers(H, t_max, s_max):
     found = find_increasing_ordering(H)
     assume(found is not None)
     ordering = found[0]
     want = strict_witness_pairs(H, orbit_partition(H).classes, ordering, t_max, s_max)
     got = check_strong_hl_certificate(H, ordering, t_max=t_max, s_max=s_max)
-    if None in want:
-        assert got == f"no witness class pair for path length t={want.index(None) + 2}"
-    else:
-        assert got == StrongHLCertificate(ordering, t_max, s_max, tuple(enumerate(want, 2)))
+    assert got == _as_certificate(want, ordering, t_max, s_max)
+
+
+def certificate_with_any_ordering(H, ordering, t_max, s_max):
+    """check_strong_hl_certificate with the increasing-columns test waived,
+    so that the witness scan may pass, at a longer path, the position it
+    stopped at on a shorter one. Every column it builds must equal that
+    class's column of the eager route, which steps every class indicator at
+    every length. Returns the result and the path length of every build."""
+    _, Q = class_data(H)
+    eager = [[[int(x == y) for y in range(Q.k)] for x in range(Q.k)]]  # eager[j][x] = B^j e_x
+    for _ in range(t_max - 1):
+        eager.append([_message(Q.rows, col) for col in eager[-1]])
+    built, column = [], extremal._column
+
+    def checked_column(rows, x, steps):
+        col = column(rows, x, steps)
+        assert col == eager[steps][x]
+        built.append(steps + 1)
+        return col
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremal, "has_increasing_columns", lambda m: True)
+        mp.setattr(extremal, "_column", checked_column)
+        return check_strong_hl_certificate(H, ordering, t_max=t_max, s_max=s_max), built
+
+
+@PROPERTY
+@given(targets(max_n=5), st.integers(2, 6), st.integers(2, 6), st.data())
+def test_late_built_columns_are_the_eager_columns(H, t_max, s_max, data):
+    classes = orbit_partition(H).classes
+    ordering = tuple(data.draw(st.permutations(range(len(classes)))))
+    want = strict_witness_pairs(H, classes, ordering, t_max, s_max)
+    got, _ = certificate_with_any_ordering(H, ordering, t_max, s_max)
+    assert got == _as_certificate(want, ordering, t_max, s_max)
+
+
+def test_certificate_builds_a_column_late():
+    # no passing ordering of a small random target moves the scan past its
+    # first stop; with the test waived, some orderings of this one do
+    H = TargetGraph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4)])
+    classes = orbit_partition(H).classes
+    late = 0
+    for ordering in permutations(range(len(classes))):
+        want = strict_witness_pairs(H, classes, ordering, 7, 7)
+        got, built = certificate_with_any_ordering(H, ordering, 7, 7)
+        assert got == _as_certificate(want, ordering, 7, 7)
+        late += max(built) > 2
+    assert late
 
 
 @PROPERTY
