@@ -5,14 +5,20 @@ its property violated (check-hl, sidorenko, kc), 2 on usage or parse errors
 and on inputs past a size limit or searches past a work limit.
 `--rows` switches every subcommand to machine-readable one-record-per-line
 output with tab-separated fields in a stable order.
+
+One table (`_COMMANDS`) declares the subcommands and their arguments. A
+well-formed command line is read from it without argparse (`_parse_fast`);
+argparse, built from the same table, reads every other one and prints help
+and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import combinations, combinations_with_replacement
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .automorphy import (
     _equitable_quotient,
@@ -51,6 +57,9 @@ from .extremal import (
     verify_hoffman_london,
 )
 from .trees import all_trees, kc_sites, path, star, tree_count
+
+if TYPE_CHECKING:
+    import argparse
 
 
 #: Cap on `kc`'s work, sites x n x (k + 3) x (r + k) for H's quotient with k
@@ -350,91 +359,146 @@ def _cmd_kc(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the command table: one entry per subcommand, read both by build_parser and
+# by _parse_fast
+
+# An argument is (option string, or a positional's name; dest; kind; default;
+# required; help). The kinds are "flag" (store_true), "int", "str",
+# "positional" and "*" (a positional taking any number of values). The order
+# is build_parser's add_argument order, so it is also the order --help lists.
+_ROWS = ("--rows", "rows", "flag", False, False, "machine-readable tab-separated output")
+_BUDGET = ("--budget", "budget", "int", BRUTE_FORCE_BUDGET, False, "brute-force enumeration cap")
+_TARGET = ("--target", "target", "str", None, True, "target graph: shorthand, inline:..., or file")
+_TREE = ("--tree", "tree", "str", None, True, "tree: any target spec whose graph is a tree")
+_N = ("-n", "n", "int", None, True, "tree order")
+_N_MAX = ("--n-max", "n_max", "int", 9, False, "largest tree order swept")
+
+_POSITIONAL = ("positional", "*")
+
+# name: (help, handler, arguments)
+_COMMANDS = {
+    "hom": ("count H-colorings of a tree", _cmd_hom, (
+        _ROWS, _BUDGET, _TARGET, _TREE,
+        ("--brute", "brute", "flag", False, False,
+         "use brute-force enumeration instead of the tree walk"))),
+    "partition": ("activity-weighted coloring sum of a tree", _cmd_partition, (
+        _ROWS, _TARGET, _TREE,
+        ("--activities", "activities", "str", None, True,
+         'comma-separated rationals, e.g. "3/2,1,5"'))),
+    "orbits": ("automorphic similarity classes of a target", _cmd_orbits, (_ROWS, _TARGET)),
+    "matrix": ("similarity matrix and increasing-columns verdict", _cmd_matrix, (_ROWS, _TARGET)),
+    "trees": ("list non-isomorphic trees of an order", _cmd_trees, (
+        _ROWS, _N, ("--count", "count", "flag", False, False, "print only the class count"))),
+    "minimize": ("exhaustive minimizer sweep at one order", _cmd_minimize, (_ROWS, _TARGET, _N)),
+    "check-hl": ("sweep path minimality up to an order", _cmd_check_hl, (
+        _ROWS, _TARGET, _N_MAX,
+        ("--strong", "strong", "flag", False, False,
+         "require the path to be the unique minimizer (n >= 4)"))),
+    "classify": ("minimizer classes of the 28 small targets", _cmd_classify, (_ROWS, _N_MAX)),
+    "family": ("emit a named family graph as an edge list", _cmd_family, (
+        _ROWS,
+        ("name", "name", "positional", None, True,
+         "capacity | wr | habl | folkman (or any shorthand)"),
+        ("params", "params", "*", None, False, "numeric parameters"))),
+    "sidorenko": ("check the star maximizes over trees", _cmd_sidorenko, (_ROWS, _TARGET, _N_MAX)),
+    "kc": ("verify the KC difference decomposition on a tree", _cmd_kc, (_ROWS, _TARGET, _TREE)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command table. argparse is imported here,
+    so a command line that `_parse_fast` reads never loads it."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="treehom",
         description="Exact H-coloring counts of trees and path-minimality checks.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, target=False, tree=False, n=False, n_max=False, budget=False):
-        p.add_argument("--rows", action="store_true",
-                       help="machine-readable tab-separated output")
-        if budget:
-            p.add_argument("--budget", type=int, default=BRUTE_FORCE_BUDGET,
-                           help="brute-force enumeration cap")
-        if target:
-            p.add_argument("--target", required=True,
-                           help="target graph: shorthand, inline:..., or file")
-        if tree:
-            p.add_argument("--tree", required=True,
-                           help="tree: any target spec whose graph is a tree")
-        if n:
-            p.add_argument("-n", type=int, required=True, help="tree order")
-        if n_max:
-            p.add_argument("--n-max", type=int, default=9, dest="n_max",
-                           help="largest tree order swept")
-
-    p = sub.add_parser("hom", help="count H-colorings of a tree")
-    common(p, target=True, tree=True, budget=True)
-    p.add_argument("--brute", action="store_true",
-                   help="use brute-force enumeration instead of the tree walk")
-    p.set_defaults(func=_cmd_hom)
-
-    p = sub.add_parser("partition", help="activity-weighted coloring sum of a tree")
-    common(p, target=True, tree=True)
-    p.add_argument("--activities", required=True,
-                   help='comma-separated rationals, e.g. "3/2,1,5"')
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("orbits", help="automorphic similarity classes of a target")
-    common(p, target=True)
-    p.set_defaults(func=_cmd_orbits)
-
-    p = sub.add_parser("matrix", help="similarity matrix and increasing-columns verdict")
-    common(p, target=True)
-    p.set_defaults(func=_cmd_matrix)
-
-    p = sub.add_parser("trees", help="list non-isomorphic trees of an order")
-    common(p, n=True)
-    p.add_argument("--count", action="store_true", help="print only the class count")
-    p.set_defaults(func=_cmd_trees)
-
-    p = sub.add_parser("minimize", help="exhaustive minimizer sweep at one order")
-    common(p, target=True, n=True)
-    p.set_defaults(func=_cmd_minimize)
-
-    p = sub.add_parser("check-hl", help="sweep path minimality up to an order")
-    common(p, target=True, n_max=True)
-    p.add_argument("--strong", action="store_true",
-                   help="require the path to be the unique minimizer (n >= 4)")
-    p.set_defaults(func=_cmd_check_hl)
-
-    p = sub.add_parser("classify", help="minimizer classes of the 28 small targets")
-    common(p, n_max=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("family", help="emit a named family graph as an edge list")
-    common(p)
-    p.add_argument("name", help="capacity | wr | habl | folkman (or any shorthand)")
-    p.add_argument("params", nargs="*", help="numeric parameters")
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("sidorenko", help="check the star maximizes over trees")
-    common(p, target=True, n_max=True)
-    p.set_defaults(func=_cmd_sidorenko)
-
-    p = sub.add_parser("kc", help="verify the KC difference decomposition on a tree")
-    common(p, target=True, tree=True)
-    p.set_defaults(func=_cmd_kc)
-
+    for name, (text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, dest, kind, default, required, help_ in arguments:
+            if kind == "flag":
+                p.add_argument(flag, dest=dest, action="store_true", help=help_)
+            elif kind in _POSITIONAL:
+                p.add_argument(flag, nargs="*" if kind == "*" else None, help=help_)
+            else:
+                p.add_argument(flag, dest=dest, type=int if kind == "int" else None,
+                               default=default, required=required, help=help_)
+        p.set_defaults(func=func)
     return top
 
 
+def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace build_parser().parse_args(argv) returns, read from the
+    command table without argparse, or None when argv is outside the strict
+    form read here: an exact subcommand name first; then exact option strings
+    of that subcommand, each at most once, each value present and not
+    starting with "-", every int value one that int() reads, and every
+    required option there; and one unbroken run of positionals, as many as
+    the subcommand takes. So -h, --help, --, --opt=value, an abbreviated
+    option and every usage error are left to argparse, which prints their
+    help or message exactly as before."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, arguments = entry
+    options = {a[0]: a for a in arguments if a[2] not in _POSITIONAL}
+    got: dict = {}
+    free: list[str] = []  # the positionals' values
+    run_end = 0  # the index just past the positional run
+    i = 1
+    while i < len(argv):
+        arg = argv[i]
+        if not arg.startswith("-"):
+            if free and run_end != i:
+                return None  # a second run of positionals
+            free.append(arg)
+            i = run_end = i + 1
+            continue
+        a = options.get(arg)
+        if a is None or a[1] in got:
+            return None
+        if a[2] == "flag":
+            got[a[1]] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if a[2] == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        got[a[1]] = value
+        i += 2
+    ns = SimpleNamespace(command=argv[0])
+    for _, dest, kind, default, required, _ in arguments:
+        if kind == "positional":
+            if not free:
+                return None
+            value = free.pop(0)
+        elif kind == "*":
+            value, free = free, []
+        elif dest in got:
+            value = got[dest]
+        elif required:
+            return None
+        else:
+            value = default
+        setattr(ns, dest, value)
+    if free:
+        return None  # more positionals than the subcommand takes
+    ns.func = func
+    return ns
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_fast(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

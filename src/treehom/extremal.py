@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations, islice, repeat
 from operator import add, mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -23,7 +23,7 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph
-from .homcount import _message, _path_hom, shape_vectors, tree_hom
+from .homcount import _message, _path_counts, _path_hom, shape_vectors, tree_hom
 from .trees import fold_products, path, rooted_shapes, star, tree_codes
 
 
@@ -229,16 +229,16 @@ def sweep_counts(H: TargetGraph, n: int) -> list[int]:
     return next(_sweeps([H], n))
 
 
-def _order_verdict(H: TargetGraph, n: int, counts: Optional[list] = None) -> tuple[list, OrderVerdict]:
-    """(counts in `free_trees` order, their verdict) for one order."""
-    counts = sweep_counts(H, n) if counts is None else counts
+def _verdict(n: int, counts: list[int], path_count: int) -> OrderVerdict:
+    """The verdict of one order's counts, given hom(P_n, H)."""
     lo = min(counts)
-    path_is_min = _path_hom(H, n) == lo
-    return counts, OrderVerdict(n, lo, path_is_min, path_is_min and counts.count(lo) == 1)
+    path_is_min = path_count == lo
+    return OrderVerdict(n, lo, path_is_min, path_is_min and counts.count(lo) == 1)
 
 
 def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
-    counts, v = _order_verdict(H, n)
+    counts = sweep_counts(H, n)
+    v = _verdict(n, counts, _path_hom(H, n))
     hi = max(counts)
     # one tree at n = 1: the path is the star
     star_count = tree_hom(star(n), H) if n >= 2 else hi
@@ -263,7 +263,8 @@ def _check_n_max(n_max: int, what: str, name: str = "n_max") -> None:
 
 def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
     _check_n_max(n_max, "the path-minimality check")
-    reports = tuple(_order_verdict(H, n)[1] for n in range(2, n_max + 1))
+    paths = islice(_path_counts(H), 1, None)  # from n = 2
+    reports = tuple(_verdict(n, sweep_counts(H, n), next(paths)) for n in range(2, n_max + 1))
     try:
         cert = find_increasing_ordering(H)
     except SizeLimitError:
@@ -403,23 +404,27 @@ def _balanced(n: int) -> tuple[bool, ...]:
     return tuple(map(least.__ge__, fold_products(n, h, msg, _dot)))
 
 
-def _labels_for(counts: list[int], v: OrderVerdict) -> frozenset[str]:
+def _labels_for(counts: list[int], v: OrderVerdict, balanced: Sequence[int]) -> frozenset[str]:
     """All class labels the minimizer set matches at order v.n, given that
-    order's counts in `free_trees` order and their verdict.
+    order's counts in `free_trees` order, their verdict, and the positions
+    of the balanced-bipartition trees (`_balanced`). The minimizers are
+    those trees exactly when as many counts as there are such trees are at
+    the minimum, and each of theirs is.
 
     At small n the descriptions coincide (e.g. on 4 vertices the path is the
     only balanced-bipartition tree), so a set is returned rather than forcing
     an arbitrary precedence.
     """
-    at_min = tuple(map(v.min_count.__eq__, counts))
+    lo = v.min_count
+    ties = counts.count(lo)
     out = set()
-    if v.min_count == 0:
+    if lo == 0:
         out.add(LABEL_ZERO)
-    if all(at_min):
+    if ties == len(counts):
         out.add(LABEL_ALL)
     if v.path_is_unique_min:
         out.add(LABEL_PATHS)
-    if at_min == _balanced(v.n):
+    if ties == len(balanced) and all(counts[i] == lo for i in balanced):
         out.add(LABEL_BALANCED)
     return frozenset(out) if out else frozenset({LABEL_OTHER})
 
@@ -431,10 +436,12 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     _check_n_max(n_max, "classification")
     targets = list(SMALL_TARGETS.values())
     found: list[list] = [[] for _ in targets]  # per target, (verdict, labels) per order
+    paths = [islice(_path_counts(H), 1, None) for H in targets]  # from n = 2
     for n in range(2, n_max + 1):  # one sweep per order for all targets
-        for H, counts, out in zip(targets, _sweeps(targets, n), found):
-            v = _order_verdict(H, n, counts)[1]
-            out.append((v, _labels_for(counts, v)))
+        balanced = [i for i, flag in enumerate(_balanced(n)) if flag]
+        for counts, walk, out in zip(_sweeps(targets, n), paths, found):
+            v = _verdict(n, counts, next(walk))
+            out.append((v, _labels_for(counts, v, balanced)))
     rows = []
     for hid, orders in zip(SMALL_TARGETS, found):
         labels = tuple((v.n, labs) for v, labs in orders)

@@ -20,10 +20,10 @@ the end: none per vertex, and never a float.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import lcm, prod
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
@@ -130,20 +130,27 @@ def hom_count(T: Tree, H: TargetGraph) -> int:
 
 def tree_hom(T: Tree, H: TargetGraph) -> int:
     """hom(T, H) by the walk over H's coarsest equitable quotient, the root's
-    entries weighted by class size: no automorphism search, no size limit."""
+    entries weighted by class size: no automorphism search, no size limit.
+    T may also be a KC site's glued tree (`trees._kc_glue`): the walk reads
+    only its n and neighbors."""
     _, sizes, rows = _equitable_quotient(H)
     return sum(map(mul, sizes, _walk(T, 0, rows, [1] * len(sizes))))
 
 
-def _path_hom(H: TargetGraph, n: int) -> int:
-    """hom(P_n, H) = 1ᵀA^(n-1)1: n - 1 message steps over H's coarsest
-    equitable quotient from the all-ones vector, weighted by class size. No
-    path is built."""
+def _path_counts(H: TargetGraph) -> Iterator[int]:
+    """hom(P_n, H) = 1ᵀA^(n-1)1 for n = 1, 2, ...: one message step per
+    order over H's coarsest equitable quotient from the all-ones vector,
+    weighted by class size. No path is built."""
     _, sizes, rows = _equitable_quotient(H)
     h = [1] * len(sizes)
-    for _ in range(n - 1):
+    while True:
+        yield sum(map(mul, sizes, h))
         h = _message(rows, h)
-    return sum(map(mul, sizes, h))
+
+
+def _path_hom(H: TargetGraph, n: int) -> int:
+    """hom(P_n, H): n - 1 steps of `_path_counts`."""
+    return next(islice(_path_counts(H), max(n - 1, 0), None))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +211,13 @@ def kc_difference_decomposition(
     every equitable partition, orbits included; it runs on H's coarsest one.
 
     hom_T is hom(T, H) if the caller has it (it is the same at every site);
-    hom(T_KC, H) is always counted, being the identity's independent side. ℓ
-    and r are walks of T from v_left and v_right that skip the first path
-    vertex, so the moved tree is the only one built. Sites share sides and
-    path lengths: a dict passed as memo to every call on one T and H keeps
-    each side by (end, first path vertex) and each path-pair table by t, so
-    each is computed once."""
+    hom(T_KC, H) is always counted, being the identity's independent side,
+    by a walk of the glued adjacency lists (`trees._kc_glue`): no Tree is
+    built or validated. ℓ and r are walks of T from v_left and v_right that
+    skip the first path vertex. Sites share sides and path lengths: a dict
+    passed as memo to every call on one T and H keeps each side by (end,
+    first path vertex) and each path-pair table by t, so each is computed
+    once."""
     pth = bare_path(T, v_left, v_right)
     if hom_T is None:
         hom_T = tree_hom(T, H)

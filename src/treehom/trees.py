@@ -347,34 +347,38 @@ def kc_move(T: Tree, v_left: int, v_right: int) -> Tree:
     """Glue the two ends of a bare path and re-append the path as a pendant.
 
     The vertex count is preserved; the glued vertex keeps all non-path
-    neighbors of both endpoints.
+    neighbors of both endpoints. The moved tree keeps T's labels
+    (`_kc_glue`) and is validated as any Tree is.
     """
-    return _kc_glue(T, bare_path(T, v_left, v_right))
+    moved = _kc_glue(T, bare_path(T, v_left, v_right))
+    return Tree.from_edges(T.n, ((u, v) for u in T.vertices() for v in moved.neighbors(u) if u < v))
 
 
-def _kc_glue(T: Tree, pth: list[int]) -> Tree:
-    """kc_move at the site whose path pth has passed bare_path."""
-    v_left, v_right, t = pth[0], pth[-1], len(pth)
-    internal = set(pth[1:-1])
-    keep = [v for v in T.vertices() if v not in internal and v != v_right]
-    relabel = {v: i for i, v in enumerate(keep)}
-    merged = relabel[v_left]
-    edges = []
-    for u, v in T.edges:
-        if u in internal or v in internal:
-            continue
-        if (u, v) == (min(v_left, v_right), max(v_left, v_right)):
-            continue  # the t=2 path edge disappears in the gluing
-        a = merged if u == v_right else relabel[u]
-        b = merged if v == v_right else relabel[v]
-        edges.append((a, b))
-    # pendant path of t-1 new vertices at the glued vertex
-    prev = merged
-    for i in range(t - 1):
-        w = len(keep) + i
-        edges.append((prev, w))
-        prev = w
-    return Tree.from_edges(T.n, edges)
+class _GluedTree:
+    """The moved tree of one KC site as adjacency lists on T's labels,
+    unvalidated: the `n` and `neighbors` that a tree walk reads."""
+
+    __slots__ = ("n", "neighbors")
+
+    def __init__(self, adj: list[Sequence[int]]) -> None:
+        self.n = len(adj)
+        self.neighbors = adj.__getitem__
+
+
+def _kc_glue(T: Tree, pth: list[int]) -> _GluedTree:
+    """kc_move at the site whose path pth has passed bare_path. v_right's
+    neighbours off the path move to v_left, which glues the two ends; the
+    path itself, v_left's first path neighbour to v_right, is then the
+    pendant path of t - 1 vertices hanging from the glued vertex. Only the
+    lists of v_left, v_right and v_right's moved neighbours change."""
+    v_left, last, v_right = pth[0], pth[-2], pth[-1]
+    adj = list(map(T.neighbors, T.vertices()))
+    moved = [w for w in adj[v_right] if w != last]
+    adj[v_left] += tuple(moved)
+    adj[v_right] = (last,)
+    for w in moved:
+        adj[w] = [v_left if x == v_right else x for x in adj[w]]
+    return _GluedTree(adj)
 
 
 def kc_successors(T: Tree) -> tuple[CanonicalTree, ...]:

@@ -33,6 +33,13 @@ One oracle that shares no code with treehom.extremal and uses no quotient:
 * strict_witness_pairs: the strict-minimality certificate's witness pairs,
   read off powers of the vertex adjacency matrix.
 
+One oracle that shares no code with treehom.trees' KC moves:
+
+* kc_moved_edges: the KC move by contraction, as the definition reads: the
+  path's internal vertices and v_right are dropped, v_right's other
+  neighbours join v_left, and t - 1 fresh vertices hang from v_left as a
+  path.
+
 One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
@@ -211,6 +218,31 @@ def round_refined_colors(H: TargetGraph) -> list[int]:
         if len(palette) == ncolors:
             return [col[v] for v in H.vertices()]
         ncolors = len(palette)
+
+
+def kc_moved_edges(n: int, edges, v_left: int, v_right: int) -> list[tuple[int, int]]:
+    """Edges of the KC move at (v_left, v_right) of the tree (n, edges), on
+    the kept vertices in increasing order followed by the fresh path."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    parent = {v_left: None}
+    frontier = [v_left]
+    while frontier:
+        u = frontier.pop()
+        for w in adj[u] - parent.keys():
+            parent[w] = u
+            frontier.append(w)
+    pth = [v_right]
+    while pth[-1] != v_left:
+        pth.append(parent[pth[-1]])
+    dropped = set(pth[:-1])  # v_right and the internal vertices
+    label = {v: i for i, v in enumerate(v for v in range(n) if v not in dropped)}
+    out = {tuple(sorted((label[u], label[v]))) for u, v in edges if not {u, v} & dropped}
+    out |= {tuple(sorted((label[v_left], label[w]))) for w in adj[v_right] - dropped - {v_left}}
+    chain = [label[v_left], *range(len(label), n)]
+    return sorted(out | set(zip(chain, chain[1:])))
 
 
 def dense_regular_21() -> TargetGraph:

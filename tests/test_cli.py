@@ -1,12 +1,17 @@
+import io
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import chain, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import dense_regular_21, path_partition_function
 import treehom
@@ -17,7 +22,8 @@ from treehom import (
     make_capacity_graph, make_widom_rowlinson, tree_count,
 )
 from treehom.cli import (
-    KC_WORK_LIMIT, SHORTHAND_EDGE_LIMIT, main, parse_target_spec, parse_tree_spec,
+    KC_WORK_LIMIT, SHORTHAND_EDGE_LIMIT, _parse_fast, build_parser, main, parse_target_spec,
+    parse_tree_spec,
 )
 
 
@@ -471,6 +477,155 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 1.0
 
 
+@cache
+def _parser():
+    return build_parser()
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits
+    (a usage error or --help); what it prints is discarded."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+_OPTIONS = sorted({a[0] for _, _, arguments in cli._COMMANDS.values() for a in arguments
+                   if a[2] not in cli._POSITIONAL})
+_INTS = st.one_of(st.integers(-12, 30).map(str),
+                  st.sampled_from(["1_000", "junk", " 7", "0x1f", "\u0663", "1e3", "", "-0"]))
+_STRS = st.sampled_from(["h7", "path:5", "hind", "3/2,1", "habl", "3", "", "-x", "--rows"])
+_NOISE = st.sampled_from(["-h", "--help", "--", "--targ", "--target=h7", "--n-max=4", "-n5",
+                          "-", "extra", *_OPTIONS])
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand (or junk) and its arguments, each present 0-2 times, in
+    any order, sometimes with a value dropped or noise inserted."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "--help"]))
+    chunks = []
+    for flag, _, kind, _, _, _ in cli._COMMANDS.get(name, (None, None, ()))[2]:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))):
+            if kind == "flag":
+                chunks.append([flag])
+            elif kind == "positional":
+                chunks.append([draw(_STRS)])
+            elif kind == "*":
+                chunks.append(draw(st.lists(_INTS, max_size=3)))
+            else:
+                value = draw(_INTS if kind == "int" else _STRS)
+                chunks.append([flag] if draw(st.integers(0, 9)) == 0 else [flag, value])
+    chunks = draw(st.permutations(chunks))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 0, 1, 2]))):
+        chunks.insert(draw(st.integers(0, len(chunks))), [draw(_NOISE)])
+    return [name, *chain.from_iterable(chunks)]
+
+
+# every argv shape the CI smoke step, the README examples and the benchmark
+# workloads run (tree files and activities stand for the seeded ones)
+FAST_COMMAND_LINES = [
+    # CI smoke step
+    "orbits --target clique:14 --rows",
+    "matrix --target clique:16 --rows",
+    "check-hl --target folkman+dom --n-max 8 --strong --rows",
+    "check-hl --target capacity:3 --n-max 16 --strong --rows",
+    "partition --tree path:8000 --target wr:3 --activities 3,7/2,10/3,3 --rows",
+    "trees -n 16 --count",
+    "kc --tree path:40 --target capacity:3 --rows",
+    "check-hl --target capacity:20 --n-max 10 --strong --rows",
+    "matrix --target 'inline:9 15\\n0 0\\n0 4\\n0 7' --rows",
+    "orbits --target path:900 --rows",
+    "hom --tree path:1000 --target clique:200 --rows",
+    "classify --n-max 14 --rows",
+    "kc --tree path:20 --target lpath:30 --rows",
+    "kc --tree path:5 --target path:3000",
+    "check-hl --target lpath:30 --n-max 10 --strong --rows",
+    "orbits --target dense21.txt",
+    "check-hl --target lpath:300 --n-max 12 --strong --rows",
+    "hom --tree path:2 --target 'inline:2000000 0'",
+    "minimize --target capacity:3 -n 16 --rows",
+    "sidorenko --target capacity:3 --n-max 16 --rows",
+    "classify --n-max 16 --rows",
+    "check-hl --target path:700 --n-max 10 --strong --rows",
+    # README examples
+    "hom --tree path:5 --target 'inline:2 2\\n0 0\\n0 1'",
+    "matrix --target folkman+dom",
+    "check-hl --target capacity:3 --n-max 9 --strong",
+    "classify --n-max 9",
+    "family habl 3 2 2",
+    # benchmark workloads and their start-up command
+    "check-hl --target capacity:3 --n-max 16 --strong --rows",
+    "classify --n-max 14 --rows",
+    "matrix --target folkman+dom --rows",
+    "orbits --target clique:8 --rows",
+    "check-hl --target folkman+dom --n-max 13 --strong --rows",
+    "orbits --target clique:10 --rows",
+    "hom --tree tree-00-400.txt --target capacity:3 --rows",
+    "partition --tree tree-09-400.txt --target capacity:3 --rows --activities 7/2,1,5,2/3",
+    "kc --tree tree-15-40.txt --target capacity:3 --rows",
+    "kc --tree tree-17-60.txt --target hind --rows",
+    "family h7",
+]
+
+
+class TestParser:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(command_lines())
+    def test_fast_parse_is_argparse_or_none(self, argv):
+        fast = _parse_fast(argv)
+        assert fast is None or vars(fast) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("line", FAST_COMMAND_LINES)
+    def test_command_lines_in_use_take_the_fast_path(self, line):
+        argv = shlex.split(line)
+        fast = _parse_fast(argv)
+        assert fast is not None and vars(fast) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        # a repeated option: argparse keeps the last
+        (["hom", "--tree", "path:3", "--target", "h6", "--target", "h7"], "target", "h7"),
+        # a negative number is a value, as no option looks like one
+        (["trees", "-n", "-3"], "n", -3),
+        # abbreviations and --opt=value
+        (["hom", "--tree", "path:3", "--targ", "h7"], "target", "h7"),
+        (["check-hl", "--target=h7", "--n-max=4"], "n_max", 4),
+        (["trees", "-n5"], "n", 5),
+    ])
+    def test_argparse_reads_what_the_fast_path_leaves(self, argv, dest, value):
+        assert _parse_fast(argv) is None
+        assert _argparse_vars(argv)[dest] == value
+
+    @pytest.mark.parametrize("argv", [
+        # params was taken empty before --rows, so 3 is left over
+        ["family", "h7", "--rows", "3"],
+        ["family", "--rows"],
+        ["hom", "--tree", "path:3"],
+        ["trees", "-n", "x"],
+        ["trees", "-n"],
+        ["hom", "--tree", "path:3", "--target", "h7", "extra"],
+        [],
+    ])
+    def test_usage_errors_left_to_argparse(self, capsys, argv):
+        assert _parse_fast(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: treehom")
+
+    @pytest.mark.parametrize("argv", [["hom", "--help"], ["--help"], ["family", "-h"]])
+    def test_help_is_argparse_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: treehom")
+        assert "show this help message and exit" in out
+        with redirect_stdout(io.StringIO()) as want, pytest.raises(SystemExit):
+            _parser().parse_args(argv)
+        assert out == want.getvalue()
+
+
 # malformed tree files: (file text, exit status, stderr). The messages are the
 # parser's and the Tree's; when a file has several faults, the parser's first
 # fault in line order wins, then the Tree's first in sorted edge order.
@@ -543,6 +698,15 @@ class TestProcess:
         out = subprocess.run(**_process(["-S", "-c", code]), capture_output=True, text=True,
                              check=True).stdout
         assert out == "[]\n"
+
+    @pytest.mark.parametrize("argv", [["family", "h7"],
+                                      ["hom", "--tree", "path:5", "--target", "hind", "--rows"]])
+    def test_well_formed_command_loads_no_argparse(self, argv):
+        code = ("import sys; from treehom.cli import main; status = main(sys.argv[1:]); "
+                "print('argparse' in sys.modules, status)")
+        out = subprocess.run(**_process(["-S", "-c", code, *argv]), capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "False 0"
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_is_a_normal_end(self, unbuffered):

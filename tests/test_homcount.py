@@ -142,8 +142,9 @@ class TestKCDecomposition:
         lhs, rhs = kc_difference_decomposition(path(4), 1, 2, H_IND)
         assert lhs == rhs == 1
 
-    def test_builds_only_the_moved_tree(self, monkeypatch):
-        # the L and R vectors are walks of T itself: a site builds one tree
+    def test_builds_no_tree(self, monkeypatch):
+        # the L and R vectors are walks of T itself, and the moved tree is
+        # walked as glued adjacency lists: a site builds no tree
         built = []
         real = Tree.from_edges.__func__
 
@@ -154,7 +155,7 @@ class TestKCDecomposition:
         t = Tree.from_edges(9, [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7), (6, 8)])
         monkeypatch.setattr(Tree, "from_edges", classmethod(counting))
         lhs, rhs = kc_difference_decomposition(t, 0, 4, make_capacity_graph(3))
-        assert lhs == rhs and built == [9]
+        assert lhs == rhs and built == []
 
 
 class TestPartitionFunction:

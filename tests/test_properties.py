@@ -2,7 +2,8 @@
 walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
-refinement against refinement in rounds, the KC machinery against bare_path and its identity, the
+refinement against refinement in rounds, the KC machinery against bare_path, its identity and
+the contraction oracle, the
 isomorphism search and the orbit search against all vertex permutations,
 the class-ordering search against all class orderings, the strict-minimality
 certificate against adjacency-matrix powers, the one-pass tree constructor
@@ -16,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     brute_partition_function, first_increasing_ordering, fraction_partition_function,
-    round_refined_colors, strict_witness_pairs,
+    kc_moved_edges, round_refined_colors, strict_witness_pairs,
 )
 from treehom import (
     H_IND,
@@ -464,6 +465,23 @@ def test_kc_identity_at_every_site(H, T):
     for vl, vr in kc_sites(T):
         lhs, rhs = kc_difference_decomposition(T, vl, vr, H)
         assert lhs == rhs == hom_count(kc_move(T, vl, vr), H) - hom_count(T, H)
+
+
+@PROPERTY
+@given(targets(max_n=4), trees())
+def test_glued_count_is_the_moved_trees_count(H, T):
+    # kc counts hom(T_KC, H) on the glued adjacency lists; they are the
+    # validated moved tree's, which is the contraction oracle's tree
+    hom_T = tree_hom(T, H)
+    for vl, vr in kc_sites(T):
+        moved = kc_move(T, vl, vr)
+        glued = trees_module._kc_glue(T, bare_path(T, vl, vr))
+        assert [sorted(glued.neighbors(v)) for v in T.vertices()] == [
+            list(moved.neighbors(v)) for v in T.vertices()]
+        lhs, _ = kc_difference_decomposition(T, vl, vr, H, hom_T)
+        assert lhs + hom_T == tree_hom(moved, H)
+        oracle = Tree.from_edges(T.n, kc_moved_edges(T.n, T.edges, vl, vr))
+        assert canonical_code(moved) == canonical_code(oracle)
 
 
 @PROPERTY
