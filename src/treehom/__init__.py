@@ -6,7 +6,6 @@ from .graphs import (
     TargetGraph,
     Tree,
     add_looped_dominating,
-    bipartition,
     blow_up,
     disjoint_union,
     format_graph,
@@ -18,7 +17,6 @@ from .trees import (
     all_trees,
     bare_path,
     canonical_code,
-    has_balanced_bipartition,
     kc_closure,
     kc_move,
     kc_sites,

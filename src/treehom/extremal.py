@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations, islice, repeat
 from operator import add, mul
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphy import (
     SimilarityMatrix,
@@ -23,8 +23,8 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph
-from .homcount import _message, _path_counts, _path_hom, shape_vectors, tree_hom
-from .trees import fold_products, path, rooted_shapes, star, tree_codes
+from .homcount import _message, _path_counts, _path_hom, _star_hom, shape_vectors
+from .trees import TREE_LIMIT, _dot, bounded_fold, fold_products, rooted_shapes, tree_codes
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +201,19 @@ def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
     roots are weighted once and each count is one dot product. Several
     targets transpose the fold's rows once into class columns, and each
     target sums its classes' columns, scaled by multiplicity."""
+    if len(targets) == 1:
+        yield fold_products(n, *_weighted_shapes(targets[0], n), _dot)
+        return
     starts = list(accumulate((G.n for G in targets), initial=0))
     union = TargetGraph(starts[-1], frozenset(
         (u + s, v + s) for G, s in zip(targets, starts) for u, v in G.edges))
-    class_of, sizes, _ = _equitable_quotient(union)
+    class_of, _, _ = _equitable_quotient(union)
     h, msg = shape_vectors(union, n)
-    if len(targets) == 1:
-        yield fold_products(n, [list(map(mul, sizes, v)) for v in h], msg, _dot)
-        return
     cols = list(zip(*fold_products(n, h, msg, _product)))  # cols[c][i]: class c, tree i
     for H, start in zip(targets, starts):
         terms = [cols[c] if m == 1 else map(mul, repeat(m), cols[c])
                  for c, m in Counter(class_of[start:start + H.n]).items()]
         yield list(reduce(partial(map, add), terms))
-
-
-def _dot(x: list[int], y: list[int]) -> int:
-    return sum(map(mul, x, y))
 
 
 def _product(x: list[int], y: list[int]) -> tuple[int, ...]:
@@ -229,8 +225,27 @@ def sweep_counts(H: TargetGraph, n: int) -> list[int]:
     return next(_sweeps([H], n))
 
 
+def _weighted_shapes(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(roots, msg) of a lone target's product fold: `shape_vectors(H, n)`
+    with each root weighted by its classes' sizes, so that a tree's count is
+    one dot product. The vectors of every order up to n are a prefix of
+    these, so one pair serves a sweep over all of them."""
+    _, sizes, _ = _equitable_quotient(H)
+    h, msg = shape_vectors(H, n)
+    return [list(map(mul, sizes, v)) for v in h], msg
+
+
+def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[[int, int], list[tuple[int, int]]]:
+    """`trees.bounded_fold` over H's counts, fold(n, bound) for every
+    order up to n_max, with one set of tables for the whole sweep. Past
+    TREE_LIMIT an order raises in its own fold, after the orders below it."""
+    m = min(n_max, TREE_LIMIT)
+    return bounded_fold(m, *_weighted_shapes(H, m))
+
+
 def _verdict(n: int, counts: list[int], path_count: int) -> OrderVerdict:
-    """The verdict of one order's counts, given hom(P_n, H)."""
+    """The verdict of one order's counts, given hom(P_n, H): counts holds
+    every tree's count, or those at most the path's, the least among them."""
     lo = min(counts)
     path_is_min = path_count == lo
     return OrderVerdict(n, lo, path_is_min, path_is_min and counts.count(lo) == 1)
@@ -240,8 +255,6 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     counts = sweep_counts(H, n)
     v = _verdict(n, counts, _path_hom(H, n))
     hi = max(counts)
-    # one tree at n = 1: the path is the star
-    star_count = tree_hom(star(n), H) if n >= 2 else hi
     at_min = [i for i, c in enumerate(counts) if c == v.min_count]
     return MinimizerReport(
         n=n,
@@ -250,7 +263,7 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
         path_is_min=v.path_is_min,
         path_is_unique_min=v.path_is_unique_min,
         max_count=hi,
-        star_is_max=star_count == hi,
+        star_is_max=_star_hom(H, n) == hi,
     )
 
 
@@ -263,8 +276,12 @@ def _check_n_max(n_max: int, what: str, name: str = "n_max") -> None:
 
 def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
     _check_n_max(n_max, "the path-minimality check")
+    # the path is among the trees counted at most its own count, so the
+    # least count and its ties are among them too
+    fold = _bounded_fold(H, n_max)
     paths = islice(_path_counts(H), 1, None)  # from n = 2
-    reports = tuple(_verdict(n, sweep_counts(H, n), next(paths)) for n in range(2, n_max + 1))
+    reports = tuple(_verdict(n, [c for _, c in fold(n, p)], p)
+                    for n, p in zip(range(2, n_max + 1), paths))
     try:
         cert = find_increasing_ordering(H)
     except SizeLimitError:
@@ -330,14 +347,14 @@ def _column(rows: Sequence[Sequence[int]], x: int, steps: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # sweeps against the named bounds
 
-def _first_offender(n: int, counts: list[int], offends) -> Optional[tuple[str, int]]:
-    """(code, count) of the tree first in code order whose count offends."""
-    bad = [i for i, c in enumerate(counts) if offends(c)]
-    if not bad:
+def _first_offender(n: int, found: list[tuple[int, int]]) -> Optional[tuple[str, int]]:
+    """(code, count) of the tree first in code order among found, (position
+    in `free_trees` order, count) pairs; None if found is empty."""
+    if not found:
         return None
-    codes = tree_codes(n, bad)
-    first = min(bad, key=codes.__getitem__)
-    return codes[first], counts[first]
+    codes = tree_codes(n, (i for i, _ in found))
+    first, count = min(found, key=lambda f: codes[f[0]])
+    return codes[first], count
 
 
 def sidorenko_check(H: TargetGraph, n_max: int):
@@ -345,9 +362,9 @@ def sidorenko_check(H: TargetGraph, n_max: int):
     where violation is (n, code, count, star_count) for the first offender."""
     _check_n_max(n_max, "the star-maximality check")
     for n in range(2, n_max + 1):
-        counts = sweep_counts(H, n)
-        star_count = tree_hom(star(n), H)
-        found = _first_offender(n, counts, lambda c: c > star_count)
+        star_count = _star_hom(H, n)
+        found = _first_offender(n, [(i, c) for i, c in enumerate(sweep_counts(H, n))
+                                    if c > star_count])
         if found is not None:
             return False, (n, *found, star_count)
     return True, None
@@ -355,12 +372,13 @@ def sidorenko_check(H: TargetGraph, n_max: int):
 
 def find_hl_counterexample_search(H: TargetGraph, n_max: int):
     """First (n, code, count, path_count) with a non-path tree strictly
-    beating the path, or None."""
+    beating the path, or None. Only the trees counted below the path are
+    listed (`_bounded_fold`), and only they are coded."""
     _check_n_max(n_max, "the counterexample search")
-    for n in range(2, n_max + 1):
-        counts = sweep_counts(H, n)
-        path_count = tree_hom(path(n), H)
-        found = _first_offender(n, counts, lambda c: c < path_count)
+    fold = _bounded_fold(H, n_max)
+    paths = islice(_path_counts(H), 1, None)  # from n = 2
+    for n, path_count in zip(range(2, n_max + 1), paths):
+        found = _first_offender(n, fold(n, path_count - 1))
         if found is not None:
             return (n, *found, path_count)
     return None

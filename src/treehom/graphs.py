@@ -299,18 +299,3 @@ def add_looped_dominating(H: TargetGraph, b: int) -> TargetGraph:
         edges.add((w, w))
     return TargetGraph.from_edges(H.n + b, edges)
 
-
-def bipartition(T: Tree) -> tuple[list[int], list[int]]:
-    """The unique 2-coloring classes (X, Y) of a tree, with |X| <= |Y|."""
-    color = [-1] * T.n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in T.neighbors(u):
-            if color[w] < 0:
-                color[w] = 1 - color[u]
-                stack.append(w)
-    x = [v for v in T.vertices() if color[v] == 0]
-    y = [v for v in T.vertices() if color[v] == 1]
-    return (x, y) if len(x) <= len(y) else (y, x)

@@ -153,6 +153,15 @@ def _path_hom(H: TargetGraph, n: int) -> int:
     return next(islice(_path_counts(H), max(n - 1, 0), None))
 
 
+def _star_hom(H: TargetGraph, n: int) -> int:
+    """hom(S_n, H) = Σ_c sizes[c]·len(rows[c])^(n-1) over H's coarsest
+    equitable quotient: the centre takes a vertex of class c, and each of
+    the n - 1 leaves any of its len(rows[c]) neighbours. No star is built;
+    n = 1 gives H.n, the single vertex's count."""
+    _, sizes, rows = _equitable_quotient(H)
+    return sum(m * len(row) ** (n - 1) for m, row in zip(sizes, rows))
+
+
 # ---------------------------------------------------------------------------
 # brute force oracle
 

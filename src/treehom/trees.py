@@ -13,19 +13,21 @@ order from per-shape vectors, the product of a tree's parts, without
 building the tree: the children that complete a tree multiply to a value
 that depends only on how many vertices they hold and the bound on their IDs,
 so for up to `_TAIL` vertices those products are tabulated once and shared by
-every tree that ends in them. `all_trees` materializes the enumeration; the
+every tree that ends in them. `bounded_fold` lists, in the same order, only
+the dot products at most a bound, and skips every part of the fold whose
+lower bound is past it. `all_trees` materializes the enumeration; the
 tests cross-check its counts against a Prufer-sequence dedup oracle and
 Otter's counting recurrence.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .graphs import SizeLimitError, Tree, bipartition
+from .graphs import SizeLimitError, Tree
 
 TREE_LIMIT = 16
 
@@ -127,8 +129,9 @@ class _Shapes(NamedTuple):
     end: list[int]                   # end[s] = number of shapes on <= s vertices
 
 
-#: Vertex counts up to which `fold_products` takes a tree's last children
-#: from one table of shared products instead of recursing.
+#: Vertex counts up to which `fold_products` and `bounded_fold` take a
+#: tree's last children from one table of shared products instead of
+#: recursing.
 _TAIL = 8
 
 
@@ -250,6 +253,125 @@ def fold_products(n: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
         for b in range(lo, hi):
             out.extend(map(join, roots[lo:b + 1], repeat(msg[b])))
     return out
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
+
+
+def _suffix_minima(prods: list[list[int]]) -> list[list[int]]:
+    """out[j] = the entrywise minimum of prods[j:]."""
+    out = prods[-1:]
+    for p in reversed(prods[:-1]):
+        out.append(list(map(min, p, out[-1])))
+    out.reverse()
+    return out
+
+
+def _keep(out: list[tuple[int, int]], at: int, counts: list[int], bound: int) -> None:
+    """Append (at + j, counts[j]) to out for every count at most bound."""
+    if counts and min(counts) <= bound:
+        out.extend((i, c) for i, c in enumerate(counts, at) if c <= bound)
+
+
+def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+                 ) -> Callable[[int, int], list[tuple[int, int]]]:
+    """fold(n, bound) for every order n <= n_max: (i, c) for each tree on n
+    vertices whose dot product c = Σ roots[s] ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k]
+    is at most bound, i its position in `free_trees` order. These are the
+    entries of `fold_products(n, roots, msg, _dot)` that are at most bound,
+    without the others. roots and msg are n_max's, as `rooted_shapes(n_max)`
+    numbers them; a smaller order reads a prefix of them.
+
+    roots and msg are entrywise >= 0, so every completion of the fold's
+    node (r, b, x), r vertices of children with IDs below b after the
+    prefix product x, has a product at least low(r, b) entrywise, the
+    least of those products, and so a count at least x · low(r, b). A node
+    whose lower bound is past `bound` is skipped whole, its position
+    advanced by the number of its completions, num(r, b). A completion with
+    IDs below b either has none equal to b - 1, or is msg[b - 1] times a
+    completion of r - size(b - 1) vertices with IDs below b:
+
+        low(r, b) = min(low(r, b - 1), msg[b - 1] ⊙ low(r - size(b - 1), b))
+        num(r, b) = num(r, b - 1) + num(r - size(b - 1), b)
+
+    with low(0, b) = 1 (the empty completion) and nothing at b = 0 for
+    r > 0; ID 0 fits in any r, so every node with b >= 1 has completions.
+    A row of both is grown only as far as a visited node's b asks, one
+    entry from the one before, and only for the r that nodes reach. For
+    r <= _TAIL the completions are the `_tails` block prods[first[b]:], so
+    low is the block's suffix minimum; x · (suffix minimum at j) never
+    falls as j grows, so a bisection ends the block at the first entry
+    whose bound is past `bound`. The even-n halves (a, b), a <= b, count
+    roots[a] · msg[b], at least min(roots[lo..b]) · msg[b], a running
+    minimum over b.
+
+    None of these tables depends on the order: a `_tails` block with IDs
+    below b is the same whatever larger bound on IDs the table was built
+    for, and low and num depend only on r and b. So they are built for
+    n_max and shared by every order's fold.
+    """
+    from bisect import bisect_right  # imported here, so only bounded sweeps load it
+    _check_order(n_max)
+    t = _shapes()
+    most = min(n_max - 1, _TAIL)
+    tails = _tails(t, most, t.end[(n_max - 1) // 2], msg, [1] * len(roots[0]))
+    least: dict[int, list[list[int]]] = {}  # r -> suffix minima of tails[r], once r is reached
+    rows: dict[int, list[tuple[Optional[list[int]], int]]] = {}
+
+    def minima(r: int) -> list[list[int]]:
+        if r not in least:
+            least[r] = _suffix_minima(tails[r][0])
+        return least[r]
+
+    def low(r: int, b: int) -> tuple[Optional[list[int]], int]:
+        """(low(r, b), num(r, b)); low is None where num is 0."""
+        if r <= most:
+            prods, first = tails[r]
+            at = first[min(b, len(first) - 1)]
+            return (minima(r)[at] if at < len(prods) else None), len(prods) - at
+        row = rows.setdefault(r, [(None, 0)])
+        b = _fits(t, r, b)
+        while len(row) <= b:
+            c = len(row) - 1
+            below, num = row[c]
+            sub, more = low(r - t.size[c], c + 1)
+            term = list(map(mul, msg[c], sub))
+            row.append((term if below is None else list(map(min, below, term)), num + more))
+        return row[b]
+
+    def fold(n: int, bound: int) -> list[tuple[int, int]]:
+        _check_order(n)
+        if n > n_max:
+            raise ValueError(f"the bounded fold's tables cover n <= {n_max}, got n={n}")
+        out: list[tuple[int, int]] = []
+        at = 0  # position of the next tree in free_trees order
+        todo = [(n - 1, t.end[(n - 1) // 2], roots[0])]
+        while todo:
+            r, b, x = todo.pop()
+            floor, num = low(r, b)
+            if floor is None or _dot(x, floor) > bound:
+                at += num
+            elif r <= most:
+                prods = tails[r][0]
+                start = len(prods) - num  # the block is prods[start:]
+                stop = bisect_right(minima(r), bound, start, len(prods), key=partial(_dot, x))
+                _keep(out, at, list(map(_dot, repeat(x), prods[start:stop])), bound)
+                at += num
+            else:
+                todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
+                            for c in range(_fits(t, r, b)))
+        if n % 2 == 0:
+            lo, hi = t.end[n // 2 - 1], t.end[n // 2]
+            floor = roots[lo]
+            for b in range(lo, hi):
+                floor = list(map(min, floor, roots[b]))
+                if _dot(floor, msg[b]) <= bound:
+                    _keep(out, at, list(map(_dot, roots[lo:b + 1], repeat(msg[b]))), bound)
+                at += b - lo + 1
+        return out
+
+    return fold
 
 
 def _adjacency(parts: tuple[int, ...]) -> list[list[int]]:
@@ -403,7 +525,3 @@ def kc_closure(start: Tree) -> set[str]:
                 frontier.append(succ.tree)
     return seen
 
-
-def has_balanced_bipartition(T: Tree) -> bool:
-    x, y = bipartition(T)
-    return len(y) - len(x) <= 1

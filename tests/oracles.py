@@ -40,6 +40,13 @@ One oracle that shares no code with treehom.trees' KC moves:
   neighbours join v_left, and t - 1 fresh vertices hang from v_left as a
   path.
 
+Two oracles for the parity fold behind `classify`'s balanced-bipartition
+flags, which shares no code with them:
+
+* bipartition: the two colour classes of a tree, by a 2-colouring search.
+* has_balanced_bipartition: whether those classes differ in size by at most
+  one.
+
 One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
@@ -243,6 +250,27 @@ def kc_moved_edges(n: int, edges, v_left: int, v_right: int) -> list[tuple[int, 
     out |= {tuple(sorted((label[v_left], label[w]))) for w in adj[v_right] - dropped - {v_left}}
     chain = [label[v_left], *range(len(label), n)]
     return sorted(out | set(zip(chain, chain[1:])))
+
+
+def bipartition(T: Tree) -> tuple[list[int], list[int]]:
+    """The unique 2-coloring classes (X, Y) of a tree, with |X| <= |Y|."""
+    color = [-1] * T.n
+    color[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in T.neighbors(u):
+            if color[w] < 0:
+                color[w] = 1 - color[u]
+                stack.append(w)
+    x = [v for v in T.vertices() if color[v] == 0]
+    y = [v for v in T.vertices() if color[v] == 1]
+    return (x, y) if len(x) <= len(y) else (y, x)
+
+
+def has_balanced_bipartition(T: Tree) -> bool:
+    x, y = bipartition(T)
+    return len(y) - len(x) <= 1
 
 
 def dense_regular_21() -> TargetGraph:

@@ -11,7 +11,6 @@ from treehom import (
     SMALL_TARGETS,
     TargetGraph,
     all_trees,
-    bipartition,
     canonical_code,
     check_blowup_identity,
     find_increasing_ordering,
@@ -39,7 +38,7 @@ from treehom.extremal import (
     LABEL_ZERO,
     classify_small_targets,
 )
-from oracles import otter_tree_count, prufer_tree_count
+from oracles import bipartition, otter_tree_count, prufer_tree_count
 
 
 def report(num: int, desc: str, ok: bool) -> None:

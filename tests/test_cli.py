@@ -550,6 +550,7 @@ FAST_COMMAND_LINES = [
     "sidorenko --target capacity:3 --n-max 16 --rows",
     "classify --n-max 16 --rows",
     "check-hl --target path:700 --n-max 10 --strong --rows",
+    "check-hl --target folkman+dom --n-max 16 --strong --rows",
     # README examples
     "hom --tree path:5 --target 'inline:2 2\\n0 0\\n0 1'",
     "matrix --target folkman+dom",

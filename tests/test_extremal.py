@@ -13,7 +13,6 @@ from treehom import (
     classify_small_targets,
     find_hl_counterexample_search,
     find_increasing_ordering,
-    has_balanced_bipartition,
     is_isomorphic,
     is_loop_threshold,
     make_capacity_graph,
@@ -35,6 +34,7 @@ from treehom.extremal import (
 from treehom.trees import CanonicalTree
 from treehom.homcount import shape_vectors
 from treehom.trees import TREE_LIMIT, fold_products, free_trees
+from oracles import has_balanced_bipartition
 
 
 def tg(n, *edges):
@@ -213,6 +213,26 @@ class TestHLVerdicts:
             [(r.n, r.min_count, r.path_is_min, r.path_is_unique_min) for r in want]
         assert v.hoffman_london and not v.strongly_hoffman_london
 
+    def test_check_hl_builds_no_count_list(self, monkeypatch):
+        # each order's verdict reads only the trees counted at most the
+        # path's count, from the bounded fold; h6 ties every tree
+        targets = (make_folkman_plus_dominating(), SMALL_TARGETS[6], make_capacity_graph(3))
+        want = [[extremal._verdict(n, sweep_counts(H, n), homcount._path_hom(H, n))
+                 for n in range(2, 13)] for H in targets]
+
+        def refuse(*args):
+            raise AssertionError("check-hl listed every tree's count")
+
+        monkeypatch.setattr(extremal, "sweep_counts", refuse)
+        monkeypatch.setattr(extremal, "_sweeps", refuse)
+        assert [list(verify_hoffman_london(H, 12).reports) for H in targets] == want
+
+    def test_bounded_fold_refuses_an_order_past_its_tables(self):
+        # tables built for n_max would list wrong positions past it
+        fold = extremal._bounded_fold(SMALL_TARGETS[7], 8)
+        with pytest.raises(ValueError, match="n <= 8"):
+            fold(9, 10 ** 9)
+
     def test_certificate_search_errors_propagate(self, monkeypatch):
         def broken(*args):
             raise RuntimeError("ordering search failed")
@@ -247,8 +267,8 @@ class TestHLVerdicts:
         def refuse(*args):
             raise AssertionError("the certificate built or walked a path")
 
-        monkeypatch.setattr(extremal, "path", refuse)
-        monkeypatch.setattr(homcount, "hom_vector", refuse)
+        monkeypatch.setattr(trees, "path", refuse)
+        monkeypatch.setattr(homcount, "_walk", refuse)
         v = verify_hoffman_london(make_capacity_graph(20), 8)
         assert v.matrix_certificate is not None and v.strong_certificate is not None
         assert v.strongly_hoffman_london
@@ -344,8 +364,8 @@ def test_classify_builds_no_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("classify built or walked a path")
 
-    monkeypatch.setattr(extremal, "path", refuse)
-    monkeypatch.setattr(extremal, "tree_hom", refuse)
+    monkeypatch.setattr(trees, "path", refuse)
+    monkeypatch.setattr(homcount, "_walk", refuse)
     assert len(classify_small_targets(9)) == 28
 
 

@@ -8,7 +8,6 @@ from treehom import (
     TargetGraph,
     Tree,
     add_looped_dominating,
-    bipartition,
     blow_up,
     disjoint_union,
     format_graph,
@@ -17,6 +16,7 @@ from treehom import (
     parse_graph,
     tensor_product,
 )
+from oracles import bipartition
 
 
 def tg(n, *edges):

@@ -17,6 +17,7 @@ from treehom import (
     hom_vector,
     kc_difference_decomposition,
     make_capacity_graph,
+    make_folkman_plus_dominating,
     make_widom_rowlinson,
     partition_function,
     path,
@@ -26,7 +27,7 @@ from treehom import (
     tree_partition_function,
 )
 from treehom.automorphy import class_data
-from treehom.homcount import _path_hom
+from treehom.homcount import _path_hom, _star_hom
 from treehom.trees import TREE_LIMIT
 
 H_IND = SMALL_TARGETS[7]
@@ -249,6 +250,14 @@ class TestBlowUpIdentity:
 
 
 def test_path_count_without_building_the_path():
-    for H in list(SMALL_TARGETS.values()) + [make_capacity_graph(3), make_widom_rowlinson(3)]:
+    for H in list(SMALL_TARGETS.values()) + [make_capacity_graph(3), make_widom_rowlinson(3),
+                                             make_capacity_graph(5), make_folkman_plus_dominating()]:
         for n in range(1, TREE_LIMIT + 1):
             assert _path_hom(H, n) == tree_hom(path(n), H)
+
+
+def test_star_count_without_building_the_star():
+    for H in list(SMALL_TARGETS.values()) + [make_capacity_graph(5), make_folkman_plus_dominating()]:
+        assert _star_hom(H, 1) == H.n  # the single vertex
+        for n in range(2, 13):
+            assert _star_hom(H, n) == tree_hom(star(n), H)

@@ -1,7 +1,8 @@
 """Property tests on random small loopy targets and random trees: the tree
 walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` and, position by position, over each listed
-tree (and the sweep verdicts against a walk-and-code reference), the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
+tree (and the sweep verdicts against a walk-and-code reference), the
+bounded fold against the sweep's counts at most a bound, the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
 refinement against refinement in rounds, the KC machinery against bare_path, its identity and
 the contraction oracle, the
 isomorphism search and the orbit search against all vertex permutations,
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     brute_partition_function, first_increasing_ordering, fraction_partition_function,
-    kc_moved_edges, round_refined_colors, strict_witness_pairs,
+    has_balanced_bipartition, kc_moved_edges, round_refined_colors, strict_witness_pairs,
 )
 from treehom import (
     H_IND,
@@ -39,7 +40,6 @@ from treehom import (
     find_increasing_ordering,
     format_graph,
     hom_brute_force,
-    has_balanced_bipartition,
     hom_count,
     is_isomorphic,
     kc_difference_decomposition,
@@ -179,6 +179,43 @@ def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
         assert sweep_counts(POSITION_TARGET, n) == want
 
 
+def _bounds(H, n, counts):
+    """Bounds below every count, at the path's count, at a middle count
+    and at the largest count."""
+    return min(counts) - 1, _path_hom(H, n), sorted(counts)[len(counts) // 2], max(counts)
+
+
+@PROPERTY
+@given(targets(), st.integers(1, 12))
+@example(TargetGraph.from_edges(3, [(0, 0), (0, 1)]), 12)  # an isolated vertex
+@example(TargetGraph.from_edges(4, [(0, 0), (1, 1), (2, 3)]), 11)  # loops apart
+@example(TargetGraph.from_edges(2, []), 10)  # no edges at all
+def test_bounded_fold_lists_the_counts_at_most_its_bound(H, n):
+    counts = sweep_counts(H, n)
+    for bound in _bounds(H, n, counts):
+        want = [(i, c) for i, c in enumerate(counts) if c <= bound]
+        assert extremal._bounded_fold(H, n)(n, bound) == want, bound
+
+
+BOUNDED_TARGETS = {"capacity:3": make_capacity_graph(3), "wr:3": make_widom_rowlinson(3),
+                   "folkman+dom": make_folkman_plus_dominating()}
+
+
+@pytest.mark.parametrize("tail, n_max", [
+    (trees_module._TAIL, trees_module.TREE_LIMIT), (0, 12), (3, 12), (6, 12)])
+@pytest.mark.parametrize("name", list(BOUNDED_TARGETS))
+def test_bounded_fold_holds_at_every_tail_size(monkeypatch, name, tail, n_max):
+    # whether the bounded fold bisects a table block or prunes stack nodes
+    monkeypatch.setattr(trees_module, "_TAIL", tail)
+    H = BOUNDED_TARGETS[name]
+    fold = extremal._bounded_fold(H, n_max)  # one set of tables for every order, as check-hl reads it
+    for n in range(1, n_max + 1):
+        counts = sweep_counts(H, n)
+        for bound in _bounds(H, n, counts):
+            want = [(i, c) for i, c in enumerate(counts) if c <= bound]
+            assert fold(n, bound) == want, (n, bound)
+
+
 @PROPERTY
 @given(targets(max_n=6), st.integers(1, 30))
 def test_path_count_is_the_walk_count(H, n):
@@ -285,14 +322,15 @@ def test_offender_is_first_in_code_order(name, monkeypatch):
     # first of them in code order.
     H, n = REFERENCE_TARGETS[name], 7
     counts = {ct.code: tree_hom(ct.tree, H) for ct in all_trees(n)}
-    walk = extremal.tree_hom
+    paths, stars = extremal._path_counts, extremal._star_hom
 
-    monkeypatch.setattr(extremal, "tree_hom", lambda T, G: walk(T, G) + (T.n == n))
+    monkeypatch.setattr(extremal, "_path_counts",
+                        lambda G: (c + (m == n) for m, c in enumerate(paths(G), 1)))
     path_count = counts[canonical_code(path(n))]
     first = min(code for code, c in counts.items() if c <= path_count)
     assert find_hl_counterexample_search(H, 9) == (n, first, counts[first], path_count + 1)
 
-    monkeypatch.setattr(extremal, "tree_hom", lambda T, G: walk(T, G) - (T.n == n))
+    monkeypatch.setattr(extremal, "_star_hom", lambda G, m: stars(G, m) - (m == n))
     star_count = counts[canonical_code(star(n))]
     first = min(code for code, c in counts.items() if c >= star_count)
     assert sidorenko_check(H, 9) == (False, (n, first, counts[first], star_count - 1))

@@ -8,7 +8,6 @@ from treehom import (
     all_trees,
     bare_path,
     canonical_code,
-    has_balanced_bipartition,
     kc_closure,
     kc_move,
     kc_successors,
@@ -17,7 +16,7 @@ from treehom import (
     tree_count,
 )
 from treehom.trees import TREE_LIMIT
-from oracles import otter_tree_count, prufer_tree_count
+from oracles import has_balanced_bipartition, otter_tree_count, prufer_tree_count
 
 
 def relabel(t: Tree, perm: list[int]) -> Tree:
