@@ -72,9 +72,13 @@ KC_WORK_LIMIT = 25_000_000
 # ---------------------------------------------------------------------------
 # graph / tree specification strings
 
-#: Cap on a shorthand target's edges, counted from its parameters unbuilt, and
-#: on an edge-list target's vertices, read from its header ("3000000 0").
+#: Cap on a shorthand target's edges, counted from its parameters unbuilt.
 SHORTHAND_EDGE_LIMIT = 1_000_000
+
+#: Cap on an edge-list target's vertices, read from its header ("3000000 0").
+#: A header alone makes one neighbour set per vertex; at the cap, a target of
+#: isolated vertices is still counted within a second.
+EDGE_LIST_VERTEX_LIMIT = 100_000
 
 # name: (parameter count, edge count from the parameters, builder); path and
 # star build a Tree, which a target spec turns into a TargetGraph
@@ -127,13 +131,13 @@ def _target_source(spec: str) -> TargetGraph | Tree | str:
 def parse_target_spec(spec: str) -> TargetGraph:
     """Shorthand (path:n, lpath:n, star:n, clique:n, lclique:n, capacity:C,
     wr:k, habl:a,b,l, folkman+dom, h1..h28), inline:"n m\\n...", or a file path.
-    A shorthand past SHORTHAND_EDGE_LIMIT edges, or an edge list past that
-    many vertices, raises SizeLimitError unbuilt.
+    A shorthand past SHORTHAND_EDGE_LIMIT edges, or an edge list past
+    EDGE_LIST_VERTEX_LIMIT vertices, raises SizeLimitError unbuilt.
     """
     g = _target_source(spec)
     if isinstance(g, Tree):
         return TargetGraph.from_edges(g.n, g.edges)
-    return parse_graph(g, SHORTHAND_EDGE_LIMIT) if isinstance(g, str) else g
+    return parse_graph(g, EDGE_LIST_VERTEX_LIMIT) if isinstance(g, str) else g
 
 
 def parse_tree_spec(spec: str) -> Tree:

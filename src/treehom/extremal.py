@@ -9,10 +9,10 @@ per-n verdicts up to the swept bound, never the unbounded property.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, combinations, islice, repeat
 from operator import add, mul
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .automorphy import (
     SimilarityMatrix,
@@ -24,7 +24,10 @@ from .automorphy import (
 )
 from .graphs import SizeLimitError, TargetGraph
 from .homcount import _message, _path_counts, _path_hom, _star_hom, shape_vectors
-from .trees import TREE_LIMIT, _dot, bounded_fold, fold_products, rooted_shapes, tree_codes
+from .trees import (
+    TREE_LIMIT, _check_covered, _dot, bounded_fold, fold_products, rooted_shapes, tree_codes,
+    tree_count,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -192,37 +195,80 @@ class HLVerdict(NamedTuple):
         return all(r.path_is_unique_min for r in self.reports if r.n >= 4)
 
 
-def _sweeps(targets: Sequence[TargetGraph], n: int) -> Iterator[list[int]]:
-    """Per target, the hom count of every tree on n vertices in `free_trees`
-    order, from one product fold (`fold_products`) over the coarsest
-    equitable quotient of the targets' disjoint union: a tree's class vector
-    is the product of its parts' messages (`shape_vectors`), weighted by a
-    target's vertices in each class. A lone target has all of them, so its
-    roots are weighted once and each count is one dot product. Several
-    targets transpose the fold's rows once into class columns, and each
-    target sums its classes' columns, scaled by multiplicity."""
-    if len(targets) == 1:
-        yield fold_products(n, *_weighted_shapes(targets[0], n), _dot)
-        return
-    starts = list(accumulate((G.n for G in targets), initial=0))
-    union = TargetGraph(starts[-1], frozenset(
-        (u + s, v + s) for G, s in zip(targets, starts) for u, v in G.edges))
-    class_of, _, _ = _equitable_quotient(union)
-    h, msg = shape_vectors(union, n)
-    cols = list(zip(*fold_products(n, h, msg, _product)))  # cols[c][i]: class c, tree i
-    for H, start in zip(targets, starts):
-        terms = [cols[c] if m == 1 else map(mul, repeat(m), cols[c])
-                 for c, m in Counter(class_of[start:start + H.n]).items()]
-        yield list(reduce(partial(map, add), terms))
+def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[list[int]]]:
+    """read(n) for every order n <= n_max: per target, the hom count of every
+    tree on n vertices in `free_trees` order, with one set of tables for
+    every order.
+
+    A target is regular when every non-empty row of its coarsest equitable
+    quotient has one length d: each vertex has degree d or 0, a loop
+    counting 1. Then every tree on n >= 2 vertices has the same count,
+    (non-isolated vertices)·d^(n-1): root the tree anywhere; the root takes
+    any vertex, and each child's image is any of its parent image's d
+    neighbours, whatever the images above; an isolated vertex hosts no edge,
+    so a root there extends to no coloring. (It is the star's count too.)
+    The single vertex has every vertex of H. A regular target's counts are
+    that value, once per tree, with no fold.
+
+    The other targets are counted by one product fold (`fold_products`)
+    over the coarsest equitable quotient of their disjoint union: a tree's
+    class vector is the product of its parts' messages (`shape_vectors`),
+    weighted by a target's vertices in each class. A lone target has all of
+    them, so its roots are weighted once and each count is one dot product.
+    Several targets join each tree's prefix and tail elementwise in C (a
+    `map` per tree, left unconsumed), the fold's rows are transposed into
+    class columns by `zip`, and each target sums its classes' columns,
+    scaled by multiplicity."""
+    top = min(n_max, TREE_LIMIT)  # past it, an order raises in its own read
+    regular = [_regular(H) for H in targets]
+    rest = [H for H, r in zip(targets, regular) if r is None]
+    if len(rest) == 1:
+        fold = fold_products(top, *_weighted_shapes(rest[0], top), _dot)
+        split: Callable[[int], list[list[int]]] = lambda n: [fold(n)]
+    elif rest:
+        starts = list(accumulate((G.n for G in rest), initial=0))
+        union = TargetGraph(starts[-1], frozenset(
+            (u + s, v + s) for G, s in zip(rest, starts) for u, v in G.edges))
+        class_of, _, _ = _equitable_quotient(union)
+        weights = [Counter(class_of[start:start + H.n]).items() for H, start in zip(rest, starts)]
+        fold = fold_products(top, *shape_vectors(union, top), partial(map, mul))
+
+        def split(n: int) -> list[list[int]]:
+            cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
+            return [list(reduce(partial(map, add), (
+                cols[c] if m == 1 else map(mul, repeat(m), cols[c]) for c, m in w)))
+                for w in weights]
+
+    def read(n: int) -> list[list[int]]:
+        _check_covered(n, n_max)  # also where no target is folded
+        folded = iter(split(n) if rest else ())
+        trees = tree_count(n)
+        out = []
+        for H, r in zip(targets, regular):
+            if r is None:
+                out.append(next(folded))
+            else:
+                live, d = r
+                out.append([H.n if n == 1 else live * d ** (n - 1)] * trees)
+        return out
+
+    return read
 
 
-def _product(x: list[int], y: list[int]) -> tuple[int, ...]:
-    return tuple(map(mul, x, y))
+def _regular(H: TargetGraph) -> Optional[tuple[int, int]]:
+    """(live, d) if every vertex of H has degree d or 0 for one d, a loop
+    counting 1, live the vertices of degree d; else None. The non-empty rows
+    of H's equitable quotient are the live classes, their length the degree."""
+    _, sizes, rows = _equitable_quotient(H)
+    degrees = {len(row) for row in rows if row}
+    if len(degrees) > 1:
+        return None
+    return sum(m for m, row in zip(sizes, rows) if row), max(degrees, default=0)
 
 
 def sweep_counts(H: TargetGraph, n: int) -> list[int]:
     """Exact hom count of every tree on n vertices, in `free_trees` order."""
-    return next(_sweeps([H], n))
+    return _sweeps([H], n)(n)[0]
 
 
 def _weighted_shapes(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -361,10 +407,11 @@ def sidorenko_check(H: TargetGraph, n_max: int):
     """Verify the star maximizes at every order; returns (ok, violation)
     where violation is (n, code, count, star_count) for the first offender."""
     _check_n_max(n_max, "the star-maximality check")
+    sweep = _sweeps([H], n_max)  # one set of tables for every order
     for n in range(2, n_max + 1):
         star_count = _star_hom(H, n)
-        found = _first_offender(n, [(i, c) for i, c in enumerate(sweep_counts(H, n))
-                                    if c > star_count])
+        counts, = sweep(n)
+        found = _first_offender(n, [(i, c) for i, c in enumerate(counts) if c > star_count])
         if found is not None:
             return False, (n, *found, star_count)
     return True, None
@@ -401,10 +448,10 @@ class ClassificationRow(NamedTuple):
     summary: str
 
 
-@lru_cache(maxsize=None)
-def _balanced(n: int) -> tuple[bool, ...]:
-    """Per tree in `free_trees(n)` order: do the two sides of its
-    bipartition differ in size by at most one?
+def _balanced(n_max: int) -> Callable[[int], list[int]]:
+    """flags(n) for every order n <= n_max: the positions, in `free_trees(n)`
+    order, of the trees whose bipartition's two sides differ in size by at
+    most one, from one parity fold for every order.
 
     A product fold (`fold_products`) gives each rooted shape the pair
     (2^e, 2^o), e and o its vertices at even and odd depth; a child's even
@@ -412,14 +459,19 @@ def _balanced(n: int) -> tuple[bool, ...]:
     and a tree's dot product is 2^|X| + 2^|Y| for its sides X and Y. With
     |X| = a, f(a) = 2^a + 2^(n-a) falls strictly as a nears n/2 from either
     side (f(a + 1) < f(a) for a < (n - 1)/2), so the sides differ by at
-    most one exactly when the value is at most 2^⌈n/2⌉ + 2^⌊n/2⌋."""
+    most one exactly when the value is at most 2^⌈n/2⌉ + 2^⌊n/2⌋. The pairs
+    do not depend on n, so one fold serves every order."""
     eo: list[tuple[int, int]] = []
-    for kids in rooted_shapes(n):
+    for kids in rooted_shapes(n_max):
         eo.append((1 + sum(eo[c][1] for c in kids), sum(eo[c][0] for c in kids)))
-    h = [[1 << e, 1 << o] for e, o in eo]
-    msg = [[1 << o, 1 << e] for e, o in eo]
-    least = (1 << (n + 1) // 2) + (1 << n // 2)
-    return tuple(map(least.__ge__, fold_products(n, h, msg, _dot)))
+    fold = fold_products(n_max, [[1 << e, 1 << o] for e, o in eo],
+                         [[1 << o, 1 << e] for e, o in eo], _dot)
+
+    def flags(n: int) -> list[int]:
+        least = (1 << (n + 1) // 2) + (1 << n // 2)
+        return [i for i, v in enumerate(fold(n)) if v <= least]
+
+    return flags
 
 
 def _labels_for(counts: list[int], v: OrderVerdict, balanced: Sequence[int]) -> frozenset[str]:
@@ -455,11 +507,12 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     targets = list(SMALL_TARGETS.values())
     found: list[list] = [[] for _ in targets]  # per target, (verdict, labels) per order
     paths = [islice(_path_counts(H), 1, None) for H in targets]  # from n = 2
-    for n in range(2, n_max + 1):  # one sweep per order for all targets
-        balanced = [i for i, flag in enumerate(_balanced(n)) if flag]
-        for counts, walk, out in zip(_sweeps(targets, n), paths, found):
+    sweep, balanced = _sweeps(targets, n_max), _balanced(n_max)  # one set of tables
+    for n in range(2, n_max + 1):
+        flags = balanced(n)
+        for counts, walk, out in zip(sweep(n), paths, found):
             v = _verdict(n, counts, next(walk))
-            out.append((v, _labels_for(counts, v, balanced)))
+            out.append((v, _labels_for(counts, v, flags)))
     rows = []
     for hid, orders in zip(SMALL_TARGETS, found):
         labels = tuple((v.n, labs) for v, labs in orders)

@@ -12,11 +12,12 @@ tuples of shape IDs. `fold_products` gives one value per tree in the same
 order from per-shape vectors, the product of a tree's parts, without
 building the tree: the children that complete a tree multiply to a value
 that depends only on how many vertices they hold and the bound on their IDs,
-so for up to `_TAIL` vertices those products are tabulated once and shared by
-every tree that ends in them. `bounded_fold` lists, in the same order, only
-the dot products at most a bound, and skips every part of the fold whose
-lower bound is past it. `all_trees` materializes the enumeration; the
-tests cross-check its counts against a Prufer-sequence dedup oracle and
+so for up to `_TAIL` vertices those products are tabulated and shared by
+every tree that ends in them, one table for every order of a sweep.
+`bounded_fold` lists, in the same order, only the dot products at most a
+bound, and skips every part of the fold whose lower bound is past it.
+`all_trees` materializes the enumeration and `tree_count` counts it unlisted;
+the tests cross-check both against a Prufer-sequence dedup oracle and
 Otter's counting recurrence.
 """
 
@@ -218,41 +219,62 @@ def _tails(t: _Shapes, most: int, top: int, msg: Sequence[list[int]],
     return tails
 
 
-def fold_products(n: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
-                  join: Callable[[list[int], list[int]], _V]) -> list[_V]:
-    """One value per tree on n vertices, in `free_trees` order: for the tree
-    (s, c_1, ..., c_k), join(x, y) with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ... ⊙
-    msg[c_k] (⊙ elementwise), roots and msg indexed by the IDs of
-    `rooted_shapes(n)`. join must depend on x ⊙ y alone, as a dot product
-    (its sum) or an elementwise product (itself) does.
+def _table(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+           ) -> tuple[_Shapes, int, list[tuple[list[list[int]], list[int]]]]:
+    """(shapes, most, tails): the `_tails` table of a fold over every order
+    up to n_max, for up to most = min(n_max - 1, _TAIL) vertices."""
+    _check_order(n_max)
+    t = _shapes()
+    most = min(n_max - 1, _TAIL)
+    return t, most, _tails(t, most, t.end[(n_max - 1) // 2], msg, [1] * len(roots[0]))
+
+
+def _check_covered(n: int, n_max: int) -> None:
+    """A fold whose tables were built for n_max lists wrong positions past it."""
+    _check_order(n)
+    if n > n_max:
+        raise ValueError(f"the fold's tables cover n <= {n_max}, got n={n}")
+
+
+def fold_products(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
+                  join: Callable[[list[int], list[int]], _V]) -> Callable[[int], list[_V]]:
+    """fold(n) for every order n <= n_max: one value per tree on n vertices,
+    in `free_trees` order. For the tree (s, c_1, ..., c_k) it is join(x, y)
+    with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k] (⊙ elementwise), roots
+    and msg indexed by the IDs of `rooted_shapes(n_max)`; a smaller order
+    reads a prefix of them. join must depend on x ⊙ y alone, as a dot
+    product (its sum) or an elementwise product (itself) does.
 
     The product is commutative, so the children that complete a tree
     multiply to a value that depends only on their vertex count r and the
     bound on their IDs, not on the children before them. For r up to _TAIL
     those products are tabulated once (`_tails`), and each tree costs one
     join of its prefix with a table entry; above it, the fold branches on the
-    next child, largest ID first.
+    next child, largest ID first. A table block with IDs below b is the same
+    whatever larger bound on IDs the table was built for, so one table,
+    built for n_max, serves every order's fold (as in `bounded_fold`).
     """
-    _check_order(n)
-    t = _shapes()
-    top = t.end[(n - 1) // 2]
-    most = min(n - 1, _TAIL)
-    tails = _tails(t, most, top, msg, [1] * len(roots[0]))
-    out: list[_V] = []
-    todo = [(n - 1, top, roots[0])]  # (vertices left, ID bound, prefix product)
-    while todo:
-        r, b, x = todo.pop()
-        if r <= most:
-            prods, first = tails[r]
-            out.extend(map(join, repeat(x), prods[first[min(b, len(first) - 1)]:]))
-        else:  # pushed smallest ID first, so the largest is folded first
-            todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
-                        for c in range(_fits(t, r, b)))
-    if n % 2 == 0:
-        lo, hi = t.end[n // 2 - 1], t.end[n // 2]
-        for b in range(lo, hi):
-            out.extend(map(join, roots[lo:b + 1], repeat(msg[b])))
-    return out
+    t, most, tails = _table(n_max, roots, msg)
+
+    def fold(n: int) -> list[_V]:
+        _check_covered(n, n_max)
+        out: list[_V] = []
+        todo = [(n - 1, t.end[(n - 1) // 2], roots[0])]  # (vertices left, ID bound, prefix product)
+        while todo:
+            r, b, x = todo.pop()
+            if r <= most:
+                prods, first = tails[r]
+                out.extend(map(join, repeat(x), prods[first[min(b, len(first) - 1)]:]))
+            else:  # pushed smallest ID first, so the largest is folded first
+                todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
+                            for c in range(_fits(t, r, b)))
+        if n % 2 == 0:
+            lo, hi = t.end[n // 2 - 1], t.end[n // 2]
+            for b in range(lo, hi):
+                out.extend(map(join, roots[lo:b + 1], repeat(msg[b])))
+        return out
+
+    return fold
 
 
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -312,10 +334,7 @@ def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]
     n_max and shared by every order's fold.
     """
     from bisect import bisect_right  # imported here, so only bounded sweeps load it
-    _check_order(n_max)
-    t = _shapes()
-    most = min(n_max - 1, _TAIL)
-    tails = _tails(t, most, t.end[(n_max - 1) // 2], msg, [1] * len(roots[0]))
+    t, most, tails = _table(n_max, roots, msg)
     least: dict[int, list[list[int]]] = {}  # r -> suffix minima of tails[r], once r is reached
     rows: dict[int, list[tuple[Optional[list[int]], int]]] = {}
 
@@ -341,9 +360,7 @@ def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]
         return row[b]
 
     def fold(n: int, bound: int) -> list[tuple[int, int]]:
-        _check_order(n)
-        if n > n_max:
-            raise ValueError(f"the bounded fold's tables cover n <= {n_max}, got n={n}")
+        _check_covered(n, n_max)
         out: list[tuple[int, int]] = []
         at = 0  # position of the next tree in free_trees order
         todo = [(n - 1, t.end[(n - 1) // 2], roots[0])]
@@ -404,7 +421,18 @@ def all_trees(n: int) -> tuple[CanonicalTree, ...]:
 
 
 def tree_count(n: int) -> int:
-    return sum(1 for _ in free_trees(n))
+    """The number of trees `free_trees(n)` lists, counted from the shape
+    table without listing them: the multisets of shape IDs below its bound
+    whose vertex counts sum to n - 1 (a knapsack count over the IDs), plus,
+    for even n, the pairs a <= b of n/2-vertex shapes."""
+    _check_order(n)
+    t = _shapes()
+    ways = [1] + [0] * (n - 1)  # ways[r]: multisets of the IDs so far on r vertices
+    for c in range(t.end[(n - 1) // 2]):
+        for r in range(t.size[c], n):
+            ways[r] += ways[r - t.size[c]]
+    halves = t.end[n // 2] - t.end[n // 2 - 1] if n % 2 == 0 else 0
+    return ways[n - 1] + halves * (halves + 1) // 2
 
 
 # ---------------------------------------------------------------------------

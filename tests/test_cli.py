@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import random
@@ -22,9 +23,13 @@ from treehom import (
     make_capacity_graph, make_widom_rowlinson, tree_count,
 )
 from treehom.cli import (
-    KC_WORK_LIMIT, SHORTHAND_EDGE_LIMIT, _parse_fast, build_parser, main, parse_target_spec,
-    parse_tree_spec,
+    EDGE_LIST_VERTEX_LIMIT, KC_WORK_LIMIT, SHORTHAND_EDGE_LIMIT, _parse_fast, build_parser, main,
+    parse_target_spec, parse_tree_spec,
 )
+
+
+#: SHA-256 of `classify --n-max 16 --rows` stdout.
+CLASSIFY_16_ROWS_SHA256 = "39e7618befe0c543c355eb48f5712fec73d20e7be399c4768dbf71096890995e"
 
 
 def run(capsys, *argv):
@@ -136,6 +141,12 @@ class TestSubcommands:
     def test_classify_row_count(self, capsys):
         status, out, _ = run(capsys, "classify", "--n-max", "4", "--rows")
         assert status == 0 and len(out.splitlines()) == 28
+
+    def test_classify_rows_are_pinned(self, capsys):
+        # the table at the enumeration limit, byte for byte
+        status, out, _ = run(capsys, "classify", "--n-max", "16", "--rows")
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_16_ROWS_SHA256
 
     def test_family_round_trip(self, capsys):
         for spec, builder in [("capacity", make_capacity_graph),
@@ -453,7 +464,7 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 1.0
         assert status == 2 and out == "" and str(SHORTHAND_EDGE_LIMIT) in err
 
-    @pytest.mark.parametrize("header", ["3000000 0", "1000001 0"])
+    @pytest.mark.parametrize("header", ["3000000 0", "1000001 0", "100001 0"])
     def test_oversized_edge_list_exit_2_unbuilt(self, capsys, tmp_path, header):
         # a header alone would make one neighbour set per announced vertex
         f = tmp_path / "wide.txt"
@@ -462,7 +473,14 @@ class TestErrorHandling:
             start = time.perf_counter()
             status, out, err = run(capsys, "hom", "--tree", "path:2", "--target", spec)
             assert time.perf_counter() - start < 1.0
-            assert status == 2 and out == "" and str(SHORTHAND_EDGE_LIMIT) in err
+            assert status == 2 and out == "" and str(EDGE_LIST_VERTEX_LIMIT) in err
+
+    def test_edge_list_at_the_vertex_limit_is_counted_quickly(self, capsys):
+        start = time.perf_counter()
+        status, out, _ = run(capsys, "hom", "--tree", "path:2", "--target",
+                             f"inline:{EDGE_LIST_VERTEX_LIMIT} 0", "--rows")
+        assert time.perf_counter() - start < 1.0
+        assert status == 0 and out.split() == ["hom", "2", str(EDGE_LIST_VERTEX_LIMIT), "0"]
 
     def test_shorthand_edge_counts_match_built_graphs(self):
         for head, (arity, edges, _) in cli._SHORTHANDS.items():
@@ -551,6 +569,7 @@ FAST_COMMAND_LINES = [
     "classify --n-max 16 --rows",
     "check-hl --target path:700 --n-max 10 --strong --rows",
     "check-hl --target folkman+dom --n-max 16 --strong --rows",
+    "sidorenko --target h23 --n-max 16 --rows",
     # README examples
     "hom --tree path:5 --target 'inline:2 2\\n0 0\\n0 1'",
     "matrix --target folkman+dom",

@@ -23,6 +23,7 @@ from treehom import (
     path,
     sidorenko_check,
     star,
+    tree_hom,
     verify_hoffman_london,
 )
 from treehom import extremal, homcount, trees
@@ -39,6 +40,14 @@ from oracles import has_balanced_bipartition
 
 def tg(n, *edges):
     return TargetGraph.from_edges(n, edges)
+
+
+def counted(fn, calls):
+    """fn, recording the arguments of each call in calls."""
+    def counted_fn(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted_fn
 
 
 class TestCatalog:
@@ -315,48 +324,77 @@ class TestSweeps:
             assert count < path_count
 
     def test_classify_sweeps_once_per_order(self, monkeypatch):
-        # the 28 targets share one product fold per order, and the cached
-        # balanced-bipartition flags take a second, parity fold; neither
-        # passes over the tree listing
-        vectors, folds, listings = [], [], []
+        # the 11 targets that are not regular share one union fold, and the
+        # balanced-bipartition flags take a parity fold: each fold builds its
+        # table once, for the largest order, and is read once per order; the
+        # union's shape vectors are built once, and neither fold passes over
+        # the tree listing
+        vectors, tables, reads, listings = [], [], [], []
 
-        def counted_vectors(H, n):
-            vectors.append(n)
-            return shape_vectors(H, n)
+        def counted_products(*args):
+            return counted(fold_products(*args), reads)
 
-        def counted(fold, calls):
-            def counted_fold(n, *args):
-                calls.append(n)
-                return fold(n, *args)
-            return counted_fold
-
-        monkeypatch.setattr(extremal, "shape_vectors", counted_vectors)
-        monkeypatch.setattr(extremal, "fold_products", counted(fold_products, folds))
+        monkeypatch.setattr(extremal, "shape_vectors", counted(shape_vectors, vectors))
+        monkeypatch.setattr(extremal, "fold_products", counted_products)
+        monkeypatch.setattr(trees, "_tails", counted(trees._tails, tables))
         monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
-        extremal._balanced.cache_clear()
         classify_small_targets(14)
-        assert vectors == list(range(2, 15))
-        assert sorted(folds) == sorted(2 * list(range(2, 15)))
+        assert [(H.n, n) for H, n in vectors] == [(32, 14)]  # the union of the 11 targets
+        assert len(tables) == 2
+        assert sorted(reads) == sorted(2 * [(n,) for n in range(2, 15)])
         assert listings == []
 
     def test_batched_sweep_is_each_targets_own_sweep(self):
         # the 28 targets share classes, some of them two or three times in
-        # one target, and the lone vertices' columns are all 0 or all 1
+        # one target, and the lone vertices' columns are all 0 or all 1;
+        # one reader serves every order
         targets = list(SMALL_TARGETS.values())
+        sweep = extremal._sweeps(targets, 12)
         for n in range(2, 13):
-            assert list(extremal._sweeps(targets, n)) == [sweep_counts(H, n) for H in targets]
+            assert sweep(n) == [sweep_counts(H, n) for H in targets]
+
+    def test_regular_targets_skip_the_fold(self, monkeypatch):
+        # 17 of the 28 targets are regular; together they are counted in
+        # closed form, one reader for every order, and the other 11 by one
+        # fold (test_classify_sweeps_once_per_order)
+        regular = [H for H in SMALL_TARGETS.values() if extremal._regular(H) is not None]
+        assert len(regular) == 17
+        want = [[[tree_hom(ct.tree, H) for ct in all_trees(n)] for H in regular]
+                for n in range(1, 10)]
+
+        def refuse(*args):
+            raise AssertionError("a regular target was folded")
+
+        monkeypatch.setattr(extremal, "fold_products", refuse)
+        sweep = extremal._sweeps(regular, 9)
+        assert [sweep(n) for n in range(1, 10)] == want
+
+    def test_sweep_refuses_an_order_past_its_tables(self):
+        for H in SMALL_TARGETS[7], SMALL_TARGETS[6]:  # folded, closed form
+            with pytest.raises(ValueError, match="n <= 8"):
+                extremal._sweeps([H], 8)(9)
+
+    def test_sidorenko_builds_one_set_of_tables(self, monkeypatch):
+        # one set of shape vectors and one table for every order
+        vectors, tables = [], []
+        monkeypatch.setattr(extremal, "shape_vectors", counted(shape_vectors, vectors))
+        monkeypatch.setattr(trees, "_tails", counted(trees._tails, tables))
+        assert sidorenko_check(make_capacity_graph(3), 12) == (True, None)
+        assert len(vectors) == 1 and len(tables) == 1
 
 
 @pytest.mark.parametrize("n", range(1, TREE_LIMIT + 1))
 def test_balanced_flags_at_each_position(n):
-    # the parity fold against the tree each free_trees position names, on
-    # both sides of the shared-tail size and at both parities of n
-    got = extremal._balanced(n)
+    # the parity fold, its table built for the largest order, against the
+    # tree each free_trees position names, on both sides of the shared-tail
+    # size and at both parities of n
+    want = []
     for i, parts in enumerate(free_trees(n)):
         adj = trees._adjacency(parts)
         T = Tree.from_edges(n, [(u, v) for u, a in enumerate(adj) for v in a if u < v])
-        assert got[i] == has_balanced_bipartition(T), (n, i)
-    assert len(got) == i + 1
+        if has_balanced_bipartition(T):
+            want.append(i)
+    assert extremal._balanced(TREE_LIMIT)(n) == want
 
 
 def test_classify_builds_no_path(monkeypatch):

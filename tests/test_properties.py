@@ -2,7 +2,8 @@
 walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the
-bounded fold against the sweep's counts at most a bound, the quotient path count against the walk of the path, the batched sweep against one sweep per target, colour
+bounded fold against the sweep's counts at most a bound, the quotient path count against the walk of the path, the batched sweep against one sweep per target,
+the closed-form counts of regular targets against the walk over `all_trees`, colour
 refinement against refinement in rounds, the KC machinery against bare_path, its identity and
 the contraction oracle, the
 isomorphism search and the orbit search against all vertex permutations,
@@ -174,9 +175,11 @@ POSITION_TARGET = TargetGraph.from_edges(4, [(0, 0), (0, 1), (2, 2)])
 def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
     # whether the fold takes a tree's last children from a table or not
     monkeypatch.setattr(trees_module, "_TAIL", tail)
+    sweep = extremal._sweeps([POSITION_TARGET], n_max)  # one table for every order
     for n in range(1, n_max + 1):
         want = [tree_hom(tree_at(parts), POSITION_TARGET) for parts in free_trees(n)]
         assert sweep_counts(POSITION_TARGET, n) == want
+        assert sweep(n) == [want]
 
 
 def _bounds(H, n, counts):
@@ -225,7 +228,53 @@ def test_path_count_is_the_walk_count(H, n):
 @PROPERTY
 @given(st.lists(targets(), min_size=1, max_size=4), st.integers(1, 9))
 def test_batched_sweep_gives_each_target_its_own_counts(Hs, n):
-    assert list(extremal._sweeps(Hs, n)) == [sweep_counts(H, n) for H in Hs]
+    # read at n from tables built for a larger order
+    assert extremal._sweeps(Hs, 9)(n) == [sweep_counts(H, n) for H in Hs]
+
+
+@st.composite
+def regular_targets(draw, max_n=7):
+    """Regular loopy graphs, every vertex of degree d or 0: disjoint cycles
+    (d = 2) or disjoint (d + 1)-cliques, some edges {u, v} of a matching
+    traded for loops at u and at v (so those vertices keep degree d), and
+    some isolated vertices."""
+    n = 0
+    edges = []
+    if draw(st.booleans()):  # cycles
+        while n < max_n - 2 and (not edges or draw(st.booleans())):
+            k = draw(st.integers(3, max_n - n))
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+            n += k
+    else:  # cliques
+        d = draw(st.integers(1, 3))
+        while n <= max_n - d - 1 and (not edges or draw(st.booleans())):
+            edges += [(n + i, n + j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+            n += d + 1
+    used: set[int] = set()
+    for e in draw(st.lists(st.sampled_from(edges), unique=True)):
+        if used.isdisjoint(e):
+            used.update(e)
+            edges.remove(e)
+            edges += [(e[0], e[0]), (e[1], e[1])]
+    return TargetGraph.from_edges(n + draw(st.integers(0, 2)), edges)
+
+
+@PROPERTY
+@given(regular_targets(), st.integers(1, 9))
+# a path with both ends looped, and an isolated vertex
+@example(TargetGraph.from_edges(4, [(0, 0), (1, 1), (0, 2), (1, 2)]), 6)
+@example(TargetGraph.from_edges(3, []), 5)  # no edges at all
+def test_regular_targets_are_counted_without_the_fold(H, n):
+    degrees = {H.degree(v) for v in H.vertices()} - {0}
+    assert len(degrees) <= 1 and extremal._regular(H) is not None
+
+    def refuse(*args):
+        raise AssertionError("a regular target was folded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extremal, "fold_products", refuse)
+        counts = sweep_counts(H, n)
+    assert counts == [tree_hom(ct.tree, H) for ct in all_trees(n)]
 
 
 @PROPERTY
