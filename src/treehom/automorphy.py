@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .graphs import SizeLimitError, TargetGraph, disjoint_union
+from .graphs import SizeLimitError, TargetGraph, _find, disjoint_union
 
 AUT_WORK_LIMIT = 2_000_000
 ORDERING_WORK_LIMIT = 10_000_000
@@ -232,30 +232,23 @@ def orbit_partition(H: TargetGraph) -> OrbitPartition:
     colors = _equitable_quotient(H)[0]
     spent = [0]
     parent = list(range(H.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     reps: dict[int, list[int]] = {}  # refined color -> orbit representatives
     for w in H.vertices():
         same = reps.setdefault(colors[w], [])
-        if any(find(r) == find(w) for r in same):
+        if any(_find(parent, r) == _find(parent, w) for r in same):
             continue
         for r in same:
             sigma = next(_maps(H, H, colors, colors, spent, (r, w)), None)
             if sigma is not None:
                 for v in H.vertices():
-                    ru, rv = find(v), find(sigma[v])
+                    ru, rv = _find(parent, v), _find(parent, sigma[v])
                     if ru != rv:
                         parent[ru] = rv
                 break
         else:
             same.append(w)
     index: dict[int, int] = {}  # orbit root -> class, numbered in order of least member
-    class_of = tuple(index.setdefault(find(v), len(index)) for v in H.vertices())
+    class_of = tuple(index.setdefault(_find(parent, v), len(index)) for v in H.vertices())
     classes: list[list[int]] = [[] for _ in index]
     for v, c in enumerate(class_of):
         classes[c].append(v)

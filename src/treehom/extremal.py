@@ -12,7 +12,7 @@ from collections import Counter
 from functools import partial, reduce
 from itertools import accumulate, combinations, islice, repeat
 from operator import add, mul
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .automorphy import (
     SimilarityMatrix,
@@ -23,7 +23,8 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph
-from .homcount import _message, _path_counts, _path_hom, _star_hom, shape_vectors
+from . import homcount
+from .homcount import _path_counts, _path_hom, _star_hom, _steps, shape_vectors
 from .trees import (
     TREE_LIMIT, _check_covered, _dot, bounded_fold, fold_products, rooted_shapes, tree_codes,
     tree_count,
@@ -206,9 +207,9 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
     (non-isolated vertices)·d^(n-1): root the tree anywhere; the root takes
     any vertex, and each child's image is any of its parent image's d
     neighbours, whatever the images above; an isolated vertex hosts no edge,
-    so a root there extends to no coloring. (It is the star's count too.)
-    The single vertex has every vertex of H. A regular target's counts are
-    that value, once per tree, with no fold.
+    so a root there extends to no coloring. It is the star's count
+    (`_star_hom`), which at n = 1 is H.n, the single vertex's. A regular
+    target's counts are that value, once per tree, with no fold.
 
     The other targets are counted by one product fold (`fold_products`)
     over the coarsest equitable quotient of their disjoint union: a tree's
@@ -243,27 +244,21 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
         _check_covered(n, n_max)  # also where no target is folded
         folded = iter(split(n) if rest else ())
         trees = tree_count(n)
-        out = []
-        for H, r in zip(targets, regular):
-            if r is None:
-                out.append(next(folded))
-            else:
-                live, d = r
-                out.append([H.n if n == 1 else live * d ** (n - 1)] * trees)
-        return out
+        # through homcount: the counts keep the closed form even where
+        # this module's `_star_hom`, sidorenko_check's bound, is replaced
+        return [next(folded) if r is None else [homcount._star_hom(H, n)] * trees
+                for H, r in zip(targets, regular)]
 
     return read
 
 
-def _regular(H: TargetGraph) -> Optional[tuple[int, int]]:
-    """(live, d) if every vertex of H has degree d or 0 for one d, a loop
-    counting 1, live the vertices of degree d; else None. The non-empty rows
-    of H's equitable quotient are the live classes, their length the degree."""
-    _, sizes, rows = _equitable_quotient(H)
+def _regular(H: TargetGraph) -> Optional[int]:
+    """d if every vertex of H has degree d or 0 for one d, a loop counting 1;
+    else None. The non-empty rows of H's equitable quotient are the classes
+    of degree d, their length d."""
+    _, _, rows = _equitable_quotient(H)
     degrees = {len(row) for row in rows if row}
-    if len(degrees) > 1:
-        return None
-    return sum(m for m, row in zip(sizes, rows) if row), max(degrees, default=0)
+    return None if len(degrees) > 1 else max(degrees, default=0)
 
 
 def sweep_counts(H: TargetGraph, n: int) -> list[int]:
@@ -356,20 +351,18 @@ def check_strong_hl_certificate(
     P, Q = class_data(H)
     if not has_increasing_columns(similarity_matrix(P, ordering)):
         return "ordering does not pass the increasing-columns test"
-    ends, h = [], [1] * Q.k  # ends[s - 2][x]: s-vertex path colorings with an end at x
-    for _ in range(s_max - 1):
-        h = _message(Q.rows, h)
-        ends.append(h)
-    live: dict[int, list[int]] = {}  # x -> B^(t-1) e_x, for the classes scanned so far
+    # ends[s - 2][x]: s-vertex path colorings with an end at x
+    ends = list(islice(_steps(Q.rows, [1] * Q.k), 1, s_max))
+    live: dict[int, Iterator[list[int]]] = {}  # x -> its column's steps past this length
     witnesses = []
     for t in range(2, t_max + 1):
-        for x, col in live.items():
-            live[x] = _message(Q.rows, col)
+        cols = {x: next(steps) for x, steps in live.items()}  # x -> B^(t-1) e_x
         found = None
         for a, x in enumerate(ordering):
-            col = live.get(x)
+            col = cols.get(x)
             if col is None:  # first reached at this length
-                col = live[x] = _column(Q.rows, x, t - 1)
+                col = cols[x] = _column(Q.rows, x, t - 1)
+                live[x] = islice(_steps(Q.rows, col), 1, None)
             b = next((b for b, y in enumerate(ordering)
                       if a != b and col[y] and all(e[y] > e[x] for e in ends)), None)
             if b is not None:
@@ -383,11 +376,7 @@ def check_strong_hl_certificate(
 
 def _column(rows: Sequence[Sequence[int]], x: int, steps: int) -> list[int]:
     """B^steps e_x: class x's indicator after `steps` message steps."""
-    col = [0] * len(rows)
-    col[x] = 1
-    for _ in range(steps):
-        col = _message(rows, col)
-    return col
+    return next(islice(_steps(rows, [int(c == x) for c in range(len(rows))]), steps, None))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import lt
-from typing import Iterable
+from typing import Callable, Iterable, Optional
 
 
 class GraphParseError(ValueError):
@@ -124,7 +124,7 @@ class Tree(_Graph):
             adj[u].append(v)
             adj[v].append(u)
         else:
-            if _spans(adj):
+            if len(_search(n, adj.__getitem__)[0]) == n:
                 if not all(map(lt, edges, islice(edges, 1, None))):
                     adj = list(map(sorted, adj))  # sorted edges give sorted lists
                 self._set(n, edges, tuple(map(tuple, adj)))
@@ -136,17 +136,32 @@ class Tree(_Graph):
         return cls(n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges)))
 
 
-def _spans(adj: list[list[int]]) -> bool:
-    """Does a search from vertex 0 reach every vertex?"""
-    seen = [False] * len(adj)
-    seen[0] = True
-    order = [0]
+def _search(n: int, neighbors: Callable[[int], Iterable[int]], root: int = 0,
+            skip: Optional[int] = None) -> tuple[list[int], list[int]]:
+    """(order, parent) of a breadth-first search from root over the vertices
+    0..n-1: the vertices reached, root first, and each one's parent (the
+    root's is itself, an unreached vertex's -1). The branch through root's
+    neighbour skip, if given, is left out: skip is marked visited up front
+    (as its own parent), so it is never entered."""
+    parent = [-1] * n
+    parent[root] = root
+    if skip is not None:
+        parent[skip] = skip
+    order = [root]
     for v in order:
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
+        for u in neighbors(v):
+            if parent[u] < 0:
+                parent[u] = v
                 order.append(u)
-    return len(order) == len(adj)
+    return order, parent
+
+
+def _find(parent: list[int], x: int) -> int:
+    """x's root in the union-find forest parent, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def _checked_adjacency(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
@@ -154,20 +169,13 @@ def _checked_adjacency(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[tupl
     edge in order: the first edge out of range, a loop, or closing a cycle
     (union-find) raises ValueError."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"loop at {u}: trees are loopless")
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             raise ValueError(f"edge ({u},{v}) closes a cycle")
         parent[ru] = rv

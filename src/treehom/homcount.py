@@ -2,11 +2,14 @@
 force, path-pair tables, the KC difference decomposition, and weighted
 partition functions.
 
-The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up, A listed by the
-rows of an `automorphy.Quotient`. `tree_hom`, `tree_partition_function` and
-the KC decomposition run it over H's coarsest equitable quotient (rooted
-counts agree on its classes; activities refine it), `hom_count` over the
-paper's automorphic similarity classes (`class_data`).
+The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up over the order
+of `graphs._search`, A listed by the rows of an `automorphy.Quotient`.
+`tree_hom`, `tree_partition_function` and the KC decomposition run it over
+H's coarsest equitable quotient (rooted counts agree on its classes;
+activities refine it), `hom_count` over the paper's automorphic similarity
+classes (`class_data`). The message step A·h is `_message`; every repeated
+step, from path counts to the certificate's columns, reads one iterator of
+them, `_steps`.
 `shape_vectors` runs the quotient walk once per rooted shape of the tree
 generator, so a sweep composes every tree's count from shared subtree vectors
 instead of walking each tree. Brute-force enumeration of vertex maps is kept
@@ -26,7 +29,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .automorphy import Quotient, _equitable_quotient, class_data
-from .graphs import SizeLimitError, TargetGraph, Tree, blow_up
+from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
 from .trees import _kc_glue, bare_path, rooted_shapes
 
 if TYPE_CHECKING:
@@ -49,31 +52,18 @@ def _as_graph(G: LooplessGraph) -> tuple[int, list[tuple[int, int]]]:
 # ---------------------------------------------------------------------------
 # the tree walk
 
-def _rooted_order(T: Tree, root: int,
-                  skip: Optional[int] = None) -> tuple[list[int], list[int]]:
-    """(vertices in post-order, parent array) for T rooted at root. The
-    branch through root's neighbour skip, if given, is left out: skip is
-    marked visited up front (as its own parent), so it is never entered."""
-    parent = [-1] * T.n
-    order = [root]
-    parent[root] = root
-    if skip is not None:
-        parent[skip] = skip
-    for v in order:
-        for u in T.neighbors(v):
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
-    parent[root] = -1
-    order.reverse()
-    return order, parent
-
-
 def _message(rows: Sequence[Sequence[int]], h: Sequence) -> list:
     """The walk's message step rows · h, where rows[x] lists x's neighbours
     repeated by multiplicity: entry x sums h over the neighbours of x."""
     get = h.__getitem__
     return [sum(map(get, row)) for row in rows]
+
+
+def _steps(rows: Sequence[Sequence[int]], h: Sequence) -> Iterator[list]:
+    """h, rows · h, rows² · h, ...: the message steps from h, without end."""
+    while True:
+        yield h
+        h = _message(rows, h)
 
 
 def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence,
@@ -82,10 +72,10 @@ def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence,
     the branch through root's neighbour skip. In post-order, each vertex's
     message is folded into its parent's vector; every leaf sends the same
     message, rows · weights, priced once."""
-    order, parent = _rooted_order(T, root, skip)
+    order, parent = _search(T.n, T.neighbors, root, skip)
     h: list[list | None] = [None] * T.n
     leaf = _message(rows, weights)
-    for v in order[:-1]:  # the root comes last
+    for v in order[:0:-1]:  # every vertex after its children, the root left out
         vec = h[v]
         msg = leaf if vec is None else _message(rows, vec)
         h[v] = None  # consumed: only the root's vector is returned
@@ -142,10 +132,7 @@ def _path_counts(H: TargetGraph) -> Iterator[int]:
     order over H's coarsest equitable quotient from the all-ones vector,
     weighted by class size. No path is built."""
     _, sizes, rows = _equitable_quotient(H)
-    h = [1] * len(sizes)
-    while True:
-        yield sum(map(mul, sizes, h))
-        h = _message(rows, h)
+    return (sum(map(mul, sizes, h)) for h in _steps(rows, [1] * len(sizes)))
 
 
 def _path_hom(H: TargetGraph, n: int) -> int:
@@ -193,9 +180,7 @@ def path_pair_counts(t: int, Q: Quotient) -> dict[tuple[int, int], int]:
         raise ValueError("path length must be >= 1 vertex")
     p = {}
     for j in range(Q.k):
-        h = [int(i == j) for i in range(Q.k)]
-        for _ in range(t - 1):
-            h = _message(Q.rows, h)
+        h = next(islice(_steps(Q.rows, [int(i == j) for i in range(Q.k)]), t - 1, None))
         p.update(((i, j), Q.sizes[i] * x) for i, x in enumerate(h))
     return p
 

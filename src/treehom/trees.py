@@ -8,14 +8,15 @@ non-increasing tuple of child IDs, numbered by vertex count. A free tree
 splits at its centroid into a multiset of rooted shapes with fewer than n/2
 vertices each, or, for even n only, into a pair of shapes with n/2 vertices
 joined by the central edge (Otter 1948). `free_trees` lists both kinds as
-tuples of shape IDs. `fold_products` gives one value per tree in the same
-order from per-shape vectors, the product of a tree's parts, without
-building the tree: the children that complete a tree multiply to a value
-that depends only on how many vertices they hold and the bound on their IDs,
-so for up to `_TAIL` vertices those products are tabulated and shared by
-every tree that ends in them, one table for every order of a sweep.
-`bounded_fold` lists, in the same order, only the dot products at most a
-bound, and skips every part of the fold whose lower bound is past it.
+tuples of shape IDs. One block walk (`_blocks`) gives one value per tree in
+the same order from per-shape vectors, the product of a tree's parts,
+without building the tree: the children that complete a tree multiply to a
+value that depends only on how many vertices they hold and the bound on
+their IDs, so for up to `_TAIL` vertices those products are tabulated and
+shared by every tree that ends in them, one table for every order of a
+sweep. It has two readers: `fold_products` reads every value, and
+`bounded_fold` only the dot products at most a bound, the walk skipping
+every part of the fold whose lower bound is past it.
 `all_trees` materializes the enumeration and `tree_count` counts it unlisted;
 the tests cross-check both against a Prufer-sequence dedup oracle and
 Otter's counting recurrence.
@@ -24,11 +25,11 @@ Otter's counting recurrence.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .graphs import SizeLimitError, Tree
+from .graphs import SizeLimitError, Tree, _search
 
 TREE_LIMIT = 16
 
@@ -81,14 +82,7 @@ def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:
     """AHU code of the tree rooted at root: each vertex is an opening
     parenthesis, its children's codes in sorted order, and a closing one.
     Built bottom-up over a BFS order, so deep trees need no recursion."""
-    parent = [-1] * len(adj)
-    parent[root] = root
-    order = [root]
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
+    order, parent = _search(len(adj), adj.__getitem__, root)
     subs: list[list[str]] = [[] for _ in adj]
     for v in reversed(order):  # the root comes last
         code = "(" + "".join(sorted(subs[v])) + ")"
@@ -236,47 +230,6 @@ def _check_covered(n: int, n_max: int) -> None:
         raise ValueError(f"the fold's tables cover n <= {n_max}, got n={n}")
 
 
-def fold_products(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
-                  join: Callable[[list[int], list[int]], _V]) -> Callable[[int], list[_V]]:
-    """fold(n) for every order n <= n_max: one value per tree on n vertices,
-    in `free_trees` order. For the tree (s, c_1, ..., c_k) it is join(x, y)
-    with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k] (⊙ elementwise), roots
-    and msg indexed by the IDs of `rooted_shapes(n_max)`; a smaller order
-    reads a prefix of them. join must depend on x ⊙ y alone, as a dot
-    product (its sum) or an elementwise product (itself) does.
-
-    The product is commutative, so the children that complete a tree
-    multiply to a value that depends only on their vertex count r and the
-    bound on their IDs, not on the children before them. For r up to _TAIL
-    those products are tabulated once (`_tails`), and each tree costs one
-    join of its prefix with a table entry; above it, the fold branches on the
-    next child, largest ID first. A table block with IDs below b is the same
-    whatever larger bound on IDs the table was built for, so one table,
-    built for n_max, serves every order's fold (as in `bounded_fold`).
-    """
-    t, most, tails = _table(n_max, roots, msg)
-
-    def fold(n: int) -> list[_V]:
-        _check_covered(n, n_max)
-        out: list[_V] = []
-        todo = [(n - 1, t.end[(n - 1) // 2], roots[0])]  # (vertices left, ID bound, prefix product)
-        while todo:
-            r, b, x = todo.pop()
-            if r <= most:
-                prods, first = tails[r]
-                out.extend(map(join, repeat(x), prods[first[min(b, len(first) - 1)]:]))
-            else:  # pushed smallest ID first, so the largest is folded first
-                todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
-                            for c in range(_fits(t, r, b)))
-        if n % 2 == 0:
-            lo, hi = t.end[n // 2 - 1], t.end[n // 2]
-            for b in range(lo, hi):
-                out.extend(map(join, roots[lo:b + 1], repeat(msg[b])))
-        return out
-
-    return fold
-
-
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
@@ -290,29 +243,34 @@ def _suffix_minima(prods: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _keep(out: list[tuple[int, int]], at: int, counts: list[int], bound: int) -> None:
-    """Append (at + j, counts[j]) to out for every count at most bound."""
-    if counts and min(counts) <= bound:
-        out.extend((i, c) for i, c in enumerate(counts, at) if c <= bound)
+def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
+            join: Callable[[list[int], list[int]], _V]
+            ) -> Callable[..., Iterator[tuple[int, Iterator[_V]]]]:
+    """walk(n, bound=None) for every order n <= n_max: the product fold of
+    the trees on n vertices as blocks (at, values), values a lazy `map` of
+    join(x, y) over consecutive trees in `free_trees` order and at the
+    position of the first, with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k]
+    (⊙ elementwise) for the tree (s, c_1, ..., c_k). roots and msg are
+    indexed by the IDs of `rooted_shapes(n_max)`; a smaller order reads a
+    prefix of them.
 
+    The product is commutative, so the children that complete a tree
+    multiply to a value that depends only on their vertex count r and the
+    bound b on their IDs, not on the children before them. The walk keeps a
+    stack of nodes (r, b, x), x the prefix product. For r up to _TAIL the
+    completions are tabulated once (`_tails`), and the node is one block,
+    join(x, entry) over the table's entries; above it, the walk branches on
+    the next child, largest ID first. For even n one block per b follows:
+    the halves (a, b), a <= b, joining roots[a] with msg[b].
 
-def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
-                 ) -> Callable[[int, int], list[tuple[int, int]]]:
-    """fold(n, bound) for every order n <= n_max: (i, c) for each tree on n
-    vertices whose dot product c = Σ roots[s] ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k]
-    is at most bound, i its position in `free_trees` order. These are the
-    entries of `fold_products(n, roots, msg, _dot)` that are at most bound,
-    without the others. roots and msg are n_max's, as `rooted_shapes(n_max)`
-    numbers them; a smaller order reads a prefix of them.
-
-    roots and msg are entrywise >= 0, so every completion of the fold's
-    node (r, b, x), r vertices of children with IDs below b after the
-    prefix product x, has a product at least low(r, b) entrywise, the
-    least of those products, and so a count at least x · low(r, b). A node
-    whose lower bound is past `bound` is skipped whole, its position
-    advanced by the number of its completions, num(r, b). A completion with
-    IDs below b either has none equal to b - 1, or is msg[b - 1] times a
-    completion of r - size(b - 1) vertices with IDs below b:
+    With a bound (roots and msg entrywise >= 0, join a dot product), the
+    walk yields only blocks that may hold counts at most the bound. Every
+    completion of a node (r, b, x) has a product at least low(r, b)
+    entrywise, the least of those products, and so a count at least
+    x · low(r, b). A node whose lower bound is past `bound` is skipped whole,
+    its position advanced by the number of its completions, num(r, b). A
+    completion with IDs below b either has none equal to b - 1, or is
+    msg[b - 1] times a completion of r - size(b - 1) vertices with IDs below b:
 
         low(r, b) = min(low(r, b - 1), msg[b - 1] ⊙ low(r - size(b - 1), b))
         num(r, b) = num(r, b - 1) + num(r - size(b - 1), b)
@@ -324,16 +282,14 @@ def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]
     r <= _TAIL the completions are the `_tails` block prods[first[b]:], so
     low is the block's suffix minimum; x · (suffix minimum at j) never
     falls as j grows, so a bisection ends the block at the first entry
-    whose bound is past `bound`. The even-n halves (a, b), a <= b, count
-    roots[a] · msg[b], at least min(roots[lo..b]) · msg[b], a running
-    minimum over b.
+    whose bound is past `bound`. The halves (a, b) count roots[a] · msg[b],
+    at least min(roots[lo..b]) · msg[b], a running minimum over b.
 
     None of these tables depends on the order: a `_tails` block with IDs
     below b is the same whatever larger bound on IDs the table was built
     for, and low and num depend only on r and b. So they are built for
-    n_max and shared by every order's fold.
+    n_max and shared by every order's walk.
     """
-    from bisect import bisect_right  # imported here, so only bounded sweeps load it
     t, most, tails = _table(n_max, roots, msg)
     least: dict[int, list[list[int]]] = {}  # r -> suffix minima of tails[r], once r is reached
     rows: dict[int, list[tuple[Optional[list[int]], int]]] = {}
@@ -359,33 +315,68 @@ def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]
             row.append((term if below is None else list(map(min, below, term)), num + more))
         return row[b]
 
-    def fold(n: int, bound: int) -> list[tuple[int, int]]:
+    def walk(n: int, bound: Optional[int] = None) -> Iterator[tuple[int, Iterator[_V]]]:
         _check_covered(n, n_max)
-        out: list[tuple[int, int]] = []
+        if bound is not None:
+            from bisect import bisect_right  # imported here, so only bounded sweeps load it
         at = 0  # position of the next tree in free_trees order
         todo = [(n - 1, t.end[(n - 1) // 2], roots[0])]
         while todo:
             r, b, x = todo.pop()
-            floor, num = low(r, b)
-            if floor is None or _dot(x, floor) > bound:
-                at += num
-            elif r <= most:
-                prods = tails[r][0]
-                start = len(prods) - num  # the block is prods[start:]
-                stop = bisect_right(minima(r), bound, start, len(prods), key=partial(_dot, x))
-                _keep(out, at, list(map(_dot, repeat(x), prods[start:stop])), bound)
-                at += num
-            else:
+            if bound is not None:
+                floor, num = low(r, b)
+                if floor is None or _dot(x, floor) > bound:
+                    at += num
+                    continue
+            if r <= most:
+                prods, first = tails[r]
+                start = first[min(b, len(first) - 1)]
+                stop = len(prods) if bound is None else bisect_right(
+                    minima(r), bound, start, len(prods), key=partial(_dot, x))
+                yield at, map(join, repeat(x), prods[start:stop])
+                at += len(prods) - start
+            else:  # pushed smallest ID first, so the largest is folded first
                 todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
                             for c in range(_fits(t, r, b)))
         if n % 2 == 0:
             lo, hi = t.end[n // 2 - 1], t.end[n // 2]
             floor = roots[lo]
             for b in range(lo, hi):
-                floor = list(map(min, floor, roots[b]))
-                if _dot(floor, msg[b]) <= bound:
-                    _keep(out, at, list(map(_dot, roots[lo:b + 1], repeat(msg[b]))), bound)
+                if bound is not None:
+                    floor = list(map(min, floor, roots[b]))
+                if bound is None or _dot(floor, msg[b]) <= bound:
+                    yield at, map(join, roots[lo:b + 1], repeat(msg[b]))
                 at += b - lo + 1
+
+    return walk
+
+
+def fold_products(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
+                  join: Callable[[list[int], list[int]], _V]) -> Callable[[int], list[_V]]:
+    """fold(n) for every order n <= n_max: one value per tree on n vertices,
+    in `free_trees` order, the values of every block of `_blocks`. join must
+    depend on x ⊙ y alone, as a dot product (its sum) or an elementwise
+    product (itself) does."""
+    walk = _blocks(n_max, roots, msg, join)
+    return lambda n: list(chain.from_iterable(values for _, values in walk(n)))
+
+
+def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+                 ) -> Callable[[int, int], list[tuple[int, int]]]:
+    """fold(n, bound) for every order n <= n_max: (i, c) for each tree on n
+    vertices whose dot product c is at most bound, i its position in
+    `free_trees` order. These are the entries of `fold_products(n_max,
+    roots, msg, _dot)(n)` that are at most bound, read from the blocks of
+    `_blocks` with that bound, which skip the trees whose lower bound is
+    past it. roots and msg are entrywise >= 0."""
+    walk = _blocks(n_max, roots, msg, _dot)
+
+    def fold(n: int, bound: int) -> list[tuple[int, int]]:
+        out: list[tuple[int, int]] = []
+        for at, counts in walk(n, bound):
+            counts = list(counts)
+            if counts and min(counts) <= bound:
+                out.extend((i, c) for i, c in enumerate(counts, at) if c <= bound)
         return out
 
     return fold

@@ -2,7 +2,8 @@
 walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the
-bounded fold against the sweep's counts at most a bound, the quotient path count against the walk of the path, the batched sweep against one sweep per target,
+bounded fold against the sweep's counts at most a bound, both fold readers
+against the walk of each listed tree, the quotient path count against the walk of the path, the batched sweep against one sweep per target,
 the closed-form counts of regular targets against the walk over `all_trees`, colour
 refinement against refinement in rounds, the KC machinery against bare_path, its identity and
 the contraction oracle, the
@@ -217,6 +218,40 @@ def test_bounded_fold_holds_at_every_tail_size(monkeypatch, name, tail, n_max):
         for bound in _bounds(H, n, counts):
             want = [(i, c) for i, c in enumerate(counts) if c <= bound]
             assert fold(n, bound) == want, (n, bound)
+
+
+# both readers of the product fold run one block walk, so their reference is
+# the walk of each listed tree, not the sweep; the tail sizes put the tables
+# below, in and past every order's children
+READER_TAILS = (0, 3, 6, 8)
+
+
+def _readers_are_the_walk_counts(H, n_max):
+    roots, msg = extremal._weighted_shapes(H, n_max)
+    full = trees_module.fold_products(n_max, roots, msg, trees_module._dot)
+    bounded = trees_module.bounded_fold(n_max, roots, msg)
+    for n in range(1, n_max + 1):
+        want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
+        assert full(n) == want, n
+        for bound in _bounds(H, n, want):
+            assert bounded(n, bound) == [(i, c) for i, c in enumerate(want) if c <= bound], (n, bound)
+
+
+@PROPERTY
+@given(targets(), st.integers(1, 10), st.sampled_from(READER_TAILS))
+@example(TargetGraph.from_edges(3, [(0, 0), (0, 1)]), 10, 0)  # an isolated vertex
+@example(TargetGraph.from_edges(2, []), 10, 8)  # no edges at all
+def test_fold_readers_are_the_walk_counts(H, n_max, tail):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trees_module, "_TAIL", tail)
+        _readers_are_the_walk_counts(H, n_max)
+
+
+@pytest.mark.parametrize("tail", READER_TAILS)
+@pytest.mark.parametrize("name", list(BOUNDED_TARGETS))
+def test_fold_readers_are_the_walk_counts_on_named_targets(monkeypatch, name, tail):
+    monkeypatch.setattr(trees_module, "_TAIL", tail)
+    _readers_are_the_walk_counts(BOUNDED_TARGETS[name], 12)
 
 
 @PROPERTY
