@@ -153,14 +153,15 @@ def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
         by_color.setdefault(ch[w], []).append(w)
 
     # map vertices in an order that keeps each new vertex adjacent to a
-    # mapped one where possible (tight candidate sets)
+    # mapped one where possible (tight candidate sets); each component
+    # starts at its unplaced vertex of fewest candidates, read off one sort
     order: list[int] = []
     placed = [False] * G.n
     stack: list[int] = [pin[0]] if pin else []
+    starts = iter(sorted(G.vertices(), key=lambda u: (len(by_color[cg[u]]), u)))
     while len(order) < G.n:
         if not stack:
-            stack.append(min((u for u in G.vertices() if not placed[u]),
-                             key=lambda u: (len(by_color[cg[u]]), u)))
+            stack.append(next(u for u in starts if not placed[u]))
         v = stack.pop()
         if placed[v]:
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial, reduce
-from itertools import accumulate, combinations, islice, repeat
+from itertools import combinations, islice, repeat
 from operator import add, mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -22,12 +22,11 @@ from .automorphy import (
     has_increasing_columns,
     similarity_matrix,
 )
-from .graphs import SizeLimitError, TargetGraph
+from .graphs import SizeLimitError, TargetGraph, disjoint_union
 from . import homcount
-from .homcount import _path_counts, _path_hom, _star_hom, _steps, shape_vectors
+from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, shape_vectors
 from .trees import (
-    TREE_LIMIT, _check_covered, _dot, bounded_fold, fold_products, rooted_shapes, tree_codes,
-    tree_count,
+    TREE_LIMIT, _check_covered, _dot, bounded_fold, fold_products, tree_codes, tree_count,
 )
 
 
@@ -212,14 +211,15 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
     target's counts are that value, once per tree, with no fold.
 
     The other targets are counted by one product fold (`fold_products`)
-    over the coarsest equitable quotient of their disjoint union: a tree's
+    over the coarsest equitable quotient of their `disjoint_union`: a tree's
     class vector is the product of its parts' messages (`shape_vectors`),
     weighted by a target's vertices in each class. A lone target has all of
     them, so its roots are weighted once and each count is one dot product.
     Several targets join each tree's prefix and tail elementwise in C (a
     `map` per tree, left unconsumed), the fold's rows are transposed into
     class columns by `zip`, and each target sums its classes' columns,
-    scaled by multiplicity."""
+    scaled by multiplicity. `classify` reads its balanced-bipartition flags
+    off target 19's counts (`_balanced`), so this is its only fold."""
     top = min(n_max, TREE_LIMIT)  # past it, an order raises in its own read
     regular = [_regular(H) for H in targets]
     rest = [H for H, r in zip(targets, regular) if r is None]
@@ -227,11 +227,9 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
         fold = fold_products(top, *_weighted_shapes(rest[0], top), _dot)
         split: Callable[[int], list[list[int]]] = lambda n: [fold(n)]
     elif rest:
-        starts = list(accumulate((G.n for G in rest), initial=0))
-        union = TargetGraph(starts[-1], frozenset(
-            (u + s, v + s) for G, s in zip(rest, starts) for u, v in G.edges))
-        class_of, _, _ = _equitable_quotient(union)
-        weights = [Counter(class_of[start:start + H.n]).items() for H, start in zip(rest, starts)]
+        union = disjoint_union(*rest)
+        class_of = iter(_equitable_quotient(union)[0])
+        weights = [Counter(islice(class_of, H.n)).items() for H in rest]
         fold = fold_products(top, *shape_vectors(union, top), partial(map, mul))
 
         def split(n: int) -> list[list[int]]:
@@ -374,11 +372,6 @@ def check_strong_hl_certificate(
     return StrongHLCertificate(tuple(ordering), t_max, s_max, tuple(witnesses))
 
 
-def _column(rows: Sequence[Sequence[int]], x: int, steps: int) -> list[int]:
-    """B^steps e_x: class x's indicator after `steps` message steps."""
-    return next(islice(_steps(rows, [int(c == x) for c in range(len(rows))]), steps, None))
-
-
 # ---------------------------------------------------------------------------
 # sweeps against the named bounds
 
@@ -437,30 +430,18 @@ class ClassificationRow(NamedTuple):
     summary: str
 
 
-def _balanced(n_max: int) -> Callable[[int], list[int]]:
-    """flags(n) for every order n <= n_max: the positions, in `free_trees(n)`
-    order, of the trees whose bipartition's two sides differ in size by at
-    most one, from one parity fold for every order.
+def _balanced(n: int, counts: Sequence[int]) -> list[int]:
+    """The positions, in `free_trees(n)` order, of the trees whose
+    bipartition's two sides differ in size by at most one, read off their
+    counts into target 19, the path a-b-c.
 
-    A product fold (`fold_products`) gives each rooted shape the pair
-    (2^e, 2^o), e and o its vertices at even and odd depth; a child's even
-    depths are its parent's odd ones, so its message is the pair swapped,
-    and a tree's dot product is 2^|X| + 2^|Y| for its sides X and Y. With
+    hom(T, P3) = 2^|X| + 2^|Y| for a tree T with sides X and Y: one side
+    sits on b, and each vertex of the other takes a or c freely. With
     |X| = a, f(a) = 2^a + 2^(n-a) falls strictly as a nears n/2 from either
     side (f(a + 1) < f(a) for a < (n - 1)/2), so the sides differ by at
-    most one exactly when the value is at most 2^⌈n/2⌉ + 2^⌊n/2⌋. The pairs
-    do not depend on n, so one fold serves every order."""
-    eo: list[tuple[int, int]] = []
-    for kids in rooted_shapes(n_max):
-        eo.append((1 + sum(eo[c][1] for c in kids), sum(eo[c][0] for c in kids)))
-    fold = fold_products(n_max, [[1 << e, 1 << o] for e, o in eo],
-                         [[1 << o, 1 << e] for e, o in eo], _dot)
-
-    def flags(n: int) -> list[int]:
-        least = (1 << (n + 1) // 2) + (1 << n // 2)
-        return [i for i, v in enumerate(fold(n)) if v <= least]
-
-    return flags
+    most one exactly when the count is at most 2^⌈n/2⌉ + 2^⌊n/2⌋."""
+    least = (1 << (n + 1) // 2) + (1 << n // 2)
+    return [i for i, v in enumerate(counts) if v <= least]
 
 
 def _labels_for(counts: list[int], v: OrderVerdict, balanced: Sequence[int]) -> frozenset[str]:
@@ -496,10 +477,11 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     targets = list(SMALL_TARGETS.values())
     found: list[list] = [[] for _ in targets]  # per target, (verdict, labels) per order
     paths = [islice(_path_counts(H), 1, None) for H in targets]  # from n = 2
-    sweep, balanced = _sweeps(targets, n_max), _balanced(n_max)  # one set of tables
+    sweep = _sweeps(targets, n_max)  # one set of tables
     for n in range(2, n_max + 1):
-        flags = balanced(n)
-        for counts, walk, out in zip(sweep(n), paths, found):
+        columns = dict(zip(SMALL_TARGETS, sweep(n)))
+        flags = _balanced(n, columns[19])
+        for counts, walk, out in zip(columns.values(), paths, found):
             v = _verdict(n, counts, next(walk))
             out.append((v, _labels_for(counts, v, flags)))
     rows = []

@@ -11,7 +11,7 @@ All graph and tree values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from operator import lt
 from typing import Callable, Iterable, Optional
 
@@ -250,10 +250,11 @@ def format_graph(H: TargetGraph) -> str:
 # ---------------------------------------------------------------------------
 # constructions
 
-def disjoint_union(H1: TargetGraph, H2: TargetGraph) -> TargetGraph:
-    off = H1.n
-    edges = set(H1.edges) | {(u + off, v + off) for u, v in H2.edges}
-    return TargetGraph.from_edges(H1.n + H2.n, edges)
+def disjoint_union(*graphs: TargetGraph) -> TargetGraph:
+    """The graphs side by side, each one's vertices shifted past those before it."""
+    starts = list(accumulate((H.n for H in graphs), initial=0))
+    return TargetGraph(starts[-1], frozenset(
+        (u + s, v + s) for H, s in zip(graphs, starts) for u, v in H.edges))
 
 
 def tensor_product(H1: TargetGraph, H2: TargetGraph) -> TargetGraph:

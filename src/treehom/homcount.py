@@ -180,9 +180,13 @@ def path_pair_counts(t: int, Q: Quotient) -> dict[tuple[int, int], int]:
         raise ValueError("path length must be >= 1 vertex")
     p = {}
     for j in range(Q.k):
-        h = next(islice(_steps(Q.rows, [int(i == j) for i in range(Q.k)]), t - 1, None))
-        p.update(((i, j), Q.sizes[i] * x) for i, x in enumerate(h))
+        p.update(((i, j), Q.sizes[i] * x) for i, x in enumerate(_column(Q.rows, j, t - 1)))
     return p
+
+
+def _column(rows: Sequence[Sequence[int]], x: int, steps: int) -> list[int]:
+    """B^steps e_x: class x's indicator after `steps` message steps."""
+    return next(islice(_steps(rows, [int(c == x) for c in range(len(rows))]), steps, None))
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,9 @@ One oracle that shares no code with treehom.trees' KC moves:
   neighbours join v_left, and t - 1 fresh vertices hang from v_left as a
   path.
 
-Two oracles for the parity fold behind `classify`'s balanced-bipartition
-flags, which shares no code with them:
+Two oracles for `classify`'s balanced-bipartition flags, which it reads off
+each tree's count into target 19, the path a-b-c; they share no code with
+treehom and count no colouring:
 
 * bipartition: the two colour classes of a tree, by a 2-colouring search.
 * has_balanced_bipartition: whether those classes differ in size by at most

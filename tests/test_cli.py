@@ -376,6 +376,27 @@ class TestReach:
         assert status == 0 and err == "" and out.splitlines() == want
 
 
+    @pytest.mark.parametrize("command", ["orbits", "matrix"])
+    def test_many_components_search_refused_fast(self, capsys, command):
+        # one isolated vertex per component at the edge-list vertex cap: each
+        # component's first vertex is the next of one sort, found in O(1)
+        start = time.perf_counter()
+        status, out, err = run(capsys, command, "--target",
+                               f"inline:{EDGE_LIST_VERTEX_LIMIT} 0", "--rows")
+        assert time.perf_counter() - start < 5.0
+        assert status == 2 and out == "" and "AUT_WORK_LIMIT" in err
+
+    def test_many_components_check_hl_without_certificate(self, capsys):
+        # no edge, so every tree on n >= 2 vertices has no colouring
+        start = time.perf_counter()
+        status, out, err = run(capsys, "check-hl", "--target",
+                               f"inline:{EDGE_LIST_VERTEX_LIMIT} 0", "--n-max", "4", "--rows")
+        assert time.perf_counter() - start < 5.0
+        want = [f"n\t{n}\t0\t1\t{int(n < 4)}" for n in range(2, 5)]
+        want += ["matrix-certificate\t0", "strong-certificate\t0", "verdict\t1"]
+        assert status == 0 and err == "" and out.splitlines() == want
+
+
 class TestErrorHandling:
     def test_parse_error_exit_2(self, capsys):
         status, _, err = run(capsys, "hom", "--tree", "path:4",
@@ -570,6 +591,8 @@ FAST_COMMAND_LINES = [
     "check-hl --target path:700 --n-max 10 --strong --rows",
     "check-hl --target folkman+dom --n-max 16 --strong --rows",
     "sidorenko --target h23 --n-max 16 --rows",
+    "orbits --target 'inline:100000 0'",
+    "check-hl --target 'inline:100000 0' --n-max 4 --rows",
     # README examples
     "hom --tree path:5 --target 'inline:2 2\\n0 0\\n0 1'",
     "matrix --target folkman+dom",

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -35,7 +36,7 @@ from treehom.extremal import (
 from treehom.trees import CanonicalTree
 from treehom.homcount import shape_vectors
 from treehom.trees import TREE_LIMIT, fold_products, free_trees
-from oracles import has_balanced_bipartition
+from oracles import bipartition, has_balanced_bipartition
 
 
 def tg(n, *edges):
@@ -324,11 +325,11 @@ class TestSweeps:
             assert count < path_count
 
     def test_classify_sweeps_once_per_order(self, monkeypatch):
-        # the 11 targets that are not regular share one union fold, and the
-        # balanced-bipartition flags take a parity fold: each fold builds its
-        # table once, for the largest order, and is read once per order; the
-        # union's shape vectors are built once, and neither fold passes over
-        # the tree listing
+        # the 11 targets that are not regular share one union fold, which
+        # builds its table once, for the largest order, and is read once per
+        # order; the balanced-bipartition flags are read off target 19's
+        # counts, so there is no second fold; the union's shape vectors are
+        # built once, and the fold does not pass over the tree listing
         vectors, tables, reads, listings = [], [], [], []
 
         def counted_products(*args):
@@ -340,8 +341,8 @@ class TestSweeps:
         monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
         classify_small_targets(14)
         assert [(H.n, n) for H, n in vectors] == [(32, 14)]  # the union of the 11 targets
-        assert len(tables) == 2
-        assert sorted(reads) == sorted(2 * [(n,) for n in range(2, 15)])
+        assert len(tables) == 1
+        assert reads == [(n,) for n in range(2, 15)]
         assert listings == []
 
     def test_batched_sweep_is_each_targets_own_sweep(self):
@@ -383,18 +384,35 @@ class TestSweeps:
         assert len(vectors) == 1 and len(tables) == 1
 
 
+@cache
+def _small_target_sweep():
+    """One reader of the 28-target sweep, its tables built for TREE_LIMIT."""
+    return extremal._sweeps(list(SMALL_TARGETS.values()), TREE_LIMIT)
+
+
 @pytest.mark.parametrize("n", range(1, TREE_LIMIT + 1))
 def test_balanced_flags_at_each_position(n):
-    # the parity fold, its table built for the largest order, against the
-    # tree each free_trees position names, on both sides of the shared-tail
-    # size and at both parities of n
+    # the flags classify reads off target 19's counts in the 28-target
+    # sweep, its table built for the largest order, against the tree each
+    # free_trees position names, on both sides of the shared-tail size and
+    # at both parities of n
     want = []
     for i, parts in enumerate(free_trees(n)):
         adj = trees._adjacency(parts)
         T = Tree.from_edges(n, [(u, v) for u, a in enumerate(adj) for v in a if u < v])
         if has_balanced_bipartition(T):
             want.append(i)
-    assert extremal._balanced(TREE_LIMIT)(n) == want
+    counts = dict(zip(SMALL_TARGETS, _small_target_sweep()(n)))[19]
+    assert extremal._balanced(n, counts) == want
+
+
+def test_path_target_counts_are_two_powers_of_the_sides():
+    # hom(T, a-b-c) = 2^|X| + 2^|Y|: the identity the balanced flags rest on,
+    # with no fold involved
+    for n in range(1, 13):
+        for ct in all_trees(n):
+            x, y = bipartition(ct.tree)
+            assert tree_hom(ct.tree, SMALL_TARGETS[19]) == 2 ** len(x) + 2 ** len(y)
 
 
 def test_classify_builds_no_path(monkeypatch):
