@@ -23,10 +23,9 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
-from . import homcount
 from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, shape_vectors
 from .trees import (
-    TREE_LIMIT, _check_covered, _dot, bounded_fold, fold_products, tree_codes, tree_count,
+    TREE_LIMIT, _check_covered, bounded_fold, fold_products, tree_codes, tree_count,
 )
 
 
@@ -200,33 +199,29 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
     tree on n vertices in `free_trees` order, with one set of tables for
     every order.
 
-    A target is regular when every non-empty row of its coarsest equitable
-    quotient has one length d: each vertex has degree d or 0, a loop
-    counting 1. Then every tree on n >= 2 vertices has the same count,
-    (non-isolated vertices)·d^(n-1): root the tree anywhere; the root takes
-    any vertex, and each child's image is any of its parent image's d
-    neighbours, whatever the images above; an isolated vertex hosts no edge,
-    so a root there extends to no coloring. It is the star's count
-    (`_star_hom`), which at n = 1 is H.n, the single vertex's. A regular
-    target's counts are that value, once per tree, with no fold.
+    A target is regular when every edge joins two vertices of one degree, a
+    loop counting 1. A tree maps into one component of H, of one degree d,
+    and there every tree on n >= 2 vertices has the same count, (its
+    vertices)·d^(n-1): root the tree anywhere; the root takes any vertex,
+    and each child's image is any of its parent image's d neighbours,
+    whatever the images above. Summed over the components, that is
+    Σ_c sizes[c]·deg(c)^(n-1), the star's count (`_star_hom`), which at
+    n = 1 is H.n. A regular target's counts are that value, once per tree,
+    with no fold.
 
     The other targets are counted by one product fold (`fold_products`)
     over the coarsest equitable quotient of their `disjoint_union`: a tree's
     class vector is the product of its parts' messages (`shape_vectors`),
-    weighted by a target's vertices in each class. A lone target has all of
-    them, so its roots are weighted once and each count is one dot product.
-    Several targets join each tree's prefix and tail elementwise in C (a
-    `map` per tree, left unconsumed), the fold's rows are transposed into
-    class columns by `zip`, and each target sums its classes' columns,
-    scaled by multiplicity. `classify` reads its balanced-bipartition flags
-    off target 19's counts (`_balanced`), so this is its only fold."""
+    weighted by a target's vertices in each class. Each tree's prefix and
+    tail are joined elementwise in C (a `map` per tree, left unconsumed),
+    the fold's rows are transposed into class columns by `zip`, and each
+    target sums its classes' columns, scaled by multiplicity. `classify`
+    reads its balanced-bipartition flags off target 19's counts
+    (`_balanced`), so this is its only fold."""
     top = min(n_max, TREE_LIMIT)  # past it, an order raises in its own read
     regular = [_regular(H) for H in targets]
-    rest = [H for H, r in zip(targets, regular) if r is None]
-    if len(rest) == 1:
-        fold = fold_products(top, *_weighted_shapes(rest[0], top), _dot)
-        split: Callable[[int], list[list[int]]] = lambda n: [fold(n)]
-    elif rest:
+    rest = [H for H, r in zip(targets, regular) if not r]
+    if rest:
         union = disjoint_union(*rest)
         class_of = iter(_equitable_quotient(union)[0])
         weights = [Counter(islice(class_of, H.n)).items() for H in rest]
@@ -242,21 +237,17 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
         _check_covered(n, n_max)  # also where no target is folded
         folded = iter(split(n) if rest else ())
         trees = tree_count(n)
-        # through homcount: the counts keep the closed form even where
-        # this module's `_star_hom`, sidorenko_check's bound, is replaced
-        return [next(folded) if r is None else [homcount._star_hom(H, n)] * trees
+        return [[_star_hom(H, n)] * trees if r else next(folded)
                 for H, r in zip(targets, regular)]
 
     return read
 
 
-def _regular(H: TargetGraph) -> Optional[int]:
-    """d if every vertex of H has degree d or 0 for one d, a loop counting 1;
-    else None. The non-empty rows of H's equitable quotient are the classes
-    of degree d, their length d."""
-    _, _, rows = _equitable_quotient(H)
-    degrees = {len(row) for row in rows if row}
-    return None if len(degrees) > 1 else max(degrees, default=0)
+def _regular(H: TargetGraph) -> bool:
+    """Whether every edge of H joins two vertices of one degree: a class's
+    row in H's equitable quotient lists its members' neighbours' classes."""
+    rows = _equitable_quotient(H)[2]
+    return all(len(rows[y]) == len(row) for row in rows for y in row)
 
 
 def sweep_counts(H: TargetGraph, n: int) -> list[int]:
@@ -265,18 +256,17 @@ def sweep_counts(H: TargetGraph, n: int) -> list[int]:
 
 
 def _weighted_shapes(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(roots, msg) of a lone target's product fold: `shape_vectors(H, n)`
-    with each root weighted by its classes' sizes, so that a tree's count is
-    one dot product. The vectors of every order up to n are a prefix of
-    these, so one pair serves a sweep over all of them."""
+    """(roots, msg) of a lone target's bounded fold: `shape_vectors(H, n)`,
+    each root weighted by its classes' sizes so that a tree's count is one
+    dot product. Every order up to n reads a prefix, so one pair serves all."""
     _, sizes, _ = _equitable_quotient(H)
     h, msg = shape_vectors(H, n)
     return [list(map(mul, sizes, v)) for v in h], msg
 
 
-def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[[int, int], list[tuple[int, int]]]:
-    """`trees.bounded_fold` over H's counts, fold(n, bound) for every
-    order up to n_max, with one set of tables for the whole sweep. Past
+def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[..., list[tuple[int, int]]]:
+    """`trees.bounded_fold` over H's counts, fold(n, bound, above=False) for
+    every order up to n_max, with one set of tables for the whole sweep. Past
     TREE_LIMIT an order raises in its own fold, after the orders below it."""
     m = min(n_max, TREE_LIMIT)
     return bounded_fold(m, *_weighted_shapes(H, m))
@@ -291,18 +281,21 @@ def _verdict(n: int, counts: list[int], path_count: int) -> OrderVerdict:
 
 
 def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
-    counts = sweep_counts(H, n)
-    v = _verdict(n, counts, _path_hom(H, n))
-    hi = max(counts)
-    at_min = [i for i, c in enumerate(counts) if c == v.min_count]
+    """The least count and its ties among the trees counted at most the path,
+    the largest among those counted at least the star, both among them."""
+    _check_covered(n, TREE_LIMIT)  # before the two counts, which take n steps
+    fold, path_count, star_count = _bounded_fold(H, n), _path_hom(H, n), _star_hom(H, n)
+    low = fold(n, path_count)
+    v = _verdict(n, [c for _, c in low], path_count)
+    hi = max(c for _, c in fold(n, star_count - 1, above=True))
     return MinimizerReport(
         n=n,
         min_count=v.min_count,
-        minimizers=tuple(sorted(tree_codes(n, at_min).values())),
+        minimizers=tuple(sorted(tree_codes(n, (i for i, c in low if c == v.min_count)).values())),
         path_is_min=v.path_is_min,
         path_is_unique_min=v.path_is_unique_min,
         max_count=hi,
-        star_is_max=_star_hom(H, n) == hi,
+        star_is_max=star_count == hi,
     )
 
 
@@ -375,42 +368,36 @@ def check_strong_hl_certificate(
 # ---------------------------------------------------------------------------
 # sweeps against the named bounds
 
-def _first_offender(n: int, found: list[tuple[int, int]]) -> Optional[tuple[str, int]]:
-    """(code, count) of the tree first in code order among found, (position
-    in `free_trees` order, count) pairs; None if found is empty."""
-    if not found:
-        return None
-    codes = tree_codes(n, (i for i, _ in found))
-    first, count = min(found, key=lambda f: codes[f[0]])
-    return codes[first], count
+def _first_offender(H: TargetGraph, n_max: int, what: str, bounds: Iterator[int],
+                    above: bool = False) -> Optional[tuple[int, str, int, int]]:
+    """(n, code, count, bound) of the tree first in code order among those
+    counted at most the bound (with above, more) at the first such order
+    n = 2..n_max, or None. Only the trees the bounded fold lists are coded."""
+    _check_n_max(n_max, what)
+    fold = _bounded_fold(H, n_max)
+    for n, bound in zip(range(2, n_max + 1), bounds):
+        found = fold(n, bound, above)
+        if found:
+            codes = tree_codes(n, (i for i, _ in found))
+            first, count = min(found, key=lambda f: codes[f[0]])
+            return n, codes[first], count, bound
+    return None
 
 
 def sidorenko_check(H: TargetGraph, n_max: int):
     """Verify the star maximizes at every order; returns (ok, violation)
     where violation is (n, code, count, star_count) for the first offender."""
-    _check_n_max(n_max, "the star-maximality check")
-    sweep = _sweeps([H], n_max)  # one set of tables for every order
-    for n in range(2, n_max + 1):
-        star_count = _star_hom(H, n)
-        counts, = sweep(n)
-        found = _first_offender(n, [(i, c) for i, c in enumerate(counts) if c > star_count])
-        if found is not None:
-            return False, (n, *found, star_count)
-    return True, None
+    found = _first_offender(H, n_max, "the star-maximality check",
+                            map(partial(_star_hom, H), range(2, n_max + 1)), above=True)
+    return found is None, found
 
 
 def find_hl_counterexample_search(H: TargetGraph, n_max: int):
     """First (n, code, count, path_count) with a non-path tree strictly
-    beating the path, or None. Only the trees counted below the path are
-    listed (`_bounded_fold`), and only they are coded."""
-    _check_n_max(n_max, "the counterexample search")
-    fold = _bounded_fold(H, n_max)
+    beating the path, or None."""
     paths = islice(_path_counts(H), 1, None)  # from n = 2
-    for n, path_count in zip(range(2, n_max + 1), paths):
-        found = _first_offender(n, fold(n, path_count - 1))
-        if found is not None:
-            return (n, *found, path_count)
-    return None
+    found = _first_offender(H, n_max, "the counterexample search", (p - 1 for p in paths))
+    return found and (*found[:3], found[3] + 1)
 
 
 # ---------------------------------------------------------------------------

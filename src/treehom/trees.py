@@ -15,8 +15,8 @@ value that depends only on how many vertices they hold and the bound on
 their IDs, so for up to `_TAIL` vertices those products are tabulated and
 shared by every tree that ends in them, one table for every order of a
 sweep. It has two readers: `fold_products` reads every value, and
-`bounded_fold` only the dot products at most a bound, the walk skipping
-every part of the fold whose lower bound is past it.
+`bounded_fold` only the dot products at most a bound, or above it, the walk
+skipping every part of the fold whose lower (upper) bound is past it.
 `all_trees` materializes the enumeration and `tree_count` counts it unlisted;
 the tests cross-check both against a Prufer-sequence dedup oracle and
 Otter's counting recurrence.
@@ -24,7 +24,7 @@ Otter's counting recurrence.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
@@ -234,11 +234,11 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
-def _suffix_minima(prods: list[list[int]]) -> list[list[int]]:
-    """out[j] = the entrywise minimum of prods[j:]."""
+def _suffix(pick: Callable[[int, int], int], prods: list[list[int]]) -> list[list[int]]:
+    """out[j] = the entrywise pick (min or max) of prods[j:]."""
     out = prods[-1:]
     for p in reversed(prods[:-1]):
-        out.append(list(map(min, p, out[-1])))
+        out.append(list(map(pick, p, out[-1])))
     out.reverse()
     return out
 
@@ -246,13 +246,13 @@ def _suffix_minima(prods: list[list[int]]) -> list[list[int]]:
 def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
             join: Callable[[list[int], list[int]], _V]
             ) -> Callable[..., Iterator[tuple[int, Iterator[_V]]]]:
-    """walk(n, bound=None) for every order n <= n_max: the product fold of
-    the trees on n vertices as blocks (at, values), values a lazy `map` of
-    join(x, y) over consecutive trees in `free_trees` order and at the
-    position of the first, with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k]
-    (⊙ elementwise) for the tree (s, c_1, ..., c_k). roots and msg are
-    indexed by the IDs of `rooted_shapes(n_max)`; a smaller order reads a
-    prefix of them.
+    """walk(n, bound=None, above=False) for every order n <= n_max: the
+    product fold of the trees on n vertices as blocks (at, values), values a
+    lazy `map` of join(x, y) over consecutive trees in `free_trees` order
+    and at the position of the first, with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ...
+    ⊙ msg[c_k] (⊙ elementwise) for the tree (s, c_1, ..., c_k). roots and
+    msg are indexed by the IDs of `rooted_shapes(n_max)`; a smaller order
+    reads a prefix of them.
 
     The product is commutative, so the children that complete a tree
     multiply to a value that depends only on their vertex count r and the
@@ -264,75 +264,86 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
     the halves (a, b), a <= b, joining roots[a] with msg[b].
 
     With a bound (roots and msg entrywise >= 0, join a dot product), the
-    walk yields only blocks that may hold counts at most the bound. Every
-    completion of a node (r, b, x) has a product at least low(r, b)
-    entrywise, the least of those products, and so a count at least
-    x · low(r, b). A node whose lower bound is past `bound` is skipped whole,
-    its position advanced by the number of its completions, num(r, b). A
-    completion with IDs below b either has none equal to b - 1, or is
-    msg[b - 1] times a completion of r - size(b - 1) vertices with IDs below b:
+    walk yields only blocks that may hold counts at most the bound, or with
+    above, counts above it. Every completion of a node (r, b, x) has a
+    product between low(r, b) and high(r, b) entrywise, the least and the
+    largest of those products, so a count between x · low(r, b) and
+    x · high(r, b). A node whose lower bound is past `bound` (with above,
+    whose upper bound is at most it) is skipped whole, its position advanced
+    by the number of its completions, num(r, b). A completion with IDs below
+    b either has none equal to b - 1, or is msg[b - 1] times a completion of
+    r - size(b - 1) vertices with IDs below b. The least and the largest
+    over a union are those of its parts, and ⊙ msg[b - 1] >= 0 keeps both:
 
         low(r, b) = min(low(r, b - 1), msg[b - 1] ⊙ low(r - size(b - 1), b))
         num(r, b) = num(r, b - 1) + num(r - size(b - 1), b)
 
-    with low(0, b) = 1 (the empty completion) and nothing at b = 0 for
-    r > 0; ID 0 fits in any r, so every node with b >= 1 has completions.
-    A row of both is grown only as far as a visited node's b asks, one
-    entry from the one before, and only for the r that nodes reach. For
-    r <= _TAIL the completions are the `_tails` block prods[first[b]:], so
-    low is the block's suffix minimum; x · (suffix minimum at j) never
-    falls as j grows, so a bisection ends the block at the first entry
-    whose bound is past `bound`. The halves (a, b) count roots[a] · msg[b],
-    at least min(roots[lo..b]) · msg[b], a running minimum over b.
+    high alike with max, low(0, b) = high(0, b) = 1 (the empty completion),
+    and nothing at b = 0 for r > 0; ID 0 fits in any r, so every node with
+    b >= 1 has completions. A row is grown only as far as a visited node's
+    b asks, one entry from the one before, and only for the r that nodes
+    reach. For r <= _TAIL the completions are the `_tails` block
+    prods[first[b]:], so low and high are its suffix minima and maxima. A
+    shorter suffix has a larger minimum and a smaller maximum, so as j
+    grows x · (suffix minimum at j) never falls, x · (suffix maximum at j)
+    never rises, and a bisection ends the block at the first entry whose
+    bound is past `bound`. The halves (a, b) count roots[a] · msg[b],
+    between min(roots[lo..b]) · msg[b] and max(roots[lo..b]) · msg[b], a
+    running minimum and maximum over b.
 
     None of these tables depends on the order: a `_tails` block with IDs
     below b is the same whatever larger bound on IDs the table was built
-    for, and low and num depend only on r and b. So they are built for
-    n_max and shared by every order's walk.
+    for, and low, high and num depend only on r and b. So they are built
+    for n_max and shared by every order's walk.
     """
     t, most, tails = _table(n_max, roots, msg)
-    least: dict[int, list[list[int]]] = {}  # r -> suffix minima of tails[r], once r is reached
-    rows: dict[int, list[tuple[Optional[list[int]], int]]] = {}
 
-    def minima(r: int) -> list[list[int]]:
-        if r not in least:
-            least[r] = _suffix_minima(tails[r][0])
-        return least[r]
+    def side(pick: Callable[[int, int], int]):
+        """(pick, ends, edge), pick min for low and max for high: ends(r) the
+        suffix picks of tails[r], edge(r, b) (low or high, num), None if num = 0."""
+        ends = lru_cache(maxsize=None)(lambda r: _suffix(pick, tails[r][0]))
+        rows: dict[int, list[tuple[Optional[list[int]], int]]] = {}
 
-    def low(r: int, b: int) -> tuple[Optional[list[int]], int]:
-        """(low(r, b), num(r, b)); low is None where num is 0."""
-        if r <= most:
-            prods, first = tails[r]
-            at = first[min(b, len(first) - 1)]
-            return (minima(r)[at] if at < len(prods) else None), len(prods) - at
-        row = rows.setdefault(r, [(None, 0)])
-        b = _fits(t, r, b)
-        while len(row) <= b:
-            c = len(row) - 1
-            below, num = row[c]
-            sub, more = low(r - t.size[c], c + 1)
-            term = list(map(mul, msg[c], sub))
-            row.append((term if below is None else list(map(min, below, term)), num + more))
-        return row[b]
+        def edge(r: int, b: int) -> tuple[Optional[list[int]], int]:
+            if r <= most:
+                prods, first = tails[r]
+                at = first[min(b, len(first) - 1)]
+                return (ends(r)[at] if at < len(prods) else None), len(prods) - at
+            row = rows.setdefault(r, [(None, 0)])
+            b = _fits(t, r, b)
+            while len(row) <= b:
+                c = len(row) - 1
+                before, num = row[c]
+                sub, more = edge(r - t.size[c], c + 1)
+                term = list(map(mul, msg[c], sub))
+                row.append((term if before is None else list(map(pick, before, term)), num + more))
+            return row[b]
 
-    def walk(n: int, bound: Optional[int] = None) -> Iterator[tuple[int, Iterator[_V]]]:
+        return pick, ends, edge
+
+    sides = side(min), side(max)
+
+    def walk(n: int, bound: Optional[int] = None,
+             above: bool = False) -> Iterator[tuple[int, Iterator[_V]]]:
         _check_covered(n, n_max)
         if bound is not None:
-            from bisect import bisect_right  # imported here, so only bounded sweeps load it
+            from bisect import bisect_left  # imported here, so only bounded sweeps load it
+            pick, ends, edge = sides[above]
+            past = bound.__ge__ if above else bound.__lt__  # past(v): no count bounded by v is kept
         at = 0  # position of the next tree in free_trees order
         todo = [(n - 1, t.end[(n - 1) // 2], roots[0])]
         while todo:
             r, b, x = todo.pop()
             if bound is not None:
-                floor, num = low(r, b)
-                if floor is None or _dot(x, floor) > bound:
+                extreme, num = edge(r, b)
+                if extreme is None or past(_dot(x, extreme)):
                     at += num
                     continue
             if r <= most:
                 prods, first = tails[r]
                 start = first[min(b, len(first) - 1)]
-                stop = len(prods) if bound is None else bisect_right(
-                    minima(r), bound, start, len(prods), key=partial(_dot, x))
+                stop = len(prods) if bound is None else bisect_left(
+                    ends(r), True, start, len(prods), key=lambda p: past(_dot(x, p)))
                 yield at, map(join, repeat(x), prods[start:stop])
                 at += len(prods) - start
             else:  # pushed smallest ID first, so the largest is folded first
@@ -340,11 +351,11 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
                             for c in range(_fits(t, r, b)))
         if n % 2 == 0:
             lo, hi = t.end[n // 2 - 1], t.end[n // 2]
-            floor = roots[lo]
+            extreme = roots[lo]
             for b in range(lo, hi):
                 if bound is not None:
-                    floor = list(map(min, floor, roots[b]))
-                if bound is None or _dot(floor, msg[b]) <= bound:
+                    extreme = list(map(pick, extreme, roots[b]))
+                if bound is None or not past(_dot(extreme, msg[b])):
                     yield at, map(join, roots[lo:b + 1], repeat(msg[b]))
                 at += b - lo + 1
 
@@ -362,21 +373,23 @@ def fold_products(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int
 
 
 def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
-                 ) -> Callable[[int, int], list[tuple[int, int]]]:
-    """fold(n, bound) for every order n <= n_max: (i, c) for each tree on n
-    vertices whose dot product c is at most bound, i its position in
-    `free_trees` order. These are the entries of `fold_products(n_max,
-    roots, msg, _dot)(n)` that are at most bound, read from the blocks of
-    `_blocks` with that bound, which skip the trees whose lower bound is
-    past it. roots and msg are entrywise >= 0."""
+                 ) -> Callable[..., list[tuple[int, int]]]:
+    """fold(n, bound, above=False) for every order n <= n_max: (i, c) for
+    each tree on n vertices whose dot product c is at most bound (with
+    above, more), i its position in `free_trees` order: the entries of
+    `fold_products(n_max, roots, msg, _dot)(n)` on that side of bound, read
+    from the blocks of `_blocks` with that bound, which skip the trees whose
+    lower (with above, upper) bound is past it. roots and msg are entrywise
+    >= 0."""
     walk = _blocks(n_max, roots, msg, _dot)
 
-    def fold(n: int, bound: int) -> list[tuple[int, int]]:
+    def fold(n: int, bound: int, above: bool = False) -> list[tuple[int, int]]:
+        pick, keep = (max, bound.__lt__) if above else (min, bound.__ge__)
         out: list[tuple[int, int]] = []
-        for at, counts in walk(n, bound):
+        for at, counts in walk(n, bound, above):
             counts = list(counts)
-            if counts and min(counts) <= bound:
-                out.extend((i, c) for i, c in enumerate(counts, at) if c <= bound)
+            if counts and keep(pick(counts)):
+                out.extend((i, c) for i, c in enumerate(counts, at) if keep(c))
         return out
 
     return fold

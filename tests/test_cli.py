@@ -587,6 +587,7 @@ FAST_COMMAND_LINES = [
     "hom --tree path:2 --target 'inline:2000000 0'",
     "minimize --target capacity:3 -n 16 --rows",
     "sidorenko --target capacity:3 --n-max 16 --rows",
+    "sidorenko --target wr:3 --n-max 16 --rows",
     "classify --n-max 16 --rows",
     "check-hl --target path:700 --n-max 10 --strong --rows",
     "check-hl --target folkman+dom --n-max 16 --strong --rows",

@@ -237,6 +237,33 @@ class TestHLVerdicts:
         monkeypatch.setattr(extremal, "_sweeps", refuse)
         assert [list(verify_hoffman_london(H, 12).reports) for H in targets] == want
 
+    def test_minimize_and_sidorenko_build_no_count_list(self, monkeypatch):
+        # the least count and its ties are read at most the path's count,
+        # the largest above the star's count less one; h6 ties every tree,
+        # and h18 is regular with two degrees
+        targets = (make_folkman_plus_dominating(), SMALL_TARGETS[6], make_capacity_graph(3),
+                   SMALL_TARGETS[18])
+
+        def reference(H, n):
+            counts = sweep_counts(H, n)
+            v = extremal._verdict(n, counts, homcount._path_hom(H, n))
+            codes = trees.tree_codes(n, range(len(counts)))
+            return MinimizerReport(
+                n, v.min_count, tuple(sorted(codes[i] for i, c in enumerate(counts)
+                                             if c == v.min_count)),
+                v.path_is_min, v.path_is_unique_min, max(counts),
+                homcount._star_hom(H, n) == max(counts))
+
+        want = [[reference(H, n) for n in range(2, 13)] for H in targets]
+
+        def refuse(*args):
+            raise AssertionError("a one-target read listed every tree's count")
+
+        for name in ("sweep_counts", "_sweeps", "fold_products"):
+            monkeypatch.setattr(extremal, name, refuse)
+        assert [[minimizers(H, n) for n in range(2, 13)] for H in targets] == want
+        assert [sidorenko_check(H, 12) for H in targets] == [(True, None)] * len(targets)
+
     def test_bounded_fold_refuses_an_order_past_its_tables(self):
         # tables built for n_max would list wrong positions past it
         fold = extremal._bounded_fold(SMALL_TARGETS[7], 8)
@@ -325,7 +352,7 @@ class TestSweeps:
             assert count < path_count
 
     def test_classify_sweeps_once_per_order(self, monkeypatch):
-        # the 11 targets that are not regular share one union fold, which
+        # the 10 targets that are not regular share one union fold, which
         # builds its table once, for the largest order, and is read once per
         # order; the balanced-bipartition flags are read off target 19's
         # counts, so there is no second fold; the union's shape vectors are
@@ -340,7 +367,7 @@ class TestSweeps:
         monkeypatch.setattr(trees, "_tails", counted(trees._tails, tables))
         monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
         classify_small_targets(14)
-        assert [(H.n, n) for H, n in vectors] == [(32, 14)]  # the union of the 11 targets
+        assert [(H.n, n) for H, n in vectors] == [(29, 14)]  # the union of the 10 targets
         assert len(tables) == 1
         assert reads == [(n,) for n in range(2, 15)]
         assert listings == []
@@ -355,11 +382,11 @@ class TestSweeps:
             assert sweep(n) == [sweep_counts(H, n) for H in targets]
 
     def test_regular_targets_skip_the_fold(self, monkeypatch):
-        # 17 of the 28 targets are regular; together they are counted in
-        # closed form, one reader for every order, and the other 11 by one
+        # 18 of the 28 targets are regular; together they are counted in
+        # closed form, one reader for every order, and the other 10 by one
         # fold (test_classify_sweeps_once_per_order)
-        regular = [H for H in SMALL_TARGETS.values() if extremal._regular(H) is not None]
-        assert len(regular) == 17
+        regular = [H for H in SMALL_TARGETS.values() if extremal._regular(H)]
+        assert len(regular) == 18
         want = [[[tree_hom(ct.tree, H) for ct in all_trees(n)] for H in regular]
                 for n in range(1, 10)]
 

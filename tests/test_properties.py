@@ -63,7 +63,7 @@ from treehom import (
 )
 from treehom import extremal, graphs, trees as trees_module
 from treehom.automorphy import _equitable_quotient, class_data
-from treehom.homcount import _message, _path_hom
+from treehom.homcount import _message, _path_hom, _star_hom
 from treehom.trees import free_trees
 from treehom.extremal import (
     LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, sweep_counts,
@@ -184,9 +184,16 @@ def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
 
 
 def _bounds(H, n, counts):
-    """Bounds below every count, at the path's count, at a middle count
-    and at the largest count."""
-    return min(counts) - 1, _path_hom(H, n), sorted(counts)[len(counts) // 2], max(counts)
+    """Bounds below every count, at the path's count, at a middle count,
+    just below the star's count and at the largest count."""
+    return (min(counts) - 1, _path_hom(H, n), sorted(counts)[len(counts) // 2],
+            _star_hom(H, n) - 1, max(counts))
+
+
+def _sides(counts, bound):
+    """The (position, count) pairs at most bound and those above it."""
+    return ([(i, c) for i, c in enumerate(counts) if c <= bound],
+            [(i, c) for i, c in enumerate(counts) if c > bound])
 
 
 @PROPERTY
@@ -196,9 +203,9 @@ def _bounds(H, n, counts):
 @example(TargetGraph.from_edges(2, []), 10)  # no edges at all
 def test_bounded_fold_lists_the_counts_at_most_its_bound(H, n):
     counts = sweep_counts(H, n)
+    fold = extremal._bounded_fold(H, n)
     for bound in _bounds(H, n, counts):
-        want = [(i, c) for i, c in enumerate(counts) if c <= bound]
-        assert extremal._bounded_fold(H, n)(n, bound) == want, bound
+        assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), bound
 
 
 BOUNDED_TARGETS = {"capacity:3": make_capacity_graph(3), "wr:3": make_widom_rowlinson(3),
@@ -216,8 +223,7 @@ def test_bounded_fold_holds_at_every_tail_size(monkeypatch, name, tail, n_max):
     for n in range(1, n_max + 1):
         counts = sweep_counts(H, n)
         for bound in _bounds(H, n, counts):
-            want = [(i, c) for i, c in enumerate(counts) if c <= bound]
-            assert fold(n, bound) == want, (n, bound)
+            assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), (n, bound)
 
 
 # both readers of the product fold run one block walk, so their reference is
@@ -234,7 +240,8 @@ def _readers_are_the_walk_counts(H, n_max):
         want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
         assert full(n) == want, n
         for bound in _bounds(H, n, want):
-            assert bounded(n, bound) == [(i, c) for i, c in enumerate(want) if c <= bound], (n, bound)
+            assert (bounded(n, bound), bounded(n, bound, above=True)) == _sides(want, bound), \
+                (n, bound)
 
 
 @PROPERTY
@@ -269,10 +276,10 @@ def test_batched_sweep_gives_each_target_its_own_counts(Hs, n):
 
 @st.composite
 def regular_targets(draw, max_n=7):
-    """Regular loopy graphs, every vertex of degree d or 0: disjoint cycles
-    (d = 2) or disjoint (d + 1)-cliques, some edges {u, v} of a matching
-    traded for loops at u and at v (so those vertices keep degree d), and
-    some isolated vertices."""
+    """Loopy graphs whose every edge joins two vertices of one degree:
+    disjoint cycles (degree 2) or disjoint (d + 1)-cliques, each with its
+    own d, some edges {u, v} of a matching traded for loops at u and at v
+    (so those vertices keep their degree), and some isolated vertices."""
     n = 0
     edges = []
     if draw(st.booleans()):  # cycles
@@ -281,8 +288,8 @@ def regular_targets(draw, max_n=7):
             edges += [(n + i, n + (i + 1) % k) for i in range(k)]
             n += k
     else:  # cliques
-        d = draw(st.integers(1, 3))
-        while n <= max_n - d - 1 and (not edges or draw(st.booleans())):
+        while n <= max_n - 2 and (not edges or draw(st.booleans())):
+            d = draw(st.integers(1, min(3, max_n - n - 1)))
             edges += [(n + i, n + j) for i in range(d + 1) for j in range(i + 1, d + 1)]
             n += d + 1
     used: set[int] = set()
@@ -299,9 +306,10 @@ def regular_targets(draw, max_n=7):
 # a path with both ends looped, and an isolated vertex
 @example(TargetGraph.from_edges(4, [(0, 0), (1, 1), (0, 2), (1, 2)]), 6)
 @example(TargetGraph.from_edges(3, []), 5)  # no edges at all
+@example(SMALL_TARGETS[18], 7)  # a looped edge and a looped vertex: degrees 2 and 1
 def test_regular_targets_are_counted_without_the_fold(H, n):
-    degrees = {H.degree(v) for v in H.vertices()} - {0}
-    assert len(degrees) <= 1 and extremal._regular(H) is not None
+    assert all(H.degree(u) == H.degree(v) for u in H.vertices() for v in H.neighbors(u))
+    assert extremal._regular(H)
 
     def refuse(*args):
         raise AssertionError("a regular target was folded")
@@ -310,6 +318,10 @@ def test_regular_targets_are_counted_without_the_fold(H, n):
         mp.setattr(extremal, "fold_products", refuse)
         counts = sweep_counts(H, n)
     assert counts == [tree_hom(ct.tree, H) for ct in all_trees(n)]
+    # every tree has the same class vector, so the bounds are exact and the
+    # bounded walk at the common count yields no block on either side
+    walk = trees_module._blocks(n, *extremal._weighted_shapes(H, n), trees_module._dot)
+    assert list(walk(n, counts[0] - 1)) == [] == list(walk(n, counts[0], above=True))
 
 
 @PROPERTY

@@ -53,7 +53,7 @@ class TestEnumeration:
 
     def test_limit_enforced(self):
         with pytest.raises(SizeLimitError):
-            all_trees(17)
+            all_trees(TREE_LIMIT + 1)
 
     def test_all_have_right_order(self):
         for ct in all_trees(6):
