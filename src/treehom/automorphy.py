@@ -14,10 +14,9 @@ steps and stop at AUT_WORK_LIMIT; a vertex count is no guide to their cost.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
 
 from .graphs import SizeLimitError, TargetGraph, _find, disjoint_union
 
@@ -25,9 +24,10 @@ AUT_WORK_LIMIT = 2_000_000
 ORDERING_WORK_LIMIT = 10_000_000
 
 
-class OrbitPartition(NamedTuple):
+class OrbitPartition(namedtuple("OrbitPartition", "graph classes class_of")):
     """Automorphism orbits of a target graph, indexed by least contained vertex."""
 
+    __slots__ = ()
     graph: TargetGraph
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
@@ -37,13 +37,14 @@ class OrbitPartition(NamedTuple):
         return len(self.classes)
 
 
-class SimilarityMatrix(NamedTuple):
+class SimilarityMatrix(namedtuple("SimilarityMatrix", "k m sizes ordering")):
     """Cross-class neighbor counts m[i][j] under a chosen class ordering.
 
     ordering[p] is the original class index placed at position p; sizes[p]
     is the size of that class.
     """
 
+    __slots__ = ()
     k: int
     m: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
@@ -87,11 +88,12 @@ def _refined_colors(H: TargetGraph, initial: tuple | None = None) -> list[int]:
     return color
 
 
-class Quotient(NamedTuple):
+class Quotient(namedtuple("Quotient", "class_of sizes rows")):
     """An equitable partition of H, the form every count walks: each vertex's
     class in 0..k-1, the class sizes, and per class the classes of a member's
     neighbours with repeats, the same for all (Dell, Grohe & Rattan, 2018)."""
 
+    __slots__ = ()
     class_of: tuple[int, ...]
     sizes: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]

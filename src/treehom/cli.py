@@ -14,6 +14,7 @@ and usage errors.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from itertools import combinations, combinations_with_replacement
@@ -499,7 +500,15 @@ def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one command line and return its exit status. With no argv this is
+    the process's entry point: it reads sys.argv and first freezes the
+    collector, so every object alive by then (imports, the target catalog)
+    sits in the permanent generation, which neither the run's full
+    collections nor the interpreter's at exit walk. Objects the command makes
+    are collected as before. A caller passing argv is left unfrozen."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     args = _parse_fast(argv)
     if args is None:
         args = build_parser().parse_args(argv)

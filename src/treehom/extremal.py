@@ -8,11 +8,11 @@ per-n verdicts up to the swept bound, never the unbounded property.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import partial, reduce
 from itertools import combinations, islice, repeat
 from operator import add, mul
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .automorphy import (
     SimilarityMatrix,
@@ -149,7 +149,13 @@ def is_loop_threshold(H: TargetGraph) -> Optional[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # minimizer sweeps
 
-class MinimizerReport(NamedTuple):
+class MinimizerReport(namedtuple("MinimizerReport", "n min_count minimizers path_is_min "
+                                                   "path_is_unique_min max_count star_is_max")):
+    """One order's sweep: the least and largest counts, the trees attaining
+    the least, and whether the path attains it (alone) and the star the
+    largest."""
+
+    __slots__ = ()
     n: int
     min_count: int
     minimizers: tuple[str, ...]  # canonical codes attaining the minimum
@@ -159,27 +165,33 @@ class MinimizerReport(NamedTuple):
     star_is_max: bool
 
 
-class OrderVerdict(NamedTuple):
+class OrderVerdict(namedtuple("OrderVerdict", "n min_count path_is_min path_is_unique_min")):
     """What a path-minimality check reads from one order's sweep: the least
     count and whether the path attains it, alone or not. No tree is coded."""
+
+    __slots__ = ()
     n: int
     min_count: int
     path_is_min: bool
     path_is_unique_min: bool
 
 
-class StrongHLCertificate(NamedTuple):
+class StrongHLCertificate(namedtuple("StrongHLCertificate", "ordering t_max s_max witnesses")):
     """Witness data for strict path minimality: per path length t a class
     pair (low, high) with a joint endpoint coloring and strictly ordered
     endpoint counts at every probed length s."""
 
+    __slots__ = ()
     ordering: tuple[int, ...]
     t_max: int
     s_max: int
     witnesses: tuple[tuple[int, tuple[int, int]], ...]
 
 
-class HLVerdict(NamedTuple):
+class HLVerdict(namedtuple("HLVerdict", "n_max reports matrix_certificate strong_certificate")):
+    """Path minimality per order up to n_max, with the certificates found."""
+
+    __slots__ = ()
     n_max: int
     reports: tuple[OrderVerdict, ...]
     matrix_certificate: Optional[tuple[tuple[int, ...], SimilarityMatrix]]
@@ -194,10 +206,11 @@ class HLVerdict(NamedTuple):
         return all(r.path_is_unique_min for r in self.reports if r.n >= 4)
 
 
-def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[list[int]]]:
+def _sweeps(targets: Sequence[TargetGraph],
+            n_max: int) -> Callable[[int], list[Union[int, list[int]]]]:
     """read(n) for every order n <= n_max: per target, the hom count of every
-    tree on n vertices in `free_trees` order, with one set of tables for
-    every order.
+    tree on n vertices in `free_trees` order, or for a regular target the one
+    count every tree has, with one set of tables for every order.
 
     A target is regular when every edge joins two vertices of one degree, a
     loop counting 1. A tree maps into one component of H, of one degree d,
@@ -206,8 +219,8 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
     and each child's image is any of its parent image's d neighbours,
     whatever the images above. Summed over the components, that is
     Σ_c sizes[c]·deg(c)^(n-1), the star's count (`_star_hom`), which at
-    n = 1 is H.n. A regular target's counts are that value, once per tree,
-    with no fold.
+    n = 1 is H.n. A regular target's read is that value, with no fold and
+    no list.
 
     The other targets are counted by one product fold (`fold_products`)
     over the coarsest equitable quotient of their `disjoint_union`: a tree's
@@ -233,12 +246,10 @@ def _sweeps(targets: Sequence[TargetGraph], n_max: int) -> Callable[[int], list[
                 cols[c] if m == 1 else map(mul, repeat(m), cols[c]) for c, m in w)))
                 for w in weights]
 
-    def read(n: int) -> list[list[int]]:
+    def read(n: int) -> list[Union[int, list[int]]]:
         _check_covered(n, n_max)  # also where no target is folded
         folded = iter(split(n) if rest else ())
-        trees = tree_count(n)
-        return [[_star_hom(H, n)] * trees if r else next(folded)
-                for H, r in zip(targets, regular)]
+        return [_star_hom(H, n) if r else next(folded) for H, r in zip(targets, regular)]
 
     return read
 
@@ -248,11 +259,6 @@ def _regular(H: TargetGraph) -> bool:
     row in H's equitable quotient lists its members' neighbours' classes."""
     rows = _equitable_quotient(H)[2]
     return all(len(rows[y]) == len(row) for row in rows for y in row)
-
-
-def sweep_counts(H: TargetGraph, n: int) -> list[int]:
-    """Exact hom count of every tree on n vertices, in `free_trees` order."""
-    return _sweeps([H], n)(n)[0]
 
 
 def _weighted_shapes(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -410,7 +416,11 @@ LABEL_ZERO = "zero-count"
 LABEL_OTHER = "other"
 
 
-class ClassificationRow(NamedTuple):
+class ClassificationRow(namedtuple("ClassificationRow", "target_id min_counts labels summary")):
+    """One small target's least counts and minimizer labels per order, and
+    the label that summarizes them."""
+
+    __slots__ = ()
     target_id: int
     min_counts: tuple[tuple[int, int], ...]            # (n, min hom count)
     labels: tuple[tuple[int, frozenset[str]], ...]     # (n, applicable labels)
@@ -431,29 +441,36 @@ def _balanced(n: int, counts: Sequence[int]) -> list[int]:
     return [i for i, v in enumerate(counts) if v <= least]
 
 
-def _labels_for(counts: list[int], v: OrderVerdict, balanced: Sequence[int]) -> frozenset[str]:
-    """All class labels the minimizer set matches at order v.n, given that
-    order's counts in `free_trees` order, their verdict, and the positions
-    of the balanced-bipartition trees (`_balanced`). The minimizers are
-    those trees exactly when as many counts as there are such trees are at
-    the minimum, and each of theirs is.
+def _labels_for(n: int, counts: Union[int, list[int]], path_count: int, trees: int,
+                balanced: Sequence[int]) -> tuple[OrderVerdict, frozenset[str]]:
+    """The verdict at order n and all class labels its minimizer set
+    matches, given that order's `_sweeps` read of one target (its counts in
+    `free_trees` order, or the one count all trees share), hom(P_n, H), the
+    number of trees, and the positions of the balanced-bipartition trees
+    (`_balanced`). The minimizers are those trees exactly when as many
+    counts as there are such trees are at the minimum, and each of theirs is.
 
     At small n the descriptions coincide (e.g. on 4 vertices the path is the
     only balanced-bipartition tree), so a set is returned rather than forcing
     an arbitrary precedence.
     """
-    lo = v.min_count
-    ties = counts.count(lo)
+    if isinstance(counts, int):  # every tree ties
+        lo, ties, balanced_min = counts, trees, trees == len(balanced)
+    else:
+        lo = min(counts)
+        ties = counts.count(lo)
+        balanced_min = ties == len(balanced) and all(counts[i] == lo for i in balanced)
+    v = OrderVerdict(n, lo, path_count == lo, path_count == lo and ties == 1)
     out = set()
     if lo == 0:
         out.add(LABEL_ZERO)
-    if ties == len(counts):
+    if ties == trees:
         out.add(LABEL_ALL)
     if v.path_is_unique_min:
         out.add(LABEL_PATHS)
-    if ties == len(balanced) and all(counts[i] == lo for i in balanced):
+    if balanced_min:
         out.add(LABEL_BALANCED)
-    return frozenset(out) if out else frozenset({LABEL_OTHER})
+    return v, frozenset(out) if out else frozenset({LABEL_OTHER})
 
 
 _LABEL_PRIORITY = (LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED, LABEL_OTHER)
@@ -467,10 +484,9 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     sweep = _sweeps(targets, n_max)  # one set of tables
     for n in range(2, n_max + 1):
         columns = dict(zip(SMALL_TARGETS, sweep(n)))
-        flags = _balanced(n, columns[19])
+        trees, flags = tree_count(n), _balanced(n, columns[19])
         for counts, walk, out in zip(columns.values(), paths, found):
-            v = _verdict(n, counts, next(walk))
-            out.append((v, _labels_for(counts, v, flags)))
+            out.append(_labels_for(n, counts, next(walk), trees, flags))
     rows = []
     for hid, orders in zip(SMALL_TARGETS, found):
         labels = tuple((v.n, labs) for v, labs in orders)

@@ -24,10 +24,11 @@ Otter's counting recurrence.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .graphs import SizeLimitError, Tree, _search
 
@@ -36,7 +37,10 @@ TREE_LIMIT = 16
 _V = TypeVar("_V")
 
 
-class CanonicalTree(NamedTuple):
+class CanonicalTree(namedtuple("CanonicalTree", "tree code")):
+    """A tree and its canonical code (`canonical_code`)."""
+
+    __slots__ = ()
     tree: Tree
     code: str
 
@@ -118,7 +122,10 @@ def _tree_from_code(code: str) -> Tree:
 # ---------------------------------------------------------------------------
 # rooted shapes and the free-tree generator
 
-class _Shapes(NamedTuple):
+class _Shapes(namedtuple("_Shapes", "children size end")):
+    """The rooted-shape table `free_trees` composes, by shape ID."""
+
+    __slots__ = ()
     children: list[tuple[int, ...]]  # shape ID -> child IDs, non-increasing
     size: list[int]                  # shape ID -> vertex count
     end: list[int]                   # end[s] = number of shapes on <= s vertices

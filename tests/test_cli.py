@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import os
@@ -751,6 +752,20 @@ class TestProcess:
         out = subprocess.run(**_process(["-S", "-c", code, *argv]), capture_output=True,
                              text=True, check=True).stdout
         assert out.splitlines()[-1] == "False 0"
+
+    def test_entry_point_freezes_the_collector(self):
+        # what is alive before parsing moves to the permanent generation,
+        # which the collections at interpreter exit skip
+        code = ("import gc; from treehom.cli import main; status = main(); "
+                "print(gc.get_freeze_count() > 0, status)")
+        out = subprocess.run(**_process(["-S", "-c", code, "family", "h7"]), capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[-1] == "True 0"
+
+    def test_in_process_call_leaves_the_collector_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["family", "h7"]) == 0
+        assert gc.get_freeze_count() == before
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_is_a_normal_end(self, unbuffered):

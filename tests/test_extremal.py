@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from functools import cache
 
@@ -28,12 +30,11 @@ from treehom import (
     verify_hoffman_london,
 )
 from treehom import extremal, homcount, trees
-from treehom.automorphy import OrbitPartition, SimilarityMatrix
+from treehom.automorphy import OrbitPartition, Quotient, SimilarityMatrix
 from treehom.extremal import (
     ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
-    sweep_counts,
 )
-from treehom.trees import CanonicalTree
+from treehom.trees import CanonicalTree, _Shapes
 from treehom.homcount import shape_vectors
 from treehom.trees import TREE_LIMIT, fold_products, free_trees
 from oracles import bipartition, has_balanced_bipartition
@@ -41,6 +42,17 @@ from oracles import bipartition, has_balanced_bipartition
 
 def tg(n, *edges):
     return TargetGraph.from_edges(n, edges)
+
+
+def fold_counts(H, n):
+    """Every tree's count on n vertices, in `free_trees` order, from H's lone
+    product fold."""
+    return fold_products(n, *extremal._weighted_shapes(H, n), trees._dot)(n)
+
+
+def every(read, n):
+    """A `_sweeps` read of one target at order n as every tree's count."""
+    return [read] * trees.tree_count(n) if isinstance(read, int) else read
 
 
 def counted(fn, calls):
@@ -227,13 +239,12 @@ class TestHLVerdicts:
         # each order's verdict reads only the trees counted at most the
         # path's count, from the bounded fold; h6 ties every tree
         targets = (make_folkman_plus_dominating(), SMALL_TARGETS[6], make_capacity_graph(3))
-        want = [[extremal._verdict(n, sweep_counts(H, n), homcount._path_hom(H, n))
+        want = [[extremal._verdict(n, fold_counts(H, n), homcount._path_hom(H, n))
                  for n in range(2, 13)] for H in targets]
 
         def refuse(*args):
             raise AssertionError("check-hl listed every tree's count")
 
-        monkeypatch.setattr(extremal, "sweep_counts", refuse)
         monkeypatch.setattr(extremal, "_sweeps", refuse)
         assert [list(verify_hoffman_london(H, 12).reports) for H in targets] == want
 
@@ -245,7 +256,7 @@ class TestHLVerdicts:
                    SMALL_TARGETS[18])
 
         def reference(H, n):
-            counts = sweep_counts(H, n)
+            counts = fold_counts(H, n)
             v = extremal._verdict(n, counts, homcount._path_hom(H, n))
             codes = trees.tree_codes(n, range(len(counts)))
             return MinimizerReport(
@@ -259,7 +270,7 @@ class TestHLVerdicts:
         def refuse(*args):
             raise AssertionError("a one-target read listed every tree's count")
 
-        for name in ("sweep_counts", "_sweeps", "fold_products"):
+        for name in ("_sweeps", "fold_products"):
             monkeypatch.setattr(extremal, name, refuse)
         assert [[minimizers(H, n) for n in range(2, 13)] for H in targets] == want
         assert [sidorenko_check(H, 12) for H in targets] == [(True, None)] * len(targets)
@@ -379,12 +390,13 @@ class TestSweeps:
         targets = list(SMALL_TARGETS.values())
         sweep = extremal._sweeps(targets, 12)
         for n in range(2, 13):
-            assert sweep(n) == [sweep_counts(H, n) for H in targets]
+            assert [every(c, n) for c in sweep(n)] == [fold_counts(H, n) for H in targets]
 
     def test_regular_targets_skip_the_fold(self, monkeypatch):
         # 18 of the 28 targets are regular; together they are counted in
         # closed form, one reader for every order, and the other 10 by one
-        # fold (test_classify_sweeps_once_per_order)
+        # fold (test_classify_sweeps_once_per_order); a regular target's read
+        # is its one count, with no list of it per tree
         regular = [H for H in SMALL_TARGETS.values() if extremal._regular(H)]
         assert len(regular) == 18
         want = [[[tree_hom(ct.tree, H) for ct in all_trees(n)] for H in regular]
@@ -395,7 +407,9 @@ class TestSweeps:
 
         monkeypatch.setattr(extremal, "fold_products", refuse)
         sweep = extremal._sweeps(regular, 9)
-        assert [sweep(n) for n in range(1, 10)] == want
+        reads = [sweep(n) for n in range(1, 10)]
+        assert all(type(c) is int for read in reads for c in read)
+        assert [[every(c, n) for c in read] for n, read in enumerate(reads, 1)] == want
 
     def test_sweep_refuses_an_order_past_its_tables(self):
         for H in SMALL_TARGETS[7], SMALL_TARGETS[6]:  # folded, closed form
@@ -462,6 +476,8 @@ def test_classify_builds_no_path(monkeypatch):
     (HLVerdict, ("n_max", "reports", "matrix_certificate", "strong_certificate")),
     (ClassificationRow, ("target_id", "min_counts", "labels", "summary")),
     (CanonicalTree, ("tree", "code")),
+    (Quotient, ("class_of", "sizes", "rows")),
+    (_Shapes, ("children", "size", "end")),
 ])
 def test_record_fields_in_order(cls, fields):
     rec = cls(*range(len(fields)))
@@ -469,6 +485,18 @@ def test_record_fields_in_order(cls, fields):
     assert rec == cls(**dict(zip(fields, range(len(fields)))))
     with pytest.raises(AttributeError):
         setattr(rec, fields[0], -1)
+    # a tuple with no instance dict, whose annotated field lines name its fields
+    assert isinstance(rec, tuple) and not hasattr(rec, "__dict__")
+    assert cls._fields == fields == tuple(cls.__annotations__)
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{f}={i}' for i, f in enumerate(fields))})"
+    assert rec._asdict() == dict(zip(fields, range(len(fields))))
+    moved = rec._replace(**{fields[-1]: -1})
+    assert type(moved) is cls and moved == (*range(len(fields) - 1), -1)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rec, protocol))
+        assert type(back) is cls and back == rec
+    for back in copy.copy(rec), copy.deepcopy(rec):
+        assert type(back) is cls and back == rec
 
 
 def test_record_properties():

@@ -66,7 +66,7 @@ from treehom.automorphy import _equitable_quotient, class_data
 from treehom.homcount import _message, _path_hom, _star_hom
 from treehom.trees import free_trees
 from treehom.extremal import (
-    LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, sweep_counts,
+    LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO,
 )
 
 # deterministic and bounded, so the suite stays reproducible and fast
@@ -140,10 +140,21 @@ def test_integer_route_matches_fraction_walk_and_brute_force(H, T, nums, dens, i
     assert partition_function((T.n, T.edges), H, lam) == want
 
 
+def fold_counts(H, n):
+    """Every tree's count on n vertices, in `free_trees` order, from H's lone
+    product fold."""
+    return trees_module.fold_products(n, *extremal._weighted_shapes(H, n), trees_module._dot)(n)
+
+
+def every(read, n):
+    """A `_sweeps` read of one target at order n as every tree's count."""
+    return [read] * trees_module.tree_count(n) if isinstance(read, int) else read
+
+
 @PROPERTY
 @given(targets(), st.integers(1, 9))
 def test_sweep_counts_are_the_walk_counts(H, n):
-    assert sorted(sweep_counts(H, n)) == sorted(tree_hom(ct.tree, H) for ct in all_trees(n))
+    assert sorted(fold_counts(H, n)) == sorted(tree_hom(ct.tree, H) for ct in all_trees(n))
 
 
 def tree_at(parts):
@@ -162,7 +173,7 @@ def tree_at(parts):
 def test_sweep_count_at_each_position_is_the_walk_count(H, n):
     assert trees_module._TAIL + 1 < 12  # so n reaches past the tail
     want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
-    assert sweep_counts(H, n) == want
+    assert fold_counts(H, n) == want
 
 
 # a looped vertex joined to an unlooped one, a looped vertex alone, and an
@@ -179,7 +190,7 @@ def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
     sweep = extremal._sweeps([POSITION_TARGET], n_max)  # one table for every order
     for n in range(1, n_max + 1):
         want = [tree_hom(tree_at(parts), POSITION_TARGET) for parts in free_trees(n)]
-        assert sweep_counts(POSITION_TARGET, n) == want
+        assert fold_counts(POSITION_TARGET, n) == want
         assert sweep(n) == [want]
 
 
@@ -202,7 +213,7 @@ def _sides(counts, bound):
 @example(TargetGraph.from_edges(4, [(0, 0), (1, 1), (2, 3)]), 11)  # loops apart
 @example(TargetGraph.from_edges(2, []), 10)  # no edges at all
 def test_bounded_fold_lists_the_counts_at_most_its_bound(H, n):
-    counts = sweep_counts(H, n)
+    counts = fold_counts(H, n)
     fold = extremal._bounded_fold(H, n)
     for bound in _bounds(H, n, counts):
         assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), bound
@@ -221,7 +232,7 @@ def test_bounded_fold_holds_at_every_tail_size(monkeypatch, name, tail, n_max):
     H = BOUNDED_TARGETS[name]
     fold = extremal._bounded_fold(H, n_max)  # one set of tables for every order, as check-hl reads it
     for n in range(1, n_max + 1):
-        counts = sweep_counts(H, n)
+        counts = fold_counts(H, n)
         for bound in _bounds(H, n, counts):
             assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), (n, bound)
 
@@ -271,7 +282,7 @@ def test_path_count_is_the_walk_count(H, n):
 @given(st.lists(targets(), min_size=1, max_size=4), st.integers(1, 9))
 def test_batched_sweep_gives_each_target_its_own_counts(Hs, n):
     # read at n from tables built for a larger order
-    assert extremal._sweeps(Hs, 9)(n) == [sweep_counts(H, n) for H in Hs]
+    assert [every(c, n) for c in extremal._sweeps(Hs, 9)(n)] == [fold_counts(H, n) for H in Hs]
 
 
 @st.composite
@@ -316,7 +327,7 @@ def test_regular_targets_are_counted_without_the_fold(H, n):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremal, "fold_products", refuse)
-        counts = sweep_counts(H, n)
+        counts = every(extremal._sweeps([H], n)(n)[0], n)
     assert counts == [tree_hom(ct.tree, H) for ct in all_trees(n)]
     # every tree has the same class vector, so the bounds are exact and the
     # bounded walk at the common count yields no block on either side
