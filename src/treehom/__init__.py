@@ -55,7 +55,6 @@ from .extremal import (
     StrongHLCertificate,
     check_strong_hl_certificate,
     classify_small_targets,
-    find_hl_counterexample_search,
     is_loop_threshold,
     make_capacity_graph,
     make_folkman_plus_dominating,

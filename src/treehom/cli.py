@@ -126,7 +126,11 @@ def _target_source(spec: str) -> TargetGraph | Tree | str:
         with open(spec) as fh:
             return fh.read()
     except OSError as exc:
-        raise GraphParseError(f"cannot read graph {spec!r}: {exc}")
+        reason = str(exc)
+        if head in _SHORTHANDS:  # a shorthand's name with malformed parameters
+            arity = _SHORTHANDS[head][0]
+            reason = f"shorthand {head} takes {arity} integer parameter{'s' * (arity > 1)}"
+        raise GraphParseError(f"cannot read graph {spec!r}: {reason}")
 
 
 def parse_target_spec(spec: str) -> TargetGraph:

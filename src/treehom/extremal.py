@@ -24,9 +24,7 @@ from .automorphy import (
 )
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
 from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, shape_vectors
-from .trees import (
-    TREE_LIMIT, _check_covered, bounded_fold, fold_products, tree_codes, tree_count,
-)
+from .trees import _check_covered, bounded_fold, fold_products, tree_codes, tree_count
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +229,13 @@ def _sweeps(targets: Sequence[TargetGraph],
     target sums its classes' columns, scaled by multiplicity. `classify`
     reads its balanced-bipartition flags off target 19's counts
     (`_balanced`), so this is its only fold."""
-    top = min(n_max, TREE_LIMIT)  # past it, an order raises in its own read
     regular = [_regular(H) for H in targets]
     rest = [H for H, r in zip(targets, regular) if not r]
     if rest:
         union = disjoint_union(*rest)
         class_of = iter(_equitable_quotient(union)[0])
         weights = [Counter(islice(class_of, H.n)).items() for H in rest]
-        fold = fold_products(top, *shape_vectors(union, top), partial(map, mul))
+        fold = fold_products(n_max, *shape_vectors(union, n_max), partial(map, mul))
 
         def split(n: int) -> list[list[int]]:
             cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
@@ -265,17 +262,15 @@ def _weighted_shapes(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list
     """(roots, msg) of a lone target's bounded fold: `shape_vectors(H, n)`,
     each root weighted by its classes' sizes so that a tree's count is one
     dot product. Every order up to n reads a prefix, so one pair serves all."""
+    h, msg = shape_vectors(H, n)  # first: it refuses an order past the limit before H is refined
     _, sizes, _ = _equitable_quotient(H)
-    h, msg = shape_vectors(H, n)
     return [list(map(mul, sizes, v)) for v in h], msg
 
 
 def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[..., list[tuple[int, int]]]:
     """`trees.bounded_fold` over H's counts, fold(n, bound, above=False) for
-    every order up to n_max, with one set of tables for the whole sweep. Past
-    TREE_LIMIT an order raises in its own fold, after the orders below it."""
-    m = min(n_max, TREE_LIMIT)
-    return bounded_fold(m, *_weighted_shapes(H, m))
+    every order up to n_max, with one set of tables for the whole sweep."""
+    return bounded_fold(n_max, *_weighted_shapes(H, n_max))
 
 
 def _verdict(n: int, counts: list[int], path_count: int) -> OrderVerdict:
@@ -289,7 +284,7 @@ def _verdict(n: int, counts: list[int], path_count: int) -> OrderVerdict:
 def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     """The least count and its ties among the trees counted at most the path,
     the largest among those counted at least the star, both among them."""
-    _check_covered(n, TREE_LIMIT)  # before the two counts, which take n steps
+    # the fold refuses an order past the limit before the two counts, which take n steps
     fold, path_count, star_count = _bounded_fold(H, n), _path_hom(H, n), _star_hom(H, n)
     low = fold(n, path_count)
     v = _verdict(n, [c for _, c in low], path_count)
@@ -372,38 +367,23 @@ def check_strong_hl_certificate(
 
 
 # ---------------------------------------------------------------------------
-# sweeps against the named bounds
-
-def _first_offender(H: TargetGraph, n_max: int, what: str, bounds: Iterator[int],
-                    above: bool = False) -> Optional[tuple[int, str, int, int]]:
-    """(n, code, count, bound) of the tree first in code order among those
-    counted at most the bound (with above, more) at the first such order
-    n = 2..n_max, or None. Only the trees the bounded fold lists are coded."""
-    _check_n_max(n_max, what)
-    fold = _bounded_fold(H, n_max)
-    for n, bound in zip(range(2, n_max + 1), bounds):
-        found = fold(n, bound, above)
-        if found:
-            codes = tree_codes(n, (i for i, _ in found))
-            first, count = min(found, key=lambda f: codes[f[0]])
-            return n, codes[first], count, bound
-    return None
-
+# star maximality
 
 def sidorenko_check(H: TargetGraph, n_max: int):
     """Verify the star maximizes at every order; returns (ok, violation)
-    where violation is (n, code, count, star_count) for the first offender."""
-    found = _first_offender(H, n_max, "the star-maximality check",
-                            map(partial(_star_hom, H), range(2, n_max + 1)), above=True)
-    return found is None, found
-
-
-def find_hl_counterexample_search(H: TargetGraph, n_max: int):
-    """First (n, code, count, path_count) with a non-path tree strictly
-    beating the path, or None."""
-    paths = islice(_path_counts(H), 1, None)  # from n = 2
-    found = _first_offender(H, n_max, "the counterexample search", (p - 1 for p in paths))
-    return found and (*found[:3], found[3] + 1)
+    where violation is (n, code, count, star_count) for the tree first in
+    code order among those counted above the star at the first such order
+    n = 2..n_max. Only the trees the bounded fold keeps are listed and coded."""
+    _check_n_max(n_max, "the star-maximality check")
+    fold = _bounded_fold(H, n_max)
+    for n in range(2, n_max + 1):
+        bound = _star_hom(H, n)
+        found = fold(n, bound, above=True)
+        if found:
+            codes = tree_codes(n, (i for i, _ in found))
+            first, count = min(found, key=lambda f: codes[f[0]])
+            return False, (n, codes[first], count, bound)
+    return True, None
 
 
 # ---------------------------------------------------------------------------

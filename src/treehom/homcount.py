@@ -92,10 +92,11 @@ def shape_vectors(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[in
     The walk's recurrence on H's equitable quotient, with shapes for vertices,
     h_s = Π_children A·h_c, each computed once from its children's messages.
     """
+    shapes = rooted_shapes(n)  # refuses an order past the limit before H is refined
     _, sizes, rows = _equitable_quotient(H)
     h: list[list[int]] = []
     msg: list[list[int]] = []
-    for kids in rooted_shapes(n):
+    for kids in shapes:
         vec = [1] * len(sizes)
         for c in kids:
             vec = [a * m for a, m in zip(vec, msg[c])]

@@ -504,6 +504,39 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 1.0
         assert status == 0 and out.split() == ["hom", "2", str(EDGE_LIST_VERTEX_LIMIT), "0"]
 
+    @pytest.mark.parametrize("argv", [
+        ("check-hl", "--target", "wr:3", "--n-max"),
+        ("sidorenko", "--target", "capacity:3", "--n-max"),
+        ("classify", "--n-max"),
+        ("minimize", "--target", "capacity:3", "-n"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("n", [trees.TREE_LIMIT + 1, 100_000_000])
+    def test_sweep_past_the_limit_refused_fast(self, capsys, argv, n):
+        # refused before any order is folded, naming the order asked
+        start = time.perf_counter()
+        status, out, err = run(capsys, *argv, str(n))
+        assert time.perf_counter() - start < 5.0
+        assert status == 2 and out == ""
+        assert err == f"error: tree enumeration limited to 1..{trees.TREE_LIMIT}, got n={n}\n"
+
+    @pytest.mark.parametrize("head", list(cli._SHORTHANDS))
+    def test_malformed_shorthand_named(self, capsys, head):
+        # a wrong parameter count or a non-integer parameter is reported as
+        # the shorthand's, not as a missing file
+        arity = cli._SHORTHANDS[head][0]
+        want = f"shorthand {head} takes {arity} integer parameter{'s' * (arity > 1)}"
+        for params in ["2"] * (arity + 1), ["2"] * (arity - 1) + ["x"]:
+            spec = f"{head}:{','.join(params)}"
+            for argv in ("orbits", "--target", spec), ("family", head, *params):
+                status, out, err = run(capsys, *argv)
+                assert status == 2 and out == ""
+                assert err == f"error: cannot read graph {spec!r}: {want}\n"
+
+    def test_file_named_like_a_malformed_shorthand_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "capacity:1,2").write_text("2 1\n0 1\n")
+        assert parse_target_spec("capacity:1,2") == parse_target_spec("clique:2")
+
     def test_shorthand_edge_counts_match_built_graphs(self):
         for head, (arity, edges, _) in cli._SHORTHANDS.items():
             for args in product(range(2, 6), repeat=arity):
@@ -595,6 +628,8 @@ FAST_COMMAND_LINES = [
     "sidorenko --target h23 --n-max 16 --rows",
     "orbits --target 'inline:100000 0'",
     "check-hl --target 'inline:100000 0' --n-max 4 --rows",
+    "classify --n-max 100000000",
+    "check-hl --target wr:3 --n-max 17",
     # README examples
     "hom --tree path:5 --target 'inline:2 2\\n0 0\\n0 1'",
     "matrix --target folkman+dom",

@@ -7,6 +7,7 @@ import pytest
 
 from treehom import (
     SMALL_TARGETS,
+    SizeLimitError,
     TargetGraph,
     Tree,
     add_looped_dominating,
@@ -14,7 +15,6 @@ from treehom import (
     canonical_code,
     check_strong_hl_certificate,
     classify_small_targets,
-    find_hl_counterexample_search,
     find_increasing_ordering,
     is_isomorphic,
     is_loop_threshold,
@@ -346,21 +346,38 @@ class TestSweeps:
             ok, violation = sidorenko_check(SMALL_TARGETS[hid], 7)
             assert ok and violation is None
 
-    def test_counterexample_search_clean_for_certified_target(self):
-        assert find_hl_counterexample_search(SMALL_TARGETS[7], 8) is None
-
-    @pytest.mark.parametrize("sweep", [
-        verify_hoffman_london, sidorenko_check, find_hl_counterexample_search])
+    @pytest.mark.parametrize("sweep", [verify_hoffman_london, sidorenko_check])
     def test_sweep_over_no_order_rejected(self, sweep):
         with pytest.raises(ValueError, match="n_max >= 2"):
             sweep(SMALL_TARGETS[7], 1)
 
-    def test_counterexample_search_reports_honestly(self):
-        # the bouquet of two triangles: record the outcome, whatever it is
-        out = find_hl_counterexample_search(make_H_abl(3, 1, 2), 8)
-        if out is not None:
-            n, code, count, path_count = out
-            assert count < path_count
+    @pytest.mark.parametrize("sweep", [
+        lambda n: verify_hoffman_london(make_capacity_graph(3), n),
+        lambda n: sidorenko_check(make_capacity_graph(3), n),
+        classify_small_targets,
+        lambda n: minimizers(make_capacity_graph(3), n),
+    ], ids=["check-hl", "sidorenko", "classify", "minimize"])
+    def test_sweep_past_the_limit_refused_before_any_order(self, monkeypatch, sweep):
+        # the tables are refused for an order past the enumeration limit,
+        # so no order below it is read first
+        def refuse(*args):
+            raise AssertionError("an order was read")
+
+        monkeypatch.setattr(trees, "_check_covered", refuse)
+        monkeypatch.setattr(extremal, "_check_covered", refuse)
+        with pytest.raises(SizeLimitError, match=f"got n={TREE_LIMIT + 1}"):
+            sweep(TREE_LIMIT + 1)
+
+    @pytest.mark.parametrize("sweep", [verify_hoffman_london, sidorenko_check, minimizers])
+    def test_one_target_sweep_past_the_limit_refines_no_target(self, monkeypatch, sweep):
+        # a target with many classes would be refined for nothing
+        def refuse(*args):
+            raise AssertionError("the target was refined")
+
+        monkeypatch.setattr(homcount, "_equitable_quotient", refuse)
+        monkeypatch.setattr(extremal, "_equitable_quotient", refuse)
+        with pytest.raises(SizeLimitError, match=f"got n={TREE_LIMIT + 1}"):
+            sweep(make_capacity_graph(3), TREE_LIMIT + 1)
 
     def test_classify_sweeps_once_per_order(self, monkeypatch):
         # the 10 targets that are not regular share one union fold, which
