@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import partial, reduce
-from itertools import combinations, islice, repeat
+from itertools import combinations, compress, islice, repeat
 from operator import add, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -223,19 +223,18 @@ def _sweeps(targets: Sequence[TargetGraph],
     The other targets are counted by one product fold (`fold_products`)
     over the coarsest equitable quotient of their `disjoint_union`: a tree's
     class vector is the product of its parts' messages (`shape_vectors`),
-    weighted by a target's vertices in each class. Each tree's prefix and
-    tail are joined elementwise in C (a `map` per tree, left unconsumed),
-    the fold's rows are transposed into class columns by `zip`, and each
-    target sums its classes' columns, scaled by multiplicity. `classify`
-    reads its balanced-bipartition flags off target 19's counts
-    (`_balanced`), so this is its only fold."""
+    weighted by a target's vertices in each class. Each tree's class vector
+    is a lazy `map` in C, the fold's rows are transposed into class columns
+    by `zip`, and each target sums its classes' columns, scaled by
+    multiplicity. `classify` reads its balanced-bipartition trees off target
+    19's least count, so this is its only fold."""
     regular = [_regular(H) for H in targets]
     rest = [H for H, r in zip(targets, regular) if not r]
     if rest:
         union = disjoint_union(*rest)
         class_of = iter(_equitable_quotient(union)[0])
         weights = [Counter(islice(class_of, H.n)).items() for H in rest]
-        fold = fold_products(n_max, *shape_vectors(union, n_max), partial(map, mul))
+        fold = fold_products(n_max, *shape_vectors(union, n_max))
 
         def split(n: int) -> list[list[int]]:
             cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
@@ -273,12 +272,17 @@ def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[..., list[tuple[int, i
     return bounded_fold(n_max, *_weighted_shapes(H, n_max))
 
 
-def _verdict(n: int, counts: list[int], path_count: int) -> OrderVerdict:
-    """The verdict of one order's counts, given hom(P_n, H): counts holds
-    every tree's count, or those at most the path's, the least among them."""
+def _least(counts: list[int]) -> tuple[int, int]:
+    """The least of counts and how many of them attain it."""
     lo = min(counts)
-    path_is_min = path_count == lo
-    return OrderVerdict(n, lo, path_is_min, path_is_min and counts.count(lo) == 1)
+    return lo, counts.count(lo)
+
+
+def _verdict(n: int, least: int, ties: int, path_count: int) -> OrderVerdict:
+    """The verdict at order n from the least count over its trees, the
+    number of trees attaining it, and hom(P_n, H)."""
+    path_is_min = path_count == least
+    return OrderVerdict(n, least, path_is_min, path_is_min and ties == 1)
 
 
 def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
@@ -287,12 +291,14 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     # the fold refuses an order past the limit before the two counts, which take n steps
     fold, path_count, star_count = _bounded_fold(H, n), _path_hom(H, n), _star_hom(H, n)
     low = fold(n, path_count)
-    v = _verdict(n, [c for _, c in low], path_count)
+    least = min(c for _, c in low)
+    tied = [i for i, c in low if c == least]
+    v = _verdict(n, least, len(tied), path_count)
     hi = max(c for _, c in fold(n, star_count - 1, above=True))
     return MinimizerReport(
         n=n,
-        min_count=v.min_count,
-        minimizers=tuple(sorted(tree_codes(n, (i for i, c in low if c == v.min_count)).values())),
+        min_count=least,
+        minimizers=tuple(sorted(tree_codes(n, tied).values())),
         path_is_min=v.path_is_min,
         path_is_unique_min=v.path_is_unique_min,
         max_count=hi,
@@ -313,7 +319,7 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
     # least count and its ties are among them too
     fold = _bounded_fold(H, n_max)
     paths = islice(_path_counts(H), 1, None)  # from n = 2
-    reports = tuple(_verdict(n, [c for _, c in fold(n, p)], p)
+    reports = tuple(_verdict(n, *_least([c for _, c in fold(n, p)]), p)
                     for n, p in zip(range(2, n_max + 1), paths))
     try:
         cert = find_increasing_ordering(H)
@@ -407,50 +413,18 @@ class ClassificationRow(namedtuple("ClassificationRow", "target_id min_counts la
     summary: str
 
 
-def _balanced(n: int, counts: Sequence[int]) -> list[int]:
-    """The positions, in `free_trees(n)` order, of the trees whose
-    bipartition's two sides differ in size by at most one, read off their
-    counts into target 19, the path a-b-c.
-
-    hom(T, P3) = 2^|X| + 2^|Y| for a tree T with sides X and Y: one side
-    sits on b, and each vertex of the other takes a or c freely. With
-    |X| = a, f(a) = 2^a + 2^(n-a) falls strictly as a nears n/2 from either
-    side (f(a + 1) < f(a) for a < (n - 1)/2), so the sides differ by at
-    most one exactly when the count is at most 2^⌈n/2⌉ + 2^⌊n/2⌋."""
-    least = (1 << (n + 1) // 2) + (1 << n // 2)
-    return [i for i, v in enumerate(counts) if v <= least]
-
-
-def _labels_for(n: int, counts: Union[int, list[int]], path_count: int, trees: int,
-                balanced: Sequence[int]) -> tuple[OrderVerdict, frozenset[str]]:
-    """The verdict at order n and all class labels its minimizer set
-    matches, given that order's `_sweeps` read of one target (its counts in
-    `free_trees` order, or the one count all trees share), hom(P_n, H), the
-    number of trees, and the positions of the balanced-bipartition trees
-    (`_balanced`). The minimizers are those trees exactly when as many
-    counts as there are such trees are at the minimum, and each of theirs is.
+def _labels_for(v: OrderVerdict, ties: int, trees: int, balanced: bool) -> frozenset[str]:
+    """Every class label the minimizer set of verdict v matches, given how
+    many trees attain its least count, how many trees there are, and whether
+    the minimizers are the balanced-bipartition trees.
 
     At small n the descriptions coincide (e.g. on 4 vertices the path is the
     only balanced-bipartition tree), so a set is returned rather than forcing
     an arbitrary precedence.
     """
-    if isinstance(counts, int):  # every tree ties
-        lo, ties, balanced_min = counts, trees, trees == len(balanced)
-    else:
-        lo = min(counts)
-        ties = counts.count(lo)
-        balanced_min = ties == len(balanced) and all(counts[i] == lo for i in balanced)
-    v = OrderVerdict(n, lo, path_count == lo, path_count == lo and ties == 1)
-    out = set()
-    if lo == 0:
-        out.add(LABEL_ZERO)
-    if ties == trees:
-        out.add(LABEL_ALL)
-    if v.path_is_unique_min:
-        out.add(LABEL_PATHS)
-    if balanced_min:
-        out.add(LABEL_BALANCED)
-    return v, frozenset(out) if out else frozenset({LABEL_OTHER})
+    out = frozenset(compress((LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED),
+                             (v.min_count == 0, ties == trees, v.path_is_unique_min, balanced)))
+    return out or frozenset({LABEL_OTHER})
 
 
 _LABEL_PRIORITY = (LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED, LABEL_OTHER)
@@ -464,9 +438,25 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     sweep = _sweeps(targets, n_max)  # one set of tables
     for n in range(2, n_max + 1):
         columns = dict(zip(SMALL_TARGETS, sweep(n)))
-        trees, flags = tree_count(n), _balanced(n, columns[19])
-        for counts, walk, out in zip(columns.values(), paths, found):
-            out.append(_labels_for(n, counts, next(walk), trees, flags))
+        path_counts = dict(zip(SMALL_TARGETS, map(next, paths)))
+        trees = tree_count(n)
+        # hom(T, P3) = 2^|X| + 2^|Y| for a tree T with sides X and Y, P3 =
+        # target 19, the path a-b-c: one side sits on b, and each vertex of
+        # the other takes a or c freely. With |X| = a, f(a) = 2^a + 2^(n-a)
+        # falls strictly as a nears n/2 from either side, so target 19's
+        # minimizers are the balanced-bipartition trees; the path is one, so
+        # their count is the path's
+        least19 = path_counts[19]
+        balanced = [i for i, c in enumerate(columns[19]) if c == least19]
+        for col, path_count, out in zip(columns.values(), path_counts.values(), found):
+            least, ties = (col, trees) if isinstance(col, int) else _least(col)  # an int: all tie
+            v = _verdict(n, least, ties, path_count)
+            # the minimizers are the balanced trees when as many tie as are
+            # balanced and each balanced tree is among them, its largest
+            # count the least
+            on_balanced = ties == len(balanced) and (
+                ties == trees or max(map(col.__getitem__, balanced)) == least)
+            out.append((v, _labels_for(v, ties, trees, on_balanced)))
     rows = []
     for hid, orders in zip(SMALL_TARGETS, found):
         labels = tuple((v.n, labs) for v, labs in orders)

@@ -37,6 +37,11 @@ if TYPE_CHECKING:
 
 BRUTE_FORCE_BUDGET = 10 ** 8
 
+#: Cap on a sweep's shapes x classes: `shape_vectors` builds two vectors of
+#: one entry per class for each rooted shape, and the fold's tables hold
+#: many more vectors of that length.
+SHAPE_VECTOR_LIMIT = 1_000_000
+
 # a loopless graph for brute-force / partition-function inputs: either a Tree
 # or a bare (n, edges) pair
 LooplessGraph = Union[Tree, tuple[int, Sequence[tuple[int, int]]]]
@@ -94,6 +99,10 @@ def shape_vectors(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[in
     """
     shapes = rooted_shapes(n)  # refuses an order past the limit before H is refined
     _, sizes, rows = _equitable_quotient(H)
+    if len(shapes) * len(sizes) > SHAPE_VECTOR_LIMIT:
+        raise SizeLimitError(f"shape vectors need shapes x classes = {len(shapes)} x {len(sizes)}"
+                             f" = {len(shapes) * len(sizes)}, past SHAPE_VECTOR_LIMIT = "
+                             f"{SHAPE_VECTOR_LIMIT}")
     h: list[list[int]] = []
     msg: list[list[int]] = []
     for kids in shapes:

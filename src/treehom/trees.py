@@ -8,14 +8,14 @@ non-increasing tuple of child IDs, numbered by vertex count. A free tree
 splits at its centroid into a multiset of rooted shapes with fewer than n/2
 vertices each, or, for even n only, into a pair of shapes with n/2 vertices
 joined by the central edge (Otter 1948). `free_trees` lists both kinds as
-tuples of shape IDs. One block walk (`_blocks`) gives one value per tree in
-the same order from per-shape vectors, the product of a tree's parts,
+tuples of shape IDs. One block walk (`_blocks`) gives one class vector per
+tree in the same order from per-shape vectors, the product of a tree's parts,
 without building the tree: the children that complete a tree multiply to a
 value that depends only on how many vertices they hold and the bound on
 their IDs, so for up to `_TAIL` vertices those products are tabulated and
 shared by every tree that ends in them, one table for every order of a
-sweep. It has two readers: `fold_products` reads every value, and
-`bounded_fold` only the dot products at most a bound, or above it, the walk
+sweep. It has two readers: `fold_products` reads every vector, and
+`bounded_fold` only the vectors' sums at most a bound, or above it, the walk
 skipping every part of the fold whose lower (upper) bound is past it.
 `all_trees` materializes the enumeration and `tree_count` counts it unlisted;
 the tests cross-check both against a Prufer-sequence dedup oracle and
@@ -28,13 +28,11 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import SizeLimitError, Tree, _search
 
 TREE_LIMIT = 16
-
-_V = TypeVar("_V")
 
 
 class CanonicalTree(namedtuple("CanonicalTree", "tree code")):
@@ -250,36 +248,36 @@ def _suffix(pick: Callable[[int, int], int], prods: list[list[int]]) -> list[lis
     return out
 
 
-def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
-            join: Callable[[list[int], list[int]], _V]
-            ) -> Callable[..., Iterator[tuple[int, Iterator[_V]]]]:
+def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+            ) -> Callable[..., Iterator[tuple[int, Iterator[Iterator[int]]]]]:
     """walk(n, bound=None, above=False) for every order n <= n_max: the
-    product fold of the trees on n vertices as blocks (at, values), values a
-    lazy `map` of join(x, y) over consecutive trees in `free_trees` order
-    and at the position of the first, with x ⊙ y = roots[s] ⊙ msg[c_1] ⊙ ...
-    ⊙ msg[c_k] (⊙ elementwise) for the tree (s, c_1, ..., c_k). roots and
-    msg are indexed by the IDs of `rooted_shapes(n_max)`; a smaller order
-    reads a prefix of them.
+    product fold of the trees on n vertices as blocks (at, vectors), vectors
+    a lazy `map` of one class vector per tree, each a lazy `map` itself, over
+    consecutive trees in `free_trees` order and at the position of the
+    first. The tree (s, c_1, ..., c_k) has the vector x ⊙ y = roots[s] ⊙
+    msg[c_1] ⊙ ... ⊙ msg[c_k] (⊙ elementwise), and its count, with roots
+    weighted so, is that vector's sum. roots and msg are indexed by the IDs
+    of `rooted_shapes(n_max)`; a smaller order reads a prefix of them.
 
     The product is commutative, so the children that complete a tree
     multiply to a value that depends only on their vertex count r and the
     bound b on their IDs, not on the children before them. The walk keeps a
     stack of nodes (r, b, x), x the prefix product. For r up to _TAIL the
     completions are tabulated once (`_tails`), and the node is one block,
-    join(x, entry) over the table's entries; above it, the walk branches on
-    the next child, largest ID first. For even n one block per b follows:
-    the halves (a, b), a <= b, joining roots[a] with msg[b].
+    x ⊙ entry over the table's entries; above it, the walk branches on the
+    next child, largest ID first. For even n one block per b follows: the
+    halves (a, b), a <= b, as roots[a] ⊙ msg[b].
 
-    With a bound (roots and msg entrywise >= 0, join a dot product), the
-    walk yields only blocks that may hold counts at most the bound, or with
-    above, counts above it. Every completion of a node (r, b, x) has a
-    product between low(r, b) and high(r, b) entrywise, the least and the
-    largest of those products, so a count between x · low(r, b) and
-    x · high(r, b). A node whose lower bound is past `bound` (with above,
-    whose upper bound is at most it) is skipped whole, its position advanced
-    by the number of its completions, num(r, b). A completion with IDs below
-    b either has none equal to b - 1, or is msg[b - 1] times a completion of
-    r - size(b - 1) vertices with IDs below b. The least and the largest
+    With a bound (roots and msg entrywise >= 0), the walk yields only blocks
+    that may hold counts at most the bound, or with above, counts above it.
+    Every completion of a node (r, b, x) has a product between low(r, b) and
+    high(r, b) entrywise, the least and the largest of those products, so a
+    count between x · low(r, b) and x · high(r, b). A node whose lower bound
+    is past `bound` (with above, whose upper bound is at most it) is skipped
+    whole, its position advanced by the number of its completions, num(r,
+    b). A completion with IDs below b either has none equal to b - 1, or is
+    msg[b - 1] times a completion of r - size(b - 1) vertices with IDs below
+    b. The least and the largest
     over a union are those of its parts, and ⊙ msg[b - 1] >= 0 keeps both:
 
         low(r, b) = min(low(r, b - 1), msg[b - 1] ⊙ low(r - size(b - 1), b))
@@ -331,7 +329,7 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
     sides = side(min), side(max)
 
     def walk(n: int, bound: Optional[int] = None,
-             above: bool = False) -> Iterator[tuple[int, Iterator[_V]]]:
+             above: bool = False) -> Iterator[tuple[int, Iterator[Iterator[int]]]]:
         _check_covered(n, n_max)
         if bound is not None:
             from bisect import bisect_left  # imported here, so only bounded sweeps load it
@@ -351,7 +349,7 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
                 start = first[min(b, len(first) - 1)]
                 stop = len(prods) if bound is None else bisect_left(
                     ends(r), True, start, len(prods), key=lambda p: past(_dot(x, p)))
-                yield at, map(join, repeat(x), prods[start:stop])
+                yield at, map(map, repeat(mul), repeat(x), prods[start:stop])
                 at += len(prods) - start
             else:  # pushed smallest ID first, so the largest is folded first
                 todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
@@ -363,38 +361,37 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
                 if bound is not None:
                     extreme = list(map(pick, extreme, roots[b]))
                 if bound is None or not past(_dot(extreme, msg[b])):
-                    yield at, map(join, roots[lo:b + 1], repeat(msg[b]))
+                    yield at, map(map, repeat(mul), roots[lo:b + 1], repeat(msg[b]))
                 at += b - lo + 1
 
     return walk
 
 
-def fold_products(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]],
-                  join: Callable[[list[int], list[int]], _V]) -> Callable[[int], list[_V]]:
-    """fold(n) for every order n <= n_max: one value per tree on n vertices,
-    in `free_trees` order, the values of every block of `_blocks`. join must
-    depend on x ⊙ y alone, as a dot product (its sum) or an elementwise
-    product (itself) does."""
-    walk = _blocks(n_max, roots, msg, join)
-    return lambda n: list(chain.from_iterable(values for _, values in walk(n)))
+def fold_products(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+                  ) -> Callable[[int], list[Iterator[int]]]:
+    """fold(n) for every order n <= n_max: the class vector of every tree
+    on n vertices, a lazy `map` each, in `free_trees` order: the vectors of
+    every block of `_blocks`. A tree's count is its vector's sum."""
+    walk = _blocks(n_max, roots, msg)
+    return lambda n: list(chain.from_iterable(vectors for _, vectors in walk(n)))
 
 
 def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
                  ) -> Callable[..., list[tuple[int, int]]]:
     """fold(n, bound, above=False) for every order n <= n_max: (i, c) for
-    each tree on n vertices whose dot product c is at most bound (with
-    above, more), i its position in `free_trees` order: the entries of
-    `fold_products(n_max, roots, msg, _dot)(n)` on that side of bound, read
+    each tree on n vertices whose count c, its class vector's sum, is at most
+    bound (with above, more), i its position in `free_trees` order: the sums
+    of `fold_products(n_max, roots, msg)(n)` on that side of bound, read
     from the blocks of `_blocks` with that bound, which skip the trees whose
     lower (with above, upper) bound is past it. roots and msg are entrywise
     >= 0."""
-    walk = _blocks(n_max, roots, msg, _dot)
+    walk = _blocks(n_max, roots, msg)
 
     def fold(n: int, bound: int, above: bool = False) -> list[tuple[int, int]]:
         pick, keep = (max, bound.__lt__) if above else (min, bound.__ge__)
         out: list[tuple[int, int]] = []
-        for at, counts in walk(n, bound, above):
-            counts = list(counts)
+        for at, vectors in walk(n, bound, above):
+            counts = list(map(sum, vectors))
             if counts and keep(pick(counts)):
                 out.extend((i, c) for i, c in enumerate(counts, at) if keep(c))
         return out

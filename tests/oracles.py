@@ -3,7 +3,8 @@
 Two tree-counting oracles that share no code with treehom.trees.all_trees:
 
 * prufer_tree_count: decode every Prufer sequence on n labels and dedup the
-  resulting labeled trees up to isomorphism. Exhaustive ground truth, but
+  resulting labeled trees up to isomorphism by the canonical code of their
+  adjacency lists. Exhaustive ground truth, but
   n^(n-2) sequences limit it to small n.
 * otter_tree_count: the classic counting recurrence (rooted-tree convolution
   followed by the rooted-to-free correction). Pure integer arithmetic, fast
@@ -60,7 +61,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import prod
 
-from treehom import TargetGraph, Tree, canonical_code
+from treehom import TargetGraph, Tree
+from treehom.trees import _code
 
 PRUFER_LIMIT = 8  # n^(n-2) sequences; 8^6 ~ 262k is the comfortable cap
 ORDERING_ORACLE_LIMIT = 7  # k! orderings; 7! = 5040
@@ -86,15 +88,19 @@ def prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def prufer_tree_count(n: int) -> int:
-    """Isomorphism classes among all n^(n-2) labeled trees."""
+    """Isomorphism classes among all n^(n-2) labeled trees, each coded
+    from its decoded adjacency lists."""
     if n <= 2:
         return 1
     if n > PRUFER_LIMIT:
         raise ValueError(f"prufer oracle capped at n={PRUFER_LIMIT}")
     codes = set()
     for seq in product(range(n), repeat=n - 2):
-        t = Tree.from_edges(n, prufer_decode(seq, n))
-        codes.add(canonical_code(t))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in prufer_decode(seq, n):
+            adj[u].append(v)
+            adj[v].append(u)
+        codes.add(_code(adj))
     return len(codes)
 
 

@@ -476,6 +476,22 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 1.0
         assert status == 2 and out == "" and str(KC_WORK_LIMIT) in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check-hl", "--target", "lpath:10002", "--n-max", "16"),
+        ("minimize", "--target", "lpath:10002", "-n", "16"),
+        ("sidorenko", "--target", "lpath:10002", "--n-max", "16"),
+    ], ids=lambda argv: argv[0])
+    def test_sweep_past_the_shape_vector_limit_refused(self, capsys, argv):
+        # lpath:10002's quotient has 5,001 classes and n = 16 composes 200
+        # rooted shapes, one class past the cap: refused once the quotient
+        # is known, before any vector is built
+        start = time.perf_counter()
+        status, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert status == 2 and out == ""
+        assert err == ("error: shape vectors need shapes x classes = 200 x 5001 = 1000200, "
+                       f"past SHAPE_VECTOR_LIMIT = {homcount.SHAPE_VECTOR_LIMIT}\n")
+
     @pytest.mark.parametrize("spec", [
         "path:2000000", "lpath:600000", "star:2000000", "clique:20000", "lclique:20000",
         "capacity:20000", "wr:600000", "habl:100,100,100",
@@ -630,6 +646,7 @@ FAST_COMMAND_LINES = [
     "check-hl --target 'inline:100000 0' --n-max 4 --rows",
     "classify --n-max 100000000",
     "check-hl --target wr:3 --n-max 17",
+    "check-hl --target lpath:300000 --n-max 16",
     # README examples
     "hom --tree path:5 --target 'inline:2 2\\n0 0\\n0 1'",
     "matrix --target folkman+dom",

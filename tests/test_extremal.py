@@ -47,7 +47,14 @@ def tg(n, *edges):
 def fold_counts(H, n):
     """Every tree's count on n vertices, in `free_trees` order, from H's lone
     product fold."""
-    return fold_products(n, *extremal._weighted_shapes(H, n), trees._dot)(n)
+    return list(map(sum, fold_products(n, *extremal._weighted_shapes(H, n))(n)))
+
+
+def verdict(H, n):
+    """The verdict at order n read from every tree's count."""
+    counts, path_count = fold_counts(H, n), homcount._path_hom(H, n)
+    lo = min(counts)
+    return OrderVerdict(n, lo, path_count == lo, path_count == lo and counts.count(lo) == 1)
 
 
 def every(read, n):
@@ -239,8 +246,7 @@ class TestHLVerdicts:
         # each order's verdict reads only the trees counted at most the
         # path's count, from the bounded fold; h6 ties every tree
         targets = (make_folkman_plus_dominating(), SMALL_TARGETS[6], make_capacity_graph(3))
-        want = [[extremal._verdict(n, fold_counts(H, n), homcount._path_hom(H, n))
-                 for n in range(2, 13)] for H in targets]
+        want = [[verdict(H, n) for n in range(2, 13)] for H in targets]
 
         def refuse(*args):
             raise AssertionError("check-hl listed every tree's count")
@@ -256,8 +262,7 @@ class TestHLVerdicts:
                    SMALL_TARGETS[18])
 
         def reference(H, n):
-            counts = fold_counts(H, n)
-            v = extremal._verdict(n, counts, homcount._path_hom(H, n))
+            counts, v = fold_counts(H, n), verdict(H, n)
             codes = trees.tree_codes(n, range(len(counts)))
             return MinimizerReport(
                 n, v.min_count, tuple(sorted(codes[i] for i, c in enumerate(counts)
@@ -443,25 +448,52 @@ class TestSweeps:
 
 
 @cache
+def _small_target_read(n):
+    """Order n's read of the 28-target sweep, by target ID, from one reader
+    whose tables are built for TREE_LIMIT."""
+    return dict(zip(SMALL_TARGETS, _small_target_sweep()(n)))
+
+
+@cache
 def _small_target_sweep():
-    """One reader of the 28-target sweep, its tables built for TREE_LIMIT."""
     return extremal._sweeps(list(SMALL_TARGETS.values()), TREE_LIMIT)
 
 
 @pytest.mark.parametrize("n", range(1, TREE_LIMIT + 1))
 def test_balanced_flags_at_each_position(n):
-    # the flags classify reads off target 19's counts in the 28-target
-    # sweep, its table built for the largest order, against the tree each
-    # free_trees position names, on both sides of the shared-tail size and
-    # at both parities of n
+    # the positions of target 19's least count in the 28-target sweep, its
+    # table built for the largest order, are the balanced-bipartition trees
+    # classify reads them as, checked against the tree each free_trees
+    # position names, on both sides of the shared-tail size and at both
+    # parities of n
     want = []
     for i, parts in enumerate(free_trees(n)):
         adj = trees._adjacency(parts)
         T = Tree.from_edges(n, [(u, v) for u, a in enumerate(adj) for v in a if u < v])
         if has_balanced_bipartition(T):
             want.append(i)
-    counts = dict(zip(SMALL_TARGETS, _small_target_sweep()(n)))[19]
-    assert extremal._balanced(n, counts) == want
+    counts = _small_target_read(n)[19]
+    least = min(counts)
+    assert [i for i, c in enumerate(counts) if c == least] == want
+
+
+@pytest.mark.parametrize("hid", list(SMALL_TARGETS))
+def test_union_fold_and_bounded_fold_give_one_verdict(hid):
+    # classify reads the least count and its ties off the union fold's
+    # column, check-hl and minimize off the target's own bounded fold at
+    # the path's count; for target 19 the bounded fold also lists the
+    # balanced trees, the least count's positions
+    H = SMALL_TARGETS[hid]
+    fold = extremal._bounded_fold(H, TREE_LIMIT)
+    for n in range(1, TREE_LIMIT + 1):
+        col = _small_target_read(n)[hid]
+        full = every(col, n)
+        kept = fold(n, homcount._path_hom(H, n))
+        least = min(c for _, c in kept)
+        tied = [i for i, c in kept if c == least]
+        assert (least, len(tied)) == (min(full), full.count(min(full))), n
+        if hid == 19:
+            assert tied == [i for i, c in enumerate(full) if c == least], n
 
 
 def test_path_target_counts_are_two_powers_of_the_sides():

@@ -27,7 +27,8 @@ from treehom import (
     tree_partition_function,
 )
 from treehom.automorphy import class_data
-from treehom.homcount import _path_hom, _star_hom
+from treehom import homcount
+from treehom.homcount import _path_hom, _star_hom, shape_vectors
 from treehom.trees import TREE_LIMIT
 
 H_IND = SMALL_TARGETS[7]
@@ -261,3 +262,13 @@ def test_star_count_without_building_the_star():
         assert _star_hom(H, 1) == H.n  # the single vertex
         for n in range(2, 13):
             assert _star_hom(H, n) == tree_hom(star(n), H)
+
+
+def test_shape_vectors_refused_past_the_cap(monkeypatch):
+    # the 9-vertex path has 5 classes, and n = 16 composes 200 rooted shapes
+    H = tg(9, *[(i, i + 1) for i in range(8)])
+    monkeypatch.setattr(homcount, "SHAPE_VECTOR_LIMIT", 1000)
+    assert len(shape_vectors(H, TREE_LIMIT)[0]) == 200
+    monkeypatch.setattr(homcount, "SHAPE_VECTOR_LIMIT", 999)
+    with pytest.raises(SizeLimitError, match="200 x 5 = 1000, past SHAPE_VECTOR_LIMIT = 999"):
+        shape_vectors(H, TREE_LIMIT)
