@@ -41,6 +41,7 @@ from .homcount import (
     hom_brute_force,
     hom_count,
     hom_vector,
+    kc_decompositions,
     kc_difference_decomposition,
     partition_function,
     path_pair_counts,

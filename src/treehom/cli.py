@@ -3,8 +3,8 @@
 Exit status contract: 0 on success, 1 when a verification subcommand finds
 its property violated (check-hl, sidorenko, kc), 2 on usage or parse errors
 and on inputs past a size limit or searches past a work limit.
-`--rows` switches every subcommand to machine-readable one-record-per-line
-output with tab-separated fields in a stable order.
+`--rows` switches every subcommand but `family` to machine-readable output,
+one record per line with tab-separated fields in a stable order.
 
 One table (`_COMMANDS`) declares the subcommands and their arguments. A
 well-formed command line is read from it without argparse (`_parse_fast`);
@@ -22,7 +22,6 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .automorphy import (
-    _equitable_quotient,
     class_data,
     find_increasing_ordering,
     orbit_partition,
@@ -41,7 +40,7 @@ from .homcount import (
     BRUTE_FORCE_BUDGET,
     activities,
     hom_brute_force,
-    kc_difference_decomposition,
+    kc_decompositions,
     tree_hom,
     tree_partition_function,
 )
@@ -57,17 +56,10 @@ from .extremal import (
     sidorenko_check,
     verify_hoffman_london,
 )
-from .trees import all_trees, kc_sites, path, star, tree_count
+from .trees import all_trees, path, star, tree_count
 
 if TYPE_CHECKING:
     import argparse
-
-
-#: Cap on `kc`'s work, sites x n x (k + 3) x (r + k) for H's quotient with k
-#: classes and r row entries: per site, at most three n-vertex walks and k
-#: columns of at most n message steps (sides and path-pair tables that sites
-#: share are computed once). A path on n vertices has ~n^2/2 sites.
-KC_WORK_LIMIT = 25_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +302,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    name = args.name
-    params = args.params
-    spec = name if not params else f"{name}:{','.join(params)}"
-    H = parse_target_spec(spec)
-    print(format_graph(H))
+    spec = f"{args.name}:{','.join(args.params)}" if args.params else args.name
+    print(format_graph(parse_target_spec(spec)))
     return 0
 
 
@@ -339,20 +328,8 @@ def _cmd_sidorenko(args) -> int:
 def _cmd_kc(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
-    sites = kc_sites(T)
-    _, sizes, rows = _equitable_quotient(H)
-    k, r = len(sizes), sum(map(len, rows))
-    work = len(sites) * T.n * (k + 3) * (r + k)
-    if work > KC_WORK_LIMIT:
-        raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {len(sites)} x {T.n} x "
-                             f"{k + 3} x {r + k} = {work} is past KC_WORK_LIMIT = {KC_WORK_LIMIT}")
-    status = 0
-    # hom(T, H) is the same at every site: count it once (a star has none);
-    # sides and path-pair tables shared by sites are computed once too
-    hom_T = tree_hom(T, H) if sites else None
-    memo: dict = {}
-    for vl, vr in sites:
-        lhs, rhs = kc_difference_decomposition(T, vl, vr, H, hom_T, memo)
+    status = sites = 0
+    for sites, (vl, vr, lhs, rhs) in enumerate(kc_decompositions(T, H), 1):
         ok = lhs == rhs
         if not ok:
             status = 1
@@ -405,7 +382,6 @@ _COMMANDS = {
          "require the path to be the unique minimizer (n >= 4)"))),
     "classify": ("minimizer classes of the 28 small targets", _cmd_classify, (_ROWS, _N_MAX)),
     "family": ("emit a named family graph as an edge list", _cmd_family, (
-        _ROWS,
         ("name", "name", "positional", None, True,
          "capacity | wr | habl | folkman (or any shorthand)"),
         ("params", "params", "*", None, False, "numeric parameters"))),

@@ -4,10 +4,11 @@ partition functions.
 
 The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up over the order
 of `graphs._search`, A listed by the rows of an `automorphy.Quotient`.
-`tree_hom`, `tree_partition_function` and the KC decomposition run it over
-H's coarsest equitable quotient (rooted counts agree on its classes;
-activities refine it), `hom_count` over the paper's automorphic similarity
-classes (`class_data`). The message step A·h is `_message`; every repeated
+`tree_hom`, `tree_partition_function` and the KC decomposition (at one site,
+or at every site of a tree by `kc_decompositions`) run it over H's coarsest
+equitable quotient (rooted counts agree on its classes; activities refine
+it), `hom_count` over the paper's automorphic similarity classes
+(`class_data`). The message step A·h is `_message`; every repeated
 step, from path counts to the certificate's columns, reads one iterator of
 them, `_steps`.
 `shape_vectors` runs the quotient walk once per rooted shape of the tree
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
-from .trees import _kc_glue, bare_path, rooted_shapes
+from .trees import _kc_glue, bare_path, kc_sites, rooted_shapes
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -41,6 +42,12 @@ BRUTE_FORCE_BUDGET = 10 ** 8
 #: one entry per class for each rooted shape, and the fold's tables hold
 #: many more vectors of that length.
 SHAPE_VECTOR_LIMIT = 1_000_000
+
+#: Cap on `kc`'s work, sites x n x (k + 3) x (r + k) for H's quotient with k
+#: classes and r row entries: per site, at most three n-vertex walks and k
+#: columns of at most n message steps (sides and path-pair tables that sites
+#: share are computed once). A path on n vertices has ~n^2/2 sites.
+KC_WORK_LIMIT = 25_000_000
 
 # a loopless graph for brute-force / partition-function inputs: either a Tree
 # or a bare (n, edges) pair
@@ -202,10 +209,22 @@ def _column(rows: Sequence[Sequence[int]], x: int, steps: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # KC difference decomposition
 
-def kc_difference_decomposition(
-    T: Tree, v_left: int, v_right: int, H: TargetGraph, hom_T: Optional[int] = None,
-    memo: Optional[dict] = None,
-) -> tuple[int, int]:
+def kc_decompositions(T: Tree, H: TargetGraph) -> Iterator[tuple[int, int, int, int]]:
+    """(v_left, v_right, lhs, rhs) of `kc_difference_decomposition` at each
+    site of `trees.kc_sites(T)` in turn, after refusing, before any walk, an
+    input whose work estimate is past KC_WORK_LIMIT (SizeLimitError)."""
+    sites = kc_sites(T)
+    Q = _equitable_quotient(H)
+    k, r = Q.k, sum(map(len, Q.rows))
+    work = len(sites) * T.n * (k + 3) * (r + k)
+    if work > KC_WORK_LIMIT:
+        raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {len(sites)} x {T.n} x "
+                             f"{k + 3} x {r + k} = {work} is past KC_WORK_LIMIT = {KC_WORK_LIMIT}")
+    yield from _kc_rows(T, H, Q, sites)
+
+
+def kc_difference_decomposition(T: Tree, v_left: int, v_right: int,
+                                H: TargetGraph) -> tuple[int, int]:
     """(lhs, rhs): lhs = hom(T_KC, H) - hom(T, H) counted directly, rhs the
     class-level sum below; the two agree.
 
@@ -218,31 +237,34 @@ def kc_difference_decomposition(
     so rhs = Σ_{i<j} (ℓ_j − ℓ_i)(r_j − r_i)·p[i, j] is the same integer on
     every equitable partition, orbits included; it runs on H's coarsest one.
 
-    hom_T is hom(T, H) if the caller has it (it is the same at every site);
-    hom(T_KC, H) is always counted, being the identity's independent side,
-    by a walk of the glued adjacency lists (`trees._kc_glue`): no Tree is
-    built or validated. ℓ and r are walks of T from v_left and v_right that
-    skip the first path vertex. Sites share sides and path lengths: a dict
-    passed as memo to every call on one T and H keeps each side by (end,
-    first path vertex) and each path-pair table by t, so each is computed
-    once."""
-    pth = bare_path(T, v_left, v_right)
-    if hom_T is None:
-        hom_T = tree_hom(T, H)
-    lhs = tree_hom(_kc_glue(T, pth), H) - hom_T
-
-    Q = _equitable_quotient(H)
-    memo = {} if memo is None else memo
-    t = len(pth)
-    if t not in memo:
-        memo[t] = path_pair_counts(t, Q)
-    for end, first in (v_left, pth[1]), (v_right, pth[-2]):
-        if (end, first) not in memo:
-            memo[end, first] = _walk(T, end, Q.rows, [1] * Q.k, skip=first)
-    ell, arr, p = memo[v_left, pth[1]], memo[v_right, pth[-2]], memo[t]
-    rhs = sum((ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
-              for i, j in combinations(range(Q.k), 2))
+    hom(T_KC, H), the identity's independent side, is a walk of the glued
+    adjacency lists (`trees._kc_glue`), with no Tree built; ℓ and r are walks
+    of T from v_left and v_right that skip the first path vertex."""
+    _, _, lhs, rhs = next(_kc_rows(T, H, _equitable_quotient(H), [(v_left, v_right)]))
     return lhs, rhs
+
+
+def _kc_rows(T: Tree, H: TargetGraph, Q: Quotient, sites: Iterable) -> Iterator[tuple]:
+    """(v_left, v_right, lhs, rhs) at each site in turn, each validated by
+    `trees.bare_path`. Sites share work: hom(T, H) is counted once, at the
+    first site, each side once per (end, first path vertex) and each
+    path-pair table once per path length."""
+    hom_T, sides, tables = None, {}, {}
+    for v_left, v_right in sites:
+        pth = bare_path(T, v_left, v_right)
+        if hom_T is None:
+            hom_T = tree_hom(T, H)
+        lhs = tree_hom(_kc_glue(T, pth), H) - hom_T
+        t = len(pth)
+        if t not in tables:
+            tables[t] = path_pair_counts(t, Q)
+        for end, first in (v_left, pth[1]), (v_right, pth[-2]):
+            if (end, first) not in sides:
+                sides[end, first] = _walk(T, end, Q.rows, [1] * Q.k, skip=first)
+        ell, arr, p = sides[v_left, pth[1]], sides[v_right, pth[-2]], tables[t]
+        rhs = sum((ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
+                  for i, j in combinations(range(Q.k), 2))
+        yield v_left, v_right, lhs, rhs
 
 
 # ---------------------------------------------------------------------------

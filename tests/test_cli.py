@@ -24,9 +24,10 @@ from treehom import (
     make_capacity_graph, make_widom_rowlinson, tree_count,
 )
 from treehom.cli import (
-    EDGE_LIST_VERTEX_LIMIT, KC_WORK_LIMIT, SHORTHAND_EDGE_LIMIT, _parse_fast, build_parser, main,
+    EDGE_LIST_VERTEX_LIMIT, SHORTHAND_EDGE_LIMIT, _parse_fast, build_parser, main,
     parse_target_spec, parse_tree_spec,
 )
+from treehom.homcount import KC_WORK_LIMIT
 
 
 #: SHA-256 of `classify --n-max 16 --rows` stdout.
@@ -696,7 +697,7 @@ class TestParser:
         assert _argparse_vars(argv)[dest] == value
 
     @pytest.mark.parametrize("argv", [
-        # params was taken empty before --rows, so 3 is left over
+        # family takes no --rows: its output is already an edge list
         ["family", "h7", "--rows", "3"],
         ["family", "--rows"],
         ["hom", "--tree", "path:3"],

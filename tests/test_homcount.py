@@ -15,6 +15,7 @@ from treehom import (
     hom_brute_force,
     hom_count,
     hom_vector,
+    kc_decompositions,
     kc_difference_decomposition,
     make_capacity_graph,
     make_folkman_plus_dominating,
@@ -158,6 +159,17 @@ class TestKCDecomposition:
         monkeypatch.setattr(Tree, "from_edges", classmethod(counting))
         lhs, rhs = kc_difference_decomposition(t, 0, 4, make_capacity_graph(3))
         assert lhs == rhs and built == []
+
+    def test_work_limit_checked_before_any_walk(self, monkeypatch):
+        # 28,203 sites x 240 vertices into hind is past the cap: the API
+        # refuses it before counting anything, as the CLI does
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked before the work limit was checked")
+
+        monkeypatch.setattr(homcount, "_walk", refuse)
+        monkeypatch.setattr(homcount, "tree_hom", refuse)
+        with pytest.raises(SizeLimitError, match="KC_WORK_LIMIT"):
+            next(kc_decompositions(path(240), SMALL_TARGETS[7]))
 
 
 class TestPartitionFunction:

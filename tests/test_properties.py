@@ -43,6 +43,7 @@ from treehom import (
     hom_brute_force,
     hom_count,
     is_isomorphic,
+    kc_decompositions,
     kc_difference_decomposition,
     kc_move,
     kc_sites,
@@ -607,10 +608,22 @@ def test_glued_count_is_the_moved_trees_count(H, T):
         glued = trees_module._kc_glue(T, bare_path(T, vl, vr))
         assert [sorted(glued.neighbors(v)) for v in T.vertices()] == [
             list(moved.neighbors(v)) for v in T.vertices()]
-        lhs, _ = kc_difference_decomposition(T, vl, vr, H, hom_T)
+        lhs, _ = kc_difference_decomposition(T, vl, vr, H)
         assert lhs + hom_T == tree_hom(moved, H)
         oracle = Tree.from_edges(T.n, kc_moved_edges(T.n, T.edges, vl, vr))
         assert canonical_code(moved) == canonical_code(oracle)
+
+
+@PROPERTY
+@given(targets(max_n=4), trees(max_n=12))
+def test_kc_decompositions_are_the_per_site_decompositions(H, T):
+    # the per-tree routine shares hom(T, H), sides and path-pair tables
+    # between sites; the per-site one computes each site alone
+    rows = list(kc_decompositions(T, H))
+    assert rows == [(vl, vr, *kc_difference_decomposition(T, vl, vr, H)) for vl, vr in kc_sites(T)]
+    hom_T = tree_hom(T, H)
+    for vl, vr, lhs, rhs in rows:
+        assert lhs == rhs == tree_hom(kc_move(T, vl, vr), H) - hom_T
 
 
 @PROPERTY
