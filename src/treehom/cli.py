@@ -108,12 +108,8 @@ def _target_source(spec: str) -> TargetGraph | Tree | str:
                 raise SizeLimitError(f"{spec} would have {m} edges; shorthand targets "
                                      f"are limited to {SHORTHAND_EDGE_LIMIT} edges")
             return build(*args)
-    if spec in ("folkman+dom", "folkman"):
-        return make_folkman_plus_dominating()
-    if spec.startswith("h") and spec[1:].isdigit() and int(spec[1:]) in SMALL_TARGETS:
-        return SMALL_TARGETS[int(spec[1:])]
-    if spec == "hind":
-        return SMALL_TARGETS[7]
+    if (named := _named_target(spec)) is not None:
+        return named
     try:
         with open(spec) as fh:
             return fh.read()
@@ -122,7 +118,18 @@ def _target_source(spec: str) -> TargetGraph | Tree | str:
         if head in _SHORTHANDS:  # a shorthand's name with malformed parameters
             arity = _SHORTHANDS[head][0]
             reason = f"shorthand {head} takes {arity} integer parameter{'s' * (arity > 1)}"
+        elif _named_target(head) is not None:  # a named target given parameters
+            reason = f"{head} takes no parameters"
         raise GraphParseError(f"cannot read graph {spec!r}: {reason}")
+
+
+def _named_target(name: str) -> Optional[TargetGraph]:
+    """The graph folkman+dom (or folkman), h1..h28 or hind names, or None."""
+    if name in ("folkman+dom", "folkman"):
+        return make_folkman_plus_dominating()
+    if name.startswith("h") and name[1:].isdecimal():  # not isdigit(): int() refuses "²"
+        return SMALL_TARGETS.get(int(name[1:]))
+    return SMALL_TARGETS[7] if name == "hind" else None
 
 
 def parse_target_spec(spec: str) -> TargetGraph:
@@ -168,12 +175,9 @@ def _exact_str(value) -> str:
 def _cmd_hom(args) -> int:
     T = parse_tree_spec(args.tree)
     H = parse_target_spec(args.target)
-    count = _exact_str(hom_brute_force(T, H, args.budget) if args.brute
-                       else tree_hom(T, H))
-    if args.rows:
-        print(f"hom\t{T.n}\t{H.n}\t{count}")
-    else:
-        print(count)
+    budget = BRUTE_FORCE_BUDGET if args.budget is None else args.budget
+    count = _exact_str(hom_brute_force(T, H, budget) if args.brute else tree_hom(T, H))
+    print(f"hom\t{T.n}\t{H.n}\t{count}" if args.rows else count)
     return 0
 
 
@@ -182,10 +186,7 @@ def _cmd_partition(args) -> int:
     H = parse_target_spec(args.target)
     lam = activities(args.activities)
     z = _exact_str(tree_partition_function(T, H, lam))
-    if args.rows:
-        print(f"partition\t{T.n}\t{H.n}\t{z}")
-    else:
-        print(z)
+    print(f"partition\t{T.n}\t{H.n}\t{z}" if args.rows else z)
     return 0
 
 
@@ -310,18 +311,13 @@ def _cmd_family(args) -> int:
 def _cmd_sidorenko(args) -> int:
     H = parse_target_spec(args.target)
     ok, violation = sidorenko_check(H, args.n_max)
-    if args.rows:
-        if ok:
-            print(f"sidorenko\tok\t{args.n_max}")
-        else:
-            n, code, count, star_count = violation
-            print(f"sidorenko\tviolated\t{n}\t{code}\t{count}\t{star_count}")
+    if ok:
+        print(f"sidorenko\tok\t{args.n_max}" if args.rows
+              else f"star is maximal for all trees up to n={args.n_max}")
     else:
-        if ok:
-            print(f"star is maximal for all trees up to n={args.n_max}")
-        else:
-            n, code, count, star_count = violation
-            print(f"violation at n={n}: tree {code} has {count} > star's {star_count}")
+        n, code, count, star_count = violation
+        print(f"sidorenko\tviolated\t{n}\t{code}\t{count}\t{star_count}" if args.rows
+              else f"violation at n={n}: tree {code} has {count} > star's {star_count}")
     return 0 if ok else 1
 
 
@@ -353,7 +349,7 @@ def _cmd_kc(args) -> int:
 # "positional" and "*" (a positional taking any number of values). The order
 # is build_parser's add_argument order, so it is also the order --help lists.
 _ROWS = ("--rows", "rows", "flag", False, False, "machine-readable tab-separated output")
-_BUDGET = ("--budget", "budget", "int", BRUTE_FORCE_BUDGET, False, "brute-force enumeration cap")
+_BUDGET = ("--budget", "budget", "int", None, False, "brute-force enumeration cap")
 _TARGET = ("--target", "target", "str", None, True, "target graph: shorthand, inline:..., or file")
 _TREE = ("--tree", "tree", "str", None, True, "tree: any target spec whose graph is a tree")
 _N = ("-n", "n", "int", None, True, "tree order")
@@ -390,16 +386,32 @@ _COMMANDS = {
 }
 
 
+def _ignored_option(args) -> Optional[str]:
+    """The usage error of an option the subcommand would not read, or None."""
+    if args.func is _cmd_hom and args.budget is not None and not args.brute:
+        return "--budget applies only with --brute"
+    if args.func is _cmd_trees and args.count and args.rows:
+        return "--rows does not apply with --count"
+    return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of the command table. argparse is imported here,
     so a command line that `_parse_fast` reads never loads it."""
     import argparse
 
+    class Subcommand(argparse.ArgumentParser):  # refuses an option it would ignore
+        def parse_known_args(self, args=None, namespace=None):
+            ns, extras = super().parse_known_args(args, namespace)
+            if (error := _ignored_option(ns)) is not None:
+                self.error(error)
+            return ns, extras
+
     top = argparse.ArgumentParser(
         prog="treehom",
         description="Exact H-coloring counts of trees and path-minimality checks.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=Subcommand)
     for name, (text, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, dest, kind, default, required, help_ in arguments:
@@ -421,7 +433,8 @@ def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     of that subcommand, each at most once, each value present and not
     starting with "-", every int value one that int() reads, and every
     required option there; and one unbroken run of positionals, as many as
-    the subcommand takes. So -h, --help, --, --opt=value, an abbreviated
+    the subcommand takes; and no option the subcommand would ignore
+    (`_ignored_option`). So -h, --help, --, --opt=value, an abbreviated
     option and every usage error are left to argparse, which prints their
     help or message exactly as before."""
     entry = _COMMANDS.get(argv[0]) if argv else None
@@ -476,7 +489,7 @@ def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     if free:
         return None  # more positionals than the subcommand takes
     ns.func = func
-    return ns
+    return None if _ignored_option(ns) else ns
 
 
 def main(argv=None) -> int:

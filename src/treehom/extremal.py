@@ -23,7 +23,7 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph, disjoint_union
-from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, shape_vectors
+from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, sweep_quotient
 from .trees import _check_covered, bounded_fold, fold_products, tree_codes, tree_count
 
 
@@ -221,20 +221,22 @@ def _sweeps(targets: Sequence[TargetGraph],
     no list.
 
     The other targets are counted by one product fold (`fold_products`)
-    over the coarsest equitable quotient of their `disjoint_union`: a tree's
-    class vector is the product of its parts' messages (`shape_vectors`),
-    weighted by a target's vertices in each class. Each tree's class vector
-    is a lazy `map` in C, the fold's rows are transposed into class columns
-    by `zip`, and each target sums its classes' columns, scaled by
-    multiplicity. `classify` reads its balanced-bipartition trees off target
-    19's least count, so this is its only fold."""
+    over the coarsest equitable quotient of their `disjoint_union`, its
+    classes unweighted: a tree's class vector is the product of its parts'
+    messages (`sweep_quotient`'s step), weighted by a target's vertices in
+    each class. Each tree's class vector is a lazy `map` in C, the fold's
+    rows are transposed into class columns by `zip`, and each target sums
+    its classes' columns, scaled by multiplicity. `classify` reads its
+    balanced-bipartition trees off target 19's least count, so this is its
+    only fold."""
     regular = [_regular(H) for H in targets]
     rest = [H for H, r in zip(targets, regular) if not r]
     if rest:
         union = disjoint_union(*rest)
         class_of = iter(_equitable_quotient(union)[0])
         weights = [Counter(islice(class_of, H.n)).items() for H in rest]
-        fold = fold_products(n_max, *shape_vectors(union, n_max))
+        sizes, step = sweep_quotient(union, n_max)
+        fold = fold_products(n_max, [1] * len(sizes), step)
 
         def split(n: int) -> list[list[int]]:
             cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
@@ -257,19 +259,11 @@ def _regular(H: TargetGraph) -> bool:
     return all(len(rows[y]) == len(row) for row in rows for y in row)
 
 
-def _weighted_shapes(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(roots, msg) of a lone target's bounded fold: `shape_vectors(H, n)`,
-    each root weighted by its classes' sizes so that a tree's count is one
-    dot product. Every order up to n reads a prefix, so one pair serves all."""
-    h, msg = shape_vectors(H, n)  # first: it refuses an order past the limit before H is refined
-    _, sizes, _ = _equitable_quotient(H)
-    return [list(map(mul, sizes, v)) for v in h], msg
-
-
 def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[..., list[tuple[int, int]]]:
     """`trees.bounded_fold` over H's counts, fold(n, bound, above=False) for
-    every order up to n_max, with one set of tables for the whole sweep."""
-    return bounded_fold(n_max, *_weighted_shapes(H, n_max))
+    every order up to n_max, with one set of tables for the whole sweep: the
+    classes weighted by their sizes, so that a tree's count is one sum."""
+    return bounded_fold(n_max, *sweep_quotient(H, n_max))
 
 
 def _least(counts: list[int]) -> tuple[int, int]:

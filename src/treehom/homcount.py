@@ -11,10 +11,10 @@ it), `hom_count` over the paper's automorphic similarity classes
 (`class_data`). The message step A·h is `_message`; every repeated
 step, from path counts to the certificate's columns, reads one iterator of
 them, `_steps`.
-`shape_vectors` runs the quotient walk once per rooted shape of the tree
-generator, so a sweep composes every tree's count from shared subtree vectors
-instead of walking each tree. Brute-force enumeration of vertex maps is kept
-apart from the walk as the independent oracle.
+`sweep_quotient` gives a sweep H's class sizes and message step, from which
+the tree generator's fold composes every tree's count out of shared subtree
+vectors instead of walking each tree. Brute-force enumeration of vertex maps
+is kept apart from the walk as the independent oracle.
 
 All counting is in arbitrary-precision integers (counts grow like d^n).
 Weighted counts are integer numerators over one common denominator D^n (D the
@@ -24,6 +24,7 @@ the end: none per vertex, and never a float.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations, islice, product
 from math import lcm, prod
 from operator import mul
@@ -31,16 +32,16 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
-from .trees import _kc_glue, bare_path, kc_sites, rooted_shapes
+from .trees import _kc_glue, bare_path, kc_sites, shape_count
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 BRUTE_FORCE_BUDGET = 10 ** 8
 
-#: Cap on a sweep's shapes x classes: `shape_vectors` builds two vectors of
-#: one entry per class for each rooted shape, and the fold's tables hold
-#: many more vectors of that length.
+#: Cap on a sweep's shapes x classes: the fold's table holds a vector and a
+#: message of one entry per class for each rooted shape, and many more
+#: vectors of that length.
 SHAPE_VECTOR_LIMIT = 1_000_000
 
 #: Cap on `kc`'s work, sites x n x (k + 3) x (r + k) for H's quotient with k
@@ -97,28 +98,19 @@ def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence,
     return list(weights) if h[root] is None else h[root]
 
 
-def shape_vectors(H: TargetGraph, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(h, A·h) for every rooted shape `trees.free_trees(n)` composes, by
-    shape ID: h_s[c] counts H-colorings of shape s rooted at one class-c vertex.
-
-    The walk's recurrence on H's equitable quotient, with shapes for vertices,
-    h_s = Π_children A·h_c, each computed once from its children's messages.
-    """
-    shapes = rooted_shapes(n)  # refuses an order past the limit before H is refined
+def sweep_quotient(H: TargetGraph, n: int) -> tuple[list[int], Callable[[list[int]], list[int]]]:
+    """(sizes, step): the class sizes and message step h -> A·h of H's
+    coarsest equitable quotient, from which the fold of a sweep up to order n
+    builds every rooted shape's vector, the walk's h_s = Π_children A·h_c
+    (`trees.fold_products`, `trees.bounded_fold`). Refused past
+    SHAPE_VECTOR_LIMIT over the shapes `trees.free_trees(n)` composes."""
+    shapes = shape_count(n)  # refuses an order past the limit before H is refined
     _, sizes, rows = _equitable_quotient(H)
-    if len(shapes) * len(sizes) > SHAPE_VECTOR_LIMIT:
-        raise SizeLimitError(f"shape vectors need shapes x classes = {len(shapes)} x {len(sizes)}"
-                             f" = {len(shapes) * len(sizes)}, past SHAPE_VECTOR_LIMIT = "
+    if shapes * len(sizes) > SHAPE_VECTOR_LIMIT:
+        raise SizeLimitError(f"shape vectors need shapes x classes = {shapes} x {len(sizes)} = "
+                             f"{shapes * len(sizes)}, past SHAPE_VECTOR_LIMIT = "
                              f"{SHAPE_VECTOR_LIMIT}")
-    h: list[list[int]] = []
-    msg: list[list[int]] = []
-    for kids in shapes:
-        vec = [1] * len(sizes)
-        for c in kids:
-            vec = [a * m for a, m in zip(vec, msg[c])]
-        h.append(vec)
-        msg.append(_message(rows, vec))
-    return h, msg
+    return sizes, partial(_message, rows)
 
 
 def hom_vector(T: Tree, root: int, Q: Quotient) -> tuple[int, ...]:

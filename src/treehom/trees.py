@@ -9,12 +9,12 @@ splits at its centroid into a multiset of rooted shapes with fewer than n/2
 vertices each, or, for even n only, into a pair of shapes with n/2 vertices
 joined by the central edge (Otter 1948). `free_trees` lists both kinds as
 tuples of shape IDs. One block walk (`_blocks`) gives one class vector per
-tree in the same order from per-shape vectors, the product of a tree's parts,
-without building the tree: the children that complete a tree multiply to a
-value that depends only on how many vertices they hold and the bound on
-their IDs, so for up to `_TAIL` vertices those products are tabulated and
-shared by every tree that ends in them, one table for every order of a
-sweep. It has two readers: `fold_products` reads every vector, and
+tree in the same order from class weights and a message step, the product of
+a tree's parts, without building the tree: the children that complete a tree
+multiply to a value that depends only on how many vertices they hold and the
+bound on their IDs, so for up to `_TAIL` vertices those products are
+tabulated, one table for every order of a sweep, whose first rows are the
+rooted shapes' own vectors. It has two readers: `fold_products` reads every vector, and
 `bounded_fold` only the vectors' sums at most a bound, or above it, the walk
 skipping every part of the fold whose lower (upper) bound is past it.
 `all_trees` materializes the enumeration and `tree_count` counts it unlisted;
@@ -169,21 +169,18 @@ def _check_order(n: int) -> None:
         raise SizeLimitError(f"tree enumeration limited to 1..{TREE_LIMIT}, got n={n}")
 
 
-def rooted_shapes(n: int) -> list[tuple[int, ...]]:
-    """Child IDs of every rooted shape `free_trees(n)` composes, by shape ID:
-    every rooted tree on up to max(1, n // 2) vertices. Children always have
-    smaller IDs than their parent, so the list is in bottom-up order; ID 0 is
-    the single vertex."""
+def shape_count(n: int) -> int:
+    """How many rooted shapes `free_trees(n)` composes: the rooted trees on up
+    to max(1, n // 2) vertices, IDs 0 (the single vertex) and up."""
     _check_order(n)
-    t = _shapes()
-    return t.children[:t.end[max(1, n // 2)]]
+    return _shapes().end[max(1, n // 2)]
 
 
 def free_trees(n: int) -> Iterator[tuple[int, ...]]:
     """One tuple (s, c_1, ..., c_k) per isomorphism class of trees on n
     vertices, in a fixed generation order (not code order): the rooted shape
-    s, by its ID in `rooted_shapes(n)`, with extra children c_1 >= ... >= c_k
-    at its root.
+    s, by its ID (below `shape_count(n)`), with extra children c_1 >= ... >=
+    c_k at its root.
 
     The tree is the centroid as a bare vertex (s = 0) with every branch, each
     under n/2 vertices, or, for even n, the pair a <= b of n/2-vertex halves
@@ -199,33 +196,33 @@ def free_trees(n: int) -> Iterator[tuple[int, ...]]:
                 yield a, b
 
 
-def _tails(t: _Shapes, most: int, top: int, msg: Sequence[list[int]],
-           ones: list[int]) -> list[tuple[list[list[int]], list[int]]]:
-    """Per r in 0..most, (prods, first): prods lists Π msg[c_i] over every
-    non-increasing sequence of IDs below top with vertex counts summing to r,
-    in `free_trees` order; those with IDs below b are prods[first[b]:], with b
-    clipped to len(first) - 1 (no larger ID fits in r vertices)."""
+def _table(n_max: int, k: int, step: Callable[[list[int]], list[int]]
+           ) -> tuple[_Shapes, int, list[tuple[list[list[int]], list[int]]], list[list[int]]]:
+    """(shapes, most, tails, msg) of a fold up to n_max on k classes, most =
+    min(n_max - 1, _TAIL). For r up to most and every r below n_max // 2,
+    tails[r] = (prods, first): prods lists Π msg[c_i] over every non-increasing
+    sequence of IDs below end[(n_max - 1) // 2] whose vertex counts sum to r,
+    in `free_trees` order, those with IDs below b from first[b] on (b clipped
+    to len(first) - 1). For r < n_max // 2 all IDs that fit are below that
+    bound, so prods are the (r + 1)-vertex shapes' vectors h_s = Π msg[c]
+    over s's children, in ID order, and msg[s] = step(h_s)."""
+    _check_order(n_max)
+    t = _shapes()
+    most, top = min(n_max - 1, _TAIL), t.end[(n_max - 1) // 2]
     tails: list[tuple[list[list[int]], list[int]]] = []
-    for r in range(most + 1):
+    msg: list[list[int]] = []
+    for r in range(max(most, n_max // 2 - 1) + 1):
         fits = _fits(t, r, top)
-        prods, first = ([ones] if r == 0 else []), [0] * (fits + 1)
+        prods, first = ([[1] * k] if r == 0 else []), [0] * (fits + 1)
         for c in range(fits - 1, -1, -1):
             sub, at = tails[r - t.size[c]]
             m = msg[c]
             prods.extend([list(map(mul, m, p)) for p in sub[at[min(c + 1, len(at) - 1)]:]])
             first[c] = len(prods)
         tails.append((prods, first))
-    return tails
-
-
-def _table(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
-           ) -> tuple[_Shapes, int, list[tuple[list[list[int]], list[int]]]]:
-    """(shapes, most, tails): the `_tails` table of a fold over every order
-    up to n_max, for up to most = min(n_max - 1, _TAIL) vertices."""
-    _check_order(n_max)
-    t = _shapes()
-    most = min(n_max - 1, _TAIL)
-    return t, most, _tails(t, most, t.end[(n_max - 1) // 2], msg, [1] * len(roots[0]))
+        if r < n_max // 2:
+            msg.extend(map(step, prods))
+    return t, most, tails, msg
 
 
 def _check_covered(n: int, n_max: int) -> None:
@@ -248,37 +245,36 @@ def _suffix(pick: Callable[[int, int], int], prods: list[list[int]]) -> list[lis
     return out
 
 
-def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
             ) -> Callable[..., Iterator[tuple[int, Iterator[Iterator[int]]]]]:
     """walk(n, bound=None, above=False) for every order n <= n_max: the
     product fold of the trees on n vertices as blocks (at, vectors), vectors
     a lazy `map` of one class vector per tree, each a lazy `map` itself, over
     consecutive trees in `free_trees` order and at the position of the
-    first. The tree (s, c_1, ..., c_k) has the vector x ⊙ y = roots[s] ⊙
-    msg[c_1] ⊙ ... ⊙ msg[c_k] (⊙ elementwise), and its count, with roots
-    weighted so, is that vector's sum. roots and msg are indexed by the IDs
-    of `rooted_shapes(n_max)`; a smaller order reads a prefix of them.
+    first. With `_table`'s h and msg, the tree (s, c_1, ..., c_k) has the
+    vector weights ⊙ h_s ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k] (⊙ elementwise), and its
+    count is that vector's sum.
 
     The product is commutative, so the children that complete a tree
     multiply to a value that depends only on their vertex count r and the
     bound b on their IDs, not on the children before them. The walk keeps a
     stack of nodes (r, b, x), x the prefix product. For r up to _TAIL the
-    completions are tabulated once (`_tails`), and the node is one block,
+    completions are tabulated once (`_table`), and the node is one block,
     x ⊙ entry over the table's entries; above it, the walk branches on the
     next child, largest ID first. For even n one block per b follows: the
-    halves (a, b), a <= b, as roots[a] ⊙ msg[b].
+    halves (a, b), a <= b, as roots[a] ⊙ msg[b], roots = weights ⊙ h.
 
-    With a bound (roots and msg entrywise >= 0), the walk yields only blocks
-    that may hold counts at most the bound, or with above, counts above it.
-    Every completion of a node (r, b, x) has a product between low(r, b) and
-    high(r, b) entrywise, the least and the largest of those products, so a
-    count between x · low(r, b) and x · high(r, b). A node whose lower bound
-    is past `bound` (with above, whose upper bound is at most it) is skipped
-    whole, its position advanced by the number of its completions, num(r,
-    b). A completion with IDs below b either has none equal to b - 1, or is
-    msg[b - 1] times a completion of r - size(b - 1) vertices with IDs below
-    b. The least and the largest
-    over a union are those of its parts, and ⊙ msg[b - 1] >= 0 keeps both:
+    With a bound (weights and step's matrix entrywise >= 0), the walk yields
+    only blocks that may hold counts at most the bound, or with above,
+    counts above it. Every completion of a node (r, b, x) has a product
+    between low(r, b) and high(r, b) entrywise, the least and the largest of
+    those products, so a count between x · low(r, b) and x · high(r, b). A
+    node whose lower bound is past `bound` (with above, whose upper bound is
+    at most it) is skipped whole, its position advanced by the number of its
+    completions, num(r, b). A completion with IDs below b either has none
+    equal to b - 1, or is msg[b - 1] times a completion of r - size(b - 1)
+    vertices with IDs below b. The least and the largest over a union are
+    those of its parts, and ⊙ msg[b - 1] >= 0 keeps both:
 
         low(r, b) = min(low(r, b - 1), msg[b - 1] ⊙ low(r - size(b - 1), b))
         num(r, b) = num(r, b - 1) + num(r - size(b - 1), b)
@@ -287,7 +283,7 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
     and nothing at b = 0 for r > 0; ID 0 fits in any r, so every node with
     b >= 1 has completions. A row is grown only as far as a visited node's
     b asks, one entry from the one before, and only for the r that nodes
-    reach. For r <= _TAIL the completions are the `_tails` block
+    reach. For r <= _TAIL the completions are the `_table` block
     prods[first[b]:], so low and high are its suffix minima and maxima. A
     shorter suffix has a larger minimum and a smaller maximum, so as j
     grows x · (suffix minimum at j) never falls, x · (suffix maximum at j)
@@ -296,12 +292,12 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
     between min(roots[lo..b]) · msg[b] and max(roots[lo..b]) · msg[b], a
     running minimum and maximum over b.
 
-    None of these tables depends on the order: a `_tails` block with IDs
+    None of these tables depends on the order: a `_table` block with IDs
     below b is the same whatever larger bound on IDs the table was built
     for, and low, high and num depend only on r and b. So they are built
     for n_max and shared by every order's walk.
     """
-    t, most, tails = _table(n_max, roots, msg)
+    t, most, tails, msg = _table(n_max, len(weights), step)
 
     def side(pick: Callable[[int, int], int]):
         """(pick, ends, edge), pick min for low and max for high: ends(r) the
@@ -336,7 +332,7 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
             pick, ends, edge = sides[above]
             past = bound.__ge__ if above else bound.__lt__  # past(v): no count bounded by v is kept
         at = 0  # position of the next tree in free_trees order
-        todo = [(n - 1, t.end[(n - 1) // 2], roots[0])]
+        todo = [(n - 1, t.end[(n - 1) // 2], weights)]
         while todo:
             r, b, x = todo.pop()
             if bound is not None:
@@ -354,38 +350,37 @@ def _blocks(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
             else:  # pushed smallest ID first, so the largest is folded first
                 todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
                             for c in range(_fits(t, r, b)))
-        if n % 2 == 0:
-            lo, hi = t.end[n // 2 - 1], t.end[n // 2]
-            extreme = roots[lo]
-            for b in range(lo, hi):
+        if n % 2 == 0:  # roots[j] = weights ⊙ h_a for the half a = end[n/2 - 1] + j
+            roots = [list(map(mul, weights, h)) for h in tails[n // 2 - 1][0]]
+            extreme = roots[0]
+            for j, (root, m) in enumerate(zip(roots, msg[t.end[n // 2 - 1]:]), 1):
                 if bound is not None:
-                    extreme = list(map(pick, extreme, roots[b]))
-                if bound is None or not past(_dot(extreme, msg[b])):
-                    yield at, map(map, repeat(mul), roots[lo:b + 1], repeat(msg[b]))
-                at += b - lo + 1
+                    extreme = list(map(pick, extreme, root))
+                if bound is None or not past(_dot(extreme, m)):
+                    yield at, map(map, repeat(mul), roots[:j], repeat(m))
+                at += j
 
     return walk
 
 
-def fold_products(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+def fold_products(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
                   ) -> Callable[[int], list[Iterator[int]]]:
     """fold(n) for every order n <= n_max: the class vector of every tree
     on n vertices, a lazy `map` each, in `free_trees` order: the vectors of
     every block of `_blocks`. A tree's count is its vector's sum."""
-    walk = _blocks(n_max, roots, msg)
+    walk = _blocks(n_max, weights, step)
     return lambda n: list(chain.from_iterable(vectors for _, vectors in walk(n)))
 
 
-def bounded_fold(n_max: int, roots: Sequence[list[int]], msg: Sequence[list[int]]
+def bounded_fold(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
                  ) -> Callable[..., list[tuple[int, int]]]:
     """fold(n, bound, above=False) for every order n <= n_max: (i, c) for
     each tree on n vertices whose count c, its class vector's sum, is at most
     bound (with above, more), i its position in `free_trees` order: the sums
-    of `fold_products(n_max, roots, msg)(n)` on that side of bound, read
+    of `fold_products(n_max, weights, step)(n)` on that side of bound, read
     from the blocks of `_blocks` with that bound, which skip the trees whose
-    lower (with above, upper) bound is past it. roots and msg are entrywise
-    >= 0."""
-    walk = _blocks(n_max, roots, msg)
+    lower (with above, upper) bound is past it."""
+    walk = _blocks(n_max, weights, step)
 
     def fold(n: int, bound: int, above: bool = False) -> list[tuple[int, int]]:
         pick, keep = (max, bound.__lt__) if above else (min, bound.__ge__)
@@ -473,8 +468,12 @@ def bare_path(T: Tree, v_left: int, v_right: int) -> list[int]:
     """The v_left..v_right path, validated as a legal KC move site.
 
     Raises ValueError naming the failing condition: the endpoints must be
-    distinct non-leaves and every internal path vertex must have degree two.
+    distinct non-leaf vertices of T and every internal path vertex must have
+    degree two.
     """
+    for v in (v_left, v_right):
+        if not 0 <= v < T.n:
+            raise ValueError(f"KC move endpoint {v} is not a vertex of the tree (0..{T.n - 1})")
     if v_left == v_right:
         raise ValueError("KC move needs two distinct vertices")
     for v in (v_left, v_right):

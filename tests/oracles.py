@@ -52,6 +52,15 @@ treehom and count no colouring:
 One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
+
+The tests' full-fold reference, which is treehom's own product fold and so
+no independent oracle: the fast routes that read less of it (the bounded
+fold, the batched sweep, the closed form of regular targets) are checked
+against it, and it against the walk of each listed tree:
+
+* fold_counts: every tree's count, in `free_trees` order, from a target's
+  lone product fold.
+* every: a batched sweep's read of one target as every tree's count.
 """
 
 from __future__ import annotations
@@ -62,7 +71,8 @@ from itertools import permutations, product
 from math import prod
 
 from treehom import TargetGraph, Tree
-from treehom.trees import _code
+from treehom.homcount import sweep_quotient
+from treehom.trees import _code, fold_products, tree_count
 
 PRUFER_LIMIT = 8  # n^(n-2) sequences; 8^6 ~ 262k is the comfortable cap
 ORDERING_ORACLE_LIMIT = 7  # k! orderings; 7! = 5040
@@ -287,3 +297,14 @@ def dense_regular_21() -> TargetGraph:
     sparse = sparse - {(0, 1), (10, 11)} | {(0, 10), (1, 11)}
     return TargetGraph.from_edges(21, [(i, j) for i in range(21) for j in range(i + 1, 21)
                                        if (i, j) not in sparse])
+
+
+def fold_counts(H: TargetGraph, n: int) -> list[int]:
+    """Every tree's count on n vertices, in `free_trees` order, from H's lone
+    product fold."""
+    return list(map(sum, fold_products(n, *sweep_quotient(H, n))(n)))
+
+
+def every(read, n: int) -> list[int]:
+    """A `_sweeps` read of one target at order n as every tree's count."""
+    return [read] * tree_count(n) if isinstance(read, int) else read

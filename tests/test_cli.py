@@ -554,6 +554,25 @@ class TestErrorHandling:
         (tmp_path / "capacity:1,2").write_text("2 1\n0 1\n")
         assert parse_target_spec("capacity:1,2") == parse_target_spec("clique:2")
 
+    @pytest.mark.parametrize("name", ["folkman+dom", "folkman", "hind", "h1", "h7", "h28"])
+    def test_named_target_with_parameters_named(self, capsys, name):
+        # reported as the name's, not as a missing file
+        for params in ["3"], ["1", "2"]:
+            spec = f"{name}:{','.join(params)}"
+            for argv in ("orbits", "--target", spec), ("family", name, *params):
+                status, out, err = run(capsys, *argv)
+                assert status == 2 and out == ""
+                assert err == f"error: cannot read graph {spec!r}: {name} takes no parameters\n"
+
+    def test_past_the_catalog_is_no_named_target(self, capsys):
+        status, _, err = run(capsys, "family", "h29", "1")
+        assert status == 2 and "No such file" in err
+
+    def test_file_named_like_a_named_target_with_parameters_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folkman:3").write_text("2 1\n0 1\n")
+        assert parse_target_spec("folkman:3") == parse_target_spec("clique:2")
+
     def test_shorthand_edge_counts_match_built_graphs(self):
         for head, (arity, edges, _) in cli._SHORTHANDS.items():
             for args in product(range(2, 6), repeat=arity):
@@ -648,6 +667,8 @@ FAST_COMMAND_LINES = [
     "classify --n-max 100000000",
     "check-hl --target wr:3 --n-max 17",
     "check-hl --target lpath:300000 --n-max 16",
+    "check-hl --target lpath:10002 --n-max 16",
+    "family folkman 3",
     # README examples
     "hom --tree path:5 --target 'inline:2 2\\n0 0\\n0 1'",
     "matrix --target folkman+dom",
@@ -705,12 +726,39 @@ class TestParser:
         ["trees", "-n"],
         ["hom", "--tree", "path:3", "--target", "h7", "extra"],
         [],
+        # options the subcommand would ignore
+        ["hom", "--tree", "path:5", "--target", "hind", "--budget", "1"],
+        ["trees", "-n", "5", "--count", "--rows"],
     ])
     def test_usage_errors_left_to_argparse(self, capsys, argv):
         assert _parse_fast(argv) is None
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: treehom")
+
+    @pytest.mark.parametrize("argv, error", [
+        (["hom", "--budget", "5", "--tree", "path:3", "--target", "hind"],
+         "treehom hom: error: --budget applies only with --brute"),
+        (["hom", "--tree", "path:3", "--target", "hind", "--budget=0"],
+         "treehom hom: error: --budget applies only with --brute"),
+        (["trees", "--rows", "-n", "5", "--count"],
+         "treehom trees: error: --rows does not apply with --count"),
+    ])
+    def test_ignored_option_is_a_usage_error(self, capsys, argv, error):
+        # one error line after the usage, and nothing counted or listed
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: treehom") and err.endswith(f"\n{error}\n")
+        assert err.count("error") == 1
+
+    def test_budget_with_brute_is_read(self, capsys):
+        assert run(capsys, "hom", "--tree", "path:5", "--target", "hind", "--brute",
+                   "--budget", str(2 ** 5)) == (0, "13\n", "")
+        assert run(capsys, "hom", "--tree", "path:5", "--target", "hind", "--brute",
+                   "--budget", str(2 ** 5 - 1)) == (2, "", "error: brute force needs 2^5 maps, "
+                                                        "budget is 31\n")
 
     @pytest.mark.parametrize("argv", [["hom", "--help"], ["--help"], ["family", "-h"]])
     def test_help_is_argparse_help(self, capsys, argv):

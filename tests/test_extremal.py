@@ -35,19 +35,13 @@ from treehom.extremal import (
     ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
 )
 from treehom.trees import CanonicalTree, _Shapes
-from treehom.homcount import shape_vectors
+from treehom.homcount import sweep_quotient
 from treehom.trees import TREE_LIMIT, fold_products, free_trees
-from oracles import bipartition, has_balanced_bipartition
+from oracles import bipartition, every, fold_counts, has_balanced_bipartition
 
 
 def tg(n, *edges):
     return TargetGraph.from_edges(n, edges)
-
-
-def fold_counts(H, n):
-    """Every tree's count on n vertices, in `free_trees` order, from H's lone
-    product fold."""
-    return list(map(sum, fold_products(n, *extremal._weighted_shapes(H, n))(n)))
 
 
 def verdict(H, n):
@@ -55,11 +49,6 @@ def verdict(H, n):
     counts, path_count = fold_counts(H, n), homcount._path_hom(H, n)
     lo = min(counts)
     return OrderVerdict(n, lo, path_count == lo, path_count == lo and counts.count(lo) == 1)
-
-
-def every(read, n):
-    """A `_sweeps` read of one target at order n as every tree's count."""
-    return [read] * trees.tree_count(n) if isinstance(read, int) else read
 
 
 def counted(fn, calls):
@@ -388,19 +377,20 @@ class TestSweeps:
         # the 10 targets that are not regular share one union fold, which
         # builds its table once, for the largest order, and is read once per
         # order; the balanced-bipartition flags are read off target 19's
-        # counts, so there is no second fold; the union's shape vectors are
-        # built once, and the fold does not pass over the tree listing
-        vectors, tables, reads, listings = [], [], [], []
+        # counts, so there is no second fold; the union's quotient and its
+        # message step are taken once, and the fold does not pass over the
+        # tree listing
+        quotients, tables, reads, listings = [], [], [], []
 
         def counted_products(*args):
             return counted(fold_products(*args), reads)
 
-        monkeypatch.setattr(extremal, "shape_vectors", counted(shape_vectors, vectors))
+        monkeypatch.setattr(extremal, "sweep_quotient", counted(sweep_quotient, quotients))
         monkeypatch.setattr(extremal, "fold_products", counted_products)
-        monkeypatch.setattr(trees, "_tails", counted(trees._tails, tables))
+        monkeypatch.setattr(trees, "_table", counted(trees._table, tables))
         monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
         classify_small_targets(14)
-        assert [(H.n, n) for H, n in vectors] == [(29, 14)]  # the union of the 10 targets
+        assert [(H.n, n) for H, n in quotients] == [(29, 14)]  # the union of the 10 targets
         assert len(tables) == 1
         assert reads == [(n,) for n in range(2, 15)]
         assert listings == []
@@ -439,12 +429,12 @@ class TestSweeps:
                 extremal._sweeps([H], 8)(9)
 
     def test_sidorenko_builds_one_set_of_tables(self, monkeypatch):
-        # one set of shape vectors and one table for every order
-        vectors, tables = [], []
-        monkeypatch.setattr(extremal, "shape_vectors", counted(shape_vectors, vectors))
-        monkeypatch.setattr(trees, "_tails", counted(trees._tails, tables))
+        # one quotient step and one table for every order
+        quotients, tables = [], []
+        monkeypatch.setattr(extremal, "sweep_quotient", counted(sweep_quotient, quotients))
+        monkeypatch.setattr(trees, "_table", counted(trees._table, tables))
         assert sidorenko_check(make_capacity_graph(3), 12) == (True, None)
-        assert len(vectors) == 1 and len(tables) == 1
+        assert len(quotients) == 1 and len(tables) == 1
 
 
 @cache

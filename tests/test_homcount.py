@@ -29,8 +29,8 @@ from treehom import (
 )
 from treehom.automorphy import class_data
 from treehom import homcount
-from treehom.homcount import _path_hom, _star_hom, shape_vectors
-from treehom.trees import TREE_LIMIT
+from treehom.homcount import _path_hom, _star_hom, sweep_quotient
+from treehom.trees import TREE_LIMIT, shape_count
 
 H_IND = SMALL_TARGETS[7]
 
@@ -144,6 +144,12 @@ class TestKCDecomposition:
         # P_4 -> S_4 under H_ind: 8 -> 9 independent sets
         lhs, rhs = kc_difference_decomposition(path(4), 1, 2, H_IND)
         assert lhs == rhs == 1
+
+    def test_endpoint_outside_the_tree_refused(self):
+        # -2 would alias vertex 4 of the 6-vertex path and give a false mismatch
+        for v_left, v_right, bad in (-2, 2, -2), (1, 6, 6), (1, -5, -5):
+            with pytest.raises(ValueError, match=f"endpoint {bad} is not a vertex of the tree"):
+                kc_difference_decomposition(path(6), v_left, v_right, H_IND)
 
     def test_builds_no_tree(self, monkeypatch):
         # the L and R vectors are walks of T itself, and the moved tree is
@@ -280,7 +286,8 @@ def test_shape_vectors_refused_past_the_cap(monkeypatch):
     # the 9-vertex path has 5 classes, and n = 16 composes 200 rooted shapes
     H = tg(9, *[(i, i + 1) for i in range(8)])
     monkeypatch.setattr(homcount, "SHAPE_VECTOR_LIMIT", 1000)
-    assert len(shape_vectors(H, TREE_LIMIT)[0]) == 200
+    assert shape_count(TREE_LIMIT) == 200
+    assert len(sweep_quotient(H, TREE_LIMIT)[0]) == 5
     monkeypatch.setattr(homcount, "SHAPE_VECTOR_LIMIT", 999)
     with pytest.raises(SizeLimitError, match="200 x 5 = 1000, past SHAPE_VECTOR_LIMIT = 999"):
-        shape_vectors(H, TREE_LIMIT)
+        sweep_quotient(H, TREE_LIMIT)

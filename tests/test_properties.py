@@ -19,8 +19,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
-    brute_partition_function, first_increasing_ordering, fraction_partition_function,
-    has_balanced_bipartition, kc_moved_edges, round_refined_colors, strict_witness_pairs,
+    brute_partition_function, every, first_increasing_ordering, fold_counts,
+    fraction_partition_function, has_balanced_bipartition, kc_moved_edges, round_refined_colors,
+    strict_witness_pairs,
 )
 from treehom import (
     H_IND,
@@ -63,7 +64,7 @@ from treehom import (
 )
 from treehom import extremal, graphs, trees as trees_module
 from treehom.automorphy import _equitable_quotient, class_data
-from treehom.homcount import _message, _path_hom, _star_hom
+from treehom.homcount import _message, _path_hom, _star_hom, sweep_quotient
 from treehom.trees import free_trees
 from treehom.extremal import (
     LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO,
@@ -138,17 +139,6 @@ def test_integer_route_matches_fraction_walk_and_brute_force(H, T, nums, dens, i
     assert want == brute_partition_function(T.n, T.edges, H, lam)
     assert tree_partition_function(T, H, lam) == want
     assert partition_function((T.n, T.edges), H, lam) == want
-
-
-def fold_counts(H, n):
-    """Every tree's count on n vertices, in `free_trees` order, from H's lone
-    product fold."""
-    return list(map(sum, trees_module.fold_products(n, *extremal._weighted_shapes(H, n))(n)))
-
-
-def every(read, n):
-    """A `_sweeps` read of one target at order n as every tree's count."""
-    return [read] * trees_module.tree_count(n) if isinstance(read, int) else read
 
 
 @PROPERTY
@@ -244,9 +234,9 @@ READER_TAILS = (0, 3, 6, 8)
 
 
 def _readers_are_the_walk_counts(H, n_max):
-    roots, msg = extremal._weighted_shapes(H, n_max)
-    full = trees_module.fold_products(n_max, roots, msg)
-    bounded = trees_module.bounded_fold(n_max, roots, msg)
+    weights, step = sweep_quotient(H, n_max)
+    full = trees_module.fold_products(n_max, weights, step)
+    bounded = trees_module.bounded_fold(n_max, weights, step)
     for n in range(1, n_max + 1):
         want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
         assert list(map(sum, full(n))) == want, n
@@ -331,7 +321,7 @@ def test_regular_targets_are_counted_without_the_fold(H, n):
     assert counts == [tree_hom(ct.tree, H) for ct in all_trees(n)]
     # every tree has the same class vector, so the bounds are exact and the
     # bounded walk at the common count yields no block on either side
-    walk = trees_module._blocks(n, *extremal._weighted_shapes(H, n))
+    walk = trees_module._blocks(n, *sweep_quotient(H, n))
     assert list(walk(n, counts[0] - 1)) == [] == list(walk(n, counts[0], above=True))
 
 

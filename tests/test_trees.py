@@ -71,6 +71,16 @@ class TestKCMove:
         with pytest.raises(ValueError, match="degree"):
             bare_path(t, 1, 3)  # passes through the degree-3 center
 
+    @pytest.mark.parametrize("v_left, v_right, bad", [
+        (-2, 2, -2), (1, 6, 6), (1, -5, -5), (6, 6, 6), (7, 0, 7)])
+    def test_endpoint_outside_the_tree_refused(self, v_left, v_right, bad):
+        # a negative vertex would alias another one; the check comes before
+        # the distinctness and leaf checks, so (6, 6) and the leaf 0 are not
+        # what is named
+        for move in bare_path, kc_move:
+            with pytest.raises(ValueError, match=f"endpoint {bad} is not a vertex of the tree"):
+                move(path(6), v_left, v_right)
+
     def test_move_preserves_order(self):
         for ct in all_trees(7):
             for succ in kc_successors(ct.tree):
