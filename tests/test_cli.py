@@ -753,13 +753,6 @@ class TestParser:
         assert err.startswith("usage: treehom") and err.endswith(f"\n{error}\n")
         assert err.count("error") == 1
 
-    def test_budget_with_brute_is_read(self, capsys):
-        assert run(capsys, "hom", "--tree", "path:5", "--target", "hind", "--brute",
-                   "--budget", str(2 ** 5)) == (0, "13\n", "")
-        assert run(capsys, "hom", "--tree", "path:5", "--target", "hind", "--brute",
-                   "--budget", str(2 ** 5 - 1)) == (2, "", "error: brute force needs 2^5 maps, "
-                                                        "budget is 31\n")
-
     @pytest.mark.parametrize("argv", [["hom", "--help"], ["--help"], ["family", "-h"]])
     def test_help_is_argparse_help(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
