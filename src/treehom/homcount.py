@@ -10,7 +10,9 @@ equitable quotient (rooted counts agree on its classes; activities refine
 it), `hom_count` over the paper's automorphic similarity classes
 (`class_data`). The message step A·h is `_message`; every repeated
 step, from path counts to the certificate's columns, reads one iterator of
-them, `_steps`.
+them, `_steps`. The walk's own step, a ⊙ A·h for a parent's vector a, is
+one generated straight-line function per quotient (`_absorber`, cached),
+and `_message` with a product past ABSORB_ENTRY_LIMIT row entries.
 `sweep_quotient` gives a sweep H's class sizes and message step, from which
 the tree generator's fold composes every tree's count out of shared subtree
 vectors instead of walking each tree. Brute-force enumeration of vertex maps
@@ -24,7 +26,8 @@ the end: none per vertex, and never a float.
 
 from __future__ import annotations
 
-from functools import partial
+from collections import Counter
+from functools import lru_cache, partial
 from itertools import combinations, islice, product
 from math import lcm, prod
 from operator import mul
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
-from .trees import _kc_glue, bare_path, kc_sites, shape_count
+from .trees import _kc_glue, bare_path, kc_site_count, kc_sites, shape_count
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,6 +52,11 @@ SHAPE_VECTOR_LIMIT = 1_000_000
 #: columns of at most n message steps (sides and path-pair tables that sites
 #: share are computed once). A path on n vertices has ~n^2/2 sites.
 KC_WORK_LIMIT = 25_000_000
+
+#: Cap on the row entries of a quotient whose walk step `_absorber` compiles.
+#: Compiling costs about 6 µs per entry, once per quotient (about 12 ms at
+#: the cap), which a walk of some 50 vertices or more earns back.
+ABSORB_ENTRY_LIMIT = 2048
 
 # a loopless graph for brute-force / partition-function inputs: either a Tree
 # or a bare (n, edges) pair
@@ -79,22 +87,54 @@ def _steps(rows: Sequence[Sequence[int]], h: Sequence) -> Iterator[list]:
         h = _message(rows, h)
 
 
-def _walk(T: Tree, root: int, rows: Sequence[Sequence[int]], weights: Sequence,
+def _sum_source(terms: Sequence[str]) -> str:
+    """terms added as a balanced tree, so the compiler nests them only
+    log2(len(terms)) deep; "0" for none."""
+    if len(terms) <= 2:
+        return " + ".join(terms) or "0"
+    half = len(terms) // 2
+    return f"({_sum_source(terms[:half])}) + ({_sum_source(terms[half:])})"
+
+
+@lru_cache(maxsize=None)
+def _absorber(rows: tuple[tuple[int, ...], ...]) -> Callable[[Sequence, Sequence], list]:
+    """absorb(a, h) = a ⊙ (rows · h): the walk's step as one generated
+    straight-line function, each row's repeats one coefficient: folkman+dom's
+    rows ((0, 0, 0, 0, 1), (0,) * 20 + (1,)) give
+    lambda a, h: [a[0] * (4 * h[0] + h[1]), a[1] * (20 * h[0] + h[1])].
+    Made by eval from the rows' integers alone, with no builtins. Past
+    ABSORB_ENTRY_LIMIT row entries it is `_message` and a product instead."""
+    if sum(map(len, rows)) > ABSORB_ENTRY_LIMIT:
+        return lambda a, h: list(map(mul, a, _message(rows, h)))
+    def total(row):
+        return _sum_source([f"{m} * h[{x}]" if m > 1 else f"h[{x}]" for x, m in Counter(row).items()])
+
+    body = ", ".join(f"a[{i}] * ({total(row)})" for i, row in enumerate(rows))
+    return eval(f"lambda a, h: [{body}]", {"__builtins__": {}})
+
+
+def _walk(T: Tree, root: int, rows: tuple[tuple[int, ...], ...], weights: Sequence,
           skip: Optional[int] = None) -> list:
     """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), over T without
     the branch through root's neighbour skip. In post-order, each vertex's
-    message is folded into its parent's vector; every leaf sends the same
-    message, rows · weights, priced once."""
+    message is folded into its parent's vector by one `_absorber(rows)`
+    call; every leaf sends the same message, rows · weights, priced once, and
+    a parent whose first child is a leaf starts from one shared weights ⊙ leaf
+    list (no vector is ever changed in place)."""
     order, parent = _search(T.n, T.neighbors, root, skip)
+    absorb = _absorber(rows)
     h: list[list | None] = [None] * T.n
     leaf = _message(rows, weights)
+    first = list(map(mul, weights, leaf))
     for v in order[:0:-1]:  # every vertex after its children, the root left out
         vec = h[v]
-        msg = leaf if vec is None else _message(rows, vec)
         h[v] = None  # consumed: only the root's vector is returned
         p = parent[v]
         above = h[p]
-        h[p] = list(map(mul, weights if above is None else above, msg))
+        if vec is None:
+            h[p] = first if above is None else list(map(mul, above, leaf))
+        else:
+            h[p] = absorb(weights if above is None else above, vec)
     return list(weights) if h[root] is None else h[root]
 
 
@@ -118,7 +158,8 @@ def hom_vector(T: Tree, root: int, Q: Quotient) -> tuple[int, ...]:
     class c of the equitable quotient Q."""
     if not 0 <= root < T.n:
         raise ValueError(f"root {root} not a vertex of the tree")
-    return tuple(_walk(T, root, Q.rows, [1] * Q.k))
+    # Q may be built by hand with list rows; the walk's kernel cache needs tuples
+    return tuple(_walk(T, root, tuple(map(tuple, Q.rows)), [1] * Q.k))
 
 
 def hom_count(T: Tree, H: TargetGraph) -> int:
@@ -203,16 +244,17 @@ def _column(rows: Sequence[Sequence[int]], x: int, steps: int) -> list[int]:
 
 def kc_decompositions(T: Tree, H: TargetGraph) -> Iterator[tuple[int, int, int, int]]:
     """(v_left, v_right, lhs, rhs) of `kc_difference_decomposition` at each
-    site of `trees.kc_sites(T)` in turn, after refusing, before any walk, an
-    input whose work estimate is past KC_WORK_LIMIT (SizeLimitError)."""
-    sites = kc_sites(T)
+    site of `trees.kc_sites(T)` in turn, after refusing, before any site is
+    listed or walked, an input whose work estimate is past KC_WORK_LIMIT
+    (SizeLimitError); the sites are counted in O(n) by `trees.kc_site_count`."""
+    sites = kc_site_count(T)
     Q = _equitable_quotient(H)
     k, r = Q.k, sum(map(len, Q.rows))
-    work = len(sites) * T.n * (k + 3) * (r + k)
+    work = sites * T.n * (k + 3) * (r + k)
     if work > KC_WORK_LIMIT:
-        raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {len(sites)} x {T.n} x "
+        raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {sites} x {T.n} x "
                              f"{k + 3} x {r + k} = {work} is past KC_WORK_LIMIT = {KC_WORK_LIMIT}")
-    yield from _kc_rows(T, H, Q, sites)
+    yield from _kc_rows(T, H, Q, kc_sites(T))
 
 
 def kc_difference_decomposition(T: Tree, v_left: int, v_right: int,

@@ -464,6 +464,28 @@ def kc_sites(T: Tree) -> list[tuple[int, int]]:
     return sorted(sites)
 
 
+def kc_site_count(T: Tree) -> int:
+    """len(kc_sites(T)) in O(n), with no site listed: over each maximal chain
+    of degree-2 vertices, L of them with b non-leaves among its two outside
+    neighbours, the C(L + b, 2) pairs of its L + b non-leaves, plus one site
+    for each edge that joins two vertices of degree at least 3."""
+    deg = [T.degree(v) for v in T.vertices()]
+    count, seen = 0, [False] * T.n
+    for v in T.vertices():
+        if deg[v] != 2 or seen[v]:
+            continue
+        seen[v], chain = True, 1
+        for u in T.neighbors(v):
+            prev = v
+            while deg[u] == 2:
+                seen[u], chain = True, chain + 1
+                nbrs = T.neighbors(u)
+                prev, u = u, nbrs[nbrs[0] == prev]
+            chain += deg[u] > 1
+        count += chain * (chain - 1) // 2
+    return count + sum(deg[u] > 2 and deg[w] > 2 for u, w in T.edges)
+
+
 def bare_path(T: Tree, v_left: int, v_right: int) -> list[int]:
     """The v_left..v_right path, validated as a legal KC move site.
 

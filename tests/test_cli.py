@@ -651,8 +651,10 @@ FAST_COMMAND_LINES = [
     "classify --n-max 14 --rows",
     "kc --tree path:20 --target lpath:30 --rows",
     "kc --tree path:5 --target path:3000",
+    "kc --tree path:3000 --target hind",
     "check-hl --target lpath:30 --n-max 10 --strong --rows",
     "orbits --target dense21.txt",
+    "hom --tree path:50 --target dom.txt --rows",
     "check-hl --target lpath:300 --n-max 12 --strong --rows",
     "hom --tree path:2 --target 'inline:2000000 0'",
     "minimize --target capacity:3 -n 16 --rows",

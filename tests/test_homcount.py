@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -27,9 +28,10 @@ from treehom import (
     tree_hom,
     tree_partition_function,
 )
-from treehom.automorphy import class_data
+from treehom.automorphy import Quotient, _equitable_quotient, class_data
 from treehom import homcount
-from treehom.homcount import _path_hom, _star_hom, sweep_quotient
+from treehom.graphs import add_looped_dominating
+from treehom.homcount import _absorber, _message, _path_hom, _star_hom, sweep_quotient
 from treehom.trees import TREE_LIMIT, shape_count
 
 H_IND = SMALL_TARGETS[7]
@@ -176,6 +178,79 @@ class TestKCDecomposition:
         monkeypatch.setattr(homcount, "tree_hom", refuse)
         with pytest.raises(SizeLimitError, match="KC_WORK_LIMIT"):
             next(kc_decompositions(path(240), SMALL_TARGETS[7]))
+
+    def test_long_path_refused_before_its_sites_are_listed(self, monkeypatch):
+        # path:3000 has 4,492,503 sites; they are counted, not listed
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed the sites before the work limit was checked")
+
+        monkeypatch.setattr(homcount, "kc_sites", refuse)
+        with pytest.raises(SizeLimitError, match="= 4492503 x 3000 x 5 x 5 = 336937725000 is past"):
+            next(kc_decompositions(path(3000), H_IND))
+
+
+def random_rows(rng, k, width):
+    # a quotient's rows: sorted classes with repeats, some of them empty
+    return tuple(tuple(sorted(rng.randrange(k) for _ in range(rng.randint(0, width))))
+                 for _ in range(k))
+
+
+class TestAbsorber:
+    """The walk's generated step against `_message` and a product."""
+
+    def test_hand_built_quotient_with_list_rows(self):
+        # hom_vector takes any Quotient; the kernel cache is keyed by tuples
+        Q = class_data(make_capacity_graph(3))[1]
+        listed = Quotient(Q.class_of, Q.sizes, [list(row) for row in Q.rows])
+        for t in path(7), star(6):
+            assert hom_vector(t, 1, listed) == hom_vector(t, 1, Q)
+
+    def test_kernel_is_message_times_weights(self):
+        rng = random.Random(28)
+        cases = [(), ((),), ((0, 0, 0),), ((0, 0, 0, 0, 1), (0,) * 20 + (1,)), ((1, 1), ())]
+        cases += [random_rows(rng, rng.randint(1, 12), 9) for _ in range(60)]
+        for rows in cases:
+            for _ in range(3):
+                a = [rng.randint(0, 10 ** 30) for _ in rows]
+                h = [rng.randint(0, 10 ** 30) for _ in rows]
+                assert _absorber(rows)(a, h) == list(map(mul, a, _message(rows, h)))
+
+    def test_past_the_cap_nothing_is_compiled(self, monkeypatch):
+        # at the cap the rows are compiled; one entry past it they are not
+        rows = ((0, 1, 1), (0, 0, 2), (1,))
+        a, h = [3, 5, 7], [11, 13, 17]
+        want = list(map(mul, a, _message(rows, h)))
+        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 7)
+        assert _absorber.__wrapped__(rows)(a, h) == want
+
+        def refuse(*args):
+            raise AssertionError("compiled past the cap")
+
+        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 6)
+        monkeypatch.setattr(homcount, "eval", refuse, raising=False)
+        assert _absorber.__wrapped__(rows)(a, h) == want
+
+    def test_long_rows_compile(self, monkeypatch):
+        # a 5,000-term row, added as a balanced tree: as one chain of + it
+        # would be nested past the compiler's recursion limit
+        rows = (tuple(range(5000)),) + ((0,),) * 4999
+        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 9999)
+        h = list(range(1, 5001))
+        assert _absorber.__wrapped__(rows)([1] * 5000, h) == [5000 * 5001 // 2] + [1] * 4999
+
+    def test_past_the_cap_walk_matches_fraction_walk(self, monkeypatch):
+        # path:200 plus a looped vertex joined to every vertex: 101 classes
+        # and 500 row entries, past a cap of 100
+        H = add_looped_dominating(tg(200, *[(i, i + 1) for i in range(199)]), 1)
+        rows = _equitable_quotient(H).rows
+        assert (len(rows), sum(map(len, rows))) == (101, 500)
+        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 100)
+        _absorber.cache_clear()
+        try:
+            for t in path(30), random_tree(random.Random(200), 40):
+                assert tree_hom(t, H) == fraction_partition_function(t, H, [1] * H.n)
+        finally:
+            _absorber.cache_clear()
 
 
 class TestPartitionFunction:

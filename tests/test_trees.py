@@ -15,8 +15,8 @@ from treehom import (
     star,
     tree_count,
 )
-from treehom.trees import TREE_LIMIT
-from oracles import has_balanced_bipartition, otter_tree_count, prufer_tree_count
+from treehom.trees import TREE_LIMIT, kc_site_count, kc_sites
+from oracles import has_balanced_bipartition, otter_tree_count, prufer_decode, prufer_tree_count
 
 
 def relabel(t: Tree, perm: list[int]) -> Tree:
@@ -97,6 +97,20 @@ class TestKCMove:
     def test_closure_from_path_covers_everything(self):
         for n in range(2, 9):
             assert kc_closure(path(n)) == {ct.code for ct in all_trees(n)}
+
+    def test_site_count_is_the_number_of_sites(self):
+        # chains of degree-2 vertices, edges between branch vertices, and
+        # paths, whose one chain has two leaves outside it
+        for n in range(1, 11):
+            for ct in all_trees(n):
+                assert kc_site_count(ct.tree) == len(kc_sites(ct.tree))
+        rng = random.Random(444)
+        for _ in range(200):
+            n = rng.randint(3, 150)
+            seq = tuple(rng.randrange(n) for _ in range(n - 2))
+            t = Tree.from_edges(n, prufer_decode(seq, n))
+            assert kc_site_count(t) == len(kc_sites(t))
+        assert kc_site_count(path(3000)) == 2998 * 2997 // 2
 
 
 class TestBalancedBipartition:
