@@ -11,8 +11,10 @@ it), `hom_count` over the paper's automorphic similarity classes
 (`class_data`). The message step A·h is `_message`; every repeated
 step, from path counts to the certificate's columns, reads one iterator of
 them, `_steps`. The walk's own step, a ⊙ A·h for a parent's vector a, is
-one generated straight-line function per quotient (`_absorber`, cached),
-and `_message` with a product past ABSORB_ENTRY_LIMIT row entries.
+`_message` and a product (`_absorb`) until walks over the quotient
+reach ABSORB_WALK_STEPS vertices (`_walked` counts them), and from then
+on one generated straight-line function per quotient (`_compiled`, cached)
+of at most ABSORB_TERM_LIMIT terms.
 `sweep_quotient` gives a sweep H's class sizes and message step, from which
 the tree generator's fold composes every tree's count out of shared subtree
 vectors instead of walking each tree. Brute-force enumeration of vertex maps
@@ -30,7 +32,7 @@ from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations, islice, product
 from math import lcm, prod
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .automorphy import Quotient, _equitable_quotient, class_data
@@ -53,10 +55,16 @@ SHAPE_VECTOR_LIMIT = 1_000_000
 #: share are computed once). A path on n vertices has ~n^2/2 sites.
 KC_WORK_LIMIT = 25_000_000
 
-#: Cap on the row entries of a quotient whose walk step `_absorber` compiles.
-#: Compiling costs about 6 µs per entry, once per quotient (about 12 ms at
-#: the cap), which a walk of some 50 vertices or more earns back.
-ABSORB_ENTRY_LIMIT = 2048
+#: Vertices walked over one quotient before `_walk` compiles its step
+#: (`_compiled`). Compiling costs about 11 µs per term (0.04 ms at least)
+#: and saves 0.09 to 1 µs per term per vertex walked (54 on clique:200's one
+#: term): it paid for itself within 140 vertices on each of capacity:3,
+#: wr:3, hind, folkman+dom, lpath:30, h17, h28, clique:200 and path:900.
+ABSORB_WALK_STEPS = 256
+
+#: Cap on the terms (distinct row entries) of a compiled walk step: compiling
+#: holds about 2.6 KB per term at its peak, some 42 MB at the cap.
+ABSORB_TERM_LIMIT = 16_384
 
 # a loopless graph for brute-force / partition-function inputs: either a Tree
 # or a bare (n, edges) pair
@@ -96,33 +104,46 @@ def _sum_source(terms: Sequence[str]) -> str:
     return f"({_sum_source(terms[:half])}) + ({_sum_source(terms[half:])})"
 
 
-@lru_cache(maxsize=None)
-def _absorber(rows: tuple[tuple[int, ...], ...]) -> Callable[[Sequence, Sequence], list]:
-    """absorb(a, h) = a ⊙ (rows · h): the walk's step as one generated
-    straight-line function, each row's repeats one coefficient: folkman+dom's
-    rows ((0, 0, 0, 0, 1), (0,) * 20 + (1,)) give
-    lambda a, h: [a[0] * (4 * h[0] + h[1]), a[1] * (20 * h[0] + h[1])].
-    Made by eval from the rows' integers alone, with no builtins. Past
-    ABSORB_ENTRY_LIMIT row entries it is `_message` and a product instead."""
-    if sum(map(len, rows)) > ABSORB_ENTRY_LIMIT:
-        return lambda a, h: list(map(mul, a, _message(rows, h)))
-    def total(row):
-        return _sum_source([f"{m} * h[{x}]" if m > 1 else f"h[{x}]" for x, m in Counter(row).items()])
+def _absorb(rows: Sequence[Sequence[int]], a: Sequence, h: Sequence) -> list:
+    """a ⊙ (rows · h) by `_message` and a product."""
+    return list(map(mul, a, _message(rows, h)))
 
-    body = ", ".join(f"a[{i}] * ({total(row)})" for i, row in enumerate(rows))
+
+@lru_cache(maxsize=None)
+def _compiled(rows: tuple[tuple[int, ...], ...]) -> Callable[[Sequence, Sequence], list]:
+    """`_absorb(rows, ...)` as one generated straight-line function, each row's
+    repeats one coefficient: folkman+dom's rows ((0, 0, 0, 0, 1), (0,) * 20 + (1,))
+    give lambda a, h: [a[0] * (4 * h[0] + h[1]), a[1] * (20 * h[0] + h[1])].
+    Made by eval from the rows' integers alone (`operator.index` refuses any
+    other entry), with no builtins; past ABSORB_TERM_LIMIT terms it is
+    `_absorb` instead."""
+    counts = [Counter(map(index, row)) for row in rows]
+    if sum(map(len, counts)) > ABSORB_TERM_LIMIT:
+        return partial(_absorb, rows)
+
+    def total(count):
+        return _sum_source([f"{m} * h[{x}]" if m > 1 else f"h[{x}]" for x, m in count.items()])
+
+    body = ", ".join(f"a[{i}] * ({total(count)})" for i, count in enumerate(counts))
     return eval(f"lambda a, h: [{body}]", {"__builtins__": {}})
+
+
+_walked: Counter = Counter()  # rows -> vertices the walks over them have taken
 
 
 def _walk(T: Tree, root: int, rows: tuple[tuple[int, ...], ...], weights: Sequence,
           skip: Optional[int] = None) -> list:
     """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), over T without
     the branch through root's neighbour skip. In post-order, each vertex's
-    message is folded into its parent's vector by one `_absorber(rows)`
-    call; every leaf sends the same message, rows · weights, priced once, and
-    a parent whose first child is a leaf starts from one shared weights ⊙ leaf
+    message is folded into its parent's vector by one step absorb(a, h) =
+    a ⊙ (rows · h): `_absorb` until the walks over rows, this one counted,
+    reach ABSORB_WALK_STEPS vertices, and `_compiled(rows)` from then on.
+    Every leaf sends the same message, rows · weights, priced once, and a
+    parent whose first child is a leaf starts from one shared weights ⊙ leaf
     list (no vector is ever changed in place)."""
     order, parent = _search(T.n, T.neighbors, root, skip)
-    absorb = _absorber(rows)
+    _walked[rows] += len(order) - 1
+    absorb = partial(_absorb, rows) if _walked[rows] < ABSORB_WALK_STEPS else _compiled(rows)
     h: list[list | None] = [None] * T.n
     leaf = _message(rows, weights)
     first = list(map(mul, weights, leaf))
@@ -158,7 +179,7 @@ def hom_vector(T: Tree, root: int, Q: Quotient) -> tuple[int, ...]:
     class c of the equitable quotient Q."""
     if not 0 <= root < T.n:
         raise ValueError(f"root {root} not a vertex of the tree")
-    # Q may be built by hand with list rows; the walk's kernel cache needs tuples
+    # Q may be built by hand with list rows; the walk's step count and kernel cache are keyed by tuples
     return tuple(_walk(T, root, tuple(map(tuple, Q.rows)), [1] * Q.k))
 
 

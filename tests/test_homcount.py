@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -31,7 +32,7 @@ from treehom import (
 from treehom.automorphy import Quotient, _equitable_quotient, class_data
 from treehom import homcount
 from treehom.graphs import add_looped_dominating
-from treehom.homcount import _absorber, _message, _path_hom, _star_hom, sweep_quotient
+from treehom.homcount import _absorb, _compiled, _message, _path_hom, _star_hom, sweep_quotient
 from treehom.trees import TREE_LIMIT, shape_count
 
 H_IND = SMALL_TARGETS[7]
@@ -196,16 +197,16 @@ def random_rows(rng, k, width):
 
 
 class TestAbsorber:
-    """The walk's generated step against `_message` and a product."""
+    """The walk's plain and generated steps against `_message` and a product."""
 
     def test_hand_built_quotient_with_list_rows(self):
-        # hom_vector takes any Quotient; the kernel cache is keyed by tuples
+        # hom_vector takes any Quotient; the walk's step count and kernel cache are keyed by tuples
         Q = class_data(make_capacity_graph(3))[1]
         listed = Quotient(Q.class_of, Q.sizes, [list(row) for row in Q.rows])
-        for t in path(7), star(6):
+        for t in path(7), star(6), path(300):
             assert hom_vector(t, 1, listed) == hom_vector(t, 1, Q)
 
-    def test_kernel_is_message_times_weights(self):
+    def test_steps_are_message_times_weights(self):
         rng = random.Random(28)
         cases = [(), ((),), ((0, 0, 0),), ((0, 0, 0, 0, 1), (0,) * 20 + (1,)), ((1, 1), ())]
         cases += [random_rows(rng, rng.randint(1, 12), 9) for _ in range(60)]
@@ -213,44 +214,70 @@ class TestAbsorber:
             for _ in range(3):
                 a = [rng.randint(0, 10 ** 30) for _ in rows]
                 h = [rng.randint(0, 10 ** 30) for _ in rows]
-                assert _absorber(rows)(a, h) == list(map(mul, a, _message(rows, h)))
+                want = list(map(mul, a, _message(rows, h)))
+                assert _absorb(rows, a, h) == want
+                assert _compiled(rows)(a, h) == want
+
+    def test_only_integer_entries_are_compiled(self):
+        # the kernel's source is made from the rows' entries: any other entry is refused
+        for entry in "__import__('os')", 1.0, None:
+            with pytest.raises(TypeError):
+                _compiled.__wrapped__(((0, entry),))
+
+    def test_compiled_once_the_walks_reach_the_step_count(self, monkeypatch):
+        # plain steps until the walks over a quotient, the current one counted,
+        # reach ABSORB_WALK_STEPS vertices
+        real, compiled = _compiled, []
+        monkeypatch.setattr(homcount, "_walked", Counter())
+        monkeypatch.setattr(homcount, "_compiled", lambda rows: compiled.append(rows) or real(rows))
+        steps = homcount.ABSORB_WALK_STEPS
+        H = make_capacity_graph(3)
+        for n in steps // 2, steps // 2 + 1:  # steps - 1 vertices walked in all
+            assert tree_hom(path(n), H) == _path_hom(H, n)
+        assert compiled == []
+        assert tree_hom(path(2), H) == _path_hom(H, 2)
+        assert len(compiled) == 1
+        # one walk of that many vertices is compiled at once
+        assert tree_hom(path(steps + 1), SMALL_TARGETS[9]) == _path_hom(SMALL_TARGETS[9], steps + 1)
+        assert len(compiled) == 2
 
     def test_past_the_cap_nothing_is_compiled(self, monkeypatch):
-        # at the cap the rows are compiled; one entry past it they are not
+        # at the cap the rows are compiled; one term past it they are not
         rows = ((0, 1, 1), (0, 0, 2), (1,))
         a, h = [3, 5, 7], [11, 13, 17]
         want = list(map(mul, a, _message(rows, h)))
-        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 7)
-        assert _absorber.__wrapped__(rows)(a, h) == want
+        monkeypatch.setattr(homcount, "ABSORB_TERM_LIMIT", 5)
+        assert _compiled.__wrapped__(rows)(a, h) == want
 
         def refuse(*args):
             raise AssertionError("compiled past the cap")
 
-        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 6)
+        monkeypatch.setattr(homcount, "ABSORB_TERM_LIMIT", 4)
         monkeypatch.setattr(homcount, "eval", refuse, raising=False)
-        assert _absorber.__wrapped__(rows)(a, h) == want
+        assert _compiled.__wrapped__(rows)(a, h) == want
 
     def test_long_rows_compile(self, monkeypatch):
         # a 5,000-term row, added as a balanced tree: as one chain of + it
         # would be nested past the compiler's recursion limit
         rows = (tuple(range(5000)),) + ((0,),) * 4999
-        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 9999)
+        monkeypatch.setattr(homcount, "ABSORB_TERM_LIMIT", 9999)
         h = list(range(1, 5001))
-        assert _absorber.__wrapped__(rows)([1] * 5000, h) == [5000 * 5001 // 2] + [1] * 4999
+        assert _compiled.__wrapped__(rows)([1] * 5000, h) == [5000 * 5001 // 2] + [1] * 4999
 
     def test_past_the_cap_walk_matches_fraction_walk(self, monkeypatch):
         # path:200 plus a looped vertex joined to every vertex: 101 classes
-        # and 500 row entries, past a cap of 100
+        # and 400 terms, past a cap of 100, on walks that ask for compiling
         H = add_looped_dominating(tg(200, *[(i, i + 1) for i in range(199)]), 1)
         rows = _equitable_quotient(H).rows
-        assert (len(rows), sum(map(len, rows))) == (101, 500)
-        monkeypatch.setattr(homcount, "ABSORB_ENTRY_LIMIT", 100)
-        _absorber.cache_clear()
+        assert (len(rows), sum(len(set(row)) for row in rows)) == (101, 400)
+        monkeypatch.setattr(homcount, "ABSORB_TERM_LIMIT", 100)
+        monkeypatch.setattr(homcount, "ABSORB_WALK_STEPS", 0)
+        _compiled.cache_clear()
         try:
             for t in path(30), random_tree(random.Random(200), 40):
                 assert tree_hom(t, H) == fraction_partition_function(t, H, [1] * H.n)
         finally:
-            _absorber.cache_clear()
+            _compiled.cache_clear()
 
 
 class TestPartitionFunction:
