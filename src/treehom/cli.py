@@ -336,7 +336,7 @@ def _cmd_kc(args) -> int:
             tag = "" if ok else "  MISMATCH"
             print(f"move ({vl},{vr}): difference {lhs}, decomposition {rhs}{tag}")
     if not sites and not args.rows:
-        print("no legal KC move site (tree is a star)")
+        print(f"no legal KC move site (tree {'has one vertex' if T.n == 1 else 'is a star'})")
     return status
 
 

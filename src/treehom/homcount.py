@@ -5,10 +5,11 @@ partition functions.
 The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up over the order
 of `graphs._search`, A listed by the rows of an `automorphy.Quotient`.
 `tree_hom`, `tree_partition_function` and the KC decomposition (at one site,
-or at every site of a tree by `kc_decompositions`) run it over H's coarsest
-equitable quotient (rooted counts agree on its classes; activities refine
-it), `hom_count` over the paper's automorphic similarity classes
-(`class_data`). The message step A·h is `_message`; every repeated
+or at every site of a tree by `kc_decompositions`, which reads each site's
+path ends off the chain walk that lists the sites, `trees._kc_paths`) run it
+over H's coarsest equitable quotient (rooted counts agree on its classes;
+activities refine it), `hom_count` over the paper's automorphic similarity
+classes (`class_data`). The message step A·h is `_message`; every repeated
 step, from path counts to the certificate's columns, reads one iterator of
 them, `_steps`. The walk's own step, a ⊙ A·h for a parent's vector a, is
 `_message` and a product (`_absorb`) until walks over the quotient
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
-from .trees import _kc_glue, bare_path, kc_site_count, kc_sites, shape_count
+from .trees import _kc_glue, _kc_paths, bare_path, kc_site_count, shape_count
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -267,7 +268,8 @@ def kc_decompositions(T: Tree, H: TargetGraph) -> Iterator[tuple[int, int, int, 
     """(v_left, v_right, lhs, rhs) of `kc_difference_decomposition` at each
     site of `trees.kc_sites(T)` in turn, after refusing, before any site is
     listed or walked, an input whose work estimate is past KC_WORK_LIMIT
-    (SizeLimitError); the sites are counted in O(n) by `trees.kc_site_count`."""
+    (SizeLimitError): counted in O(n) (`trees.kc_site_count`), then listed
+    with their paths' ends (`trees._kc_paths`), both off one chain walk."""
     sites = kc_site_count(T)
     Q = _equitable_quotient(H)
     k, r = Q.k, sum(map(len, Q.rows))
@@ -275,7 +277,7 @@ def kc_decompositions(T: Tree, H: TargetGraph) -> Iterator[tuple[int, int, int, 
     if work > KC_WORK_LIMIT:
         raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {sites} x {T.n} x "
                              f"{k + 3} x {r + k} = {work} is past KC_WORK_LIMIT = {KC_WORK_LIMIT}")
-    yield from _kc_rows(T, H, Q, kc_sites(T))
+    yield from _kc_rows(T, H, Q, _kc_paths(T))
 
 
 def kc_difference_decomposition(T: Tree, v_left: int, v_right: int,
@@ -295,28 +297,28 @@ def kc_difference_decomposition(T: Tree, v_left: int, v_right: int,
     hom(T_KC, H), the identity's independent side, is a walk of the glued
     adjacency lists (`trees._kc_glue`), with no Tree built; ℓ and r are walks
     of T from v_left and v_right that skip the first path vertex."""
-    _, _, lhs, rhs = next(_kc_rows(T, H, _equitable_quotient(H), [(v_left, v_right)]))
+    p = bare_path(T, v_left, v_right)
+    site = v_left, v_right, p[1], p[-2], len(p)
+    _, _, lhs, rhs = next(_kc_rows(T, H, _equitable_quotient(H), [site]))
     return lhs, rhs
 
 
 def _kc_rows(T: Tree, H: TargetGraph, Q: Quotient, sites: Iterable) -> Iterator[tuple]:
-    """(v_left, v_right, lhs, rhs) at each site in turn, each validated by
-    `trees.bare_path`. Sites share work: hom(T, H) is counted once, at the
-    first site, each side once per (end, first path vertex) and each
-    path-pair table once per path length."""
+    """(v_left, v_right, lhs, rhs) at each legal site (v_left, v_right, first,
+    last, t) of `trees._kc_paths` in turn. Sites share work: hom(T, H) is
+    counted once, at the first site, each side once per (end, first path
+    vertex) and each path-pair table once per path length."""
     hom_T, sides, tables = None, {}, {}
-    for v_left, v_right in sites:
-        pth = bare_path(T, v_left, v_right)
+    for v_left, v_right, first, last, t in sites:
         if hom_T is None:
             hom_T = tree_hom(T, H)
-        lhs = tree_hom(_kc_glue(T, pth), H) - hom_T
-        t = len(pth)
+        lhs = tree_hom(_kc_glue(T, v_left, last, v_right), H) - hom_T
         if t not in tables:
             tables[t] = path_pair_counts(t, Q)
-        for end, first in (v_left, pth[1]), (v_right, pth[-2]):
-            if (end, first) not in sides:
-                sides[end, first] = _walk(T, end, Q.rows, [1] * Q.k, skip=first)
-        ell, arr, p = sides[v_left, pth[1]], sides[v_right, pth[-2]], tables[t]
+        for end, near in (v_left, first), (v_right, last):
+            if (end, near) not in sides:
+                sides[end, near] = _walk(T, end, Q.rows, [1] * Q.k, skip=near)
+        ell, arr, p = sides[v_left, first], sides[v_right, last], tables[t]
         rhs = sum((ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
                   for i, j in combinations(range(Q.k), 2))
         yield v_left, v_right, lhs, rhs

@@ -441,49 +441,49 @@ def tree_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # KC moves (generalized tree shifts)
 
-def kc_sites(T: Tree) -> list[tuple[int, int]]:
-    """Every legal KC move site (v_left, v_right) with v_left < v_right, sorted:
-    two non-leaves joined by a path whose internal vertices have degree two.
-
-    From each non-leaf, walks out along each chain of degree-2 vertices; every
-    non-leaf reached is a site, and the walk stops at the first vertex whose
-    degree is not 2.
-    """
-    sites = []
+def _runs(T: Tree) -> Iterator[list[int]]:
+    """The non-leaves of each maximal path whose internal vertices have
+    degree two and whose ends do not, in path order: each such path is walked
+    from both ends and kept from its smaller one. Two vertices are a KC site
+    exactly when they lie in one run, and the run between them is the site's
+    bare path. Two steps per vertex, so O(n) in all."""
+    deg = list(map(T.degree, T.vertices()))
     for v in T.vertices():
-        if T.degree(v) < 2:
+        if deg[v] == 2:
             continue
         for u in T.neighbors(v):
-            prev = v
-            while T.degree(u) >= 2:
-                if v < u:
-                    sites.append((v, u))
-                if T.degree(u) != 2:
-                    break
-                prev, u = u, next(w for w in T.neighbors(u) if w != prev)
+            run, prev = [v], v
+            while deg[u] == 2:
+                run.append(u)
+                nbrs = T.neighbors(u)
+                prev, u = u, nbrs[nbrs[0] == prev]
+            if v < u:
+                yield run[deg[v] == 1:] + [u] * (deg[u] > 1)
+
+
+def _kc_paths(T: Tree) -> list[tuple[int, int, int, int, int]]:
+    """(v_left, v_right, first, last, t) at every KC site, in `kc_sites`
+    order, for each pair of vertices of one of `_runs`: first the path vertex
+    after v_left, last the one before v_right, t the path's vertex count."""
+    sites = []
+    for run in _runs(T):
+        for j, b in enumerate(run):
+            for i, a in enumerate(run[:j]):
+                t = j - i + 1
+                sites.append((a, b, run[i + 1], run[j - 1], t) if a < b
+                             else (b, a, run[j - 1], run[i + 1], t))
     return sorted(sites)
 
 
+def kc_sites(T: Tree) -> list[tuple[int, int]]:
+    """Every legal KC move site (v_left, v_right) with v_left < v_right, sorted:
+    two non-leaves joined by a path whose internal vertices have degree two."""
+    return [site[:2] for site in _kc_paths(T)]
+
+
 def kc_site_count(T: Tree) -> int:
-    """len(kc_sites(T)) in O(n), with no site listed: over each maximal chain
-    of degree-2 vertices, L of them with b non-leaves among its two outside
-    neighbours, the C(L + b, 2) pairs of its L + b non-leaves, plus one site
-    for each edge that joins two vertices of degree at least 3."""
-    deg = [T.degree(v) for v in T.vertices()]
-    count, seen = 0, [False] * T.n
-    for v in T.vertices():
-        if deg[v] != 2 or seen[v]:
-            continue
-        seen[v], chain = True, 1
-        for u in T.neighbors(v):
-            prev = v
-            while deg[u] == 2:
-                seen[u], chain = True, chain + 1
-                nbrs = T.neighbors(u)
-                prev, u = u, nbrs[nbrs[0] == prev]
-            chain += deg[u] > 1
-        count += chain * (chain - 1) // 2
-    return count + sum(deg[u] > 2 and deg[w] > 2 for u, w in T.edges)
+    """len(kc_sites(T)) in O(n), with no site listed: C(len(run), 2) over `_runs`."""
+    return sum(len(run) * (len(run) - 1) // 2 for run in _runs(T))
 
 
 def bare_path(T: Tree, v_left: int, v_right: int) -> list[int]:
@@ -501,17 +501,7 @@ def bare_path(T: Tree, v_left: int, v_right: int) -> list[int]:
     for v in (v_left, v_right):
         if T.degree(v) < 2:
             raise ValueError(f"KC move endpoint {v} is a leaf")
-    # unique tree path by DFS
-    parent = {v_left: -1}
-    stack = [v_left]
-    while stack:
-        u = stack.pop()
-        if u == v_right:
-            break
-        for w in T.neighbors(u):
-            if w not in parent:
-                parent[w] = u
-                stack.append(w)
+    _, parent = _search(T.n, T.neighbors, v_left)
     pth = [v_right]
     while pth[-1] != v_left:
         pth.append(parent[pth[-1]])
@@ -529,7 +519,7 @@ def kc_move(T: Tree, v_left: int, v_right: int) -> Tree:
     neighbors of both endpoints. The moved tree keeps T's labels
     (`_kc_glue`) and is validated as any Tree is.
     """
-    moved = _kc_glue(T, bare_path(T, v_left, v_right))
+    moved = _kc_glue(T, v_left, bare_path(T, v_left, v_right)[-2], v_right)
     return Tree.from_edges(T.n, ((u, v) for u in T.vertices() for v in moved.neighbors(u) if u < v))
 
 
@@ -544,13 +534,13 @@ class _GluedTree:
         self.neighbors = adj.__getitem__
 
 
-def _kc_glue(T: Tree, pth: list[int]) -> _GluedTree:
-    """kc_move at the site whose path pth has passed bare_path. v_right's
-    neighbours off the path move to v_left, which glues the two ends; the
-    path itself, v_left's first path neighbour to v_right, is then the
-    pendant path of t - 1 vertices hanging from the glued vertex. Only the
-    lists of v_left, v_right and v_right's moved neighbours change."""
-    v_left, last, v_right = pth[0], pth[-2], pth[-1]
+def _kc_glue(T: Tree, v_left: int, last: int, v_right: int) -> _GluedTree:
+    """kc_move at the legal site (v_left, v_right), last the path vertex
+    before v_right. v_right's neighbours off the path move to v_left, which
+    glues the two ends; the path itself, v_left's first path neighbour to
+    v_right, is then the pendant path of t - 1 vertices hanging from the
+    glued vertex. Only the lists of v_left, v_right and v_right's moved
+    neighbours change."""
     adj = list(map(T.neighbors, T.vertices()))
     moved = [w for w in adj[v_right] if w != last]
     adj[v_left] += tuple(moved)
@@ -561,7 +551,8 @@ def _kc_glue(T: Tree, pth: list[int]) -> _GluedTree:
 
 
 def kc_successors(T: Tree) -> tuple[CanonicalTree, ...]:
-    """All canonical results of a single KC move; empty iff T is a star."""
+    """All canonical results of a single KC move; empty iff T is a star or
+    a single vertex."""
     by_code: dict[str, CanonicalTree] = {}
     for vl, vr in kc_sites(T):
         moved = kc_move(T, vl, vr)

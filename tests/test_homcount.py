@@ -185,7 +185,7 @@ class TestKCDecomposition:
         def refuse(*args, **kwargs):
             raise AssertionError("listed the sites before the work limit was checked")
 
-        monkeypatch.setattr(homcount, "kc_sites", refuse)
+        monkeypatch.setattr(homcount, "_kc_paths", refuse)
         with pytest.raises(SizeLimitError, match="= 4492503 x 3000 x 5 x 5 = 336937725000 is past"):
             next(kc_decompositions(path(3000), H_IND))
 

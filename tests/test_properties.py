@@ -565,11 +565,12 @@ def test_kc_sites_are_the_bare_path_sites(T):
     for u in T.vertices():
         for v in range(u + 1, T.n):
             try:
-                bare_path(T, u, v)
+                p = bare_path(T, u, v)
             except ValueError:
                 continue
-            accepted.append((u, v))
-    assert kc_sites(T) == accepted
+            accepted.append((u, v, p[1], p[-2], len(p)))
+    assert kc_sites(T) == [site[:2] for site in accepted]
+    assert trees_module._kc_paths(T) == accepted
 
 
 @PROPERTY
@@ -595,7 +596,7 @@ def test_glued_count_is_the_moved_trees_count(H, T):
     hom_T = tree_hom(T, H)
     for vl, vr in kc_sites(T):
         moved = kc_move(T, vl, vr)
-        glued = trees_module._kc_glue(T, bare_path(T, vl, vr))
+        glued = trees_module._kc_glue(T, vl, bare_path(T, vl, vr)[-2], vr)
         assert [sorted(glued.neighbors(v)) for v in T.vertices()] == [
             list(moved.neighbors(v)) for v in T.vertices()]
         lhs, _ = kc_difference_decomposition(T, vl, vr, H)

@@ -111,6 +111,10 @@ class TestKCMove:
             t = Tree.from_edges(n, prufer_decode(seq, n))
             assert kc_site_count(t) == len(kc_sites(t))
         assert kc_site_count(path(3000)) == 2998 * 2997 // 2
+        # a spider: three legs of 20 vertices from one centre, each leg's 19
+        # degree-2 vertices and the centre one run of 20 non-leaves
+        spider = Tree.from_edges(61, [(0 if i % 20 == 1 else i - 1, i) for i in range(1, 61)])
+        assert kc_site_count(spider) == len(kc_sites(spider)) == 3 * 20 * 19 // 2
 
 
 class TestBalancedBipartition:
