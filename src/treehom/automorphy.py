@@ -14,17 +14,17 @@ steps and stop at AUT_WORK_LIMIT; a vertex count is no guide to their cost.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
-from .graphs import SizeLimitError, TargetGraph, _find, disjoint_union
+from .graphs import SizeLimitError, TargetGraph, _find, _Record, disjoint_union
 
 AUT_WORK_LIMIT = 2_000_000
 ORDERING_WORK_LIMIT = 10_000_000
 
 
-class OrbitPartition(namedtuple("OrbitPartition", "graph classes class_of")):
+class OrbitPartition(_Record):
     """Automorphism orbits of a target graph, indexed by least contained vertex."""
 
     __slots__ = ()
@@ -37,7 +37,7 @@ class OrbitPartition(namedtuple("OrbitPartition", "graph classes class_of")):
         return len(self.classes)
 
 
-class SimilarityMatrix(namedtuple("SimilarityMatrix", "k m sizes ordering")):
+class SimilarityMatrix(_Record):
     """Cross-class neighbor counts m[i][j] under a chosen class ordering.
 
     ordering[p] is the original class index placed at position p; sizes[p]
@@ -88,7 +88,7 @@ def _refined_colors(H: TargetGraph, initial: tuple | None = None) -> list[int]:
     return color
 
 
-class Quotient(namedtuple("Quotient", "class_of sizes rows")):
+class Quotient(_Record):
     """An equitable partition of H, the form every count walks: each vertex's
     class in 0..k-1, the class sizes, and per class the classes of a member's
     neighbours with repeats, the same for all (Dell, Grohe & Rattan, 2018)."""

@@ -8,9 +8,10 @@ per-n verdicts up to the swept bound, never the unbounded property.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import partial, reduce
-from itertools import combinations, compress, islice, repeat
+from itertools import accumulate, combinations, compress, islice, repeat, starmap
+from math import gcd
 from operator import add, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -22,7 +23,7 @@ from .automorphy import (
     has_increasing_columns,
     similarity_matrix,
 )
-from .graphs import SizeLimitError, TargetGraph, disjoint_union
+from .graphs import SizeLimitError, TargetGraph, _Record, disjoint_union
 from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, sweep_quotient
 from .trees import _check_covered, bounded_fold, fold_products, tree_codes, tree_count
 
@@ -147,8 +148,7 @@ def is_loop_threshold(H: TargetGraph) -> Optional[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # minimizer sweeps
 
-class MinimizerReport(namedtuple("MinimizerReport", "n min_count minimizers path_is_min "
-                                                   "path_is_unique_min max_count star_is_max")):
+class MinimizerReport(_Record):
     """One order's sweep: the least and largest counts, the trees attaining
     the least, and whether the path attains it (alone) and the star the
     largest."""
@@ -163,7 +163,7 @@ class MinimizerReport(namedtuple("MinimizerReport", "n min_count minimizers path
     star_is_max: bool
 
 
-class OrderVerdict(namedtuple("OrderVerdict", "n min_count path_is_min path_is_unique_min")):
+class OrderVerdict(_Record):
     """What a path-minimality check reads from one order's sweep: the least
     count and whether the path attains it, alone or not. No tree is coded."""
 
@@ -174,7 +174,7 @@ class OrderVerdict(namedtuple("OrderVerdict", "n min_count path_is_min path_is_u
     path_is_unique_min: bool
 
 
-class StrongHLCertificate(namedtuple("StrongHLCertificate", "ordering t_max s_max witnesses")):
+class StrongHLCertificate(_Record):
     """Witness data for strict path minimality: per path length t a class
     pair (low, high) with a joint endpoint coloring and strictly ordered
     endpoint counts at every probed length s."""
@@ -186,7 +186,7 @@ class StrongHLCertificate(namedtuple("StrongHLCertificate", "ordering t_max s_ma
     witnesses: tuple[tuple[int, tuple[int, int]], ...]
 
 
-class HLVerdict(namedtuple("HLVerdict", "n_max reports matrix_certificate strong_certificate")):
+class HLVerdict(_Record):
     """Path minimality per order up to n_max, with the certificates found."""
 
     __slots__ = ()
@@ -204,59 +204,117 @@ class HLVerdict(namedtuple("HLVerdict", "n_max reports matrix_certificate strong
         return all(r.path_is_unique_min for r in self.reports if r.n >= 4)
 
 
-def _sweeps(targets: Sequence[TargetGraph],
-            n_max: int) -> Callable[[int], list[Union[int, list[int]]]]:
-    """read(n) for every order n <= n_max: per target, the hom count of every
-    tree on n vertices in `free_trees` order, or for a regular target the one
-    count every tree has, with one set of tables for every order.
-
-    A target is regular when every edge joins two vertices of one degree, a
-    loop counting 1. A tree maps into one component of H, of one degree d,
-    and there every tree on n >= 2 vertices has the same count, (its
-    vertices)·d^(n-1): root the tree anywhere; the root takes any vertex,
-    and each child's image is any of its parent image's d neighbours,
-    whatever the images above. Summed over the components, that is
-    Σ_c sizes[c]·deg(c)^(n-1), the star's count (`_star_hom`), which at
-    n = 1 is H.n. A regular target's read is that value, with no fold and
-    no list.
-
-    The other targets are counted by one product fold (`fold_products`)
-    over the coarsest equitable quotient of their `disjoint_union`, its
-    classes unweighted: a tree's class vector is the product of its parts'
-    messages (`sweep_quotient`'s step), weighted by a target's vertices in
-    each class. Each tree's class vector is a lazy `map` in C, the fold's
-    rows are transposed into class columns by `zip`, and each target sums
-    its classes' columns, scaled by multiplicity. `classify` reads its
-    balanced-bipartition trees off target 19's least count, so this is its
-    only fold."""
-    regular = [_regular(H) for H in targets]
-    rest = [H for H, r in zip(targets, regular) if not r]
-    if rest:
-        union = disjoint_union(*rest)
-        class_of = iter(_equitable_quotient(union)[0])
-        weights = [Counter(islice(class_of, H.n)).items() for H in rest]
-        sizes, step = sweep_quotient(union, n_max)
-        fold = fold_products(n_max, [1] * len(sizes), step)
-
-        def split(n: int) -> list[list[int]]:
-            cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
-            return [list(reduce(partial(map, add), (
-                cols[c] if m == 1 else map(mul, repeat(m), cols[c]) for c, m in w)))
-                for w in weights]
-
-    def read(n: int) -> list[Union[int, list[int]]]:
-        _check_covered(n, n_max)  # also where no target is folded
-        folded = iter(split(n) if rest else ())
-        return [_star_hom(H, n) if r else next(folded) for H, r in zip(targets, regular)]
-
-    return read
+def _split(H: TargetGraph) -> tuple[Counter, list[TargetGraph]]:
+    """(regular, other) over H's connected components, found by one search
+    over all of H: regular[d] the vertices of the components whose vertices
+    all have degree d (a loop counting 1), and each other component as a
+    TargetGraph on 0..k-1 in H's vertex order."""
+    regular: Counter = Counter()
+    other = []
+    seen = [False] * H.n
+    for v in H.vertices():
+        if seen[v]:
+            continue
+        seen[v] = True
+        comp = [v]
+        for u in comp:
+            for w in H.neighbors(u):
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        degrees = set(map(H.degree, comp))
+        if len(degrees) == 1:
+            regular[degrees.pop()] += len(comp)
+        else:
+            comp.sort()
+            label = {u: i for i, u in enumerate(comp)}
+            other.append(TargetGraph(len(comp), frozenset(
+                (label[u], label[w]) for u in comp for w in H.neighbors(u) if u <= w)))
+    return regular, other
 
 
 def _regular(H: TargetGraph) -> bool:
-    """Whether every edge of H joins two vertices of one degree: a class's
-    row in H's equitable quotient lists its members' neighbours' classes."""
-    rows = _equitable_quotient(H)[2]
-    return all(len(rows[y]) == len(row) for row in rows for y in row)
+    """Whether every edge of H joins two vertices of one degree: each of its
+    connected components has one degree."""
+    return not _split(H)[1]
+
+
+def _sweeps(targets: Sequence[TargetGraph],
+            n_max: int) -> Callable[[int], list[Union[int, list[int]]]]:
+    """read(n) of `_component_sweeps`."""
+    return _component_sweeps(targets, n_max)[0]
+
+
+def _component_sweeps(targets: Sequence[TargetGraph], n_max: int
+                      ) -> tuple[Callable[[int], list[Union[int, list[int]]]], Iterator[list[int]]]:
+    """(read, paths) with one set of tables for every order n <= n_max:
+    read(n) gives per target the hom count of every tree on n vertices in
+    `free_trees` order, or, when every component of the target is regular,
+    the one count every tree has; paths yields per target hom(P_n, H) for
+    n = 1, 2, ....
+
+    A tree is connected, so it maps into one component of H, and hom(T, H)
+    is the sum of its components' counts. A component is regular when its
+    vertices share one degree d, and there every tree on n vertices has the
+    count (its vertices)·d^(n-1): root the tree anywhere; the root takes any
+    vertex, and each child's image is any of its parent image's d
+    neighbours, whatever the images above (at n = 1 it is the vertex count,
+    with 0^0 = 1). Such a component costs no refinement, fold or message
+    step.
+
+    The other components of every target, each taken once (equal graphs
+    after relabelling are one), are folded together (`fold_products`) over
+    the coarsest equitable quotient of their `disjoint_union`: a tree's
+    class vector is the product of its parts' messages (`sweep_quotient`'s
+    step). A rooted count depends only on the root's class, so a target's
+    other components count every tree by the multiset of their vertices'
+    classes: the fold's rows, transposed into class columns by `zip`,
+    summed with those multiplicities, once per distinct multiset, and the
+    regular components' count added. Each class is weighted in the fold by
+    the gcd of its multiplicities, which leaves a column nothing to scale
+    where a class has one multiplicity (on the 28 small targets, every
+    class). The path counts are the same sums over the message steps from
+    the all-ones vector.
+    `classify` reads its balanced-bipartition trees off target 19's least
+    count, so this is its only fold."""
+    splits = [_split(H) for H in targets]
+    parts = list(dict.fromkeys(G for _, other in splits for G in other))
+    keys: list[tuple[tuple[int, int], ...]] = [()] * len(targets)
+    distinct: list[tuple[tuple[int, int], ...]] = []
+    steps: Iterator[list[int]] = repeat([])
+    if parts:
+        union = disjoint_union(*parts)
+        sizes, step = sweep_quotient(union, n_max)
+        class_of, _, rows = _equitable_quotient(union)
+        steps = _steps(rows, [1] * len(sizes))
+        start = dict(zip(parts, accumulate((G.n for G in parts), initial=0)))
+        keys = [tuple(sorted(Counter(class_of[start[G] + v] for G in other
+                                     for v in range(G.n)).items())) for _, other in splits]
+        distinct = list(dict.fromkeys(filter(None, keys)))
+        weights = [gcd(*(m for w in distinct for x, m in w if x == c)) for c in range(len(sizes))]
+        fold = fold_products(n_max, weights, step)
+    degrees = sorted(set().union(*(closed for closed, _ in splits)))
+    by_degree = [[closed[d] for d in degrees] for closed, _ in splits]
+
+    def regular(n: int) -> list[int]:
+        powers = [d ** (n - 1) for d in degrees]
+        return [sum(map(mul, vertices, powers)) for vertices in by_degree]
+
+    def read(n: int) -> list[Union[int, list[int]]]:
+        _check_covered(n, n_max)  # also where no target is folded
+        if distinct:
+            cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
+            column = {w: list(reduce(partial(map, add), (
+                cols[c] if m == weights[c] else map(mul, repeat(m // weights[c]), cols[c])
+                for c, m in w))) for w in distinct}
+        return [c if not w else column[w] if c == 0 else list(map(add, column[w], repeat(c)))
+                for c, w in zip(regular(n), keys)]
+
+    def path_counts(n: int, h: list[int]) -> list[int]:
+        other = {w: sum(m * h[x] for x, m in w) for w in distinct}
+        return [c + other.get(w, 0) for c, w in zip(regular(n), keys)]
+
+    return read, starmap(path_counts, enumerate(steps, 1))
 
 
 def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[..., list[tuple[int, int]]]:
@@ -396,7 +454,7 @@ LABEL_ZERO = "zero-count"
 LABEL_OTHER = "other"
 
 
-class ClassificationRow(namedtuple("ClassificationRow", "target_id min_counts labels summary")):
+class ClassificationRow(_Record):
     """One small target's least counts and minimizer labels per order, and
     the label that summarizes them."""
 
@@ -428,11 +486,11 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     _check_n_max(n_max, "classification")
     targets = list(SMALL_TARGETS.values())
     found: list[list] = [[] for _ in targets]  # per target, (verdict, labels) per order
-    paths = [islice(_path_counts(H), 1, None) for H in targets]  # from n = 2
-    sweep = _sweeps(targets, n_max)  # one set of tables
+    sweep, paths = _component_sweeps(targets, n_max)  # one set of tables
+    next(paths)  # from n = 2
     for n in range(2, n_max + 1):
         columns = dict(zip(SMALL_TARGETS, sweep(n)))
-        path_counts = dict(zip(SMALL_TARGETS, map(next, paths)))
+        path_counts = dict(zip(SMALL_TARGETS, next(paths)))
         trees = tree_count(n)
         # hom(T, P3) = 2^|X| + 2^|Y| for a tree T with sides X and Y, P3 =
         # target 19, the path a-b-c: one side sits on b, and each vertex of

@@ -1,4 +1,5 @@
-"""Target graphs (loops allowed) and trees.
+"""Target graphs (loops allowed) and trees, and the tuple base of the
+package's records.
 
 Degree convention: a loop contributes 1 to the degree of its vertex, not 2.
 This differs from the common convention and is used consistently everywhere
@@ -12,8 +13,55 @@ All graph and tree values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from operator import lt
+from operator import itemgetter, lt
 from typing import Callable, Iterable, Optional
+
+
+class _Record(tuple):
+    """A tuple of named fields, the annotated names of its subclass's body in
+    order, each read by an `itemgetter` property. It keeps what the package
+    uses of `collections.namedtuple` (`_fields`, `_make`, `_replace`,
+    `_asdict`, keyword construction, repr, pickling and copying) without
+    generating code for each class. A subclass declares `__slots__ = ()`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i), doc=f"Field {i} of the tuple."))
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if kwargs:
+            try:
+                args += tuple(map(kwargs.pop, fields[len(args):]))
+            except KeyError as missing:
+                raise TypeError(f"{cls.__name__}() missing field {missing}") from None
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected fields {sorted(kwargs)}")
+        if len(args) != len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
+        return tuple.__new__(cls, args)
+
+    @classmethod
+    def _make(cls, iterable: Iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        fields = tuple(map(changes.pop, self._fields, self))  # before changes is passed on
+        return type(self)(*fields, **changes)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
 
 class GraphParseError(ValueError):

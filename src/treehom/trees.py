@@ -24,18 +24,17 @@ Otter's counting recurrence.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graphs import SizeLimitError, Tree, _search
+from .graphs import SizeLimitError, Tree, _Record, _search
 
 TREE_LIMIT = 16
 
 
-class CanonicalTree(namedtuple("CanonicalTree", "tree code")):
+class CanonicalTree(_Record):
     """A tree and its canonical code (`canonical_code`)."""
 
     __slots__ = ()
@@ -120,7 +119,7 @@ def _tree_from_code(code: str) -> Tree:
 # ---------------------------------------------------------------------------
 # rooted shapes and the free-tree generator
 
-class _Shapes(namedtuple("_Shapes", "children size end")):
+class _Shapes(_Record):
     """The rooted-shape table `free_trees` composes, by shape ID."""
 
     __slots__ = ()
@@ -519,19 +518,24 @@ def kc_move(T: Tree, v_left: int, v_right: int) -> Tree:
     neighbors of both endpoints. The moved tree keeps T's labels
     (`_kc_glue`) and is validated as any Tree is.
     """
-    moved = _kc_glue(T, v_left, bare_path(T, v_left, v_right)[-2], v_right)
-    return Tree.from_edges(T.n, ((u, v) for u in T.vertices() for v in moved.neighbors(u) if u < v))
+    return _kc_glue(T, v_left, bare_path(T, v_left, v_right)[-2], v_right).tree()
 
 
 class _GluedTree:
     """The moved tree of one KC site as adjacency lists on T's labels,
-    unvalidated: the `n` and `neighbors` that a tree walk reads."""
+    unvalidated: the `n` and `neighbors` that a tree walk reads, and the
+    lists themselves, `adj`, that `_code` reads."""
 
-    __slots__ = ("n", "neighbors")
+    __slots__ = ("n", "adj", "neighbors")
 
     def __init__(self, adj: list[Sequence[int]]) -> None:
         self.n = len(adj)
+        self.adj = adj
         self.neighbors = adj.__getitem__
+
+    def tree(self) -> Tree:
+        """The moved tree, validated as any Tree is."""
+        return Tree.from_edges(self.n, ((u, v) for u, a in enumerate(self.adj) for v in a if u < v))
 
 
 def _kc_glue(T: Tree, v_left: int, last: int, v_right: int) -> _GluedTree:
@@ -552,12 +556,15 @@ def _kc_glue(T: Tree, v_left: int, last: int, v_right: int) -> _GluedTree:
 
 def kc_successors(T: Tree) -> tuple[CanonicalTree, ...]:
     """All canonical results of a single KC move; empty iff T is a star or
-    a single vertex."""
+    a single vertex. Each site's moved adjacency (`_kc_glue`, its path's
+    last vertex read off `_kc_paths`) is coded as it stands, and a Tree is
+    built, as `kc_move` builds it, only for the first site of each code."""
     by_code: dict[str, CanonicalTree] = {}
-    for vl, vr in kc_sites(T):
-        moved = kc_move(T, vl, vr)
-        c = canonical_code(moved)
-        by_code.setdefault(c, CanonicalTree(moved, c))
+    for vl, vr, _, last, _ in _kc_paths(T):
+        moved = _kc_glue(T, vl, last, vr)
+        c = _code(moved.adj)
+        if c not in by_code:
+            by_code[c] = CanonicalTree(moved.tree(), c)
     return tuple(by_code[c] for c in sorted(by_code))
 
 

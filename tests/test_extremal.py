@@ -15,6 +15,7 @@ from treehom import (
     canonical_code,
     check_strong_hl_certificate,
     classify_small_targets,
+    disjoint_union,
     find_increasing_ordering,
     is_isomorphic,
     is_loop_threshold,
@@ -374,12 +375,12 @@ class TestSweeps:
             sweep(make_capacity_graph(3), TREE_LIMIT + 1)
 
     def test_classify_sweeps_once_per_order(self, monkeypatch):
-        # the 10 targets that are not regular share one union fold, which
-        # builds its table once, for the largest order, and is read once per
-        # order; the balanced-bipartition flags are read off target 19's
-        # counts, so there is no second fold; the union's quotient and its
-        # message step are taken once, and the fold does not pass over the
-        # tree listing
+        # the 8 distinct components that are not regular (targets 7, 15 and
+        # 16 share one) share one union fold, which builds its table once,
+        # for the largest order, and is read once per order; the
+        # balanced-bipartition flags are read off target 19's counts, so
+        # there is no second fold; the union's quotient and its message step
+        # are taken once, and the fold does not pass over the tree listing
         quotients, tables, reads, listings = [], [], [], []
 
         def counted_products(*args):
@@ -390,7 +391,7 @@ class TestSweeps:
         monkeypatch.setattr(trees, "_table", counted(trees._table, tables))
         monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
         classify_small_targets(14)
-        assert [(H.n, n) for H, n in quotients] == [(29, 14)]  # the union of the 10 targets
+        assert [(H.n, n) for H, n in quotients] == [(23, 14)]  # the union of the 8 components
         assert len(tables) == 1
         assert reads == [(n,) for n in range(2, 15)]
         assert listings == []
@@ -398,10 +399,21 @@ class TestSweeps:
     def test_batched_sweep_is_each_targets_own_sweep(self):
         # the 28 targets share classes, some of them two or three times in
         # one target, and the lone vertices' columns are all 0 or all 1;
-        # one reader serves every order
-        targets = list(SMALL_TARGETS.values())
+        # the extra targets repeat a component, relabel one, add an isolated
+        # or a looped vertex or a regular edge to one, or join two that are
+        # not regular (P3 twice: its end class, twice in target 19, is
+        # weighted 2 in the fold and counted 4 times); one reader serves
+        # every order
+        h = SMALL_TARGETS
+        reversed20 = tg(3, (2, 2), (2, 1), (1, 0))  # target 20, relabelled
+        extra = [disjoint_union(h[20], h[20]), disjoint_union(h[20], reversed20),
+                 disjoint_union(h[19], h[19]),
+                 disjoint_union(h[19], h[1]), disjoint_union(h[21], h[2]),
+                 disjoint_union(h[6], h[7]), disjoint_union(h[7], h[26]),
+                 disjoint_union(h[24], h[2], h[19], h[1])]
+        targets = list(SMALL_TARGETS.values()) + extra
         sweep = extremal._sweeps(targets, 12)
-        for n in range(2, 13):
+        for n in range(1, 13):
             assert [every(c, n) for c in sweep(n)] == [fold_counts(H, n) for H in targets]
 
     def test_regular_targets_skip_the_fold(self, monkeypatch):

@@ -4,6 +4,7 @@ the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the
 bounded fold against the sweep's counts at most a bound, both fold readers
 against the walk of each listed tree, the quotient path count against the walk of the path, the batched sweep against one sweep per target,
+the count of a disjoint union against the sum of its parts' counts,
 the closed-form counts of regular targets against the walk over `all_trees`, colour
 refinement against refinement in rounds, the KC machinery against bare_path, its identity and
 the contraction oracle, the
@@ -273,6 +274,15 @@ def test_path_count_is_the_walk_count(H, n):
 def test_batched_sweep_gives_each_target_its_own_counts(Hs, n):
     # read at n from tables built for a larger order
     assert [every(c, n) for c in extremal._sweeps(Hs, 9)(n)] == [fold_counts(H, n) for H in Hs]
+
+
+@PROPERTY
+@given(st.lists(targets(max_n=4), min_size=1, max_size=3), trees(max_n=6))
+def test_disjoint_union_count_is_the_sum_of_its_parts(Hs, T):
+    # T is connected, so each of its colourings lies in one part: the
+    # identity hom(T, H1 ⊔ H2) = hom(T, H1) + hom(T, H2) the sweeps count
+    # components by, the union walked on its own quotient
+    assert tree_hom(T, disjoint_union(*Hs)) == sum(hom_brute_force(T, H) for H in Hs)
 
 
 @st.composite

@@ -15,6 +15,7 @@ from treehom import (
     star,
     tree_count,
 )
+from treehom import trees as trees_module
 from treehom.trees import TREE_LIMIT, kc_site_count, kc_sites
 from oracles import has_balanced_bipartition, otter_tree_count, prufer_decode, prufer_tree_count
 
@@ -90,6 +91,28 @@ class TestKCMove:
         # a single move on P_4's two middle vertices yields the star
         moved = kc_move(path(4), 1, 2)
         assert canonical_code(moved) == canonical_code(star(4))
+
+    def test_successors_glue_each_site_without_bare_path(self, monkeypatch):
+        # the same trees, on the same labels, as a kc_move per site (a
+        # bare_path search and a validated Tree each), on every tree with up
+        # to 9 vertices, as all_trees labels it and relabelled
+        def by_moves(t):
+            found = {}
+            for vl, vr in kc_sites(t):
+                moved = kc_move(t, vl, vr)
+                found.setdefault(canonical_code(moved), moved)
+            return tuple((found[c], c) for c in sorted(found))
+
+        rng = random.Random(9)
+        cases = [t for n in range(1, 10) for ct in all_trees(n)
+                 for t in (ct.tree, relabel(ct.tree, rng.sample(range(n), n)))]
+        want = [by_moves(t) for t in cases]
+
+        def refuse(*args):
+            raise AssertionError("kc_successors called bare_path")
+
+        monkeypatch.setattr(trees_module, "bare_path", refuse)
+        assert [kc_successors(t) for t in cases] == want
 
     def test_star_has_no_successors(self):
         assert kc_successors(star(6)) == ()
