@@ -49,7 +49,6 @@ from .homcount import (
     tree_partition_function,
 )
 from .extremal import (
-    H_IND,
     HLVerdict,
     MinimizerReport,
     SMALL_TARGETS,

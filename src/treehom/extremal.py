@@ -23,7 +23,7 @@ from .automorphy import (
     has_increasing_columns,
     similarity_matrix,
 )
-from .graphs import SizeLimitError, TargetGraph, _Record, disjoint_union
+from .graphs import SizeLimitError, TargetGraph, _Record, _search, disjoint_union
 from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, sweep_quotient
 from .trees import _check_covered, bounded_fold, fold_products, tree_codes, tree_count
 
@@ -67,10 +67,6 @@ SMALL_TARGETS: dict[int, TargetGraph] = {
     27: _tg(3, (0, 0), (0, 1), (0, 2), (1, 1), (1, 2)),
     28: _tg(3, (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
 }
-
-#: One looped vertex joined to an unlooped vertex; colorings of G by this
-#: target are exactly the independent sets of G.
-H_IND = SMALL_TARGETS[7]
 
 
 # ---------------------------------------------------------------------------
@@ -205,44 +201,27 @@ class HLVerdict(_Record):
 
 
 def _split(H: TargetGraph) -> tuple[Counter, list[TargetGraph]]:
-    """(regular, other) over H's connected components, found by one search
-    over all of H: regular[d] the vertices of the components whose vertices
-    all have degree d (a loop counting 1), and each other component as a
-    TargetGraph on 0..k-1 in H's vertex order."""
+    """(regular, other) over H's connected components, each found by one
+    breadth-first search (`graphs._search`) from its least vertex:
+    regular[d] the vertices of the components whose vertices all have
+    degree d (a loop counting 1), and each other component as a TargetGraph
+    on 0..k-1 in H's vertex order."""
     regular: Counter = Counter()
     other = []
-    seen = [False] * H.n
+    seen: set[int] = set()
     for v in H.vertices():
-        if seen[v]:
+        if v in seen:
             continue
-        seen[v] = True
-        comp = [v]
-        for u in comp:
-            for w in H.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
+        comp = sorted(_search(H.n, H.neighbors, v)[0])
+        seen.update(comp)
         degrees = set(map(H.degree, comp))
         if len(degrees) == 1:
             regular[degrees.pop()] += len(comp)
         else:
-            comp.sort()
             label = {u: i for i, u in enumerate(comp)}
             other.append(TargetGraph(len(comp), frozenset(
                 (label[u], label[w]) for u in comp for w in H.neighbors(u) if u <= w)))
     return regular, other
-
-
-def _regular(H: TargetGraph) -> bool:
-    """Whether every edge of H joins two vertices of one degree: each of its
-    connected components has one degree."""
-    return not _split(H)[1]
-
-
-def _sweeps(targets: Sequence[TargetGraph],
-            n_max: int) -> Callable[[int], list[Union[int, list[int]]]]:
-    """read(n) of `_component_sweeps`."""
-    return _component_sweeps(targets, n_max)[0]
 
 
 def _component_sweeps(targets: Sequence[TargetGraph], n_max: int

@@ -20,9 +20,9 @@ from typing import Callable, Iterable, Optional
 class _Record(tuple):
     """A tuple of named fields, the annotated names of its subclass's body in
     order, each read by an `itemgetter` property. It keeps what the package
-    uses of `collections.namedtuple` (`_fields`, `_make`, `_replace`,
-    `_asdict`, keyword construction, repr, pickling and copying) without
-    generating code for each class. A subclass declares `__slots__ = ()`."""
+    uses of `collections.namedtuple` (`_fields`, `_replace`, `_asdict`,
+    keyword construction, repr, pickling and copying) without generating
+    code for each class. A subclass declares `__slots__ = ()`."""
 
     __slots__ = ()
     _fields = ()
@@ -45,10 +45,6 @@ class _Record(tuple):
         if len(args) != len(fields):
             raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
         return tuple.__new__(cls, args)
-
-    @classmethod
-    def _make(cls, iterable: Iterable):
-        return cls(*iterable)
 
     def _replace(self, **changes):
         fields = tuple(map(changes.pop, self._fields, self))  # before changes is passed on

@@ -17,7 +17,8 @@ tabulated, one table for every order of a sweep, whose first rows are the
 rooted shapes' own vectors. It has two readers: `fold_products` reads every vector, and
 `bounded_fold` only the vectors' sums at most a bound, or above it, the walk
 skipping every part of the fold whose lower (upper) bound is past it.
-`all_trees` materializes the enumeration and `tree_count` counts it unlisted;
+`all_trees` materializes the enumeration and `tree_count` reads its size off
+one table of tree counts (`_counts`), which also places the fold's blocks;
 the tests cross-check both against a Prufer-sequence dedup oracle and
 Otter's counting recurrence.
 """
@@ -163,6 +164,19 @@ def _shapes() -> _Shapes:
     return t
 
 
+@lru_cache(maxsize=None)
+def _counts() -> list[list[int]]:
+    """num[r][b], r < TREE_LIMIT: the number of non-increasing sequences of
+    shape IDs below b whose vertex counts sum to r, by a knapsack over the
+    IDs, num[r][b + 1] = num[r][b] + num[r - size(b)][b + 1]. The trees that
+    complete a fold node, and so every tree count, are read off it."""
+    num = [[1]] + [[0] for _ in range(TREE_LIMIT - 1)]
+    for s in _shapes().size:
+        for r, row in enumerate(num):
+            row.append(row[-1] + (num[r - s][-1] if r >= s else 0))
+    return num
+
+
 def _check_order(n: int) -> None:
     if not 1 <= n <= TREE_LIMIT:
         raise SizeLimitError(f"tree enumeration limited to 1..{TREE_LIMIT}, got n={n}")
@@ -196,29 +210,26 @@ def free_trees(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _table(n_max: int, k: int, step: Callable[[list[int]], list[int]]
-           ) -> tuple[_Shapes, int, list[tuple[list[list[int]], list[int]]], list[list[int]]]:
+           ) -> tuple[_Shapes, int, list[list[list[int]]], list[list[int]]]:
     """(shapes, most, tails, msg) of a fold up to n_max on k classes, most =
     min(n_max - 1, _TAIL). For r up to most and every r below n_max // 2,
-    tails[r] = (prods, first): prods lists Π msg[c_i] over every non-increasing
-    sequence of IDs below end[(n_max - 1) // 2] whose vertex counts sum to r,
-    in `free_trees` order, those with IDs below b from first[b] on (b clipped
-    to len(first) - 1). For r < n_max // 2 all IDs that fit are below that
-    bound, so prods are the (r + 1)-vertex shapes' vectors h_s = Π msg[c]
-    over s's children, in ID order, and msg[s] = step(h_s)."""
+    tails[r] lists Π msg[c_i] over every non-increasing sequence of IDs
+    below end[(n_max - 1) // 2] whose vertex counts sum to r, in
+    `free_trees` order, largest IDs first, so those with IDs below b are its
+    last num[r][b] (`_counts`). For r < n_max // 2 all IDs that fit are
+    below that bound, so tails[r] are the (r + 1)-vertex shapes' vectors
+    h_s = Π msg[c] over s's children, in ID order, and msg[s] = step(h_s)."""
     _check_order(n_max)
-    t = _shapes()
+    t, num = _shapes(), _counts()
     most, top = min(n_max - 1, _TAIL), t.end[(n_max - 1) // 2]
-    tails: list[tuple[list[list[int]], list[int]]] = []
+    tails: list[list[list[int]]] = []
     msg: list[list[int]] = []
     for r in range(max(most, n_max // 2 - 1) + 1):
-        fits = _fits(t, r, top)
-        prods, first = ([[1] * k] if r == 0 else []), [0] * (fits + 1)
-        for c in range(fits - 1, -1, -1):
-            sub, at = tails[r - t.size[c]]
-            m = msg[c]
-            prods.extend([list(map(mul, m, p)) for p in sub[at[min(c + 1, len(at) - 1)]:]])
-            first[c] = len(prods)
-        tails.append((prods, first))
+        prods = [[1] * k] if r == 0 else []
+        for c in range(_fits(t, r, top) - 1, -1, -1):
+            rest, m = r - t.size[c], msg[c]
+            prods.extend([list(map(mul, m, p)) for p in tails[rest][-num[rest][c + 1]:]])
+        tails.append(prods)
         if r < n_max // 2:
             msg.extend(map(step, prods))
     return t, most, tails, msg
@@ -270,24 +281,23 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
     those products, so a count between x · low(r, b) and x · high(r, b). A
     node whose lower bound is past `bound` (with above, whose upper bound is
     at most it) is skipped whole, its position advanced by the number of its
-    completions, num(r, b). A completion with IDs below b either has none
-    equal to b - 1, or is msg[b - 1] times a completion of r - size(b - 1)
-    vertices with IDs below b. The least and the largest over a union are
-    those of its parts, and ⊙ msg[b - 1] >= 0 keeps both:
+    completions, num[r][b] (`_counts`). A completion with IDs below b either
+    has none equal to b - 1, or is msg[b - 1] times a completion of
+    r - size(b - 1) vertices with IDs below b. The least and the largest
+    over a union are those of its parts, and ⊙ msg[b - 1] >= 0 keeps both:
 
         low(r, b) = min(low(r, b - 1), msg[b - 1] ⊙ low(r - size(b - 1), b))
-        num(r, b) = num(r, b - 1) + num(r - size(b - 1), b)
 
     high alike with max, low(0, b) = high(0, b) = 1 (the empty completion),
     and nothing at b = 0 for r > 0; ID 0 fits in any r, so every node with
     b >= 1 has completions. A row is grown only as far as a visited node's
     b asks, one entry from the one before, and only for the r that nodes
-    reach. For r <= _TAIL the completions are the `_table` block
-    prods[first[b]:], so low and high are its suffix minima and maxima. A
-    shorter suffix has a larger minimum and a smaller maximum, so as j
-    grows x · (suffix minimum at j) never falls, x · (suffix maximum at j)
-    never rises, and a bisection ends the block at the first entry whose
-    bound is past `bound`. The halves (a, b) count roots[a] · msg[b],
+    reach. For r <= _TAIL the completions are the last num[r][b] entries of
+    the `_table` block tails[r], so low and high are its suffix minima and
+    maxima. A shorter suffix has a larger minimum and a smaller maximum, so
+    as j grows x · (suffix minimum at j) never falls, x · (suffix maximum
+    at j) never rises, and a bisection ends the block at the first entry
+    whose bound is past `bound`. The halves (a, b) count roots[a] · msg[b],
     between min(roots[lo..b]) · msg[b] and max(roots[lo..b]) · msg[b], a
     running minimum and maximum over b.
 
@@ -297,26 +307,23 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
     for n_max and shared by every order's walk.
     """
     t, most, tails, msg = _table(n_max, len(weights), step)
+    num = _counts()
 
     def side(pick: Callable[[int, int], int]):
         """(pick, ends, edge), pick min for low and max for high: ends(r) the
-        suffix picks of tails[r], edge(r, b) (low or high, num), None if num = 0."""
-        ends = lru_cache(maxsize=None)(lambda r: _suffix(pick, tails[r][0]))
-        rows: dict[int, list[tuple[Optional[list[int]], int]]] = {}
+        suffix picks of tails[r], edge(r, b) low or high, None if num[r][b] = 0."""
+        ends = lru_cache(maxsize=None)(lambda r: _suffix(pick, tails[r]))
+        rows: dict[int, list[Optional[list[int]]]] = {}
 
-        def edge(r: int, b: int) -> tuple[Optional[list[int]], int]:
+        def edge(r: int, b: int) -> Optional[list[int]]:
             if r <= most:
-                prods, first = tails[r]
-                at = first[min(b, len(first) - 1)]
-                return (ends(r)[at] if at < len(prods) else None), len(prods) - at
-            row = rows.setdefault(r, [(None, 0)])
+                return ends(r)[-num[r][b]] if num[r][b] else None
+            row = rows.setdefault(r, [None])
             b = _fits(t, r, b)
             while len(row) <= b:
                 c = len(row) - 1
-                before, num = row[c]
-                sub, more = edge(r - t.size[c], c + 1)
-                term = list(map(mul, msg[c], sub))
-                row.append((term if before is None else list(map(pick, before, term)), num + more))
+                term = list(map(mul, msg[c], edge(r - t.size[c], c + 1)))
+                row.append(term if row[c] is None else list(map(pick, row[c], term)))
             return row[b]
 
         return pick, ends, edge
@@ -335,22 +342,22 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
         while todo:
             r, b, x = todo.pop()
             if bound is not None:
-                extreme, num = edge(r, b)
+                extreme = edge(r, b)
                 if extreme is None or past(_dot(x, extreme)):
-                    at += num
+                    at += num[r][b]
                     continue
             if r <= most:
-                prods, first = tails[r]
-                start = first[min(b, len(first) - 1)]
+                prods = tails[r]
+                start = len(prods) - num[r][b]
                 stop = len(prods) if bound is None else bisect_left(
                     ends(r), True, start, len(prods), key=lambda p: past(_dot(x, p)))
                 yield at, map(map, repeat(mul), repeat(x), prods[start:stop])
-                at += len(prods) - start
+                at += num[r][b]
             else:  # pushed smallest ID first, so the largest is folded first
                 todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
                             for c in range(_fits(t, r, b)))
         if n % 2 == 0:  # roots[j] = weights ⊙ h_a for the half a = end[n/2 - 1] + j
-            roots = [list(map(mul, weights, h)) for h in tails[n // 2 - 1][0]]
+            roots = [list(map(mul, weights, h)) for h in tails[n // 2 - 1]]
             extreme = roots[0]
             for j, (root, m) in enumerate(zip(roots, msg[t.end[n // 2 - 1]:]), 1):
                 if bound is not None:
@@ -423,18 +430,14 @@ def all_trees(n: int) -> tuple[CanonicalTree, ...]:
 
 
 def tree_count(n: int) -> int:
-    """The number of trees `free_trees(n)` lists, counted from the shape
-    table without listing them: the multisets of shape IDs below its bound
-    whose vertex counts sum to n - 1 (a knapsack count over the IDs), plus,
-    for even n, the pairs a <= b of n/2-vertex shapes."""
+    """The number of trees `free_trees(n)` lists, read off the count table
+    without listing them: num[n - 1][b] (`_counts`), the multisets of shape
+    IDs below its bound b whose vertex counts sum to n - 1, plus, for even
+    n, the pairs a <= b of n/2-vertex shapes."""
     _check_order(n)
     t = _shapes()
-    ways = [1] + [0] * (n - 1)  # ways[r]: multisets of the IDs so far on r vertices
-    for c in range(t.end[(n - 1) // 2]):
-        for r in range(t.size[c], n):
-            ways[r] += ways[r - t.size[c]]
     halves = t.end[n // 2] - t.end[n // 2 - 1] if n % 2 == 0 else 0
-    return ways[n - 1] + halves * (halves + 1) // 2
+    return _counts()[n - 1][t.end[(n - 1) // 2]] + halves * (halves + 1) // 2
 
 
 # ---------------------------------------------------------------------------

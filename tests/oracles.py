@@ -306,5 +306,6 @@ def fold_counts(H: TargetGraph, n: int) -> list[int]:
 
 
 def every(read, n: int) -> list[int]:
-    """A `_sweeps` read of one target at order n as every tree's count."""
+    """One target's entry of a `_component_sweeps` read at order n as every
+    tree's count."""
     return [read] * tree_count(n) if isinstance(read, int) else read

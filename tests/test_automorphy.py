@@ -63,6 +63,9 @@ class TestAutomorphisms:
         with pytest.raises(SizeLimitError):
             automorphisms(tg(13))
 
+    def test_zero_vertex_target_has_the_empty_map(self):
+        assert automorphisms(tg(0)) == [()]
+
 
 class TestIsomorphism:
     def test_refinement_blind_pair(self):

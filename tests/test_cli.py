@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dense_regular_21, path_partition_function
 import treehom
-from treehom import automorphy, cli, homcount, trees
+from treehom import automorphy, cli, extremal, homcount, trees
 from treehom import (
     Tree, canonical_code, format_graph, is_isomorphic, is_loop_threshold, kc_sites, parse_graph,
     path,
@@ -266,6 +266,98 @@ class TestSubcommands:
         monkeypatch.setattr(automorphy, "ORDERING_WORK_LIMIT", 5)
         status, out, err = run(capsys, "matrix", "--target", "capacity:20", "--rows")
         assert status == 2 and out == "" and "limited to 5 steps" in err
+
+
+CLASSIFY_4_PLAIN = """\
+target  class                         min counts (n=2..4)
+     1  zero-count                    0, 0, 0
+     2  all-trees                     1, 1, 1
+     3  zero-count                    0, 0, 0
+     4  all-trees                     1, 1, 1
+     5  all-trees                     2, 2, 2
+     6  all-trees                     2, 2, 2
+     7  paths                         3, 5, 8
+     8  all-trees                     4, 8, 16
+     9  zero-count                    0, 0, 0
+    10  all-trees                     1, 1, 1
+    11  all-trees                     2, 2, 2
+    12  all-trees                     3, 3, 3
+    13  all-trees                     2, 2, 2
+    14  all-trees                     3, 3, 3
+    15  paths                         3, 5, 8
+    16  paths                         4, 6, 9
+    17  all-trees                     4, 8, 16
+    18  all-trees                     5, 9, 17
+    19  paths                         4, 6, 8
+    20  paths                         5, 9, 16
+    21  paths                         5, 11, 21
+    22  paths                         6, 14, 31
+    23  all-trees                     6, 12, 24
+    24  paths                         7, 17, 41
+    25  all-trees                     6, 12, 24
+    26  paths                         7, 17, 41
+    27  paths                         8, 22, 60
+    28  all-trees                     9, 27, 81
+"""
+
+
+class TestPinnedOutput:
+    """Stdout and exit status of the output forms no other test reads."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (("orbits", "--target", "h19"),
+         "2 similarity classes\n"
+         "  class 0: size 2, vertices [0, 2]\n"
+         "  class 1: size 1, vertices [1]\n"),
+        (("matrix", "--target", "h19", "--rows"),
+         "sizes\t2,1\nrow\t0,1\nrow\t2,0\nverdict\tno-increasing-ordering\n"),
+        (("trees", "-n", "4"),
+         "((())())  edges [(0, 1), (0, 3), (1, 2)]\n"
+         "(()()())  edges [(0, 1), (0, 2), (0, 3)]\n"),
+        (("minimize", "--target", "capacity:3", "-n", "6"),
+         "n=6: min 707, max 1300\n"
+         "path minimal: True (unique: True); star maximal: True\n"
+         "1 minimizing tree class(es):\n"
+         "  (((()))(()))\n"),
+        # the path is among target 19's minimizers, but no ordering passes
+        (("check-hl", "--target", "h19", "--n-max", "5"),
+         "n=2: path minimal: True (unique), min 4\n"
+         "n=3: path minimal: True (unique), min 6\n"
+         "n=4: path minimal: True (unique), min 8\n"
+         "n=5: path minimal: True, min 12\n"
+         "increasing-columns certificate: none\n"
+         "verdict: path-minimal up to n=5: True\n"),
+        (("classify", "--n-max", "4"), CLASSIFY_4_PLAIN),
+        (("kc", "--tree", "path:5", "--target", "hind"),
+         "move (1,2): difference 1, decomposition 1\n"
+         "move (1,3): difference 1, decomposition 1\n"
+         "move (2,3): difference 1, decomposition 1\n"),
+    ])
+    def test_plain_output(self, capsys, argv, want):
+        assert run(capsys, *argv) == (0, want, "")
+
+    @pytest.mark.parametrize("rows, want", [
+        (False, "violation at n=2: tree (()) has 11 > star's 10\n"),
+        (True, "sidorenko\tviolated\t2\t(())\t11\t10\n"),
+    ])
+    def test_sidorenko_violation(self, capsys, monkeypatch, rows, want):
+        # a fold that keeps its first tree one above every bound
+        def fold(H, n_max):
+            return lambda n, bound, above=False: [(0, bound + 1)] if above else []
+
+        monkeypatch.setattr(extremal, "_bounded_fold", fold)
+        argv = ("sidorenko", "--target", "capacity:3", "--n-max", "5") + ("--rows",) * rows
+        assert run(capsys, *argv) == (1, want, "")
+
+    def test_kc_mismatch(self, capsys, monkeypatch):
+        # path counts doubled, so every site's decomposition is twice its difference
+        table = homcount.path_pair_counts
+        monkeypatch.setattr(homcount, "path_pair_counts",
+                            lambda t, Q: {k: 2 * v for k, v in table(t, Q).items()})
+        assert run(capsys, "kc", "--tree", "path:5", "--target", "hind") == (1, (
+            "move (1,2): difference 1, decomposition 2  MISMATCH\n"
+            "move (1,3): difference 1, decomposition 2  MISMATCH\n"
+            "move (2,3): difference 1, decomposition 2  MISMATCH\n"), "")
 
 
 class TestOrbitSearchOnce:

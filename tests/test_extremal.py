@@ -241,7 +241,7 @@ class TestHLVerdicts:
         def refuse(*args):
             raise AssertionError("check-hl listed every tree's count")
 
-        monkeypatch.setattr(extremal, "_sweeps", refuse)
+        monkeypatch.setattr(extremal, "_component_sweeps", refuse)
         assert [list(verify_hoffman_london(H, 12).reports) for H in targets] == want
 
     def test_minimize_and_sidorenko_build_no_count_list(self, monkeypatch):
@@ -265,7 +265,7 @@ class TestHLVerdicts:
         def refuse(*args):
             raise AssertionError("a one-target read listed every tree's count")
 
-        for name in ("_sweeps", "fold_products"):
+        for name in ("_component_sweeps", "fold_products"):
             monkeypatch.setattr(extremal, name, refuse)
         assert [[minimizers(H, n) for n in range(2, 13)] for H in targets] == want
         assert [sidorenko_check(H, 12) for H in targets] == [(True, None)] * len(targets)
@@ -412,7 +412,7 @@ class TestSweeps:
                  disjoint_union(h[6], h[7]), disjoint_union(h[7], h[26]),
                  disjoint_union(h[24], h[2], h[19], h[1])]
         targets = list(SMALL_TARGETS.values()) + extra
-        sweep = extremal._sweeps(targets, 12)
+        sweep = extremal._component_sweeps(targets, 12)[0]
         for n in range(1, 13):
             assert [every(c, n) for c in sweep(n)] == [fold_counts(H, n) for H in targets]
 
@@ -421,7 +421,7 @@ class TestSweeps:
         # closed form, one reader for every order, and the other 10 by one
         # fold (test_classify_sweeps_once_per_order); a regular target's read
         # is its one count, with no list of it per tree
-        regular = [H for H in SMALL_TARGETS.values() if extremal._regular(H)]
+        regular = [H for H in SMALL_TARGETS.values() if not extremal._split(H)[1]]
         assert len(regular) == 18
         want = [[[tree_hom(ct.tree, H) for ct in all_trees(n)] for H in regular]
                 for n in range(1, 10)]
@@ -430,7 +430,7 @@ class TestSweeps:
             raise AssertionError("a regular target was folded")
 
         monkeypatch.setattr(extremal, "fold_products", refuse)
-        sweep = extremal._sweeps(regular, 9)
+        sweep = extremal._component_sweeps(regular, 9)[0]
         reads = [sweep(n) for n in range(1, 10)]
         assert all(type(c) is int for read in reads for c in read)
         assert [[every(c, n) for c in read] for n, read in enumerate(reads, 1)] == want
@@ -438,7 +438,7 @@ class TestSweeps:
     def test_sweep_refuses_an_order_past_its_tables(self):
         for H in SMALL_TARGETS[7], SMALL_TARGETS[6]:  # folded, closed form
             with pytest.raises(ValueError, match="n <= 8"):
-                extremal._sweeps([H], 8)(9)
+                extremal._component_sweeps([H], 8)[0](9)
 
     def test_sidorenko_builds_one_set_of_tables(self, monkeypatch):
         # one quotient step and one table for every order
@@ -458,7 +458,7 @@ def _small_target_read(n):
 
 @cache
 def _small_target_sweep():
-    return extremal._sweeps(list(SMALL_TARGETS.values()), TREE_LIMIT)
+    return extremal._component_sweeps(list(SMALL_TARGETS.values()), TREE_LIMIT)[0]
 
 
 @pytest.mark.parametrize("n", range(1, TREE_LIMIT + 1))

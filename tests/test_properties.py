@@ -25,7 +25,6 @@ from oracles import (
     strict_witness_pairs,
 )
 from treehom import (
-    H_IND,
     SMALL_TARGETS,
     MinimizerReport,
     StrongHLCertificate,
@@ -178,7 +177,7 @@ POSITION_TARGET = TargetGraph.from_edges(4, [(0, 0), (0, 1), (2, 2)])
 def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
     # whether the fold takes a tree's last children from a table or not
     monkeypatch.setattr(trees_module, "_TAIL", tail)
-    sweep = extremal._sweeps([POSITION_TARGET], n_max)  # one table for every order
+    sweep = extremal._component_sweeps([POSITION_TARGET], n_max)[0]  # one table for every order
     for n in range(1, n_max + 1):
         want = [tree_hom(tree_at(parts), POSITION_TARGET) for parts in free_trees(n)]
         assert fold_counts(POSITION_TARGET, n) == want
@@ -273,7 +272,8 @@ def test_path_count_is_the_walk_count(H, n):
 @given(st.lists(targets(), min_size=1, max_size=4), st.integers(1, 9))
 def test_batched_sweep_gives_each_target_its_own_counts(Hs, n):
     # read at n from tables built for a larger order
-    assert [every(c, n) for c in extremal._sweeps(Hs, 9)(n)] == [fold_counts(H, n) for H in Hs]
+    read = extremal._component_sweeps(Hs, 9)[0]
+    assert [every(c, n) for c in read(n)] == [fold_counts(H, n) for H in Hs]
 
 
 @PROPERTY
@@ -320,14 +320,14 @@ def regular_targets(draw, max_n=7):
 @example(SMALL_TARGETS[18], 7)  # a looped edge and a looped vertex: degrees 2 and 1
 def test_regular_targets_are_counted_without_the_fold(H, n):
     assert all(H.degree(u) == H.degree(v) for u in H.vertices() for v in H.neighbors(u))
-    assert extremal._regular(H)
+    assert not extremal._split(H)[1]
 
     def refuse(*args):
         raise AssertionError("a regular target was folded")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extremal, "fold_products", refuse)
-        counts = every(extremal._sweeps([H], n)(n)[0], n)
+        counts = every(extremal._component_sweeps([H], n)[0](n)[0], n)
     assert counts == [tree_hom(ct.tree, H) for ct in all_trees(n)]
     # every tree has the same class vector, so the bounds are exact and the
     # bounded walk at the common count yields no block on either side
@@ -508,7 +508,7 @@ def _as_certificate(want, ordering, t_max, s_max):
 
 @PROPERTY
 @given(targets(max_n=6), st.integers(2, 7), st.integers(2, 7))
-@example(H_IND, 7, 7)
+@example(SMALL_TARGETS[7], 7, 7)
 @example(SMALL_TARGETS[28], 3, 3)
 @example(SMALL_TARGETS[15], 7, 7)  # witness (1, 2) at every length: a second column
 def test_strict_certificate_agrees_with_adjacency_powers(H, t_max, s_max):

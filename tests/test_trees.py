@@ -52,6 +52,25 @@ class TestEnumeration:
         for n in range(1, TREE_LIMIT + 1):
             assert tree_count(n) == otter_tree_count(n)
 
+    def test_count_table_against_a_listing(self):
+        # num[r][b] against the sequences it counts, listed: every bound b
+        # for r <= 10, and the root bound of every order
+        t, num = trees_module._shapes(), trees_module._counts()
+        for r in range(11):
+            assert num[r] == [sum(1 for _ in trees_module._multisets(t, r, b))
+                              for b in range(len(t.size) + 1)]
+        for n in range(1, TREE_LIMIT + 1):
+            b = t.end[(n - 1) // 2]
+            assert num[n - 1][b] == sum(1 for _ in trees_module._multisets(t, n - 1, b))
+
+    def test_counts_match_recurrence_unlisted(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tree_count listed the trees")
+
+        monkeypatch.setattr(trees_module, "free_trees", refuse)
+        for n in range(1, TREE_LIMIT + 1):
+            assert tree_count(n) == otter_tree_count(n)
+
     def test_limit_enforced(self):
         with pytest.raises(SizeLimitError):
             all_trees(TREE_LIMIT + 1)
