@@ -43,7 +43,6 @@ from .homcount import (
     hom_vector,
     kc_decompositions,
     kc_difference_decomposition,
-    partition_function,
     path_pair_counts,
     tree_hom,
     tree_partition_function,

@@ -432,11 +432,11 @@ def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     form read here: an exact subcommand name first; then exact option strings
     of that subcommand, each at most once, each value present and not
     starting with "-", every int value one that int() reads, and every
-    required option there; and one unbroken run of positionals, as many as
-    the subcommand takes; and no option the subcommand would ignore
-    (`_ignored_option`). So -h, --help, --, --opt=value, an abbreviated
-    option and every usage error are left to argparse, which prints their
-    help or message exactly as before."""
+    required option there; and as many positionals as the subcommand takes
+    (only `family` takes any, and it takes no option); and no option the
+    subcommand would ignore (`_ignored_option`). So -h, --help, --,
+    --opt=value, an abbreviated option and every usage error are left to
+    argparse, which prints their help or message exactly as before."""
     entry = _COMMANDS.get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -444,15 +444,12 @@ def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     options = {a[0]: a for a in arguments if a[2] not in _POSITIONAL}
     got: dict = {}
     free: list[str] = []  # the positionals' values
-    run_end = 0  # the index just past the positional run
     i = 1
     while i < len(argv):
         arg = argv[i]
         if not arg.startswith("-"):
-            if free and run_end != i:
-                return None  # a second run of positionals
             free.append(arg)
-            i = run_end = i + 1
+            i += 1
             continue
         a = options.get(arg)
         if a is None or a[1] in got:

@@ -1,6 +1,6 @@
-"""Exact H-coloring counts: one tree walk with three entry points, brute
-force, path-pair tables, the KC difference decomposition, and weighted
-partition functions.
+"""Exact H-coloring counts of trees: one tree walk with three entry points,
+brute force, path-pair tables, the KC difference decomposition, weighted
+partition functions and the blow-up identity, each taking a `Tree`.
 
 The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up over the order
 of `graphs._search`, A listed by the rows of an `automorphy.Quotient`.
@@ -18,8 +18,8 @@ on one generated straight-line function per quotient (`_compiled`, cached)
 of at most ABSORB_TERM_LIMIT terms.
 `sweep_quotient` gives a sweep H's class sizes and message step, from which
 the tree generator's fold composes every tree's count out of shared subtree
-vectors instead of walking each tree. Brute-force enumeration of vertex maps
-is kept apart from the walk as the independent oracle.
+vectors instead of walking each tree. Brute-force enumeration of a tree's
+vertex maps is kept apart from the walk as the independent oracle.
 
 All counting is in arbitrary-precision integers (counts grow like d^n).
 Weighted counts are integer numerators over one common denominator D^n (D the
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations, islice, product
-from math import lcm, prod
+from math import lcm
 from operator import index, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -66,18 +66,6 @@ ABSORB_WALK_STEPS = 256
 #: Cap on the terms (distinct row entries) of a compiled walk step: compiling
 #: holds about 2.6 KB per term at its peak, some 42 MB at the cap.
 ABSORB_TERM_LIMIT = 16_384
-
-# a loopless graph for brute-force / partition-function inputs: either a Tree
-# or a bare (n, edges) pair
-LooplessGraph = Union[Tree, tuple[int, Sequence[tuple[int, int]]]]
-
-
-def _as_graph(G: LooplessGraph) -> tuple[int, list[tuple[int, int]]]:
-    if isinstance(G, Tree):
-        return G.n, list(G.edges)
-    n, edges = G
-    return n, list(edges)
-
 
 # ---------------------------------------------------------------------------
 # the tree walk
@@ -224,21 +212,13 @@ def _star_hom(H: TargetGraph, n: int) -> int:
 # ---------------------------------------------------------------------------
 # brute force oracle
 
-def _colorings(G: LooplessGraph, H: TargetGraph, budget: int):
-    """Every vertex map of G into H that sends edges to edges, in
-    lexicographic order, after checking the number of maps against budget."""
-    n, edges = _as_graph(G)
-    if H.n ** n > budget:
-        raise SizeLimitError(f"brute force needs {H.n}^{n} maps, budget is {budget}")
-    for f in product(range(H.n), repeat=n):
-        if all(H.has_edge(f[u], f[v]) for u, v in edges):
-            yield f
-
-
-def hom_brute_force(G: LooplessGraph, H: TargetGraph,
-                    budget: int = BRUTE_FORCE_BUDGET) -> int:
-    """Count H-colorings by enumerating every vertex map and checking edges."""
-    return sum(1 for _ in _colorings(G, H, budget))
+def hom_brute_force(T: Tree, H: TargetGraph, budget: int = BRUTE_FORCE_BUDGET) -> int:
+    """Count the H-colorings of the tree T by enumerating every vertex map
+    and checking its edges, after checking the number of maps against budget."""
+    if H.n ** T.n > budget:
+        raise SizeLimitError(f"brute force needs {H.n}^{T.n} maps, budget is {budget}")
+    return sum(1 for f in product(range(H.n), repeat=T.n)
+               if all(H.has_edge(f[u], f[v]) for u, v in T.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -350,60 +330,31 @@ def activities(values: Union[str, Iterable[Union[int, str, Fraction]]]) -> Activ
     return out
 
 
-def _over_common_denominator(n: int, H: TargetGraph, lam: ActivityVector,
-                             weighted_count: Callable[[list[int]], int]) -> Fraction:
-    """Σ_f Π_v λ_{f(v)} over the H-colorings f of an n-vertex graph, exact.
+def tree_partition_function(T: Tree, H: TargetGraph, lam: ActivityVector) -> Fraction:
+    """Σ_f Π_v λ_{f(v)} over the H-colorings f of the tree T, exact.
 
     With λ_x = a_x / D for D the lcm of the denominators, the sum is
-    Σ_f Π_v a_{f(v)} / D^n: weighted_count(a) computes the numerator in
-    integers, and one Fraction is formed at the end.
+    Σ_f Π_v a_{f(v)} / D^n. The numerator is a weighted walk in integers
+    over H's coarsest equitable quotient refined from the activities a, so
+    that each class has one activity; one Fraction is formed at the end.
     """
     from fractions import Fraction
     if len(lam) != H.n:
         raise ValueError(f"need {H.n} activities, got {len(lam)}")
     D = lcm(*(x.denominator for x in lam))
-    a = [x.numerator * (D // x.denominator) for x in lam]
-    return Fraction(weighted_count(a), D ** n)
+    a = tuple(x.numerator * (D // x.denominator) for x in lam)
+    class_of, sizes, rows = _equitable_quotient(H, a)
+    w = dict(zip(class_of, a))
+    numerator = sum(map(mul, sizes, _walk(T, 0, rows, [w[c] for c in range(len(sizes))])))
+    return Fraction(numerator, D ** T.n)
 
 
-def tree_partition_function(T: Tree, H: TargetGraph, lam: ActivityVector) -> Fraction:
-    """Weighted walk over H's coarsest equitable quotient refined from the
-    activities, so that each class has one activity."""
-    def weighted_count(a: list[int]) -> int:
-        class_of, sizes, rows = _equitable_quotient(H, tuple(a))
-        w = dict(zip(class_of, a))
-        return sum(map(mul, sizes, _walk(T, 0, rows, [w[c] for c in range(len(sizes))])))
-
-    return _over_common_denominator(T.n, H, lam, weighted_count)
-
-
-def partition_function(G: LooplessGraph, H: TargetGraph, lam: ActivityVector,
-                       budget: int = BRUTE_FORCE_BUDGET) -> Fraction:
-    """Activity-weighted sum over all H-colorings of G, exact.
-
-    Trees use the weighted tree walk (any size); other graphs fall back to
-    budgeted brute-force enumeration.
-    """
-    if isinstance(G, Tree):
-        return tree_partition_function(G, H, lam)
-    n, _ = _as_graph(G)
-    return _over_common_denominator(
-        n, H, lam, lambda a: sum(prod(a[x] for x in f) for f in _colorings(G, H, budget)))
-
-
-def check_blowup_identity(G: LooplessGraph, H: TargetGraph,
-                          sizes: Sequence[int], scale: int = 1,
-                          budget: int = BRUTE_FORCE_BUDGET) -> tuple[Fraction, int]:
-    """(lhs, rhs) for the scaling identity between the weighted partition
-    function at activities sizes[i]/scale and the coloring count into the
-    blow-up of H by sizes; the two agree exactly."""
+def check_blowup_identity(T: Tree, H: TargetGraph, sizes: Sequence[int],
+                          scale: int = 1) -> tuple[Fraction, int]:
+    """(lhs, rhs) for the scaling identity on the tree T between its weighted
+    partition function at activities sizes[i]/scale, times scale^n, and its
+    coloring count into the blow-up of H by sizes; the two agree exactly."""
     from fractions import Fraction
     lam = activities(Fraction(s, scale) for s in sizes)
-    n, _ = _as_graph(G)
-    lhs = Fraction(scale) ** n * partition_function(G, H, lam, budget)
-    big = blow_up(H, sizes)
-    if isinstance(G, Tree):
-        rhs = tree_hom(G, big)
-    else:
-        rhs = hom_brute_force(G, big, budget)
-    return lhs, rhs
+    lhs = Fraction(scale) ** T.n * tree_partition_function(T, H, lam)
+    return lhs, tree_hom(T, blow_up(H, sizes))

@@ -301,6 +301,32 @@ target  class                         min counts (n=2..4)
 """
 
 
+# each small target's least count at n = 2 and n = 3, where one tree exists
+# at each order; below n = 4 every summary is read from these orders alone
+CLASSIFY_MIN_COUNTS_2_3 = {
+    1: (0, 0), 2: (1, 1), 3: (0, 0), 4: (1, 1), 5: (2, 2), 6: (2, 2), 7: (3, 5), 8: (4, 8),
+    9: (0, 0), 10: (1, 1), 11: (2, 2), 12: (3, 3), 13: (2, 2), 14: (3, 3), 15: (3, 5),
+    16: (4, 6), 17: (4, 8), 18: (5, 9), 19: (4, 6), 20: (5, 9), 21: (5, 11), 22: (6, 14),
+    23: (6, 12), 24: (7, 17), 25: (6, 12), 26: (7, 17), 27: (8, 22), 28: (9, 27),
+}
+
+
+def _classify_below_4(n_max, rows):
+    """classify's output at n_max = 2 or 3: zero-count where the least
+    count is 0, all-trees everywhere else."""
+    lines = [] if rows else [f"target  class                         min counts (n=2..{n_max})"]
+    for hid, mins in CLASSIFY_MIN_COUNTS_2_3.items():
+        mins = mins[:n_max - 1]
+        label = "zero-count" if mins[0] == 0 else "all-trees"
+        if rows:
+            lines.append(f"target\t{hid}\t{label}\t"
+                         + ";".join(f"{n}:{c}" for n, c in enumerate(mins, 2)) + "\t"
+                         + ";".join(f"{n}:{label}" for n in range(2, n_max + 1)))
+        else:
+            lines.append(f"{hid:>6}  {label:<28}  " + ", ".join(map(str, mins)))
+    return "\n".join(lines) + "\n"
+
+
 class TestPinnedOutput:
     """Stdout and exit status of the output forms no other test reads."""
 
@@ -332,9 +358,21 @@ class TestPinnedOutput:
          "move (1,2): difference 1, decomposition 1\n"
          "move (1,3): difference 1, decomposition 1\n"
          "move (2,3): difference 1, decomposition 1\n"),
+        (("matrix", "--target", "capacity:3", "--rows"),
+         "sizes\t1,1,1,1\nrow\t1,1,1,1\nrow\t1,1,1,0\nrow\t1,1,0,0\nrow\t1,0,0,0\n"
+         "verdict\tincreasing\t3,2,1,0\n"
+         "ordered-row\t0,0,0,1\nordered-row\t0,0,1,1\nordered-row\t0,1,1,1\n"
+         "ordered-row\t1,1,1,1\n"),
+        (("sidorenko", "--target", "h7", "--n-max", "5", "--rows"), "sidorenko\tok\t5\n"),
     ])
     def test_plain_output(self, capsys, argv, want):
         assert run(capsys, *argv) == (0, want, "")
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_classify_below_order_4(self, capsys, n_max, rows):
+        argv = ("classify", "--n-max", str(n_max)) + ("--rows",) * rows
+        assert run(capsys, *argv) == (0, _classify_below_4(n_max, rows), "")
 
     @pytest.mark.parametrize("rows, want", [
         (False, "violation at n=2: tree (()) has 11 > star's 10\n"),
@@ -531,6 +569,13 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("family", "capacity", "0"), "capacity must be >= 1"),
+        (("trees", "-n", "0"), "tree enumeration limited to 1..16, got n=0"),
+    ])
+    def test_order_out_of_range_exit_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_brute_force_budget_exit_2(self, capsys):
         status, _, err = run(capsys, "hom", "--brute", "--budget", "100",
@@ -794,6 +839,12 @@ FAST_COMMAND_LINES = [
 
 
 class TestParser:
+    def test_positionals_only_where_no_option_is_taken(self):
+        # so `_parse_fast` never meets positionals split by an option
+        for name, (_, _, arguments) in cli._COMMANDS.items():
+            kinds = {a[2] for a in arguments}
+            assert not kinds & set(cli._POSITIONAL) or kinds <= set(cli._POSITIONAL), name
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(command_lines())
     def test_fast_parse_is_argparse_or_none(self, argv):
@@ -964,17 +1015,29 @@ class TestProcess:
         assert main(["family", "h7"]) == 0
         assert gc.get_freeze_count() == before
 
+    @staticmethod
+    def _first_row_then_close(argv, **env):
+        """Exit status, first stdout line and stderr of a process running
+        `argv` whose reader closes stdout after one line."""
+        proc = subprocess.Popen(**_process(argv, **env),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=60), first, err
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_is_a_normal_end(self, unbuffered):
         # 3,159 rows are well past a pipe's buffer, so the writer meets the
         # closed pipe whether or not its stdout is buffered
         argv = ["-c", "import sys; from treehom.cli import main; sys.exit(main())",
                 "trees", "-n", "14", "--rows"]
-        proc = subprocess.Popen(**_process(argv, PYTHONUNBUFFERED=unbuffered),
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 0
-        assert first.startswith(b"tree\t14\t") and err == b""
+        status, first, err = self._first_row_then_close(argv, PYTHONUNBUFFERED=unbuffered)
+        assert status == 0 and first.startswith(b"tree\t14\t") and err == b""
+
+    def test_closed_stdout_ends_the_module_entry_point_normally(self):
+        # python -m treehom.cli runs the module's own `sys.exit(main())`
+        argv = ["-m", "treehom.cli", "trees", "-n", "14", "--rows"]
+        status, first, err = self._first_row_then_close(argv)
+        assert status == 0 and first.startswith(b"tree\t14\t") and err == b""

@@ -125,6 +125,18 @@ class TestFamilies:
         assert degs == [5] * 20 + [21]
         assert h.has_loop(20) and not any(h.has_loop(v) for v in range(20))
 
+    @pytest.mark.parametrize("build, args, message", [
+        (make_capacity_graph, (0,), "capacity must be >= 1"),
+        (make_widom_rowlinson, (0,), "need k >= 1 particle types"),
+        (make_H_abl, (0, 1, 0), "need a, b >= 1 and ell >= 0"),
+        (make_H_abl, (1, 0, 0), "need a, b >= 1 and ell >= 0"),
+        (make_H_abl, (1, 1, -1), "need a, b >= 1 and ell >= 0"),
+    ])
+    def test_refuses_parameters_out_of_range(self, build, args, message):
+        with pytest.raises(ValueError) as exc:
+            build(*args)
+        assert str(exc.value) == message
+
 
 class TestLoopThreshold:
     def test_capacity_three_ordering(self):
@@ -548,6 +560,18 @@ def test_record_fields_in_order(cls, fields):
         assert type(back) is cls and back == rec
     for back in copy.copy(rec), copy.deepcopy(rec):
         assert type(back) is cls and back == rec
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, 2), {}, "OrderVerdict() takes 4 fields, got 2"),
+    ((), dict(n=1, min_count=2, path_is_min=True),
+     "OrderVerdict() missing field 'path_is_unique_min'"),
+    ((1, 2, True, True), dict(extra=1), "OrderVerdict() got unexpected fields ['extra']"),
+])
+def test_record_refuses_wrong_fields(args, kwargs, message):
+    with pytest.raises(TypeError) as exc:
+        OrderVerdict(*args, **kwargs)
+    assert str(exc.value) == message
 
 
 def test_record_properties():

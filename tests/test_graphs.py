@@ -168,6 +168,17 @@ class TestConstructions:
             assert d.has_loop(w)
             assert all(d.has_edge(w, v) for v in range(4) if v != w or v == w)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TargetGraph(-1, frozenset()), "vertex count must be non-negative"),
+        (lambda: blow_up(tg(2, (0, 1)), [1]), "need one size per vertex: got 1 for n=2"),
+        (lambda: blow_up(tg(2, (0, 1)), [0, 1]), "blow-up sizes must be positive"),
+        (lambda: add_looped_dominating(tg(2, (0, 1)), -1), "b must be non-negative"),
+    ])
+    def test_refuses_bad_sizes(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
 
 class TestIsomorphism:
     def test_relabeled_graphs_isomorphic(self):

@@ -54,7 +54,6 @@ from treehom import (
     minimizers,
     orbit_partition,
     parse_graph,
-    partition_function,
     path,
     sidorenko_check,
     similarity_matrix,
@@ -117,7 +116,7 @@ def test_walk_routes_agree_with_brute_force(H, T):
 @given(targets(), trees(), st.data())
 def test_weighted_walk_agrees_with_brute_force(H, T, data):
     lam = activities(data.draw(st.lists(rationals, min_size=H.n, max_size=H.n)))
-    assert partition_function(T, H, lam) == partition_function((T.n, T.edges), H, lam)
+    assert tree_partition_function(T, H, lam) == brute_partition_function(T.n, T.edges, H, lam)
 
 
 # five numerators and five denominators, cut to the target's order: the
@@ -138,7 +137,6 @@ def test_integer_route_matches_fraction_walk_and_brute_force(H, T, nums, dens, i
     want = fraction_partition_function(T, H, lam)
     assert want == brute_partition_function(T.n, T.edges, H, lam)
     assert tree_partition_function(T, H, lam) == want
-    assert partition_function((T.n, T.edges), H, lam) == want
 
 
 @PROPERTY

@@ -1,6 +1,6 @@
-"""Checks on the package source itself: every private module-level function
-in `src/treehom` has a reader there, so code that only the tests run does
-not stay in the package."""
+"""Checks on the package source itself: every private module-level function,
+class and assigned name in `src/treehom` has a reader there, so code that
+only the tests run does not stay in the package."""
 
 import ast
 from collections import Counter
@@ -20,14 +20,38 @@ def _references(node):
             yield sub.name
 
 
-def test_every_private_function_has_a_reader_in_src():
+def _private_definitions(module):
+    """(name, node) for each private function, class and assigned name at
+    the module's top level, node the statement that defines it."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _unread(kinds):
+    """The private top-level names defined by statements of the given kinds
+    that nothing in the package reads. A name whose every reference lies in
+    its own definition (recursion, a decorator, the assignment's own target)
+    has no reader."""
     modules = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
     assert len(modules) > 1
     used = Counter(name for m in modules for name in _references(m))
-    # a function whose every reference lies in its own definition (recursion,
-    # a decorator) has no reader
-    unread = sorted(f.name for m in modules for f in m.body
-                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and f.name.startswith("_") and not f.name.startswith("__")
-                    and used[f.name] == Counter(_references(f))[f.name])
-    assert unread == []
+    return sorted(name for m in modules for name, node in _private_definitions(m)
+                  if isinstance(node, kinds) and used[name] == Counter(_references(node))[name])
+
+
+def test_every_private_function_has_a_reader_in_src():
+    assert _unread((ast.FunctionDef, ast.AsyncFunctionDef)) == []
+
+
+def test_every_private_class_and_assigned_name_has_a_reader_in_src():
+    # the records' shapes, module tables and caches, the CLI's argument tuples
+    assert _unread((ast.ClassDef, ast.Assign, ast.AnnAssign)) == []

@@ -75,6 +75,21 @@ class TestEnumeration:
         with pytest.raises(SizeLimitError):
             all_trees(TREE_LIMIT + 1)
 
+    def test_order_below_one_refused(self):
+        with pytest.raises(SizeLimitError) as exc:
+            tree_count(0)
+        assert str(exc.value) == "tree enumeration limited to 1..16, got n=0"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: path(0), "path needs n >= 1"),
+        (lambda: star(1), "star needs n >= 2"),
+        (lambda: bare_path(path(4), 1, 1), "KC move needs two distinct vertices"),
+    ])
+    def test_degenerate_shapes_refused(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_all_have_right_order(self):
         for ct in all_trees(6):
             assert ct.tree.n == 6
