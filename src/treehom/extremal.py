@@ -212,7 +212,7 @@ def _split(H: TargetGraph) -> tuple[Counter, list[TargetGraph]]:
     for v in H.vertices():
         if v in seen:
             continue
-        comp = sorted(_search(H.n, H.neighbors, v)[0])
+        comp = sorted(_search(H._adj, v)[0])
         seen.update(comp)
         degrees = set(map(H.degree, comp))
         if len(degrees) == 1:

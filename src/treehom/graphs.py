@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 from operator import itemgetter, lt
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class _Record(tuple):
@@ -168,7 +168,7 @@ class Tree(_Graph):
             adj[u].append(v)
             adj[v].append(u)
         else:
-            if len(_search(n, adj.__getitem__)[0]) == n:
+            if len(_search(adj)[0]) == n:
                 if not all(map(lt, edges, islice(edges, 1, None))):
                     adj = list(map(sorted, adj))  # sorted edges give sorted lists
                 self._set(n, edges, tuple(map(tuple, adj)))
@@ -180,20 +180,20 @@ class Tree(_Graph):
         return cls(n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges)))
 
 
-def _search(n: int, neighbors: Callable[[int], Iterable[int]], root: int = 0,
+def _search(adj: Sequence[Iterable[int]], root: int = 0,
             skip: Optional[int] = None) -> tuple[list[int], list[int]]:
-    """(order, parent) of a breadth-first search from root over the vertices
-    0..n-1: the vertices reached, root first, and each one's parent (the
-    root's is itself, an unreached vertex's -1). The branch through root's
-    neighbour skip, if given, is left out: skip is marked visited up front
-    (as its own parent), so it is never entered."""
-    parent = [-1] * n
+    """(order, parent) of a breadth-first search from root over the lists adj
+    of each vertex's neighbours: the vertices reached, root first, and each
+    one's parent (the root's is itself, an unreached vertex's -1). The branch
+    through root's neighbour skip, if given, is left out: skip is marked
+    visited up front (as its own parent), so it is never entered."""
+    parent = [-1] * len(adj)
     parent[root] = root
     if skip is not None:
         parent[skip] = skip
     order = [root]
     for v in order:
-        for u in neighbors(v):
+        for u in adj[v]:
             if parent[u] < 0:
                 parent[u] = v
                 order.append(u)

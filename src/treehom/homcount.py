@@ -2,8 +2,9 @@
 brute force, path-pair tables, the KC difference decomposition, weighted
 partition functions and the blow-up identity, each taking a `Tree`.
 
-The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up over the order
-of `graphs._search`, A listed by the rows of an `automorphy.Quotient`.
+The walk computes h(v) = w ⊙ Π_children A·h(c) bottom-up over the order of
+`graphs._search` on a tree's adjacency lists (a `Tree`'s `_adj` or a KC
+site's glued lists), A listed by the rows of an `automorphy.Quotient`.
 `tree_hom`, `tree_partition_function` and the KC decomposition (at one site,
 or at every site of a tree by `kc_decompositions`, which reads each site's
 path ends off the chain walk that lists the sites, `trees._kc_paths`) run it
@@ -120,20 +121,21 @@ def _compiled(rows: tuple[tuple[int, ...], ...]) -> Callable[[Sequence, Sequence
 _walked: Counter = Counter()  # rows -> vertices the walks over them have taken
 
 
-def _walk(T: Tree, root: int, rows: tuple[tuple[int, ...], ...], weights: Sequence,
-          skip: Optional[int] = None) -> list:
-    """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), over T without
-    the branch through root's neighbour skip. In post-order, each vertex's
-    message is folded into its parent's vector by one step absorb(a, h) =
-    a ⊙ (rows · h): `_absorb` until the walks over rows, this one counted,
-    reach ABSORB_WALK_STEPS vertices, and `_compiled(rows)` from then on.
+def _walk(adj: Sequence[Sequence[int]], root: int, rows: tuple[tuple[int, ...], ...],
+          weights: Sequence, skip: Optional[int] = None) -> list:
+    """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), over the tree of
+    adjacency lists adj without the branch through root's neighbour skip.
+    In post-order, each vertex's message is folded into its parent's vector
+    by one step absorb(a, h) = a ⊙ (rows · h): `_absorb` until the walks over
+    rows, this one counted, reach ABSORB_WALK_STEPS vertices, and
+    `_compiled(rows)` from then on.
     Every leaf sends the same message, rows · weights, priced once, and a
     parent whose first child is a leaf starts from one shared weights ⊙ leaf
     list (no vector is ever changed in place)."""
-    order, parent = _search(T.n, T.neighbors, root, skip)
+    order, parent = _search(adj, root, skip)
     _walked[rows] += len(order) - 1
     absorb = partial(_absorb, rows) if _walked[rows] < ABSORB_WALK_STEPS else _compiled(rows)
-    h: list[list | None] = [None] * T.n
+    h: list[list | None] = [None] * len(adj)
     leaf = _message(rows, weights)
     first = list(map(mul, weights, leaf))
     for v in order[:0:-1]:  # every vertex after its children, the root left out
@@ -169,7 +171,7 @@ def hom_vector(T: Tree, root: int, Q: Quotient) -> tuple[int, ...]:
     if not 0 <= root < T.n:
         raise ValueError(f"root {root} not a vertex of the tree")
     # Q may be built by hand with list rows; the walk's step count and kernel cache are keyed by tuples
-    return tuple(_walk(T, root, tuple(map(tuple, Q.rows)), [1] * Q.k))
+    return tuple(_walk(T._adj, root, tuple(map(tuple, Q.rows)), [1] * Q.k))
 
 
 def hom_count(T: Tree, H: TargetGraph) -> int:
@@ -180,11 +182,9 @@ def hom_count(T: Tree, H: TargetGraph) -> int:
 
 def tree_hom(T: Tree, H: TargetGraph) -> int:
     """hom(T, H) by the walk over H's coarsest equitable quotient, the root's
-    entries weighted by class size: no automorphism search, no size limit.
-    T may also be a KC site's glued tree (`trees._kc_glue`): the walk reads
-    only its n and neighbors."""
+    entries weighted by class size: no automorphism search, no size limit."""
     _, sizes, rows = _equitable_quotient(H)
-    return sum(map(mul, sizes, _walk(T, 0, rows, [1] * len(sizes))))
+    return sum(map(mul, sizes, _walk(T._adj, 0, rows, [1] * len(sizes))))
 
 
 def _path_counts(H: TargetGraph) -> Iterator[int]:
@@ -214,8 +214,9 @@ def _star_hom(H: TargetGraph, n: int) -> int:
 
 def hom_brute_force(T: Tree, H: TargetGraph, budget: int = BRUTE_FORCE_BUDGET) -> int:
     """Count the H-colorings of the tree T by enumerating every vertex map
-    and checking its edges, after checking the number of maps against budget."""
-    if H.n ** T.n > budget:
+    and checking its edges, after checking the number of maps against budget
+    (H.n^T.n >= 2^T.n > budget once T.n >= budget.bit_length(), no power formed)."""
+    if H.n >= 2 and T.n >= budget.bit_length() or H.n ** T.n > budget:
         raise SizeLimitError(f"brute force needs {H.n}^{T.n} maps, budget is {budget}")
     return sum(1 for f in product(range(H.n), repeat=T.n)
                if all(H.has_edge(f[u], f[v]) for u, v in T.edges))
@@ -257,7 +258,7 @@ def kc_decompositions(T: Tree, H: TargetGraph) -> Iterator[tuple[int, int, int, 
     if work > KC_WORK_LIMIT:
         raise SizeLimitError(f"kc work sites x n x (k + 3) x (r + k) = {sites} x {T.n} x "
                              f"{k + 3} x {r + k} = {work} is past KC_WORK_LIMIT = {KC_WORK_LIMIT}")
-    yield from _kc_rows(T, H, Q, _kc_paths(T))
+    yield from _kc_rows(T, Q, _kc_paths(T))
 
 
 def kc_difference_decomposition(T: Tree, v_left: int, v_right: int,
@@ -279,25 +280,27 @@ def kc_difference_decomposition(T: Tree, v_left: int, v_right: int,
     of T from v_left and v_right that skip the first path vertex."""
     p = bare_path(T, v_left, v_right)
     site = v_left, v_right, p[1], p[-2], len(p)
-    _, _, lhs, rhs = next(_kc_rows(T, H, _equitable_quotient(H), [site]))
+    _, _, lhs, rhs = next(_kc_rows(T, _equitable_quotient(H), [site]))
     return lhs, rhs
 
 
-def _kc_rows(T: Tree, H: TargetGraph, Q: Quotient, sites: Iterable) -> Iterator[tuple]:
+def _kc_rows(T: Tree, Q: Quotient, sites: Iterable) -> Iterator[tuple]:
     """(v_left, v_right, lhs, rhs) at each legal site (v_left, v_right, first,
     last, t) of `trees._kc_paths` in turn. Sites share work: hom(T, H) is
     counted once, at the first site, each side once per (end, first path
     vertex) and each path-pair table once per path length."""
+    ones = [1] * Q.k
     hom_T, sides, tables = None, {}, {}
     for v_left, v_right, first, last, t in sites:
         if hom_T is None:
-            hom_T = tree_hom(T, H)
-        lhs = tree_hom(_kc_glue(T, v_left, last, v_right), H) - hom_T
+            hom_T = sum(map(mul, Q.sizes, _walk(T._adj, 0, Q.rows, ones)))
+        moved = _walk(_kc_glue(T, v_left, last, v_right), 0, Q.rows, ones)
+        lhs = sum(map(mul, Q.sizes, moved)) - hom_T
         if t not in tables:
             tables[t] = path_pair_counts(t, Q)
         for end, near in (v_left, first), (v_right, last):
             if (end, near) not in sides:
-                sides[end, near] = _walk(T, end, Q.rows, [1] * Q.k, skip=near)
+                sides[end, near] = _walk(T._adj, end, Q.rows, ones, skip=near)
         ell, arr, p = sides[v_left, first], sides[v_right, last], tables[t]
         rhs = sum((ell[j] - ell[i]) * (arr[j] - arr[i]) * p[i, j]
                   for i, j in combinations(range(Q.k), 2))
@@ -345,7 +348,7 @@ def tree_partition_function(T: Tree, H: TargetGraph, lam: ActivityVector) -> Fra
     a = tuple(x.numerator * (D // x.denominator) for x in lam)
     class_of, sizes, rows = _equitable_quotient(H, a)
     w = dict(zip(class_of, a))
-    numerator = sum(map(mul, sizes, _walk(T, 0, rows, [w[c] for c in range(len(sizes))])))
+    numerator = sum(map(mul, sizes, _walk(T._adj, 0, rows, [w[c] for c in range(len(sizes))])))
     return Fraction(numerator, D ** T.n)
 
 

@@ -84,7 +84,7 @@ def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:
     """AHU code of the tree rooted at root: each vertex is an opening
     parenthesis, its children's codes in sorted order, and a closing one.
     Built bottom-up over a BFS order, so deep trees need no recursion."""
-    order, parent = _search(len(adj), adj.__getitem__, root)
+    order, parent = _search(adj, root)
     subs: list[list[str]] = [[] for _ in adj]
     for v in reversed(order):  # the root comes last
         code = "(" + "".join(sorted(subs[v])) + ")"
@@ -99,7 +99,7 @@ def _code(adj: Sequence[Sequence[int]]) -> str:
 
 
 def canonical_code(T: Tree) -> str:
-    return _code([T.neighbors(v) for v in T.vertices()])
+    return _code(T._adj)
 
 
 def _tree_from_code(code: str) -> Tree:
@@ -443,21 +443,21 @@ def tree_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 # KC moves (generalized tree shifts)
 
-def _runs(T: Tree) -> Iterator[list[int]]:
-    """The non-leaves of each maximal path whose internal vertices have
-    degree two and whose ends do not, in path order: each such path is walked
-    from both ends and kept from its smaller one. Two vertices are a KC site
-    exactly when they lie in one run, and the run between them is the site's
-    bare path. Two steps per vertex, so O(n) in all."""
-    deg = list(map(T.degree, T.vertices()))
-    for v in T.vertices():
+def _runs(adj: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """The non-leaves of each maximal path of the tree adj whose internal
+    vertices have degree two and whose ends do not, in path order: each such
+    path is walked from both ends and kept from its smaller one. Two vertices
+    are a KC site exactly when they lie in one run, and the run between them
+    is the site's bare path. Two steps per vertex, so O(n) in all."""
+    deg = list(map(len, adj))
+    for v, out in enumerate(adj):
         if deg[v] == 2:
             continue
-        for u in T.neighbors(v):
+        for u in out:
             run, prev = [v], v
             while deg[u] == 2:
                 run.append(u)
-                nbrs = T.neighbors(u)
+                nbrs = adj[u]
                 prev, u = u, nbrs[nbrs[0] == prev]
             if v < u:
                 yield run[deg[v] == 1:] + [u] * (deg[u] > 1)
@@ -468,7 +468,7 @@ def _kc_paths(T: Tree) -> list[tuple[int, int, int, int, int]]:
     order, for each pair of vertices of one of `_runs`: first the path vertex
     after v_left, last the one before v_right, t the path's vertex count."""
     sites = []
-    for run in _runs(T):
+    for run in _runs(T._adj):
         for j, b in enumerate(run):
             for i, a in enumerate(run[:j]):
                 t = j - i + 1
@@ -485,7 +485,7 @@ def kc_sites(T: Tree) -> list[tuple[int, int]]:
 
 def kc_site_count(T: Tree) -> int:
     """len(kc_sites(T)) in O(n), with no site listed: C(len(run), 2) over `_runs`."""
-    return sum(len(run) * (len(run) - 1) // 2 for run in _runs(T))
+    return sum(len(run) * (len(run) - 1) // 2 for run in _runs(T._adj))
 
 
 def bare_path(T: Tree, v_left: int, v_right: int) -> list[int]:
@@ -503,7 +503,7 @@ def bare_path(T: Tree, v_left: int, v_right: int) -> list[int]:
     for v in (v_left, v_right):
         if T.degree(v) < 2:
             raise ValueError(f"KC move endpoint {v} is a leaf")
-    _, parent = _search(T.n, T.neighbors, v_left)
+    _, parent = _search(T._adj, v_left)
     pth = [v_right]
     while pth[-1] != v_left:
         pth.append(parent[pth[-1]])
@@ -519,42 +519,30 @@ def kc_move(T: Tree, v_left: int, v_right: int) -> Tree:
 
     The vertex count is preserved; the glued vertex keeps all non-path
     neighbors of both endpoints. The moved tree keeps T's labels
-    (`_kc_glue`) and is validated as any Tree is.
+    (`_kc_glue`) and is validated as any Tree is (`_glued_tree`).
     """
-    return _kc_glue(T, v_left, bare_path(T, v_left, v_right)[-2], v_right).tree()
+    return _glued_tree(_kc_glue(T, v_left, bare_path(T, v_left, v_right)[-2], v_right))
 
 
-class _GluedTree:
-    """The moved tree of one KC site as adjacency lists on T's labels,
-    unvalidated: the `n` and `neighbors` that a tree walk reads, and the
-    lists themselves, `adj`, that `_code` reads."""
-
-    __slots__ = ("n", "adj", "neighbors")
-
-    def __init__(self, adj: list[Sequence[int]]) -> None:
-        self.n = len(adj)
-        self.adj = adj
-        self.neighbors = adj.__getitem__
-
-    def tree(self) -> Tree:
-        """The moved tree, validated as any Tree is."""
-        return Tree.from_edges(self.n, ((u, v) for u, a in enumerate(self.adj) for v in a if u < v))
-
-
-def _kc_glue(T: Tree, v_left: int, last: int, v_right: int) -> _GluedTree:
-    """kc_move at the legal site (v_left, v_right), last the path vertex
-    before v_right. v_right's neighbours off the path move to v_left, which
-    glues the two ends; the path itself, v_left's first path neighbour to
-    v_right, is then the pendant path of t - 1 vertices hanging from the
-    glued vertex. Only the lists of v_left, v_right and v_right's moved
-    neighbours change."""
-    adj = list(map(T.neighbors, T.vertices()))
+def _kc_glue(T: Tree, v_left: int, last: int, v_right: int) -> list[Sequence[int]]:
+    """kc_move's adjacency lists at the legal site (v_left, v_right), last the
+    path vertex before v_right, unvalidated: T's lists with three edits.
+    v_right's neighbours off the path move to v_left, which glues the two
+    ends; the path itself, v_left's first path neighbour to v_right, is then
+    the pendant path of t - 1 vertices hanging from the glued vertex. Only
+    the lists of v_left, v_right and v_right's moved neighbours change."""
+    adj = list(T._adj)
     moved = [w for w in adj[v_right] if w != last]
     adj[v_left] += tuple(moved)
     adj[v_right] = (last,)
     for w in moved:
         adj[w] = [v_left if x == v_right else x for x in adj[w]]
-    return _GluedTree(adj)
+    return adj
+
+
+def _glued_tree(adj: Sequence[Sequence[int]]) -> Tree:
+    """The Tree of glued adjacency lists (`_kc_glue`), validated as any Tree is."""
+    return Tree.from_edges(len(adj), ((u, v) for u, a in enumerate(adj) for v in a if u < v))
 
 
 def kc_successors(T: Tree) -> tuple[CanonicalTree, ...]:
@@ -565,9 +553,8 @@ def kc_successors(T: Tree) -> tuple[CanonicalTree, ...]:
     by_code: dict[str, CanonicalTree] = {}
     for vl, vr, _, last, _ in _kc_paths(T):
         moved = _kc_glue(T, vl, last, vr)
-        c = _code(moved.adj)
-        if c not in by_code:
-            by_code[c] = CanonicalTree(moved.tree(), c)
+        if (c := _code(moved)) not in by_code:
+            by_code[c] = CanonicalTree(_glued_tree(moved), c)
     return tuple(by_code[c] for c in sorted(by_code))
 
 

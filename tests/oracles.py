@@ -49,6 +49,11 @@ treehom and count no colouring:
 * has_balanced_bipartition: whether those classes differ in size by at most
   one.
 
+One oracle that shares no code with treehom.graphs' search:
+
+* queue_search: breadth-first search with a queue and a dict of parents,
+  reading each vertex's neighbours in their own order.
+
 One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
@@ -65,6 +70,7 @@ against it, and it against the walk of each listed tree:
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -267,6 +273,25 @@ def kc_moved_edges(n: int, edges, v_left: int, v_right: int) -> list[tuple[int, 
     out |= {tuple(sorted((label[v_left], label[w]))) for w in adj[v_right] - dropped - {v_left}}
     chain = [label[v_left], *range(len(label), n)]
     return sorted(out | set(zip(chain, chain[1:])))
+
+
+def queue_search(adj, root: int, skip: int | None = None) -> tuple[list[int], list[int]]:
+    """(order, parent) of a breadth-first search from root over the lists
+    adj, without entering skip: the vertices in the order they leave the
+    queue, and each one's parent, root's and skip's themselves, -1 for a
+    vertex not reached."""
+    parent = {root: root}
+    if skip is not None:
+        parent[skip] = skip
+    order, queue = [], deque([root])
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    return order, [parent.get(v, -1) for v in range(len(adj))]
 
 
 def bipartition(T: Tree) -> tuple[list[int], list[int]]:

@@ -177,20 +177,21 @@ class TestSubcommands:
         assert run(capsys, "kc", "--tree", tree, "--target", "hind", "--rows") == (0, "", "")
 
     def test_kc_counts_the_tree_once(self, capsys, monkeypatch):
-        # hom(T, H) is shared by every site; hom(T_KC, H) is counted per site
+        # hom(T, H) is shared by every site; hom(T_KC, H) is counted per site,
+        # each a walk of a whole tree's adjacency lists (no skip)
         counted = []
-        real = homcount.tree_hom
+        walk = homcount._walk
 
-        def counting(T, H):
-            counted.append(T)
-            return real(T, H)
+        def counting_walk(adj, root, rows, weights, skip=None):
+            if skip is None:
+                counted.append(adj)
+            return walk(adj, root, rows, weights, skip)
 
-        monkeypatch.setattr(homcount, "tree_hom", counting)
-        monkeypatch.setattr(cli, "tree_hom", counting)
+        monkeypatch.setattr(homcount, "_walk", counting_walk)
         status, out, _ = run(capsys, "kc", "--tree", "path:7", "--target", "hind", "--rows")
         sites = kc_sites(path(7))
         assert status == 0 and len(out.splitlines()) == len(sites) > 1
-        assert counted[0] == path(7) and len(counted) == len(sites) + 1
+        assert counted[0] == path(7)._adj and len(counted) == len(sites) + 1
 
     def test_kc_walks_each_side_once(self, capsys, monkeypatch):
         # sites share sides (end, first path vertex) and path lengths

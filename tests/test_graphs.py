@@ -16,7 +16,9 @@ from treehom import (
     parse_graph,
     tensor_product,
 )
-from oracles import bipartition
+from oracles import bipartition, queue_search
+from treehom.graphs import _search
+from treehom.trees import _kc_glue, bare_path
 
 
 def tg(n, *edges):
@@ -67,6 +69,37 @@ class TestTree:
         x, y = bipartition(t)
         assert len(x) == 2 and len(y) == 2
         assert set(x) | set(y) == {0, 1, 2, 3}
+
+
+class TestSearch:
+    # a spider whose KC site (0, 4) moves two neighbours of 4, so its glued
+    # lists mix T's tuples with the moved neighbours' new lists
+    SPIDER = Tree.from_edges(8, [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7)])
+
+    def adjacencies(self):
+        glued = _kc_glue(self.SPIDER, 0, bare_path(self.SPIDER, 0, 4)[-2], 4)
+        assert {type(a) for a in glued} == {tuple, list}
+        # a looped vertex and two components: frozenset rows, some vertices unreached
+        target = tg(7, (0, 0), (0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 4))
+        return [self.SPIDER._adj, glued, target._adj]
+
+    def test_matches_a_queue_search(self):
+        for adj in self.adjacencies():
+            for root in range(len(adj)):
+                for skip in [None, *(u for u in adj[root] if u != root)]:
+                    order, parent = _search(adj, root, skip)
+                    assert (order, parent) == queue_search(adj, root, skip)
+                    assert order[0] == root and parent[root] == root
+                    if skip is not None:
+                        assert parent[skip] == skip and skip not in order
+                    assert all(parent[v] == -1 for v in range(len(adj))
+                               if v not in order and v != skip)
+
+    def test_stops_at_the_component_and_at_skip(self):
+        _, _, target = self.adjacencies()
+        assert _search(target, 0) == ([0, 1, 2, 3], [0, 0, 1, 1, -1, -1, -1])
+        assert _search(target, 0, skip=1) == ([0], [0, 1, -1, -1, -1, -1, -1])
+        assert _search(target, 5)[0] in ([5, 4, 6], [5, 6, 4])
 
 
 class TestValueSemantics:

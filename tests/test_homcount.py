@@ -1,7 +1,10 @@
 import random
+import signal
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +32,7 @@ from treehom import (
     tree_partition_function,
 )
 from treehom.automorphy import Quotient, _equitable_quotient, class_data
+from treehom.cli import parse_target_spec
 from treehom import homcount
 from treehom.graphs import add_looped_dominating
 from treehom.homcount import _absorb, _compiled, _message, _path_hom, _star_hom, sweep_quotient
@@ -87,6 +91,37 @@ class TestTreeWalk:
     def test_brute_force_budget(self):
         with pytest.raises(SizeLimitError, match="budget"):
             hom_brute_force(path(10), SMALL_TARGETS[28], budget=100)
+
+    def test_brute_force_refuses_exactly_past_the_budget(self, monkeypatch):
+        # the refusal's bit-length shortcut decides as H.n ** T.n > budget
+        # does; with no map enumerated, a kept input counts 0
+        monkeypatch.setattr(homcount, "product", lambda *args, **kwargs: iter(()))
+        budgets = [-1, 0, 1, *(2 ** k + d for k in range(21) for d in (-1, 1))]
+        for h_n, t_n, budget in product(range(5), range(1, 13), budgets):
+            H, T = SimpleNamespace(n=h_n), SimpleNamespace(n=t_n, edges=())
+            if h_n ** t_n > budget:
+                with pytest.raises(SizeLimitError) as exc:
+                    hom_brute_force(T, H, budget)
+                assert str(exc.value) == f"brute force needs {h_n}^{t_n} maps, budget is {budget}"
+            else:
+                assert hom_brute_force(T, H, budget) == 0
+
+    def test_brute_force_refuses_a_huge_power_at_once(self):
+        # 1000 ** 1000000 takes seconds to form; the refusal forms no power
+        H, T = parse_target_spec("clique:1000"), SimpleNamespace(n=10 ** 6, edges=())
+
+        def timeout(*args):
+            raise AssertionError("the refusal took more than a second")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(1)
+        try:
+            with pytest.raises(SizeLimitError) as exc:
+                hom_brute_force(T, H)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(exc.value) == "brute force needs 1000^1000000 maps, budget is 100000000"
 
     def test_single_vertex_tree(self):
         t = Tree.from_edges(1, [])
@@ -180,6 +215,19 @@ class TestKCDecomposition:
         monkeypatch.setattr(Tree, "from_edges", classmethod(counting))
         lhs, rhs = kc_difference_decomposition(t, 0, 4, make_capacity_graph(3))
         assert lhs == rhs and built == []
+
+    @pytest.mark.parametrize("H", [H_IND, make_capacity_graph(3)], ids=["hind", "capacity:3"])
+    def test_reads_adjacency_lists_not_accessors(self, monkeypatch, H):
+        # sites, sides and glued sites are all read off T's adjacency lists
+        trees = [ct.tree for n in range(1, 10) for ct in all_trees(n)]
+        want = [list(kc_decompositions(T, H)) for T in trees]
+
+        def refuse(*args):
+            raise AssertionError("kc called a Tree accessor")
+
+        for name in ("neighbors", "degree", "vertices"):
+            monkeypatch.setattr(Tree, name, refuse)
+        assert [list(kc_decompositions(T, H)) for T in trees] == want
 
     def test_work_limit_checked_before_any_walk(self, monkeypatch):
         # 28,203 sites x 240 vertices into hind is past the cap: the API

@@ -605,7 +605,7 @@ def test_glued_count_is_the_moved_trees_count(H, T):
     for vl, vr in kc_sites(T):
         moved = kc_move(T, vl, vr)
         glued = trees_module._kc_glue(T, vl, bare_path(T, vl, vr)[-2], vr)
-        assert [sorted(glued.neighbors(v)) for v in T.vertices()] == [
+        assert [sorted(glued[v]) for v in T.vertices()] == [
             list(moved.neighbors(v)) for v in T.vertices()]
         lhs, _ = kc_difference_decomposition(T, vl, vr, H)
         assert lhs + hom_T == tree_hom(moved, H)
