@@ -143,7 +143,9 @@ def _isomorphisms(G: TargetGraph, H: TargetGraph):
 def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
           pin: tuple[int, int] | None = None):
     """Backtrack over vertex images, yielding the color-preserving maps
-    G -> H (colors cg on G, ch on H) that keep loops and adjacency.
+    G -> H (colors cg on G, ch on H) that keep adjacency. The colors are
+    `_refined_colors` classes, which start from each vertex's loop, so a
+    color-preserving map keeps loops too.
 
     With pin = (r, w), r is mapped first and w is its only candidate, so
     only the maps sending r to w are yielded. Each candidate tried for the
@@ -190,7 +192,7 @@ def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
         v = order[d]
         for w in tries[-1]:
             _charge(spent, 1 + d)
-            if (not used[w] and ch[w] == cg[v] and H.has_loop(w) == G.has_loop(v)
+            if (not used[w] and ch[w] == cg[v]
                     and all(H.has_edge(image[u], w) == G.has_edge(u, v) for u in order[:d])):
                 break
         else:

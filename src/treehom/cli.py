@@ -17,9 +17,9 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from collections.abc import Sequence
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from .automorphy import (
     class_data,
@@ -57,9 +57,6 @@ from .extremal import (
     verify_hoffman_london,
 )
 from .trees import all_trees, path, star, tree_count
-
-if TYPE_CHECKING:
-    import argparse
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ def _target_source(spec: str) -> TargetGraph | Tree | str:
         raise GraphParseError(f"cannot read graph {spec!r}: {reason}")
 
 
-def _named_target(name: str) -> Optional[TargetGraph]:
+def _named_target(name: str) -> TargetGraph | None:
     """The graph folkman+dom (or folkman), h1..h28 or hind names, or None."""
     if name in ("folkman+dom", "folkman"):
         return make_folkman_plus_dominating()
@@ -386,7 +383,7 @@ _COMMANDS = {
 }
 
 
-def _ignored_option(args) -> Optional[str]:
+def _ignored_option(args) -> str | None:
     """The usage error of an option the subcommand would not read, or None."""
     if args.func is _cmd_hom and args.budget is not None and not args.brute:
         return "--budget applies only with --brute"
@@ -426,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _parse_fast(argv: Sequence[str]) -> SimpleNamespace | None:
     """The namespace build_parser().parse_args(argv) returns, read from the
     command table without argparse, or None when argv is outside the strict
     form read here: an exact subcommand name first; then exact option strings

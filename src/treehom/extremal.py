@@ -9,11 +9,11 @@ per-n verdicts up to the swept bound, never the unbounded property.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from functools import partial, reduce
 from itertools import accumulate, combinations, compress, islice, repeat, starmap
 from math import gcd
 from operator import add, mul
-from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .automorphy import (
     SimilarityMatrix,
@@ -127,7 +127,7 @@ def make_folkman_plus_dominating() -> TargetGraph:
 # ---------------------------------------------------------------------------
 # loop-threshold recognition
 
-def is_loop_threshold(H: TargetGraph) -> Optional[tuple[int, ...]]:
+def is_loop_threshold(H: TargetGraph) -> tuple[int, ...] | None:
     """A vertex ordering with nested neighborhoods, or None.
 
     If any nested ordering exists the degree-sorted one works: equal-degree
@@ -188,8 +188,8 @@ class HLVerdict(_Record):
     __slots__ = ()
     n_max: int
     reports: tuple[OrderVerdict, ...]
-    matrix_certificate: Optional[tuple[tuple[int, ...], SimilarityMatrix]]
-    strong_certificate: Optional[StrongHLCertificate]
+    matrix_certificate: tuple[tuple[int, ...], SimilarityMatrix] | None
+    strong_certificate: StrongHLCertificate | None
 
     @property
     def hoffman_london(self) -> bool:
@@ -225,7 +225,7 @@ def _split(H: TargetGraph) -> tuple[Counter, list[TargetGraph]]:
 
 
 def _component_sweeps(targets: Sequence[TargetGraph], n_max: int
-                      ) -> tuple[Callable[[int], list[Union[int, list[int]]]], Iterator[list[int]]]:
+                      ) -> tuple[Callable[[int], list[int | list[int]]], Iterator[list[int]]]:
     """(read, paths) with one set of tables for every order n <= n_max:
     read(n) gives per target the hom count of every tree on n vertices in
     `free_trees` order, or, when every component of the target is regular,
@@ -279,7 +279,7 @@ def _component_sweeps(targets: Sequence[TargetGraph], n_max: int
         powers = [d ** (n - 1) for d in degrees]
         return [sum(map(mul, vertices, powers)) for vertices in by_degree]
 
-    def read(n: int) -> list[Union[int, list[int]]]:
+    def read(n: int) -> list[int | list[int]]:
         _check_covered(n, n_max)  # also where no target is folded
         if distinct:
             cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
@@ -362,7 +362,7 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
 
 def check_strong_hl_certificate(
     H: TargetGraph, ordering: tuple[int, ...], t_max: int = 9, s_max: int = 9,
-) -> Union[StrongHLCertificate, str]:
+) -> StrongHLCertificate | str:
     """Search, for each path length 2..t_max, for ordering positions (a, b),
     holding classes x and y, with a joint endpoint coloring ((B^(t-1))[x][y]
     > 0, B the orbit quotient's class matrix) and a strictly larger endpoint

@@ -12,17 +12,17 @@ All graph and tree values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, islice
 from operator import itemgetter, lt
-from typing import Iterable, Optional, Sequence
 
 
 class _Record(tuple):
     """A tuple of named fields, the annotated names of its subclass's body in
     order, each read by an `itemgetter` property. It keeps what the package
-    uses of `collections.namedtuple` (`_fields`, `_replace`, `_asdict`,
-    keyword construction, repr, pickling and copying) without generating
-    code for each class. A subclass declares `__slots__ = ()`."""
+    uses of `collections.namedtuple` (`_fields`, keyword construction, repr,
+    pickling and copying) without generating code for each class. A
+    subclass declares `__slots__ = ()`."""
 
     __slots__ = ()
     _fields = ()
@@ -45,13 +45,6 @@ class _Record(tuple):
         if len(args) != len(fields):
             raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
         return tuple.__new__(cls, args)
-
-    def _replace(self, **changes):
-        fields = tuple(map(changes.pop, self._fields, self))  # before changes is passed on
-        return type(self)(*fields, **changes)
-
-    def _asdict(self) -> dict:
-        return dict(zip(self._fields, self))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
@@ -181,7 +174,7 @@ class Tree(_Graph):
 
 
 def _search(adj: Sequence[Iterable[int]], root: int = 0,
-            skip: Optional[int] = None) -> tuple[list[int], list[int]]:
+            skip: int | None = None) -> tuple[list[int], list[int]]:
     """(order, parent) of a breadth-first search from root over the lists adj
     of each vertex's neighbours: the vertices reached, root first, and each
     one's parent (the root's is itself, an unreached vertex's -1). The branch

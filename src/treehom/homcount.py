@@ -31,18 +31,15 @@ the end: none per vertex, and never a float.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import combinations, islice, product
 from math import lcm
 from operator import index, mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
 from .trees import _kc_glue, _kc_paths, bare_path, kc_site_count, shape_count
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 BRUTE_FORCE_BUDGET = 10 ** 8
 
@@ -122,7 +119,7 @@ _walked: Counter = Counter()  # rows -> vertices the walks over them have taken
 
 
 def _walk(adj: Sequence[Sequence[int]], root: int, rows: tuple[tuple[int, ...], ...],
-          weights: Sequence, skip: Optional[int] = None) -> list:
+          weights: Sequence, skip: int | None = None) -> list:
     """h(root) for h(v) = weights ⊙ Π_children (rows · h(c)), over the tree of
     adjacency lists adj without the branch through root's neighbour skip.
     In post-order, each vertex's message is folded into its parent's vector
@@ -316,7 +313,7 @@ def _kc_rows(T: Tree, Q: Quotient, sites: Iterable) -> Iterator[tuple]:
 ActivityVector = tuple["Fraction", ...]
 
 
-def activities(values: Union[str, Iterable[Union[int, str, Fraction]]]) -> ActivityVector:
+def activities(values: str | Iterable[int | str | Fraction]) -> ActivityVector:
     """Exact positive activities, one per target vertex ("3/2", 1, Fraction...)
     or comma-separated in one string ("3/2,1,5"); their count is checked where
     H is known. No exponent notation: Fraction("1e10000000") takes seconds."""

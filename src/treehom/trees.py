@@ -25,10 +25,10 @@ Otter's counting recurrence.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import SizeLimitError, Tree, _Record, _search
 
@@ -313,9 +313,9 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
         """(pick, ends, edge), pick min for low and max for high: ends(r) the
         suffix picks of tails[r], edge(r, b) low or high, None if num[r][b] = 0."""
         ends = lru_cache(maxsize=None)(lambda r: _suffix(pick, tails[r]))
-        rows: dict[int, list[Optional[list[int]]]] = {}
+        rows: dict[int, list[list[int] | None]] = {}
 
-        def edge(r: int, b: int) -> Optional[list[int]]:
+        def edge(r: int, b: int) -> list[int] | None:
             if r <= most:
                 return ends(r)[-num[r][b]] if num[r][b] else None
             row = rows.setdefault(r, [None])
@@ -330,7 +330,7 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
 
     sides = side(min), side(max)
 
-    def walk(n: int, bound: Optional[int] = None,
+    def walk(n: int, bound: int | None = None,
              above: bool = False) -> Iterator[tuple[int, Iterator[Iterator[int]]]]:
         _check_covered(n, n_max)
         if bound is not None:

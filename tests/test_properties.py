@@ -6,7 +6,7 @@ bounded fold against the sweep's counts at most a bound, both fold readers
 against the walk of each listed tree, the quotient path count against the walk of the path, the batched sweep against one sweep per target,
 the count of a disjoint union against the sum of its parts' counts,
 the closed-form counts of regular targets against the walk over `all_trees`, colour
-refinement against refinement in rounds, the KC machinery against bare_path, its identity and
+refinement against refinement in rounds and against loops, the KC machinery against bare_path, its identity and
 the contraction oracle, the
 isomorphism search and the orbit search against all vertex permutations,
 the class-ordering search against all class orderings, the strict-minimality
@@ -62,7 +62,7 @@ from treehom import (
     tree_partition_function,
 )
 from treehom import extremal, graphs, trees as trees_module
-from treehom.automorphy import _equitable_quotient, class_data
+from treehom.automorphy import _equitable_quotient, _refined_colors, class_data
 from treehom.homcount import _message, _path_hom, _star_hom, sweep_quotient
 from treehom.trees import free_trees
 from treehom.extremal import (
@@ -367,6 +367,21 @@ def test_quotient_is_the_coarsest_equitable_partition(H):
     # its class's row
     for v in H.vertices():
         assert tuple(sorted(class_of[u] for u in H.neighbors(v))) == rows[class_of[v]]
+
+
+@PROPERTY
+@given(targets(max_n=6), targets(max_n=6))
+# an edge and a looped vertex: every vertex has one neighbour, so only the
+# loops split the colours, on G itself and on the union
+@example(TargetGraph.from_edges(3, [(0, 1), (2, 2)]), TargetGraph.from_edges(1, []))
+@example(TargetGraph.from_edges(2, [(0, 1)]), TargetGraph.from_edges(1, [(0, 0)]))
+def test_refined_classes_agree_on_loops(G, H):
+    # the isomorphism search compares colours only, so a colour must fix the loop
+    for graph in G, disjoint_union(G, H):
+        by_class = {}
+        for v, c in enumerate(_refined_colors(graph)):
+            by_class.setdefault(c, set()).add(graph.has_loop(v))
+        assert all(len(loops) == 1 for loops in by_class.values())
 
 
 # ---------------------------------------------------------------------------

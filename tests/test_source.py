@@ -1,8 +1,12 @@
 """Checks on the package source itself: every private module-level function,
 class and assigned name in `src/treehom` has a reader there, so code that
-only the tests run does not stay in the package."""
+only the tests run does not stay in the package; and importing the CLI
+loads no standard module that its commands do not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -55,3 +59,25 @@ def test_every_private_function_has_a_reader_in_src():
 def test_every_private_class_and_assigned_name_has_a_reader_in_src():
     # the records' shapes, module tables and caches, the CLI's argument tuples
     assert _unread((ast.ClassDef, ast.Assign, ast.AnnAssign)) == []
+
+
+def test_no_module_imports_typing():
+    # annotations are never evaluated (`from __future__ import annotations`),
+    # so builtin generics, `X | None` and `collections.abc` name every type
+    found = set()
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if (isinstance(node, ast.Import) and any(a.name == "typing" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "typing"
+                    or isinstance(node, ast.Name) and node.id in ("Optional", "Union", "TYPE_CHECKING")):
+                found.add(p.stem)
+    assert sorted(found) == []
+
+
+def test_cli_import_loads_no_unneeded_standard_module():
+    # -S keeps site hooks from loading (and so hiding) these modules
+    unneeded = ["typing", "re", "enum", "dataclasses", "fractions", "decimal", "argparse"]
+    code = f"import sys, treehom.cli; print(sorted(set({unneeded!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout == "[]\n"
