@@ -16,6 +16,7 @@ from math import gcd
 from operator import add, mul
 
 from .automorphy import (
+    Quotient,
     SimilarityMatrix,
     _equitable_quotient,
     class_data,
@@ -24,8 +25,10 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph, _Record, _search, disjoint_union
-from .homcount import _column, _path_counts, _path_hom, _star_hom, _steps, sweep_quotient
-from .trees import _check_covered, bounded_fold, fold_products, tree_codes, tree_count
+from .homcount import _column, _message, _path_counts, _path_hom, _star_hom, _steps
+from .trees import (
+    _check_covered, _check_order, bounded_fold, fold_products, tree_codes, tree_count,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +246,17 @@ def _component_sweeps(targets: Sequence[TargetGraph], n_max: int
 
     The other components of every target, each taken once (equal graphs
     after relabelling are one), are folded together (`fold_products`) over
-    the coarsest equitable quotient of their `disjoint_union`: a tree's
-    class vector is the product of its parts' messages (`sweep_quotient`'s
-    step). A rooted count depends only on the root's class, so a target's
-    other components count every tree by the multiset of their vertices'
-    classes: the fold's rows, transposed into class columns by `zip`,
-    summed with those multiplicities, once per distinct multiset, and the
-    regular components' count added. Each class is weighted in the fold by
-    the gcd of its multiplicities, which leaves a column nothing to scale
-    where a class has one multiplicity (on the 28 small targets, every
-    class). The path counts are the same sums over the message steps from
-    the all-ones vector.
+    the coarsest equitable quotient of their `disjoint_union`, taken once:
+    a tree's class vector is the product of its parts' messages
+    (`homcount._message` over the quotient's rows). A rooted count depends
+    only on the root's class, so a target's other components count every
+    tree by the multiset of their vertices' classes: the fold's rows,
+    transposed into class columns by `zip`, summed with those
+    multiplicities, once per distinct multiset, and the regular components'
+    count added. Each class is weighted in the fold by the gcd of its
+    multiplicities, which leaves a column nothing to scale where a class has
+    one multiplicity (on the 28 small targets, every class). The path counts
+    are the same sums over the message steps from the all-ones vector.
     `classify` reads its balanced-bipartition trees off target 19's least
     count, so this is its only fold."""
     splits = [_split(H) for H in targets]
@@ -262,16 +265,14 @@ def _component_sweeps(targets: Sequence[TargetGraph], n_max: int
     distinct: list[tuple[tuple[int, int], ...]] = []
     steps: Iterator[list[int]] = repeat([])
     if parts:
-        union = disjoint_union(*parts)
-        sizes, step = sweep_quotient(union, n_max)
-        class_of, _, rows = _equitable_quotient(union)
+        class_of, sizes, rows = _equitable_quotient(disjoint_union(*parts))
         steps = _steps(rows, [1] * len(sizes))
         start = dict(zip(parts, accumulate((G.n for G in parts), initial=0)))
         keys = [tuple(sorted(Counter(class_of[start[G] + v] for G in other
                                      for v in range(G.n)).items())) for _, other in splits]
         distinct = list(dict.fromkeys(filter(None, keys)))
         weights = [gcd(*(m for w in distinct for x, m in w if x == c)) for c in range(len(sizes))]
-        fold = fold_products(n_max, weights, step)
+        fold = fold_products(n_max, weights, partial(_message, rows))
     degrees = sorted(set().union(*(closed for closed, _ in splits)))
     by_degree = [[closed[d] for d in degrees] for closed, _ in splits]
 
@@ -296,11 +297,17 @@ def _component_sweeps(targets: Sequence[TargetGraph], n_max: int
     return read, starmap(path_counts, enumerate(steps, 1))
 
 
-def _bounded_fold(H: TargetGraph, n_max: int) -> Callable[..., list[tuple[int, int]]]:
-    """`trees.bounded_fold` over H's counts, fold(n, bound, above=False) for
-    every order up to n_max, with one set of tables for the whole sweep: the
-    classes weighted by their sizes, so that a tree's count is one sum."""
-    return bounded_fold(n_max, *sweep_quotient(H, n_max))
+def _bounded_fold(H: TargetGraph, n_max: int
+                  ) -> tuple[Quotient, Callable[..., list[tuple[int, int]]]]:
+    """(Q, fold): H's coarsest equitable quotient, which the sweep's path and
+    star counts read, and `trees.bounded_fold` over H's counts, fold(n,
+    bound, above=False) for every order up to n_max, with one set of tables
+    for the whole sweep: the classes weighted by their sizes, so that a
+    tree's count is one sum. An order past the limit is refused before H is
+    refined."""
+    _check_order(n_max)
+    Q = _equitable_quotient(H)
+    return Q, bounded_fold(n_max, Q.sizes, partial(_message, Q.rows))
 
 
 def _least(counts: list[int]) -> tuple[int, int]:
@@ -320,7 +327,8 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     """The least count and its ties among the trees counted at most the path,
     the largest among those counted at least the star, both among them."""
     # the fold refuses an order past the limit before the two counts, which take n steps
-    fold, path_count, star_count = _bounded_fold(H, n), _path_hom(H, n), _star_hom(H, n)
+    Q, fold = _bounded_fold(H, n)
+    path_count, star_count = _path_hom(Q, n), _star_hom(Q, n)
     low = fold(n, path_count)
     least = min(c for _, c in low)
     tied = [i for i, c in low if c == least]
@@ -348,8 +356,8 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
     _check_n_max(n_max, "the path-minimality check")
     # the path is among the trees counted at most its own count, so the
     # least count and its ties are among them too
-    fold = _bounded_fold(H, n_max)
-    paths = islice(_path_counts(H), 1, None)  # from n = 2
+    Q, fold = _bounded_fold(H, n_max)
+    paths = islice(_path_counts(Q), 1, None)  # from n = 2
     reports = tuple(_verdict(n, *_least([c for _, c in fold(n, p)]), p)
                     for n, p in zip(range(2, n_max + 1), paths))
     try:
@@ -412,9 +420,9 @@ def sidorenko_check(H: TargetGraph, n_max: int):
     code order among those counted above the star at the first such order
     n = 2..n_max. Only the trees the bounded fold keeps are listed and coded."""
     _check_n_max(n_max, "the star-maximality check")
-    fold = _bounded_fold(H, n_max)
+    Q, fold = _bounded_fold(H, n_max)
     for n in range(2, n_max + 1):
-        bound = _star_hom(H, n)
+        bound = _star_hom(Q, n)
         found = fold(n, bound, above=True)
         if found:
             codes = tree_codes(n, (i for i, _ in found))

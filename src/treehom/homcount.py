@@ -17,10 +17,12 @@ them, `_steps`. The walk's own step, a ⊙ A·h for a parent's vector a, is
 reach ABSORB_WALK_STEPS vertices (`_walked` counts them), and from then
 on one generated straight-line function per quotient (`_compiled`, cached)
 of at most ABSORB_TERM_LIMIT terms.
-`sweep_quotient` gives a sweep H's class sizes and message step, from which
-the tree generator's fold composes every tree's count out of shared subtree
-vectors instead of walking each tree. Brute-force enumeration of a tree's
-vertex maps is kept apart from the walk as the independent oracle.
+A sweep's fold (`trees.bounded_fold`, `trees.fold_products`) takes a
+quotient's class sizes and message step, and composes every tree's count out
+of shared subtree vectors instead of walking each tree; the path and star
+counts it is read against (`_path_counts`, `_star_hom`) read the same
+quotient. Brute-force enumeration of a tree's vertex maps is kept apart from
+the walk as the independent oracle.
 
 All counting is in arbitrary-precision integers (counts grow like d^n).
 Weighted counts are integer numerators over one common denominator D^n (D the
@@ -39,14 +41,9 @@ from operator import index, mul
 
 from .automorphy import Quotient, _equitable_quotient, class_data
 from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
-from .trees import _kc_glue, _kc_paths, bare_path, kc_site_count, shape_count
+from .trees import _kc_glue, _kc_paths, bare_path, kc_site_count
 
 BRUTE_FORCE_BUDGET = 10 ** 8
-
-#: Cap on a sweep's shapes x classes: the fold's table holds a vector and a
-#: message of one entry per class for each rooted shape, and many more
-#: vectors of that length.
-SHAPE_VECTOR_LIMIT = 1_000_000
 
 #: Cap on `kc`'s work, sites x n x (k + 3) x (r + k) for H's quotient with k
 #: classes and r row entries: per site, at most three n-vertex walks and k
@@ -147,21 +144,6 @@ def _walk(adj: Sequence[Sequence[int]], root: int, rows: tuple[tuple[int, ...], 
     return list(weights) if h[root] is None else h[root]
 
 
-def sweep_quotient(H: TargetGraph, n: int) -> tuple[list[int], Callable[[list[int]], list[int]]]:
-    """(sizes, step): the class sizes and message step h -> A·h of H's
-    coarsest equitable quotient, from which the fold of a sweep up to order n
-    builds every rooted shape's vector, the walk's h_s = Π_children A·h_c
-    (`trees.fold_products`, `trees.bounded_fold`). Refused past
-    SHAPE_VECTOR_LIMIT over the shapes `trees.free_trees(n)` composes."""
-    shapes = shape_count(n)  # refuses an order past the limit before H is refined
-    _, sizes, rows = _equitable_quotient(H)
-    if shapes * len(sizes) > SHAPE_VECTOR_LIMIT:
-        raise SizeLimitError(f"shape vectors need shapes x classes = {shapes} x {len(sizes)} = "
-                             f"{shapes * len(sizes)}, past SHAPE_VECTOR_LIMIT = "
-                             f"{SHAPE_VECTOR_LIMIT}")
-    return sizes, partial(_message, rows)
-
-
 def hom_vector(T: Tree, root: int, Q: Quotient) -> tuple[int, ...]:
     """Entry c = number of H-colorings sending root to any one vertex of
     class c of the equitable quotient Q."""
@@ -184,26 +166,24 @@ def tree_hom(T: Tree, H: TargetGraph) -> int:
     return sum(map(mul, sizes, _walk(T._adj, 0, rows, [1] * len(sizes))))
 
 
-def _path_counts(H: TargetGraph) -> Iterator[int]:
-    """hom(P_n, H) = 1ᵀA^(n-1)1 for n = 1, 2, ...: one message step per
-    order over H's coarsest equitable quotient from the all-ones vector,
-    weighted by class size. No path is built."""
-    _, sizes, rows = _equitable_quotient(H)
-    return (sum(map(mul, sizes, h)) for h in _steps(rows, [1] * len(sizes)))
+def _path_counts(Q: Quotient) -> Iterator[int]:
+    """hom(P_n, H) = 1ᵀA^(n-1)1 for n = 1, 2, ..., Q an equitable quotient
+    of H: one message step per order from the all-ones vector, weighted by
+    class size. No path is built."""
+    return (sum(map(mul, Q.sizes, h)) for h in _steps(Q.rows, [1] * Q.k))
 
 
-def _path_hom(H: TargetGraph, n: int) -> int:
+def _path_hom(Q: Quotient, n: int) -> int:
     """hom(P_n, H): n - 1 steps of `_path_counts`."""
-    return next(islice(_path_counts(H), max(n - 1, 0), None))
+    return next(islice(_path_counts(Q), max(n - 1, 0), None))
 
 
-def _star_hom(H: TargetGraph, n: int) -> int:
-    """hom(S_n, H) = Σ_c sizes[c]·len(rows[c])^(n-1) over H's coarsest
-    equitable quotient: the centre takes a vertex of class c, and each of
-    the n - 1 leaves any of its len(rows[c]) neighbours. No star is built;
+def _star_hom(Q: Quotient, n: int) -> int:
+    """hom(S_n, H) = Σ_c sizes[c]·len(rows[c])^(n-1), Q an equitable
+    quotient of H: the centre takes a vertex of class c, and each of the
+    n - 1 leaves any of its len(rows[c]) neighbours. No star is built;
     n = 1 gives H.n, the single vertex's count."""
-    _, sizes, rows = _equitable_quotient(H)
-    return sum(m * len(row) ** (n - 1) for m, row in zip(sizes, rows))
+    return sum(m * len(row) ** (n - 1) for m, row in zip(Q.sizes, Q.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ a tree's parts, without building the tree: the children that complete a tree
 multiply to a value that depends only on how many vertices they hold and the
 bound on their IDs, so for up to `_TAIL` vertices those products are
 tabulated, one table for every order of a sweep, whose first rows are the
-rooted shapes' own vectors. It has two readers: `fold_products` reads every vector, and
+rooted shapes' own vectors (refused past SHAPE_VECTOR_LIMIT shapes x
+classes). It has two readers: `fold_products` reads every vector, and
 `bounded_fold` only the vectors' sums at most a bound, or above it, the walk
 skipping every part of the fold whose lower (upper) bound is past it.
 `all_trees` materializes the enumeration and `tree_count` reads its size off
@@ -33,6 +34,11 @@ from operator import mul
 from .graphs import SizeLimitError, Tree, _Record, _search
 
 TREE_LIMIT = 16
+
+#: Cap on a sweep's shapes x classes: the fold's table (`_table`) holds a
+#: vector and a message of one entry per class for each rooted shape, and
+#: many more vectors of that length.
+SHAPE_VECTOR_LIMIT = 1_000_000
 
 
 class CanonicalTree(_Record):
@@ -182,18 +188,11 @@ def _check_order(n: int) -> None:
         raise SizeLimitError(f"tree enumeration limited to 1..{TREE_LIMIT}, got n={n}")
 
 
-def shape_count(n: int) -> int:
-    """How many rooted shapes `free_trees(n)` composes: the rooted trees on up
-    to max(1, n // 2) vertices, IDs 0 (the single vertex) and up."""
-    _check_order(n)
-    return _shapes().end[max(1, n // 2)]
-
-
 def free_trees(n: int) -> Iterator[tuple[int, ...]]:
     """One tuple (s, c_1, ..., c_k) per isomorphism class of trees on n
     vertices, in a fixed generation order (not code order): the rooted shape
-    s, by its ID (below `shape_count(n)`), with extra children c_1 >= ... >=
-    c_k at its root.
+    s, by its ID (one of the rooted trees on up to max(1, n // 2) vertices),
+    with extra children c_1 >= ... >= c_k at its root.
 
     The tree is the centroid as a bare vertex (s = 0) with every branch, each
     under n/2 vertices, or, for even n, the pair a <= b of n/2-vertex halves
@@ -218,9 +217,15 @@ def _table(n_max: int, k: int, step: Callable[[list[int]], list[int]]
     `free_trees` order, largest IDs first, so those with IDs below b are its
     last num[r][b] (`_counts`). For r < n_max // 2 all IDs that fit are
     below that bound, so tails[r] are the (r + 1)-vertex shapes' vectors
-    h_s = Π msg[c] over s's children, in ID order, and msg[s] = step(h_s)."""
+    h_s = Π msg[c] over s's children, in ID order, and msg[s] = step(h_s).
+    Refused past SHAPE_VECTOR_LIMIT over the shapes `free_trees(n_max)`
+    composes, before any vector is built."""
     _check_order(n_max)
     t, num = _shapes(), _counts()
+    shapes = t.end[max(1, n_max // 2)]
+    if shapes * k > SHAPE_VECTOR_LIMIT:
+        raise SizeLimitError(f"shape vectors need shapes x classes = {shapes} x {k} = "
+                             f"{shapes * k}, past SHAPE_VECTOR_LIMIT = {SHAPE_VECTOR_LIMIT}")
     most, top = min(n_max - 1, _TAIL), t.end[(n_max - 1) // 2]
     tails: list[list[list[int]]] = []
     msg: list[list[int]] = []

@@ -29,6 +29,12 @@ Two oracles that share no code with treehom.automorphy:
   number of colours stops growing; a path takes Θ(n) rounds, so it is for
   small graphs only.
 
+One oracle that needs no graph, only an equitable quotient, and shares no
+code with treehom.homcount or treehom.trees:
+
+* quotient_hom: hom(T, Q) for a quotient's class sizes and rows, by brute
+  force over every map of T's vertices to classes.
+
 One oracle that shares no code with treehom.extremal and uses no quotient:
 
 * strict_witness_pairs: the strict-minimality certificate's witness pairs,
@@ -72,12 +78,13 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 from math import prod
 
 from treehom import TargetGraph, Tree
-from treehom.homcount import sweep_quotient
+from treehom.automorphy import _equitable_quotient
+from treehom.homcount import _message
 from treehom.trees import _code, fold_products, tree_count
 
 PRUFER_LIMIT = 8  # n^(n-2) sequences; 8^6 ~ 262k is the comfortable cap
@@ -175,6 +182,26 @@ def brute_partition_function(n: int, edges, H: TargetGraph, lam) -> Fraction:
     return sum((prod((Fraction(lam[x]) for x in f), start=Fraction(1))
                 for f in product(range(H.n), repeat=n)
                 if all(H.has_edge(f[u], f[v]) for u, v in edges)), Fraction(0))
+
+
+def quotient_hom(T: Tree, sizes, rows) -> int:
+    """Σ_f sizes[f(0)]·Π m[f(parent)][f(child)] over every map f of T's
+    vertices to classes, the edges oriented away from vertex 0, with m[i][j]
+    the number of times j appears in rows[i]. On the equitable quotient of a
+    graph H this is hom(T, H); with s_i·m[i][j] = s_j·m[j][i] it does not
+    depend on the root."""
+    k = len(sizes)
+    m = [[list(row).count(j) for j in range(k)] for row in rows]
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for u in T.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    arcs = [(parent[v], v) for v in order[1:]]
+    return sum(sizes[f[0]] * prod(m[f[p]][f[c]] for p, c in arcs)
+               for f in product(range(k), repeat=T.n))
 
 
 def _matmul(X, Y):
@@ -327,7 +354,8 @@ def dense_regular_21() -> TargetGraph:
 def fold_counts(H: TargetGraph, n: int) -> list[int]:
     """Every tree's count on n vertices, in `free_trees` order, from H's lone
     product fold."""
-    return list(map(sum, fold_products(n, *sweep_quotient(H, n))(n)))
+    Q = _equitable_quotient(H)
+    return list(map(sum, fold_products(n, Q.sizes, partial(_message, Q.rows))(n)))
 
 
 def every(read, n: int) -> list[int]:

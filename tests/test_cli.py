@@ -382,7 +382,8 @@ class TestPinnedOutput:
     def test_sidorenko_violation(self, capsys, monkeypatch, rows, want):
         # a fold that keeps its first tree one above every bound
         def fold(H, n_max):
-            return lambda n, bound, above=False: [(0, bound + 1)] if above else []
+            return (automorphy._equitable_quotient(H),
+                    lambda n, bound, above=False: [(0, bound + 1)] if above else [])
 
         monkeypatch.setattr(extremal, "_bounded_fold", fold)
         argv = ("sidorenko", "--target", "capacity:3", "--n-max", "5") + ("--rows",) * rows
@@ -638,7 +639,7 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 5.0
         assert status == 2 and out == ""
         assert err == ("error: shape vectors need shapes x classes = 200 x 5001 = 1000200, "
-                       f"past SHAPE_VECTOR_LIMIT = {homcount.SHAPE_VECTOR_LIMIT}\n")
+                       f"past SHAPE_VECTOR_LIMIT = {trees.SHAPE_VECTOR_LIMIT}\n")
 
     @pytest.mark.parametrize("spec", [
         "path:2000000", "lpath:600000", "star:2000000", "clique:20000", "lclique:20000",

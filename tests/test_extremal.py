@@ -31,12 +31,11 @@ from treehom import (
     verify_hoffman_london,
 )
 from treehom import extremal, homcount, trees
-from treehom.automorphy import OrbitPartition, Quotient, SimilarityMatrix
+from treehom.automorphy import OrbitPartition, Quotient, SimilarityMatrix, _equitable_quotient
 from treehom.extremal import (
     ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
 )
 from treehom.trees import CanonicalTree, _Shapes
-from treehom.homcount import sweep_quotient
 from treehom.trees import TREE_LIMIT, fold_products, free_trees
 from oracles import bipartition, every, fold_counts, has_balanced_bipartition
 
@@ -47,7 +46,7 @@ def tg(n, *edges):
 
 def verdict(H, n):
     """The verdict at order n read from every tree's count."""
-    counts, path_count = fold_counts(H, n), homcount._path_hom(H, n)
+    counts, path_count = fold_counts(H, n), homcount._path_hom(_equitable_quotient(H), n)
     lo = min(counts)
     return OrderVerdict(n, lo, path_count == lo, path_count == lo and counts.count(lo) == 1)
 
@@ -172,6 +171,20 @@ class TestLoopThreshold:
             for n in range(2, 8):
                 assert minimizers(h, n).path_is_min, (hid, n)
 
+    def test_every_build_sequence_is_path_minimal(self):
+        # the paper's theorem on every loop-threshold target on 1 to 7
+        # vertices: each step adds an isolated unlooped vertex or a looped
+        # dominating vertex, 2 + 4 + ... + 128 = 254 build sequences
+        built = [tg(1), tg(1, (0, 0))]
+        for H in built:  # breadth first: each graph's two successors join the list
+            if H.n < 7:
+                built += TargetGraph.from_edges(H.n + 1, H.edges), add_looped_dominating(H, 1)
+        assert len(built) == 254
+        for H in built:
+            assert is_loop_threshold(H) is not None, H
+            assert find_increasing_ordering(H) is not None, H
+            assert verify_hoffman_london(H, 10).hoffman_london, H
+
 
 class TestMinimizers:
     def test_balanced_minimizers_for_unlooped_star_target(self):
@@ -270,7 +283,7 @@ class TestHLVerdicts:
                 n, v.min_count, tuple(sorted(codes[i] for i, c in enumerate(counts)
                                              if c == v.min_count)),
                 v.path_is_min, v.path_is_unique_min, max(counts),
-                homcount._star_hom(H, n) == max(counts))
+                homcount._star_hom(_equitable_quotient(H), n) == max(counts))
 
         want = [[reference(H, n) for n in range(2, 13)] for H in targets]
 
@@ -284,7 +297,7 @@ class TestHLVerdicts:
 
     def test_bounded_fold_refuses_an_order_past_its_tables(self):
         # tables built for n_max would list wrong positions past it
-        fold = extremal._bounded_fold(SMALL_TARGETS[7], 8)
+        _, fold = extremal._bounded_fold(SMALL_TARGETS[7], 8)
         with pytest.raises(ValueError, match="n <= 8"):
             fold(9, 10 ** 9)
 
@@ -386,6 +399,17 @@ class TestSweeps:
         with pytest.raises(SizeLimitError, match=f"got n={TREE_LIMIT + 1}"):
             sweep(make_capacity_graph(3), TREE_LIMIT + 1)
 
+    @pytest.mark.parametrize("sweep", [verify_hoffman_london, sidorenko_check, minimizers])
+    def test_one_target_sweep_refines_its_target_once(self, monkeypatch, sweep):
+        # the fold and the path and star counts it is read against share
+        # one quotient of the target
+        quotients = []
+        for module in homcount, extremal:
+            monkeypatch.setattr(module, "_equitable_quotient",
+                                counted(_equitable_quotient, quotients))
+        sweep(make_capacity_graph(3), 12)
+        assert len(quotients) == 1
+
     def test_classify_sweeps_once_per_order(self, monkeypatch):
         # the 8 distinct components that are not regular (targets 7, 15 and
         # 16 share one) share one union fold, which builds its table once,
@@ -398,13 +422,14 @@ class TestSweeps:
         def counted_products(*args):
             return counted(fold_products(*args), reads)
 
-        monkeypatch.setattr(extremal, "sweep_quotient", counted(sweep_quotient, quotients))
+        monkeypatch.setattr(extremal, "_equitable_quotient",
+                            counted(_equitable_quotient, quotients))
         monkeypatch.setattr(extremal, "fold_products", counted_products)
         monkeypatch.setattr(trees, "_table", counted(trees._table, tables))
         monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
         classify_small_targets(14)
-        assert [(H.n, n) for H, n in quotients] == [(23, 14)]  # the union of the 8 components
-        assert len(tables) == 1
+        assert [H.n for H, in quotients] == [23]  # the union of the 8 components
+        assert [n_max for n_max, *_ in tables] == [14]
         assert reads == [(n,) for n in range(2, 15)]
         assert listings == []
 
@@ -453,9 +478,10 @@ class TestSweeps:
                 extremal._component_sweeps([H], 8)[0](9)
 
     def test_sidorenko_builds_one_set_of_tables(self, monkeypatch):
-        # one quotient step and one table for every order
+        # one quotient and one table for every order
         quotients, tables = [], []
-        monkeypatch.setattr(extremal, "sweep_quotient", counted(sweep_quotient, quotients))
+        monkeypatch.setattr(extremal, "_equitable_quotient",
+                            counted(_equitable_quotient, quotients))
         monkeypatch.setattr(trees, "_table", counted(trees._table, tables))
         assert sidorenko_check(make_capacity_graph(3), 12) == (True, None)
         assert len(quotients) == 1 and len(tables) == 1
@@ -498,11 +524,11 @@ def test_union_fold_and_bounded_fold_give_one_verdict(hid):
     # the path's count; for target 19 the bounded fold also lists the
     # balanced trees, the least count's positions
     H = SMALL_TARGETS[hid]
-    fold = extremal._bounded_fold(H, TREE_LIMIT)
+    Q, fold = extremal._bounded_fold(H, TREE_LIMIT)
     for n in range(1, TREE_LIMIT + 1):
         col = _small_target_read(n)[hid]
         full = every(col, n)
-        kept = fold(n, homcount._path_hom(H, n))
+        kept = fold(n, homcount._path_hom(Q, n))
         least = min(c for _, c in kept)
         tied = [i for i, c in kept if c == least]
         assert (least, len(tied)) == (min(full), full.count(min(full))), n

@@ -2,6 +2,7 @@ import random
 import signal
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from operator import mul
 from types import SimpleNamespace
@@ -35,8 +36,8 @@ from treehom.automorphy import Quotient, _equitable_quotient, class_data
 from treehom.cli import parse_target_spec
 from treehom import homcount
 from treehom.graphs import add_looped_dominating
-from treehom.homcount import _absorb, _compiled, _message, _path_hom, _star_hom, sweep_quotient
-from treehom.trees import TREE_LIMIT, shape_count
+from treehom.homcount import _absorb, _compiled, _message, _path_hom, _star_hom
+from treehom.trees import TREE_LIMIT, _shapes, bounded_fold
 
 H_IND = SMALL_TARGETS[7]
 
@@ -293,12 +294,13 @@ class TestAbsorber:
         steps = homcount.ABSORB_WALK_STEPS
         H = make_capacity_graph(3)
         for n in steps // 2, steps // 2 + 1:  # steps - 1 vertices walked in all
-            assert tree_hom(path(n), H) == _path_hom(H, n)
+            assert tree_hom(path(n), H) == _path_hom(_equitable_quotient(H), n)
         assert compiled == []
-        assert tree_hom(path(2), H) == _path_hom(H, 2)
+        assert tree_hom(path(2), H) == _path_hom(_equitable_quotient(H), 2)
         assert len(compiled) == 1
         # one walk of that many vertices is compiled at once
-        assert tree_hom(path(steps + 1), SMALL_TARGETS[9]) == _path_hom(SMALL_TARGETS[9], steps + 1)
+        H = SMALL_TARGETS[9]
+        assert tree_hom(path(steps + 1), H) == _path_hom(_equitable_quotient(H), steps + 1)
         assert len(compiled) == 2
 
     def test_past_the_cap_nothing_is_compiled(self, monkeypatch):
@@ -416,22 +418,25 @@ def test_path_count_without_building_the_path():
     for H in list(SMALL_TARGETS.values()) + [make_capacity_graph(3), make_widom_rowlinson(3),
                                              make_capacity_graph(5), make_folkman_plus_dominating()]:
         for n in range(1, TREE_LIMIT + 1):
-            assert _path_hom(H, n) == tree_hom(path(n), H)
+            assert _path_hom(_equitable_quotient(H), n) == tree_hom(path(n), H)
 
 
 def test_star_count_without_building_the_star():
     for H in list(SMALL_TARGETS.values()) + [make_capacity_graph(5), make_folkman_plus_dominating()]:
-        assert _star_hom(H, 1) == H.n  # the single vertex
+        Q = _equitable_quotient(H)
+        assert _star_hom(Q, 1) == H.n  # the single vertex
         for n in range(2, 13):
-            assert _star_hom(H, n) == tree_hom(star(n), H)
+            assert _star_hom(Q, n) == tree_hom(star(n), H)
 
 
 def test_shape_vectors_refused_past_the_cap(monkeypatch):
     # the 9-vertex path has 5 classes, and n = 16 composes 200 rooted shapes
     H = tg(9, *[(i, i + 1) for i in range(8)])
-    monkeypatch.setattr(homcount, "SHAPE_VECTOR_LIMIT", 1000)
-    assert shape_count(TREE_LIMIT) == 200
-    assert len(sweep_quotient(H, TREE_LIMIT)[0]) == 5
-    monkeypatch.setattr(homcount, "SHAPE_VECTOR_LIMIT", 999)
+    Q = _equitable_quotient(H)
+    monkeypatch.setattr("treehom.trees.SHAPE_VECTOR_LIMIT", 1000)
+    assert _shapes().end[TREE_LIMIT // 2] == 200
+    assert Q.k == 5
+    bounded_fold(TREE_LIMIT, Q.sizes, partial(_message, Q.rows))
+    monkeypatch.setattr("treehom.trees.SHAPE_VECTOR_LIMIT", 999)
     with pytest.raises(SizeLimitError, match="200 x 5 = 1000, past SHAPE_VECTOR_LIMIT = 999"):
-        sweep_quotient(H, TREE_LIMIT)
+        bounded_fold(TREE_LIMIT, Q.sizes, partial(_message, Q.rows))

@@ -14,15 +14,17 @@ certificate against adjacency-matrix powers, the one-pass tree constructor
 against its edge-by-edge check, and the edge-list format round trip."""
 
 from fractions import Fraction
-from itertools import permutations
+from functools import partial
+from itertools import islice, permutations
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     brute_partition_function, every, first_increasing_ordering, fold_counts,
-    fraction_partition_function, has_balanced_bipartition, kc_moved_edges, round_refined_colors,
-    strict_witness_pairs,
+    fraction_partition_function, has_balanced_bipartition, kc_moved_edges, quotient_hom,
+    round_refined_colors, strict_witness_pairs,
 )
 from treehom import (
     SMALL_TARGETS,
@@ -62,8 +64,8 @@ from treehom import (
     tree_partition_function,
 )
 from treehom import extremal, graphs, trees as trees_module
-from treehom.automorphy import _equitable_quotient, _refined_colors, class_data
-from treehom.homcount import _message, _path_hom, _star_hom, sweep_quotient
+from treehom.automorphy import Quotient, _equitable_quotient, _refined_colors, class_data
+from treehom.homcount import _message, _path_counts, _path_hom, _star_hom
 from treehom.trees import free_trees
 from treehom.extremal import (
     LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO,
@@ -185,8 +187,9 @@ def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
 def _bounds(H, n, counts):
     """Bounds below every count, just below and at the path's count, at a
     middle count, just below the star's count and at the largest count."""
-    return (min(counts) - 1, _path_hom(H, n) - 1, _path_hom(H, n),
-            sorted(counts)[len(counts) // 2], _star_hom(H, n) - 1, max(counts))
+    Q = _equitable_quotient(H)
+    return (min(counts) - 1, _path_hom(Q, n) - 1, _path_hom(Q, n),
+            sorted(counts)[len(counts) // 2], _star_hom(Q, n) - 1, max(counts))
 
 
 def _sides(counts, bound):
@@ -202,7 +205,7 @@ def _sides(counts, bound):
 @example(TargetGraph.from_edges(2, []), 10)  # no edges at all
 def test_bounded_fold_lists_the_counts_at_most_its_bound(H, n):
     counts = fold_counts(H, n)
-    fold = extremal._bounded_fold(H, n)
+    _, fold = extremal._bounded_fold(H, n)
     for bound in _bounds(H, n, counts):
         assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), bound
 
@@ -218,11 +221,45 @@ def test_bounded_fold_holds_at_every_tail_size(monkeypatch, name, tail, n_max):
     # whether the bounded fold bisects a table block or prunes stack nodes
     monkeypatch.setattr(trees_module, "_TAIL", tail)
     H = BOUNDED_TARGETS[name]
-    fold = extremal._bounded_fold(H, n_max)  # one set of tables for every order, as check-hl reads it
+    _, fold = extremal._bounded_fold(H, n_max)  # one set of tables for every order, as check-hl reads it
     for n in range(1, n_max + 1):
         counts = fold_counts(H, n)
         for bound in _bounds(H, n, counts):
             assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), (n, bound)
+
+
+@st.composite
+def quotients(draw, max_k=3):
+    """Equitable quotients with no graph behind them: k <= max_k classes of
+    sizes s_i in 1..3, and W[i][j] = W[j][i] drawn from {0, 1, 2} times
+    lcm(s_i, s_j), so that m[i][j] = W[i][j] / s_i is whole and s_i·m[i][j]
+    = s_j·m[j][i]; rows[i] lists class j m[i][j] times. Many have no graph:
+    a class of one vertex may have two neighbours in itself."""
+    k = draw(st.integers(1, max_k))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    W = {}
+    for i in range(k):
+        for j in range(i, k):
+            W[i, j] = W[j, i] = draw(st.integers(0, 2)) * lcm(sizes[i], sizes[j])
+    rows = tuple(tuple(j for j in range(k) for _ in range(W[i, j] // sizes[i]))
+                 for i in range(k))
+    class_of = tuple(c for c, s in enumerate(sizes) for _ in range(s))
+    return Quotient(class_of, tuple(sizes), rows)
+
+
+@PROPERTY
+@given(quotients())
+def test_sweep_counts_read_any_quotient(Q):
+    # the fold, the path counts and the star counts read only the class
+    # sizes and rows, so they hold on quotients no graph realizes
+    paths = list(islice(_path_counts(Q), 7))
+    for n in range(1, 8):
+        counts = [quotient_hom(tree_at(parts), Q.sizes, Q.rows) for parts in free_trees(n)]
+        fold = trees_module.bounded_fold(n, Q.sizes, partial(_message, Q.rows))
+        for bound in min(counts) - 1, sorted(counts)[len(counts) // 2], max(counts):
+            assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), n
+        assert paths[n - 1] == quotient_hom(path(n), Q.sizes, Q.rows), n
+        assert _star_hom(Q, n) == quotient_hom(star(n) if n > 1 else path(1), Q.sizes, Q.rows)
 
 
 # both readers of the product fold run one block walk, so their reference is
@@ -232,7 +269,8 @@ READER_TAILS = (0, 3, 6, 8)
 
 
 def _readers_are_the_walk_counts(H, n_max):
-    weights, step = sweep_quotient(H, n_max)
+    Q = _equitable_quotient(H)
+    weights, step = Q.sizes, partial(_message, Q.rows)
     full = trees_module.fold_products(n_max, weights, step)
     bounded = trees_module.bounded_fold(n_max, weights, step)
     for n in range(1, n_max + 1):
@@ -263,7 +301,7 @@ def test_fold_readers_are_the_walk_counts_on_named_targets(monkeypatch, name, ta
 @PROPERTY
 @given(targets(max_n=6), st.integers(1, 30))
 def test_path_count_is_the_walk_count(H, n):
-    assert _path_hom(H, n) == tree_hom(path(n), H)
+    assert _path_hom(_equitable_quotient(H), n) == tree_hom(path(n), H)
 
 
 @PROPERTY
@@ -329,7 +367,8 @@ def test_regular_targets_are_counted_without_the_fold(H, n):
     assert counts == [tree_hom(ct.tree, H) for ct in all_trees(n)]
     # every tree has the same class vector, so the bounds are exact and the
     # bounded walk at the common count yields no block on either side
-    walk = trees_module._blocks(n, *sweep_quotient(H, n))
+    Q = _equitable_quotient(H)
+    walk = trees_module._blocks(n, Q.sizes, partial(_message, Q.rows))
     assert list(walk(n, counts[0] - 1)) == [] == list(walk(n, counts[0], above=True))
 
 
@@ -435,7 +474,7 @@ def test_offender_is_first_in_code_order(name, monkeypatch):
     H, n = REFERENCE_TARGETS[name], 7
     counts = {ct.code: tree_hom(ct.tree, H) for ct in all_trees(n)}
     stars = extremal._star_hom
-    monkeypatch.setattr(extremal, "_star_hom", lambda G, m: stars(G, m) - (m == n))
+    monkeypatch.setattr(extremal, "_star_hom", lambda Q, m: stars(Q, m) - (m == n))
     star_count = counts[canonical_code(star(n))]
     first = min(code for code, c in counts.items() if c >= star_count)
     assert sidorenko_check(H, 9) == (False, (n, first, counts[first], star_count - 1))
