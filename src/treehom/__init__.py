@@ -26,7 +26,6 @@ from .trees import (
     tree_count,
 )
 from .automorphy import (
-    OrbitPartition,
     SimilarityMatrix,
     automorphisms,
     find_increasing_ordering,

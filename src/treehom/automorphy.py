@@ -24,19 +24,6 @@ AUT_WORK_LIMIT = 2_000_000
 ORDERING_WORK_LIMIT = 10_000_000
 
 
-class OrbitPartition(_Record):
-    """Automorphism orbits of a target graph, indexed by least contained vertex."""
-
-    __slots__ = ()
-    graph: TargetGraph
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-
 class SimilarityMatrix(_Record):
     """Cross-class neighbor counts m[i][j] under a chosen class ordering.
 
@@ -101,6 +88,14 @@ class Quotient(_Record):
     @property
     def k(self) -> int:
         return len(self.sizes)
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """Each class's vertices, in increasing order."""
+        classes: list[list[int]] = [[] for _ in self.sizes]
+        for v, c in enumerate(self.class_of):
+            classes[c].append(v)
+        return tuple(map(tuple, classes))
 
 
 def _quotient(H: TargetGraph, class_of) -> Quotient:
@@ -222,8 +217,12 @@ def is_isomorphic(H1: TargetGraph, H2: TargetGraph) -> bool:
     return next(_isomorphisms(H1, H2), None) is not None
 
 
-def orbit_partition(H: TargetGraph) -> OrbitPartition:
-    """Orbits of the automorphism group, classes indexed by least vertex.
+@lru_cache(maxsize=None)
+def orbit_partition(H: TargetGraph) -> Quotient:
+    """The Quotient of H's automorphism orbits (orbits are equitable), classes
+    numbered in order of least vertex: the paper's automorphic similarity
+    classes. Cached, and the only route to the orbits, so a target's orbit
+    search runs once per process.
 
     The group is not listed. Vertices are taken in order; a vertex w not yet
     joined to a known orbit is tried against the representative r of each
@@ -253,28 +252,23 @@ def orbit_partition(H: TargetGraph) -> OrbitPartition:
         else:
             same.append(w)
     index: dict[int, int] = {}  # orbit root -> class, numbered in order of least member
-    class_of = tuple(index.setdefault(_find(parent, v), len(index)) for v in H.vertices())
-    classes: list[list[int]] = [[] for _ in index]
-    for v, c in enumerate(class_of):
-        classes[c].append(v)
-    return OrbitPartition(H, tuple(map(tuple, classes)), class_of)
+    return _quotient(H, [index.setdefault(_find(parent, v), len(index)) for v in H.vertices()])
 
 
-def similarity_matrix(P: OrbitPartition,
+def similarity_matrix(Q: Quotient,
                       ordering: tuple[int, ...] | None = None) -> SimilarityMatrix:
-    """m[i][j] = neighbors in class j of any vertex in class i (orbits are
-    equitable), classes in ordering (index order by default); k^2 steps (_charge)."""
-    k = P.k
+    """m[i][j] = neighbors in class j of any vertex in class i of the
+    equitable quotient Q, classes in ordering (index order by default); k^2
+    steps (_charge)."""
+    k = Q.k
     if ordering is None:
         ordering = tuple(range(k))
     if sorted(ordering) != list(range(k)):
         raise ValueError(f"ordering {ordering} is not a permutation of 0..{k - 1}")
     _charge([0], k ** 2)
-    _, sizes, rows = _quotient(P.graph, P.class_of)
-    counts = [Counter(rows[i]) for i in ordering]
+    counts = [Counter(Q.rows[i]) for i in ordering]
     m = tuple(tuple(c[j] for j in ordering) for c in counts)
-    sizes = tuple(sizes[i] for i in ordering)
-    return SimilarityMatrix(k, m, sizes, tuple(ordering))
+    return SimilarityMatrix(k, m, tuple(Q.sizes[i] for i in ordering), tuple(ordering))
 
 
 def has_increasing_columns(M: SimilarityMatrix) -> bool:
@@ -283,8 +277,8 @@ def has_increasing_columns(M: SimilarityMatrix) -> bool:
     return all(x <= y for a, b in zip(tails, tails[1:]) for x, y in zip(a, b))
 
 
-def find_increasing_ordering(H: TargetGraph) -> tuple[tuple[int, ...], SimilarityMatrix] | None:
-    """First class ordering (lexicographic) whose matrix passes, or None.
+def find_increasing_ordering(H: TargetGraph) -> tuple[int, ...] | None:
+    """First ordering (lexicographic) of H's orbits whose matrix passes, or None.
 
     A passing ordering is sorted by f_S(x) = sum of m[x][y], y in S, for each
     suffix set S (the classes from some position on). Classes are placed
@@ -298,8 +292,8 @@ def find_increasing_ordering(H: TargetGraph) -> tuple[tuple[int, ...], Similarit
     costs (j + 1)(k - j), so reaching depth d costs at least d(d + 1)(d + 2)/6
     steps and the recursion never goes past about 390 frames.
     """
-    P, _ = class_data(H)
-    base = similarity_matrix(P)
+    Q = orbit_partition(H)
+    base = similarity_matrix(Q).m
     spent = [0]
 
     def extend(placed: list[int], scores: list[list[int]], rest: list[int]):
@@ -309,25 +303,15 @@ def find_increasing_ordering(H: TargetGraph) -> tuple[tuple[int, ...], Similarit
         _charge(spent, len(scores) * len(rest), "ORDERING_WORK_LIMIT")
         lows = [min(s[y] for y in rest) for s in scores]
         for x in rest:
-            _charge(spent, P.k + len(placed), "ORDERING_WORK_LIMIT")
+            _charge(spent, Q.k + len(placed), "ORDERING_WORK_LIMIT")
             if any(s[x] > low for s, low in zip(scores, lows)):
                 continue
             after, seq = [y for y in rest if y != x], placed + [x]
-            f = [a - row[x] for a, row in zip(scores[-1], base.m)]
+            f = [a - row[x] for a, row in zip(scores[-1], base)]
             if any(f[y] < f[x] for y in after) or any(f[a] > f[b] for a, b in zip(seq, seq[1:])):
                 continue
             if (found := extend(seq, scores + [f], after)) is not None:
                 return found
         return None
 
-    ordering = extend([], [[sum(row) for row in base.m]], list(range(P.k)))
-    return None if ordering is None else (ordering, similarity_matrix(P, ordering))
-
-
-@lru_cache(maxsize=None)
-def class_data(H: TargetGraph):
-    """(OrbitPartition, its Quotient) for H, cached: the paper's automorphic
-    similarity classes in the form the counts walk. The only route to the
-    orbit quotient, so a target's orbit search runs once per process."""
-    P = orbit_partition(H)
-    return P, _quotient(H, P.class_of)
+    return extend([], [[sum(row) for row in base]], list(range(Q.k)))

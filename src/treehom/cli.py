@@ -21,12 +21,7 @@ from collections.abc import Sequence
 from itertools import combinations, combinations_with_replacement
 from types import SimpleNamespace
 
-from .automorphy import (
-    class_data,
-    find_increasing_ordering,
-    orbit_partition,
-    similarity_matrix,
-)
+from .automorphy import find_increasing_ordering, orbit_partition, similarity_matrix
 from .graphs import (
     GraphParseError,
     SizeLimitError,
@@ -189,21 +184,22 @@ def _cmd_partition(args) -> int:
 
 def _cmd_orbits(args) -> int:
     H = parse_target_spec(args.target)
-    P = orbit_partition(H)
+    Q = orbit_partition(H)
     if args.rows:
-        for i, cls in enumerate(P.classes):
+        for i, cls in enumerate(Q.classes):
             print(f"class\t{i}\t{len(cls)}\t{','.join(map(str, cls))}")
     else:
-        print(f"{P.k} similarity classes")
-        for i, cls in enumerate(P.classes):
+        print(f"{Q.k} similarity classes")
+        for i, cls in enumerate(Q.classes):
             print(f"  class {i}: size {len(cls)}, vertices {list(cls)}")
     return 0
 
 
 def _cmd_matrix(args) -> int:
     H = parse_target_spec(args.target)
-    result = find_increasing_ordering(H)
-    base = similarity_matrix(class_data(H)[0])
+    ordering = find_increasing_ordering(H)
+    Q = orbit_partition(H)
+    base = similarity_matrix(Q)
 
     def show(M, tag: str) -> None:
         for row in M.m:
@@ -216,13 +212,12 @@ def _cmd_matrix(args) -> int:
         print(f"{base.k} classes, sizes {list(base.sizes)}")
         print("similarity matrix (classes in index order):")
     show(base, "row")
-    if result is None:
+    if ordering is None:
         print("verdict\tno-increasing-ordering" if args.rows else "verdict: no increasing ordering")
     else:
-        ordering, M = result
         print(f"verdict\tincreasing\t{','.join(map(str, ordering))}" if args.rows
               else f"verdict: increasing ordering found, class order {list(ordering)}")
-        show(M, "ordered-row")
+        show(similarity_matrix(Q, ordering), "ordered-row")
     return 0
 
 
@@ -272,8 +267,7 @@ def _cmd_check_hl(args) -> int:
             uniq = " (unique)" if rep.path_is_unique_min else ""
             print(f"n={rep.n}: path minimal: {rep.path_is_min}{uniq}, min {rep.min_count}")
         if verdict.matrix_certificate is not None:
-            ordering, _ = verdict.matrix_certificate
-            print(f"increasing-columns certificate: class order {list(ordering)}")
+            print(f"increasing-columns certificate: class order {list(verdict.matrix_certificate)}")
         else:
             print("increasing-columns certificate: none")
         if verdict.strong_certificate is not None:

@@ -17,11 +17,10 @@ from operator import add, mul
 
 from .automorphy import (
     Quotient,
-    SimilarityMatrix,
     _equitable_quotient,
-    class_data,
     find_increasing_ordering,
     has_increasing_columns,
+    orbit_partition,
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph, _Record, _search, disjoint_union
@@ -191,7 +190,7 @@ class HLVerdict(_Record):
     __slots__ = ()
     n_max: int
     reports: tuple[OrderVerdict, ...]
-    matrix_certificate: tuple[tuple[int, ...], SimilarityMatrix] | None
+    matrix_certificate: tuple[int, ...] | None
     strong_certificate: StrongHLCertificate | None
 
     @property
@@ -364,7 +363,7 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
         cert = find_increasing_ordering(H)
     except SizeLimitError:
         cert = None
-    got = cert and check_strong_hl_certificate(H, cert[0], t_max=n_max, s_max=n_max)
+    got = cert is not None and check_strong_hl_certificate(H, cert, t_max=n_max, s_max=n_max)
     return HLVerdict(n_max, reports, cert, got if isinstance(got, StrongHLCertificate) else None)
 
 
@@ -385,8 +384,8 @@ def check_strong_hl_certificate(
     reaches it (`_column`) and stepped once per length after that."""
     _check_n_max(t_max, "the strict-minimality certificate", "t_max")
     _check_n_max(s_max, "the strict-minimality certificate", "s_max")
-    P, Q = class_data(H)
-    if not has_increasing_columns(similarity_matrix(P, ordering)):
+    Q = orbit_partition(H)
+    if not has_increasing_columns(similarity_matrix(Q, ordering)):
         return "ordering does not pass the increasing-columns test"
     # ends[s - 2][x]: s-vertex path colorings with an end at x
     ends = list(islice(_steps(Q.rows, [1] * Q.k), 1, s_max))

@@ -10,10 +10,10 @@ or at every site of a tree by `kc_decompositions`, which reads each site's
 path ends off the chain walk that lists the sites, `trees._kc_paths`) run it
 over H's coarsest equitable quotient (rooted counts agree on its classes;
 activities refine it), `hom_count` over the paper's automorphic similarity
-classes (`class_data`). The message step A·h is `_message`; every repeated
-step, from path counts to the certificate's columns, reads one iterator of
-them, `_steps`. The walk's own step, a ⊙ A·h for a parent's vector a, is
-`_message` and a product (`_absorb`) until walks over the quotient
+classes (`automorphy.orbit_partition`). The message step A·h is `_message`;
+every repeated step, from path counts to the certificate's columns, reads one
+iterator of them, `_steps`. The walk's own step, a ⊙ A·h for a parent's
+vector a, is `_message` and a product (`_absorb`) until walks over the quotient
 reach ABSORB_WALK_STEPS vertices (`_walked` counts them), and from then
 on one generated straight-line function per quotient (`_compiled`, cached)
 of at most ABSORB_TERM_LIMIT terms.
@@ -39,7 +39,7 @@ from itertools import combinations, islice, product
 from math import lcm
 from operator import index, mul
 
-from .automorphy import Quotient, _equitable_quotient, class_data
+from .automorphy import Quotient, _equitable_quotient, orbit_partition
 from .graphs import SizeLimitError, TargetGraph, Tree, _search, blow_up
 from .trees import _kc_glue, _kc_paths, bare_path, kc_site_count
 
@@ -155,7 +155,7 @@ def hom_vector(T: Tree, root: int, Q: Quotient) -> tuple[int, ...]:
 
 def hom_count(T: Tree, H: TargetGraph) -> int:
     """hom(T, H) via the walk over the paper's automorphic similarity classes."""
-    _, Q = class_data(H)
+    Q = orbit_partition(H)
     return sum(map(mul, Q.sizes, hom_vector(T, 0, Q)))
 
 

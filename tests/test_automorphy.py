@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,10 +15,11 @@ from treehom import (
     has_increasing_columns,
     is_isomorphic,
     make_capacity_graph,
+    make_folkman_plus_dominating,
     orbit_partition,
     similarity_matrix,
 )
-from treehom.automorphy import SimilarityMatrix
+from treehom.automorphy import SimilarityMatrix, _equitable_quotient
 
 from oracles import dense_regular_21
 
@@ -147,6 +149,19 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="permutation"):
             similarity_matrix(p, (0, 0))
 
+    def test_any_equitable_quotient(self):
+        # folkman+dom's coarsest equitable partition merges its two orbits
+        # of 10, and that matrix passes where every ordering of the orbits'
+        # fails: a certificate must be read off the orbits
+        h = make_folkman_plus_dominating()
+        coarse = similarity_matrix(_equitable_quotient(h))
+        assert coarse.sizes == (20, 1) and coarse.m == ((4, 1), (20, 1))
+        assert has_increasing_columns(coarse)
+        orbits = orbit_partition(h)
+        assert similarity_matrix(orbits).m == ((0, 4, 1), (4, 0, 1), (10, 10, 1))
+        for ordering in itertools.permutations(range(3)):
+            assert not has_increasing_columns(similarity_matrix(orbits, ordering))
+
 
 class TestIncreasingColumns:
     def mat(self, rows):
@@ -163,11 +178,10 @@ class TestIncreasingColumns:
         assert has_increasing_columns(self.mat([[3]]))
 
     def test_hind_ordering_found(self):
-        got = find_increasing_ordering(SMALL_TARGETS[7])
-        assert got is not None
-        ordering, m = got
+        ordering = find_increasing_ordering(SMALL_TARGETS[7])
         assert ordering == (1, 0)  # unlooped class first
-        assert m.m == ((0, 1), (1, 1))
+        ordered = similarity_matrix(orbit_partition(SMALL_TARGETS[7]), ordering)
+        assert ordered.m == ((0, 1), (1, 1))
 
     def test_unlooped_two_edge_star_fails(self):
         # K_{1,2}: classes (leaves, center), matrix [[0,1],[2,0]]; the
@@ -178,7 +192,8 @@ class TestIncreasingColumns:
     def test_single_orbit_target_passes_trivially(self):
         # unlooped K_2 has one orbit; the 1x1 matrix passes vacuously
         got = find_increasing_ordering(SMALL_TARGETS[6])
-        assert got is not None and got[1].m == ((1,),)
+        assert got == (0,)
+        assert similarity_matrix(orbit_partition(SMALL_TARGETS[6]), got).m == ((1,),)
 
 
 class TestOrderingSearch:
@@ -200,7 +215,7 @@ class TestOrderingSearch:
     def test_capacity_twenty_within_small_node_limit(self, monkeypatch):
         monkeypatch.setattr(automorphy, "ORDERING_WORK_LIMIT", 10_000)
         got = find_increasing_ordering(make_capacity_graph(20))
-        assert got is not None and got[0] == tuple(range(20, -1, -1))
+        assert got == tuple(range(20, -1, -1))
 
     def test_node_limit_named(self, monkeypatch):
         monkeypatch.setattr(automorphy, "ORDERING_WORK_LIMIT", 5)

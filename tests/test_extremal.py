@@ -31,10 +31,11 @@ from treehom import (
     verify_hoffman_london,
 )
 from treehom import extremal, homcount, trees
-from treehom.automorphy import OrbitPartition, Quotient, SimilarityMatrix, _equitable_quotient
+from treehom.automorphy import Quotient, SimilarityMatrix, _equitable_quotient, orbit_partition
 from treehom.extremal import (
     ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
 )
+from treehom.graphs import _Record
 from treehom.trees import CanonicalTree, _Shapes
 from treehom.trees import TREE_LIMIT, fold_products, free_trees
 from oracles import bipartition, every, fold_counts, has_balanced_bipartition
@@ -313,7 +314,7 @@ class TestHLVerdicts:
         lk3 = tg(3, *[(i, j) for i in range(3) for j in range(i, 3)])
         got = find_increasing_ordering(lk3)
         assert got is not None
-        res = check_strong_hl_certificate(lk3, got[0])
+        res = check_strong_hl_certificate(lk3, got)
         assert isinstance(res, str)  # single class: no witness pair exists
 
     def test_certificate_success_hind(self):
@@ -555,8 +556,17 @@ def test_classify_builds_no_path(monkeypatch):
     assert len(classify_small_targets(9)) == 28
 
 
+class _Local(_Record):
+    """A record declared outside the package: copies and pickles find it by
+    its own module."""
+
+    __slots__ = ()
+    first: int
+    second: int
+
+
 @pytest.mark.parametrize("cls, fields", [
-    (OrbitPartition, ("graph", "classes", "class_of")),
+    (_Local, ("first", "second")),
     (SimilarityMatrix, ("k", "m", "sizes", "ordering")),
     (MinimizerReport, ("n", "min_count", "minimizers", "path_is_min", "path_is_unique_min",
                        "max_count", "star_is_max")),
@@ -599,8 +609,8 @@ def test_record_refuses_wrong_fields(args, kwargs, message):
 
 def test_record_properties():
     H = make_widom_rowlinson(3)
-    P = extremal.class_data(H)[0]
-    assert P.k == len(P.classes) == 2
+    Q = orbit_partition(H)
+    assert Q.k == len(Q.classes) == 2
     v = verify_hoffman_london(H, 6)
     assert v.hoffman_london and v.strongly_hoffman_london
     tie = verify_hoffman_london(SMALL_TARGETS[6], 6)  # unlooped K_2: all trees tie

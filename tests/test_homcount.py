@@ -32,7 +32,7 @@ from treehom import (
     tree_hom,
     tree_partition_function,
 )
-from treehom.automorphy import Quotient, _equitable_quotient, class_data
+from treehom.automorphy import Quotient, _equitable_quotient, orbit_partition
 from treehom.cli import parse_target_spec
 from treehom import homcount
 from treehom.graphs import add_looped_dominating
@@ -75,7 +75,7 @@ class TestTreeWalk:
 
     def test_root_choice_irrelevant(self):
         t = random_tree(random.Random(23), 8)
-        _, m = class_data(SMALL_TARGETS[22])
+        m = orbit_partition(SMALL_TARGETS[22])
         totals = {
             sum(a * x for a, x in zip(m.sizes, hom_vector(t, r, m)))
             for r in range(t.n)
@@ -84,7 +84,7 @@ class TestTreeWalk:
 
     @pytest.mark.parametrize("root", [-1, 3])
     def test_root_outside_the_tree_refused(self, root):
-        _, m = class_data(H_IND)
+        m = orbit_partition(H_IND)
         with pytest.raises(ValueError) as exc:
             hom_vector(path(3), root, m)
         assert str(exc.value) == f"root {root} not a vertex of the tree"
@@ -131,30 +131,30 @@ class TestTreeWalk:
 
 
 class TestPathPairCounts:
-    def brute_pairs(self, t, h, p_class):
+    def brute_pairs(self, t, h, Q):
         """Endpoint-class path counts by explicit enumeration."""
         from itertools import product
 
-        k = len(p_class.classes)
+        k = len(Q.classes)
         table = [[0] * k for _ in range(k)]
         for f in product(range(h.n), repeat=t):
             if all(h.has_edge(f[i], f[i + 1]) for i in range(t - 1)):
-                table[p_class.class_of[f[0]]][p_class.class_of[f[-1]]] += 1
+                table[Q.class_of[f[0]]][Q.class_of[f[-1]]] += 1
         return table
 
     def test_matches_enumeration(self):
         for hid in (7, 19, 22, 24, 26):
             h = SMALL_TARGETS[hid]
-            p_class, m = class_data(h)
+            m = orbit_partition(h)
             for t in range(1, 6):
                 table = path_pair_counts(t, m)
-                brute = self.brute_pairs(t, h, p_class)
+                brute = self.brute_pairs(t, h, m)
                 for i in range(m.k):
                     for j in range(m.k):
                         assert table[i, j] == brute[i][j], (hid, t, i, j)
 
     def test_symmetry(self):
-        _, m = class_data(SMALL_TARGETS[24])
+        m = orbit_partition(SMALL_TARGETS[24])
         for t in range(1, 8):
             table = path_pair_counts(t, m)
             for i in range(m.k):
@@ -162,14 +162,14 @@ class TestPathPairCounts:
                     assert table[i, j] == table[j, i]
 
     def test_empty_path_refused(self):
-        _, m = class_data(H_IND)
+        m = orbit_partition(H_IND)
         with pytest.raises(ValueError) as exc:
             path_pair_counts(0, m)
         assert str(exc.value) == "path length must be >= 1 vertex"
 
     def test_total_is_path_hom(self):
         h = SMALL_TARGETS[22]
-        _, m = class_data(h)
+        m = orbit_partition(h)
         for t in range(1, 8):
             table = path_pair_counts(t, m)
             total = sum(table[i, j] for i in range(m.k) for j in range(m.k))
@@ -262,7 +262,7 @@ class TestAbsorber:
 
     def test_hand_built_quotient_with_list_rows(self):
         # hom_vector takes any Quotient; the walk's step count and kernel cache are keyed by tuples
-        Q = class_data(make_capacity_graph(3))[1]
+        Q = orbit_partition(make_capacity_graph(3))
         listed = Quotient(Q.class_of, Q.sizes, [list(row) for row in Q.rows])
         for t in path(7), star(6), path(300):
             assert hom_vector(t, 1, listed) == hom_vector(t, 1, Q)

@@ -64,7 +64,7 @@ from treehom import (
     tree_partition_function,
 )
 from treehom import extremal, graphs, trees as trees_module
-from treehom.automorphy import Quotient, _equitable_quotient, _refined_colors, class_data
+from treehom.automorphy import Quotient, _equitable_quotient, _refined_colors
 from treehom.homcount import _message, _path_counts, _path_hom, _star_hom
 from treehom.trees import free_trees
 from treehom.extremal import (
@@ -539,6 +539,16 @@ def test_orbit_search_agrees_with_all_permutations(H):
 
 
 @PROPERTY
+@given(targets(max_n=7), st.sampled_from([orbit_partition, _equitable_quotient]))
+def test_quotient_classes_list_each_class(H, quotient):
+    Q = quotient(H)
+    assert sorted(v for cls in Q.classes for v in cls) == list(range(H.n))
+    assert Q.classes == tuple(tuple(v for v in H.vertices() if Q.class_of[v] == c)
+                              for c in range(Q.k))
+    assert tuple(map(len, Q.classes)) == Q.sizes
+
+
+@PROPERTY
 @given(targets(max_n=7))
 def test_ordering_search_agrees_with_all_orderings(H):
     m = similarity_matrix(orbit_partition(H)).m
@@ -547,8 +557,9 @@ def test_ordering_search_agrees_with_all_orderings(H):
     if want is None:
         assert got is None
     else:
-        assert got is not None and got[0] == want
-        assert got[1].m == tuple(tuple(m[i][j] for j in want) for i in want)
+        assert got == want
+        ordered = similarity_matrix(orbit_partition(H), got).m
+        assert ordered == tuple(tuple(m[i][j] for j in want) for i in want)
 
 
 def _as_certificate(want, ordering, t_max, s_max):
@@ -564,9 +575,8 @@ def _as_certificate(want, ordering, t_max, s_max):
 @example(SMALL_TARGETS[28], 3, 3)
 @example(SMALL_TARGETS[15], 7, 7)  # witness (1, 2) at every length: a second column
 def test_strict_certificate_agrees_with_adjacency_powers(H, t_max, s_max):
-    found = find_increasing_ordering(H)
-    assume(found is not None)
-    ordering = found[0]
+    ordering = find_increasing_ordering(H)
+    assume(ordering is not None)
     want = strict_witness_pairs(H, orbit_partition(H).classes, ordering, t_max, s_max)
     got = check_strong_hl_certificate(H, ordering, t_max=t_max, s_max=s_max)
     assert got == _as_certificate(want, ordering, t_max, s_max)
@@ -578,7 +588,7 @@ def certificate_with_any_ordering(H, ordering, t_max, s_max):
     stopped at on a shorter one. Every column it builds must equal that
     class's column of the eager route, which steps every class indicator at
     every length. Returns the result and the path length of every build."""
-    _, Q = class_data(H)
+    Q = orbit_partition(H)
     eager = [[[int(x == y) for y in range(Q.k)] for x in range(Q.k)]]  # eager[j][x] = B^j e_x
     for _ in range(t_max - 1):
         eager.append([_message(Q.rows, col) for col in eager[-1]])
