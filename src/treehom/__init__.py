@@ -30,7 +30,6 @@ from .automorphy import (
     automorphisms,
     find_increasing_ordering,
     has_increasing_columns,
-    is_isomorphic,
     orbit_partition,
     similarity_matrix,
 )

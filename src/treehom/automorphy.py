@@ -1,15 +1,16 @@
 """Automorphism orbits, similarity matrices, and the increasing-columns test.
 
-Automorphisms, isomorphisms and orbits come from one search: backtracking
-over vertex images, pruned by colour refinement, so structured graphs of a
-couple of dozen vertices (e.g. the 21-vertex Folkman-plus-dominating
-example) are still fast despite the worst case being factorial. The same
-refinement gives the coarsest equitable partition that `homcount` counts
-on. Orbits do not list the group: each comes from searches pinned to one
-vertex pair, which stop at the first automorphism found (orbit pruning,
-McKay & Piperno, "Practical graph isomorphism II", 2014), so a clique's
-orbit costs n searches, not n! automorphisms. The searches count their
-steps and stop at AUT_WORK_LIMIT; a vertex count is no guide to their cost.
+Automorphisms and orbits come from one search: backtracking over vertex
+images, pruned by colour refinement, each candidate checked against its
+mapped neighbours only, so structured graphs of a couple of dozen vertices
+(e.g. the 21-vertex Folkman-plus-dominating example) and long paths are
+still fast despite the worst case being factorial. The same refinement gives
+the coarsest equitable partition that `homcount` counts on. Orbits do not
+list the group: each comes from searches pinned to one vertex pair, which
+stop at the first automorphism found (orbit pruning, McKay & Piperno,
+"Practical graph isomorphism II", 2014), so a clique's orbit costs n
+searches, not n! automorphisms. The searches count their steps and stop at
+AUT_WORK_LIMIT; a vertex count is no guide to their cost.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
-from .graphs import SizeLimitError, TargetGraph, _find, _Record, disjoint_union
+from .graphs import SizeLimitError, TargetGraph, _find, _Record
 
 AUT_WORK_LIMIT = 2_000_000
 ORDERING_WORK_LIMIT = 10_000_000
@@ -120,45 +121,31 @@ def _charge(spent: list[int], steps: int, limit: str = "AUT_WORK_LIMIT") -> None
         raise SizeLimitError(f"search limited to {cap} steps ({limit})")
 
 
-def _isomorphisms(G: TargetGraph, H: TargetGraph):
-    """Yield every loop- and adjacency-preserving bijection G -> H, as the
-    tuple of images of G's vertices.
-
-    Candidates are pruned by the refined colors of the disjoint union G + H,
-    so color ids mean the same in both graphs; if the two color multisets
-    differ, nothing is yielded. When G is H, H's cached equitable quotient
-    gives the colors of either half.
-    """
-    colors = _equitable_quotient(H)[0] if G is H else _refined_colors(disjoint_union(G, H))
-    cg, ch = colors[:G.n], colors[len(colors) - H.n:]
-    if sorted(cg) == sorted(ch):
-        yield from _maps(G, H, cg, ch, [0])
-
-
-def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
-          pin: tuple[int, int] | None = None):
-    """Backtrack over vertex images, yielding the color-preserving maps
-    G -> H (colors cg on G, ch on H) that keep adjacency. The colors are
-    `_refined_colors` classes, which start from each vertex's loop, so a
-    color-preserving map keeps loops too.
+def _maps(H: TargetGraph, colors, spent: list[int], pin: tuple[int, int] | None = None):
+    """Backtrack over vertex images, yielding the color-preserving
+    automorphisms of H (colors: `_refined_colors` classes, which start from
+    each vertex's loop, so a color-preserving map keeps loops too).
 
     With pin = (r, w), r is mapped first and w is its only candidate, so
-    only the maps sending r to w are yielded. Each candidate tried for the
-    vertex at depth d is charged 1 + d steps to spent (see _charge). The
-    backtrack keeps its own stack of candidate iterators, one per depth.
+    only the maps sending r to w are yielded. A candidate w for the vertex v
+    at depth d passes when it is unused and has v's color, its neighbours
+    include the image of every neighbour of v mapped before v (back[d]), and
+    it has no other used neighbour; it is charged 1 + len(back[d]) + deg(w)
+    steps to spent (see _charge). The backtrack keeps its own stack of
+    candidate iterators, one per depth.
     """
     by_color: dict[int, list[int]] = {}
     for w in H.vertices():
-        by_color.setdefault(ch[w], []).append(w)
+        by_color.setdefault(colors[w], []).append(w)
 
     # map vertices in an order that keeps each new vertex adjacent to a
     # mapped one where possible (tight candidate sets); each component
     # starts at its unplaced vertex of fewest candidates, read off one sort
     order: list[int] = []
-    placed = [False] * G.n
+    placed = [False] * H.n
     stack: list[int] = [pin[0]] if pin else []
-    starts = iter(sorted(G.vertices(), key=lambda u: (len(by_color[cg[u]]), u)))
-    while len(order) < G.n:
+    starts = iter(sorted(H.vertices(), key=lambda u: (len(by_color[colors[u]]), u)))
+    while len(order) < H.n:
         if not stack:
             stack.append(next(u for u in starts if not placed[u]))
         v = stack.pop()
@@ -166,29 +153,31 @@ def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
             continue
         placed[v] = True
         order.append(v)
-        stack.extend(sorted(G.neighbors(v) - {v}, reverse=True))
-    # a vertex's candidates are the neighbours of a mapped neighbour's image
+        stack.extend(sorted(H.neighbors(v) - {v}, reverse=True))
+    # a vertex's candidates are the neighbours of its first mapped neighbour's image
     depth = {v: d for d, v in enumerate(order)}
-    anchor = [next((u for u in G.neighbors(v) if depth[u] < d), None) for d, v in enumerate(order)]
+    back = [[u for u in H.neighbors(v) if depth[u] < d] for d, v in enumerate(order)]
 
     def candidates(d: int):
-        if anchor[d] is not None:
-            return iter(sorted(H.neighbors(image[anchor[d]])))
-        return iter((pin[1],) if pin and d == 0 else by_color[cg[order[d]]])
+        if back[d]:
+            return iter(sorted(H.neighbors(image[back[d][0]])))
+        return iter((pin[1],) if pin and d == 0 else by_color[colors[order[d]]])
 
-    if not G.n:
+    if not H.n:
         yield ()
         return
-    image = [0] * G.n
+    image = [0] * H.n
     used = [False] * H.n
     tries = [candidates(0)]
     while tries:
         d = len(tries) - 1
         v = order[d]
         for w in tries[-1]:
-            _charge(spent, 1 + d)
-            if (not used[w] and ch[w] == cg[v]
-                    and all(H.has_edge(image[u], w) == G.has_edge(u, v) for u in order[:d])):
+            near = H.neighbors(w)
+            _charge(spent, 1 + len(back[d]) + len(near))
+            if (not used[w] and colors[w] == colors[v]
+                    and all(image[u] in near for u in back[d])
+                    and sum(used[x] for x in near) == len(back[d])):
                 break
         else:
             tries.pop()
@@ -197,7 +186,7 @@ def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
             continue
         image[v] = w
         used[w] = True
-        if d + 1 < G.n:
+        if d + 1 < H.n:
             tries.append(candidates(d + 1))
         else:
             yield tuple(image)
@@ -206,15 +195,7 @@ def _maps(G: TargetGraph, H: TargetGraph, cg, ch, spent: list[int],
 
 def automorphisms(H: TargetGraph) -> list[tuple[int, ...]]:
     """All loop- and adjacency-preserving vertex permutations."""
-    return list(_isomorphisms(H, H))
-
-
-def is_isomorphic(H1: TargetGraph, H2: TargetGraph) -> bool:
-    """Whether some bijection maps H1's edges and loops onto H2's. A search
-    past AUT_WORK_LIMIT steps raises SizeLimitError."""
-    if H1.n != H2.n or len(H1.edges) != len(H2.edges):
-        return False
-    return next(_isomorphisms(H1, H2), None) is not None
+    return list(_maps(H, _equitable_quotient(H)[0], [0]))
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +223,7 @@ def orbit_partition(H: TargetGraph) -> Quotient:
         if any(_find(parent, r) == _find(parent, w) for r in same):
             continue
         for r in same:
-            sigma = next(_maps(H, H, colors, colors, spent, (r, w)), None)
+            sigma = next(_maps(H, colors, spent, (r, w)), None)
             if sigma is not None:
                 for v in H.vertices():
                     ru, rv = _find(parent, v), _find(parent, sigma[v])

@@ -55,6 +55,13 @@ treehom and count no colouring:
 * has_balanced_bipartition: whether those classes differ in size by at most
   one.
 
+One oracle that shares no code with treehom.automorphy's search and
+runs no refinement:
+
+* isomorphic: whether some permutation of one graph's vertices maps its
+  edges and loops onto the other's, trying every permutation, so it is for
+  graphs of at most 7 or so vertices.
+
 One oracle that shares no code with treehom.graphs' search:
 
 * queue_search: breadth-first search with a queue and a dict of parents,
@@ -300,6 +307,14 @@ def kc_moved_edges(n: int, edges, v_left: int, v_right: int) -> list[tuple[int, 
     out |= {tuple(sorted((label[v_left], label[w]))) for w in adj[v_right] - dropped - {v_left}}
     chain = [label[v_left], *range(len(label), n)]
     return sorted(out | set(zip(chain, chain[1:])))
+
+
+def isomorphic(G: TargetGraph, H: TargetGraph) -> bool:
+    """Whether some vertex permutation p sends G's edges and loops exactly
+    onto H's, by trying every p."""
+    return G.n == H.n and any(
+        frozenset(tuple(sorted((p[u], p[v]))) for u, v in G.edges) == H.edges
+        for p in permutations(range(G.n)))
 
 
 def queue_search(adj, root: int, skip: int | None = None) -> tuple[list[int], list[int]]:

@@ -13,7 +13,6 @@ from treehom import (
     disjoint_union,
     find_increasing_ordering,
     has_increasing_columns,
-    is_isomorphic,
     make_capacity_graph,
     make_folkman_plus_dominating,
     orbit_partition,
@@ -65,25 +64,69 @@ class TestAutomorphisms:
         with pytest.raises(SizeLimitError):
             automorphisms(tg(13))
 
+    def test_each_mapped_neighbour_is_checked(self):
+        # K6 less the edges 1-5 and 2-4, whose complement is two edges and
+        # two isolated vertices: 2 * 2 * 2 * 2 = 16 automorphisms. Checking
+        # how many neighbours are used, not which, lets 32 maps through
+        h = tg(6, *[(u, v) for u, v in itertools.combinations(range(6), 2)
+                    if (u, v) not in {(1, 5), (2, 4)}])
+        want = [p for p in itertools.permutations(range(6))
+                if tg(6, *[(p[u], p[v]) for u, v in h.edges]) == h]
+        assert len(want) == 16 and sorted(automorphisms(h)) == want
+
     def test_zero_vertex_target_has_the_empty_map(self):
         assert automorphisms(tg(0)) == [()]
 
 
 class TestIsomorphism:
+    """The search over vertex images of H onto itself (`automorphy._maps`)."""
+
     def test_refinement_blind_pair(self):
-        # both 2-regular on 6 vertices, so color refinement cannot tell them
-        # apart and only the adjacency check rejects a map
+        # both 2-regular on 6 vertices, so color refinement gives one color
+        # and only the check against mapped neighbours rejects a map
         c6 = tg(6, *[(i, (i + 1) % 6) for i in range(6)])
         two_triangles = tg(6, (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
-        assert not is_isomorphic(c6, two_triangles)
-        assert not is_isomorphic(two_triangles, c6)
+        assert len(automorphisms(c6)) == 12
+        assert len(automorphisms(two_triangles)) == 72
+        # an edge-preserving bijection of a graph onto itself keeps non-edges
+        # too, so the used-neighbour count only prunes. Pinned 0 -> 6 (3
+        # steps), each of cycle vertex 1's two images (4 steps) leaves vertex
+        # 2 two candidates (4 steps each), one used and one that closes a
+        # triangle: 3 + 2 * (4 + 2 * 4) = 27 steps
+        union = disjoint_union(c6, two_triangles)
+        spent = [0]
+        assert next(automorphy._maps(union, [0] * 12, spent, (0, 6)), None) is None
+        assert spent == [27]
 
     def test_size_limit(self, monkeypatch):
-        # the first map tried is the identity: 819 steps, far below the limit
-        assert is_isomorphic(tg(13), tg(13))
-        monkeypatch.setattr(automorphy, "AUT_WORK_LIMIT", 818)
+        # the first map found is the identity: at depth d the d used vertices
+        # are tried first, one step each (no neighbours), then vertex d, so
+        # it costs sum(d + 1 for d < 13) = 91 steps
+        spent = [0]
+        assert next(automorphy._maps(tg(13), [0] * 13, spent)) == tuple(range(13))
+        assert spent == [91]
+        monkeypatch.setattr(automorphy, "AUT_WORK_LIMIT", 90)
         with pytest.raises(SizeLimitError, match="AUT_WORK_LIMIT"):
-            is_isomorphic(tg(13), tg(13))
+            next(automorphy._maps(tg(13), [0] * 13, [0]))
+        with pytest.raises(SizeLimitError, match="AUT_WORK_LIMIT"):
+            automorphisms(tg(13))
+
+    def test_pinned_searches_of_a_path_grow_linearly(self, monkeypatch):
+        # one pinned search finds the reflection; each candidate is checked
+        # against its mapped neighbours only, so the steps grow with n, not n^2
+        steps = {}
+        own = automorphy._charge
+
+        def charge(spent, k, limit="AUT_WORK_LIMIT"):
+            steps[n] += k
+            own(spent, k, limit)
+
+        monkeypatch.setattr(automorphy, "_charge", charge)
+        for n in (1000, 2000):
+            steps[n] = 0
+            q = orbit_partition.__wrapped__(tg(n, *[(i, i + 1) for i in range(n - 1)]))
+            assert q.k == n // 2
+        assert steps[1000] < 10 * 1000 and steps[2000] < 2.1 * steps[1000]
 
 
 class TestOrbitPartition:

@@ -8,11 +8,12 @@ from treehom import (
     TargetGraph,
     Tree,
     add_looped_dominating,
+    automorphisms,
     blow_up,
     disjoint_union,
     format_graph,
     hom_brute_force,
-    is_isomorphic,
+    orbit_partition,
     parse_graph,
     tensor_product,
 )
@@ -213,8 +214,12 @@ class TestConstructions:
         assert str(exc.value) == message
 
 
+def orbit_sizes(h):
+    return sorted(orbit_partition(h).sizes)
+
+
 class TestIsomorphism:
-    def test_relabeled_graphs_isomorphic(self):
+    def test_relabeling_keeps_group_and_orbit_sizes(self):
         rng = random.Random(11)
         for _ in range(30):
             n = rng.randint(1, 7)
@@ -222,13 +227,13 @@ class TestIsomorphism:
             perm = list(range(n))
             rng.shuffle(perm)
             g = TargetGraph.from_edges(n, [(perm[u], perm[v]) for u, v in h.edges])
-            assert is_isomorphic(h, g)
+            assert len(automorphisms(g)) == len(automorphisms(h))
+            assert orbit_sizes(g) == orbit_sizes(h)
 
     def test_loop_placement_distinguishes(self):
-        # path with a loop at an end vs at the middle
+        # path with a loop at an end vs at the middle: only the second keeps
+        # the reflection
         a = tg(3, (0, 1), (1, 2), (0, 0))
         b = tg(3, (0, 1), (1, 2), (1, 1))
-        assert not is_isomorphic(a, b)
-
-    def test_different_sizes(self):
-        assert not is_isomorphic(tg(2, (0, 1)), tg(3, (0, 1)))
+        assert len(automorphisms(a)) == 1 and orbit_sizes(a) == [1, 1, 1]
+        assert len(automorphisms(b)) == 2 and orbit_sizes(b) == [1, 2]
