@@ -239,14 +239,16 @@ def orbit_partition(H: TargetGraph) -> Quotient:
 def similarity_matrix(Q: Quotient,
                       ordering: tuple[int, ...] | None = None) -> SimilarityMatrix:
     """m[i][j] = neighbors in class j of any vertex in class i of the
-    equitable quotient Q, classes in ordering (index order by default); k^2
-    steps (_charge)."""
+    equitable quotient Q, classes in ordering (index order by default);
+    refused past AUT_WORK_LIMIT entries, before any is built."""
     k = Q.k
     if ordering is None:
         ordering = tuple(range(k))
     if sorted(ordering) != list(range(k)):
         raise ValueError(f"ordering {ordering} is not a permutation of 0..{k - 1}")
-    _charge([0], k ** 2)
+    if k * k > AUT_WORK_LIMIT:
+        raise SizeLimitError(f"similarity matrix of {k} classes has {k * k} entries, "
+                             f"past AUT_WORK_LIMIT = {AUT_WORK_LIMIT}")
     counts = [Counter(Q.rows[i]) for i in ordering]
     m = tuple(tuple(c[j] for j in ordering) for c in counts)
     return SimilarityMatrix(k, m, tuple(Q.sizes[i] for i in ordering), tuple(ordering))

@@ -1,7 +1,8 @@
 """Generation, canonicalization, and KC moves on trees.
 
 Canonical codes are classic center-rooted AHU strings: equal codes iff
-isomorphic, invariant under relabeling.
+isomorphic, invariant under relabeling. The centers, a longest path's
+middle, come off two breadth-first searches (`graphs._search`).
 
 Trees are generated from a table of rooted shapes: integer IDs, each a
 non-increasing tuple of child IDs, numbered by vertex count. A free tree
@@ -64,44 +65,31 @@ def star(n: int) -> Tree:
 # ---------------------------------------------------------------------------
 # canonical codes (on adjacency lists, so generated trees need no Tree)
 
-def _centers(adj: Sequence[Sequence[int]]) -> list[int]:
-    """The 1 or 2 middle vertices, found by repeated leaf stripping."""
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for u in adj[v]:
-                if deg[u] > 0:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(layer)
-
-
 def _rooted_code(adj: Sequence[Sequence[int]], root: int) -> str:
     """AHU code of the tree rooted at root: each vertex is an opening
     parenthesis, its children's codes in sorted order, and a closing one.
     Built bottom-up over a BFS order, so deep trees need no recursion."""
     order, parent = _search(adj, root)
     subs: list[list[str]] = [[] for _ in adj]
-    for v in reversed(order):  # the root comes last
+    for v in reversed(order):  # the root, its own parent, comes last
         code = "(" + "".join(sorted(subs[v])) + ")"
         subs[v] = []
-        if v != root:
-            subs[parent[v]].append(code)
+        subs[parent[v]].append(code)
     return code
 
 
 def _code(adj: Sequence[Sequence[int]]) -> str:
-    return min(_rooted_code(adj, c) for c in _centers(adj))
+    """The least `_rooted_code` at a center, a middle vertex (1 or 2) of a
+    longest path: a search's last vertex, far, ends one, and a search from
+    far reaches its other end last; parents lead back to far."""
+    far = _search(adj)[0][-1]
+    order, parent = _search(adj, far)
+    v = order[-1]
+    pth = [v]
+    while v != far:
+        v = parent[v]
+        pth.append(v)
+    return min(_rooted_code(adj, c) for c in pth[(len(pth) - 1) // 2:len(pth) // 2 + 1])
 
 
 def canonical_code(T: Tree) -> str:

@@ -3,12 +3,19 @@
 Two tree-counting oracles that share no code with treehom.trees.all_trees:
 
 * prufer_tree_count: decode every Prufer sequence on n labels and dedup the
-  resulting labeled trees up to isomorphism by the canonical code of their
+  resulting labeled trees up to isomorphism by `tree_code` of their
   adjacency lists. Exhaustive ground truth, but
   n^(n-2) sequences limit it to small n.
 * otter_tree_count: the classic counting recurrence (rooted-tree convolution
   followed by the rooted-to-free correction). Pure integer arithmetic, fast
   for any desk-scale n.
+
+One canonical code that shares no code with treehom.trees or treehom.graphs:
+
+* tree_code: the least AHU string at a center, the centers found by
+  stripping leaves layer by layer and each string built depth-first with an
+  explicit stack; equal to treehom's `_code`, which reads both off
+  breadth-first searches.
 
 Three activity-weighted partition-function oracles that share no code with
 treehom.homcount, all in Fractions from the first multiplication on:
@@ -92,7 +99,7 @@ from math import prod
 from treehom import TargetGraph, Tree
 from treehom.automorphy import _equitable_quotient
 from treehom.homcount import _message
-from treehom.trees import _code, fold_products, tree_count
+from treehom.trees import fold_products, tree_count
 
 PRUFER_LIMIT = 8  # n^(n-2) sequences; 8^6 ~ 262k is the comfortable cap
 ORDERING_ORACLE_LIMIT = 7  # k! orderings; 7! = 5040
@@ -130,8 +137,55 @@ def prufer_tree_count(n: int) -> int:
         for u, v in prufer_decode(seq, n):
             adj[u].append(v)
             adj[v].append(u)
-        codes.add(_code(adj))
+        codes.add(tree_code(adj))
     return len(codes)
+
+
+def _leaf_stripped_centers(adj: list[list[int]]) -> list[int]:
+    """The 1 or 2 vertices left when leaves are stripped a layer at a time."""
+    n = len(adj)
+    if n <= 2:
+        return list(range(n))
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] == 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            for u in adj[v]:
+                if deg[u] > 0:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return layer
+
+
+def _ahu(adj: list[list[int]], root: int) -> str:
+    """The AHU string of adj rooted at root: "(" + the children's strings,
+    sorted, + ")", built over a depth-first preorder read backwards, so each
+    vertex is closed after all its children."""
+    up, order, stack = {root: root}, [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in adj[v]:
+            if u not in up:
+                up[u] = v
+                stack.append(u)
+    subs: dict[int, list[str]] = {v: [] for v in order}
+    for v in reversed(order):
+        code = "(" + "".join(sorted(subs[v])) + ")"
+        subs[up[v]].append(code)
+    return code
+
+
+def tree_code(adj: list[list[int]]) -> str:
+    """The canonical code of the tree with adjacency lists adj: the least AHU
+    string rooted at one of its leaf-stripped centers."""
+    return min(_ahu(adj, c) for c in _leaf_stripped_centers(adj))
 
 
 @lru_cache(maxsize=None)

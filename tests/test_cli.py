@@ -32,6 +32,12 @@ from treehom.homcount import KC_WORK_LIMIT
 
 #: SHA-256 of `classify --n-max 16 --rows` stdout.
 CLASSIFY_16_ROWS_SHA256 = "39e7618befe0c543c355eb48f5712fec73d20e7be399c4768dbf71096890995e"
+#: SHA-256 of the stdout of commands that print canonical codes.
+CODE_ROWS_SHA256 = {
+    "trees -n 12 --rows": "610d98c1f2e63af31069b22dfcb56991b979d7856c6aac8ba0ba16779adae34d",
+    "minimize --target h19 -n 12 --rows":
+        "b82e2eae7479251cd4e85f8e16651a241a463bf4582de265f819959933052ba7",
+}
 
 
 def run(capsys, *argv):
@@ -166,6 +172,12 @@ class TestSubcommands:
         status, out, _ = run(capsys, "classify", "--n-max", "16", "--rows")
         assert status == 0
         assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_16_ROWS_SHA256
+
+    @pytest.mark.parametrize("command", sorted(CODE_ROWS_SHA256))
+    def test_printed_codes_byte_for_byte(self, capsys, command):
+        status, out, _ = run(capsys, *command.split())
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CODE_ROWS_SHA256[command]
 
     def test_family_round_trip(self, capsys):
         for spec, builder in [("capacity", make_capacity_graph),
@@ -538,6 +550,12 @@ class TestReach:
         want += ["matrix-certificate\t0", "strong-certificate\t0", "verdict\t1"]
         assert status == 0 and err == "" and out.splitlines() == want
 
+    def test_matrix_refused_by_its_size(self, capsys):
+        # path:2900's orbits take one short search, but 1,450 classes make
+        # a matrix of 2,102,500 entries, refused before any is built
+        status, out, err = run(capsys, "matrix", "--target", "path:2900", "--rows")
+        assert status == 2 and out == "" and "AUT_WORK_LIMIT" in err
+        assert "1450 classes" in err and "2102500 entries" in err
 
     @pytest.mark.parametrize("command", ["orbits", "matrix"])
     def test_many_components_search_refused_fast(self, capsys, command):

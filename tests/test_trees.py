@@ -17,7 +17,9 @@ from treehom import (
 )
 from treehom import trees as trees_module
 from treehom.trees import TREE_LIMIT, kc_site_count, kc_sites
-from oracles import has_balanced_bipartition, otter_tree_count, prufer_decode, prufer_tree_count
+from oracles import (
+    has_balanced_bipartition, otter_tree_count, prufer_decode, prufer_tree_count, tree_code,
+)
 
 
 def relabel(t: Tree, perm: list[int]) -> Tree:
@@ -41,6 +43,33 @@ class TestCanonicalCode:
     def test_path_vs_star(self):
         assert canonical_code(path(5)) != canonical_code(star(5))
         assert canonical_code(path(3)) == canonical_code(star(3))
+
+    def test_code_matches_the_leaf_stripping_oracle(self):
+        # centers off two searches against leaf stripping, and the codes
+        # against a depth-first AHU string, each tree randomly relabelled
+        rng = random.Random(16)
+
+        def check(adj):
+            perm = list(range(len(adj)))
+            rng.shuffle(perm)
+            moved = [[] for _ in adj]
+            for v, out in enumerate(adj):
+                moved[perm[v]] = [perm[u] for u in out]
+            assert trees_module._code(moved) == tree_code(moved)
+
+        for n in range(1, 13):
+            for parts in trees_module.free_trees(n):
+                check(trees_module._adjacency(parts))
+        for _ in range(30):
+            n = rng.randint(50, 300)
+            check(Tree.from_edges(n, prufer_decode(
+                tuple(rng.randrange(n) for _ in range(n - 2)), n))._adj)
+        spider, n = [], 1
+        for leg in range(1, 41):  # legs of 1 to 40 vertices from hub 0
+            spider += [(0, n)] + [(v, v + 1) for v in range(n, n + leg - 1)]
+            n += leg
+        for t in (path(2000), star(2000), Tree.from_edges(n, spider)):
+            check(t._adj)
 
 
 class TestEnumeration:
