@@ -221,8 +221,8 @@ def _split(H: TargetGraph) -> tuple[Counter, list[TargetGraph]]:
             regular[degrees.pop()] += len(comp)
         else:
             label = {u: i for i, u in enumerate(comp)}
-            other.append(TargetGraph(len(comp), frozenset(
-                (label[u], label[w]) for u in comp for w in H.neighbors(u) if u <= w)))
+            other.append(TargetGraph(len(comp), (
+                (label[u], label[w]) for u in comp for w in H.neighbors(u))))
     return regular, other
 
 

@@ -7,7 +7,9 @@ in this package (similarity matrices and nested-neighborhood orderings
 depend on it).
 
 Edges are stored as normalized pairs (u, v) with u <= v; (u, u) is a loop.
-All graph and tree values are immutable after construction and safe to share.
+Both constructors take pairs in either orientation and any order and store
+that form: a TargetGraph their frozenset, a Tree their sorted tuple. All
+graph and tree values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -61,10 +63,6 @@ class SizeLimitError(ValueError):
     """Input exceeds a configured exhaustive-search limit."""
 
 
-def _normalize_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    return frozenset((u, v) if u <= v else (v, u) for u, v in edges)
-
-
 class _Graph:
     """Immutable graph value: equal and hashed by (n, edges); the adjacency
     `_adj` is derived from them on construction."""
@@ -116,9 +114,10 @@ class TargetGraph(_Graph):
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        edges = frozenset((u, v) if u <= v else (v, u) for u, v in edges)
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u <= v < n):
@@ -129,7 +128,7 @@ class TargetGraph(_Graph):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "TargetGraph":
-        return cls(n, _normalize_edges(edges))
+        return cls(n, edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -145,7 +144,8 @@ class Tree(_Graph):
     n: int
     edges: tuple[tuple[int, int], ...]
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]) -> None:
+        edges = tuple(edges)
         if n < 1:
             raise ValueError("a tree has at least one vertex")
         if len(edges) != n - 1:
@@ -163,10 +163,12 @@ class Tree(_Graph):
         else:
             if len(_search(adj)[0]) == n:
                 if not all(map(lt, edges, islice(edges, 1, None))):
+                    edges = tuple(sorted(edges))
                     adj = list(map(sorted, adj))  # sorted edges give sorted lists
                 self._set(n, edges, tuple(map(tuple, adj)))
                 return
-        self._set(n, edges, _checked_adjacency(n, edges))
+        adj = _checked_adjacency(n, edges)
+        self._set(n, tuple(sorted((u, v) if u <= v else (v, u) for u, v in edges)), adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Tree":
@@ -274,7 +276,7 @@ def parse_graph(text: str, max_n: int | None = None) -> TargetGraph:
     n, edges = _read_edge_list(text)
     if max_n is not None and n > max_n:
         raise SizeLimitError(f"an edge-list target of {n} vertices is past the limit of {max_n}")
-    return TargetGraph(n, frozenset(edges))
+    return TargetGraph(n, edges)
 
 
 def format_graph(H: TargetGraph) -> str:
@@ -290,22 +292,17 @@ def format_graph(H: TargetGraph) -> str:
 def disjoint_union(*graphs: TargetGraph) -> TargetGraph:
     """The graphs side by side, each one's vertices shifted past those before it."""
     starts = list(accumulate((H.n for H in graphs), initial=0))
-    return TargetGraph(starts[-1], frozenset(
+    return TargetGraph(starts[-1], (
         (u + s, v + s) for H, s in zip(graphs, starts) for u, v in H.edges))
 
 
 def tensor_product(H1: TargetGraph, H2: TargetGraph) -> TargetGraph:
     """Vertices are pairs; (x1,y1)~(x2,y2) iff x1~x2 and y1~y2."""
-    def idx(x: int, y: int) -> int:
-        return x * H2.n + y
-
-    edges = set()
-    for x1 in H1.vertices():
-        for x2 in H1.neighbors(x1):
-            for y1 in H2.vertices():
-                for y2 in H2.neighbors(y1):
-                    edges.add((min(idx(x1, y1), idx(x2, y2)), max(idx(x1, y1), idx(x2, y2))))
-    return TargetGraph.from_edges(H1.n * H2.n, edges)
+    m = H2.n
+    return TargetGraph(H1.n * m, (
+        (x1 * m + y1, x2 * m + y2)
+        for x1 in H1.vertices() for x2 in H1.neighbors(x1)
+        for y1 in H2.vertices() for y2 in H2.neighbors(y1)))
 
 
 def blow_up(H: TargetGraph, sizes: Iterable[int]) -> TargetGraph:
@@ -319,29 +316,16 @@ def blow_up(H: TargetGraph, sizes: Iterable[int]) -> TargetGraph:
         raise ValueError(f"need one size per vertex: got {len(sizes)} for n={H.n}")
     if any(s < 1 for s in sizes):
         raise ValueError("blow-up sizes must be positive")
-    start = [0] * H.n
-    for v in range(1, H.n):
-        start[v] = start[v - 1] + sizes[v - 1]
-    total = sum(sizes)
-    edges = set()
-    for u, v in H.edges:
-        for i in range(sizes[u]):
-            for j in range(sizes[v]):
-                a, b = start[u] + i, start[v] + j
-                if u == v and j < i:
-                    continue
-                edges.add((min(a, b), max(a, b)))
-    return TargetGraph.from_edges(total, edges)
+    start = list(accumulate(sizes, initial=0))
+    return TargetGraph(start[-1], (
+        (a, b) for u, v in H.edges
+        for a in range(start[u], start[u + 1]) for b in range(start[v], start[v + 1])))
 
 
 def add_looped_dominating(H: TargetGraph, b: int) -> TargetGraph:
     """Add b new looped vertices, each adjacent to every vertex (old and new)."""
     if b < 0:
         raise ValueError("b must be non-negative")
-    edges = set(H.edges)
-    for i in range(b):
-        w = H.n + i
-        edges.update((v, w) for v in range(w))
-        edges.add((w, w))
-    return TargetGraph.from_edges(H.n + b, edges)
+    n = H.n + b
+    return TargetGraph(n, (*H.edges, *((v, w) for w in range(H.n, n) for v in range(w + 1))))
 

@@ -74,6 +74,19 @@ One oracle that shares no code with treehom.graphs' search:
 * queue_search: breadth-first search with a queue and a dict of parents,
   reading each vertex's neighbours in their own order.
 
+Four oracles for the constructions that share no code with treehom.graphs.
+Each gives (n, edges) by testing an adjacency predicate on every pair of
+vertices i <= j:
+
+* product_edges: (x1,y1)~(x2,y2) iff x1~x2 and y1~y2, the pair (x, y)
+  numbered x * n2 + y.
+* blown_up_edges: a cluster vertex is adjacent to every vertex of each
+  cluster whose vertex is adjacent to its own, so a looped vertex's cluster
+  is fully looped and an unlooped one's has no edge inside.
+* dominated_edges: each new vertex is adjacent to every vertex, itself too.
+* union_edges: vertices are (graph, vertex) in order, adjacent iff in the
+  same graph and adjacent there.
+
 One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
@@ -369,6 +382,35 @@ def isomorphic(G: TargetGraph, H: TargetGraph) -> bool:
     return G.n == H.n and any(
         frozenset(tuple(sorted((p[u], p[v]))) for u, v in G.edges) == H.edges
         for p in permutations(range(G.n)))
+
+
+def _adjacent(H: TargetGraph, u: int, v: int) -> bool:
+    return (u, v) in H.edges or (v, u) in H.edges
+
+
+def _by_predicate(n: int, adjacent) -> tuple[int, frozenset]:
+    return n, frozenset((i, j) for i in range(n) for j in range(i, n) if adjacent(i, j))
+
+
+def product_edges(H1: TargetGraph, H2: TargetGraph) -> tuple[int, frozenset]:
+    pair = [(x, y) for x in range(H1.n) for y in range(H2.n)]
+    return _by_predicate(len(pair), lambda i, j: _adjacent(H1, pair[i][0], pair[j][0])
+                         and _adjacent(H2, pair[i][1], pair[j][1]))
+
+
+def blown_up_edges(H: TargetGraph, sizes) -> tuple[int, frozenset]:
+    owner = [v for v, size in enumerate(sizes) for _ in range(size)]
+    return _by_predicate(len(owner), lambda i, j: _adjacent(H, owner[i], owner[j]))
+
+
+def dominated_edges(H: TargetGraph, b: int) -> tuple[int, frozenset]:
+    return _by_predicate(H.n + b, lambda i, j: j >= H.n or _adjacent(H, i, j))
+
+
+def union_edges(*graphs: TargetGraph) -> tuple[int, frozenset]:
+    owner = [(k, v) for k, H in enumerate(graphs) for v in range(H.n)]
+    return _by_predicate(len(owner), lambda i, j: owner[i][0] == owner[j][0]
+                         and _adjacent(graphs[owner[i][0]], owner[i][1], owner[j][1]))
 
 
 def queue_search(adj, root: int, skip: int | None = None) -> tuple[list[int], list[int]]:

@@ -1056,6 +1056,7 @@ class TestProcess:
         before = gc.get_freeze_count()
         assert main(["family", "h7"]) == 0
         assert gc.get_freeze_count() == before
+        assert capsys.readouterr().out == "2 2\n0 0\n0 1\n"
 
     @staticmethod
     def _first_row_then_close(argv, **env):

@@ -109,6 +109,12 @@ class TestValueSemantics:
     CASES = [
         (lambda: tg(3, (1, 0), (2, 2)), lambda: TargetGraph(3, frozenset({(0, 1), (2, 2)}))),
         (lambda: Tree.from_edges(3, [(2, 1), (1, 0)]), lambda: Tree(3, ((0, 1), (1, 2)))),
+        # the bare constructors normalize too: a set with a reversed pair,
+        # and a tree's edges as a list, out of order, or reversed
+        (lambda: TargetGraph(3, {(1, 0), (2, 2)}), lambda: tg(3, (0, 1), (2, 2))),
+        (lambda: Tree(3, [(0, 1), (1, 2)]), lambda: Tree.from_edges(3, [(0, 1), (1, 2)])),
+        (lambda: Tree(3, ((1, 2), (0, 1))), lambda: Tree.from_edges(3, [(1, 2), (0, 1)])),
+        (lambda: Tree(3, ((1, 0), (2, 1))), lambda: Tree.from_edges(3, [(1, 0), (2, 1)])),
     ]
 
     @pytest.mark.parametrize("make, same", CASES)

@@ -4,7 +4,8 @@ the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the
 bounded fold against the sweep's counts at most a bound, both fold readers
 against the walk of each listed tree, the quotient path count against the walk of the path, the batched sweep against one sweep per target,
-the count of a disjoint union against the sum of its parts' counts,
+the count of a disjoint union against the sum of its parts' counts, the
+four constructions against their adjacency definitions,
 the closed-form counts of regular targets against the walk over `all_trees`, colour
 refinement against refinement in rounds and against loops, the KC machinery against bare_path, its identity and
 the contraction oracle, the
@@ -22,10 +23,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
-    brute_partition_function, every, first_increasing_ordering, fold_counts,
-    fraction_partition_function, has_balanced_bipartition, isomorphic, kc_moved_edges,
-    quotient_hom,
-    round_refined_colors, strict_witness_pairs,
+    blown_up_edges, brute_partition_function, dominated_edges, every,
+    first_increasing_ordering, fold_counts, fraction_partition_function,
+    has_balanced_bipartition, isomorphic, kc_moved_edges, product_edges, quotient_hom,
+    round_refined_colors, strict_witness_pairs, union_edges,
 )
 from treehom import (
     SMALL_TARGETS,
@@ -34,6 +35,7 @@ from treehom import (
     TargetGraph,
     Tree,
     activities,
+    add_looped_dominating,
     all_trees,
     automorphisms,
     bare_path,
@@ -60,6 +62,7 @@ from treehom import (
     sidorenko_check,
     similarity_matrix,
     star,
+    tensor_product,
     tree_hom,
     tree_partition_function,
 )
@@ -319,6 +322,27 @@ def test_disjoint_union_count_is_the_sum_of_its_parts(Hs, T):
     # identity hom(T, H1 ⊔ H2) = hom(T, H1) + hom(T, H2) the sweeps count
     # components by, the union walked on its own quotient
     assert tree_hom(T, disjoint_union(*Hs)) == sum(hom_brute_force(T, H) for H in Hs)
+
+
+@st.composite
+def loopy_targets(draw, max_n=5):
+    """Any loopy graph on at most max_n vertices, the empty one included."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    return TargetGraph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                                  if pairs else [])
+
+
+@PROPERTY
+@given(loopy_targets(), loopy_targets(), st.data())
+def test_constructions_are_their_adjacency_definitions(H1, H2, data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=H1.n, max_size=H1.n))
+    b = data.draw(st.integers(0, 3))
+    for got, want in ((tensor_product(H1, H2), product_edges(H1, H2)),
+                      (blow_up(H1, sizes), blown_up_edges(H1, sizes)),
+                      (add_looped_dominating(H1, b), dominated_edges(H1, b)),
+                      (disjoint_union(H1, H2, H1), union_edges(H1, H2, H1))):
+        assert (got.n, got.edges) == want and type(got.edges) is frozenset
 
 
 @st.composite
