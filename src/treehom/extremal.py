@@ -1,19 +1,22 @@
 """Minimizer sweeps over trees, path-minimality verdicts and certificates,
-named target families, and loop-threshold recognition.
+named target families, loop-threshold recognition, and the classification
+of the small-target catalog.
 
-The sweeps are exhaustive over all non-isomorphic trees of each order and
-report exact counts; "strongly path-minimal at desk scale" always means
-per-n verdicts up to the swept bound, never the unbounded property.
+The sweeps (`verify_hoffman_london`, `minimizers`, `sidorenko_check`) are
+exhaustive over all non-isomorphic trees of each order and report exact
+counts; "strongly path-minimal at desk scale" always means per-n verdicts up
+to the swept bound, never the unbounded property. The classification sweeps
+no tree: each of its rows comes from a closed form, an identity or a
+certificate (`classify_small_targets`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-from functools import partial, reduce
-from itertools import accumulate, combinations, compress, islice, repeat, starmap
-from math import gcd
-from operator import add, mul
+from functools import partial
+from itertools import combinations, compress, islice
+from operator import mul
 
 from .automorphy import (
     Quotient,
@@ -23,11 +26,9 @@ from .automorphy import (
     orbit_partition,
     similarity_matrix,
 )
-from .graphs import SizeLimitError, TargetGraph, _Record, _search, disjoint_union
+from .graphs import SizeLimitError, TargetGraph, _Record, _search
 from .homcount import _column, _message, _path_counts, _path_hom, _star_hom, _steps
-from .trees import (
-    _check_covered, _check_order, bounded_fold, fold_products, tree_codes, tree_count,
-)
+from .trees import _check_order, bounded_fold, tree_codes
 
 
 # ---------------------------------------------------------------------------
@@ -226,76 +227,6 @@ def _split(H: TargetGraph) -> tuple[Counter, list[TargetGraph]]:
     return regular, other
 
 
-def _component_sweeps(targets: Sequence[TargetGraph], n_max: int
-                      ) -> tuple[Callable[[int], list[int | list[int]]], Iterator[list[int]]]:
-    """(read, paths) with one set of tables for every order n <= n_max:
-    read(n) gives per target the hom count of every tree on n vertices in
-    `free_trees` order, or, when every component of the target is regular,
-    the one count every tree has; paths yields per target hom(P_n, H) for
-    n = 1, 2, ....
-
-    A tree is connected, so it maps into one component of H, and hom(T, H)
-    is the sum of its components' counts. A component is regular when its
-    vertices share one degree d, and there every tree on n vertices has the
-    count (its vertices)·d^(n-1): root the tree anywhere; the root takes any
-    vertex, and each child's image is any of its parent image's d
-    neighbours, whatever the images above (at n = 1 it is the vertex count,
-    with 0^0 = 1). Such a component costs no refinement, fold or message
-    step.
-
-    The other components of every target, each taken once (equal graphs
-    after relabelling are one), are folded together (`fold_products`) over
-    the coarsest equitable quotient of their `disjoint_union`, taken once:
-    a tree's class vector is the product of its parts' messages
-    (`homcount._message` over the quotient's rows). A rooted count depends
-    only on the root's class, so a target's other components count every
-    tree by the multiset of their vertices' classes: the fold's rows,
-    transposed into class columns by `zip`, summed with those
-    multiplicities, once per distinct multiset, and the regular components'
-    count added. Each class is weighted in the fold by the gcd of its
-    multiplicities, which leaves a column nothing to scale where a class has
-    one multiplicity (on the 28 small targets, every class). The path counts
-    are the same sums over the message steps from the all-ones vector.
-    `classify` reads its balanced-bipartition trees off target 19's least
-    count, so this is its only fold."""
-    splits = [_split(H) for H in targets]
-    parts = list(dict.fromkeys(G for _, other in splits for G in other))
-    keys: list[tuple[tuple[int, int], ...]] = [()] * len(targets)
-    distinct: list[tuple[tuple[int, int], ...]] = []
-    steps: Iterator[list[int]] = repeat([])
-    if parts:
-        class_of, sizes, rows = _equitable_quotient(disjoint_union(*parts))
-        steps = _steps(rows, [1] * len(sizes))
-        start = dict(zip(parts, accumulate((G.n for G in parts), initial=0)))
-        keys = [tuple(sorted(Counter(class_of[start[G] + v] for G in other
-                                     for v in range(G.n)).items())) for _, other in splits]
-        distinct = list(dict.fromkeys(filter(None, keys)))
-        weights = [gcd(*(m for w in distinct for x, m in w if x == c)) for c in range(len(sizes))]
-        fold = fold_products(n_max, weights, partial(_message, rows))
-    degrees = sorted(set().union(*(closed for closed, _ in splits)))
-    by_degree = [[closed[d] for d in degrees] for closed, _ in splits]
-
-    def regular(n: int) -> list[int]:
-        powers = [d ** (n - 1) for d in degrees]
-        return [sum(map(mul, vertices, powers)) for vertices in by_degree]
-
-    def read(n: int) -> list[int | list[int]]:
-        _check_covered(n, n_max)  # also where no target is folded
-        if distinct:
-            cols = list(zip(*fold(n)))  # cols[c][i]: class c, tree i
-            column = {w: list(reduce(partial(map, add), (
-                cols[c] if m == weights[c] else map(mul, repeat(m // weights[c]), cols[c])
-                for c, m in w))) for w in distinct}
-        return [c if not w else column[w] if c == 0 else list(map(add, column[w], repeat(c)))
-                for c, w in zip(regular(n), keys)]
-
-    def path_counts(n: int, h: list[int]) -> list[int]:
-        other = {w: sum(m * h[x] for x, m in w) for w in distinct}
-        return [c + other.get(w, 0) for c, w in zip(regular(n), keys)]
-
-    return read, starmap(path_counts, enumerate(steps, 1))
-
-
 def _bounded_fold(H: TargetGraph, n_max: int
                   ) -> tuple[Quotient, Callable[..., list[tuple[int, int]]]]:
     """(Q, fold): H's coarsest equitable quotient, which the sweep's path and
@@ -451,60 +382,91 @@ class ClassificationRow(_Record):
     summary: str
 
 
-def _labels_for(v: OrderVerdict, ties: int, trees: int, balanced: bool) -> frozenset[str]:
-    """Every class label the minimizer set of verdict v matches, given how
-    many trees attain its least count, how many trees there are, and whether
-    the minimizers are the balanced-bipartition trees.
-
-    At small n the descriptions coincide (e.g. on 4 vertices the path is the
-    only balanced-bipartition tree), so a set is returned rather than forcing
-    an arbitrary precedence.
-    """
-    out = frozenset(compress((LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED),
-                             (v.min_count == 0, ties == trees, v.path_is_unique_min, balanced)))
-    return out or frozenset({LABEL_OTHER})
-
-
 _LABEL_PRIORITY = (LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED, LABEL_OTHER)
 
 
+def _spiders(Q: Quotient, p: Sequence[list[int]], n: int) -> Iterator[int]:
+    """hom(S(a, b, c), G) for every three-leg spider on n vertices, legs of
+    a >= b >= c >= 1 vertices, Q an equitable quotient of G and p[j] = M^j·1
+    its message steps from the all-ones vector: rooted at the centre, a leg
+    of a vertices sends M·(M^(a-1)·1) = p[a], so the count is
+    sizes · (p[a] ⊙ p[b] ⊙ p[c]). No spider is built."""
+    for c in range(1, (n - 1) // 3 + 1):
+        for b in range(c, (n - 1 - c) // 2 + 1):
+            legs = map(mul, p[n - 1 - b - c], map(mul, p[b], p[c]))
+            yield sum(map(mul, Q.sizes, legs))
+
+
 def classify_small_targets(n_max: int) -> list[ClassificationRow]:
+    """Per small target, the least count and the labels of its minimizers at
+    each order 2..n_max, and the label that summarizes them, each from a
+    reason: no tree is listed and no fold is run.
+
+    A tree maps into one component of H, so hom(T, H) is the sum of its
+    components' counts (`_split`). On a component whose vertices share one
+    degree d every tree has the count (vertices)·d^(n-1): the root takes any
+    vertex, and each child any of its parent image's d neighbours. Each
+    target has at most one other component G, which decides the labels by
+    one of two reasons:
+
+    - G is P3 (target 19): hom(T, P3) = 2^|X| + 2^|Y| for a tree with sides
+      X and Y (one side sits on the middle vertex, the other's vertices take
+      either end), least exactly on the balanced-bipartition trees, the path
+      among them, and most on the star.
+    - G passes the increasing-columns test (`find_increasing_ordering`). By
+      the paper's theorem, through the KC difference formula, no KC move
+      then lowers hom(T, G). KC moves (Csikvari, "On a poset of trees",
+      Combinatorica 30, 2010) lead from the path to every tree and on to the
+      star, and every first move from the path makes a three-leg spider.
+
+    Either way the path counts the least and the star the most, so all
+    trees tie exactly when the star counts what the path does. Otherwise
+    the path alone is least exactly when every three-leg spider counts more
+    (`_spiders`): on P3 a spider that ties it is another balanced tree; on a
+    certified component a tie is refused (ValueError), as is a component
+    neither reason covers. Off P3 the minimizers are the balanced trees only
+    where they are the path alone at n <= 4 (past 4 some spider is balanced
+    too), or all trees tie at n <= 3, where the path is the only tree. The
+    descriptions coincide at small n, so every label that holds is kept.
+
+    The argument rests on the paper's theorem and the KC difference formula;
+    the tests check every row against each target's own bounded fold at
+    every n <= 16. Orders past the enumeration limit are refused."""
     _check_n_max(n_max, "classification")
-    targets = list(SMALL_TARGETS.values())
-    found: list[list] = [[] for _ in targets]  # per target, (verdict, labels) per order
-    sweep, paths = _component_sweeps(targets, n_max)  # one set of tables
-    next(paths)  # from n = 2
-    for n in range(2, n_max + 1):
-        columns = dict(zip(SMALL_TARGETS, sweep(n)))
-        path_counts = dict(zip(SMALL_TARGETS, next(paths)))
-        trees = tree_count(n)
-        # hom(T, P3) = 2^|X| + 2^|Y| for a tree T with sides X and Y, P3 =
-        # target 19, the path a-b-c: one side sits on b, and each vertex of
-        # the other takes a or c freely. With |X| = a, f(a) = 2^a + 2^(n-a)
-        # falls strictly as a nears n/2 from either side, so target 19's
-        # minimizers are the balanced-bipartition trees; the path is one, so
-        # their count is the path's
-        least19 = path_counts[19]
-        balanced = [i for i, c in enumerate(columns[19]) if c == least19]
-        for col, path_count, out in zip(columns.values(), path_counts.values(), found):
-            least, ties = (col, trees) if isinstance(col, int) else _least(col)  # an int: all tie
-            v = _verdict(n, least, ties, path_count)
-            # the minimizers are the balanced trees when as many tie as are
-            # balanced and each balanced tree is among them, its largest
-            # count the least
-            on_balanced = ties == len(balanced) and (
-                ties == trees or max(map(col.__getitem__, balanced)) == least)
-            out.append((v, _labels_for(v, ties, trees, on_balanced)))
+    _check_order(n_max)
     rows = []
-    for hid, orders in zip(SMALL_TARGETS, found):
-        labels = tuple((v.n, labs) for v, labs in orders)
+    for hid, H in SMALL_TARGETS.items():
+        regular, other = _split(H)
+        is_p3 = False
+        if other:
+            G, = other  # at most one on each catalog target
+            is_p3 = G.n == 3 and len(G.edges) == 2 and not any(map(G.has_loop, G.vertices()))
+            if not is_p3 and find_increasing_ordering(G) is None:
+                raise ValueError(f"target {hid}: no reason names its minimizers")
+            Q = _equitable_quotient(G)
+            p = list(islice(_steps(Q.rows, [1] * Q.k), n_max))
+        mins, labels = [], []
+        for n in range(2, n_max + 1):
+            least = sum(m * d ** (n - 1) for d, m in regular.items())
+            tie, alone = True, n <= 3  # below 4 vertices the path is the only tree
+            if other:
+                path = sum(map(mul, Q.sizes, p[n - 1]))
+                least += path
+                if _star_hom(Q, n) != path:
+                    tie, spiders = False, set(_spiders(Q, p, n))
+                    if path in spiders and not is_p3 or any(s < path for s in spiders):
+                        raise ValueError(f"target {hid}, n={n}: a spider counts at most the path")
+                    alone = path not in spiders
+            labs = frozenset(compress((LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED),
+                                      (least == 0, tie, alone, is_p3 or alone and n <= 4)))
+            mins.append((n, least))
+            labels.append((n, labs or frozenset({LABEL_OTHER})))
         # orders below 4 are degenerate (at most two tree classes exist, so
         # the label sets coincide); summarize from the informative orders
         informative = [labs for n, labs in labels if n >= 4] or [labs for _, labs in labels]
         common = frozenset.intersection(*informative)
         summary = next((lab for lab in _LABEL_PRIORITY if lab in common), "mixed")
-        mins = tuple((v.n, v.min_count) for v, _ in orders)
-        rows.append(ClassificationRow(hid, mins, labels, summary))
+        rows.append(ClassificationRow(hid, tuple(mins), tuple(labels), summary))
     return rows
 
 

@@ -17,12 +17,12 @@ vector a, is `_message` and a product (`_absorb`) until walks over the quotient
 reach ABSORB_WALK_STEPS vertices (`_walked` counts them), and from then
 on one generated straight-line function per quotient (`_compiled`, cached)
 of at most ABSORB_TERM_LIMIT terms.
-A sweep's fold (`trees.bounded_fold`, `trees.fold_products`) takes a
-quotient's class sizes and message step, and composes every tree's count out
-of shared subtree vectors instead of walking each tree; the path and star
-counts it is read against (`_path_counts`, `_star_hom`) read the same
-quotient. Brute-force enumeration of a tree's vertex maps is kept apart from
-the walk as the independent oracle.
+A sweep's fold (`trees.bounded_fold`) takes a quotient's class sizes and
+message step, and composes every tree's count out of shared subtree vectors
+instead of walking each tree; the path and star counts it is read against
+(`_path_counts`, `_star_hom`) read the same quotient. Brute-force
+enumeration of a tree's vertex maps is kept apart from the walk as the
+independent oracle.
 
 All counting is in arbitrary-precision integers (counts grow like d^n).
 Weighted counts are integer numerators over one common denominator D^n (D the

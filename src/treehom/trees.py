@@ -16,9 +16,9 @@ multiply to a value that depends only on how many vertices they hold and the
 bound on their IDs, so for up to `_TAIL` vertices those products are
 tabulated, one table for every order of a sweep, whose first rows are the
 rooted shapes' own vectors (refused past SHAPE_VECTOR_LIMIT shapes x
-classes). It has two readers: `fold_products` reads every vector, and
-`bounded_fold` only the vectors' sums at most a bound, or above it, the walk
-skipping every part of the fold whose lower (upper) bound is past it.
+classes). Its reader, `bounded_fold`, reads only the vectors' sums at most
+a bound, or above it, the walk skipping every part of the fold whose lower
+(upper) bound is past it.
 `all_trees` materializes the enumeration and `tree_count` reads its size off
 one table of tree counts (`_counts`), which also places the fold's blocks;
 the tests cross-check both against a Prufer-sequence dedup oracle and
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul
 
 from .graphs import SizeLimitError, Tree, _Record, _search
@@ -123,9 +123,8 @@ class _Shapes(_Record):
     end: list[int]                   # end[s] = number of shapes on <= s vertices
 
 
-#: Vertex counts up to which `fold_products` and `bounded_fold` take a
-#: tree's last children from one table of shared products instead of
-#: recursing.
+#: Vertex counts up to which `bounded_fold` takes a tree's last children
+#: from one table of shared products instead of recursing.
 _TAIL = 8
 
 
@@ -250,13 +249,13 @@ def _suffix(pick: Callable[[int, int], int], prods: list[list[int]]) -> list[lis
 
 def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
             ) -> Callable[..., Iterator[tuple[int, Iterator[Iterator[int]]]]]:
-    """walk(n, bound=None, above=False) for every order n <= n_max: the
-    product fold of the trees on n vertices as blocks (at, vectors), vectors
-    a lazy `map` of one class vector per tree, each a lazy `map` itself, over
-    consecutive trees in `free_trees` order and at the position of the
-    first. With `_table`'s h and msg, the tree (s, c_1, ..., c_k) has the
-    vector weights ⊙ h_s ⊙ msg[c_1] ⊙ ... ⊙ msg[c_k] (⊙ elementwise), and its
-    count is that vector's sum.
+    """walk(n, bound, above=False) for every order n <= n_max: the product
+    fold of the trees on n vertices counted at most bound (with above, more)
+    as blocks (at, vectors), vectors a lazy `map` of one class vector per
+    tree, each a lazy `map` itself, over consecutive trees in `free_trees`
+    order and at the position of the first. With `_table`'s h and msg, the
+    tree (s, c_1, ..., c_k) has the vector weights ⊙ h_s ⊙ msg[c_1] ⊙ ... ⊙
+    msg[c_k] (⊙ elementwise), and its count is that vector's sum.
 
     The product is commutative, so the children that complete a tree
     multiply to a value that depends only on their vertex count r and the
@@ -267,17 +266,18 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
     next child, largest ID first. For even n one block per b follows: the
     halves (a, b), a <= b, as roots[a] ⊙ msg[b], roots = weights ⊙ h.
 
-    With a bound (weights and step's matrix entrywise >= 0), the walk yields
-    only blocks that may hold counts at most the bound, or with above,
-    counts above it. Every completion of a node (r, b, x) has a product
-    between low(r, b) and high(r, b) entrywise, the least and the largest of
-    those products, so a count between x · low(r, b) and x · high(r, b). A
-    node whose lower bound is past `bound` (with above, whose upper bound is
-    at most it) is skipped whole, its position advanced by the number of its
-    completions, num[r][b] (`_counts`). A completion with IDs below b either
-    has none equal to b - 1, or is msg[b - 1] times a completion of
-    r - size(b - 1) vertices with IDs below b. The least and the largest
-    over a union are those of its parts, and ⊙ msg[b - 1] >= 0 keeps both:
+    The bound needs weights and step's matrix entrywise >= 0. The walk
+    yields only blocks that may hold counts at most the bound, or with
+    above, counts above it. Every completion of a node (r, b, x) has a
+    product between low(r, b) and high(r, b) entrywise, the least and the
+    largest of those products, so a count between x · low(r, b) and
+    x · high(r, b). A node whose lower bound is past `bound` (with above,
+    whose upper bound is at most it) is skipped whole, its position advanced
+    by the number of its completions, num[r][b] (`_counts`). A completion
+    with IDs below b either has none equal to b - 1, or is msg[b - 1] times
+    a completion of r - size(b - 1) vertices with IDs below b. The least and
+    the largest over a union are those of its parts, and ⊙ msg[b - 1] >= 0
+    keeps both:
 
         low(r, b) = min(low(r, b - 1), msg[b - 1] ⊙ low(r - size(b - 1), b))
 
@@ -323,27 +323,25 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
 
     sides = side(min), side(max)
 
-    def walk(n: int, bound: int | None = None,
+    def walk(n: int, bound: int,
              above: bool = False) -> Iterator[tuple[int, Iterator[Iterator[int]]]]:
         _check_covered(n, n_max)
-        if bound is not None:
-            from bisect import bisect_left  # imported here, so only bounded sweeps load it
-            pick, ends, edge = sides[above]
-            past = bound.__ge__ if above else bound.__lt__  # past(v): no count bounded by v is kept
+        from bisect import bisect_left  # imported here, so only sweeps load it
+        pick, ends, edge = sides[above]
+        past = bound.__ge__ if above else bound.__lt__  # past(v): no count bounded by v is kept
         at = 0  # position of the next tree in free_trees order
         todo = [(n - 1, t.end[(n - 1) // 2], weights)]
         while todo:
             r, b, x = todo.pop()
-            if bound is not None:
-                extreme = edge(r, b)
-                if extreme is None or past(_dot(x, extreme)):
-                    at += num[r][b]
-                    continue
+            extreme = edge(r, b)
+            if extreme is None or past(_dot(x, extreme)):
+                at += num[r][b]
+                continue
             if r <= most:
                 prods = tails[r]
                 start = len(prods) - num[r][b]
-                stop = len(prods) if bound is None else bisect_left(
-                    ends(r), True, start, len(prods), key=lambda p: past(_dot(x, p)))
+                stop = bisect_left(ends(r), True, start, len(prods),
+                                   key=lambda p: past(_dot(x, p)))
                 yield at, map(map, repeat(mul), repeat(x), prods[start:stop])
                 at += num[r][b]
             else:  # pushed smallest ID first, so the largest is folded first
@@ -353,30 +351,19 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
             roots = [list(map(mul, weights, h)) for h in tails[n // 2 - 1]]
             extreme = roots[0]
             for j, (root, m) in enumerate(zip(roots, msg[t.end[n // 2 - 1]:]), 1):
-                if bound is not None:
-                    extreme = list(map(pick, extreme, root))
-                if bound is None or not past(_dot(extreme, m)):
+                extreme = list(map(pick, extreme, root))
+                if not past(_dot(extreme, m)):
                     yield at, map(map, repeat(mul), roots[:j], repeat(m))
                 at += j
 
     return walk
 
 
-def fold_products(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
-                  ) -> Callable[[int], list[Iterator[int]]]:
-    """fold(n) for every order n <= n_max: the class vector of every tree
-    on n vertices, a lazy `map` each, in `free_trees` order: the vectors of
-    every block of `_blocks`. A tree's count is its vector's sum."""
-    walk = _blocks(n_max, weights, step)
-    return lambda n: list(chain.from_iterable(vectors for _, vectors in walk(n)))
-
-
 def bounded_fold(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
                  ) -> Callable[..., list[tuple[int, int]]]:
     """fold(n, bound, above=False) for every order n <= n_max: (i, c) for
     each tree on n vertices whose count c, its class vector's sum, is at most
-    bound (with above, more), i its position in `free_trees` order: the sums
-    of `fold_products(n_max, weights, step)(n)` on that side of bound, read
+    bound (with above, more), i its position in `free_trees` order, read
     from the blocks of `_blocks` with that bound, which skip the trees whose
     lower (with above, upper) bound is past it."""
     walk = _blocks(n_max, weights, step)

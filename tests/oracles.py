@@ -54,9 +54,10 @@ One oracle that shares no code with treehom.trees' KC moves:
   neighbours join v_left, and t - 1 fresh vertices hang from v_left as a
   path.
 
-Two oracles for `classify`'s balanced-bipartition flags, which it reads off
-each tree's count into target 19, the path a-b-c; they share no code with
-treehom and count no colouring:
+Two oracles for `classify`'s balanced-bipartition label: by the identity
+hom(T, P3) = 2^|X| + 2^|Y| target 19, the path a-b-c, is least exactly on
+these trees, and the tests check its bounded fold's ties against them. They
+share no code with treehom and count no colouring:
 
 * bipartition: the two colour classes of a tree, by a 2-colouring search.
 * has_balanced_bipartition: whether those classes differ in size by at most
@@ -91,14 +92,13 @@ One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
 
-The tests' full-fold reference, which is treehom's own product fold and so
-no independent oracle: the fast routes that read less of it (the bounded
-fold, the batched sweep, the closed form of regular targets) are checked
-against it, and it against the walk of each listed tree:
+The tests' full-fold reference, which is treehom's own bounded fold and so
+no independent oracle: it is checked against the walk of each listed tree,
+and the reads of the fold at other bounds against it:
 
 * fold_counts: every tree's count, in `free_trees` order, from a target's
-  lone product fold.
-* every: a batched sweep's read of one target as every tree's count.
+  bounded fold at a bound no count passes, H.n^n (every map of the n
+  vertices).
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ from math import prod
 from treehom import TargetGraph, Tree
 from treehom.automorphy import _equitable_quotient
 from treehom.homcount import _message
-from treehom.trees import fold_products, tree_count
+from treehom.trees import bounded_fold
 
 PRUFER_LIMIT = 8  # n^(n-2) sequences; 8^6 ~ 262k is the comfortable cap
 ORDERING_ORACLE_LIMIT = 7  # k! orderings; 7! = 5040
@@ -464,12 +464,7 @@ def dense_regular_21() -> TargetGraph:
 
 def fold_counts(H: TargetGraph, n: int) -> list[int]:
     """Every tree's count on n vertices, in `free_trees` order, from H's lone
-    product fold."""
+    bounded fold at a bound no count passes."""
     Q = _equitable_quotient(H)
-    return list(map(sum, fold_products(n, Q.sizes, partial(_message, Q.rows))(n)))
-
-
-def every(read, n: int) -> list[int]:
-    """One target's entry of a `_component_sweeps` read at order n as every
-    tree's count."""
-    return [read] * tree_count(n) if isinstance(read, int) else read
+    fold = bounded_fold(n, Q.sizes, partial(_message, Q.rows))
+    return [c for _, c in fold(n, H.n ** n)]

@@ -588,10 +588,12 @@ class TestErrorHandling:
         status, _, err = run(capsys, "orbits", "--target", "/no/such/file")
         assert status == 2 and "error" in err
 
-    def test_unknown_subcommand_exit_2(self):
+    def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "invalid choice: 'frobnicate'" in out.err
 
     @pytest.mark.parametrize("argv", [
         ("classify", "--threads", "2"),
@@ -605,10 +607,13 @@ class TestErrorHandling:
         ("matrix", "--target", "hind", "--size-limit", "5"),
         ("check-hl", "--target", "hind", "--size-limit", "5"),
     ])
-    def test_removed_knobs_rejected(self, argv):
+    def test_removed_knobs_rejected(self, capsys, argv):
+        # each argv ends with the removed option and its value
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
 
     @pytest.mark.parametrize("argv, message", [
         (("family", "capacity", "0"), "capacity must be >= 1"),

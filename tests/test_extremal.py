@@ -15,7 +15,6 @@ from treehom import (
     canonical_code,
     check_strong_hl_certificate,
     classify_small_targets,
-    disjoint_union,
     find_increasing_ordering,
     is_loop_threshold,
     make_capacity_graph,
@@ -36,8 +35,8 @@ from treehom.extremal import (
 )
 from treehom.graphs import _Record
 from treehom.trees import CanonicalTree, _Shapes
-from treehom.trees import TREE_LIMIT, fold_products, free_trees
-from oracles import bipartition, every, fold_counts, has_balanced_bipartition, isomorphic
+from treehom.trees import TREE_LIMIT, free_trees, tree_count
+from oracles import bipartition, fold_counts, has_balanced_bipartition, isomorphic
 
 
 def tg(n, *edges):
@@ -259,14 +258,15 @@ class TestHLVerdicts:
 
     def test_check_hl_builds_no_count_list(self, monkeypatch):
         # each order's verdict reads only the trees counted at most the
-        # path's count, from the bounded fold; h6 ties every tree
+        # path's count, from the bounded fold, and lists no tree; h6 ties
+        # every tree
         targets = (make_folkman_plus_dominating(), SMALL_TARGETS[6], make_capacity_graph(3))
         want = [[verdict(H, n) for n in range(2, 13)] for H in targets]
 
         def refuse(*args):
-            raise AssertionError("check-hl listed every tree's count")
+            raise AssertionError("check-hl listed every tree")
 
-        monkeypatch.setattr(extremal, "_component_sweeps", refuse)
+        monkeypatch.setattr(trees, "free_trees", refuse)
         assert [list(verify_hoffman_london(H, 12).reports) for H in targets] == want
 
     def test_minimize_and_sidorenko_build_no_count_list(self, monkeypatch):
@@ -286,13 +286,14 @@ class TestHLVerdicts:
                 homcount._star_hom(_equitable_quotient(H), n) == max(counts))
 
         want = [[reference(H, n) for n in range(2, 13)] for H in targets]
+        assert [[minimizers(H, n) for n in range(2, 13)] for H in targets] == want
 
         def refuse(*args):
-            raise AssertionError("a one-target read listed every tree's count")
+            raise AssertionError("sidorenko listed every tree")
 
-        for name in ("_component_sweeps", "fold_products"):
-            monkeypatch.setattr(extremal, name, refuse)
-        assert [[minimizers(H, n) for n in range(2, 13)] for H in targets] == want
+        # minimize codes its minimizers off the listing; sidorenko, with no
+        # tree above the star, lists none
+        monkeypatch.setattr(trees, "free_trees", refuse)
         assert [sidorenko_check(H, 12) for H in targets] == [(True, None)] * len(targets)
 
     def test_bounded_fold_refuses_an_order_past_its_tables(self):
@@ -384,7 +385,6 @@ class TestSweeps:
             raise AssertionError("an order was read")
 
         monkeypatch.setattr(trees, "_check_covered", refuse)
-        monkeypatch.setattr(extremal, "_check_covered", refuse)
         with pytest.raises(SizeLimitError, match=f"got n={TREE_LIMIT + 1}"):
             sweep(TREE_LIMIT + 1)
 
@@ -410,72 +410,21 @@ class TestSweeps:
         sweep(make_capacity_graph(3), 12)
         assert len(quotients) == 1
 
-    def test_classify_sweeps_once_per_order(self, monkeypatch):
-        # the 8 distinct components that are not regular (targets 7, 15 and
-        # 16 share one) share one union fold, which builds its table once,
-        # for the largest order, and is read once per order; the
-        # balanced-bipartition flags are read off target 19's counts, so
-        # there is no second fold; the union's quotient and its message step
-        # are taken once, and the fold does not pass over the tree listing
-        quotients, tables, reads, listings = [], [], [], []
-
-        def counted_products(*args):
-            return counted(fold_products(*args), reads)
-
-        monkeypatch.setattr(extremal, "_equitable_quotient",
-                            counted(_equitable_quotient, quotients))
-        monkeypatch.setattr(extremal, "fold_products", counted_products)
-        monkeypatch.setattr(trees, "_table", counted(trees._table, tables))
-        monkeypatch.setattr(trees, "free_trees", counted(free_trees, listings))
-        classify_small_targets(14)
-        assert [H.n for H, in quotients] == [23]  # the union of the 8 components
-        assert [n_max for n_max, *_ in tables] == [14]
-        assert reads == [(n,) for n in range(2, 15)]
-        assert listings == []
-
-    def test_batched_sweep_is_each_targets_own_sweep(self):
-        # the 28 targets share classes, some of them two or three times in
-        # one target, and the lone vertices' columns are all 0 or all 1;
-        # the extra targets repeat a component, relabel one, add an isolated
-        # or a looped vertex or a regular edge to one, or join two that are
-        # not regular (P3 twice: its end class, twice in target 19, is
-        # weighted 2 in the fold and counted 4 times); one reader serves
-        # every order
-        h = SMALL_TARGETS
-        reversed20 = tg(3, (2, 2), (2, 1), (1, 0))  # target 20, relabelled
-        extra = [disjoint_union(h[20], h[20]), disjoint_union(h[20], reversed20),
-                 disjoint_union(h[19], h[19]),
-                 disjoint_union(h[19], h[1]), disjoint_union(h[21], h[2]),
-                 disjoint_union(h[6], h[7]), disjoint_union(h[7], h[26]),
-                 disjoint_union(h[24], h[2], h[19], h[1])]
-        targets = list(SMALL_TARGETS.values()) + extra
-        sweep = extremal._component_sweeps(targets, 12)[0]
-        for n in range(1, 13):
-            assert [every(c, n) for c in sweep(n)] == [fold_counts(H, n) for H in targets]
-
     def test_regular_targets_skip_the_fold(self, monkeypatch):
-        # 18 of the 28 targets are regular; together they are counted in
-        # closed form, one reader for every order, and the other 10 by one
-        # fold (test_classify_sweeps_once_per_order); a regular target's read
-        # is its one count, with no list of it per tree
+        # 18 of the 28 targets are regular; classify counts them by the
+        # closed form, (vertices)·d^(n-1) per degree d, and refines only the
+        # other 10 targets' components, none of them regular
         regular = [H for H in SMALL_TARGETS.values() if not extremal._split(H)[1]]
         assert len(regular) == 18
-        want = [[[tree_hom(ct.tree, H) for ct in all_trees(n)] for H in regular]
-                for n in range(1, 10)]
-
-        def refuse(*args):
-            raise AssertionError("a regular target was folded")
-
-        monkeypatch.setattr(extremal, "fold_products", refuse)
-        sweep = extremal._component_sweeps(regular, 9)[0]
-        reads = [sweep(n) for n in range(1, 10)]
-        assert all(type(c) is int for read in reads for c in read)
-        assert [[every(c, n) for c in read] for n, read in enumerate(reads, 1)] == want
-
-    def test_sweep_refuses_an_order_past_its_tables(self):
-        for H in SMALL_TARGETS[7], SMALL_TARGETS[6]:  # folded, closed form
-            with pytest.raises(ValueError, match="n <= 8"):
-                extremal._component_sweeps([H], 8)[0](9)
+        for H in regular:
+            for n in range(1, 10):
+                count = sum(m * d ** (n - 1) for d, m in extremal._split(H)[0].items())
+                assert {tree_hom(ct.tree, H) for ct in all_trees(n)} == {count}
+        refined = []
+        monkeypatch.setattr(extremal, "_equitable_quotient", counted(_equitable_quotient, refined))
+        classify_small_targets(9)
+        assert len(refined) == 10
+        assert all(len({G.degree(v) for v in G.vertices()}) > 1 for G, in refined)
 
     def test_sidorenko_builds_one_set_of_tables(self, monkeypatch):
         # one quotient and one table for every order
@@ -488,22 +437,26 @@ class TestSweeps:
 
 
 @cache
-def _small_target_read(n):
-    """Order n's read of the 28-target sweep, by target ID, from one reader
-    whose tables are built for TREE_LIMIT."""
-    return dict(zip(SMALL_TARGETS, _small_target_sweep()(n)))
+def _target_fold(hid):
+    """Target hid's quotient and bounded fold, its tables built for
+    TREE_LIMIT."""
+    return extremal._bounded_fold(SMALL_TARGETS[hid], TREE_LIMIT)
 
 
-@cache
-def _small_target_sweep():
-    return extremal._component_sweeps(list(SMALL_TARGETS.values()), TREE_LIMIT)[0]
+def _fold_row(hid, n):
+    """The least count at order n from target hid's bounded fold at the
+    path's count, and the positions of the trees that attain it."""
+    Q, fold = _target_fold(hid)
+    kept = fold(n, homcount._path_hom(Q, n))
+    least = min(c for _, c in kept)
+    return least, [i for i, c in kept if c == least]
 
 
 @pytest.mark.parametrize("n", range(1, TREE_LIMIT + 1))
 def test_balanced_flags_at_each_position(n):
-    # the positions of target 19's least count in the 28-target sweep, its
-    # table built for the largest order, are the balanced-bipartition trees
-    # classify reads them as, checked against the tree each free_trees
+    # the positions of target 19's least count, from its own bounded fold at
+    # the path's count, its table built for the largest order, are the
+    # balanced-bipartition trees, checked against the tree each free_trees
     # position names, on both sides of the shared-tail size and at both
     # parities of n
     want = []
@@ -512,28 +465,74 @@ def test_balanced_flags_at_each_position(n):
         T = Tree.from_edges(n, [(u, v) for u, a in enumerate(adj) for v in a if u < v])
         if has_balanced_bipartition(T):
             want.append(i)
-    counts = _small_target_read(n)[19]
-    least = min(counts)
-    assert [i for i, c in enumerate(counts) if c == least] == want
+    assert _fold_row(19, n)[1] == want
+
+
+@cache
+def _fold_orders(hid):
+    """(n, least count, label set) of target hid at every order 2..TREE_LIMIT,
+    read off its own bounded fold: its ties against the tree count, the
+    path's count and target 19's ties, the balanced-bipartition trees."""
+    orders = []
+    for n in range(2, TREE_LIMIT + 1):
+        least, tied = _fold_row(hid, n)
+        path_count = homcount._path_hom(_target_fold(hid)[0], n)
+        labels = {extremal.LABEL_ZERO: least == 0, extremal.LABEL_ALL: len(tied) == tree_count(n),
+                  extremal.LABEL_PATHS: path_count == least and len(tied) == 1,
+                  extremal.LABEL_BALANCED: tied == _fold_row(19, n)[1]}
+        holds = frozenset(lab for lab, held in labels.items() if held)
+        orders.append((n, least, holds or frozenset({extremal.LABEL_OTHER})))
+    return orders
+
+
+def _orders(row):
+    """(n, least count, label set) per order of a classification row."""
+    return [(n, c, labs) for (n, c), (_, labs) in zip(row.min_counts, row.labels)]
+
+
+@cache
+def _classified():
+    return {row.target_id: row for row in classify_small_targets(TREE_LIMIT)}
 
 
 @pytest.mark.parametrize("hid", list(SMALL_TARGETS))
 def test_union_fold_and_bounded_fold_give_one_verdict(hid):
-    # classify reads the least count and its ties off the union fold's
-    # column, check-hl and minimize off the target's own bounded fold at
-    # the path's count; for target 19 the bounded fold also lists the
-    # balanced trees, the least count's positions
-    H = SMALL_TARGETS[hid]
-    Q, fold = extremal._bounded_fold(H, TREE_LIMIT)
-    for n in range(1, TREE_LIMIT + 1):
-        col = _small_target_read(n)[hid]
-        full = every(col, n)
-        kept = fold(n, homcount._path_hom(Q, n))
-        least = min(c for _, c in kept)
-        tied = [i for i, c in kept if c == least]
-        assert (least, len(tied)) == (min(full), full.count(min(full))), n
-        if hid == 19:
-            assert tied == [i for i, c in enumerate(full) if c == least], n
+    # classify's row, read from a reason per target with no tree listed,
+    # against the target's own bounded fold at the path's count at every
+    # order up to the enumeration limit: the least count, and every label
+    # from the ties against the tree count, the path's count and target
+    # 19's ties, which test_balanced_flags_at_each_position checks against
+    # the balanced-bipartition trees
+    assert _orders(_classified()[hid]) == _fold_orders(hid)
+
+
+def _skips_one_vertex_legs(Q, p, n):
+    """A faulty spider scan: it reads no spider with a leg of one vertex."""
+    for c in range(2, (n - 1) // 3 + 1):
+        for b in range(c, (n - 1 - c) // 2 + 1):
+            yield sum(s * x * y * z for s, x, y, z in zip(Q.sizes, p[n - 1 - b - c], p[b], p[c]))
+
+
+def test_a_faulty_spider_scan_disagrees_with_the_fold(monkeypatch):
+    # the oracle above has teeth: with spiders of a one-vertex leg skipped,
+    # some row differs from the bounded fold's at some n <= 16
+    monkeypatch.setattr(extremal, "_spiders", _skips_one_vertex_legs)
+    rows = classify_small_targets(TREE_LIMIT)
+    assert [_orders(row) for row in rows] != [_fold_orders(hid) for hid in SMALL_TARGETS]
+
+
+def test_classify_lists_no_tree_and_runs_no_fold(monkeypatch):
+    # every row comes from closed forms, message steps and certificates:
+    # no table, tree listing, fold or tree walk is reached
+    want = classify_small_targets(TREE_LIMIT)
+
+    def refuse(*args):
+        raise AssertionError("classify listed, folded or walked a tree")
+
+    for module, name in ((trees, "_table"), (trees, "free_trees"), (trees, "bounded_fold"),
+                         (extremal, "bounded_fold"), (homcount, "_walk")):
+        monkeypatch.setattr(module, name, refuse)
+    assert classify_small_targets(TREE_LIMIT) == want
 
 
 def test_path_target_counts_are_two_powers_of_the_sides():

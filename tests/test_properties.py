@@ -2,9 +2,9 @@
 walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the
-bounded fold against the sweep's counts at most a bound, both fold readers
-against the walk of each listed tree, the quotient path count against the walk of the path, the batched sweep against one sweep per target,
-the count of a disjoint union against the sum of its parts' counts, the
+bounded fold against the sweep's counts at most a bound and against the
+walk of each listed tree, the quotient path count against the walk of the
+path, the count of a disjoint union against the sum of its parts' counts, the
 four constructions against their adjacency definitions,
 the closed-form counts of regular targets against the walk over `all_trees`, colour
 refinement against refinement in rounds and against loops, the KC machinery against bare_path, its identity and
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
-    blown_up_edges, brute_partition_function, dominated_edges, every,
+    blown_up_edges, brute_partition_function, dominated_edges,
     first_increasing_ordering, fold_counts, fraction_partition_function,
     has_balanced_bipartition, isomorphic, kc_moved_edges, product_edges, quotient_hom,
     round_refined_colors, strict_witness_pairs, union_edges,
@@ -180,11 +180,9 @@ POSITION_TARGET = TargetGraph.from_edges(4, [(0, 0), (0, 1), (2, 2)])
 def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
     # whether the fold takes a tree's last children from a table or not
     monkeypatch.setattr(trees_module, "_TAIL", tail)
-    sweep = extremal._component_sweeps([POSITION_TARGET], n_max)[0]  # one table for every order
     for n in range(1, n_max + 1):
         want = [tree_hom(tree_at(parts), POSITION_TARGET) for parts in free_trees(n)]
         assert fold_counts(POSITION_TARGET, n) == want
-        assert sweep(n) == [want]
 
 
 def _bounds(H, n, counts):
@@ -265,20 +263,17 @@ def test_sweep_counts_read_any_quotient(Q):
         assert _star_hom(Q, n) == quotient_hom(star(n) if n > 1 else path(1), Q.sizes, Q.rows)
 
 
-# both readers of the product fold run one block walk, so their reference is
-# the walk of each listed tree, not the sweep; the tail sizes put the tables
-# below, in and past every order's children
+# the bounded fold's reference here is the walk of each listed tree, not the
+# sweep; the tail sizes put the tables below, in and past every order's
+# children
 READER_TAILS = (0, 3, 6, 8)
 
 
 def _readers_are_the_walk_counts(H, n_max):
     Q = _equitable_quotient(H)
-    weights, step = Q.sizes, partial(_message, Q.rows)
-    full = trees_module.fold_products(n_max, weights, step)
-    bounded = trees_module.bounded_fold(n_max, weights, step)
+    bounded = trees_module.bounded_fold(n_max, Q.sizes, partial(_message, Q.rows))
     for n in range(1, n_max + 1):
         want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
-        assert list(map(sum, full(n))) == want, n
         for bound in _bounds(H, n, want):
             assert (bounded(n, bound), bounded(n, bound, above=True)) == _sides(want, bound), \
                 (n, bound)
@@ -305,14 +300,6 @@ def test_fold_readers_are_the_walk_counts_on_named_targets(monkeypatch, name, ta
 @given(targets(max_n=6), st.integers(1, 30))
 def test_path_count_is_the_walk_count(H, n):
     assert _path_hom(_equitable_quotient(H), n) == tree_hom(path(n), H)
-
-
-@PROPERTY
-@given(st.lists(targets(), min_size=1, max_size=4), st.integers(1, 9))
-def test_batched_sweep_gives_each_target_its_own_counts(Hs, n):
-    # read at n from tables built for a larger order
-    read = extremal._component_sweeps(Hs, 9)[0]
-    assert [every(c, n) for c in read(n)] == [fold_counts(H, n) for H in Hs]
 
 
 @PROPERTY
@@ -379,16 +366,13 @@ def regular_targets(draw, max_n=7):
 @example(TargetGraph.from_edges(3, []), 5)  # no edges at all
 @example(SMALL_TARGETS[18], 7)  # a looped edge and a looped vertex: degrees 2 and 1
 def test_regular_targets_are_counted_without_the_fold(H, n):
+    # the closed form classify reads: (vertices)·d^(n-1) per degree d
     assert all(H.degree(u) == H.degree(v) for u in H.vertices() for v in H.neighbors(u))
-    assert not extremal._split(H)[1]
-
-    def refuse(*args):
-        raise AssertionError("a regular target was folded")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extremal, "fold_products", refuse)
-        counts = every(extremal._component_sweeps([H], n)[0](n)[0], n)
-    assert counts == [tree_hom(ct.tree, H) for ct in all_trees(n)]
+    regular, other = extremal._split(H)
+    assert not other
+    count = sum(m * d ** (n - 1) for d, m in regular.items())
+    counts = [tree_hom(ct.tree, H) for ct in all_trees(n)]
+    assert counts == [count] * len(counts)
     # every tree has the same class vector, so the bounds are exact and the
     # bounded walk at the common count yields no block on either side
     Q = _equitable_quotient(H)
