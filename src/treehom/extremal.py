@@ -6,13 +6,12 @@ The sweeps (`verify_hoffman_london`, `minimizers`, `sidorenko_check`) are
 exhaustive over all non-isomorphic trees of each order and report exact
 counts; "strongly path-minimal at desk scale" always means per-n verdicts up
 to the swept bound, never the unbounded property. The classification sweeps
-no tree: each of its rows comes from a closed form, an identity or a
-certificate (`classify_small_targets`).
+no tree: each of its rows reads the target's one quotient, for a reason
+that is a closed form, an identity or a certificate (`classify_small_targets`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from functools import partial
 from itertools import combinations, compress, islice
@@ -26,7 +25,7 @@ from .automorphy import (
     orbit_partition,
     similarity_matrix,
 )
-from .graphs import SizeLimitError, TargetGraph, _Record, _search
+from .graphs import SizeLimitError, TargetGraph, _Record
 from .homcount import _column, _message, _path_counts, _path_hom, _star_hom, _steps
 from .trees import _check_order, bounded_fold, tree_codes
 
@@ -201,30 +200,6 @@ class HLVerdict(_Record):
     @property
     def strongly_hoffman_london(self) -> bool:
         return all(r.path_is_unique_min for r in self.reports if r.n >= 4)
-
-
-def _split(H: TargetGraph) -> tuple[Counter, list[TargetGraph]]:
-    """(regular, other) over H's connected components, each found by one
-    breadth-first search (`graphs._search`) from its least vertex:
-    regular[d] the vertices of the components whose vertices all have
-    degree d (a loop counting 1), and each other component as a TargetGraph
-    on 0..k-1 in H's vertex order."""
-    regular: Counter = Counter()
-    other = []
-    seen: set[int] = set()
-    for v in H.vertices():
-        if v in seen:
-            continue
-        comp = sorted(_search(H._adj, v)[0])
-        seen.update(comp)
-        degrees = set(map(H.degree, comp))
-        if len(degrees) == 1:
-            regular[degrees.pop()] += len(comp)
-        else:
-            label = {u: i for i, u in enumerate(comp)}
-            other.append(TargetGraph(len(comp), (
-                (label[u], label[w]) for u in comp for w in H.neighbors(u))))
-    return regular, other
 
 
 def _bounded_fold(H: TargetGraph, n_max: int
@@ -402,31 +377,33 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     each order 2..n_max, and the label that summarizes them, each from a
     reason: no tree is listed and no fold is run.
 
-    A tree maps into one component of H, so hom(T, H) is the sum of its
-    components' counts (`_split`). On a component whose vertices share one
-    degree d every tree has the count (vertices)·d^(n-1): the root takes any
-    vertex, and each child any of its parent image's d neighbours. Each
-    target has at most one other component G, which decides the labels by
-    one of two reasons:
+    Each target H is read whole, off one equitable quotient Q
+    (`_equitable_quotient`) and its message steps p[j] = M^j·1, so the path
+    counts sizes · p[n-1] and the star `_star_hom`. Each target has one of
+    three reasons, checked before any order is read:
 
-    - G is P3 (target 19): hom(T, P3) = 2^|X| + 2^|Y| for a tree with sides
+    - H is regular: every edge joins two vertices of one degree (on Q, each
+      class's neighbour classes have its own degree). Every tree then has
+      the count Σ_v d(v)^(n-1): the root takes any vertex v, and each child
+      any of its parent image's d(v) neighbours, all of degree d(v).
+    - H is P3 (target 19): hom(T, P3) = 2^|X| + 2^|Y| for a tree with sides
       X and Y (one side sits on the middle vertex, the other's vertices take
       either end), least exactly on the balanced-bipartition trees, the path
       among them, and most on the star.
-    - G passes the increasing-columns test (`find_increasing_ordering`). By
+    - H passes the increasing-columns test (`find_increasing_ordering`). By
       the paper's theorem, through the KC difference formula, no KC move
-      then lowers hom(T, G). KC moves (Csikvari, "On a poset of trees",
+      then lowers hom(T, H). KC moves (Csikvari, "On a poset of trees",
       Combinatorica 30, 2010) lead from the path to every tree and on to the
       star, and every first move from the path makes a three-leg spider.
 
-    Either way the path counts the least and the star the most, so all
-    trees tie exactly when the star counts what the path does. Otherwise
-    the path alone is least exactly when every three-leg spider counts more
+    Each way the path counts the least and the star the most, so all trees
+    tie exactly when the star counts what the path does. Otherwise the path
+    alone is least exactly when every three-leg spider counts more
     (`_spiders`): on P3 a spider that ties it is another balanced tree; on a
-    certified component a tie is refused (ValueError), as is a component
-    neither reason covers. Off P3 the minimizers are the balanced trees only
-    where they are the path alone at n <= 4 (past 4 some spider is balanced
-    too), or all trees tie at n <= 3, where the path is the only tree. The
+    certified target a tie is refused (ValueError), as is a target no
+    reason covers. Off P3 the minimizers are the balanced trees only where
+    they are the path alone at n <= 4 (past 4 some spider is balanced too),
+    or all trees tie at n <= 3, where the path is the only tree. The
     descriptions coincide at small n, so every label that holds is kept.
 
     The argument rests on the paper's theorem and the KC difference formula;
@@ -436,27 +413,21 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     _check_order(n_max)
     rows = []
     for hid, H in SMALL_TARGETS.items():
-        regular, other = _split(H)
-        is_p3 = False
-        if other:
-            G, = other  # at most one on each catalog target
-            is_p3 = G.n == 3 and len(G.edges) == 2 and not any(map(G.has_loop, G.vertices()))
-            if not is_p3 and find_increasing_ordering(G) is None:
-                raise ValueError(f"target {hid}: no reason names its minimizers")
-            Q = _equitable_quotient(G)
-            p = list(islice(_steps(Q.rows, [1] * Q.k), n_max))
+        Q = _equitable_quotient(H)
+        regular = all(len(Q.rows[c]) == len(row) for row in Q.rows for c in row)
+        is_p3 = H.n == 3 and len(H.edges) == 2 and not any(map(H.has_loop, H.vertices()))
+        if not (regular or is_p3) and find_increasing_ordering(H) is None:
+            raise ValueError(f"target {hid}: no reason names its minimizers")
+        p = list(islice(_steps(Q.rows, [1] * Q.k), n_max))
         mins, labels = [], []
         for n in range(2, n_max + 1):
-            least = sum(m * d ** (n - 1) for d, m in regular.items())
+            least = sum(map(mul, Q.sizes, p[n - 1]))  # the path's count
             tie, alone = True, n <= 3  # below 4 vertices the path is the only tree
-            if other:
-                path = sum(map(mul, Q.sizes, p[n - 1]))
-                least += path
-                if _star_hom(Q, n) != path:
-                    tie, spiders = False, set(_spiders(Q, p, n))
-                    if path in spiders and not is_p3 or any(s < path for s in spiders):
-                        raise ValueError(f"target {hid}, n={n}: a spider counts at most the path")
-                    alone = path not in spiders
+            if _star_hom(Q, n) != least:
+                tie, spiders = False, set(_spiders(Q, p, n))
+                if least in spiders and not is_p3 or any(s < least for s in spiders):
+                    raise ValueError(f"target {hid}, n={n}: a spider counts at most the path")
+                alone = least not in spiders
             labs = frozenset(compress((LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED),
                                       (least == 0, tie, alone, is_p3 or alone and n <= 4)))
             mins.append((n, least))

@@ -9,16 +9,15 @@ non-increasing tuple of child IDs, numbered by vertex count. A free tree
 splits at its centroid into a multiset of rooted shapes with fewer than n/2
 vertices each, or, for even n only, into a pair of shapes with n/2 vertices
 joined by the central edge (Otter 1948). `free_trees` lists both kinds as
-tuples of shape IDs. One block walk (`_blocks`) gives one class vector per
-tree in the same order from class weights and a message step, the product of
-a tree's parts, without building the tree: the children that complete a tree
-multiply to a value that depends only on how many vertices they hold and the
-bound on their IDs, so for up to `_TAIL` vertices those products are
-tabulated, one table for every order of a sweep, whose first rows are the
-rooted shapes' own vectors (refused past SHAPE_VECTOR_LIMIT shapes x
-classes). Its reader, `bounded_fold`, reads only the vectors' sums at most
-a bound, or above it, the walk skipping every part of the fold whose lower
-(upper) bound is past it.
+tuples of shape IDs. One walk (`bounded_fold`) lists in the same order the
+counts at most a bound, or above it, from class weights and a message step,
+a tree's class vector the product of its parts, without building the tree:
+the children that complete a tree multiply to a value that depends only on
+how many vertices they hold and the bound on their IDs, so for up to `_TAIL`
+vertices those products are tabulated, one table for every order of a sweep,
+whose first rows are the rooted shapes' own vectors (refused past
+SHAPE_VECTOR_LIMIT shapes x classes). The walk skips every part of the fold
+whose lower (upper) bound is past the bound.
 `all_trees` materializes the enumeration and `tree_count` reads its size off
 one table of tree counts (`_counts`), which also places the fold's blocks;
 the tests cross-check both against a Prufer-sequence dedup oracle and
@@ -124,7 +123,8 @@ class _Shapes(_Record):
 
 
 #: Vertex counts up to which `bounded_fold` takes a tree's last children
-#: from one table of shared products instead of recursing.
+#: from one table of shared products, counted as one block, instead of
+#: branching on each child.
 _TAIL = 8
 
 
@@ -247,27 +247,28 @@ def _suffix(pick: Callable[[int, int], int], prods: list[list[int]]) -> list[lis
     return out
 
 
-def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
-            ) -> Callable[..., Iterator[tuple[int, Iterator[Iterator[int]]]]]:
-    """walk(n, bound, above=False) for every order n <= n_max: the product
-    fold of the trees on n vertices counted at most bound (with above, more)
-    as blocks (at, vectors), vectors a lazy `map` of one class vector per
-    tree, each a lazy `map` itself, over consecutive trees in `free_trees`
-    order and at the position of the first. With `_table`'s h and msg, the
-    tree (s, c_1, ..., c_k) has the vector weights ⊙ h_s ⊙ msg[c_1] ⊙ ... ⊙
-    msg[c_k] (⊙ elementwise), and its count is that vector's sum.
+def bounded_fold(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
+                 ) -> Callable[..., list[tuple[int, int]]]:
+    """fold(n, bound, above=False) for every order n <= n_max: (i, c) for
+    each tree on n vertices whose count c is at most bound (with above,
+    more), i its position in `free_trees` order. With `_table`'s h and msg,
+    the tree (s, c_1, ..., c_k) has the class vector weights ⊙ h_s ⊙
+    msg[c_1] ⊙ ... ⊙ msg[c_k] (⊙ elementwise), and its count is that
+    vector's sum.
 
     The product is commutative, so the children that complete a tree
     multiply to a value that depends only on their vertex count r and the
     bound b on their IDs, not on the children before them. The walk keeps a
     stack of nodes (r, b, x), x the prefix product. For r up to _TAIL the
     completions are tabulated once (`_table`), and the node is one block,
-    x ⊙ entry over the table's entries; above it, the walk branches on the
-    next child, largest ID first. For even n one block per b follows: the
-    halves (a, b), a <= b, as roots[a] ⊙ msg[b], roots = weights ⊙ h.
+    x ⊙ entry over the table's entries, counted in C and read in order from
+    the position of its first tree; above it, the walk branches on the next
+    child, largest ID first. For even n one block per b follows: the halves
+    (a, b), a <= b, as roots[a] ⊙ msg[b], roots = weights ⊙ h. A block's
+    counts are kept only if its best (least, with above largest) is.
 
     The bound needs weights and step's matrix entrywise >= 0. The walk
-    yields only blocks that may hold counts at most the bound, or with
+    counts only blocks that may hold counts at most the bound, or with
     above, counts above it. Every completion of a node (r, b, x) has a
     product between low(r, b) and high(r, b) entrywise, the least and the
     largest of those products, so a count between x · low(r, b) and
@@ -323,12 +324,19 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
 
     sides = side(min), side(max)
 
-    def walk(n: int, bound: int,
-             above: bool = False) -> Iterator[tuple[int, Iterator[Iterator[int]]]]:
+    def fold(n: int, bound: int, above: bool = False) -> list[tuple[int, int]]:
         _check_covered(n, n_max)
         from bisect import bisect_left  # imported here, so only sweeps load it
         pick, ends, edge = sides[above]
         past = bound.__ge__ if above else bound.__lt__  # past(v): no count bounded by v is kept
+        out: list[tuple[int, int]] = []
+
+        def count(at: int, vectors: Iterator[Iterator[int]]) -> None:
+            """Keep the counts of a block whose first tree is at position at."""
+            counts = list(map(sum, vectors))
+            if not past(pick(counts)):
+                out.extend((i, c) for i, c in enumerate(counts, at) if not past(c))
+
         at = 0  # position of the next tree in free_trees order
         todo = [(n - 1, t.end[(n - 1) // 2], weights)]
         while todo:
@@ -337,12 +345,12 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
             if extreme is None or past(_dot(x, extreme)):
                 at += num[r][b]
                 continue
-            if r <= most:
+            if r <= most:  # extreme bounds the block's first entry, so the block is not empty
                 prods = tails[r]
                 start = len(prods) - num[r][b]
                 stop = bisect_left(ends(r), True, start, len(prods),
                                    key=lambda p: past(_dot(x, p)))
-                yield at, map(map, repeat(mul), repeat(x), prods[start:stop])
+                count(at, map(map, repeat(mul), repeat(x), prods[start:stop]))
                 at += num[r][b]
             else:  # pushed smallest ID first, so the largest is folded first
                 todo.extend((r - t.size[c], c + 1, list(map(mul, x, msg[c])))
@@ -353,28 +361,8 @@ def _blocks(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list
             for j, (root, m) in enumerate(zip(roots, msg[t.end[n // 2 - 1]:]), 1):
                 extreme = list(map(pick, extreme, root))
                 if not past(_dot(extreme, m)):
-                    yield at, map(map, repeat(mul), roots[:j], repeat(m))
+                    count(at, map(map, repeat(mul), roots[:j], repeat(m)))
                 at += j
-
-    return walk
-
-
-def bounded_fold(n_max: int, weights: Sequence[int], step: Callable[[list[int]], list[int]]
-                 ) -> Callable[..., list[tuple[int, int]]]:
-    """fold(n, bound, above=False) for every order n <= n_max: (i, c) for
-    each tree on n vertices whose count c, its class vector's sum, is at most
-    bound (with above, more), i its position in `free_trees` order, read
-    from the blocks of `_blocks` with that bound, which skip the trees whose
-    lower (with above, upper) bound is past it."""
-    walk = _blocks(n_max, weights, step)
-
-    def fold(n: int, bound: int, above: bool = False) -> list[tuple[int, int]]:
-        pick, keep = (max, bound.__lt__) if above else (min, bound.__ge__)
-        out: list[tuple[int, int]] = []
-        for at, vectors in walk(n, bound, above):
-            counts = list(map(sum, vectors))
-            if counts and keep(pick(counts)):
-                out.extend((i, c) for i, c in enumerate(counts, at) if keep(c))
         return out
 
     return fold

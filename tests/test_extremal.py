@@ -411,20 +411,22 @@ class TestSweeps:
         assert len(quotients) == 1
 
     def test_regular_targets_skip_the_fold(self, monkeypatch):
-        # 18 of the 28 targets are regular; classify counts them by the
-        # closed form, (vertices)·d^(n-1) per degree d, and refines only the
-        # other 10 targets' components, none of them regular
-        regular = [H for H in SMALL_TARGETS.values() if not extremal._split(H)[1]]
+        # 18 of the 28 targets are regular, every edge joining two vertices
+        # of one degree; every tree then counts Σ_v deg(v)^(n-1), the closed
+        # form classify's first reason rests on. classify refines each
+        # target once, whole, with no component cut off it
+        regular = [H for H in SMALL_TARGETS.values()
+                   if all(H.degree(u) == H.degree(v) for u, v in H.edges)]
         assert len(regular) == 18
         for H in regular:
             for n in range(1, 10):
-                count = sum(m * d ** (n - 1) for d, m in extremal._split(H)[0].items())
+                count = sum(H.degree(v) ** (n - 1) for v in H.vertices())
                 assert {tree_hom(ct.tree, H) for ct in all_trees(n)} == {count}
         refined = []
         monkeypatch.setattr(extremal, "_equitable_quotient", counted(_equitable_quotient, refined))
         classify_small_targets(9)
-        assert len(refined) == 10
-        assert all(len({G.degree(v) for v in G.vertices()}) > 1 for G, in refined)
+        assert len(refined) == 28
+        assert [H for H, in refined] == list(SMALL_TARGETS.values())
 
     def test_sidorenko_builds_one_set_of_tables(self, monkeypatch):
         # one quotient and one table for every order
@@ -533,6 +535,30 @@ def test_classify_lists_no_tree_and_runs_no_fold(monkeypatch):
                          (extremal, "bounded_fold"), (homcount, "_walk")):
         monkeypatch.setattr(module, name, refuse)
     assert classify_small_targets(TREE_LIMIT) == want
+
+
+def test_classify_refuses_a_target_no_reason_covers(monkeypatch):
+    # target 7, a looped vertex joined to an unlooped one, is the first
+    # target neither regular nor P3; with no ordering passing, it has no
+    # reason, and classify raises rather than guess its labels
+    monkeypatch.setattr(extremal, "find_increasing_ordering", lambda H: None)
+    with pytest.raises(ValueError, match="target 7: no reason names its minimizers"):
+        classify_small_targets(5)
+
+
+def test_classify_refuses_a_spider_at_the_path_count(monkeypatch):
+    # on a certified target a spider counting what the path does would be a
+    # second minimizer, which the argument rules out; n = 4 is target 7's
+    # first order with a spider, the star
+    spiders = extremal._spiders
+
+    def with_the_path(Q, p, n):
+        yield sum(s * x for s, x in zip(Q.sizes, p[n - 1]))
+        yield from spiders(Q, p, n)
+
+    monkeypatch.setattr(extremal, "_spiders", with_the_path)
+    with pytest.raises(ValueError, match="target 7, n=4: a spider counts at most the path"):
+        classify_small_targets(5)
 
 
 def test_path_target_counts_are_two_powers_of_the_sides():

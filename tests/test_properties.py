@@ -366,18 +366,29 @@ def regular_targets(draw, max_n=7):
 @example(TargetGraph.from_edges(3, []), 5)  # no edges at all
 @example(SMALL_TARGETS[18], 7)  # a looped edge and a looped vertex: degrees 2 and 1
 def test_regular_targets_are_counted_without_the_fold(H, n):
-    # the closed form classify reads: (vertices)·d^(n-1) per degree d
+    # the closed form classify reads: Σ_v deg(v)^(n-1)
     assert all(H.degree(u) == H.degree(v) for u in H.vertices() for v in H.neighbors(u))
-    regular, other = extremal._split(H)
-    assert not other
-    count = sum(m * d ** (n - 1) for d, m in regular.items())
+    count = sum(H.degree(v) ** (n - 1) for v in H.vertices())
     counts = [tree_hom(ct.tree, H) for ct in all_trees(n)]
     assert counts == [count] * len(counts)
     # every tree has the same class vector, so the bounds are exact and the
-    # bounded walk at the common count yields no block on either side
+    # bounded fold at the common count sums no block's class vectors on
+    # either side; at the count itself it sums every tree's
     Q = _equitable_quotient(H)
-    walk = trees_module._blocks(n, Q.sizes, partial(_message, Q.rows))
-    assert list(walk(n, counts[0] - 1)) == [] == list(walk(n, counts[0], above=True))
+    fold = trees_module.bounded_fold(n, Q.sizes, partial(_message, Q.rows))
+    summed = []
+
+    def spy(f, *iterables):
+        if f is sum:
+            summed.append(n)
+        return map(f, *iterables)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trees_module, "map", spy, raising=False)
+        assert fold(n, count - 1) == [] == fold(n, count, above=True)
+        assert summed == []
+        assert fold(n, count) == list(enumerate(counts))
+        assert summed
 
 
 @PROPERTY
