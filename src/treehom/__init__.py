@@ -1,5 +1,7 @@
 """Exact H-coloring counts of trees and path-minimality verification tools."""
 
+from types import ModuleType as _ModuleType
+
 from .graphs import (
     GraphParseError,
     SizeLimitError,
@@ -62,5 +64,7 @@ from .extremal import (
     verify_hoffman_london,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules, which a star import leaves out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -13,11 +13,12 @@ tuples of shape IDs. One walk (`bounded_fold`) lists in the same order the
 counts at most a bound, or above it, from class weights and a message step,
 a tree's class vector the product of its parts, without building the tree:
 the children that complete a tree multiply to a value that depends only on
-how many vertices they hold and the bound on their IDs, so for up to `_TAIL`
-vertices those products are tabulated, one table for every order of a sweep,
-whose first rows are the rooted shapes' own vectors (refused past
-SHAPE_VECTOR_LIMIT shapes x classes). The walk skips every part of the fold
-whose lower (upper) bound is past the bound.
+how many vertices they hold and the bound on their IDs, so for up to half
+the largest order of a sweep those products are tabulated, one table for
+every order of the sweep: the rooted shapes' own vectors and one row of
+products of several shapes (refused past SHAPE_VECTOR_LIMIT shapes x
+classes). The walk skips every part of the fold whose lower (upper) bound
+is past the bound.
 `all_trees` materializes the enumeration and `tree_count` reads its size off
 one table of tree counts (`_counts`), which also places the fold's blocks;
 the tests cross-check both against a Prufer-sequence dedup oracle and
@@ -122,12 +123,6 @@ class _Shapes(_Record):
     end: list[int]                   # end[s] = number of shapes on <= s vertices
 
 
-#: Vertex counts up to which `bounded_fold` takes a tree's last children
-#: from one table of shared products, counted as one block, instead of
-#: branching on each child.
-_TAIL = 8
-
-
 def _fits(t: _Shapes, total: int, top: int) -> int:
     """The IDs below top of shapes on at most total vertices: range(_fits(...))."""
     return min(top, t.end[total]) if total < len(t.end) else top
@@ -196,15 +191,15 @@ def free_trees(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _table(n_max: int, k: int, step: Callable[[list[int]], list[int]]
-           ) -> tuple[_Shapes, int, list[list[list[int]]], list[list[int]]]:
-    """(shapes, most, tails, msg) of a fold up to n_max on k classes, most =
-    min(n_max - 1, _TAIL). For r up to most and every r below n_max // 2,
+           ) -> tuple[list[list[list[int]]], list[list[int]]]:
+    """(tails, msg) of a fold up to n_max on k classes. For r up to n_max // 2,
     tails[r] lists Π msg[c_i] over every non-increasing sequence of IDs
     below end[(n_max - 1) // 2] whose vertex counts sum to r, in
     `free_trees` order, largest IDs first, so those with IDs below b are its
     last num[r][b] (`_counts`). For r < n_max // 2 all IDs that fit are
     below that bound, so tails[r] are the (r + 1)-vertex shapes' vectors
-    h_s = Π msg[c] over s's children, in ID order, and msg[s] = step(h_s).
+    h_s = Π msg[c] over s's children, in ID order, and msg[s] = step(h_s);
+    tails[n_max // 2] is the one row of products of several shapes.
     Refused past SHAPE_VECTOR_LIMIT over the shapes `free_trees(n_max)`
     composes, before any vector is built."""
     _check_order(n_max)
@@ -213,10 +208,10 @@ def _table(n_max: int, k: int, step: Callable[[list[int]], list[int]]
     if shapes * k > SHAPE_VECTOR_LIMIT:
         raise SizeLimitError(f"shape vectors need shapes x classes = {shapes} x {k} = "
                              f"{shapes * k}, past SHAPE_VECTOR_LIMIT = {SHAPE_VECTOR_LIMIT}")
-    most, top = min(n_max - 1, _TAIL), t.end[(n_max - 1) // 2]
+    top = t.end[(n_max - 1) // 2]
     tails: list[list[list[int]]] = []
     msg: list[list[int]] = []
-    for r in range(max(most, n_max // 2 - 1) + 1):
+    for r in range(n_max // 2 + 1):
         prods = [[1] * k] if r == 0 else []
         for c in range(_fits(t, r, top) - 1, -1, -1):
             rest, m = r - t.size[c], msg[c]
@@ -224,7 +219,7 @@ def _table(n_max: int, k: int, step: Callable[[list[int]], list[int]]
         tails.append(prods)
         if r < n_max // 2:
             msg.extend(map(step, prods))
-    return t, most, tails, msg
+    return tails, msg
 
 
 def _check_covered(n: int, n_max: int) -> None:
@@ -259,8 +254,8 @@ def bounded_fold(n_max: int, weights: Sequence[int], step: Callable[[list[int]],
     The product is commutative, so the children that complete a tree
     multiply to a value that depends only on their vertex count r and the
     bound b on their IDs, not on the children before them. The walk keeps a
-    stack of nodes (r, b, x), x the prefix product. For r up to _TAIL the
-    completions are tabulated once (`_table`), and the node is one block,
+    stack of nodes (r, b, x), x the prefix product. For r up to n_max // 2
+    the completions are tabulated once (`_table`), and the node is one block,
     x ⊙ entry over the table's entries, counted in C and read in order from
     the position of its first tree; above it, the walk branches on the next
     child, largest ID first. For even n one block per b follows: the halves
@@ -286,22 +281,22 @@ def bounded_fold(n_max: int, weights: Sequence[int], step: Callable[[list[int]],
     and nothing at b = 0 for r > 0; ID 0 fits in any r, so every node with
     b >= 1 has completions. A row is grown only as far as a visited node's
     b asks, one entry from the one before, and only for the r that nodes
-    reach. For r <= _TAIL the completions are the last num[r][b] entries of
-    the `_table` block tails[r], so low and high are its suffix minima and
-    maxima. A shorter suffix has a larger minimum and a smaller maximum, so
-    as j grows x · (suffix minimum at j) never falls, x · (suffix maximum
-    at j) never rises, and a bisection ends the block at the first entry
-    whose bound is past `bound`. The halves (a, b) count roots[a] · msg[b],
-    between min(roots[lo..b]) · msg[b] and max(roots[lo..b]) · msg[b], a
-    running minimum and maximum over b.
+    reach. For r <= n_max // 2 the completions are the last num[r][b]
+    entries of the `_table` block tails[r], so low and high are its suffix
+    minima and maxima. A shorter suffix has a larger minimum and a smaller
+    maximum, so as j grows x · (suffix minimum at j) never falls,
+    x · (suffix maximum at j) never rises, and a bisection ends the block
+    at the first entry whose bound is past `bound`. The halves (a, b) count
+    roots[a] · msg[b], between min(roots[lo..b]) · msg[b] and
+    max(roots[lo..b]) · msg[b], a running minimum and maximum over b.
 
     None of these tables depends on the order: a `_table` block with IDs
     below b is the same whatever larger bound on IDs the table was built
     for, and low, high and num depend only on r and b. So they are built
     for n_max and shared by every order's walk.
     """
-    t, most, tails, msg = _table(n_max, len(weights), step)
-    num = _counts()
+    tails, msg = _table(n_max, len(weights), step)
+    t, num, most = _shapes(), _counts(), n_max // 2
 
     def side(pick: Callable[[int, int], int]):
         """(pick, ends, edge), pick min for low and max for high: ends(r) the

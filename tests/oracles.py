@@ -462,9 +462,10 @@ def dense_regular_21() -> TargetGraph:
                                        if (i, j) not in sparse])
 
 
-def fold_counts(H: TargetGraph, n: int) -> list[int]:
+def fold_counts(H: TargetGraph, n: int, n_max: int | None = None) -> list[int]:
     """Every tree's count on n vertices, in `free_trees` order, from H's lone
-    bounded fold at a bound no count passes."""
+    bounded fold at a bound no count passes, its tables built for n_max
+    (by default n)."""
     Q = _equitable_quotient(H)
-    fold = bounded_fold(n, Q.sizes, partial(_message, Q.rows))
+    fold = bounded_fold(n_max or n, Q.sizes, partial(_message, Q.rows))
     return [c for _, c in fold(n, H.n ** n)]

@@ -459,8 +459,8 @@ def test_balanced_flags_at_each_position(n):
     # the positions of target 19's least count, from its own bounded fold at
     # the path's count, its table built for the largest order, are the
     # balanced-bipartition trees, checked against the tree each free_trees
-    # position names, on both sides of the shared-tail size and at both
-    # parities of n
+    # position names, on both sides of the table's depth (TREE_LIMIT // 2
+    # vertices) and at both parities of n
     want = []
     for i, parts in enumerate(free_trees(n)):
         adj = trees._adjacency(parts)

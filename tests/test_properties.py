@@ -156,17 +156,24 @@ def tree_at(parts):
     return Tree.from_edges(len(adj), [(u, v) for u, a in enumerate(adj) for v in a if u < v])
 
 
-# orders on both sides of the shared-tail size: up to _TAIL + 1 a tree's
-# children all come from one table entry, above it the fold branches first
+# a fold's tables are built for an order n_max and reach n_max // 2 vertices
+# (the tail size), so for n >= 3 the order's own tables leave its root, and
+# more nodes, to branch, while a larger order's take more children, or the
+# whole tree, from one table block
 @PROPERTY
 @given(targets(), st.integers(1, 12))
 @example(TargetGraph.from_edges(3, [(0, 0), (0, 1)]), 12)  # an isolated vertex
 @example(TargetGraph.from_edges(4, [(0, 0), (1, 1), (2, 3)]), 11)  # loops apart
 @example(TargetGraph.from_edges(2, []), 10)  # no edges at all
 def test_sweep_count_at_each_position_is_the_walk_count(H, n):
-    assert trees_module._TAIL + 1 < 12  # so n reaches past the tail
     want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
-    assert fold_counts(H, n) == want
+    for n_max in n, trees_module.TREE_LIMIT:
+        assert fold_counts(H, n, n_max) == want, n_max
+
+
+def _larger(n, extra):
+    """The order extra past n, at most TREE_LIMIT, whose tables also fold n."""
+    return min(n + extra, trees_module.TREE_LIMIT)
 
 
 # a looped vertex joined to an unlooped one, a looped vertex alone, and an
@@ -175,14 +182,16 @@ def test_sweep_count_at_each_position_is_the_walk_count(H, n):
 POSITION_TARGET = TargetGraph.from_edges(4, [(0, 0), (0, 1), (2, 2)])
 
 
-@pytest.mark.parametrize("tail, n_max", [
-    (trees_module._TAIL, trees_module.TREE_LIMIT), (0, 12), (3, 12), (6, 12)])
-def test_sweep_positions_hold_at_every_tail_size(monkeypatch, tail, n_max):
-    # whether the fold takes a tree's last children from a table or not
-    monkeypatch.setattr(trees_module, "_TAIL", tail)
+# (extra, n_max): each order n <= n_max is folded from tables built for an
+# order extra past it, at most TREE_LIMIT; extra 0 is the order's own
+TAIL_CASES = [(8, trees_module.TREE_LIMIT), (0, 12), (3, 12), (6, 12)]
+
+
+@pytest.mark.parametrize("extra, n_max", TAIL_CASES)
+def test_sweep_positions_hold_at_every_tail_size(extra, n_max):
     for n in range(1, n_max + 1):
         want = [tree_hom(tree_at(parts), POSITION_TARGET) for parts in free_trees(n)]
-        assert fold_counts(POSITION_TARGET, n) == want
+        assert fold_counts(POSITION_TARGET, n, _larger(n, extra)) == want, n
 
 
 def _bounds(H, n, counts):
@@ -215,18 +224,21 @@ BOUNDED_TARGETS = {"capacity:3": make_capacity_graph(3), "wr:3": make_widom_rowl
                    "folkman+dom": make_folkman_plus_dominating()}
 
 
-@pytest.mark.parametrize("tail, n_max", [
-    (trees_module._TAIL, trees_module.TREE_LIMIT), (0, 12), (3, 12), (6, 12)])
+@pytest.mark.parametrize("extra, n_max", TAIL_CASES)
 @pytest.mark.parametrize("name", list(BOUNDED_TARGETS))
-def test_bounded_fold_holds_at_every_tail_size(monkeypatch, name, tail, n_max):
-    # whether the bounded fold bisects a table block or prunes stack nodes
-    monkeypatch.setattr(trees_module, "_TAIL", tail)
+def test_bounded_fold_holds_at_every_tail_size(name, extra, n_max):
+    # whether the bounded fold bisects a table block or prunes stack nodes:
+    # each order from its own tables, and from one set built for the order
+    # extra past n_max that every order reads, as check-hl reads it
     H = BOUNDED_TARGETS[name]
-    _, fold = extremal._bounded_fold(H, n_max)  # one set of tables for every order, as check-hl reads it
+    _, shared = extremal._bounded_fold(H, _larger(n_max, extra))
     for n in range(1, n_max + 1):
         counts = fold_counts(H, n)
+        _, own = extremal._bounded_fold(H, n)
         for bound in _bounds(H, n, counts):
-            assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), (n, bound)
+            for fold in own, shared:
+                assert (fold(n, bound), fold(n, bound, above=True)) == _sides(counts, bound), \
+                    (n, bound)
 
 
 @st.composite
@@ -264,15 +276,14 @@ def test_sweep_counts_read_any_quotient(Q):
 
 
 # the bounded fold's reference here is the walk of each listed tree, not the
-# sweep; the tail sizes put the tables below, in and past every order's
-# children
-READER_TAILS = (0, 3, 6, 8)
+# sweep; each order is folded from the tables of the order extra past it
+READER_EXTRAS = (0, 3, 6, 8)
 
 
-def _readers_are_the_walk_counts(H, n_max):
+def _readers_are_the_walk_counts(H, n_max, extra):
     Q = _equitable_quotient(H)
-    bounded = trees_module.bounded_fold(n_max, Q.sizes, partial(_message, Q.rows))
     for n in range(1, n_max + 1):
+        bounded = trees_module.bounded_fold(_larger(n, extra), Q.sizes, partial(_message, Q.rows))
         want = [tree_hom(tree_at(parts), H) for parts in free_trees(n)]
         for bound in _bounds(H, n, want):
             assert (bounded(n, bound), bounded(n, bound, above=True)) == _sides(want, bound), \
@@ -280,20 +291,17 @@ def _readers_are_the_walk_counts(H, n_max):
 
 
 @PROPERTY
-@given(targets(), st.integers(1, 10), st.sampled_from(READER_TAILS))
+@given(targets(), st.integers(1, 10), st.sampled_from(READER_EXTRAS))
 @example(TargetGraph.from_edges(3, [(0, 0), (0, 1)]), 10, 0)  # an isolated vertex
 @example(TargetGraph.from_edges(2, []), 10, 8)  # no edges at all
-def test_fold_readers_are_the_walk_counts(H, n_max, tail):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trees_module, "_TAIL", tail)
-        _readers_are_the_walk_counts(H, n_max)
+def test_fold_readers_are_the_walk_counts(H, n_max, extra):
+    _readers_are_the_walk_counts(H, n_max, extra)
 
 
-@pytest.mark.parametrize("tail", READER_TAILS)
+@pytest.mark.parametrize("extra", READER_EXTRAS)
 @pytest.mark.parametrize("name", list(BOUNDED_TARGETS))
-def test_fold_readers_are_the_walk_counts_on_named_targets(monkeypatch, name, tail):
-    monkeypatch.setattr(trees_module, "_TAIL", tail)
-    _readers_are_the_walk_counts(BOUNDED_TARGETS[name], 12)
+def test_fold_readers_are_the_walk_counts_on_named_targets(name, extra):
+    _readers_are_the_walk_counts(BOUNDED_TARGETS[name], 12, extra)
 
 
 @PROPERTY

@@ -1,7 +1,8 @@
 """Checks on the package source itself: every private module-level function,
 class and assigned name in `src/treehom` has a reader there, so code that
-only the tests run does not stay in the package; and importing the CLI
-loads no standard module that its commands do not need."""
+only the tests run does not stay in the package; importing the CLI
+loads no standard module that its commands do not need; and a star import
+of the package binds no submodule."""
 
 import ast
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treehom"
 
@@ -81,3 +83,13 @@ def test_cli_import_loads_no_unneeded_standard_module():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout == "[]\n"
+
+
+def test_no_export_is_a_module():
+    # the package's imports bind its submodules (trees, graphs, ...), which a
+    # star import would otherwise bind over the caller's own names
+    import treehom
+    assert [name for name in treehom.__all__ if isinstance(getattr(treehom, name), ModuleType)] == []
+    star = {}
+    exec("from treehom import *", star)
+    assert not {"automorphy", "extremal", "graphs", "homcount", "trees"} & set(star)
