@@ -344,7 +344,7 @@ _BUDGET = ("--budget", "budget", "int", None, False, "brute-force enumeration ca
 _TARGET = ("--target", "target", "str", None, True, "target graph: shorthand, inline:..., or file")
 _TREE = ("--tree", "tree", "str", None, True, "tree: any target spec whose graph is a tree")
 _N = ("-n", "n", "int", None, True, "tree order")
-_N_MAX = ("--n-max", "n_max", "int", 9, False, "largest tree order swept")
+_N_MAX = ("--n-max", "n_max", "int", 9, False, "largest tree order checked")
 
 _POSITIONAL = ("positional", "*")
 
@@ -363,7 +363,7 @@ _COMMANDS = {
     "trees": ("list non-isomorphic trees of an order", _cmd_trees, (
         _ROWS, _N, ("--count", "count", "flag", False, False, "print only the class count"))),
     "minimize": ("exhaustive minimizer sweep at one order", _cmd_minimize, (_ROWS, _TARGET, _N)),
-    "check-hl": ("sweep path minimality up to an order", _cmd_check_hl, (
+    "check-hl": ("path minimality up to an order: certified, else swept", _cmd_check_hl, (
         _ROWS, _TARGET, _N_MAX,
         ("--strong", "strong", "flag", False, False,
          "require the path to be the unique minimizer (n >= 4)"))),

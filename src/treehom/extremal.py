@@ -2,12 +2,26 @@
 named target families, loop-threshold recognition, and the classification
 of the small-target catalog.
 
-The sweeps (`verify_hoffman_london`, `minimizers`, `sidorenko_check`) are
-exhaustive over all non-isomorphic trees of each order and report exact
-counts; "strongly path-minimal at desk scale" always means per-n verdicts up
-to the swept bound, never the unbounded property. The classification sweeps
-no tree: each of its rows reads the target's one quotient, for a reason
-that is a closed form, an identity or a certificate (`classify_small_targets`).
+The sweeps (`minimizers`, `sidorenko_check`, and `verify_hoffman_london` on
+a target without a certificate) are exhaustive over all non-isomorphic trees
+of each order and report exact counts; "strongly path-minimal at desk scale"
+always means per-n verdicts up to the swept bound, never the unbounded
+property. The classification sweeps no tree: each of its rows reads the
+target's one quotient, for a reason that is a closed form, an identity or a
+certificate (`classify_small_targets`).
+
+On a target that passes the increasing-columns test, `verify_hoffman_london`
+lists no tree either, at every order up to SPIDER_ORDER_LIMIT. By the
+paper's theorem, through the KC difference formula, no KC move (Csikvari,
+"On a poset of trees", Combinatorica 30, 2010) lowers such a target's count.
+A KC move adds exactly one leaf, and every tree with ℓ >= 4 leaves is the
+image of one with ℓ - 1: take a vertex x of degree >= 3 at the end of a
+pendant path and move x's other branches to the path's far end. So every
+tree but the path lies above a tree with three leaves, a three-leg spider,
+and the path is least; it is the only least tree exactly when every spider
+counts more (`_path_alone`). That verdict is certified, not swept: it rests
+on the paper's theorem and the KC difference formula, and the tests check it
+against the bounded fold at every order up to the enumeration limit.
 """
 
 from __future__ import annotations
@@ -27,7 +41,12 @@ from .automorphy import (
 )
 from .graphs import SizeLimitError, TargetGraph, _Record
 from .homcount import _column, _message, _path_counts, _path_hom, _star_hom, _steps
-from .trees import _check_order, bounded_fold, tree_codes
+from .trees import _check_order, bounded_fold, canonical_code, path, tree_codes
+
+
+#: Largest order `verify_hoffman_london` answers, on a certified target: its
+#: spider scans read about n_max³/36 spiders, each k products (k classes).
+SPIDER_ORDER_LIMIT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +258,13 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
     tied = [i for i, c in low if c == least]
     v = _verdict(n, least, len(tied), path_count)
     hi = max(c for _, c in fold(n, star_count - 1, above=True))
+    # the path alone is coded directly; ties are coded off the tree listing
+    codes = ([canonical_code(path(n))] if v.path_is_unique_min
+             else sorted(tree_codes(n, tied).values()))
     return MinimizerReport(
         n=n,
         min_count=least,
-        minimizers=tuple(sorted(tree_codes(n, tied).values())),
+        minimizers=tuple(codes),
         path_is_min=v.path_is_min,
         path_is_unique_min=v.path_is_unique_min,
         max_count=hi,
@@ -257,18 +279,62 @@ def _check_n_max(n_max: int, what: str, name: str = "n_max") -> None:
         raise ValueError(f"{what} needs {name} >= 2, got {n_max}")
 
 
+def _spiders(Q: Quotient, p: Sequence[list[int]], n: int) -> Iterator[int]:
+    """hom(S(a, b, c), G) for every three-leg spider on n vertices, legs of
+    a >= b >= c >= 1 vertices, Q an equitable quotient of G and p[j] = M^j·1
+    its message steps from the all-ones vector: rooted at the centre, a leg
+    of a vertices sends M·(M^(a-1)·1) = p[a], so the count is
+    sizes · (p[a] ⊙ p[b] ⊙ p[c]). No spider is built."""
+    for c in range(1, (n - 1) // 3 + 1):
+        for b in range(c, (n - 1 - c) // 2 + 1):
+            legs = map(mul, p[n - 1 - b - c], map(mul, p[b], p[c]))
+            yield sum(map(mul, Q.sizes, legs))
+
+
+def _path_alone(Q: Quotient, p: Sequence[list[int]], n: int, where: str = "") -> bool:
+    """Whether the path on n vertices counts less than every three-leg
+    spider (`_spiders`, the same Q and p), true below 4 vertices, where there
+    is none. On a target the paper's theorem covers no spider counts less
+    than the path; one that does raises ValueError, where naming the target."""
+    path_count = sum(map(mul, Q.sizes, p[n - 1]))
+    low = min(_spiders(Q, p, n), default=path_count + 1)
+    if low < path_count:
+        raise ValueError(f"{where}n={n}: a spider counts less than the path")
+    return low > path_count
+
+
 def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
+    """Path minimality at each order 2..n_max, and the certificates found.
+
+    A target that passes the increasing-columns test
+    (`find_increasing_ordering`) is answered at every order up to
+    SPIDER_ORDER_LIMIT from one equitable quotient and its message steps,
+    with no tree listed: by the paper's theorem the path is least, and it
+    is the only least tree exactly when every three-leg spider counts more
+    (`_path_alone`). Any other target is swept by the bounded fold, up to
+    the enumeration limit. An order past SPIDER_ORDER_LIMIT is refused
+    before any search or refinement."""
     _check_n_max(n_max, "the path-minimality check")
-    # the path is among the trees counted at most its own count, so the
-    # least count and its ties are among them too
-    Q, fold = _bounded_fold(H, n_max)
-    paths = islice(_path_counts(Q), 1, None)  # from n = 2
-    reports = tuple(_verdict(n, *_least([c for _, c in fold(n, p)]), p)
-                    for n, p in zip(range(2, n_max + 1), paths))
+    if n_max > SPIDER_ORDER_LIMIT:
+        raise SizeLimitError(f"path-minimality checks limited to 2..{SPIDER_ORDER_LIMIT}, "
+                             f"got n={n_max}")
     try:
         cert = find_increasing_ordering(H)
     except SizeLimitError:
         cert = None
+    if cert is None:
+        # the path is among the trees counted at most its own count, so the
+        # least count and its ties are among them too
+        Q, fold = _bounded_fold(H, n_max)
+        paths = islice(_path_counts(Q), 1, None)  # from n = 2
+        reports = tuple(_verdict(n, *_least([c for _, c in fold(n, p)]), p)
+                        for n, p in zip(range(2, n_max + 1), paths))
+    else:
+        Q = _equitable_quotient(H)
+        p = list(islice(_steps(Q.rows, [1] * Q.k), n_max))
+        reports = tuple(OrderVerdict(n, sum(map(mul, Q.sizes, p[n - 1])), True,
+                                     _path_alone(Q, p, n))
+                        for n in range(2, n_max + 1))
     got = cert is not None and check_strong_hl_certificate(H, cert, t_max=n_max, s_max=n_max)
     return HLVerdict(n_max, reports, cert, got if isinstance(got, StrongHLCertificate) else None)
 
@@ -360,18 +426,6 @@ class ClassificationRow(_Record):
 _LABEL_PRIORITY = (LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED, LABEL_OTHER)
 
 
-def _spiders(Q: Quotient, p: Sequence[list[int]], n: int) -> Iterator[int]:
-    """hom(S(a, b, c), G) for every three-leg spider on n vertices, legs of
-    a >= b >= c >= 1 vertices, Q an equitable quotient of G and p[j] = M^j·1
-    its message steps from the all-ones vector: rooted at the centre, a leg
-    of a vertices sends M·(M^(a-1)·1) = p[a], so the count is
-    sizes · (p[a] ⊙ p[b] ⊙ p[c]). No spider is built."""
-    for c in range(1, (n - 1) // 3 + 1):
-        for b in range(c, (n - 1 - c) // 2 + 1):
-            legs = map(mul, p[n - 1 - b - c], map(mul, p[b], p[c]))
-            yield sum(map(mul, Q.sizes, legs))
-
-
 def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     """Per small target, the least count and the labels of its minimizers at
     each order 2..n_max, and the label that summarizes them, each from a
@@ -399,7 +453,7 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     Each way the path counts the least and the star the most, so all trees
     tie exactly when the star counts what the path does. Otherwise the path
     alone is least exactly when every three-leg spider counts more
-    (`_spiders`): on P3 a spider that ties it is another balanced tree; on a
+    (`_path_alone`): on P3 a spider that ties it is another balanced tree; on a
     certified target a tie is refused (ValueError), as is a target no
     reason covers. Off P3 the minimizers are the balanced trees only where
     they are the path alone at n <= 4 (past 4 some spider is balanced too),
@@ -424,10 +478,9 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
             least = sum(map(mul, Q.sizes, p[n - 1]))  # the path's count
             tie, alone = True, n <= 3  # below 4 vertices the path is the only tree
             if _star_hom(Q, n) != least:
-                tie, spiders = False, set(_spiders(Q, p, n))
-                if least in spiders and not is_p3 or any(s < least for s in spiders):
+                tie, alone = False, _path_alone(Q, p, n, f"target {hid}, ")
+                if not (alone or is_p3):
                     raise ValueError(f"target {hid}, n={n}: a spider counts at most the path")
-                alone = least not in spiders
             labs = frozenset(compress((LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED),
                                       (least == 0, tie, alone, is_p3 or alone and n <= 4)))
             mins.append((n, least))

@@ -494,6 +494,23 @@ class TestLargeResults:
 
 
 class TestReach:
+    @pytest.mark.parametrize("target", ["capacity:3", "wr:3"])
+    def test_certified_check_hl_at_its_order_limit(self, capsys, target):
+        # past the enumeration limit a certified target is answered by the
+        # spider scan: the path's count at every order, the path alone least
+        n_max = extremal.SPIDER_ORDER_LIMIT
+        start = time.perf_counter()
+        status, out, err = run(capsys, "check-hl", "--target", target,
+                               "--n-max", str(n_max), "--strong", "--rows")
+        assert time.perf_counter() - start < 5.0
+        H = parse_target_spec(target)
+        ends, want = [1] * H.n, []
+        for n in range(2, n_max + 1):  # ends[v]: (n-1)-vertex paths ending at v
+            ends = [sum(ends[u] for u in H.neighbors(v)) for v in H.vertices()]
+            want.append(f"n\t{n}\t{full_str(sum(ends))}\t1\t1")
+        want += ["matrix-certificate\t1", "strong-certificate\t1", "verdict\t1"]
+        assert status == 0 and err == "" and out.splitlines() == want
+
     def test_hom_long_path_into_large_clique(self, capsys):
         # the walk runs on the clique's one-class quotient; a walk over its
         # 200 vertices takes about 1.5 s for path:300 alone
@@ -713,19 +730,47 @@ class TestErrorHandling:
         assert status == 0 and out.split() == ["hom", "2", str(EDGE_LIST_VERTEX_LIMIT), "0"]
 
     @pytest.mark.parametrize("argv", [
-        ("check-hl", "--target", "wr:3", "--n-max"),
+        ("check-hl", "--target", "h23", "--n-max"),
         ("sidorenko", "--target", "capacity:3", "--n-max"),
         ("classify", "--n-max"),
         ("minimize", "--target", "capacity:3", "-n"),
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("n", [trees.TREE_LIMIT + 1, 100_000_000])
     def test_sweep_past_the_limit_refused_fast(self, capsys, argv, n):
-        # refused before any order is folded, naming the order asked
+        # refused before any order is folded, naming the order asked. No
+        # ordering certifies h23, so check-hl sweeps it and 17 is past the
+        # enumeration limit; an order past SPIDER_ORDER_LIMIT is refused first
         start = time.perf_counter()
         status, out, err = run(capsys, *argv, str(n))
         assert time.perf_counter() - start < 5.0
         assert status == 2 and out == ""
+        limit = f"tree enumeration limited to 1..{trees.TREE_LIMIT}"
+        if argv[0] == "check-hl" and n > extremal.SPIDER_ORDER_LIMIT:
+            limit = f"path-minimality checks limited to 2..{extremal.SPIDER_ORDER_LIMIT}"
+        assert err == f"error: {limit}, got n={n}\n"
+
+    @pytest.mark.parametrize("target", ["h23", "folkman+dom"])
+    def test_uncertified_check_hl_past_the_enumeration_limit_refused(self, capsys, target):
+        # no ordering of either target's orbits passes, so no spider scan answers
+        n = trees.TREE_LIMIT + 1
+        status, out, err = run(capsys, "check-hl", "--target", target, "--n-max", str(n))
+        assert status == 2 and out == ""
         assert err == f"error: tree enumeration limited to 1..{trees.TREE_LIMIT}, got n={n}\n"
+
+    @pytest.mark.parametrize("n", [extremal.SPIDER_ORDER_LIMIT + 1, 100_000_000])
+    def test_certified_check_hl_past_its_order_limit_refused_fast(self, capsys, monkeypatch, n):
+        # refused before the ordering search or any refinement of the target
+        def refuse(*args):
+            raise AssertionError("the target was searched or refined")
+
+        monkeypatch.setattr(extremal, "find_increasing_ordering", refuse)
+        monkeypatch.setattr(extremal, "_equitable_quotient", refuse)
+        start = time.perf_counter()
+        status, out, err = run(capsys, "check-hl", "--target", "capacity:3", "--n-max", str(n))
+        assert time.perf_counter() - start < 5.0
+        assert status == 2 and out == ""
+        assert err == (f"error: path-minimality checks limited to "
+                       f"2..{extremal.SPIDER_ORDER_LIMIT}, got n={n}\n")
 
     @pytest.mark.parametrize("head", list(cli._SHORTHANDS))
     def test_malformed_shorthand_named(self, capsys, head):

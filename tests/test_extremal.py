@@ -37,6 +37,7 @@ from treehom.graphs import _Record
 from treehom.trees import CanonicalTree, _Shapes
 from treehom.trees import TREE_LIMIT, free_trees, tree_count
 from oracles import bipartition, fold_counts, has_balanced_bipartition, isomorphic
+from treehom.cli import main, parse_target_spec
 
 
 def tg(n, *edges):
@@ -373,7 +374,7 @@ class TestSweeps:
             sweep(SMALL_TARGETS[7], 1)
 
     @pytest.mark.parametrize("sweep", [
-        lambda n: verify_hoffman_london(make_capacity_graph(3), n),
+        lambda n: verify_hoffman_london(SMALL_TARGETS[23], n),  # no ordering certifies h23
         lambda n: sidorenko_check(make_capacity_graph(3), n),
         classify_small_targets,
         lambda n: minimizers(make_capacity_graph(3), n),
@@ -390,14 +391,15 @@ class TestSweeps:
 
     @pytest.mark.parametrize("sweep", [verify_hoffman_london, sidorenko_check, minimizers])
     def test_one_target_sweep_past_the_limit_refines_no_target(self, monkeypatch, sweep):
-        # a target with many classes would be refined for nothing
+        # a target with many classes would be refined for nothing; check-hl
+        # finds no ordering of folkman+dom's orbits, so it sweeps it too
         def refuse(*args):
             raise AssertionError("the target was refined")
 
         monkeypatch.setattr(homcount, "_equitable_quotient", refuse)
         monkeypatch.setattr(extremal, "_equitable_quotient", refuse)
         with pytest.raises(SizeLimitError, match=f"got n={TREE_LIMIT + 1}"):
-            sweep(make_capacity_graph(3), TREE_LIMIT + 1)
+            sweep(make_folkman_plus_dominating(), TREE_LIMIT + 1)
 
     @pytest.mark.parametrize("sweep", [verify_hoffman_london, sidorenko_check, minimizers])
     def test_one_target_sweep_refines_its_target_once(self, monkeypatch, sweep):
@@ -559,6 +561,95 @@ def test_classify_refuses_a_spider_at_the_path_count(monkeypatch):
     monkeypatch.setattr(extremal, "_spiders", with_the_path)
     with pytest.raises(ValueError, match="target 7, n=4: a spider counts at most the path"):
         classify_small_targets(5)
+
+
+ROUTE_SPECS = ([f"h{hid}" for hid in SMALL_TARGETS] + [f"capacity:{c}" for c in range(1, 7)]
+               + [f"wr:{k}" for k in range(1, 5)] + ["hind", "habl:3,2,2", "lpath:7"])
+CERTIFIED_SPECS = [spec for spec in ROUTE_SPECS
+                   if find_increasing_ordering(parse_target_spec(spec)) is not None]
+
+
+@cache
+def _fold_verdicts(spec):
+    """The verdict at every order 2..TREE_LIMIT, read from every tree's count."""
+    H = parse_target_spec(spec)
+    return tuple(verdict(H, n) for n in range(2, TREE_LIMIT + 1))
+
+
+def test_route_targets_certified():
+    # only h19 (P3) and h23 fail the increasing-columns test
+    assert sorted(set(ROUTE_SPECS) - set(CERTIFIED_SPECS)) == ["h19", "h23"]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_spider_route_is_the_fold_verdict(spec):
+    # check-hl on a certified target lists no tree: its verdicts, from the
+    # path's count and the spider scan, against every tree's count at every
+    # order up to the enumeration limit
+    assert verify_hoffman_london(parse_target_spec(spec), TREE_LIMIT).reports == _fold_verdicts(spec)
+
+
+def test_a_faulty_spider_scan_disagrees_with_the_fold_verdicts(monkeypatch):
+    # the oracle above has teeth for check-hl too
+    monkeypatch.setattr(extremal, "_spiders", _skips_one_vertex_legs)
+    got = [verify_hoffman_london(parse_target_spec(spec), TREE_LIMIT).reports
+           for spec in CERTIFIED_SPECS]
+    assert got != [_fold_verdicts(spec) for spec in CERTIFIED_SPECS]
+
+
+def test_check_hl_on_a_certified_target_runs_no_fold(monkeypatch, capsys):
+    # the bounded fold, its tables and the tree listing are never reached
+    def refuse(*args):
+        raise AssertionError("check-hl folded or listed a tree")
+
+    for module, name in ((extremal, "_bounded_fold"), (extremal, "bounded_fold"),
+                         (trees, "_table"), (trees, "free_trees"), (homcount, "_walk")):
+        monkeypatch.setattr(module, name, refuse)
+    argv = ["check-hl", "--target", "capacity:3", "--n-max", str(TREE_LIMIT), "--strong", "--rows"]
+    assert main(argv) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert rows[-1] == ["verdict", "1"]
+    assert rows[:-3] == [["n", str(v.n), str(v.min_count), "1", "1"]
+                         for v in _fold_verdicts("capacity:3")]
+
+
+def test_check_hl_refuses_a_spider_below_the_path(monkeypatch):
+    # on a certified target no spider counts less than the path (the
+    # paper's theorem); one that does is refused, naming the order: here
+    # n = 6, where a spider is one count short
+    spiders = extremal._spiders
+
+    def below_the_path(Q, p, n):
+        if n == 6:
+            yield sum(s * x for s, x in zip(Q.sizes, p[n - 1])) - 1
+        yield from spiders(Q, p, n)
+
+    monkeypatch.setattr(extremal, "_spiders", below_the_path)
+    with pytest.raises(ValueError, match="^n=6: a spider counts less than the path$"):
+        verify_hoffman_london(make_capacity_graph(3), 6)
+    # classify reads the same check, and names the target: 7 is the first
+    # target whose spiders it scans
+    with pytest.raises(ValueError, match="^target 7, n=6: a spider counts less than the path$"):
+        classify_small_targets(6)
+
+
+def test_minimize_codes_a_strict_minimizer_without_the_tree_listing(monkeypatch):
+    # the path alone is least: its code comes from the path itself, so no
+    # tree is listed or coded off the listing; a tie still lists its codes
+    H = make_capacity_graph(3)
+    want = minimizers(H, TREE_LIMIT)
+    tie = minimizers(SMALL_TARGETS[19], 6)
+    balanced = sorted(canonical_code(ct.tree) for ct in all_trees(6)
+                      if has_balanced_bipartition(ct.tree))
+    assert tie.minimizers == tuple(balanced) and len(balanced) > 1
+
+    def refuse(*args):
+        raise AssertionError("minimize listed the trees")
+
+    monkeypatch.setattr(trees, "free_trees", refuse)
+    monkeypatch.setattr(extremal, "tree_codes", refuse)
+    assert minimizers(H, TREE_LIMIT) == want
+    assert want.minimizers == (canonical_code(path(TREE_LIMIT)),) and want.path_is_unique_min
 
 
 def test_path_target_counts_are_two_powers_of_the_sides():

@@ -3,7 +3,8 @@ walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the
 bounded fold against the sweep's counts at most a bound and against the
-walk of each listed tree, the quotient path count against the walk of the
+walk of each listed tree, check-hl's spider route on certified targets
+against the fold's counts, the quotient path count against the walk of the
 path, the count of a disjoint union against the sum of its parts' counts, the
 four constructions against their adjacency definitions,
 the closed-form counts of regular targets against the walk over `all_trees`, colour
@@ -65,13 +66,14 @@ from treehom import (
     tensor_product,
     tree_hom,
     tree_partition_function,
+    verify_hoffman_london,
 )
 from treehom import extremal, graphs, trees as trees_module
 from treehom.automorphy import Quotient, _equitable_quotient, _refined_colors
 from treehom.homcount import _message, _path_counts, _path_hom, _star_hom
 from treehom.trees import free_trees
 from treehom.extremal import (
-    LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO,
+    LABEL_ALL, LABEL_BALANCED, LABEL_OTHER, LABEL_PATHS, LABEL_ZERO, OrderVerdict,
 )
 
 # deterministic and bounded, so the suite stays reproducible and fast
@@ -469,6 +471,21 @@ def _reference_counts(H):
 def _first_in_code_order(n, counts, offends, bound):
     bad = sorted(code for code, c in counts.items() if offends(c, bound))
     return (n, bad[0], counts[bad[0]], bound) if bad else None
+
+
+@PROPERTY
+@given(targets(), st.integers(2, 10))
+def test_spider_route_is_the_fold_verdict_on_random_targets(H, n_max):
+    # check-hl on a target the increasing-columns test certifies reads the
+    # path's count and the spider scan, no tree: against every tree's count
+    assume(find_increasing_ordering(H) is not None)
+    Q, want = _equitable_quotient(H), []
+    for n in range(2, n_max + 1):
+        counts, path_count = fold_counts(H, n, n_max), _path_hom(Q, n)
+        lo = min(counts)
+        want.append(OrderVerdict(n, lo, path_count == lo,
+                                 path_count == lo and counts.count(lo) == 1))
+    assert verify_hoffman_london(H, n_max).reports == tuple(want)
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_TARGETS))

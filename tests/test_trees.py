@@ -150,6 +150,21 @@ class TestKCMove:
             for succ in kc_successors(ct.tree):
                 assert succ.tree.n == 7
 
+    def test_moves_grade_trees_by_leaves(self):
+        # what check-hl's spider route rests on: a KC move adds exactly one
+        # leaf, and every tree with at least three leaves is some tree's
+        # move, so every tree but the path lies above a three-leg spider
+        def leaves(t):
+            return sum(len(out) == 1 for out in t._adj)
+
+        for n in range(4, 12):
+            reached = set()
+            for ct in all_trees(n):
+                for succ in kc_successors(ct.tree):
+                    assert leaves(succ.tree) == leaves(ct.tree) + 1
+                    reached.add(succ.code)
+            assert reached == {ct.code for ct in all_trees(n) if leaves(ct.tree) >= 3}
+
     def test_path_moves_toward_star(self):
         # a single move on P_4's two middle vertices yields the star
         moved = kc_move(path(4), 1, 2)
