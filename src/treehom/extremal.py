@@ -17,19 +17,47 @@ paper's theorem, through the KC difference formula, no KC move (Csikvari,
 A KC move adds exactly one leaf, and every tree with ℓ >= 4 leaves is the
 image of one with ℓ - 1: take a vertex x of degree >= 3 at the end of a
 pendant path and move x's other branches to the path's far end. So every
-tree but the path lies above a tree with three leaves, a three-leg spider,
-and the path is least; it is the only least tree exactly when every spider
-counts more (`_path_alone`). That verdict is certified, not swept: it rests
-on the paper's theorem and the KC difference formula, and the tests check it
-against the bounded fold at every order up to the enumeration limit.
+tree but the path lies above a tree with three leaves, a three-leg spider
+S(a, b, c) with legs of a, b, c >= 1 vertices, and the path is least.
+
+As an extension, the path is then the only least tree at n >= 4 exactly
+when some edge joins two vertices of unequal degrees (`_regular`); if none
+does, every tree counts Σ_v d(v)^(n-1) and all tie. Let A be H's adjacency
+matrix, p_j = A^j·1, σ a passing ordering, C a component with an edge and
+L its lowest class. The test makes |N(v) ∩ S| nondecreasing along σ for
+every suffix S of σ, so A keeps nonnegative nondecreasing vectors
+nondecreasing along σ, and so does their product: every p_j and every
+rooted tree's count is nondecreasing.
+
+(i) deg x < deg y in C gives p_j(x) < p_j(y) for j >= 1. Write p_(j-1) as
+    Σ_q Δ_q·1_(S_q) over the suffixes S_q, Δ_q >= 0. Then p_j(y) - p_j(x)
+    = Σ_q Δ_q(|N(y) ∩ S_q| - |N(x) ∩ S_q|) >= p_(j-1)(L)·(deg y - deg x)
+    > 0: x precedes y, so each bracket is >= 0, a suffix holding C gives
+    the degrees, and p_(j-1) >= 1 on C, as its vertices have neighbours.
+(ii) If C is not regular, then for every c >= 1 some x, y in C of unequal
+    degrees have A^c[x][y] > 0. For odd c, walk x y x ... y along an edge
+    xy of unequal degrees; for even c, walk x z x ... z y, where z has
+    neighbours x and y of unequal degrees. If no such z exists, each
+    vertex's neighbours share one degree, so degrees alternate d1 != d2
+    along every walk in C: C is bipartite, and H does not pass, as the
+    rooted tree root-w-{two leaves} counts d1·d2² at a vertex of degree d1
+    and d2·d1² at one of degree d2, the reverse of the degrees.
+
+Rooted at its centre, hom(S(a, b, c)) = Σ_v p_a(v)p_b(v)p_c(v), and the
+path's count is p_aᵀ·A^c·p_b, so hom(S(a, b, c)) - hom(P_n) =
+½ Σ_(x,y) A^c[x][y](p_a(x) - p_a(y))(p_b(x) - p_b(y)). Each term is >= 0,
+as p_a and p_b are both nondecreasing along σ, and on a component that is
+not regular the pair of (ii) gives one > 0 by (i): every spider, and so
+every tree but the path, counts more. The verdict is certified, not swept; the tests
+check it against the bounded fold at every order up to the enumeration
+limit and against every spider's count up to n = 60.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import combinations, compress, islice
-from operator import mul
 
 from .automorphy import (
     Quotient,
@@ -44,8 +72,8 @@ from .homcount import _column, _message, _path_counts, _path_hom, _star_hom, _st
 from .trees import _check_order, bounded_fold, canonical_code, path, tree_codes
 
 
-#: Largest order `verify_hoffman_london` answers, on a certified target: its
-#: spider scans read about n_max³/36 spiders, each k products (k classes).
+#: Largest order `verify_hoffman_london` answers on a certified target: its path
+#: counts take n_max message steps, its certificate about as many per column read.
 SPIDER_ORDER_LIMIT = 200
 
 
@@ -279,28 +307,10 @@ def _check_n_max(n_max: int, what: str, name: str = "n_max") -> None:
         raise ValueError(f"{what} needs {name} >= 2, got {n_max}")
 
 
-def _spiders(Q: Quotient, p: Sequence[list[int]], n: int) -> Iterator[int]:
-    """hom(S(a, b, c), G) for every three-leg spider on n vertices, legs of
-    a >= b >= c >= 1 vertices, Q an equitable quotient of G and p[j] = M^j·1
-    its message steps from the all-ones vector: rooted at the centre, a leg
-    of a vertices sends M·(M^(a-1)·1) = p[a], so the count is
-    sizes · (p[a] ⊙ p[b] ⊙ p[c]). No spider is built."""
-    for c in range(1, (n - 1) // 3 + 1):
-        for b in range(c, (n - 1 - c) // 2 + 1):
-            legs = map(mul, p[n - 1 - b - c], map(mul, p[b], p[c]))
-            yield sum(map(mul, Q.sizes, legs))
-
-
-def _path_alone(Q: Quotient, p: Sequence[list[int]], n: int, where: str = "") -> bool:
-    """Whether the path on n vertices counts less than every three-leg
-    spider (`_spiders`, the same Q and p), true below 4 vertices, where there
-    is none. On a target the paper's theorem covers no spider counts less
-    than the path; one that does raises ValueError, where naming the target."""
-    path_count = sum(map(mul, Q.sizes, p[n - 1]))
-    low = min(_spiders(Q, p, n), default=path_count + 1)
-    if low < path_count:
-        raise ValueError(f"{where}n={n}: a spider counts less than the path")
-    return low > path_count
+def _regular(Q: Quotient) -> bool:
+    """Whether every edge of Q's graph joins two vertices of one degree: each
+    class's neighbour classes have its own degree."""
+    return all(len(Q.rows[c]) == len(row) for row in Q.rows for c in row)
 
 
 def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
@@ -309,11 +319,11 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
     A target that passes the increasing-columns test
     (`find_increasing_ordering`) is answered at every order up to
     SPIDER_ORDER_LIMIT from one equitable quotient and its message steps,
-    with no tree listed: by the paper's theorem the path is least, and it
-    is the only least tree exactly when every three-leg spider counts more
-    (`_path_alone`). Any other target is swept by the bounded fold, up to
-    the enumeration limit. An order past SPIDER_ORDER_LIMIT is refused
-    before any search or refinement."""
+    with no tree listed: the path is least, and past 3 vertices it is the
+    only least tree exactly when H is not `_regular` (the module docstring).
+    Any other target is swept by the bounded fold, up to the enumeration
+    limit. An order past SPIDER_ORDER_LIMIT is refused before any search or
+    refinement."""
     _check_n_max(n_max, "the path-minimality check")
     if n_max > SPIDER_ORDER_LIMIT:
         raise SizeLimitError(f"path-minimality checks limited to 2..{SPIDER_ORDER_LIMIT}, "
@@ -331,10 +341,9 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
                         for n, p in zip(range(2, n_max + 1), paths))
     else:
         Q = _equitable_quotient(H)
-        p = list(islice(_steps(Q.rows, [1] * Q.k), n_max))
-        reports = tuple(OrderVerdict(n, sum(map(mul, Q.sizes, p[n - 1])), True,
-                                     _path_alone(Q, p, n))
-                        for n in range(2, n_max + 1))
+        strict, paths = not _regular(Q), islice(_path_counts(Q), 1, None)
+        reports = tuple(OrderVerdict(n, p, True, n <= 3 or strict)
+                        for n, p in zip(range(2, n_max + 1), paths))
     got = cert is not None and check_strong_hl_certificate(H, cert, t_max=n_max, s_max=n_max)
     return HLVerdict(n_max, reports, cert, got if isinstance(got, StrongHLCertificate) else None)
 
@@ -432,55 +441,43 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
     reason: no tree is listed and no fold is run.
 
     Each target H is read whole, off one equitable quotient Q
-    (`_equitable_quotient`) and its message steps p[j] = M^j·1, so the path
-    counts sizes · p[n-1] and the star `_star_hom`. Each target has one of
-    three reasons, checked before any order is read:
+    (`_equitable_quotient`), whose message steps give the path's count. Each
+    target has one of three reasons, checked before any order is read:
 
-    - H is regular: every edge joins two vertices of one degree (on Q, each
-      class's neighbour classes have its own degree). Every tree then has
-      the count Σ_v d(v)^(n-1): the root takes any vertex v, and each child
-      any of its parent image's d(v) neighbours, all of degree d(v).
+    - H is `_regular`. Every tree then has the count Σ_v d(v)^(n-1): the
+      root takes any vertex v, and each child any of its parent image's d(v)
+      neighbours, all of degree d(v). All trees tie.
     - H is P3 (target 19): hom(T, P3) = 2^|X| + 2^|Y| for a tree with sides
       X and Y (one side sits on the middle vertex, the other's vertices take
       either end), least exactly on the balanced-bipartition trees, the path
-      among them, and most on the star.
-    - H passes the increasing-columns test (`find_increasing_ordering`). By
-      the paper's theorem, through the KC difference formula, no KC move
-      then lowers hom(T, H). KC moves (Csikvari, "On a poset of trees",
-      Combinatorica 30, 2010) lead from the path to every tree and on to the
-      star, and every first move from the path makes a three-leg spider.
+      among them. Past 4 vertices the spider S(1, 1, n - 3) (odd n) or
+      S(2, 1, n - 4) (even n) is balanced too, so the path is not alone.
+    - H passes the increasing-columns test (`find_increasing_ordering`) and
+      is not regular: the path alone is least (the module docstring).
 
-    Each way the path counts the least and the star the most, so all trees
-    tie exactly when the star counts what the path does. Otherwise the path
-    alone is least exactly when every three-leg spider counts more
-    (`_path_alone`): on P3 a spider that ties it is another balanced tree; on a
-    certified target a tie is refused (ValueError), as is a target no
-    reason covers. Off P3 the minimizers are the balanced trees only where
-    they are the path alone at n <= 4 (past 4 some spider is balanced too),
-    or all trees tie at n <= 3, where the path is the only tree. The
-    descriptions coincide at small n, so every label that holds is kept.
+    Off P3 the minimizers are the balanced trees only where they are the
+    path alone at n <= 4, or all trees tie at n <= 3, where the path is the
+    only tree. The descriptions coincide at small n, so every label that
+    holds is kept. A target no reason covers is refused (ValueError).
 
-    The argument rests on the paper's theorem and the KC difference formula;
-    the tests check every row against each target's own bounded fold at
-    every n <= 16. Orders past the enumeration limit are refused."""
+    The argument rests on the paper's theorem, the KC difference formula
+    and the module docstring's proof; the tests check every row against
+    each target's own bounded fold at every n <= 16. Orders past the
+    enumeration limit are refused."""
     _check_n_max(n_max, "classification")
     _check_order(n_max)
     rows = []
     for hid, H in SMALL_TARGETS.items():
         Q = _equitable_quotient(H)
-        regular = all(len(Q.rows[c]) == len(row) for row in Q.rows for c in row)
+        regular = _regular(Q)
         is_p3 = H.n == 3 and len(H.edges) == 2 and not any(map(H.has_loop, H.vertices()))
         if not (regular or is_p3) and find_increasing_ordering(H) is None:
             raise ValueError(f"target {hid}: no reason names its minimizers")
-        p = list(islice(_steps(Q.rows, [1] * Q.k), n_max))
         mins, labels = [], []
-        for n in range(2, n_max + 1):
-            least = sum(map(mul, Q.sizes, p[n - 1]))  # the path's count
-            tie, alone = True, n <= 3  # below 4 vertices the path is the only tree
-            if _star_hom(Q, n) != least:
-                tie, alone = False, _path_alone(Q, p, n, f"target {hid}, ")
-                if not (alone or is_p3):
-                    raise ValueError(f"target {hid}, n={n}: a spider counts at most the path")
+        for n, least in zip(range(2, n_max + 1), islice(_path_counts(Q), 1, None)):
+            # below 4 vertices the path is the only tree
+            tie = regular or n <= 3
+            alone = n <= 3 or not (regular or is_p3 and n > 4)
             labs = frozenset(compress((LABEL_ZERO, LABEL_ALL, LABEL_PATHS, LABEL_BALANCED),
                                       (least == 0, tie, alone, is_p3 or alone and n <= 4)))
             mins.append((n, least))

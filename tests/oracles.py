@@ -92,6 +92,13 @@ One hard target: dense_regular_21, a 16-regular graph on 21 vertices that
 colour refinement cannot split and whose pinned orbit searches fail only
 deep down.
 
+One oracle for the verdict `check-hl` and `classify` read on a certified
+target, the path alone least exactly when some edge joins unequal degrees.
+It shares no code with treehom and uses no quotient:
+
+* spider_counts: the path's count and every three-leg spider's, off the
+  vertex vectors p_j = A^j·1.
+
 The tests' full-fold reference, which is treehom's own bounded fold and so
 no independent oracle: it is checked against the walk of each listed tree,
 and the reads of the fold at other bounds against it:
@@ -460,6 +467,20 @@ def dense_regular_21() -> TargetGraph:
     sparse = sparse - {(0, 1), (10, 11)} | {(0, 10), (1, 11)}
     return TargetGraph.from_edges(21, [(i, j) for i in range(21) for j in range(i + 1, 21)
                                        if (i, j) not in sparse])
+
+
+def spider_counts(H: TargetGraph, n: int) -> tuple[int, list[int]]:
+    """hom(P_n, H) and hom(S(a, b, c), H) for every three-leg spider on n
+    vertices, legs of a >= b >= c >= 1 vertices (none below 4 vertices).
+    Rooted at the centre, a leg of j vertices sends p_j = A^j·1, A H's
+    adjacency matrix, so a spider counts Σ_v p_a(v)·p_b(v)·p_c(v) and the
+    path Σ_v p_(n-1)(v). No tree is built."""
+    p = [[1] * H.n]
+    for _ in range(n - 1):
+        p.append([sum(p[-1][u] for u in H.neighbors(v)) for v in H.vertices()])
+    spiders = [sum(x * y * z for x, y, z in zip(p[n - 1 - b - c], p[b], p[c]))
+               for c in range(1, (n - 1) // 3 + 1) for b in range(c, (n - 1 - c) // 2 + 1)]
+    return sum(p[n - 1]), spiders
 
 
 def fold_counts(H: TargetGraph, n: int, n_max: int | None = None) -> list[int]:

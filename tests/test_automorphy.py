@@ -19,6 +19,7 @@ from treehom import (
     similarity_matrix,
 )
 from treehom.automorphy import SimilarityMatrix, _equitable_quotient
+from treehom.cli import parse_target_spec
 
 from oracles import dense_regular_21
 
@@ -231,6 +232,23 @@ class TestIncreasingColumns:
         # terminal column {1} sums decrease 1 -> 0, and the reversed
         # ordering is not degree sorted
         assert find_increasing_ordering(SMALL_TARGETS[19]) is None
+
+    @pytest.mark.parametrize("spec", [f"star:{n}" for n in range(3, 10)]
+                             + [f"K{a},{b}" for a, b in ((2, 3), (2, 5), (3, 4), (4, 6), (5, 2))])
+    def test_biregular_bipartite_targets_fail(self, spec):
+        # sides of degrees d1 != d2: root-w-{two leaves} counts d1·d2² on
+        # the side of degree d1 and d2·d1² on the other, the reverse of the
+        # degree order, so no ordering passes, alone or beside a certified
+        # target (capacity:3)
+        if spec.startswith("K"):
+            a, b = map(int, spec[1:].split(","))
+            H = tg(a + b, *((u, a + w) for u in range(a) for w in range(b)))
+        else:
+            H = parse_target_spec(spec)
+        certified = make_capacity_graph(3)
+        assert find_increasing_ordering(certified) is not None
+        for G in H, disjoint_union(H, certified), disjoint_union(certified, H):
+            assert find_increasing_ordering(G) is None
 
     def test_single_orbit_target_passes_trivially(self):
         # unlooped K_2 has one orbit; the 1x1 matrix passes vacuously

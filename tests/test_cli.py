@@ -15,7 +15,7 @@ from itertools import chain, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_regular_21, path_partition_function
+from oracles import dense_regular_21, path_partition_function, spider_counts
 import treehom
 from treehom import automorphy, cli, extremal, homcount, trees
 from treehom import (
@@ -494,10 +494,11 @@ class TestLargeResults:
 
 
 class TestReach:
-    @pytest.mark.parametrize("target", ["capacity:3", "wr:3"])
+    @pytest.mark.parametrize("target", ["capacity:3", "wr:3", "capacity:100"])
     def test_certified_check_hl_at_its_order_limit(self, capsys, target):
-        # past the enumeration limit a certified target is answered by the
-        # spider scan: the path's count at every order, the path alone least
+        # past the enumeration limit a certified target is answered from its
+        # path counts and the degree test: the path's count at every order,
+        # the path alone least; at the limit every three-leg spider counts more
         n_max = extremal.SPIDER_ORDER_LIMIT
         start = time.perf_counter()
         status, out, err = run(capsys, "check-hl", "--target", target,
@@ -508,6 +509,8 @@ class TestReach:
         for n in range(2, n_max + 1):  # ends[v]: (n-1)-vertex paths ending at v
             ends = [sum(ends[u] for u in H.neighbors(v)) for v in H.vertices()]
             want.append(f"n\t{n}\t{full_str(sum(ends))}\t1\t1")
+        path_count, spiders = spider_counts(H, n_max)
+        assert path_count == sum(ends) < min(spiders)
         want += ["matrix-certificate\t1", "strong-certificate\t1", "verdict\t1"]
         assert status == 0 and err == "" and out.splitlines() == want
 
@@ -751,7 +754,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("target", ["h23", "folkman+dom"])
     def test_uncertified_check_hl_past_the_enumeration_limit_refused(self, capsys, target):
-        # no ordering of either target's orbits passes, so no spider scan answers
+        # no ordering of either target's orbits passes, so the bounded fold answers
         n = trees.TREE_LIMIT + 1
         status, out, err = run(capsys, "check-hl", "--target", target, "--n-max", str(n))
         assert status == 2 and out == ""

@@ -36,7 +36,7 @@ from treehom.extremal import (
 from treehom.graphs import _Record
 from treehom.trees import CanonicalTree, _Shapes
 from treehom.trees import TREE_LIMIT, free_trees, tree_count
-from oracles import bipartition, fold_counts, has_balanced_bipartition, isomorphic
+from oracles import bipartition, fold_counts, has_balanced_bipartition, isomorphic, spider_counts
 from treehom.cli import main, parse_target_spec
 
 
@@ -510,21 +510,6 @@ def test_union_fold_and_bounded_fold_give_one_verdict(hid):
     assert _orders(_classified()[hid]) == _fold_orders(hid)
 
 
-def _skips_one_vertex_legs(Q, p, n):
-    """A faulty spider scan: it reads no spider with a leg of one vertex."""
-    for c in range(2, (n - 1) // 3 + 1):
-        for b in range(c, (n - 1 - c) // 2 + 1):
-            yield sum(s * x * y * z for s, x, y, z in zip(Q.sizes, p[n - 1 - b - c], p[b], p[c]))
-
-
-def test_a_faulty_spider_scan_disagrees_with_the_fold(monkeypatch):
-    # the oracle above has teeth: with spiders of a one-vertex leg skipped,
-    # some row differs from the bounded fold's at some n <= 16
-    monkeypatch.setattr(extremal, "_spiders", _skips_one_vertex_legs)
-    rows = classify_small_targets(TREE_LIMIT)
-    assert [_orders(row) for row in rows] != [_fold_orders(hid) for hid in SMALL_TARGETS]
-
-
 def test_classify_lists_no_tree_and_runs_no_fold(monkeypatch):
     # every row comes from closed forms, message steps and certificates:
     # no table, tree listing, fold or tree walk is reached
@@ -545,21 +530,6 @@ def test_classify_refuses_a_target_no_reason_covers(monkeypatch):
     # reason, and classify raises rather than guess its labels
     monkeypatch.setattr(extremal, "find_increasing_ordering", lambda H: None)
     with pytest.raises(ValueError, match="target 7: no reason names its minimizers"):
-        classify_small_targets(5)
-
-
-def test_classify_refuses_a_spider_at_the_path_count(monkeypatch):
-    # on a certified target a spider counting what the path does would be a
-    # second minimizer, which the argument rules out; n = 4 is target 7's
-    # first order with a spider, the star
-    spiders = extremal._spiders
-
-    def with_the_path(Q, p, n):
-        yield sum(s * x for s, x in zip(Q.sizes, p[n - 1]))
-        yield from spiders(Q, p, n)
-
-    monkeypatch.setattr(extremal, "_spiders", with_the_path)
-    with pytest.raises(ValueError, match="target 7, n=4: a spider counts at most the path"):
         classify_small_targets(5)
 
 
@@ -584,14 +554,31 @@ def test_route_targets_certified():
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
 def test_spider_route_is_the_fold_verdict(spec):
     # check-hl on a certified target lists no tree: its verdicts, from the
-    # path's count and the spider scan, against every tree's count at every
+    # path's count and the degree test, against every tree's count at every
     # order up to the enumeration limit
     assert verify_hoffman_london(parse_target_spec(spec), TREE_LIMIT).reports == _fold_verdicts(spec)
 
 
-def test_a_faulty_spider_scan_disagrees_with_the_fold_verdicts(monkeypatch):
-    # the oracle above has teeth for check-hl too
-    monkeypatch.setattr(extremal, "_spiders", _skips_one_vertex_legs)
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_degree_verdict_is_the_spider_verdict(spec):
+    # past the enumeration limit too: at every order 4..60, no three-leg
+    # spider counts less than the path, and the path is alone least exactly
+    # when every spider counts more (by the leaf grading, every other tree
+    # lies above a spider)
+    H = parse_target_spec(spec)
+    for v in verify_hoffman_london(H, 60).reports[2:]:
+        path_count, spiders = spider_counts(H, v.n)
+        assert (v.min_count, v.path_is_min) == (path_count, True) and min(spiders) >= path_count
+        assert v.path_is_unique_min == (min(spiders) > path_count), (spec, v.n)
+
+
+def test_a_verdict_that_reads_every_target_as_regular_disagrees_with_the_fold(monkeypatch):
+    # the fold comparisons have teeth: with every target read as regular
+    # (all trees tie), some classify row and some check-hl verdict differ
+    # from the bounded fold's at some n <= 16
+    monkeypatch.setattr(extremal, "_regular", lambda Q: True)
+    rows = classify_small_targets(TREE_LIMIT)
+    assert [_orders(row) for row in rows] != [_fold_orders(hid) for hid in SMALL_TARGETS]
     got = [verify_hoffman_london(parse_target_spec(spec), TREE_LIMIT).reports
            for spec in CERTIFIED_SPECS]
     assert got != [_fold_verdicts(spec) for spec in CERTIFIED_SPECS]
@@ -611,26 +598,6 @@ def test_check_hl_on_a_certified_target_runs_no_fold(monkeypatch, capsys):
     assert rows[-1] == ["verdict", "1"]
     assert rows[:-3] == [["n", str(v.n), str(v.min_count), "1", "1"]
                          for v in _fold_verdicts("capacity:3")]
-
-
-def test_check_hl_refuses_a_spider_below_the_path(monkeypatch):
-    # on a certified target no spider counts less than the path (the
-    # paper's theorem); one that does is refused, naming the order: here
-    # n = 6, where a spider is one count short
-    spiders = extremal._spiders
-
-    def below_the_path(Q, p, n):
-        if n == 6:
-            yield sum(s * x for s, x in zip(Q.sizes, p[n - 1])) - 1
-        yield from spiders(Q, p, n)
-
-    monkeypatch.setattr(extremal, "_spiders", below_the_path)
-    with pytest.raises(ValueError, match="^n=6: a spider counts less than the path$"):
-        verify_hoffman_london(make_capacity_graph(3), 6)
-    # classify reads the same check, and names the target: 7 is the first
-    # target whose spiders it scans
-    with pytest.raises(ValueError, match="^target 7, n=6: a spider counts less than the path$"):
-        classify_small_targets(6)
 
 
 def test_minimize_codes_a_strict_minimizer_without_the_tree_listing(monkeypatch):

@@ -3,9 +3,12 @@ walk's three entry points against brute force, the composed sweep against
 the walk over `all_trees` and, position by position, over each listed
 tree (and the sweep verdicts against a walk-and-code reference), the
 bounded fold against the sweep's counts at most a bound and against the
-walk of each listed tree, check-hl's spider route on certified targets
-against the fold's counts, the quotient path count against the walk of the
-path, the count of a disjoint union against the sum of its parts' counts, the
+walk of each listed tree, check-hl's verdict on certified targets
+against the fold's counts and every three-leg spider's, the two lemmas of
+that verdict's proof (degrees order every walk count on a certified
+target, and no bipartite target with unequal side degrees passes), the
+quotient path count against the walk of the path, the count of a
+disjoint union against the sum of its parts' counts, the
 four constructions against their adjacency definitions,
 the closed-form counts of regular targets against the walk over `all_trees`, colour
 refinement against refinement in rounds and against loops, the KC machinery against bare_path, its identity and
@@ -27,7 +30,7 @@ from oracles import (
     blown_up_edges, brute_partition_function, dominated_edges,
     first_increasing_ordering, fold_counts, fraction_partition_function,
     has_balanced_bipartition, isomorphic, kc_moved_edges, product_edges, quotient_hom,
-    round_refined_colors, strict_witness_pairs, union_edges,
+    queue_search, round_refined_colors, spider_counts, strict_witness_pairs, union_edges,
 )
 from treehom import (
     SMALL_TARGETS,
@@ -477,7 +480,7 @@ def _first_in_code_order(n, counts, offends, bound):
 @given(targets(), st.integers(2, 10))
 def test_spider_route_is_the_fold_verdict_on_random_targets(H, n_max):
     # check-hl on a target the increasing-columns test certifies reads the
-    # path's count and the spider scan, no tree: against every tree's count
+    # path's count and the degree test, no tree: against every tree's count
     assume(find_increasing_ordering(H) is not None)
     Q, want = _equitable_quotient(H), []
     for n in range(2, n_max + 1):
@@ -486,6 +489,69 @@ def test_spider_route_is_the_fold_verdict_on_random_targets(H, n_max):
         want.append(OrderVerdict(n, lo, path_count == lo,
                                  path_count == lo and counts.count(lo) == 1))
     assert verify_hoffman_london(H, n_max).reports == tuple(want)
+
+
+@PROPERTY
+@given(target_unions(), st.integers(4, 30))
+@example(make_capacity_graph(2), 30)
+def test_degree_verdict_is_the_spider_verdict_on_random_targets(H, n_max):
+    # the degree test against every three-leg spider's count: none counts
+    # less than the path, and the path is alone least exactly when every
+    # spider counts more
+    assume(find_increasing_ordering(H) is not None)
+    for v in verify_hoffman_london(H, n_max).reports[2:]:
+        path_count, spiders = spider_counts(H, v.n)
+        assert (v.min_count, v.path_is_min) == (path_count, True) and min(spiders) >= path_count
+        assert v.path_is_unique_min == (min(spiders) > path_count)
+
+
+@PROPERTY
+@given(target_unions())
+@example(make_capacity_graph(3))
+def test_degrees_order_every_walk_count_on_certified_targets(H):
+    # lemma (i) of the degree test's proof: on a certified target, deg x <
+    # deg y within one component gives p_j(x) < p_j(y), p_j = A^j·1, j >= 1
+    assume(find_increasing_ordering(H) is not None)
+    adj = [sorted(H.neighbors(v)) for v in H.vertices()]
+    component = [min(queue_search(adj, v)[0]) for v in H.vertices()]
+    pairs = [(x, y) for x in H.vertices() for y in H.vertices()
+             if component[x] == component[y] and H.degree(x) < H.degree(y)]
+    p = [1] * H.n
+    for _ in range(12):
+        p = [sum(p[u] for u in adj[v]) for v in H.vertices()]
+        assert all(p[x] < p[y] for x, y in pairs)
+
+
+@st.composite
+def biregular_bipartite(draw):
+    """Bipartite graphs with degree d1 on one side and d2 > d1 on the other:
+    side-1 vertex a (of m1 = g·d2) joined to side-2 vertices (a·d1 + t) mod
+    m2, t < d1 (of m2 = g·d1), then random switches of two edges' ends that
+    keep every degree and make no repeated edge."""
+    d1 = draw(st.integers(1, 3))
+    d2, g = draw(st.integers(d1 + 1, 4)), draw(st.integers(1, 2))
+    m1, m2 = g * d2, g * d1
+    edges = {(a, m1 + (a * d1 + t) % m2) for a in range(m1) for t in range(d1)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(edges) - 1),
+                                        st.integers(0, len(edges) - 1)), max_size=6)):
+        (a1, b1), (a2, b2) = sorted(edges)[i], sorted(edges)[j]
+        if (a1, b2) not in edges and (a2, b1) not in edges:
+            edges -= {(a1, b1), (a2, b2)}
+            edges |= {(a1, b2), (a2, b1)}
+    return TargetGraph.from_edges(m1 + m2, edges)
+
+
+@PROPERTY
+@given(biregular_bipartite(), st.sampled_from([None, 3, 7, 26]))
+def test_biregular_bipartite_targets_have_no_passing_ordering(H, other):
+    # lemma (ii): the rooted tree root-w-{two leaves} counts d1·d2² on the
+    # side of degree d1 and d2·d1² on the other, the reverse of the degree
+    # order, so no ordering passes, alone or beside a certified small target
+    assert len({H.degree(v) for v in H.vertices()}) == 2
+    if other is not None:
+        assert find_increasing_ordering(SMALL_TARGETS[other]) is not None
+        H = disjoint_union(SMALL_TARGETS[other], H)
+    assert find_increasing_ordering(H) is None
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_TARGETS))

@@ -151,7 +151,7 @@ class TestKCMove:
                 assert succ.tree.n == 7
 
     def test_moves_grade_trees_by_leaves(self):
-        # what check-hl's spider route rests on: a KC move adds exactly one
+        # what check-hl's certified route rests on: a KC move adds exactly one
         # leaf, and every tree with at least three leaves is some tree's
         # move, so every tree but the path lies above a three-leg spider
         def leaves(t):
