@@ -55,7 +55,7 @@ limit and against every spider's count up to n = 60.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from functools import partial
 from itertools import combinations, compress, islice
 
@@ -68,12 +68,12 @@ from .automorphy import (
     similarity_matrix,
 )
 from .graphs import SizeLimitError, TargetGraph, _Record
-from .homcount import _column, _message, _path_counts, _path_hom, _star_hom, _steps
+from .homcount import _message, _path_counts, _path_hom, _star_hom
 from .trees import _check_order, bounded_fold, canonical_code, path, tree_codes
 
 
 #: Largest order `verify_hoffman_london` answers on a certified target: its path
-#: counts take n_max message steps, its certificate about as many per column read.
+#: counts take n_max message steps, its certificate n_max support steps per class read.
 SPIDER_ORDER_LIMIT = 200
 
 
@@ -221,8 +221,7 @@ class OrderVerdict(_Record):
 
 class StrongHLCertificate(_Record):
     """Witness data for strict path minimality: per path length t a class
-    pair (low, high) with a joint endpoint coloring and strictly ordered
-    endpoint counts at every probed length s."""
+    pair (low, high) with a joint endpoint coloring and the larger degree at high."""
 
     __slots__ = ()
     ordering: tuple[int, ...]
@@ -355,39 +354,39 @@ def check_strong_hl_certificate(
     holding classes x and y, with a joint endpoint coloring ((B^(t-1))[x][y]
     > 0, B the orbit quotient's class matrix) and a strictly larger endpoint
     count (B^(s-1)·1) at y than at x for every s in 2..s_max; the
-    lexicographically least pair wins. Both come from message steps, from the
-    class indicators and the all-ones vector, one per length; no path is built.
+    lexicographically least pair wins.
 
-    sizes[x]·B^(t-1)[x][y] counts t-vertex paths with ends in x and y, so
-    it is symmetric, and B^(t-1)[x][y] > 0 exactly when x's own column,
-    B^(t-1) e_x, is positive at y. The scan at position a reads only the
-    column of x = ordering[a]; a column is built when the scan first
-    reaches it (`_column`) and stepped once per length after that."""
+    No count is formed: B^(t-1)[x][y] > 0 exactly when y is in x's walk
+    support, {x} stepped t - 1 times to its neighbour classes, built when the
+    scan first reaches x and stepped once per length after that. On a passing
+    ordering, lemma (i) of the module docstring then makes y's endpoint count
+    larger at every s exactly when its degree (s = 2) is, as a walk joins x
+    and y: s_max does not change the result."""
     _check_n_max(t_max, "the strict-minimality certificate", "t_max")
     _check_n_max(s_max, "the strict-minimality certificate", "s_max")
     Q = orbit_partition(H)
     if not has_increasing_columns(similarity_matrix(Q, ordering)):
         return "ordering does not pass the increasing-columns test"
-    # ends[s - 2][x]: s-vertex path colorings with an end at x
-    ends = list(islice(_steps(Q.rows, [1] * Q.k), 1, s_max))
-    live: dict[int, Iterator[list[int]]] = {}  # x -> its column's steps past this length
+    deg = list(map(len, Q.rows))
+
+    def walk(support: set[int], steps: int = 1) -> set[int]:
+        for _ in range(steps):
+            support = {y for c in support for y in Q.rows[c]}
+        return support
+
+    live: dict[int, set[int]] = {}  # x -> its walk support at this length
     witnesses = []
     for t in range(2, t_max + 1):
-        cols = {x: next(steps) for x, steps in live.items()}  # x -> B^(t-1) e_x
-        found = None
+        live = {x: walk(support) for x, support in live.items()}
         for a, x in enumerate(ordering):
-            col = cols.get(x)
-            if col is None:  # first reached at this length
-                col = cols[x] = _column(Q.rows, x, t - 1)
-                live[x] = islice(_steps(Q.rows, col), 1, None)
-            b = next((b for b, y in enumerate(ordering)
-                      if a != b and col[y] and all(e[y] > e[x] for e in ends)), None)
+            if x not in live:  # first reached at this length
+                live[x] = walk({x}, t - 1)
+            b = next((b for b, y in enumerate(ordering) if y in live[x] and deg[y] > deg[x]), None)
             if b is not None:
-                found = a, b
+                witnesses.append((t, (a, b)))
                 break
-        if found is None:
+        else:
             return f"no witness class pair for path length t={t}"
-        witnesses.append((t, found))
     return StrongHLCertificate(tuple(ordering), t_max, s_max, tuple(witnesses))
 
 

@@ -45,7 +45,8 @@ code with treehom.homcount or treehom.trees:
 One oracle that shares no code with treehom.extremal and uses no quotient:
 
 * strict_witness_pairs: the strict-minimality certificate's witness pairs,
-  read off powers of the vertex adjacency matrix.
+  read off powers of the vertex adjacency matrix; as_certificate puts them
+  in the form check_strong_hl_certificate returns.
 
 One oracle that shares no code with treehom.trees' KC moves:
 
@@ -116,7 +117,7 @@ from functools import lru_cache, partial
 from itertools import permutations, product
 from math import prod
 
-from treehom import TargetGraph, Tree
+from treehom import StrongHLCertificate, TargetGraph, Tree
 from treehom.automorphy import _equitable_quotient
 from treehom.homcount import _message
 from treehom.trees import bounded_fold
@@ -340,6 +341,15 @@ def strict_witness_pairs(H: TargetGraph, classes, ordering, t_max: int, s_max: i
                   and all(e[y] > e[x] for e in ends for x in members[a] for y in members[b])),
                  None)
             for t in range(2, t_max + 1)]
+
+
+def as_certificate(want: list, ordering, t_max: int, s_max: int) -> StrongHLCertificate | str:
+    """What check_strong_hl_certificate returns for strict_witness_pairs'
+    list want: the certificate, or the refusal at the first length with no
+    pair."""
+    if None in want:
+        return f"no witness class pair for path length t={want.index(None) + 2}"
+    return StrongHLCertificate(tuple(ordering), t_max, s_max, tuple(enumerate(want, 2)))
 
 
 def round_refined_colors(H: TargetGraph) -> list[int]:

@@ -36,7 +36,10 @@ from treehom.extremal import (
 from treehom.graphs import _Record
 from treehom.trees import CanonicalTree, _Shapes
 from treehom.trees import TREE_LIMIT, free_trees, tree_count
-from oracles import bipartition, fold_counts, has_balanced_bipartition, isomorphic, spider_counts
+from oracles import (
+    as_certificate, bipartition, fold_counts, has_balanced_bipartition, isomorphic, spider_counts,
+    strict_witness_pairs,
+)
 from treehom.cli import main, parse_target_spec
 
 
@@ -570,6 +573,56 @@ def test_degree_verdict_is_the_spider_verdict(spec):
         path_count, spiders = spider_counts(H, v.n)
         assert (v.min_count, v.path_is_min) == (path_count, True) and min(spiders) >= path_count
         assert v.path_is_unique_min == (min(spiders) > path_count), (spec, v.n)
+
+
+@cache
+def _oracle_witnesses(spec, s_max):
+    """The oracle's witness pairs at every length 2..30, and the ordering."""
+    H = parse_target_spec(spec)
+    ordering = find_increasing_ordering(H)
+    return strict_witness_pairs(H, orbit_partition(H).classes, ordering, 30, s_max), ordering
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS + ["capacity:20", "lpath:20"])
+def test_strict_certificate_is_the_oracle_witness_scan(spec):
+    # the witness pairs read off degrees and walk supports, against powers
+    # of the vertex adjacency matrix at every length up to 30
+    want, ordering = _oracle_witnesses(spec, 30)
+    got = check_strong_hl_certificate(parse_target_spec(spec), ordering, t_max=30, s_max=30)
+    assert got == as_certificate(want, ordering, 30, 30)
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_endpoint_counts_past_the_degrees_change_no_witness(spec):
+    # lemma (i) on the oracle alone: on a passing ordering, classes a walk
+    # joins have strictly ordered endpoint counts at every s up to 30
+    # exactly when their degrees (s = 2) are strictly ordered
+    assert _oracle_witnesses(spec, 2) == _oracle_witnesses(spec, 30)
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_strong_certificate_is_found_exactly_off_regular_targets(spec):
+    # lemma (ii) through check-hl's route: a walk of every length joins two
+    # classes of unequal degrees exactly when some edge does
+    H = parse_target_spec(spec)
+    got = verify_hoffman_london(H, 30).strong_certificate
+    assert (got is not None) == (not extremal._regular(_equitable_quotient(H)))
+
+
+def test_certificate_builds_no_big_integer(monkeypatch):
+    # degrees and walk supports only: no message step, endpoint count or
+    # column is formed, on 101 classes at 200 lengths
+    H = make_capacity_graph(100)
+    ordering = find_increasing_ordering(H)
+
+    def refuse(*args):
+        raise AssertionError("the certificate formed a count")
+
+    for module in homcount, extremal:
+        for name in ("_steps", "_message", "_column"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    got = check_strong_hl_certificate(H, ordering, t_max=200, s_max=200)
+    assert isinstance(got, StrongHLCertificate) and len(got.witnesses) == 199
 
 
 def test_a_faulty_spider_scan_disagrees_with_the_fold(monkeypatch):

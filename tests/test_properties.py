@@ -15,7 +15,7 @@ refinement against refinement in rounds and against loops, the KC machinery agai
 the contraction oracle, the
 automorphism search and the orbit search against all vertex permutations,
 the class-ordering search against all class orderings, the strict-minimality
-certificate against adjacency-matrix powers, the one-pass tree constructor
+certificate against adjacency-matrix powers and against the degree test, the one-pass tree constructor
 against its edge-by-edge check, and the edge-list format round trip."""
 
 from fractions import Fraction
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
-    blown_up_edges, brute_partition_function, dominated_edges,
+    as_certificate, blown_up_edges, brute_partition_function, dominated_edges,
     first_increasing_ordering, fold_counts, fraction_partition_function,
     has_balanced_bipartition, isomorphic, kc_moved_edges, product_edges, quotient_hom,
     queue_search, round_refined_colors, spider_counts, strict_witness_pairs, union_edges,
@@ -35,7 +35,6 @@ from oracles import (
 from treehom import (
     SMALL_TARGETS,
     MinimizerReport,
-    StrongHLCertificate,
     TargetGraph,
     Tree,
     activities,
@@ -674,72 +673,29 @@ def test_ordering_search_agrees_with_all_orderings(H):
         assert ordered == tuple(tuple(m[i][j] for j in want) for i in want)
 
 
-def _as_certificate(want, ordering, t_max, s_max):
-    """What check_strong_hl_certificate returns for the oracle's witnesses."""
-    if None in want:
-        return f"no witness class pair for path length t={want.index(None) + 2}"
-    return StrongHLCertificate(ordering, t_max, s_max, tuple(enumerate(want, 2)))
-
-
 @PROPERTY
-@given(targets(max_n=6), st.integers(2, 7), st.integers(2, 7))
+@given(targets(max_n=7), st.integers(2, 12), st.integers(2, 12))
 @example(SMALL_TARGETS[7], 7, 7)
 @example(SMALL_TARGETS[28], 3, 3)
-@example(SMALL_TARGETS[15], 7, 7)  # witness (1, 2) at every length: a second column
+@example(SMALL_TARGETS[15], 7, 7)  # witness (1, 2) at every length: a second support
 def test_strict_certificate_agrees_with_adjacency_powers(H, t_max, s_max):
     ordering = find_increasing_ordering(H)
     assume(ordering is not None)
     want = strict_witness_pairs(H, orbit_partition(H).classes, ordering, t_max, s_max)
     got = check_strong_hl_certificate(H, ordering, t_max=t_max, s_max=s_max)
-    assert got == _as_certificate(want, ordering, t_max, s_max)
-
-
-def certificate_with_any_ordering(H, ordering, t_max, s_max):
-    """check_strong_hl_certificate with the increasing-columns test waived,
-    so that the witness scan may pass, at a longer path, the position it
-    stopped at on a shorter one. Every column it builds must equal that
-    class's column of the eager route, which steps every class indicator at
-    every length. Returns the result and the path length of every build."""
-    Q = orbit_partition(H)
-    eager = [[[int(x == y) for y in range(Q.k)] for x in range(Q.k)]]  # eager[j][x] = B^j e_x
-    for _ in range(t_max - 1):
-        eager.append([_message(Q.rows, col) for col in eager[-1]])
-    built, column = [], extremal._column
-
-    def checked_column(rows, x, steps):
-        col = column(rows, x, steps)
-        assert col == eager[steps][x]
-        built.append(steps + 1)
-        return col
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(extremal, "has_increasing_columns", lambda m: True)
-        mp.setattr(extremal, "_column", checked_column)
-        return check_strong_hl_certificate(H, ordering, t_max=t_max, s_max=s_max), built
+    assert got == as_certificate(want, ordering, t_max, s_max)
 
 
 @PROPERTY
-@given(targets(max_n=5), st.integers(2, 6), st.integers(2, 6), st.data())
-def test_late_built_columns_are_the_eager_columns(H, t_max, s_max, data):
-    classes = orbit_partition(H).classes
-    ordering = tuple(data.draw(st.permutations(range(len(classes)))))
-    want = strict_witness_pairs(H, classes, ordering, t_max, s_max)
-    got, _ = certificate_with_any_ordering(H, ordering, t_max, s_max)
-    assert got == _as_certificate(want, ordering, t_max, s_max)
-
-
-def test_certificate_builds_a_column_late():
-    # no passing ordering of a small random target moves the scan past its
-    # first stop; with the test waived, some orderings of this one do
-    H = TargetGraph.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4)])
-    classes = orbit_partition(H).classes
-    late = 0
-    for ordering in permutations(range(len(classes))):
-        want = strict_witness_pairs(H, classes, ordering, 7, 7)
-        got, built = certificate_with_any_ordering(H, ordering, 7, 7)
-        assert got == _as_certificate(want, ordering, 7, 7)
-        late += max(built) > 2
-    assert late
+@given(target_unions(), st.integers(2, 30))
+@example(disjoint_union(SMALL_TARGETS[7], SMALL_TARGETS[28]), 30)
+def test_strong_certificate_is_found_exactly_off_regular_targets(H, n_max):
+    # lemma (ii) through check-hl's route: on a certified target a walk of
+    # every length joins two classes of unequal degrees exactly when some
+    # edge does, so the certificate is found exactly when H is not regular
+    assume(find_increasing_ordering(H) is not None)
+    got = verify_hoffman_london(H, n_max).strong_certificate
+    assert (got is not None) == (not extremal._regular(_equitable_quotient(H)))
 
 
 @PROPERTY
