@@ -51,7 +51,6 @@ from .extremal import (
     HLVerdict,
     MinimizerReport,
     SMALL_TARGETS,
-    StrongHLCertificate,
     check_strong_hl_certificate,
     classify_small_targets,
     is_loop_threshold,

@@ -271,7 +271,7 @@ def _cmd_check_hl(args) -> int:
         else:
             print("increasing-columns certificate: none")
         if verdict.strong_certificate is not None:
-            w = dict(verdict.strong_certificate.witnesses)
+            w = dict(verdict.strong_certificate)
             print(f"strict-minimality certificate: witness pairs {w}")
         kind = "strongly path-minimal" if args.strong else "path-minimal"
         print(f"verdict: {kind} up to n={args.n_max}: {ok}")

@@ -219,25 +219,15 @@ class OrderVerdict(_Record):
     path_is_unique_min: bool
 
 
-class StrongHLCertificate(_Record):
-    """Witness data for strict path minimality: per path length t a class
-    pair (low, high) with a joint endpoint coloring and the larger degree at high."""
-
-    __slots__ = ()
-    ordering: tuple[int, ...]
-    t_max: int
-    s_max: int
-    witnesses: tuple[tuple[int, tuple[int, int]], ...]
-
-
 class HLVerdict(_Record):
-    """Path minimality per order up to n_max, with the certificates found."""
+    """Path minimality per order up to n_max, with the certificates found:
+    the passing ordering and the witness pairs (`check_strong_hl_certificate`)."""
 
     __slots__ = ()
     n_max: int
     reports: tuple[OrderVerdict, ...]
     matrix_certificate: tuple[int, ...] | None
-    strong_certificate: StrongHLCertificate | None
+    strong_certificate: tuple[tuple[int, tuple[int, int]], ...] | None
 
     @property
     def hoffman_london(self) -> bool:
@@ -301,7 +291,7 @@ def minimizers(H: TargetGraph, n: int) -> MinimizerReport:
 
 def _check_n_max(n_max: int, what: str, name: str = "n_max") -> None:
     """Sweeps cover the orders 2..n_max, the strict-minimality certificate the
-    lengths 2..t_max and 2..s_max; a bound below 2 would pass vacuously."""
+    lengths 2..t_max; a bound below 2 would pass vacuously."""
     if n_max < 2:
         raise ValueError(f"{what} needs {name} >= 2, got {n_max}")
 
@@ -343,27 +333,25 @@ def verify_hoffman_london(H: TargetGraph, n_max: int) -> HLVerdict:
         strict, paths = not _regular(Q), islice(_path_counts(Q), 1, None)
         reports = tuple(OrderVerdict(n, p, True, n <= 3 or strict)
                         for n, p in zip(range(2, n_max + 1), paths))
-    got = cert is not None and check_strong_hl_certificate(H, cert, t_max=n_max, s_max=n_max)
-    return HLVerdict(n_max, reports, cert, got if isinstance(got, StrongHLCertificate) else None)
+    got = cert is not None and check_strong_hl_certificate(H, cert, t_max=n_max)
+    return HLVerdict(n_max, reports, cert, got if isinstance(got, tuple) else None)
 
 
-def check_strong_hl_certificate(
-    H: TargetGraph, ordering: tuple[int, ...], t_max: int = 9, s_max: int = 9,
-) -> StrongHLCertificate | str:
-    """Search, for each path length 2..t_max, for ordering positions (a, b),
-    holding classes x and y, with a joint endpoint coloring ((B^(t-1))[x][y]
-    > 0, B the orbit quotient's class matrix) and a strictly larger endpoint
-    count (B^(s-1)·1) at y than at x for every s in 2..s_max; the
-    lexicographically least pair wins.
+def check_strong_hl_certificate(H: TargetGraph, ordering: tuple[int, ...], t_max: int = 9
+                                ) -> tuple[tuple[int, tuple[int, int]], ...] | str:
+    """The witness pairs ((t, (a, b)), ...) for t = 2..t_max, or why there
+    are none: ordering positions a and b, holding classes x and y, with a
+    joint endpoint coloring ((B^(t-1))[x][y] > 0, B the orbit quotient's
+    class matrix) and a larger degree at y than at x; the lexicographically
+    least pair wins.
 
     No count is formed: B^(t-1)[x][y] > 0 exactly when y is in x's walk
     support, {x} stepped t - 1 times to its neighbour classes, built when the
     scan first reaches x and stepped once per length after that. On a passing
-    ordering, lemma (i) of the module docstring then makes y's endpoint count
-    larger at every s exactly when its degree (s = 2) is, as a walk joins x
-    and y: s_max does not change the result."""
+    ordering, lemma (i) of the module docstring makes y's endpoint count
+    (B^(s-1)·1) larger than x's at every s >= 2 exactly when its degree is,
+    as a walk joins x and y."""
     _check_n_max(t_max, "the strict-minimality certificate", "t_max")
-    _check_n_max(s_max, "the strict-minimality certificate", "s_max")
     Q = orbit_partition(H)
     if not has_increasing_columns(similarity_matrix(Q, ordering)):
         return "ordering does not pass the increasing-columns test"
@@ -387,7 +375,7 @@ def check_strong_hl_certificate(
                 break
         else:
             return f"no witness class pair for path length t={t}"
-    return StrongHLCertificate(tuple(ordering), t_max, s_max, tuple(witnesses))
+    return tuple(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +449,12 @@ def classify_small_targets(n_max: int) -> list[ClassificationRow]:
 
     The argument rests on the paper's theorem, the KC difference formula
     and the module docstring's proof; the tests check every row against
-    each target's own bounded fold at every n <= 16. Orders past the
-    enumeration limit are refused."""
+    each target's own bounded fold at every n <= 16, and against closed
+    forms and every spider's count up to n = 100. Orders past
+    SPIDER_ORDER_LIMIT are refused before any target is refined."""
     _check_n_max(n_max, "classification")
-    _check_order(n_max)
+    if n_max > SPIDER_ORDER_LIMIT:
+        raise SizeLimitError(f"classification limited to 2..{SPIDER_ORDER_LIMIT}, got n={n_max}")
     rows = []
     for hid, H in SMALL_TARGETS.items():
         Q = _equitable_quotient(H)

@@ -117,7 +117,7 @@ from functools import lru_cache, partial
 from itertools import permutations, product
 from math import prod
 
-from treehom import StrongHLCertificate, TargetGraph, Tree
+from treehom import TargetGraph, Tree
 from treehom.automorphy import _equitable_quotient
 from treehom.homcount import _message
 from treehom.trees import bounded_fold
@@ -343,13 +343,13 @@ def strict_witness_pairs(H: TargetGraph, classes, ordering, t_max: int, s_max: i
             for t in range(2, t_max + 1)]
 
 
-def as_certificate(want: list, ordering, t_max: int, s_max: int) -> StrongHLCertificate | str:
+def as_certificate(want: list) -> tuple | str:
     """What check_strong_hl_certificate returns for strict_witness_pairs'
-    list want: the certificate, or the refusal at the first length with no
-    pair."""
+    list want: the witness pairs ((t, (a, b)), ...) from t = 2, or the
+    refusal at the first length with no pair."""
     if None in want:
         return f"no witness class pair for path length t={want.index(None) + 2}"
-    return StrongHLCertificate(tuple(ordering), t_max, s_max, tuple(enumerate(want, 2)))
+    return tuple(enumerate(want, 2))
 
 
 def round_refined_colors(H: TargetGraph) -> list[int]:

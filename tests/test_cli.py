@@ -514,6 +514,17 @@ class TestReach:
         want += ["matrix-certificate\t1", "strong-certificate\t1", "verdict\t1"]
         assert status == 0 and err == "" and out.splitlines() == want
 
+    def test_classify_past_the_enumeration_limit(self, capsys):
+        # no tree is listed: the table at n = 100 is read off each target's
+        # path counts in one process, with the summaries read at n = 14
+        start = time.perf_counter()
+        status, out, err = run(capsys, "classify", "--n-max", "100", "--rows")
+        assert time.perf_counter() - start < 2.0
+        assert status == 0 and err == "" and len(out.splitlines()) == 28
+        summaries = [line.split("\t")[2] for line in out.splitlines()]
+        _, at_14, _ = run(capsys, "classify", "--n-max", "14", "--rows")
+        assert summaries == [line.split("\t")[2] for line in at_14.splitlines()]
+
     def test_hom_long_path_into_large_clique(self, capsys):
         # the walk runs on the clique's one-class quotient; a walk over its
         # 200 vertices takes about 1.5 s for path:300 alone
@@ -735,7 +746,6 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv", [
         ("check-hl", "--target", "h23", "--n-max"),
         ("sidorenko", "--target", "capacity:3", "--n-max"),
-        ("classify", "--n-max"),
         ("minimize", "--target", "capacity:3", "-n"),
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("n", [trees.TREE_LIMIT + 1, 100_000_000])
@@ -773,6 +783,21 @@ class TestErrorHandling:
         assert time.perf_counter() - start < 5.0
         assert status == 2 and out == ""
         assert err == (f"error: path-minimality checks limited to "
+                       f"2..{extremal.SPIDER_ORDER_LIMIT}, got n={n}\n")
+
+    @pytest.mark.parametrize("n", [extremal.SPIDER_ORDER_LIMIT + 1, 100_000_000])
+    def test_classify_past_its_order_limit_refused_fast(self, capsys, monkeypatch, n):
+        # classify lists no tree, so its limit is the certified route's, not
+        # the enumeration limit; it is refused before any target is refined
+        def refuse(*args):
+            raise AssertionError("a target was refined")
+
+        monkeypatch.setattr(extremal, "_equitable_quotient", refuse)
+        start = time.perf_counter()
+        status, out, err = run(capsys, "classify", "--n-max", str(n))
+        assert time.perf_counter() - start < 5.0
+        assert status == 2 and out == ""
+        assert err == (f"error: classification limited to "
                        f"2..{extremal.SPIDER_ORDER_LIMIT}, got n={n}\n")
 
     @pytest.mark.parametrize("head", list(cli._SHORTHANDS))

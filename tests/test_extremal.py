@@ -30,9 +30,7 @@ from treehom import (
 )
 from treehom import extremal, homcount, trees
 from treehom.automorphy import Quotient, SimilarityMatrix, _equitable_quotient, orbit_partition
-from treehom.extremal import (
-    ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict, StrongHLCertificate,
-)
+from treehom.extremal import ClassificationRow, HLVerdict, MinimizerReport, OrderVerdict
 from treehom.graphs import _Record
 from treehom.trees import CanonicalTree, _Shapes
 from treehom.trees import TREE_LIMIT, free_trees, tree_count
@@ -322,17 +320,15 @@ class TestHLVerdicts:
         assert isinstance(res, str)  # single class: no witness pair exists
 
     def test_certificate_success_hind(self):
-        res = check_strong_hl_certificate(SMALL_TARGETS[7], (1, 0), t_max=7, s_max=7)
-        assert isinstance(res, StrongHLCertificate)
+        res = check_strong_hl_certificate(SMALL_TARGETS[7], (1, 0), t_max=7)
         # witness: unlooped class below, looped class above, for every t
-        assert all(pair == (0, 1) for _, pair in res.witnesses)
+        assert res == tuple((t, (0, 1)) for t in range(2, 8))
 
-    @pytest.mark.parametrize("bounds", [(1, 7), (7, 1), (0, 0)])
+    @pytest.mark.parametrize("bounds", [dict(t_max=1), dict(t_max=0)])
     def test_certificate_probing_no_length_rejected(self, bounds):
-        # t_max < 2 would check no pair, s_max < 2 no endpoint count
-        t_max, s_max = bounds
-        with pytest.raises(ValueError, match=">= 2"):
-            check_strong_hl_certificate(SMALL_TARGETS[7], (1, 0), t_max=t_max, s_max=s_max)
+        # t_max < 2 would check no pair
+        with pytest.raises(ValueError, match="t_max >= 2"):
+            check_strong_hl_certificate(SMALL_TARGETS[7], (1, 0), **bounds)
 
     def test_certificate_builds_no_path(self, monkeypatch):
         # endpoint counts and path-pair columns are message steps on the
@@ -376,21 +372,23 @@ class TestSweeps:
         with pytest.raises(ValueError, match="n_max >= 2"):
             sweep(SMALL_TARGETS[7], 1)
 
-    @pytest.mark.parametrize("sweep", [
-        lambda n: verify_hoffman_london(SMALL_TARGETS[23], n),  # no ordering certifies h23
-        lambda n: sidorenko_check(make_capacity_graph(3), n),
-        classify_small_targets,
-        lambda n: minimizers(make_capacity_graph(3), n),
+    @pytest.mark.parametrize("sweep, n", [
+        (lambda n: verify_hoffman_london(SMALL_TARGETS[23], n), TREE_LIMIT + 1),  # h23: no ordering
+        (lambda n: sidorenko_check(make_capacity_graph(3), n), TREE_LIMIT + 1),
+        # classify lists no tree: its limit is the certified route's
+        (classify_small_targets, extremal.SPIDER_ORDER_LIMIT + 1),
+        (lambda n: minimizers(make_capacity_graph(3), n), TREE_LIMIT + 1),
     ], ids=["check-hl", "sidorenko", "classify", "minimize"])
-    def test_sweep_past_the_limit_refused_before_any_order(self, monkeypatch, sweep):
-        # the tables are refused for an order past the enumeration limit,
-        # so no order below it is read first
+    def test_sweep_past_the_limit_refused_before_any_order(self, monkeypatch, sweep, n):
+        # an order past the sweep's limit is refused before any target is
+        # refined or any order below it is read
         def refuse(*args):
-            raise AssertionError("an order was read")
+            raise AssertionError("a target was refined or an order read")
 
         monkeypatch.setattr(trees, "_check_covered", refuse)
-        with pytest.raises(SizeLimitError, match=f"got n={TREE_LIMIT + 1}"):
-            sweep(TREE_LIMIT + 1)
+        monkeypatch.setattr(extremal, "_equitable_quotient", refuse)
+        with pytest.raises(SizeLimitError, match=f"got n={n}"):
+            sweep(n)
 
     @pytest.mark.parametrize("sweep", [verify_hoffman_london, sidorenko_check, minimizers])
     def test_one_target_sweep_past_the_limit_refines_no_target(self, monkeypatch, sweep):
@@ -513,6 +511,33 @@ def test_union_fold_and_bounded_fold_give_one_verdict(hid):
     assert _orders(_classified()[hid]) == _fold_orders(hid)
 
 
+def test_classify_rows_past_the_enumeration_limit():
+    # every row at n = 17..100, where no fold reaches, against oracles that
+    # share no code with classify: Σ_v d(v)^(n-1) on the regular targets
+    # (every edge joins two vertices of one degree), 2^⌈n/2⌉ + 2^⌊n/2⌋ on
+    # target 19, P3, whose least trees are the balanced ones, and on the
+    # nine others the path's count, strictly below every spider's
+    others = 0
+    for row in classify_small_targets(100):
+        H = SMALL_TARGETS[row.target_id]
+        regular = all(H.degree(u) == H.degree(v) for u, v in H.edges)
+        others += not regular and row.target_id != 19
+        for (n, least), (_, labels) in zip(row.min_counts, row.labels):
+            if n <= TREE_LIMIT:  # test_union_fold_and_bounded_fold_give_one_verdict
+                continue
+            if regular:
+                want = sum(H.degree(v) ** (n - 1) for v in H.vertices())
+                want_labels = {extremal.LABEL_ALL} | ({extremal.LABEL_ZERO} if want == 0 else set())
+            elif row.target_id == 19:
+                want, want_labels = 2 ** ((n + 1) // 2) + 2 ** (n // 2), {extremal.LABEL_BALANCED}
+            else:
+                want, spiders = spider_counts(H, n)
+                assert want < min(spiders), (row.target_id, n)
+                want_labels = {extremal.LABEL_PATHS}
+            assert (least, labels) == (want, want_labels), (row.target_id, n)
+    assert others == 9
+
+
 def test_classify_lists_no_tree_and_runs_no_fold(monkeypatch):
     # every row comes from closed forms, message steps and certificates:
     # no table, tree listing, fold or tree walk is reached
@@ -588,8 +613,8 @@ def test_strict_certificate_is_the_oracle_witness_scan(spec):
     # the witness pairs read off degrees and walk supports, against powers
     # of the vertex adjacency matrix at every length up to 30
     want, ordering = _oracle_witnesses(spec, 30)
-    got = check_strong_hl_certificate(parse_target_spec(spec), ordering, t_max=30, s_max=30)
-    assert got == as_certificate(want, ordering, 30, 30)
+    got = check_strong_hl_certificate(parse_target_spec(spec), ordering, t_max=30)
+    assert got == as_certificate(want)
 
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS)
@@ -621,8 +646,8 @@ def test_certificate_builds_no_big_integer(monkeypatch):
     for module in homcount, extremal:
         for name in ("_steps", "_message", "_column"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    got = check_strong_hl_certificate(H, ordering, t_max=200, s_max=200)
-    assert isinstance(got, StrongHLCertificate) and len(got.witnesses) == 199
+    got = check_strong_hl_certificate(H, ordering, t_max=200)
+    assert isinstance(got, tuple) and len(got) == 199
 
 
 def test_a_faulty_spider_scan_disagrees_with_the_fold(monkeypatch):
@@ -711,12 +736,11 @@ class _Local(_Record):
     (MinimizerReport, ("n", "min_count", "minimizers", "path_is_min", "path_is_unique_min",
                        "max_count", "star_is_max")),
     (OrderVerdict, ("n", "min_count", "path_is_min", "path_is_unique_min")),
-    (StrongHLCertificate, ("ordering", "t_max", "s_max", "witnesses")),
+    (_Shapes, ("children", "size", "end")),
     (HLVerdict, ("n_max", "reports", "matrix_certificate", "strong_certificate")),
     (ClassificationRow, ("target_id", "min_counts", "labels", "summary")),
     (CanonicalTree, ("tree", "code")),
     (Quotient, ("class_of", "sizes", "rows")),
-    (_Shapes, ("children", "size", "end")),
 ])
 def test_record_fields_in_order(cls, fields):
     rec = cls(*range(len(fields)))
