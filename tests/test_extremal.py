@@ -324,9 +324,9 @@ class TestHLVerdicts:
         # witness: unlooped class below, looped class above, for every t
         assert res == tuple((t, (0, 1)) for t in range(2, 8))
 
-    @pytest.mark.parametrize("bounds", [dict(t_max=1), dict(t_max=0)])
+    @pytest.mark.parametrize("bounds", [dict(t_max=1), dict(t_max=-1), dict(t_max=0)])
     def test_certificate_probing_no_length_rejected(self, bounds):
-        # t_max < 2 would check no pair
+        # t_max < 2 would check no pair; a negative length is refused too
         with pytest.raises(ValueError, match="t_max >= 2"):
             check_strong_hl_certificate(SMALL_TARGETS[7], (1, 0), **bounds)
 
